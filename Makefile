@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test coverage lint bench bench-smoke examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke clean
+.PHONY: install test coverage lint bench bench-smoke examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke perfbench-smoke clean
 
 install:
 	pip install -e .[test]
@@ -63,6 +63,16 @@ tournament-smoke:
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \
 		--json .campaign-smoke.json
+
+# run.py exits 0 even when a digest mismatches, so the last stdout line
+# (the JSON summary) must say "correct": true
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload replay-read-hot --seed 0 \
+		--seconds 5 --trace 0 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PYTHON) -c \
+		"import json, sys; r = json.loads(sys.stdin.read()); \
+		print('perfbench correct:', r['correct']); \
+		sys.exit(r['correct'] is not True)"
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks

@@ -20,6 +20,15 @@ cache without bound.  All bookkeeping is deterministic (insertion-ordered
 dict, no wall-clock anywhere) — the serving layer's reports must be
 bit-identical across runs of the same seed.
 
+Beside the LRU order, each die keeps an *age index*: a list of
+``(stored_us, key)`` pairs sorted with :mod:`bisect`, so the idle-gap
+scrubber reads the stalest entries of one die off the front instead of
+scanning the whole cache.  Only this class moves ``stored_us``, and every
+change to the entry map updates the index through :meth:`_index` /
+:meth:`_unindex` — via :meth:`_insert` / :meth:`_remove`, LRU eviction,
+or directly for a refresh in place.  The broker's virtual clock only
+moves forward, so nearly every insert appends at the end.
+
 Caches also travel between devices: drives of the same (layer-count,
 P/E-age) cohort share process characteristics the way wordlines of one
 layer do, so a new device can start from a sibling's learned offsets
@@ -35,6 +44,7 @@ entries are tracked separately (``warm_started``/``warm_hits``/
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -96,6 +106,8 @@ class VoltageOffsetCache:
     def __init__(self, config: Optional[VoltageCacheConfig] = None) -> None:
         self.config = config or VoltageCacheConfig()
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        #: die -> (stored_us, key) of that die's entries, sorted
+        self._by_age: Dict[int, List[Tuple[float, CacheKey]]] = {}
         self.hits = 0
         self.misses = 0
         self.expired = 0  # lookups that found a drift-stale entry
@@ -112,6 +124,31 @@ class VoltageOffsetCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
+
+    def _index(self, key: CacheKey, stored_us: float) -> None:
+        insort(self._by_age.setdefault(key[0], []), (stored_us, key))
+
+    def _unindex(self, key: CacheKey, stored_us: float) -> None:
+        index = self._by_age[key[0]]
+        del index[bisect_left(index, (stored_us, key))]
+
+    def _insert(self, key: CacheKey, entry: CacheEntry) -> None:
+        """Add ``key`` (absent) at the MRU end and to its die's age index."""
+        self._entries[key] = entry
+        self._index(key, entry.stored_us)
+
+    def _remove(self, key: CacheKey) -> Optional[CacheEntry]:
+        """Drop ``key`` from the map and the age index; the entry or None."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._unindex(key, entry.stored_us)
+        return entry
+
+    def _evict_over_capacity(self) -> None:
+        while len(self._entries) > self.config.capacity:
+            key, entry = self._entries.popitem(last=False)
+            self._unindex(key, entry.stored_us)
+            self.evicted += 1
 
     def _fresh(self, entry: CacheEntry, now_us: float, pe_cycles: int) -> bool:
         c = self.config
@@ -136,7 +173,7 @@ class VoltageOffsetCache:
             self.misses += 1
             return None
         if not self._fresh(entry, now_us, pe_cycles):
-            del self._entries[key]
+            self._remove(key)
             self.expired += 1
             if entry.warm:
                 self.warm_expired += 1
@@ -159,14 +196,12 @@ class VoltageOffsetCache:
         its inferences are trusted again."""
         if self._quarantine and self._quarantined_now(key, now_us):
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = CacheEntry(
-            offset=float(offset), stored_us=now_us, pe_cycles=pe_cycles
+        self._remove(key)
+        self._insert(
+            key,
+            CacheEntry(offset=float(offset), stored_us=now_us, pe_cycles=pe_cycles),
         )
-        while len(self._entries) > self.config.capacity:
-            self._entries.popitem(last=False)
-            self.evicted += 1
+        self._evict_over_capacity()
 
     def refresh(
         self, key: CacheKey, offset: float, now_us: float, pe_cycles: int
@@ -177,6 +212,9 @@ class VoltageOffsetCache:
         if entry is None:
             self.put(key, offset, now_us, pe_cycles)
         else:
+            # in place: the LRU position stays, the age index moves
+            self._unindex(key, entry.stored_us)
+            self._index(key, now_us)
             entry.offset = float(offset)
             entry.stored_us = now_us
             entry.pe_cycles = pe_cycles
@@ -200,7 +238,7 @@ class VoltageOffsetCache:
         Called by the broker when a cached offset is detected corrupt; the
         read that detected it proceeds cold and its (fresh) inference is
         *not* re-cached until the quarantine lapses."""
-        self._entries.pop(key, None)
+        self._remove(key)
         self._quarantine[key] = now_us + self.config.quarantine_us
         self.quarantined += 1
 
@@ -209,7 +247,7 @@ class VoltageOffsetCache:
 
     def invalidate(self, key: CacheKey) -> None:
         """Drop one entry the read path detected stale (no quarantine)."""
-        if self._entries.pop(key, None) is not None:
+        if self._remove(key) is not None:
             self.expired += 1
 
     def flush(self) -> int:
@@ -224,6 +262,7 @@ class VoltageOffsetCache:
         historical bytes)."""
         dropped = len(self._entries)
         self._entries.clear()
+        self._by_age.clear()
         self.flushed += dropped
         return dropped
 
@@ -237,13 +276,24 @@ class VoltageOffsetCache:
         Only entries older than ``refresh_age_us`` qualify — refreshing a
         young entry buys nothing; entries past the TTL still qualify, since
         a refresh re-infers from the block's *current* state and
-        revalidates them."""
+        revalidates them.
+
+        Walks only the due prefix of the die's age index: it stops at the
+        first entry younger than ``refresh_age_us`` (``now_us - stored_us``
+        is monotone in ``stored_us``, so the cut is exact), or once
+        ``limit`` entries are held and the next ``stored_us`` differs from
+        the last one taken, so hotness ties across the limit still sort
+        exactly."""
         min_age = self.config.refresh_age_us
-        due = [
-            (entry.stored_us, -entry.hits, key)
-            for key, entry in self._entries.items()
-            if key[0] == die and entry.age_us(now_us) >= min_age
-        ]
+        due = []
+        last = None
+        for stored_us, key in self._by_age.get(die, ()):
+            if not now_us - stored_us >= min_age:
+                break
+            if len(due) >= limit and stored_us != last:
+                break
+            due.append((stored_us, -self._entries[key].hits, key))
+            last = stored_us
         due.sort()
         return [key for _, _, key in due[:limit]]
 
@@ -322,11 +372,9 @@ class VoltageOffsetCache:
             )
             if not self._fresh(entry, now_us, pe_now):
                 continue
-            self._entries[key] = entry
+            self._insert(key, entry)
             imported += 1
-            while len(self._entries) > self.config.capacity:
-                self._entries.popitem(last=False)
-                self.evicted += 1
+            self._evict_over_capacity()
         self.warm_started += imported
         return imported
 
