@@ -18,8 +18,10 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
+# writes a git-ignored scratch report: the committed BENCH_core.json is
+# refreshed deliberately, not by every smoke run
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke --check --json benchmarks/BENCH_core.json
+	$(PYTHON) -m repro bench --smoke --check --json .bench-smoke.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -16,12 +16,10 @@ from repro import FlashChip, QLC_SPEC, StressState
 from repro.analysis import print_table
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.distributions import estimate_states, true_state_statistics
-from repro.util.rng import derive_rng
 
 
 def explore(label: str, wordline) -> None:
-    estimates, histogram = estimate_states(wordline, step=6,
-                                           rng=derive_rng(1))
+    estimates, histogram = estimate_states(wordline, step=6)
     truth = true_state_statistics(wordline)
     print(
         line_plot(

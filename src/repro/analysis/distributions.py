@@ -14,7 +14,7 @@ true state statistics in ``tests/test_distributions.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ def full_axis_histogram(
     wordline: Wordline,
     step: int = 8,
     margin: float = 3.5,
-    rng: Optional[np.random.Generator] = None,
 ) -> AxisHistogram:
     """Sweep the entire Vth axis with single-voltage reads."""
     spec = wordline.spec
@@ -57,7 +56,7 @@ def full_axis_histogram(
     positions = np.arange(lo, hi + step, step)
     cumulative = np.empty(len(positions), dtype=np.int64)
     for i, pos in enumerate(positions):
-        above = wordline.single_voltage_read(pos, rng)
+        above = wordline.single_voltage_read(pos)
         cumulative[i] = wordline.n_cells - int(above.sum())
     counts = np.diff(cumulative)
     np.clip(counts, 0, None, out=counts)
@@ -98,7 +97,6 @@ def find_state_peaks(
 def estimate_states(
     wordline: Wordline,
     step: int = 8,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[List[StateEstimate], AxisHistogram]:
     """Estimate every state's mean and width from one full-axis sweep.
 
@@ -107,7 +105,7 @@ def estimate_states(
     characterization flow extracts from silicon.
     """
     spec = wordline.spec
-    histogram = full_axis_histogram(wordline, step=step, rng=rng)
+    histogram = full_axis_histogram(wordline, step=step)
     peaks = find_state_peaks(histogram, spec.n_states)
     centers = histogram.centers
     counts = histogram.counts.astype(np.float64)

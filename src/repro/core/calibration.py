@@ -24,7 +24,7 @@ paper's like-for-like setting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class Calibrator:
         self,
         wordline: Wordline,
         sentinel_offset: float,
-        rng: Optional[np.random.Generator] = None,
     ) -> Tuple[str, float, float]:
         """Compare normalized state-change counts; return the verdict.
 
@@ -76,7 +75,7 @@ class Calibrator:
         spec = wordline.spec
         pos_default = spec.read_voltage(spec.sentinel_voltage, 0.0)
         pos_inferred = spec.read_voltage(spec.sentinel_voltage, sentinel_offset)
-        nca, ncs = wordline.state_change_counts(pos_default, pos_inferred, rng)
+        nca, ncs = wordline.state_change_counts(pos_default, pos_inferred)
         data_adjacent = 2.0 * wordline.n_data_cells / spec.n_states
         nca_norm = nca / data_adjacent
         ncs_norm = ncs / max(wordline.n_sentinels, 1)
@@ -89,7 +88,6 @@ class Calibrator:
         wordline: Wordline,
         sentinel_offset: float,
         direction_hint: float,
-        rng: Optional[np.random.Generator] = None,
     ) -> float:
         """One calibration step: nudge the sentinel offset by +-Delta.
 
@@ -97,7 +95,7 @@ class Calibrator:
         paper: the inferred *direction* is always correct); Case 1 moves
         further along it, Case 2 backs off.
         """
-        verdict, _, _ = self.state_change_verdict(wordline, sentinel_offset, rng)
+        verdict, _, _ = self.state_change_verdict(wordline, sentinel_offset)
         sign = np.sign(direction_hint) or -1.0
         delta = self.config.delta_steps
         if verdict == FURTHER:

@@ -76,7 +76,6 @@ class _CharTask:
     spec: object
     seed: int
     sentinel_ratio: float
-    batched: bool = True  # columnar batch path (bit-identical)
 
 
 #: Cells per columnar sub-batch of a characterization shard.
@@ -87,30 +86,10 @@ def _characterize_shard(task: _CharTask, shard: _CharShard) -> List[tuple]:
     """Collect (d rate, ground-truth optima) rows for one shard.
 
     Both measurements are pure functions of the wordline identity: the
-    sentinel readout consumes the wordline's own fresh read-noise stream
-    and the optimal search is noiseless, so rebuilding the chip here yields
-    exactly the samples the caller's chip would.
-    """
-    if task.batched:
-        return _characterize_shard_batched(task, shard)
-    chip = FlashChip(
-        task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
-    )
-    chip.set_block_stress(shard.block, shard.stress)
-    rows: List[tuple] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        readout = wl.sentinel_readout(0.0)
-        rows.append((readout.difference_rate, optimal_offsets(wl)))
-    return rows
-
-
-def _characterize_shard_batched(task: _CharTask, shard: _CharShard) -> List[tuple]:
-    """Columnar form of ``_characterize_shard``: same rows, batched kernels.
-
-    The sentinel readouts of a sub-batch are one batched single-voltage
-    sense (each row drawing from its own read-noise stream, so row order
-    inside the kernel cannot change a sample); the ground-truth optimal
-    search is noiseless and runs per wordline view.
+    sentinel readouts of a sub-batch are one batched sense, each row
+    drawing from its own fresh read-noise stream, and the optimal search
+    is noiseless and runs per wordline view — so rebuilding the wordlines
+    here yields exactly the samples the caller's chip would.
     """
     from repro.flash.block import BlockColumns
 
@@ -142,7 +121,6 @@ def characterize_chip(
     degree: int = 5,
     temp_bin_edges: Sequence[float] = DEFAULT_TEMP_BINS,
     workers: int = 1,
-    batched: bool = True,
 ) -> CharacterizationResult:
     """Run the full characterization sweep and fit a :class:`SentinelModel`.
 
@@ -152,10 +130,8 @@ def characterize_chip(
     ``workers > 1`` fans the sweep out over :class:`repro.engine.ParallelMap`
     in canonical (stress, block, wordline) order; the collected samples —
     and therefore the fitted model — are byte-identical to a serial run.
-
-    ``batched=True`` (the default) sweeps each shard through the columnar
-    :class:`repro.flash.block.BlockColumns` store; samples are
-    bit-identical to the per-wordline path (``batched=False``).
+    Each shard sweeps through the columnar
+    :class:`repro.flash.block.BlockColumns` store.
     """
     if chip.sentinel_ratio <= 0:
         raise ValueError("characterization requires a chip with sentinel cells")
@@ -174,7 +150,6 @@ def characterize_chip(
         spec=spec,
         seed=chip.seed,
         sentinel_ratio=chip.sentinel_ratio,
-        batched=batched,
     )
     engine = ParallelMap(workers=workers)
     per_shard = engine.run(

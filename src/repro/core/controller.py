@@ -70,7 +70,6 @@ class SentinelController(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         spec = wordline.spec
@@ -83,7 +82,7 @@ class SentinelController(ReadPolicy):
             None if hint is None
             else self.model.offsets_from_sentinel(float(hint), temperature)
         )
-        if self.attempt(wordline, outcome, first, rng):
+        if self.attempt(wordline, outcome, first):
             return outcome
 
         # --- sentinel inference -------------------------------------------
@@ -95,7 +94,7 @@ class SentinelController(ReadPolicy):
         # The error difference is measured at the position the failed read
         # actually applied: the default sentinel voltage, or the hinted one.
         base = float(hint) if hint is not None else 0.0
-        readout = wordline.sentinel_readout(base, rng)
+        readout = wordline.sentinel_readout(base)
         d_rate = readout.difference_rate
         correction = float(
             np.round(self.model.infer_sentinel_offset(d_rate))
@@ -124,7 +123,7 @@ class SentinelController(ReadPolicy):
                     temperature=float(temperature),
                 )
         offsets = self.model.offsets_from_sentinel(sentinel_offset, temperature)
-        if self.attempt(wordline, outcome, offsets, rng):
+        if self.attempt(wordline, outcome, offsets):
             return outcome
 
         # --- calibration --------------------------------------------------
@@ -144,7 +143,7 @@ class SentinelController(ReadPolicy):
         # in hand (step 2), the inferred-position one is new
         outcome.extra_single_reads += 1
         verdict, _, _ = calibrator.state_change_verdict(
-            wordline, sentinel_offset, rng
+            wordline, sentinel_offset
         )
         sign = float(np.sign(direction_hint)) or -1.0
         first = sign if verdict == "further" else -sign
@@ -176,7 +175,7 @@ class SentinelController(ReadPolicy):
                         offset=float(current),
                     )
             offsets = self.model.offsets_from_sentinel(current, temperature)
-            if self.attempt(wordline, outcome, offsets, rng):
+            if self.attempt(wordline, outcome, offsets):
                 return outcome
 
         if self.fallback_table:
@@ -200,8 +199,8 @@ class SentinelController(ReadPolicy):
             for k in range(len(table)):
                 if outcome.retries >= self.max_retries:
                     break
-                if self.attempt(wordline, outcome, table.entry(k), rng):
+                if self.attempt(wordline, outcome, table.entry(k)):
                     return outcome
         if self.soft_fallback and not outcome.success:
-            self.soft_rescue(wordline, outcome, rng)
+            self.soft_rescue(wordline, outcome)
         return outcome

@@ -93,7 +93,7 @@ def page_llrs(
     p = spec.gray.page_index(page)
     positions = wordline.page_positions(p, offsets)
 
-    gen = rng if rng is not None else wordline._read_rng
+    gen = rng if rng is not None else wordline.read_rng
     noise = spec.read_noise_sigma * gen.standard_normal(wordline.n_cells)
     sensed = wordline.vth + noise.astype(np.float32)
 
@@ -101,7 +101,7 @@ def page_llrs(
     pattern = spec.gray.region_bits(p)
     bits = pattern[regions]
     stored = spec.gray.stored_bits(p, wordline.states)
-    data_mask = ~wordline._sentinel_mask
+    data_mask = wordline.data_mask
     error_mask = (bits != stored)[data_mask]
 
     distances = np.min(

@@ -63,7 +63,6 @@ def read_sweep(
     vindex: int,
     span: Optional[Tuple[int, int]] = None,
     step: int = 4,
-    rng: Optional[np.random.Generator] = None,
 ) -> SweepResult:
     """Sweep one boundary with single-voltage reads.
 
@@ -79,7 +78,7 @@ def read_sweep(
     base = spec.read_voltage(vindex)
     cumulative = np.empty(len(offsets), dtype=np.int64)
     for i, off in enumerate(offsets):
-        above = wordline.single_voltage_read(base + off, rng)
+        above = wordline.single_voltage_read(base + off)
         cumulative[i] = wordline.n_cells - int(above.sum())
     histogram = np.diff(cumulative)
     # sensing noise can make the cumulative count locally non-monotone;
@@ -98,17 +97,15 @@ def measured_optimal_offset(
     wordline: Wordline,
     vindex: int,
     step: int = 4,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[float, int]:
     """Valley position of one boundary plus the sweep's read cost."""
-    sweep = read_sweep(wordline, vindex, step=step, rng=rng)
+    sweep = read_sweep(wordline, vindex, step=step)
     return sweep.valley_offset(), sweep.reads_used
 
 
 def measured_optimal_offsets(
     wordline: Wordline,
     step: int = 4,
-    rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, int]:
     """Sweep every boundary; returns (dense offsets, total reads used).
 
@@ -120,7 +117,7 @@ def measured_optimal_offsets(
     dense = np.zeros(spec.n_voltages)
     total_reads = 0
     for v in range(1, spec.n_voltages + 1):
-        offset, reads = measured_optimal_offset(wordline, v, step=step, rng=rng)
+        offset, reads = measured_optimal_offset(wordline, v, step=step)
         dense[v - 1] = offset
         total_reads += reads
     return dense, total_reads
@@ -183,29 +180,14 @@ class _SweepTask:
     sentinel_ratio: float
     stress: object
     step: int
-    batched: bool = True  # columnar batch path (bit-identical)
 
 
 def _sweep_shard(task: _SweepTask, shard) -> List[Tuple[np.ndarray, int]]:
-    """Sweep every wordline of one shard with its own read-noise stream."""
-    from repro.flash.chip import FlashChip
+    """Sweep every wordline of one shard with its own read-noise stream.
 
-    if task.batched:
-        return _sweep_shard_batched(task, shard)
-    chip = FlashChip(
-        task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
-    )
-    chip.set_block_stress(shard.block, task.stress)
-    rows: List[Tuple[np.ndarray, int]] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        rows.append(measured_optimal_offsets(wl, step=task.step))
-    return rows
-
-
-def _sweep_shard_batched(
-    task: _SweepTask, shard
-) -> List[Tuple[np.ndarray, int]]:
-    """Columnar form of ``_sweep_shard``: same rows, batched sense kernels."""
+    Columnar sub-batches of the shard go through
+    :func:`measured_optimal_offsets_batch`.
+    """
     from repro.flash.block import BlockColumns
 
     indices = list(shard.wordlines)
@@ -232,7 +214,6 @@ def sweep_block_offsets(
     wordlines: Optional[Sequence[int]] = None,
     step: int = 4,
     workers: int = 1,
-    batched: bool = True,
 ) -> Tuple[np.ndarray, int]:
     """Measured optimal offsets of every wordline of one block.
 
@@ -243,8 +224,8 @@ def sweep_block_offsets(
 
     Each wordline's sweep consumes that wordline's *own* read-noise
     stream, so the result is byte-identical for any ``workers`` value
-    (fan-out via :class:`repro.engine.ParallelMap`) and for either value
-    of ``batched`` (columnar batched kernels vs the per-wordline loop).
+    (fan-out via :class:`repro.engine.ParallelMap`) and equals
+    :func:`measured_optimal_offsets` run on each wordline in turn.
     """
     from repro.engine import ParallelMap, plan_wordline_shards
 
@@ -261,7 +242,6 @@ def sweep_block_offsets(
         sentinel_ratio=chip.sentinel_ratio,
         stress=chip.block_stress(block),
         step=step,
-        batched=batched,
     )
     engine = ParallelMap(workers=workers)
     per_shard = engine.run(

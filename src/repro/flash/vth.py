@@ -57,44 +57,6 @@ def sample_latents(spec: FlashSpec, n_cells: int, rng: np.random.Generator) -> C
     return CellLatents(prog_noise=prog_noise, leak_rate=leak_rate, tail_mag=tail_mag)
 
 
-def synthesize_vth(
-    spec: FlashSpec,
-    states: np.ndarray,
-    stress: StressState,
-    mods: WordlineModifiers,
-    latents: CellLatents,
-) -> np.ndarray:
-    """Threshold voltage of every cell under the given stress (float32).
-
-    ``vth = center(s) + jitter(s) + prog_noise * sigma(s) * sigma_mult
-    + shift(s) * shift_mult * leak_rate - tail - anomaly``
-
-    The tail and the spatial anomaly only act on programmed states and only
-    once retention has begun (both scale with the retention severity).
-    """
-    rel = spec.reliability
-    centers = spec.state_centers
-    sigmas = state_sigmas(spec, stress) * mods.sigma_mult
-    shifts = state_mean_shifts(spec, stress) * mods.shift_mult
-    rscale = retention_scale(stress, spec)
-
-    means = (centers + mods.state_jitter + 0.0)[states]
-    vth = means + latents.prog_noise * sigmas[states]
-    vth += shifts[states] * latents.leak_rate
-
-    programmed = states > 0
-    if rscale > 0.0:
-        tail_depth = rel.tail_scale_steps * min(rscale, 1.5)
-        vth -= np.where(programmed, latents.tail_mag * tail_depth, 0.0)
-        if mods.anomaly is not None:
-            weights = state_shift_weights(spec)[states]
-            seg = mods.anomaly.mask(len(states))
-            vth -= np.where(
-                seg & programmed, mods.anomaly.amp_steps * rscale * weights, 0.0
-            )
-    return vth.astype(np.float32)
-
-
 def synthesize_vth_batch(
     spec: FlashSpec,
     states: np.ndarray,  # (wordlines, cells) int
@@ -104,14 +66,18 @@ def synthesize_vth_batch(
     leak_rate: np.ndarray,  # (wordlines, cells) float32
     tail_mag: np.ndarray,  # (wordlines, cells) float32
 ) -> np.ndarray:
-    """Batched :func:`synthesize_vth`: one row per wordline, bit-identical.
+    """Threshold voltage of every cell of every row under ``stress`` (float32).
 
-    Every term is elementwise (or a per-row gather), so evaluating the
-    expression on 2D arrays applies exactly the per-row operations in the
-    same order and dtypes — row ``i`` of the result equals
-    ``synthesize_vth(spec, states[i], stress, mods_list[i], latents_i)``.
-    Rows are processed in cache-sized chunks: the float64 intermediates of
-    a whole block would otherwise stream hundreds of MB through memory.
+    ``vth = center(s) + jitter(s) + prog_noise * sigma(s) * sigma_mult
+    + shift(s) * shift_mult * leak_rate - tail - anomaly``, with the
+    jitter and multipliers taken from each row's modifiers.  The tail and
+    the spatial anomaly only act on programmed states and only once
+    retention has begun (both scale with the retention severity).
+
+    Every term is elementwise (or a per-row gather), so a row's result
+    does not depend on which other rows share the call.  Rows are
+    processed in cache-sized chunks: the float64 intermediates of a whole
+    block would otherwise stream hundreds of MB through memory.
     """
     rel = spec.reliability
     centers = spec.state_centers
@@ -133,14 +99,15 @@ def synthesize_vth_batch(
 
     out = np.empty((n_wordlines, n_cells), dtype=np.float32)
     chunk = max(1, (1 << 19) // max(n_cells, 1))
+    n_states = mean_tab.shape[1]
     for c0 in range(0, n_wordlines, chunk):
         c1 = min(c0 + chunk, n_wordlines)
-        st = states[c0:c1].astype(np.int64, copy=False)
-        means = np.take_along_axis(mean_tab[c0:c1], st, axis=1)
-        vth = means + prog_noise[c0:c1] * np.take_along_axis(
-            sigmas[c0:c1], st, axis=1
-        )
-        vth += np.take_along_axis(shifts[c0:c1], st, axis=1) * leak_rate[c0:c1]
+        # one flat index into the chunk's (rows, n_states) tables serves
+        # all three per-row gathers
+        flat = states[c0:c1] + (np.arange(c1 - c0) * n_states)[:, None]
+        means = mean_tab[c0:c1].ravel().take(flat)
+        vth = means + prog_noise[c0:c1] * sigmas[c0:c1].ravel().take(flat)
+        vth += shifts[c0:c1].ravel().take(flat) * leak_rate[c0:c1]
         if rscale > 0.0:
             programmed = states[c0:c1] > 0
             vth -= np.where(programmed, tail_mag[c0:c1] * tail_depth, 0.0)

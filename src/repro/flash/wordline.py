@@ -2,7 +2,9 @@
 
 The wordline is the unit the paper operates on: sentinel cells are reserved
 per wordline, the error difference is counted per wordline, and every figure
-that sweeps "wordline number" iterates these objects.
+that sweeps "wordline number" iterates these objects.  A :class:`Wordline`
+is a ``(store, row)`` handle on a :class:`repro.flash.block.BlockColumns`
+store, whose kernels are the model's one read implementation.
 
 Cells split into *data cells* and *sentinel cells*.  Sentinel cells are
 spread evenly along the bitline axis (they live in spare OOB columns) and are
@@ -13,35 +15,16 @@ ECC cover data cells only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.faults import FAULTS
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
-from repro.flash.variation import BlockVariation, WordlineModifiers
-from repro.flash.vth import CellLatents, sample_latents, synthesize_vth
-from repro.obs import OBS
-from repro.util.rng import derive_rng
+from repro.flash.variation import BlockVariation
 
 OffsetsLike = Union[None, float, Mapping[int, float], Sequence[float], np.ndarray]
-
-
-def count_cache_eviction(cache: str) -> None:
-    """Count one bounded-cache eviction (vth memo, stored bits, ...).
-
-    Long aging sweeps touch many distinct :class:`StressState` keys; the
-    caches stay bounded and this counter makes the churn observable.
-    """
-    if OBS.enabled and OBS.metrics.enabled:
-        OBS.metrics.counter(
-            "repro_flash_cache_evictions_total",
-            help="bounded flash-model cache evictions by cache kind",
-            cache=cache,
-        ).inc()
 
 
 def make_offsets(spec: FlashSpec, offsets: OffsetsLike = None) -> np.ndarray:
@@ -106,7 +89,7 @@ class SentinelReadout:
 
 
 class Wordline:
-    """A fully materialized wordline of one block.
+    """One wordline of a block: a handle on one row of a columnar store.
 
     Parameters
     ----------
@@ -122,6 +105,12 @@ class Wordline:
         Fraction of cells reserved as sentinels (0 disables sentinels).
     variation:
         Block variation profile; created on the fly when omitted.
+
+    Constructing a wordline builds a private one-row
+    :class:`~repro.flash.block.BlockColumns`; ``BlockColumns.wordline_view``
+    returns the same class over a shared store.  Either way ``states``,
+    ``vth``, ``stress`` and the read-noise generator are read live from
+    the store, and every read runs the store's kernels on this row.
     """
 
     def __init__(
@@ -133,96 +122,75 @@ class Wordline:
         stress: Optional[StressState] = None,
         sentinel_ratio: float = 0.002,
         variation: Optional[BlockVariation] = None,
-        modifiers: Optional[WordlineModifiers] = None,
     ) -> None:
-        self.spec = spec
-        self.chip_seed = chip_seed
-        self.block = block
-        self.index = index
-        self.layer = spec.layer_of_wordline(index)
-        if modifiers is None:
-            if variation is None:
-                variation = BlockVariation(spec, chip_seed, block)
-            modifiers = variation.wordline_modifiers(index)
-        self.modifiers = modifiers
+        from repro.flash.block import BlockColumns
 
-        n = spec.cells_per_wordline
-        data_rng = derive_rng(chip_seed, "data", block, index)
-        self.states = data_rng.integers(0, spec.n_states, size=n).astype(np.int16)
-
-        self.sentinel_ratio = float(sentinel_ratio)
-        if sentinel_ratio > 0.0:
-            n_sent = spec.sentinel_cells(sentinel_ratio)
-            self.sentinel_indices = np.linspace(0, n - 1, n_sent).astype(np.int64)
-            s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
-            sent_states = np.where(
-                np.arange(n_sent) % 2 == 0, s_low, s_high
-            ).astype(np.int16)
-            self.states[self.sentinel_indices] = sent_states
-        else:
-            self.sentinel_indices = np.empty(0, dtype=np.int64)
-
-        self._sentinel_mask = np.zeros(n, dtype=bool)
-        self._sentinel_mask[self.sentinel_indices] = True
-        self._data_mask = ~self._sentinel_mask
-
-        latent_rng = derive_rng(chip_seed, "latent", block, index)
-        self._latents: CellLatents = sample_latents(spec, n, latent_rng)
-        self._read_rng = derive_rng(chip_seed, "readnoise", block, index)
-
-        # caches keyed by (stress, states version); the stored cells only
-        # change through program_pages, which bumps the version
-        self._states_version = 0
-        self._stored_bits_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._vth_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._sorted_by_state: Optional[Dict[int, np.ndarray]] = None
-        self.stress = stress or StressState()
-        self.vth = self._synthesize_cached(self.stress)
-
-    #: Views created by :meth:`from_columns` share their row arrays with a
-    #: :class:`repro.flash.block.BlockColumns` store; mutating operations
-    #: (``program_pages``) detach first (copy-on-write).
-    _owns_cells = True
+        store = BlockColumns(
+            spec, chip_seed, block, (index,), sentinel_ratio,
+            stress=stress, variation=variation,
+        )
+        self._bind(store, 0, shared=False)
 
     @classmethod
-    def from_columns(cls, cols, row: int) -> "Wordline":
-        """A wordline that is a thin view over one row of a columnar store.
-
-        Shares the row's states, latents, Vth and — crucially — its
-        read-noise generator: reads through the view and batched kernels
-        over the same row consume one stream, exactly as a single
-        materialized :class:`Wordline` would.  Behaviour is bit-identical
-        to constructing the wordline directly; ``program_pages`` and
-        ``set_stress`` to a new stress detach into view-local arrays
-        without touching the shared columns.
-        """
+    def _view(cls, store, row: int) -> "Wordline":
+        """A handle on row ``row`` of a store it shares with others."""
         wl = cls.__new__(cls)
-        wl.spec = cols.spec
-        wl.chip_seed = cols.chip_seed
-        wl.block = cols.block
-        wl.index = cols.indices[row]
-        wl.layer = cols.spec.layer_of_wordline(wl.index)
-        wl.modifiers = cols.modifiers[row]
-        wl.states = cols.states[row]
-        wl.sentinel_ratio = cols.sentinel_ratio
-        wl.sentinel_indices = cols.sentinel_indices
-        wl._sentinel_mask = cols.sentinel_mask
-        wl._data_mask = cols.data_mask
-        wl._latents = CellLatents(
-            prog_noise=cols.prog_noise[row],
-            leak_rate=cols.leak_rate[row],
-            tail_mag=cols.tail_mag[row],
-        )
-        wl._read_rng = cols.read_rng(row)
-        wl._owns_cells = False
-        wl._states_version = 0
-        wl._stored_bits_cache = OrderedDict()
-        wl._vth_cache = OrderedDict()
-        wl._sorted_by_state = None
-        wl.stress = cols.stress
-        wl.vth = cols.vth[row]
-        wl._vth_cache[(cols.stress, 0)] = wl.vth
+        wl._bind(store, row, shared=True)
         return wl
+
+    def _bind(self, store, row: int, shared: bool) -> None:
+        self._store = store
+        self._row = row
+        #: the store holds other rows or other handles: detach before
+        #: changing it (copy-on-write)
+        self._shared = shared
+        self._sorted_by_state: Optional[Tuple[np.ndarray, Dict]] = None
+        self.spec = store.spec
+        self.chip_seed = store.chip_seed
+        self.block = store.block
+        self.index = store.indices[row]
+        self.layer = store.spec.layer_of_wordline(self.index)
+        self.modifiers = store.modifiers[row]
+        self.sentinel_ratio = store.sentinel_ratio
+        self.sentinel_indices = store.sentinel_indices
+
+    def _detach(
+        self,
+        states: Optional[np.ndarray] = None,
+        stress: Optional[StressState] = None,
+    ) -> None:
+        """Move this row into a private one-row store (see ``_row_store``)."""
+        self._store = self._store._row_store(self._row, states, stress)
+        self._row = 0
+        self._shared = False
+
+    # ------------------------------------------------------------------
+    # live row state
+    # ------------------------------------------------------------------
+    @property
+    def states(self) -> np.ndarray:
+        return self._store.states[self._row]
+
+    @property
+    def vth(self) -> np.ndarray:
+        return self._store.vth[self._row]
+
+    @property
+    def stress(self) -> StressState:
+        return self._store.stress
+
+    @property
+    def read_rng(self) -> np.random.Generator:
+        """This wordline's read-noise generator (one stream per wordline)."""
+        return self._store.read_rng(self._row)
+
+    @property
+    def data_mask(self) -> np.ndarray:
+        return self._store.data_mask
+
+    @property
+    def sentinel_mask(self) -> np.ndarray:
+        return self._store.sentinel_mask
 
     # ------------------------------------------------------------------
     # programming user data
@@ -236,7 +204,8 @@ class Wordline:
         their reserved pattern; data cells take the state whose Gray code
         matches the supplied bits.  Cell voltages are re-synthesized under
         the current stress (the latents persist, so the same cells keep
-        their physical personalities).
+        their physical personalities).  The programmed row moves to a
+        private one-row store, so a shared store never changes.
         """
         spec = self.spec
         gray = spec.gray
@@ -256,19 +225,14 @@ class Wordline:
                     f"got {bits.shape}"
                 )
             code |= (bits.astype(np.int64) & 1) << p
-        if not self._owns_cells:
-            # view over a columnar store: detach before mutating so the
-            # shared block columns keep their original data
-            self.states = self.states.copy()
-            self._owns_cells = True
-        self.states[self._data_mask] = gray.decode_table[code]
-        self._states_version += 1
-        self.set_stress(self.stress)
+        states = self.states.copy()
+        states[self.data_mask] = gray.decode_table[code]
+        self._detach(states=states)
 
     def stored_page_bits(self, page: Union[int, str]) -> np.ndarray:
         """The data-cell bits currently stored for one page."""
         p = self.spec.gray.page_index(page)
-        return self._stored_bits(p)[self._data_mask]
+        return self._store._stored_bits_batch(p)[self._row][self.data_mask]
 
     # ------------------------------------------------------------------
     # identity / geometry helpers
@@ -289,75 +253,23 @@ class Wordline:
     def sentinel_states(self) -> np.ndarray:
         return self.states[self.sentinel_indices]
 
-    #: Distinct (stress, program state) Vth syntheses remembered per
-    #: wordline.  Small: the common flip-flop is a service/characterization
-    #: loop toggling between a couple of stress points.
-    _VTH_CACHE_SIZE = 4
-    #: Distinct (page, program state) stored-bit arrays remembered per
-    #: wordline; bounded so repeated reprogramming cannot grow memory.
-    _STORED_BITS_CACHE_SIZE = 8
-
-    def _synthesize_cached(self, stress: StressState) -> np.ndarray:
-        """Memoized ``synthesize_vth`` — a pure function of the cache key.
-
-        The latents and modifiers are fixed at construction and the stored
-        states only change via :meth:`program_pages` (which bumps the
-        version), so ``(stress, states_version)`` determines the Vth array
-        exactly.  The cached array is shared; all readers treat ``vth`` as
-        immutable.
-        """
-        key = (stress, self._states_version)
-        vth = self._vth_cache.get(key)
-        if vth is None:
-            vth = synthesize_vth(
-                self.spec, self.states, stress, self.modifiers, self._latents
-            )
-            self._vth_cache[key] = vth
-            while len(self._vth_cache) > self._VTH_CACHE_SIZE:
-                self._vth_cache.popitem(last=False)
-                count_cache_eviction("wordline_vth")
-        else:
-            self._vth_cache.move_to_end(key)
-        return vth
-
-    def _stored_bits(self, p: int) -> np.ndarray:
-        """Stored bits of page ``p`` for all cells, cached per program state."""
-        key = (p, self._states_version)
-        bits = self._stored_bits_cache.get(key)
-        if bits is None:
-            bits = self.spec.gray.stored_bits(p, self.states)
-            self._stored_bits_cache[key] = bits
-            while len(self._stored_bits_cache) > self._STORED_BITS_CACHE_SIZE:
-                self._stored_bits_cache.popitem(last=False)
-                count_cache_eviction("wordline_stored_bits")
-        else:
-            self._stored_bits_cache.move_to_end(key)
-        return bits
-
     def set_stress(self, stress: StressState) -> None:
-        """Re-evaluate the same cells under a new stress condition."""
-        self.stress = stress
-        self.vth = self._synthesize_cached(stress)
-        self._sorted_by_state = None
+        """Re-evaluate the same cells under a new stress condition.
+
+        A view moving to a stress other than its store's detaches first,
+        so its siblings and the store keep theirs.
+        """
+        if stress == self.stress:
+            return
+        if self._shared:
+            self._detach(stress=stress)
+        else:
+            self._store.set_stress(stress)
 
     # ------------------------------------------------------------------
     # low-level sensing
     # ------------------------------------------------------------------
-    def _noise(self, n: int, rng: Optional[np.random.Generator]) -> np.ndarray:
-        gen = rng if rng is not None else self._read_rng
-        sigma = self.spec.read_noise_sigma
-        if sigma <= 0.0:
-            return np.zeros(n, dtype=np.float32)
-        draw = gen.standard_normal(n)
-        draw *= sigma  # in-place: same values as sigma * draw, one less temp
-        return draw.astype(np.float32)
-
-    def sense_regions(
-        self,
-        positions: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
-        noisy: bool = True,
-    ) -> np.ndarray:
+    def sense_regions(self, positions: np.ndarray, noisy: bool = True) -> np.ndarray:
         """Region index of every cell w.r.t. the sorted ``positions``.
 
         Region ``r`` means the sensed Vth lies between ``positions[r-1]`` and
@@ -365,24 +277,7 @@ class Wordline:
         two reads at identical voltages can disagree — the paper notes this
         is why even the optimal voltages cannot be matched exactly.
         """
-        positions = np.asarray(positions, dtype=np.float64)
-        # callers pass positions in ascending voltage order already; only
-        # pathological offset vectors (larger than a state pitch) unsort
-        # them, so check instead of unconditionally re-sorting per read
-        if positions.size > 1 and np.any(positions[1:] < positions[:-1]):
-            positions = np.sort(positions)
-        sensed = self.vth
-        if noisy:
-            noise = self._noise(self.n_cells, rng)  # fresh array, ours
-            noise += sensed  # float32 add, same result as sensed + noise
-            sensed = noise
-        # equivalent to np.searchsorted(positions, sensed, side="left") but
-        # ~4-6x faster at these position counts; each comparison promotes
-        # the float32 sensed values to float64 exactly as searchsorted does
-        regions = np.zeros(sensed.shape[0], dtype=np.int16)
-        for p in positions:
-            regions += sensed > p
-        return regions
+        return self._store._sense_row(self._row, positions, noisy)
 
     # ------------------------------------------------------------------
     # page reads
@@ -402,63 +297,39 @@ class Wordline:
         return self._page_positions_dense(p, make_offsets(spec, offsets))
 
     def read_page(
-        self,
-        page: Union[int, str],
-        offsets: OffsetsLike = None,
-        rng: Optional[np.random.Generator] = None,
+        self, page: Union[int, str], offsets: OffsetsLike = None
     ) -> ReadResult:
         """Read one page; count bit errors on data cells only."""
         spec = self.spec
         p = spec.gray.page_index(page)
         dense = make_offsets(spec, offsets)
-        positions = self._page_positions_dense(p, dense)
-        regions = self.sense_regions(positions, rng)
-        pattern = spec.gray.region_bits(p)
-        bits = pattern[regions]
-        stored = self._stored_bits(p)
-        mismatch = (bits != stored)[self._data_mask]
-        n_err = int(mismatch.sum())
-        if FAULTS.active:
-            n_err = FAULTS.injector.flash_read(
-                self.block, self.index, mismatch, n_err
-            )
+        bits, mismatch, n_err = self._store._read_page_row(
+            self._row, p, self._page_positions_dense(p, dense)
+        )
         return ReadResult(
             page=p,
-            bits=bits[self._data_mask],
+            bits=bits,
             n_errors=n_err,
             n_data_cells=self.n_data_cells,
             offsets=dense,
             mismatch=mismatch,
         )
 
-    def page_rber(
-        self,
-        page: Union[int, str],
-        offsets: OffsetsLike = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        return self.read_page(page, offsets, rng).rber
+    def page_rber(self, page: Union[int, str], offsets: OffsetsLike = None) -> float:
+        return self.read_page(page, offsets).rber
 
     # ------------------------------------------------------------------
     # full-state read and per-voltage error attribution
     # ------------------------------------------------------------------
-    def read_states(
-        self,
-        offsets: OffsetsLike = None,
-        rng: Optional[np.random.Generator] = None,
-        noisy: bool = True,
-    ) -> np.ndarray:
+    def read_states(self, offsets: OffsetsLike = None, noisy: bool = True) -> np.ndarray:
         """Estimated state of every cell from a read with all voltages."""
         spec = self.spec
         dense = make_offsets(spec, offsets)
         positions = spec.default_read_voltages + dense
-        return self.sense_regions(positions, rng, noisy=noisy)
+        return self.sense_regions(positions, noisy=noisy)
 
     def per_voltage_errors(
-        self,
-        offsets: OffsetsLike = None,
-        rng: Optional[np.random.Generator] = None,
-        data_only: bool = True,
+        self, offsets: OffsetsLike = None, data_only: bool = True
     ) -> np.ndarray:
         """Bit errors attributed to each read voltage (length ``n_voltages``).
 
@@ -468,11 +339,11 @@ class Wordline:
         ``min(s, r) < i <= max(s, r)``.  This is the quantity plotted per
         voltage in Figures 16-18.
         """
-        est = self.read_states(offsets, rng)
+        est = self.read_states(offsets)
         states = self.states
         if data_only:
-            est = est[self._data_mask]
-            states = states[self._data_mask]
+            est = est[self.data_mask]
+            states = states[self.data_mask]
         errors = np.zeros(self.spec.n_voltages, dtype=np.int64)
         lo = np.minimum(states, est)
         hi = np.maximum(states, est)
@@ -491,12 +362,17 @@ class Wordline:
     # boundary (adjacent-state) error counting
     # ------------------------------------------------------------------
     def _state_sorted(self) -> Dict[int, np.ndarray]:
-        if self._sorted_by_state is None:
-            self._sorted_by_state = {
-                s: np.sort(self.vth[(self.states == s) & self._data_mask])
+        """Sorted data-cell Vth per state, kept while the store's Vth is."""
+        vth = self._store.vth
+        if self._sorted_by_state is None or self._sorted_by_state[0] is not vth:
+            row_vth = vth[self._row]
+            states = self.states
+            data = self.data_mask
+            self._sorted_by_state = (vth, {
+                s: np.sort(row_vth[(states == s) & data])
                 for s in range(self.spec.n_states)
-            }
-        return self._sorted_by_state
+            })
+        return self._sorted_by_state[1]
 
     def boundary_error_counts(
         self, vindex: int, offsets: np.ndarray
@@ -522,45 +398,20 @@ class Wordline:
     # ------------------------------------------------------------------
     # sentinel machinery
     # ------------------------------------------------------------------
-    def sentinel_readout(
-        self,
-        offset: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> SentinelReadout:
+    def sentinel_readout(self, offset: float = 0.0) -> SentinelReadout:
         """Up/down errors of the sentinel cells at the sentinel voltage.
 
         This is what the controller extracts from a (failed) read: the
         original sentinel data is known by construction, so errors are exact.
         """
-        if self.n_sentinels == 0:
-            raise RuntimeError("wordline has no sentinel cells")
-        spec = self.spec
-        pos = spec.read_voltage(spec.sentinel_voltage, offset)
-        idx = self.sentinel_indices
-        sensed = self.vth[idx] + self._noise(len(idx), rng)[: len(idx)]
-        high = sensed >= pos
-        s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
-        sent_states = self.states[idx]
-        up = int(np.count_nonzero((sent_states == s_low) & high))
-        down = int(np.count_nonzero((sent_states == s_high) & ~high))
-        return SentinelReadout(
-            up_errors=up, down_errors=down, n_sentinels=len(idx)
-        )
+        return self._store._sentinel_row(self._row, offset)
 
-    def single_voltage_read(
-        self,
-        position: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def single_voltage_read(self, position: float) -> np.ndarray:
         """Boolean sensing of every cell against one absolute threshold."""
-        sensed = self.vth + self._noise(self.n_cells, rng)
-        return sensed >= position
+        return self._store._single_voltage_row(self._row, position)
 
     def state_change_counts(
-        self,
-        position_a: float,
-        position_b: float,
-        rng: Optional[np.random.Generator] = None,
+        self, position_a: float, position_b: float
     ) -> Tuple[int, int]:
         """Cells whose single-voltage readout changes between two positions.
 
@@ -568,27 +419,23 @@ class Wordline:
         cells, the two quantities compared by the calibration procedure of
         Section III-C (``NCa`` vs ``NCs / r``).
         """
-        read_a = self.single_voltage_read(position_a, rng)
-        read_b = self.single_voltage_read(position_b, rng)
+        read_a = self.single_voltage_read(position_a)
+        read_b = self.single_voltage_read(position_b)
         changed = read_a != read_b
-        nca = int(np.count_nonzero(changed & self._data_mask))
-        ncs = int(np.count_nonzero(changed & self._sentinel_mask))
+        nca = int(np.count_nonzero(changed & self.data_mask))
+        ncs = int(np.count_nonzero(changed & self.sentinel_mask))
         return nca, ncs
 
     # ------------------------------------------------------------------
     # analysis helpers
     # ------------------------------------------------------------------
-    def error_cell_indices(
-        self,
-        offsets: OffsetsLike = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def error_cell_indices(self, offsets: OffsetsLike = None) -> np.ndarray:
         """Bitline indices of data cells misread by a full-state read.
 
         Feeds the Figure 7 error-position map.
         """
-        est = self.read_states(offsets, rng)
-        wrong = (est != self.states) & self._data_mask
+        est = self.read_states(offsets)
+        wrong = (est != self.states) & self.data_mask
         return np.nonzero(wrong)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

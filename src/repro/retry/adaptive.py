@@ -152,21 +152,20 @@ class AdaptiveRetryPolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         outcome = self.new_outcome(wordline, page)
         key = (wordline.block, wordline.layer)
         success_entry: Optional[int] = None
         for entry in self._schedule(self._start_for(key, hint)):
-            if self.attempt(wordline, outcome, self._offsets_of(entry), rng):
+            if self.attempt(wordline, outcome, self._offsets_of(entry)):
                 success_entry = entry
                 break
         outcome.pipelined_senses = outcome.retries
         self._note_feedback(key, success_entry, outcome)
         return outcome
 
-    def read_batch(self, cols, pages, hints=None, rng=None):
+    def read_batch(self, cols, pages, hints=None):
         """Lockstep batched read over the ladder schedules.
 
         Predictions are frozen for the whole batch (the same contract the
@@ -174,13 +173,13 @@ class AdaptiveRetryPolicy(ReadPolicy):
         sequence is a pure function of its (block, layer) key and hint —
         wave ``k`` senses exactly the attempts the serial loop would make,
         with per-row offset matrices carrying rows that sit at different
-        ladder entries.  Falls back to the per-row loop when a shared
-        ``rng`` or an active fault plan makes cross-row order observable.
+        ladder entries.  Falls back to the per-row loop when an active
+        fault plan makes cross-row order observable.
         """
         from repro.faults import FAULTS
 
-        if rng is not None or FAULTS.active:
-            return super().read_batch(cols, pages, hints, rng)
+        if FAULTS.active:
+            return super().read_batch(cols, pages, hints)
         spec = cols.spec
         gray = spec.gray
         n_rows = cols.n_wordlines

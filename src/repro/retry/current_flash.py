@@ -97,22 +97,21 @@ class CurrentFlashPolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         # hint ignored: the vendor table has no notion of a cached offset
         outcome = self.new_outcome(wordline, page)
-        if self.attempt(wordline, outcome, None, rng):
+        if self.attempt(wordline, outcome, None):
             return outcome
         for k in range(min(self.max_retries, len(self.table))):
-            if self.attempt(wordline, outcome, self.table.entry(k), rng):
+            if self.attempt(wordline, outcome, self.table.entry(k)):
                 return outcome
         if self.soft_fallback:
-            self.soft_rescue(wordline, outcome, rng)
+            self.soft_rescue(wordline, outcome)
         return outcome
 
     # ------------------------------------------------------------------
-    def read_batch(self, cols, pages, hints=None, rng=None):
+    def read_batch(self, cols, pages, hints=None):
         """Lockstep batched read: one kernel call per (page, ladder entry).
 
         The vendor table applies the same offsets to every wordline, so
@@ -121,13 +120,13 @@ class CurrentFlashPolicy(ReadPolicy):
         :meth:`read`: each row's noise draws happen in the same order
         (page-major, attempt-major) because attempt ``k`` only senses rows
         that are still failing — exactly the attempts the serial loop
-        would make.  Falls back to the per-row loop when a shared ``rng``
-        or an active fault plan makes cross-row call order observable.
+        would make.  Falls back to the per-row loop when an active fault
+        plan makes cross-row call order observable.
         """
         from repro.faults import FAULTS
 
-        if rng is not None or FAULTS.active:
-            return super().read_batch(cols, pages, hints, rng)
+        if FAULTS.active:
+            return super().read_batch(cols, pages, hints)
         from repro.retry.policy import ReadAttempt, ReadOutcome
 
         gray = cols.spec.gray
@@ -169,6 +168,6 @@ class CurrentFlashPolicy(ReadPolicy):
                 active = still_failing
             if self.soft_fallback:
                 for r in active:
-                    self.soft_rescue(cols.wordline_view(r), outs[r], rng)
+                    self.soft_rescue(cols.wordline_view(r), outs[r])
         self._flush_batch_obs(outcomes)
         return outcomes

@@ -173,7 +173,6 @@ class OnlineModelPolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         outcome = self.new_outcome(wordline, page)
@@ -183,25 +182,25 @@ class OnlineModelPolicy(ReadPolicy):
         applied: Optional[np.ndarray] = None
         for attempt in range(self.max_retries + 1):
             offsets = self._probe(pred, attempt)
-            if self.attempt(wordline, outcome, offsets, rng):
+            if self.attempt(wordline, outcome, offsets):
                 applied = offsets
                 break
         self._note_feedback(key, prior, applied, outcome)
         return outcome
 
-    def read_batch(self, cols, pages, hints=None, rng=None):
+    def read_batch(self, cols, pages, hints=None):
         """Lockstep batched read over the probe schedules.
 
         Every row's probe sequence is a pure function of its frozen
         prediction, so wave ``k`` senses exactly the attempts the serial
         loop would make; per-row offset matrices carry the per-chunk
-        predictions.  Falls back to the per-row loop when a shared ``rng``
-        or an active fault plan makes cross-row order observable.
+        predictions.  Falls back to the per-row loop when an active fault
+        plan makes cross-row order observable.
         """
         from repro.faults import FAULTS
 
-        if rng is not None or FAULTS.active:
-            return super().read_batch(cols, pages, hints, rng)
+        if FAULTS.active:
+            return super().read_batch(cols, pages, hints)
         spec = cols.spec
         gray = spec.gray
         n_rows = cols.n_wordlines

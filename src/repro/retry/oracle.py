@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.flash.optimal import optimal_offsets
 from repro.flash.wordline import Wordline
 from repro.retry.policy import ReadOutcome, ReadPolicy
@@ -29,14 +27,13 @@ class OraclePolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         # hint ignored: the oracle already knows the optimum
         outcome = self.new_outcome(wordline, page)
         if not self.skip_default:
-            if self.attempt(wordline, outcome, None, rng):
+            if self.attempt(wordline, outcome, None):
                 return outcome
         opt = optimal_offsets(wordline)
-        self.attempt(wordline, outcome, opt, rng)
+        self.attempt(wordline, outcome, opt)
         return outcome

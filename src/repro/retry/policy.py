@@ -100,11 +100,10 @@ class ReadPolicy(ABC):
         wordline: Wordline,
         outcome: ReadOutcome,
         offsets,
-        rng: Optional[np.random.Generator] = None,
     ) -> bool:
         """Perform one full read, record it, and return decode success."""
         dense = make_offsets(wordline.spec, offsets)
-        result = wordline.read_page(outcome.page, dense, rng)
+        result = wordline.read_page(outcome.page, dense)
         decoded = self.ecc.decode_ok(result)
         if FAULTS.active:
             decoded = FAULTS.injector.ecc_verdict(
@@ -150,7 +149,6 @@ class ReadPolicy(ABC):
         self,
         wordline: Wordline,
         outcome: ReadOutcome,
-        rng: Optional[np.random.Generator] = None,
         modes: Sequence[str] = ("soft2", "soft3"),
     ) -> bool:
         """Last resort after retry exhaustion: soft-sensing decode.
@@ -163,7 +161,7 @@ class ReadPolicy(ABC):
         if outcome.success or not outcome.attempts:
             return outcome.success
         best = min(outcome.attempts, key=lambda a: a.rber)
-        result = wordline.read_page(outcome.page, best.offsets, rng)
+        result = wordline.read_page(outcome.page, best.offsets)
         for mode in modes:
             if self.ecc.with_mode(mode).decode_ok(result):
                 outcome.soft_decoded = mode
@@ -177,7 +175,6 @@ class ReadPolicy(ABC):
         cols,
         pages: Sequence[Union[int, str]],
         hints: Optional[Sequence[Optional[float]]] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> List[List[ReadOutcome]]:
         """Read ``pages`` of every wordline of a columnar batch.
 
@@ -193,7 +190,7 @@ class ReadPolicy(ABC):
         for row in range(cols.n_wordlines):
             wl = cols.wordline_view(row)
             hint = hints[row] if hints is not None else None
-            out.append([self.read(wl, p, rng=rng, hint=hint) for p in pages])
+            out.append([self.read(wl, p, hint=hint) for p in pages])
         return out
 
     def _flush_batch_obs(self, outcomes: List[List[ReadOutcome]]) -> None:
@@ -239,7 +236,6 @@ class ReadPolicy(ABC):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         """Read a page to completion (success or retry exhaustion).

@@ -64,14 +64,13 @@ class TrackedSentinelPolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         # hint ignored: tracking already supplies the first-attempt voltages
         spec = wordline.spec
         outcome = self.new_outcome(wordline, page)
         tracked = self.tracked_offsets(wordline.block)
-        if self.attempt(wordline, outcome, tracked, rng):
+        if self.attempt(wordline, outcome, tracked):
             return outcome
 
         # sentinel takeover: measure the error difference at the position
@@ -80,7 +79,7 @@ class TrackedSentinelPolicy(ReadPolicy):
         if outcome.page != sentinel_page:
             outcome.extra_single_reads += 1
         tracked_sent = float(tracked[spec.sentinel_voltage - 1])
-        readout = wordline.sentinel_readout(tracked_sent, rng)
+        readout = wordline.sentinel_readout(tracked_sent)
         # f(d) estimates (optimum - reading position): fitted at the default
         # position, but the error difference depends (to first order) only
         # on the distance to the optimum, so the same map applies relative
@@ -94,12 +93,12 @@ class TrackedSentinelPolicy(ReadPolicy):
         sentinel_offset = tracked_sent + correction
         temperature = wordline.stress.temperature_c
         offsets = self.model.offsets_from_sentinel(sentinel_offset, temperature)
-        if self.attempt(wordline, outcome, offsets, rng):
+        if self.attempt(wordline, outcome, offsets):
             return outcome
 
         # hand the rest to the standard sentinel flow (fresh inference from
         # the default position plus calibration/fallback)
-        tail = self._sentinel.read(wordline, page, rng)
+        tail = self._sentinel.read(wordline, page)
         outcome.retries += tail.retries + 1  # tail includes its own default read
         outcome.extra_single_reads += tail.extra_single_reads
         outcome.calibration_steps += tail.calibration_steps

@@ -59,15 +59,14 @@ class TrackingPolicy(ReadPolicy):
         self,
         wordline: Wordline,
         page: Union[int, str],
-        rng: Optional[np.random.Generator] = None,
         hint: Optional[float] = None,
     ) -> ReadOutcome:
         # hint ignored: tracking already supplies the first-attempt voltages
         outcome = self.new_outcome(wordline, page)
         tracked = self.tracked_offsets(wordline.block)
-        if self.attempt(wordline, outcome, tracked, rng):
+        if self.attempt(wordline, outcome, tracked):
             return outcome
         for k in range(min(self.max_retries - 1, len(self.table))):
-            if self.attempt(wordline, outcome, self.table.entry(k), rng):
+            if self.attempt(wordline, outcome, self.table.entry(k)):
                 return outcome
         return outcome

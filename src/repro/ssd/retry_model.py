@@ -44,7 +44,6 @@ class _MeasureTask:
     pages: Tuple[int, ...]
     hint_fn: Optional[Callable[..., float]]
     emit: bool  # emit read_complete inline (serial in-process mode only)
-    batched: bool = True  # columnar batch path (bit-identical)
 
 
 def _outcome_row(p: int, outcome) -> tuple:
@@ -58,35 +57,15 @@ def _outcome_row(p: int, outcome) -> tuple:
 
 
 def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
-    """Measure one shard; rows in (wordline, page) sweep order."""
-    if task.batched:
-        return _measure_shard_batched(task, shard)
-    chip = FlashChip(
-        task.spec, task.seed, task.sentinel_ratio, cache_wordlines=1
-    )
-    chip.set_block_stress(shard.block, task.stress)
-    rows: List[tuple] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        hint = task.hint_fn(wl) if task.hint_fn is not None else None
-        for p in task.pages:
-            outcome = task.policy.read(wl, p, hint=hint)
-            rows.append(_outcome_row(p, outcome))
-            if task.emit and OBS.enabled and OBS.tracer.enabled:
-                _emit_read_complete(task.policy.name, rows[-1])
-    return rows
-
-
-def _measure_shard_batched(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
-    """Columnar form of ``_measure_shard``: same rows, batched kernels.
+    """Measure one shard; rows in (wordline, page) sweep order.
 
     The shard's wordlines are built as :class:`BlockColumns` sub-batches
-    (one batched synthesize instead of per-wordline materialization).
-    Policies that override :meth:`ReadPolicy.read_batch` (data-independent
-    retry ladders) then read all rows in kernel lockstep; everything else
-    reads per-row through wordline views, which is the byte-for-byte
-    serial code path over the same arrays.  Each wordline's draws come
-    from its own seed-tree streams in the serial order either way, so the
-    rows are bit-identical to the per-wordline path.
+    (one batched synthesize for the whole sub-batch).  Policies that
+    override :meth:`ReadPolicy.read_batch` (data-independent retry
+    ladders) read all rows in kernel lockstep; everything else reads
+    row by row through wordline views.  Each wordline's draws come from
+    its own seed-tree streams in the same order either way, so the rows
+    do not depend on the sub-batch size.
     """
     from repro.flash.block import BlockColumns
 
@@ -211,7 +190,6 @@ class RetryProfile:
         hint_fn: Optional[Callable[..., float]] = None,
         name: Optional[str] = None,
         workers: int = 1,
-        batched: bool = True,
     ) -> "RetryProfile":
         """Measure a policy on one (aged) block of the chip model.
 
@@ -228,11 +206,9 @@ class RetryProfile:
         worker processes; the parent re-emits one ``read_complete`` per
         read, in canonical sweep order, after the merge.
 
-        ``batched=True`` (the default) measures through the columnar
+        Wordlines are measured through the columnar
         :class:`repro.flash.block.BlockColumns` store — batched synthesize
         plus, for lockstep-capable policies, batched sense/decode kernels.
-        The samples are bit-identical either way; ``batched=False`` keeps
-        the per-wordline reference path for cross-checking.
         """
         from functools import partial
 
@@ -257,7 +233,6 @@ class RetryProfile:
             pages=tuple(page_list),
             hint_fn=hint_fn,
             emit=inline,
-            batched=batched,
         )
         shards = plan_wordline_shards(block, wordlines, workers)
         engine = ParallelMap(workers=workers)

@@ -1,0 +1,130 @@
+"""A per-wordline numpy oracle of the flash read path, for tests only.
+
+The simulator reads every wordline through the columnar kernels of
+:mod:`repro.flash.block`.  This module keeps an independent, deliberately
+plain per-row statement of the same model — construction draws, Vth
+synthesis, comparator noise, page sensing/decode and the sentinel
+readout — so tests can check the kernels against it row for row.  It
+shares only the seed tree, the latent sampler, the Gray code and the
+stress mechanisms with the simulator, and uses ``np.searchsorted`` for
+sensing where the kernels count comparisons.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.flash.mechanisms import (
+    StressState,
+    retention_scale,
+    state_mean_shifts,
+    state_shift_weights,
+    state_sigmas,
+)
+from repro.flash.spec import FlashSpec
+from repro.flash.variation import BlockVariation, WordlineModifiers
+from repro.flash.vth import CellLatents, sample_latents
+from repro.flash.wordline import make_offsets
+from repro.util.rng import derive_rng
+
+
+def synthesize_vth(
+    spec: FlashSpec,
+    states: np.ndarray,
+    stress: StressState,
+    mods: WordlineModifiers,
+    latents: CellLatents,
+) -> np.ndarray:
+    """Threshold voltage of every cell of one wordline (float32).
+
+    ``vth = center(s) + jitter(s) + prog_noise * sigma(s) * sigma_mult
+    + shift(s) * shift_mult * leak_rate - tail - anomaly``
+    """
+    rel = spec.reliability
+    sigmas = state_sigmas(spec, stress) * mods.sigma_mult
+    shifts = state_mean_shifts(spec, stress) * mods.shift_mult
+    rscale = retention_scale(stress, spec)
+
+    means = (spec.state_centers + mods.state_jitter + 0.0)[states]
+    vth = means + latents.prog_noise * sigmas[states]
+    vth += shifts[states] * latents.leak_rate
+
+    programmed = states > 0
+    if rscale > 0.0:
+        tail_depth = rel.tail_scale_steps * min(rscale, 1.5)
+        vth -= np.where(programmed, latents.tail_mag * tail_depth, 0.0)
+        if mods.anomaly is not None:
+            weights = state_shift_weights(spec)[states]
+            seg = mods.anomaly.mask(len(states))
+            vth -= np.where(
+                seg & programmed, mods.anomaly.amp_steps * rscale * weights, 0.0
+            )
+    return vth.astype(np.float32)
+
+
+class OracleWordline:
+    """One wordline materialized and read the per-row way."""
+
+    def __init__(
+        self,
+        spec: FlashSpec,
+        chip_seed: int,
+        block: int,
+        index: int,
+        stress: Optional[StressState] = None,
+        sentinel_ratio: float = 0.002,
+    ) -> None:
+        self.spec = spec
+        n = spec.cells_per_wordline
+        data_rng = derive_rng(chip_seed, "data", block, index)
+        self.states = data_rng.integers(0, spec.n_states, size=n).astype(np.int16)
+        n_sent = spec.sentinel_cells(sentinel_ratio) if sentinel_ratio > 0 else 0
+        self.sentinel_indices = np.linspace(0, n - 1, n_sent).astype(np.int64)
+        s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
+        self.states[self.sentinel_indices] = np.where(
+            np.arange(n_sent) % 2 == 0, s_low, s_high
+        )
+        self.data_mask = np.ones(n, dtype=bool)
+        self.data_mask[self.sentinel_indices] = False
+        latents = sample_latents(
+            spec, n, derive_rng(chip_seed, "latent", block, index)
+        )
+        self.read_rng = derive_rng(chip_seed, "readnoise", block, index)
+        mods = BlockVariation(spec, chip_seed, block).wordline_modifiers(index)
+        self.vth = synthesize_vth(
+            spec, self.states, stress or StressState(), mods, latents
+        )
+
+    def _noise(self, n: int) -> np.ndarray:
+        sigma = self.spec.read_noise_sigma
+        if sigma <= 0.0:
+            return np.zeros(n, dtype=np.float32)
+        return (sigma * self.read_rng.standard_normal(n)).astype(np.float32)
+
+    def read_page(self, page, offsets=None) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(data-cell bits, data-cell mismatch mask, error count)``."""
+        spec = self.spec
+        p = spec.gray.page_index(page)
+        idx = spec.gray.page_voltage_arrays[p]
+        dense = make_offsets(spec, offsets)
+        positions = np.sort(spec.default_read_voltages[idx] + dense[idx])
+        sensed = self.vth + self._noise(len(self.vth))
+        regions = np.searchsorted(positions, sensed, side="left")
+        bits = spec.gray.region_bits(p)[regions]
+        stored = spec.gray.stored_bits(p, self.states)
+        mismatch = (bits != stored)[self.data_mask]
+        return bits[self.data_mask], mismatch, int(mismatch.sum())
+
+    def sentinel_readout(self, offset: float = 0.0) -> Tuple[int, int]:
+        """``(up errors, down errors)`` of the sentinel cells."""
+        spec = self.spec
+        pos = spec.read_voltage(spec.sentinel_voltage, offset)
+        idx = self.sentinel_indices
+        high = self.vth[idx] + self._noise(len(idx)) >= pos
+        s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
+        states = self.states[idx]
+        up = int(np.count_nonzero((states == s_low) & high))
+        down = int(np.count_nonzero((states == s_high) & ~high))
+        return up, down

@@ -1,11 +1,12 @@
-"""Columnar block store (``repro.flash.block``): kernels vs. per-wordline.
+"""Columnar block store (``repro.flash.block``): the one read path.
 
-The contract under test is bit-identity: every batched kernel must produce
-exactly what the per-wordline path produces for the same wordlines at the
-same RNG stream positions ("batch the arithmetic, not the RNG consumption
-order").  Broader randomized coverage lives in
-``tests/test_property_block.py``; this file pins the mechanics — views,
-copy-on-write, cache bounds, observability.
+Every :class:`Wordline` is a row of a store.  The contract under test is
+batch-size invariance: a kernel over rows ``[a, b, c]`` produces exactly
+what one-row stores (standalone wordlines) produce at the same RNG stream
+positions ("batch the arithmetic, not the RNG consumption order").
+Broader randomized coverage lives in ``tests/test_property_block.py``;
+this file pins the mechanics — live views, copy-on-write, cache bounds,
+observability.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.exp.common import default_ecc
 from repro.flash.block import BlockColumns
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
+from repro.flash.spec import TLC_SPEC
+from repro.flash.wordline import Wordline
 from repro.obs import OBS
 
 SEED = 11
@@ -91,6 +94,43 @@ class TestConstruction:
         view.program_pages(bits)
         assert np.array_equal(cols.states, before)
         assert not np.array_equal(view.states, before[0])
+
+    def test_view_follows_store_set_stress(self, aged_stress):
+        """A view made before ``cols.set_stress`` reads at the new stress."""
+        spec = TLC_SPEC.scaled(
+            cells_per_wordline=2048, wordlines_per_layer=1, layers=8,
+            name_suffix="-live",
+        )
+        cols = BlockColumns(spec, 3, 0, range(8))
+        view = cols.wordline_view(5)
+        cols.set_stress(aged_stress)
+        assert view.stress == aged_stress
+        assert np.array_equal(view.vth, cols.vth[5])
+        got = view.read_page("MSB")
+        ref = Wordline(spec, 3, 0, 5, stress=aged_stress).read_page("MSB")
+        assert ref.n_errors > 0  # a stale (fresh-stress) view would read ~0
+        assert got.n_errors == ref.n_errors
+        assert np.array_equal(got.mismatch, ref.mismatch)
+
+    def test_view_set_stress_detaches(self, tiny_tlc, aged_stress):
+        """A view's own set_stress leaves the store and siblings alone,
+        and the detached row keeps consuming the row's one noise stream."""
+        cols = make_chip(tiny_tlc).block_columns(0, range(3))
+        vth_before = cols.vth
+        view, sibling = cols.wordline_view(1), cols.wordline_view(2)
+        view.set_stress(aged_stress)
+        assert cols.stress == StressState() and sibling.stress == StressState()
+        assert cols.vth is vth_before
+        assert view.stress == aged_stress
+        ref = Wordline(tiny_tlc, SEED, 0, 1, stress=aged_stress)
+        assert np.array_equal(view.vth, ref.vth)
+        # reference: one standalone wordline alternating the two stresses
+        a = ref.read_page(0)
+        ref.set_stress(StressState())
+        b = ref.read_page(0)
+        assert np.array_equal(view.read_page(0).mismatch, a.mismatch)
+        batch = cols.read_page_batch(0, rows=[1])
+        assert np.array_equal(batch.mismatch[0], b.mismatch)
 
     def test_iter_wordline_batches_partitions_in_order(self, tiny_tlc):
         chip = make_chip(tiny_tlc)
@@ -234,6 +274,73 @@ class TestObservability:
         text = OBS.metrics.render_prometheus()
         assert "repro_flash_batch_calls_total" in text
         assert "repro_flash_batch_kernel_seconds" in text
+
+    def test_measure_event_counts_pinned(self):
+        """Obs-on measure with the sentinel controller: per-kind event
+        counts are pinned (one ``synthesize`` per store, per-row view
+        reads record no ``batch_sense``)."""
+        from collections import Counter
+
+        from repro.core.controller import SentinelController
+        from repro.core.fitting import PolynomialFit
+        from repro.ecc.capability import CapabilityEcc
+        from repro.core.models import CorrelationTable, SentinelModel
+        from repro.ssd.retry_model import RetryProfile
+
+        spec = TLC_SPEC.scaled(
+            cells_per_wordline=2048, wordlines_per_layer=1, layers=8,
+            name_suffix="-tele",
+        )
+        nv = spec.n_voltages
+        model = SentinelModel(
+            spec_name=spec.name,
+            sentinel_voltage=spec.sentinel_voltage,
+            n_voltages=nv,
+            difference_poly=PolynomialFit(
+                coeffs=np.array([500.0, -2.0]), x_min=-0.1, x_max=0.1
+            ),
+            correlations=[
+                CorrelationTable(
+                    -273.0, 1000.0, np.linspace(1.4, 0.4, nv), np.zeros(nv)
+                )
+            ],
+        )
+        chip = make_chip(
+            spec, StressState(pe_cycles=3000, retention_hours=4000.0)
+        )
+        OBS.enable(metrics=True, tracing=True)
+        RetryProfile.measure(
+            chip, SentinelController(CapabilityEcc.for_spec(spec), model)
+        )
+        events = OBS.tracer.events()
+        assert dict(Counter(e.kind for e in events)) == {
+            "batch_sense": 1,
+            "calibration_step": 46,
+            "ecc_decode": 92,
+            "fallback_table": 4,
+            "read_attempt": 92,
+            "read_complete": 24,
+            "sentinel_inference": 12,
+            "shard_dispatch": 1,
+            "shard_merge": 1,
+        }
+        assert [
+            e.fields["kernel"] for e in events if e.kind == "batch_sense"
+        ] == ["synthesize"]
+
+    def test_wordline_reads_record_no_batch_sense(self, tiny_tlc, aged_stress):
+        OBS.enable(metrics=True, tracing=True)
+        views = make_chip(tiny_tlc, aged_stress).block_columns(0, range(2))
+        standalone = make_chip(tiny_tlc, aged_stress).wordline(0, 3)
+        for wl in (*views.iter_views(), standalone):
+            for page in range(tiny_tlc.pages_per_wordline):
+                wl.read_page(page)
+            wl.sentinel_readout(0.0)
+        kernels = [
+            e.fields["kernel"] for e in OBS.tracer.events()
+            if e.kind == "batch_sense"
+        ]
+        assert kernels == ["synthesize", "synthesize"]
 
     def test_stats_fold_batch_kernels(self, tiny_tlc):
         from repro.obs.stats import aggregate, render

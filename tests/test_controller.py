@@ -124,11 +124,18 @@ class TestControllerFlow:
         # initial + inferred + 2 calibration probes only
         assert outcome.retries <= 3
 
-    def test_reads_are_reproducible_with_rng(self, aged_tlc_chip, tlc_model, ecc):
-        from repro.util.rng import derive_rng
+    def test_reads_are_reproducible_on_a_fresh_wordline(
+        self, tiny_tlc, aged_stress, tlc_model, ecc
+    ):
+        """A re-created wordline replays its read-noise stream."""
+        from repro.flash.wordline import Wordline
 
         controller = SentinelController(ecc, tlc_model)
-        a = controller.read(aged_tlc_chip.wordline(0, 1), "MSB", rng=derive_rng(9))
-        b = controller.read(aged_tlc_chip.wordline(0, 1), "MSB", rng=derive_rng(9))
+
+        def read():
+            wl = Wordline(tiny_tlc, 7, 0, 1, stress=aged_stress)
+            return controller.read(wl, "MSB")
+
+        a, b = read(), read()
         assert a.retries == b.retries
         assert a.final_rber == b.final_rber

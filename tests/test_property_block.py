@@ -1,12 +1,14 @@
-"""Property tests: batched columnar kernels are bit-identical to serial.
+"""Property tests: one read path, invariant to batch size.
 
-Randomizes over chip kind (TLC/QLC), stress condition, batch size
-(including 1) and ragged / non-contiguous row subsets, asserting the
-columnar kernels of :mod:`repro.flash.block` reproduce the per-wordline
-path exactly — errors, mismatch masks, RBER, sentinel readouts.  The
-deterministic end-to-end equivalences (``measure`` / ``characterize_chip``
-/ ``sweep_block_offsets`` with ``batched=True`` vs ``batched=False``) are
-pinned at the bottom.
+Every wordline reads through the columnar kernels of
+:mod:`repro.flash.block`.  Randomizing over chip kind (TLC/QLC), stress
+condition, batch size (including 1) and ragged / non-contiguous row
+subsets, these tests assert that reading rows ``[a, b, c]`` of one store —
+batched, through views, or both interleaved — equals reading one-row
+stores in the same order; and that one-row reads equal the plain
+per-wordline numpy oracle in ``tests/flash_oracle.py``.  The end-to-end
+pipelines (``measure`` / ``characterize_chip`` / ``sweep_block_offsets``)
+are pinned at the bottom against short compositions of per-wordline calls.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
+from repro.flash.wordline import Wordline
+from tests.flash_oracle import OracleWordline
 
 SPECS = {
     kind: base.scaled(
@@ -41,6 +45,12 @@ def _chip(kind, stress):
     return chip
 
 
+def _one_row_stores(kind, stress):
+    """Row ``r`` of the 4-wordline block as its own one-row store."""
+    chip = _chip(kind, stress)
+    return {r: chip.block_columns(0, [r]) for r in range(4)}
+
+
 kinds = st.sampled_from(sorted(SPECS))
 stresses = st.sampled_from(STRESSES)
 # row subsets of the 4-wordline block: any size (incl. batch=1), any order,
@@ -48,25 +58,38 @@ stresses = st.sampled_from(STRESSES)
 row_subsets = st.lists(
     st.integers(min_value=0, max_value=3), min_size=1, max_size=4, unique=True
 )
+# a read schedule: (page, read through views instead of one batched call)
+schedules = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
+    min_size=1,
+    max_size=4,
+)
 
 
-@given(kind=kinds, stress=stresses, rows=row_subsets)
+@given(kind=kinds, stress=stresses, rows=row_subsets, schedule=schedules)
 @settings(max_examples=25, deadline=None)
-def test_batched_read_and_sentinel_bit_identical(kind, stress, rows):
-    """Batched sense/decode/RBER equal per-wordline reads, row for row."""
+def test_batched_read_and_sentinel_bit_identical(kind, stress, rows, schedule):
+    """Batched and view reads of a store equal one-row stores, in order."""
     spec = SPECS[kind]
     cols = _chip(kind, stress).block_columns(0, range(4))
-    ref = _chip(kind, stress).block_columns(0, range(4))
-    for page in range(spec.pages_per_wordline):
-        batch = cols.read_page_batch(page, rows=rows)
+    single = _one_row_stores(kind, stress)
+    for page, via_views in schedule:
+        page %= spec.pages_per_wordline
+        if via_views:
+            got = [cols.wordline_view(r).read_page(page) for r in rows]
+            n_errors = [g.n_errors for g in got]
+            mismatch = [g.mismatch for g in got]
+        else:
+            batch = cols.read_page_batch(page, rows=rows)
+            n_errors = list(batch.n_errors)
+            mismatch = list(batch.mismatch)
         for j, r in enumerate(rows):
-            serial = ref.wordline_view(r).read_page(page)
-            assert int(batch.n_errors[j]) == serial.n_errors
-            assert np.array_equal(batch.mismatch[j], serial.mismatch)
-            assert float(batch.rber[j]) == serial.rber
+            ref = single[r].read_page_batch(page)
+            assert n_errors[j] == ref.n_errors[0]
+            assert np.array_equal(mismatch[j], ref.mismatch[0])
     readouts = cols.sentinel_readout_batch(-6.0, rows=rows)
     for j, r in enumerate(rows):
-        assert readouts[j] == ref.wordline_view(r).sentinel_readout(-6.0)
+        assert readouts[j] == single[r].wordline_view(0).sentinel_readout(-6.0)
 
 
 @given(kind=kinds, stress=stresses, rows=row_subsets)
@@ -74,12 +97,40 @@ def test_batched_read_and_sentinel_bit_identical(kind, stress, rows):
 def test_batched_single_voltage_bit_identical(kind, stress, rows):
     spec = SPECS[kind]
     cols = _chip(kind, stress).block_columns(0, range(4))
-    ref = _chip(kind, stress).block_columns(0, range(4))
+    single = _one_row_stores(kind, stress)
     pos = spec.read_voltage(spec.sentinel_voltage, -4)
     counts = cols.single_voltage_counts(pos, rows=rows)
     for j, r in enumerate(rows):
         assert int(counts[j]) == int(
-            ref.wordline_view(r).single_voltage_read(pos).sum()
+            single[r].wordline_view(0).single_voltage_read(pos).sum()
+        )
+
+
+@given(
+    kind=kinds,
+    stress=stresses,
+    index=st.integers(min_value=0, max_value=3),
+    offset=st.integers(min_value=-40, max_value=20),
+    pages=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_row_reads_match_numpy_oracle(kind, stress, index, offset, pages):
+    """Vth, page reads and sentinel readouts equal the per-row oracle."""
+    spec = SPECS[kind]
+    wl = Wordline(spec, 5, 0, index, stress=stress)
+    oracle = OracleWordline(spec, 5, 0, index, stress=stress)
+    assert np.array_equal(wl.vth, oracle.vth)
+    assert np.array_equal(wl.states, oracle.states)
+    for page in pages:
+        page %= spec.pages_per_wordline
+        got = wl.read_page(page, offset)
+        bits, mismatch, n_errors = oracle.read_page(page, offset)
+        assert got.n_errors == n_errors
+        assert np.array_equal(got.mismatch, mismatch)
+        assert np.array_equal(got.bits, bits)
+        readout = wl.sentinel_readout(float(offset))
+        assert (readout.up_errors, readout.down_errors) == (
+            oracle.sentinel_readout(float(offset))
         )
 
 
@@ -102,7 +153,7 @@ def test_decode_ok_batch_matches_per_row(kind, n_rows, width, rate, seed):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: batched=True vs batched=False byte equality
+# end-to-end: the pipelines equal a composition of per-wordline calls
 # ---------------------------------------------------------------------------
 def _aged(spec):
     chip = FlashChip(spec, seed=11, sentinel_ratio=0.002)
@@ -110,38 +161,40 @@ def _aged(spec):
     return chip
 
 
+def _assert_measure_matches_reads(spec, make_policy):
+    """``RetryProfile.measure`` == ``policy.read`` over each wordline."""
+    from repro.ssd.retry_model import RetryProfile
+
+    profile = RetryProfile.measure(_aged(spec), make_policy())
+    policy = make_policy()
+    expected = {p: [] for p in range(spec.pages_per_wordline)}
+    for wl in _aged(spec).iter_wordlines(0):
+        for p in expected:
+            outcome = policy.read(wl, p)
+            expected[p].append((outcome.retries, outcome.extra_single_reads))
+    assert profile.samples.keys() == expected.keys()
+    for p, rows in expected.items():
+        assert profile.samples[p].tolist() == [list(r) for r in rows]
+
+
 def test_measure_batched_equals_serial_lockstep(tiny_tlc):
     """CurrentFlashPolicy takes the lockstep kernel path; samples match."""
     from repro.retry.current_flash import CurrentFlashPolicy
-    from repro.ssd.retry_model import RetryProfile
 
     ecc = CapabilityEcc.for_spec(tiny_tlc)
-
-    def run(batched):
-        return RetryProfile.measure(
-            _aged(tiny_tlc),
-            CurrentFlashPolicy(ecc, tiny_tlc),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert a.samples.keys() == b.samples.keys()
-    for p in a.samples:
-        assert np.array_equal(a.samples[p], b.samples[p])
-    assert a.page_voltages == b.page_voltages
+    _assert_measure_matches_reads(
+        tiny_tlc, lambda: CurrentFlashPolicy(ecc, tiny_tlc)
+    )
 
 
-def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
-    """SentinelController (no read_batch override) goes through views."""
-    from repro.core.controller import SentinelController
+def _toy_sentinel_model(spec):
     from repro.core.fitting import PolynomialFit
     from repro.core.models import CorrelationTable, SentinelModel
-    from repro.ssd.retry_model import RetryProfile
 
-    nv = tiny_tlc.n_voltages
-    model = SentinelModel(
-        spec_name=tiny_tlc.name,
-        sentinel_voltage=tiny_tlc.sentinel_voltage,
+    nv = spec.n_voltages
+    return SentinelModel(
+        spec_name=spec.name,
+        sentinel_voltage=spec.sentinel_voltage,
         n_voltages=nv,
         difference_poly=PolynomialFit(
             coeffs=np.array([500.0, -2.0]), x_min=-0.1, x_max=0.1
@@ -152,43 +205,47 @@ def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
             )
         ],
     )
+
+
+def test_measure_batched_equals_serial_sentinel_policy(tiny_tlc):
+    """SentinelController (no read_batch override) goes through views."""
+    from repro.core.controller import SentinelController
+
     ecc = CapabilityEcc.for_spec(tiny_tlc)
-
-    def run(batched):
-        return RetryProfile.measure(
-            _aged(tiny_tlc),
-            SentinelController(ecc, model),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert a.samples.keys() == b.samples.keys()
-    for p in a.samples:
-        assert np.array_equal(a.samples[p], b.samples[p])
-
-
-def test_characterize_batched_equals_serial(tiny_tlc):
-    from repro.core.characterization import characterize_chip
-
-    def run(batched):
-        return characterize_chip(
-            FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002),
-            blocks=(0, 1),
-            batched=batched,
-        )
-
-    a, b = run(True), run(False)
-    assert np.array_equal(a.d_rates, b.d_rates)
-    assert np.array_equal(a.optima, b.optima)
-    assert np.array_equal(
-        a.model.difference_poly.coeffs, b.model.difference_poly.coeffs
+    model = _toy_sentinel_model(tiny_tlc)
+    _assert_measure_matches_reads(
+        tiny_tlc, lambda: SentinelController(ecc, model)
     )
 
 
-def test_sweep_batched_equals_serial(tiny_tlc):
-    from repro.flash.sweep import sweep_block_offsets
+def test_characterize_batched_equals_serial(tiny_tlc):
+    """Samples equal sentinel_readout + optimal_offsets per wordline."""
+    from repro.core.characterization import (
+        DEFAULT_TRAINING_STRESSES,
+        characterize_chip,
+    )
+    from repro.flash.optimal import optimal_offsets
 
-    o1, r1 = sweep_block_offsets(_aged(tiny_tlc), 0, batched=True)
-    o2, r2 = sweep_block_offsets(_aged(tiny_tlc), 0, batched=False)
-    assert np.array_equal(o1, o2)
-    assert r1 == r2
+    result = characterize_chip(
+        FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002), blocks=(0, 1)
+    )
+    chip = FlashChip(tiny_tlc, seed=11, sentinel_ratio=0.002)
+    d_rates, optima = [], []
+    for stress in DEFAULT_TRAINING_STRESSES:
+        for block in (0, 1):
+            chip.set_block_stress(block, stress)
+            for wl in chip.iter_wordlines(block):
+                d_rates.append(wl.sentinel_readout(0.0).difference_rate)
+                optima.append(optimal_offsets(wl))
+    assert np.array_equal(result.d_rates, np.asarray(d_rates))
+    assert np.array_equal(result.optima, np.vstack(optima))
+
+
+def test_sweep_batched_equals_serial(tiny_tlc):
+    """Block sweep == measured_optimal_offsets on each wordline in turn."""
+    from repro.flash.sweep import measured_optimal_offsets, sweep_block_offsets
+
+    offsets, reads = sweep_block_offsets(_aged(tiny_tlc), 0)
+    rows = [measured_optimal_offsets(wl) for wl in _aged(tiny_tlc).iter_wordlines(0)]
+    assert np.array_equal(offsets, np.vstack([dense for dense, _ in rows]))
+    assert reads == sum(n for _, n in rows)

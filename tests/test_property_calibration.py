@@ -15,7 +15,6 @@ from repro.core.calibration import BACK, FURTHER, CalibrationConfig, Calibrator
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import TLC_SPEC
-from repro.util.rng import derive_rng
 
 _WORDLINE = None
 
@@ -40,45 +39,39 @@ def _wordline():
     offset=st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
     hint=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
     delta=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=25, deadline=None)
-def test_next_offset_moves_exactly_one_delta(offset, hint, delta, seed):
+def test_next_offset_moves_exactly_one_delta(offset, hint, delta):
     calibrator = Calibrator(CalibrationConfig(delta_steps=delta))
-    nudged = calibrator.next_offset(
-        _wordline(), offset, hint, derive_rng(seed)
-    )
+    nudged = calibrator.next_offset(_wordline(), offset, hint)
     assert abs(abs(nudged - offset) - delta) < 1e-9
 
 
 @given(
     start=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
     hint=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=2**16),
     max_steps=st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=15, deadline=None)
 def test_iterated_calibration_never_escapes_the_step_bound(
-    start, hint, seed, max_steps
+    start, hint, max_steps
 ):
     config = CalibrationConfig(delta_steps=4.0, max_steps=max_steps)
     calibrator = Calibrator(config)
-    rng = derive_rng(seed)
     offset = start
     for _ in range(max_steps):
-        offset = calibrator.next_offset(_wordline(), offset, hint, rng)
+        offset = calibrator.next_offset(_wordline(), offset, hint)
         assert abs(offset - start) <= max_steps * config.delta_steps + 1e-9
 
 
 @given(
     offset=st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
-    seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=20, deadline=None)
-def test_verdict_is_always_one_of_the_two_cases(offset, seed):
+def test_verdict_is_always_one_of_the_two_cases(offset):
     calibrator = Calibrator(CalibrationConfig(delta_steps=5.0))
     verdict, nca_norm, ncs_norm = calibrator.state_change_verdict(
-        _wordline(), offset, derive_rng(seed)
+        _wordline(), offset
     )
     assert verdict in (FURTHER, BACK)
     assert np.isfinite(nca_norm) and np.isfinite(ncs_norm)

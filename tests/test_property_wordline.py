@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import TLC_SPEC
 from repro.flash.wordline import Wordline
-from repro.util.rng import derive_rng
 
 _SPEC = TLC_SPEC.scaled(
     cells_per_wordline=4096, wordlines_per_layer=1, layers=4, name_suffix="-prop"
@@ -25,6 +24,11 @@ def make_wordline(seed: int, pe: int, hours: float) -> Wordline:
     )
 
 
+def twin(wl: Wordline) -> Wordline:
+    """A fresh copy of ``wl``: same cells, read-noise stream from its start."""
+    return Wordline(wl.spec, wl.chip_seed, wl.block, wl.index, stress=wl.stress)
+
+
 wl_strategy = st.builds(
     make_wordline,
     seed=st.integers(min_value=0, max_value=50),
@@ -37,7 +41,7 @@ wl_strategy = st.builds(
 @settings(max_examples=25, deadline=None)
 def test_rber_bounded(wl):
     for page in wl.spec.gray.page_names:
-        rber = wl.page_rber(page, rng=derive_rng(1))
+        rber = wl.page_rber(page)
         assert 0.0 <= rber <= 1.0
 
 
@@ -53,18 +57,17 @@ def test_boundary_counts_are_complementary_monotone(wl, offset):
 @given(wl=wl_strategy)
 @settings(max_examples=20, deadline=None)
 def test_per_voltage_errors_conserve_crossings(wl):
-    rng_key = 7
-    est = wl.read_states(rng=derive_rng(rng_key))
-    data = ~wl._sentinel_mask
+    est = twin(wl).read_states()  # the same noise draws as wl's next read
+    data = wl.data_mask
     total = np.abs(est[data].astype(int) - wl.states[data].astype(int)).sum()
-    per_v = wl.per_voltage_errors(rng=derive_rng(rng_key))
+    per_v = wl.per_voltage_errors()
     assert per_v.sum() == total
 
 
 @given(wl=wl_strategy)
 @settings(max_examples=20, deadline=None)
 def test_sentinel_counts_bounded_by_population(wl):
-    readout = wl.sentinel_readout(0.0, rng=derive_rng(3))
+    readout = wl.sentinel_readout(0.0)
     half = wl.n_sentinels // 2 + 1
     assert readout.up_errors <= half
     assert readout.down_errors <= half
@@ -81,9 +84,8 @@ def test_state_changes_grow_with_window(wl, a, b):
     comparison via ordering of window nesting)."""
     lo, hi = min(a, b), max(a, b)
     pos = wl.spec.read_voltage(4)
-    rng = derive_rng(9)
-    inner, _ = wl.state_change_counts(pos + lo, pos + (lo + hi) / 2, rng=derive_rng(9))
-    outer, _ = wl.state_change_counts(pos + lo, pos + hi, rng=derive_rng(9))
+    inner, _ = twin(wl).state_change_counts(pos + lo, pos + (lo + hi) / 2)
+    outer, _ = twin(wl).state_change_counts(pos + lo, pos + hi)
     # same start, wider end: the outer window covers the inner one up to
     # sensing noise; allow a small noise margin
     assert outer >= inner - wl.n_cells * 0.01

@@ -109,10 +109,13 @@ class TestReads:
         c = aged_wl.read_page("MSB").n_errors
         assert len({a, b, c}) > 1
 
-    def test_explicit_rng_reproducible(self, aged_wl):
-        a = aged_wl.read_page("MSB", rng=derive_rng(5)).n_errors
-        b = aged_wl.read_page("MSB", rng=derive_rng(5)).n_errors
-        assert a == b
+    def test_fresh_wordline_reproducible(self, tiny_tlc, aged_stress):
+        """Re-creating a wordline restarts its read-noise stream."""
+        def first_read():
+            wl = Wordline(tiny_tlc, 1, 0, 3, stress=aged_stress)
+            return wl.read_page("MSB").mismatch
+
+        np.testing.assert_array_equal(first_read(), first_read())
 
     def test_mismatch_mask_matches_count(self, aged_wl):
         result = aged_wl.read_page("MSB")
@@ -146,14 +149,16 @@ class TestReads:
 
 
 class TestPerVoltageErrors:
-    def test_sums_to_all_boundary_crossings(self, aged_wl):
-        rng = derive_rng(11)
-        est = aged_wl.read_states(rng=rng)
-        data = ~aged_wl._sentinel_mask
+    def test_sums_to_all_boundary_crossings(self, tiny_tlc, aged_stress):
+        # two copies of one wordline sense with the same noise draws
+        twin = Wordline(tiny_tlc, 1, 0, 3, stress=aged_stress)
+        wl = Wordline(tiny_tlc, 1, 0, 3, stress=aged_stress)
+        est = twin.read_states()
+        data = wl.data_mask
         crossings = np.abs(
-            est[data].astype(int) - aged_wl.states[data].astype(int)
+            est[data].astype(int) - wl.states[data].astype(int)
         ).sum()
-        per_v = aged_wl.per_voltage_errors(rng=derive_rng(11))
+        per_v = wl.per_voltage_errors()
         assert per_v.sum() == crossings
 
     def test_low_voltages_dominate_when_aged(self, aged_qlc_wl):
@@ -163,7 +168,7 @@ class TestPerVoltageErrors:
     def test_zero_when_noiseless_and_fresh(self, tiny_tlc):
         wl = Wordline(tiny_tlc, 1, 0, 3)
         est = wl.read_states(noisy=False)
-        data = ~wl._sentinel_mask
+        data = wl.data_mask
         assert (est[data] == wl.states[data]).mean() > 0.999
 
 
@@ -195,8 +200,7 @@ class TestSentinelReadout:
 class TestStateChangeCounts:
     def test_zero_for_identical_positions(self, aged_wl):
         pos = aged_wl.spec.read_voltage(4)
-        rng = derive_rng(3)
-        nca, ncs = aged_wl.state_change_counts(pos, pos, rng=None)
+        nca, ncs = aged_wl.state_change_counts(pos, pos)
         # read noise may flip a few cells near the threshold, but the
         # identical-position count must be far below a real move
         moved = aged_wl.state_change_counts(pos, pos - 30)[0]
@@ -221,7 +225,7 @@ class TestStateChangeCounts:
 class TestErrorCellIndices:
     def test_indices_are_data_cells(self, aged_wl):
         idx = aged_wl.error_cell_indices()
-        assert not aged_wl._sentinel_mask[idx].any()
+        assert not aged_wl.sentinel_mask[idx].any()
 
     def test_aged_has_errors(self, aged_wl):
         assert len(aged_wl.error_cell_indices()) > 10
@@ -247,7 +251,7 @@ class TestProgramPages:
         payload = self._payload(fresh_wl)
         fresh_wl.program_pages(payload)
         for page, bits in payload.items():
-            result = fresh_wl.read_page(page, rng=derive_rng(9))
+            result = fresh_wl.read_page(page)
             mismatches = int((result.bits != bits).sum())
             assert mismatches < fresh_wl.n_data_cells * 1e-3
 
@@ -278,7 +282,7 @@ class TestProgramPages:
         assert outcome.success
         # the ECC-decodable read differs from the stored bits by less than
         # the correction capability
-        result = wl.read_page("MSB", outcome.final_offsets, rng=derive_rng(1))
+        result = wl.read_page("MSB", outcome.final_offsets)
         errors = int((result.bits != payload["MSB"]).sum())
         assert errors <= CapabilityEcc.for_spec(tiny_tlc).effective_rber * wl.n_data_cells * 2
 
