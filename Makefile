@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test coverage lint bench bench-smoke examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke perfbench-smoke clean
+.PHONY: install test coverage lint bench examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke perfbench-smoke clean
 
 install:
 	pip install -e .[test]
@@ -17,11 +17,6 @@ lint:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# writes a git-ignored scratch report: the committed BENCH_core.json is
-# refreshed deliberately, not by every smoke run
-bench-smoke:
-	$(PYTHON) -m repro bench --smoke --check --json .bench-smoke.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -9,6 +9,19 @@ Commands
 ``simulate``      trace-driven SSD comparison (synthetic or real MSR CSV).
 ``serve``         online serving layer: concurrent clients + voltage-offset
                   cache + background scrubber (``--smoke`` for CI).
+``replay``        trace-driven replay of a block-level trace (MSR CSV or
+                  synthetic workload) through the serving layer, with
+                  optional batched die scheduling (``--batch``) and
+                  sharded preprocessing (``--workers``).
+``fleet``         multi-device, multi-tenant fleet with cohort voltage-cache
+                  warm-start and per-tenant SLO accounting.
+``tournament``    race read-retry policies across a frontend x chip-age
+                  grid (``--check`` exits non-zero unless sentinel beats
+                  current-flash on retries/read in every cell).
+``campaign``      lifetime scenario campaign: devices aging through P/E
+                  phases and environments while they serve.
+``chaos``         fault-injection campaign: hardened serving layer plus a
+                  chip-level read sweep under a declarative fault plan.
 ``overhead``      sentinel space-overhead report for a chip/ratio.
 ``figure``        run one paper-figure driver and print its rows.
 ``stats``         summarize an exported observability JSONL trace
@@ -17,35 +30,29 @@ Commands
                   report the critical-path phase breakdown (``--check``
                   exits non-zero if phases fail to reconcile with the
                   end-to-end latencies).
-``chaos``         fault-injection campaign: hardened serving layer plus a
-                  chip-level read sweep under a declarative fault plan
-                  (``--smoke`` for CI; exits non-zero if the request
-                  accounting identity breaks).
-``bench``         core read-path benchmark: wordline read throughput plus
-                  serial-vs-parallel profile measurement (``--smoke`` for
-                  CI); writes ``BENCH_core.json``.
-``replay``        trace-driven replay of a block-level trace (MSR CSV or
-                  synthetic workload) through the serving layer, with
-                  optional batched die scheduling (``--batch``) and
-                  sharded preprocessing (``--workers``); exits non-zero
-                  if the request accounting identity breaks.
+
+``replay``, ``fleet``, ``tournament``, ``campaign`` and ``chaos`` exit
+non-zero if the request accounting identity (served + degraded + shed ==
+offered) breaks; each of them and ``serve`` writes its canonical JSON
+report to ``--json``.
 
 Global flags: ``-v`` raises verbosity, ``-q`` silences informational
-output.  Observability flags (``simulate``/``read``/``serve``/``replay``/
-``chaos``): ``--obs-trace``/``--obs-prom`` capture and export the run's
-events and metrics, ``--obs-spans`` additionally records causal request
-spans (replay with ``repro spans``), ``--obs-stream`` appends trace
-events to the ``--obs-trace`` file as they happen (pair with
-``repro stats --follow`` in another terminal), and ``--obs-port`` serves
-a live Prometheus ``/metrics`` endpoint for the duration of the run
-(see ``docs/OBSERVABILITY.md``).
+output.  Observability flags (``read``/``simulate``/``serve``/``replay``/
+``fleet``/``tournament``/``campaign``/``chaos``): ``--obs-trace``/
+``--obs-prom`` capture and export the run's events and metrics,
+``--obs-spans`` additionally records causal request spans (replay with
+``repro spans``), ``--obs-stream`` appends trace events to the
+``--obs-trace`` file as they happen (pair with ``repro stats --follow``
+in another terminal), and ``--obs-port`` serves a live Prometheus
+``/metrics`` endpoint for the duration of the run (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro import __version__
 from repro.obs.log import echo, setup_logging
@@ -138,6 +145,54 @@ def _export_obs(args: argparse.Namespace) -> int:
     if server is not None:
         server.stop()
     return status
+
+
+def _finish_report(
+    args: argparse.Namespace,
+    report,
+    label: str,
+    imbalance: Optional[Callable[[Any], str]] = None,
+) -> int:
+    """Shared tail of the report-producing commands.
+
+    Prints ``report.render()``, writes ``report.to_json()`` to ``--json``
+    and exports the observability captures.  With ``imbalance`` given, a
+    report whose ``balanced`` is false fails the run, and
+    ``imbalance(report)`` supplies the detail of the message.  Returns
+    the exit status: 1 on an unwritable ``--json`` path (the report is
+    on stdout by then), on an obs export failure or on an imbalance.
+    """
+    echo(report.render())
+    if args.json:
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            print(f"repro {args.command}: cannot write report to "
+                  f"{args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+        echo(f"{label} report -> {args.json}")
+    status = _export_obs(args)
+    if imbalance is not None and not report.balanced:
+        print(f"repro {args.command}: FAIL: request accounting imbalanced "
+              f"{imbalance(report)}", file=sys.stderr)
+        return 1
+    return status
+
+
+def _identity(report) -> str:
+    """The served + degraded + shed != offered detail of one report."""
+    acc = report.accounting
+    return (f"served {acc.get('served')} + degraded {acc.get('degraded')} "
+            f"+ shed {acc.get('shed')} != offered {acc.get('offered')}")
+
+
+def _broken_cells(report, keys) -> str:
+    """The imbalanced grid cells of a tournament or campaign report."""
+    broken = ["/".join(c[k] for k in keys)
+              for c in report.cells if not c.get("balanced")]
+    return f"in {len(broken)} cells: " + ", ".join(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +354,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
     )
     report = service.run(list(clients), scenario=scenario)
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro serve: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"service report -> {args.json}")
-    return _export_obs(args)
+    return _finish_report(args, report, "service")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -349,26 +393,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         workers=args.workers,
         n_requests=args.requests,
     )
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro chaos: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"chaos report -> {args.json}")
-    status = _export_obs(args)
-    if not report.accounting.get("balanced", False):
-        acc = report.accounting
-        print(f"repro chaos: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')})",
-              file=sys.stderr)
-        return 1
-    return status
+    return _finish_report(
+        args, report, "chaos", lambda r: f"({_identity(r)})"
+    )
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -440,26 +467,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
             workers=args.workers,
         ),
     )
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro replay: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"replay report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        acc = report.accounting
-        print(f"repro replay: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')})",
-              file=sys.stderr)
-        return 1
-    return status
+    return _finish_report(
+        args, report, "replay", lambda r: f"({_identity(r)})"
+    )
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -495,29 +505,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         cells_per_wordline=args.cells,
     )
     report = run_fleet(config, seed=args.seed)
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro fleet: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"fleet report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        acc = report.accounting
-        print(f"repro fleet: FAIL: request accounting imbalanced "
-              f"(served {acc.get('served')} + degraded {acc.get('degraded')} "
-              f"+ shed {acc.get('shed')} != offered {acc.get('offered')}; "
-              f"per-tenant: " + ", ".join(
-                  f"{t}={'ok' if v.get('balanced') else 'IMBALANCED'}"
-                  for t, v in sorted(acc.get("tenants", {}).items())
-              ), file=sys.stderr)
-        return 1
-    return status
+    return _finish_report(
+        args, report, "fleet",
+        lambda r: f"({_identity(r)}; per-tenant: " + ", ".join(
+            f"{t}={'ok' if v.get('balanced') else 'IMBALANCED'}"
+            for t, v in sorted(r.accounting.get("tenants", {}).items())
+        ) + ")",
+    )
 
 
 def cmd_tournament(args: argparse.Namespace) -> int:
@@ -563,27 +557,11 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     report = run_tournament(config, seed=args.seed)
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro tournament: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"tournament report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        broken = [
-            f"{c['policy']}/{c['age']}/{c['frontend']}"
-            for c in report.cells if not c.get("balanced")
-        ]
-        print(f"repro tournament: FAIL: request accounting imbalanced in "
-              f"{len(broken)} cells: " + ", ".join(broken), file=sys.stderr)
-        return 1
-    if args.check and not report.sentinel_beats():
+    status = _finish_report(
+        args, report, "tournament",
+        lambda r: _broken_cells(r, ("policy", "age", "frontend")),
+    )
+    if status == 0 and args.check and not report.sentinel_beats():
         print("repro tournament: FAIL: sentinel did not beat current-flash "
               "on retries/read in every cell", file=sys.stderr)
         return 1
@@ -635,28 +613,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"repro campaign: bad grid: {exc}", file=sys.stderr)
         return 2
     report = run_campaign(config, seed=args.seed)
-    echo(report.render())
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro campaign: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"campaign report -> {args.json}")
-    status = _export_obs(args)
-    if not report.balanced:
-        broken = [
-            f"{c['policy']}/{c['schedule']}/{c['environment']}"
-            f"/{c['workload']}"
-            for c in report.cells if not c.get("balanced")
-        ]
-        print(f"repro campaign: FAIL: request accounting imbalanced in "
-              f"{len(broken)} cells: " + ", ".join(broken), file=sys.stderr)
-        return 1
-    return status
+    return _finish_report(
+        args, report, "campaign",
+        lambda r: _broken_cells(
+            r, ("policy", "schedule", "environment", "workload")
+        ),
+    )
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -739,261 +701,6 @@ def cmd_spans(args: argparse.Namespace) -> int:
                   f"latencies (max delta {delta:.3f} us)", file=sys.stderr)
             return 1
         echo("spans check: ok")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark the core read path and the engine's fan-out.
-
-    Four measurements land in the JSON report:
-
-    * wordline read throughput (page reads per second on one aged wordline);
-    * wall-clock of a serial ``RetryProfile.measure`` sweep;
-    * wall-clock of the same sweep with ``--workers`` processes, plus a
-      byte-equality verdict of the two sample sets — recorded as
-      ``"skipped"`` when the effective worker count collapses to 1 (a
-      parallel-vs-serial comparison on one CPU measures only pool
-      overhead, the misleading ``speedup: 1.0`` of old reports);
-    * a columnar block scan: the same reads through per-wordline
-      materialization vs :class:`repro.flash.block.BlockColumns` batched
-      kernels, with a bit-equality verdict of the error counts.
-
-    ``--check`` turns the contracts into an exit status: any sample or
-    read mismatch fails, (on multi-CPU hosts only) a parallel run slower
-    than serial fails, and a batched scan under 3x the per-wordline
-    throughput fails (the columnar perf floor).
-    """
-    import json
-    import time
-
-    import numpy as np
-
-    from repro.ecc.capability import CapabilityEcc
-    from repro.engine import available_workers
-    from repro.flash.chip import FlashChip
-    from repro.flash.mechanisms import StressState
-    from repro.ssd.retry_model import RetryProfile
-
-    cpu = available_workers()
-    workers = args.workers if args.workers and args.workers > 0 else cpu
-    cells = args.cells
-    if args.smoke:
-        # big enough that the fan-out's pool startup amortizes on a 2-CPU
-        # CI runner, small enough to finish in a couple of seconds
-        n_wordlines, n_reads = 24, 48
-    else:
-        n_wordlines, n_reads = 32, 96
-    spec = _spec(args.kind, cells)
-    ecc = CapabilityEcc.for_spec(spec)
-    stress = StressState(pe_cycles=3000, retention_hours=4000.0)
-    if args.smoke:
-        # model-free policy: no 5s characterization fit before the timings
-        from repro.retry.current_flash import CurrentFlashPolicy
-
-        policy = CurrentFlashPolicy(ecc, spec)
-    else:
-        from repro.core.controller import SentinelController
-        from repro.exp.common import trained_model
-
-        echo(f"fitting the {args.kind} sentinel model (cached per process) ...")
-        policy = SentinelController(ecc, trained_model(args.kind))
-
-    def bench_chip() -> FlashChip:
-        chip = FlashChip(spec, seed=args.seed, sentinel_ratio=0.002)
-        chip.set_block_stress(0, stress)
-        return chip
-
-    # -- wordline read throughput --------------------------------------
-    wl = bench_chip().wordline(0, 0)
-    pages = list(range(spec.pages_per_wordline))
-    for p in pages:  # warm the per-wordline caches like a steady state read
-        wl.read_page(p)
-    t0 = time.perf_counter()
-    for i in range(n_reads):
-        wl.read_page(pages[i % len(pages)])
-    read_seconds = time.perf_counter() - t0
-    reads_per_sec = n_reads / read_seconds if read_seconds > 0 else float("inf")
-
-    # -- profile measurement: serial vs parallel -----------------------
-    wordlines = range(0, spec.wordlines_per_block,
-                      max(1, spec.wordlines_per_block // n_wordlines))
-    t0 = time.perf_counter()
-    serial = RetryProfile.measure(
-        bench_chip(), policy, wordlines=wordlines, workers=1
-    )
-    serial_seconds = time.perf_counter() - t0
-    compare_parallel = workers >= 2
-    if compare_parallel:
-        t0 = time.perf_counter()
-        parallel = RetryProfile.measure(
-            bench_chip(), policy, wordlines=wordlines, workers=workers
-        )
-        parallel_seconds = time.perf_counter() - t0
-        identical = all(
-            np.array_equal(serial.samples[p], parallel.samples[p])
-            for p in serial.samples
-        )
-        speedup = (
-            serial_seconds / parallel_seconds if parallel_seconds > 0 else 0.0
-        )
-    else:
-        parallel_seconds = None
-        identical = True  # nothing to compare; serial is the reference
-        speedup = None
-
-    # -- columnar batched block scan vs per-wordline -------------------
-    # reference workload: repeatedly scan a 24-wordline block (the
-    # scrubber / block-sweep access pattern).  The per-wordline side
-    # re-materializes each wordline per pass exactly as today's sweeps do
-    # (``iter_wordlines``); the columnar side builds one BlockColumns
-    # store (timed) and drives batched sense/decode kernels over the same
-    # reads.  Both sides take the best of ``bat_reps`` runs so the ratio
-    # survives noisy-neighbour CI hosts.
-    bat_cells = 1024
-    bat_wordlines = 24
-    bat_passes = 32
-    bat_reps = 2 if args.smoke else 3
-    bat_spec = _spec(args.kind, bat_cells)
-    bat_pages = list(range(bat_spec.pages_per_wordline))
-
-    def bat_chip() -> FlashChip:
-        chip = FlashChip(bat_spec, seed=args.seed, sentinel_ratio=0.002)
-        chip.set_block_stress(0, stress)
-        return chip
-
-    per_wl_seconds = batched_seconds = float("inf")
-    for _ in range(bat_reps):
-        chip = bat_chip()
-        t0 = time.perf_counter()
-        for _ in range(bat_passes):
-            for bwl in chip.iter_wordlines(0, range(bat_wordlines)):
-                for p in bat_pages:
-                    bwl.read_page(p)
-        per_wl_seconds = min(per_wl_seconds, time.perf_counter() - t0)
-        chip = bat_chip()
-        t0 = time.perf_counter()
-        cols = chip.block_columns(0, range(bat_wordlines))
-        for _ in range(bat_passes):
-            for p in bat_pages:
-                cols.read_page_batch(p)
-        batched_seconds = min(batched_seconds, time.perf_counter() - t0)
-    bat_reads = bat_passes * bat_wordlines * len(bat_pages)
-    per_wl_rps = bat_reads / per_wl_seconds if per_wl_seconds > 0 else 0.0
-    batched_rps = bat_reads / batched_seconds if batched_seconds > 0 else 0.0
-    batched_speedup = (
-        per_wl_seconds / batched_seconds if batched_seconds > 0 else 0.0
-    )
-    # bit-equality of one fresh pass: same chips, same reads, both paths
-    ref_errors = [
-        [int(r.n_errors) for p in bat_pages for r in (bwl.read_page(p),)]
-        for bwl in bat_chip().iter_wordlines(0, range(bat_wordlines))
-    ]
-    cols = bat_chip().block_columns(0, range(bat_wordlines))
-    bat_errors = [list(row) for row in np.stack(
-        [cols.read_page_batch(p).n_errors for p in bat_pages], axis=1
-    ).tolist()]
-    batched_identical = ref_errors == bat_errors
-
-    report = {
-        "bench": "repro-core",
-        "kind": args.kind,
-        "mode": "smoke" if args.smoke else "full",
-        "policy": policy.name,
-        "cells_per_wordline": cells,
-        "cpu_available": cpu,
-        "requested_workers": args.workers if args.workers else None,
-        "effective_workers": workers,
-        "workers": workers,
-        "wordline_read": {
-            "reads": n_reads,
-            "seconds": round(read_seconds, 6),
-            "reads_per_sec": round(reads_per_sec, 1),
-        },
-        "profile_measure": {
-            "wordlines": len(list(wordlines)),
-            "pages_per_wordline": spec.pages_per_wordline,
-            "serial_seconds": round(serial_seconds, 6),
-        },
-        "batched": {
-            "cells_per_wordline": bat_cells,
-            "wordlines": bat_wordlines,
-            "pages_per_wordline": len(bat_pages),
-            "passes": bat_passes,
-            "reads": bat_reads,
-            "per_wordline_seconds": round(per_wl_seconds, 6),
-            "per_wordline_reads_per_sec": round(per_wl_rps, 1),
-            "batched_seconds": round(batched_seconds, 6),
-            "batched_reads_per_sec": round(batched_rps, 1),
-            "speedup": round(batched_speedup, 3),
-            "identical_reads": batched_identical,
-        },
-    }
-    if compare_parallel:
-        report["profile_measure"].update({
-            "parallel_seconds": round(parallel_seconds, 6),
-            "speedup": round(speedup, 3),
-            "identical_samples": identical,
-        })
-        measure_note = (
-            f"x{workers} workers {parallel_seconds:.2f}s "
-            f"(speedup {speedup:.2f}, samples "
-            f"{'identical' if identical else 'DIFFER'})"
-        )
-    else:
-        report["profile_measure"]["parallel"] = "skipped"
-        report["profile_measure"]["skip_reason"] = (
-            f"effective workers == {workers}: a parallel-vs-serial "
-            f"comparison would only measure pool overhead"
-        )
-        measure_note = f"parallel skipped ({workers} effective worker)"
-    echo(
-        f"wordline read: {reads_per_sec:,.0f} reads/s   "
-        f"measure: serial {serial_seconds:.2f}s, {measure_note}"
-    )
-    echo(
-        f"batched block scan: per-wordline {per_wl_rps:,.0f} reads/s, "
-        f"columnar {batched_rps:,.0f} reads/s "
-        f"(speedup {batched_speedup:.2f}, reads "
-        f"{'identical' if batched_identical else 'DIFFER'})"
-    )
-    if args.json:
-        # keep the committed pre-PR reference measurements, if any, so
-        # re-running the bench never erases the historical comparison
-        try:
-            with open(args.json, "r", encoding="utf-8") as fh:
-                baseline = json.load(fh).get("baseline_pre_pr")
-        except (OSError, ValueError):
-            baseline = None
-        if baseline is not None:
-            report["baseline_pre_pr"] = baseline
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"repro bench: cannot write report to {args.json}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
-        echo(f"bench report -> {args.json}")
-    if args.check:
-        if not identical:
-            print("repro bench: FAIL: parallel samples differ from serial",
-                  file=sys.stderr)
-            return 1
-        if compare_parallel and cpu >= 2 and speedup < 1.0:
-            print(f"repro bench: FAIL: parallel slower than serial "
-                  f"(speedup {speedup:.2f} on {cpu} CPUs)", file=sys.stderr)
-            return 1
-        if not batched_identical:
-            print("repro bench: FAIL: batched block scan reads differ from "
-                  "per-wordline", file=sys.stderr)
-            return 1
-        if batched_speedup < 3.0:
-            print(f"repro bench: FAIL: batched block scan under the 3x "
-                  f"columnar perf floor (speedup {batched_speedup:.2f})",
-                  file=sys.stderr)
-            return 1
-        echo("bench check: ok")
     return 0
 
 
@@ -1082,9 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cells per simulated wordline")
         p.add_argument("--seed", type=int, default=1)
 
-    def add_workers(p, default=1):
+    def add_workers(p):
         p.add_argument(
-            "--workers", type=int, default=default, metavar="N",
+            "--workers", type=int, default=1, metavar="N",
             help="worker processes for the deterministic fan-out engine "
                  "(<=1: serial; results are byte-identical either way)",
         )
@@ -1170,26 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers(p)
     add_obs(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "bench",
-        help="core read-path benchmark (throughput + engine speedup)",
-    )
-    add_common(p)
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="small model-free configuration for CI (a few seconds)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if parallel samples differ from serial, or if "
-             "fan-out is slower than serial on a multi-CPU host",
-    )
-    p.add_argument("--json", metavar="PATH",
-                   default="benchmarks/BENCH_core.json",
-                   help="bench report path (empty string disables)")
-    add_workers(p, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "replay",

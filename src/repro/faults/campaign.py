@@ -115,6 +115,10 @@ class ChaosReport:
     accounting: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
+    @property
+    def balanced(self) -> bool:
+        return bool(self.accounting.get("balanced", False))
+
     def to_json(self) -> str:
         payload = {
             "plan": self.plan,

@@ -44,7 +44,7 @@ def load(name):
 
 
 def test_every_committed_bench_json_has_a_schema_check():
-    known = {"BENCH_core.json", "BENCH_fleet.json", "BENCH_replay.json",
+    known = {"BENCH_fleet.json", "BENCH_replay.json",
              "BENCH_policies.json", "BENCH_campaign.json"}
     committed = set(committed_bench_jsons())
     assert committed == known, (
@@ -60,18 +60,6 @@ def test_all_bench_jsons_parse():
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert isinstance(payload, dict), f"{path.name} must be an object"
         assert payload, f"{path.name} is empty"
-
-
-class TestCoreSchema:
-    def test_shape(self):
-        d = load("BENCH_core.json")
-        for key in ("bench", "kind", "cells_per_wordline", "workers",
-                    "profile_measure", "wordline_read", "batched"):
-            assert key in d
-        assert d["profile_measure"]["wordlines"] > 0
-        assert d["wordline_read"]["reads_per_sec"] > 0
-        assert d["batched"]["identical_reads"] is True
-        assert d["batched"]["speedup"] > 0
 
 
 class TestFleetSchema:

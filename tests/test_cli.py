@@ -495,3 +495,114 @@ class TestStatsFollow:
         out = capsys.readouterr().out
         assert "following" in out
         assert "cache_hit" in out
+
+
+# every report-producing command at a seconds-sized scale: (argv, the
+# first words of its rendered report, and the module and name of its
+# runner, or None for serve, which checks no request accounting)
+_REPORT_COMMANDS = {
+    "serve": (["serve", "--smoke", "--requests", "100"],
+              "service report:", None),
+    "chaos": (["chaos", "--smoke", "--requests", "100"],
+              "chaos campaign:", ("repro.faults.campaign", "run_campaign")),
+    "replay": (["replay", "--synthetic", "hm_0", "--smoke",
+                "--requests", "100"],
+               "replay report:", ("repro.replay", "replay_trace")),
+    "fleet": (["fleet", "--smoke", "--devices", "3", "--tenants", "2",
+               "--requests", "40"],
+              "fleet:", ("repro.fleet", "run_fleet")),
+    "tournament": (["tournament", "--smoke", "--policies", "current-flash",
+                    "sentinel", "--ages", "mid", "--requests", "60"],
+                   "tournament report:",
+                   ("repro.tournament", "run_tournament")),
+    "campaign": (["campaign", "--smoke", "--phases", "2"],
+                 "campaign report:", ("repro.campaign", "run_campaign")),
+}
+
+
+class TestReportTail:
+    """The shared ending of the commands that write a ``--json`` report."""
+
+    @pytest.fixture(autouse=True)
+    def _faults_off(self):
+        from repro.faults import FAULTS
+
+        FAULTS.deactivate()
+        yield
+        FAULTS.deactivate()
+
+    @pytest.mark.parametrize("command", sorted(_REPORT_COMMANDS))
+    def test_unwritable_json_fails_after_printing(
+        self, command, tmp_path, capsys
+    ):
+        argv, header, _ = _REPORT_COMMANDS[command]
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        path = blocker / "report.json"
+        assert main(argv + ["--json", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"repro {command}: cannot write report to {path}" in (
+            captured.err
+        )
+        assert header in captured.out
+
+    @pytest.mark.parametrize(
+        "command",
+        sorted(c for c, v in _REPORT_COMMANDS.items() if v[2] is not None),
+    )
+    def test_imbalanced_report_fails(self, command, monkeypatch, capsys):
+        import importlib
+
+        argv, header, (module_name, runner_name) = _REPORT_COMMANDS[command]
+        module = importlib.import_module(module_name)
+        runner = getattr(module, runner_name)
+
+        def imbalanced(*args, **kwargs):
+            report = runner(*args, **kwargs)
+            if hasattr(report, "cells"):
+                report.cells[0]["balanced"] = False
+            else:
+                report.accounting["balanced"] = False
+            return report
+
+        monkeypatch.setattr(module, runner_name, imbalanced)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (f"repro {command}: FAIL: request accounting imbalanced"
+                in captured.err)
+        assert header in captured.out
+
+
+class TestDocsNameEveryCommand:
+    """The module docstring and the README list exactly the parser's
+    subcommands, so a command added or retired shows up in both."""
+
+    @pytest.fixture(scope="class")
+    def commands(self):
+        import argparse
+
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return set(action.choices)
+
+    def test_module_docstring(self, commands):
+        import re
+
+        import repro.cli
+
+        doc = repro.cli.__doc__
+        section = doc[doc.index("Commands\n"):]
+        listed = set(re.findall(r"^``([a-z-]+)``  ", section, re.M))
+        assert listed == commands
+
+    def test_readme(self, commands):
+        import re
+
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        lists = re.findall(r"python -m repro \{([a-z,-]+)\}", readme)
+        assert len(lists) == 1
+        assert set(lists[0].split(",")) == commands
+        named = set(re.findall(r"(?:python -m |`)repro ([a-z][a-z-]*)",
+                               readme))
+        assert named <= commands, named - commands

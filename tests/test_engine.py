@@ -287,6 +287,51 @@ def test_engine_emits_dispatch_and_merge_events(tiny_tlc):
         obs.disable()
 
 
+def test_pipelines_fan_out_in_parallel_mode(tiny_tlc):
+    """``workers=2`` really reaches the pool.
+
+    A shard the pool cannot ship (an unpicklable task, say) falls back to
+    serial with byte-identical output, so only the engine's ``mode``
+    shows the lost fan-out.
+    """
+    import repro.obs as obs
+    from repro.ecc.capability import CapabilityEcc
+    from repro.obs import OBS
+    from repro.retry.current_flash import CurrentFlashPolicy
+    from repro.ssd.retry_model import RetryProfile
+    from repro.tournament import TournamentConfig, run_tournament
+
+    obs.enable(metrics=True, tracing=True)
+    try:
+        OBS.tracer.clear()
+        RetryProfile.measure(
+            _aged_chip(tiny_tlc),
+            CurrentFlashPolicy(CapabilityEcc.for_spec(tiny_tlc), tiny_tlc),
+            workers=2,
+        )
+        run_tournament(TournamentConfig(
+            kind="tlc",
+            policies=("current-flash", "sentinel"),
+            ages=("mid",),
+            frontends=("hm_0",),
+            cells_per_wordline=8192,
+            sentinel_ratio=0.02,
+            wordline_step=8,
+            requests_per_cell=60,
+            workers=2,
+        ), seed=0)
+        merges = [e.fields for e in OBS.tracer.events()
+                  if e.kind == "shard_merge"]
+    finally:
+        obs.disable()
+    modes = {}
+    for m in merges:
+        modes.setdefault(m["label"], []).append(m["mode"])
+    assert modes["tournament"] == ["parallel"]
+    assert modes["profile-measure"] == ["parallel"]
+    assert all(m["mode"] != "serial-fallback" for m in merges)
+
+
 def test_stats_render_includes_engine_section():
     from repro.obs.stats import TraceStats, render
 
