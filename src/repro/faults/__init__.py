@@ -88,6 +88,12 @@ class FaultInjection:
             return injector
         return self.activate(plan, seed)
 
+    def ecc_verdict(self, block: int, wordline: int, decoded: bool) -> bool:
+        """One decode verdict after ECC faults (unchanged while inactive)."""
+        if not self.active:
+            return decoded
+        return self.injector.ecc_verdict(block, wordline, decoded)
+
 
 #: The process-wide fault-injection singleton every hook site consults.
 FAULTS = FaultInjection()

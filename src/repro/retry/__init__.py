@@ -2,7 +2,10 @@
 
 All policies implement :class:`repro.retry.policy.ReadPolicy` and return a
 :class:`repro.retry.policy.ReadOutcome`, so the experiment drivers can swap
-them freely:
+them freely.  The six whose voltages are fixed before the first sense
+derive from :class:`repro.retry.policy.LadderPolicy`: they declare a
+per-read offset schedule and the base reads it per wordline or in
+lockstep over a columnar batch.
 
 * :class:`repro.retry.current_flash.CurrentFlashPolicy` — the vendor retry
   table shipped in today's chips ("current flash" in the paper's figures).
@@ -23,7 +26,7 @@ them freely:
 The sentinel controller itself lives in :mod:`repro.core.controller`.
 """
 
-from repro.retry.policy import ReadPolicy, ReadOutcome, ReadAttempt
+from repro.retry.policy import LadderPolicy, ReadPolicy, ReadOutcome, ReadAttempt
 from repro.retry.current_flash import CurrentFlashPolicy, RetryTable
 from repro.retry.tracking import TrackingPolicy
 from repro.retry.layer_similarity import LayerSimilarityPolicy
@@ -33,6 +36,7 @@ from repro.retry.adaptive import AdaptiveRetryPolicy
 from repro.retry.online_model import OnlineModelPolicy
 
 __all__ = [
+    "LadderPolicy",
     "ReadPolicy",
     "ReadOutcome",
     "ReadAttempt",

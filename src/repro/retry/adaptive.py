@@ -24,16 +24,18 @@ Read Latency by Optimizing Read-Retry" as a :class:`ReadPolicy` drop-in:
   entry that barely worked).
 
 Determinism contract: predictions are **frozen while reads are in
-flight** — both :meth:`read` and the lockstep :meth:`read_batch` queue
-decode feedback and only fold it into the per-(block, layer) start table
-when the caller invokes :meth:`commit_feedback` (an FTL would do this from
-its background task).  This keeps the batched and per-wordline paths
-bit-identical and keeps sharded measurements worker-count-invariant.
+flight** — decode feedback only queues, and is folded into the
+per-(block, layer) start table when the caller invokes
+:meth:`commit_feedback` (an FTL would do this from its background task).
+So each read's ladder is a pure function of its (block, layer) key and
+hint, which lets :class:`repro.retry.policy.LadderPolicy` read a columnar
+batch in lockstep bit-identically to per-wordline reads, and keeps sharded
+measurements worker-count-invariant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,13 +43,13 @@ from repro.ecc.capability import CapabilityEcc
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
 from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadAttempt, ReadOutcome, ReadPolicy
+from repro.retry.policy import LadderPolicy, ReadOutcome
 
 #: feedback key: (block, layer)
 _Key = Tuple[int, int]
 
 
-class AdaptiveRetryPolicy(ReadPolicy):
+class AdaptiveRetryPolicy(LadderPolicy):
     """Vendor ladder with a learned per-(block, layer) starting entry."""
 
     name = "adaptive-retry"
@@ -105,8 +107,12 @@ class AdaptiveRetryPolicy(ReadPolicy):
                 break
         return idxs[:cap]
 
-    def _offsets_of(self, entry: int) -> Optional[np.ndarray]:
-        return None if entry < 0 else self.table.entry(entry)
+    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+        start = self._start_for((wordline.block, wordline.layer), hint)
+        return (
+            None if entry < 0 else self.table.entry(entry)
+            for entry in self._schedule(start)
+        )
 
     # ------------------------------------------------------------------
     # feedback
@@ -114,17 +120,22 @@ class AdaptiveRetryPolicy(ReadPolicy):
     def _margin_clears(self, rber: float) -> bool:
         return rber <= self.margin_fraction * self.ecc.effective_rber
 
-    def _note_feedback(
-        self, key: _Key, success_entry: Optional[int], outcome: ReadOutcome
+    def feedback(
+        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
     ) -> None:
+        # every retry round was sensed during the previous round's ECC
+        outcome.pipelined_senses = outcome.retries
+        key = (wordline.block, wordline.layer)
+        last = len(self.table) - 1
         if not outcome.success:
             # the whole ladder failed: predict the deep end next time
-            self._pending.setdefault(key, []).append(len(self.table) - 1)
-            return
-        entry = success_entry if success_entry is not None else -1
-        if not self._margin_clears(outcome.attempts[-1].rber):
-            # barely decoded: the optimum is drifting past this entry
-            entry = min(entry + 1, len(self.table) - 1)
+            entry = last
+        else:
+            start = self._start_for(key, hint)
+            entry = self._schedule(start)[len(outcome.attempts) - 1]
+            if not self._margin_clears(outcome.attempts[-1].rber):
+                # barely decoded: the optimum is drifting past this entry
+                entry = min(entry + 1, last)
         self._pending.setdefault(key, []).append(entry)
 
     def commit_feedback(self) -> None:
@@ -145,103 +156,10 @@ class AdaptiveRetryPolicy(ReadPolicy):
                 self._starts[key] = min(start, len(self.table) - 1)
         self._pending.clear()
 
-    # ------------------------------------------------------------------
-    # read paths
-    # ------------------------------------------------------------------
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
-        outcome = self.new_outcome(wordline, page)
-        key = (wordline.block, wordline.layer)
-        success_entry: Optional[int] = None
-        for entry in self._schedule(self._start_for(key, hint)):
-            if self.attempt(wordline, outcome, self._offsets_of(entry)):
-                success_entry = entry
-                break
-        outcome.pipelined_senses = outcome.retries
-        self._note_feedback(key, success_entry, outcome)
-        return outcome
+    # perfbench/bench_trace.py wraps these two by name in this class's own
+    # __dict__, so they stay here as delegations to the LadderPolicy drivers
+    def read(self, wordline, page, hint=None):
+        return super().read(wordline, page, hint)
 
     def read_batch(self, cols, pages, hints=None):
-        """Lockstep batched read over the ladder schedules.
-
-        Predictions are frozen for the whole batch (the same contract the
-        serial path follows between commits), so each row's attempt
-        sequence is a pure function of its (block, layer) key and hint —
-        wave ``k`` senses exactly the attempts the serial loop would make,
-        with per-row offset matrices carrying rows that sit at different
-        ladder entries.  Falls back to the per-row loop when an active
-        fault plan makes cross-row order observable.
-        """
-        from repro.faults import FAULTS
-
-        if FAULTS.active:
-            return super().read_batch(cols, pages, hints)
-        spec = cols.spec
-        gray = spec.gray
-        n_rows = cols.n_wordlines
-        keys: List[_Key] = []
-        schedules: List[List[int]] = []
-        for r in range(n_rows):
-            key = (cols.block, spec.layer_of_wordline(cols.indices[r]))
-            keys.append(key)
-            hint = hints[r] if hints is not None else None
-            schedules.append(self._schedule(self._start_for(key, hint)))
-        n_v = len(self.table.entries[0])
-        outcomes: List[List[ReadOutcome]] = [
-            [None] * len(pages) for _ in range(n_rows)
-        ]
-        success_entries: List[List[Optional[int]]] = [
-            [None] * len(pages) for _ in range(n_rows)
-        ]
-        for j, page in enumerate(pages):
-            p = gray.page_index(page)
-            n_pv = len(gray.page_voltages(p))
-            outs = [
-                ReadOutcome(page=p, page_voltages=n_pv) for _ in range(n_rows)
-            ]
-            for r in range(n_rows):
-                outcomes[r][j] = outs[r]
-            active = list(range(n_rows))
-            wave = 0
-            while active:
-                rows = [r for r in active if wave < len(schedules[r])]
-                if not rows:
-                    break
-                matrix = np.zeros((len(rows), n_v), dtype=np.float64)
-                for i, r in enumerate(rows):
-                    entry = schedules[r][wave]
-                    if entry >= 0:
-                        matrix[i] = self.table.entry(entry)
-                batch = cols.read_page_batch(p, matrix, rows=rows)
-                decoded = self.ecc.decode_ok_batch(batch.mismatch)
-                still_failing = []
-                for i, r in enumerate(rows):
-                    out = outs[r]
-                    out.attempts.append(
-                        ReadAttempt(
-                            offsets=matrix[i],
-                            rber=float(batch.rber[i]),
-                            decoded=bool(decoded[i]),
-                        )
-                    )
-                    if len(out.attempts) > 1:
-                        out.retries += 1
-                    out.success = bool(decoded[i])
-                    if out.success:
-                        success_entries[r][j] = schedules[r][wave]
-                    else:
-                        still_failing.append(r)
-                active = still_failing
-                wave += 1
-        # feedback in canonical (row, page) order — the serial read order
-        for r in range(n_rows):
-            for j in range(len(pages)):
-                out = outcomes[r][j]
-                out.pipelined_senses = out.retries
-                self._note_feedback(keys[r], success_entries[r][j], out)
-        self._flush_batch_obs(outcomes)
-        return outcomes
+        return super().read_batch(cols, pages, hints)

@@ -9,7 +9,7 @@ per-wordline sentinel inference.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from repro.flash.chip import FlashChip
 from repro.flash.optimal import optimal_offsets
 from repro.flash.wordline import Wordline
 from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.policy import LadderPolicy
 
 
-class LayerSimilarityPolicy(ReadPolicy):
+class LayerSimilarityPolicy(LadderPolicy):
     """First attempt at the layer's tracked offsets, then the retry table."""
 
     name = "layer-similarity"
@@ -47,18 +47,7 @@ class LayerSimilarityPolicy(ReadPolicy):
             self._tracked[key] = optimal_offsets(sample)
         return self._tracked[key]
 
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
+    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
         # hint ignored: the per-layer tracked table plays the same role
-        outcome = self.new_outcome(wordline, page)
-        tracked = self.tracked_offsets(wordline.block, wordline.layer)
-        if self.attempt(wordline, outcome, tracked):
-            return outcome
-        for k in range(min(self.max_retries - 1, len(self.table))):
-            if self.attempt(wordline, outcome, self.table.entry(k)):
-                return outcome
-        return outcome
+        yield self.tracked_offsets(wordline.block, wordline.layer)
+        yield from self.table.ladder(self.max_retries - 1)

@@ -29,13 +29,15 @@ offset, scaled along the shift profile.
 
 Determinism contract: identical to :class:`AdaptiveRetryPolicy` — decode
 feedback queues in read order and only :meth:`commit_feedback` folds it
-into the committed per-chunk corrections, keeping batched and serial
-paths bit-identical and sharded measurements worker-count-invariant.
+into the committed per-chunk corrections, so each read's probe sequence is
+a pure function of its frozen prediction.  That keeps the lockstep and
+per-wordline reads of :class:`repro.retry.policy.LadderPolicy`
+bit-identical and sharded measurements worker-count-invariant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,13 +49,13 @@ from repro.flash.mechanisms import (
 )
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
-from repro.retry.policy import ReadAttempt, ReadOutcome, ReadPolicy
+from repro.retry.policy import LadderPolicy, ReadOutcome
 
 #: feedback key: (block, layer // chunk_layers)
 _Key = Tuple[int, int]
 
 
-class OnlineModelPolicy(ReadPolicy):
+class OnlineModelPolicy(LadderPolicy):
     """Model-predicted first sense with per-chunk online corrections."""
 
     name = "online-model"
@@ -132,24 +134,30 @@ class OnlineModelPolicy(ReadPolicy):
             pred + sign * magnitude * self._probe_step * self._profile
         )
 
+    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+        prior = self.prior_offsets(wordline.stress)
+        pred = self._predict(
+            prior, self._chunk_of(wordline.block, wordline.layer), hint
+        )
+        return (self._probe(pred, k) for k in range(self.max_retries + 1))
+
     # ------------------------------------------------------------------
     # feedback
     # ------------------------------------------------------------------
     def _margin_clears(self, rber: float) -> bool:
         return rber <= self.margin_fraction * self.ecc.effective_rber
 
-    def _note_feedback(
-        self,
-        key: _Key,
-        prior: np.ndarray,
-        applied: Optional[np.ndarray],
-        outcome: ReadOutcome,
+    def feedback(
+        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
     ) -> None:
-        if applied is None or not outcome.success:
+        if not outcome.success:
             return
-        if not self._margin_clears(outcome.attempts[-1].rber):
+        applied = outcome.attempts[-1]
+        if not self._margin_clears(applied.rber):
             return  # a barely-decoded read is a noisy teacher; skip it
-        self._pending.setdefault(key, []).append(applied - prior)
+        prior = self.prior_offsets(wordline.stress)
+        key = self._chunk_of(wordline.block, wordline.layer)
+        self._pending.setdefault(key, []).append(applied.offsets - prior)
 
     def commit_feedback(self) -> None:
         """Fold queued decode feedback into the per-chunk corrections.
@@ -166,100 +174,10 @@ class OnlineModelPolicy(ReadPolicy):
             )
         self._pending.clear()
 
-    # ------------------------------------------------------------------
-    # read paths
-    # ------------------------------------------------------------------
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
-        outcome = self.new_outcome(wordline, page)
-        prior = self.prior_offsets(wordline.stress)
-        key = self._chunk_of(wordline.block, wordline.layer)
-        pred = self._predict(prior, key, hint)
-        applied: Optional[np.ndarray] = None
-        for attempt in range(self.max_retries + 1):
-            offsets = self._probe(pred, attempt)
-            if self.attempt(wordline, outcome, offsets):
-                applied = offsets
-                break
-        self._note_feedback(key, prior, applied, outcome)
-        return outcome
+    # perfbench/bench_trace.py wraps these two by name in this class's own
+    # __dict__, so they stay here as delegations to the LadderPolicy drivers
+    def read(self, wordline, page, hint=None):
+        return super().read(wordline, page, hint)
 
     def read_batch(self, cols, pages, hints=None):
-        """Lockstep batched read over the probe schedules.
-
-        Every row's probe sequence is a pure function of its frozen
-        prediction, so wave ``k`` senses exactly the attempts the serial
-        loop would make; per-row offset matrices carry the per-chunk
-        predictions.  Falls back to the per-row loop when an active fault
-        plan makes cross-row order observable.
-        """
-        from repro.faults import FAULTS
-
-        if FAULTS.active:
-            return super().read_batch(cols, pages, hints)
-        spec = cols.spec
-        gray = spec.gray
-        n_rows = cols.n_wordlines
-        prior = self.prior_offsets(cols.stress)
-        keys: List[_Key] = []
-        preds: List[np.ndarray] = []
-        for r in range(n_rows):
-            key = self._chunk_of(
-                cols.block, spec.layer_of_wordline(cols.indices[r])
-            )
-            keys.append(key)
-            hint = hints[r] if hints is not None else None
-            preds.append(self._predict(prior, key, hint))
-        outcomes: List[List[ReadOutcome]] = [
-            [None] * len(pages) for _ in range(n_rows)
-        ]
-        applied_by: List[List[Optional[np.ndarray]]] = [
-            [None] * len(pages) for _ in range(n_rows)
-        ]
-        for j, page in enumerate(pages):
-            p = gray.page_index(page)
-            n_pv = len(gray.page_voltages(p))
-            outs = [
-                ReadOutcome(page=p, page_voltages=n_pv) for _ in range(n_rows)
-            ]
-            for r in range(n_rows):
-                outcomes[r][j] = outs[r]
-            active = list(range(n_rows))
-            for wave in range(self.max_retries + 1):
-                if not active:
-                    break
-                matrix = np.stack(
-                    [self._probe(preds[r], wave) for r in active]
-                )
-                batch = cols.read_page_batch(p, matrix, rows=active)
-                decoded = self.ecc.decode_ok_batch(batch.mismatch)
-                still_failing = []
-                for i, r in enumerate(active):
-                    out = outs[r]
-                    out.attempts.append(
-                        ReadAttempt(
-                            offsets=matrix[i],
-                            rber=float(batch.rber[i]),
-                            decoded=bool(decoded[i]),
-                        )
-                    )
-                    if len(out.attempts) > 1:
-                        out.retries += 1
-                    out.success = bool(decoded[i])
-                    if out.success:
-                        applied_by[r][j] = matrix[i]
-                    else:
-                        still_failing.append(r)
-                active = still_failing
-        # feedback in canonical (row, page) order — the serial read order
-        for r in range(n_rows):
-            for j in range(len(pages)):
-                self._note_feedback(
-                    keys[r], prior, applied_by[r][j], outcomes[r][j]
-                )
-        self._flush_batch_obs(outcomes)
-        return outcomes
+        return super().read_batch(cols, pages, hints)

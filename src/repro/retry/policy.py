@@ -4,13 +4,17 @@ A *read policy* drives a page read to ECC success: it decides which voltage
 offsets every attempt uses and when to give up.  The outcome records enough
 accounting (full-page senses, auxiliary single-voltage senses, transfers) for
 the NAND timing model to price the whole operation.
+
+:class:`LadderPolicy` is the shared base of the policies whose voltages are
+fixed before the first sense: they declare an offset schedule, and the base
+reads it per wordline or in lockstep over a columnar batch.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,43 +108,35 @@ class ReadPolicy(ABC):
         """Perform one full read, record it, and return decode success."""
         dense = make_offsets(wordline.spec, offsets)
         result = wordline.read_page(outcome.page, dense)
-        decoded = self.ecc.decode_ok(result)
-        if FAULTS.active:
-            decoded = FAULTS.injector.ecc_verdict(
-                wordline.block, wordline.index, decoded
-            )
+        decoded = self._record(
+            wordline, outcome, dense, result.rber, self.ecc.decode_ok(result)
+        )
+        if OBS.enabled:
+            self._note_attempt(outcome, len(outcome.attempts) - 1)
+        return decoded
+
+    def _record(
+        self,
+        wordline: Wordline,
+        outcome: ReadOutcome,
+        dense: np.ndarray,
+        rber: float,
+        decoded: bool,
+    ) -> bool:
+        """Append one sensed attempt after the ECC fault verdict; return it."""
+        decoded = FAULTS.ecc_verdict(wordline.block, wordline.index, decoded)
         outcome.attempts.append(
-            ReadAttempt(offsets=dense, rber=result.rber, decoded=decoded)
+            ReadAttempt(offsets=dense, rber=rber, decoded=decoded)
         )
         if len(outcome.attempts) > 1:
             outcome.retries += 1
         outcome.success = decoded
-        if OBS.enabled:
-            if OBS.metrics.enabled:
-                OBS.metrics.counter(
-                    "repro_read_attempts_total",
-                    help="full page read attempts (initial + retries)",
-                    policy=self.name,
-                ).inc()
-            if OBS.tracer.enabled:
-                OBS.tracer.emit(
-                    "read_attempt",
-                    policy=self.name,
-                    page=outcome.page,
-                    attempt=len(outcome.attempts),
-                    rber=float(result.rber),
-                    decoded=bool(decoded),
-                )
         return decoded
 
     def new_outcome(self, wordline: Wordline, page: Union[int, str]) -> ReadOutcome:
         p = wordline.spec.gray.page_index(page)
-        if OBS.enabled and OBS.metrics.enabled:
-            OBS.metrics.counter(
-                "repro_reads_total",
-                help="page-read operations started",
-                policy=self.name,
-            ).inc()
+        if OBS.enabled:
+            self._note_read()
         return ReadOutcome(
             page=p, page_voltages=len(wordline.spec.gray.page_voltages(p))
         )
@@ -179,12 +175,11 @@ class ReadPolicy(ABC):
         """Read ``pages`` of every wordline of a columnar batch.
 
         ``cols`` is a :class:`repro.flash.block.BlockColumns`; the return
-        value is ``outcomes[row][page_position]``.  The base implementation
+        value is ``outcomes[row][page_position]``.  This implementation
         loops wordline views in row order — bit-identical to per-wordline
         reads by construction, and still faster than materializing
         wordlines because the batch was synthesized in one kernel.
-        Policies whose retry ladder is data-independent (the vendor table)
-        override this with lockstep batched kernels.
+        :class:`LadderPolicy` overrides it with lockstep batched kernels.
         """
         out: List[List[ReadOutcome]] = []
         for row in range(cols.n_wordlines):
@@ -192,6 +187,35 @@ class ReadPolicy(ABC):
             hint = hints[row] if hints is not None else None
             out.append([self.read(wl, p, hint=hint) for p in pages])
         return out
+
+    # ------------------------------------------------------------------
+    # observability (callers check OBS.enabled)
+    # ------------------------------------------------------------------
+    def _note_read(self) -> None:
+        if OBS.metrics.enabled:
+            OBS.metrics.counter(
+                "repro_reads_total",
+                help="page-read operations started",
+                policy=self.name,
+            ).inc()
+
+    def _note_attempt(self, outcome: ReadOutcome, k: int) -> None:
+        att = outcome.attempts[k]
+        if OBS.metrics.enabled:
+            OBS.metrics.counter(
+                "repro_read_attempts_total",
+                help="full page read attempts (initial + retries)",
+                policy=self.name,
+            ).inc()
+        if OBS.tracer.enabled:
+            OBS.tracer.emit(
+                "read_attempt",
+                policy=self.name,
+                page=outcome.page,
+                attempt=k + 1,
+                rber=float(att.rber),
+                decoded=bool(att.decoded),
+            )
 
     def _flush_batch_obs(self, outcomes: List[List[ReadOutcome]]) -> None:
         """Emit the per-read obs a lockstep batch deferred, in row order.
@@ -207,28 +231,9 @@ class ReadPolicy(ABC):
             return
         for row in outcomes:
             for outcome in row:
-                if OBS.metrics.enabled:
-                    OBS.metrics.counter(
-                        "repro_reads_total",
-                        help="page-read operations started",
-                        policy=self.name,
-                    ).inc()
-                for k, att in enumerate(outcome.attempts):
-                    if OBS.metrics.enabled:
-                        OBS.metrics.counter(
-                            "repro_read_attempts_total",
-                            help="full page read attempts (initial + retries)",
-                            policy=self.name,
-                        ).inc()
-                    if OBS.tracer.enabled:
-                        OBS.tracer.emit(
-                            "read_attempt",
-                            policy=self.name,
-                            page=outcome.page,
-                            attempt=k + 1,
-                            rber=float(att.rber),
-                            decoded=bool(att.decoded),
-                        )
+                self._note_read()
+                for k in range(len(outcome.attempts)):
+                    self._note_attempt(outcome, k)
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -247,3 +252,114 @@ class ReadPolicy(ABC):
         controller) start their first attempt there instead of at the
         default voltages; others ignore it.
         """
+
+
+#: ``next()`` default that marks an exhausted schedule
+_EXHAUSTED = object()
+
+
+class LadderPolicy(ReadPolicy):
+    """A policy whose read voltages are fixed before the first sense.
+
+    A subclass only declares :meth:`schedule` — per wordline read, the
+    offsets it tries in order until one decodes — and, if it learns, a
+    :meth:`feedback` hook.  This base owns both read paths:
+
+    * :meth:`read` walks one wordline's schedule through :meth:`attempt`;
+    * :meth:`read_batch` walks every row of a columnar batch in lockstep,
+      page by page: wave ``k`` senses attempt ``k`` of every still-failing
+      row with one ``read_page_batch`` + ``decode_ok_batch`` call.
+
+    The two are bit-identical, also under an active fault plan: each
+    row's senses and fault decisions (keyed per wordline, with a
+    per-target ordinal) happen in the same order on both paths; only
+    rows interleave.  Schedules are consumed lazily, so an entry that is
+    costly to compute (OPT's optimum) is computed only once the attempt
+    before it has failed.  :meth:`feedback` runs once per read, in
+    canonical (row, page) order on both paths.
+    """
+
+    #: rescue a read whose schedule ran out with a soft-sensing decode
+    soft_fallback: bool = False
+
+    @abstractmethod
+    def schedule(
+        self, wordline: Wordline, hint: Optional[float]
+    ) -> Iterable[Optional[np.ndarray]]:
+        """The offsets of each attempt of one read, in order (lazily).
+
+        Each is ``None`` (the default voltages) or a dense per-voltage
+        vector; ``hint`` is as in :meth:`read`.
+        """
+
+    def feedback(
+        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
+    ) -> None:
+        """Learn from one finished read (default: nothing to learn)."""
+
+    # ------------------------------------------------------------------
+    def read(
+        self,
+        wordline: Wordline,
+        page: Union[int, str],
+        hint: Optional[float] = None,
+    ) -> ReadOutcome:
+        outcome = self.new_outcome(wordline, page)
+        for offsets in self.schedule(wordline, hint):
+            if self.attempt(wordline, outcome, offsets):
+                break
+        if self.soft_fallback:
+            self.soft_rescue(wordline, outcome)
+        self.feedback(wordline, hint, outcome)
+        return outcome
+
+    def read_batch(self, cols, pages, hints=None):
+        """Lockstep batched read over every row's schedule.
+
+        Each row's view is built once and shared by all pages, so its
+        memoized state (e.g. the sorted Vth behind ``optimal_offsets``)
+        carries over as it does across per-row reads.  Per-read obs is
+        deferred to :meth:`_flush_batch_obs`.
+        """
+        spec = cols.spec
+        views = list(cols.iter_views())
+        if hints is None:
+            hints = [None] * len(views)
+        outcomes: List[List[ReadOutcome]] = [[] for _ in views]
+        for page in pages:
+            p = spec.gray.page_index(page)
+            n_pv = len(spec.gray.page_voltages(p))
+            outs = [ReadOutcome(page=p, page_voltages=n_pv) for _ in views]
+            walks = [iter(self.schedule(v, h)) for v, h in zip(views, hints)]
+            active = range(len(views))
+            while active:
+                rows, steps = [], []
+                for r in active:
+                    step = next(walks[r], _EXHAUSTED)
+                    if step is not _EXHAUSTED:
+                        rows.append(r)
+                        steps.append(step)
+                if not rows:
+                    break
+                matrix = np.zeros((len(rows), spec.n_voltages))
+                for i, step in enumerate(steps):
+                    if step is not None:
+                        matrix[i] = step
+                batch = cols.read_page_batch(p, matrix, rows=rows)
+                decoded = self.ecc.decode_ok_batch(batch.mismatch)
+                active = [
+                    r for i, r in enumerate(rows)
+                    if not self._record(
+                        views[r], outs[r], batch.offsets[i],
+                        float(batch.rber[i]), bool(decoded[i]),
+                    )
+                ]
+            for view, out, row in zip(views, outs, outcomes):
+                if self.soft_fallback:
+                    self.soft_rescue(view, out)
+                row.append(out)
+        for view, hint, row in zip(views, hints, outcomes):
+            for out in row:
+                self.feedback(view, hint, out)
+        self._flush_batch_obs(outcomes)
+        return outcomes

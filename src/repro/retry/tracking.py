@@ -14,7 +14,7 @@ best-case accuracy).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -22,11 +22,11 @@ from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.optimal import optimal_offsets
 from repro.flash.wordline import Wordline
-from repro.retry.current_flash import CurrentFlashPolicy, RetryTable
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.current_flash import RetryTable
+from repro.retry.policy import LadderPolicy
 
 
-class TrackingPolicy(ReadPolicy):
+class TrackingPolicy(LadderPolicy):
     """First attempt at the block's tracked offsets, then the retry table."""
 
     name = "tracking"
@@ -54,19 +54,7 @@ class TrackingPolicy(ReadPolicy):
             self._tracked[key] = optimal_offsets(sample)
         return self._tracked[key]
 
-    # ------------------------------------------------------------------
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
+    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
         # hint ignored: tracking already supplies the first-attempt voltages
-        outcome = self.new_outcome(wordline, page)
-        tracked = self.tracked_offsets(wordline.block)
-        if self.attempt(wordline, outcome, tracked):
-            return outcome
-        for k in range(min(self.max_retries - 1, len(self.table))):
-            if self.attempt(wordline, outcome, self.table.entry(k)):
-                return outcome
-        return outcome
+        yield self.tracked_offsets(wordline.block)
+        yield from self.table.ladder(self.max_retries - 1)

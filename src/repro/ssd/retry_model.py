@@ -43,7 +43,6 @@ class _MeasureTask:
     policy: ReadPolicy
     pages: Tuple[int, ...]
     hint_fn: Optional[Callable[..., float]]
-    emit: bool  # emit read_complete inline (serial in-process mode only)
 
 
 def _outcome_row(p: int, outcome) -> tuple:
@@ -60,16 +59,15 @@ def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
     """Measure one shard; rows in (wordline, page) sweep order.
 
     The shard's wordlines are built as :class:`BlockColumns` sub-batches
-    (one batched synthesize for the whole sub-batch).  Policies that
-    override :meth:`ReadPolicy.read_batch` (data-independent retry
-    ladders) read all rows in kernel lockstep; everything else reads
-    row by row through wordline views.  Each wordline's draws come from
-    its own seed-tree streams in the same order either way, so the rows
-    do not depend on the sub-batch size.
+    (one batched synthesize for the whole sub-batch) and read with the
+    policy's :meth:`ReadPolicy.read_batch` — in kernel lockstep for
+    :class:`repro.retry.policy.LadderPolicy` policies, row by row through
+    wordline views otherwise.  Each wordline's draws come from its own
+    seed-tree streams in the same order either way, so the rows do not
+    depend on the sub-batch size.
     """
     from repro.flash.block import BlockColumns
 
-    lockstep = type(task.policy).read_batch is not ReadPolicy.read_batch
     rows: List[tuple] = []
     indices = list(shard.wordlines)
     per_batch = max(1, _MEASURE_BATCH_CELLS // max(task.spec.cells_per_wordline, 1))
@@ -82,24 +80,13 @@ def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
             task.sentinel_ratio,
             stress=task.stress,
         )
-        if lockstep:
-            hints = None
-            if task.hint_fn is not None:
-                hints = [task.hint_fn(v) for v in cols.iter_views()]
-            outcomes = task.policy.read_batch(cols, task.pages, hints)
-            for row_outcomes in outcomes:
-                for p, outcome in zip(task.pages, row_outcomes):
-                    rows.append(_outcome_row(p, outcome))
-                    if task.emit and OBS.enabled and OBS.tracer.enabled:
-                        _emit_read_complete(task.policy.name, rows[-1])
-        else:
-            for wl in cols.iter_views():
-                hint = task.hint_fn(wl) if task.hint_fn is not None else None
-                for p in task.pages:
-                    outcome = task.policy.read(wl, p, hint=hint)
-                    rows.append(_outcome_row(p, outcome))
-                    if task.emit and OBS.enabled and OBS.tracer.enabled:
-                        _emit_read_complete(task.policy.name, rows[-1])
+        hints = None
+        if task.hint_fn is not None:
+            hints = [task.hint_fn(v) for v in cols.iter_views()]
+        outcomes = task.policy.read_batch(cols, task.pages, hints)
+        for row_outcomes in outcomes:
+            for p, outcome in zip(task.pages, row_outcomes):
+                rows.append(_outcome_row(p, outcome))
     return rows
 
 
@@ -203,12 +190,15 @@ class RetryProfile:
         :class:`repro.engine.ParallelMap`; the samples are byte-identical
         to a serial run because each wordline's randomness derives from its
         own seed-tree streams.  Policy-internal trace events are lost in
-        worker processes; the parent re-emits one ``read_complete`` per
-        read, in canonical sweep order, after the merge.
+        worker processes.  At any worker count the parent emits one
+        ``read_complete`` per read after the merge, in canonical sweep
+        order, as one contiguous block.
 
         Wordlines are measured through the columnar
-        :class:`repro.flash.block.BlockColumns` store — batched synthesize
-        plus, for lockstep-capable policies, batched sense/decode kernels.
+        :class:`repro.flash.block.BlockColumns` store and the policy's
+        ``read_batch`` — batched synthesize plus, for
+        :class:`repro.retry.policy.LadderPolicy` policies, lockstep batched
+        sense/decode kernels.
         """
         from functools import partial
 
@@ -223,7 +213,6 @@ class RetryProfile:
         voltages = {
             p: len(spec.gray.page_voltages(p)) for p in page_list
         }
-        inline = workers <= 1  # serial: events fire in-process, as before
         task = _MeasureTask(
             spec=spec,
             seed=chip.seed,
@@ -232,15 +221,15 @@ class RetryProfile:
             policy=policy,
             pages=tuple(page_list),
             hint_fn=hint_fn,
-            emit=inline,
         )
         shards = plan_wordline_shards(block, wordlines, workers)
         engine = ParallelMap(workers=workers)
         per_shard = engine.run(
             partial(_measure_shard, task), shards, label="profile-measure"
         )
-        # span trees always emit here, post-merge, in canonical sweep
-        # order — serial and sharded runs produce an identical stream
+        # read_complete events and span trees always emit here, post-merge,
+        # in canonical sweep order — serial and sharded runs produce an
+        # identical stream
         spans_on = (
             OBS.enabled and OBS.tracer.enabled and OBS.spans_enabled
         )
@@ -255,7 +244,7 @@ class RetryProfile:
             for row in rows:
                 p, retries, extra = row[0], row[1], row[2]
                 collected[p].append((retries, extra))
-                if not inline and OBS.enabled and OBS.tracer.enabled:
+                if OBS.enabled and OBS.tracer.enabled:
                     _emit_read_complete(policy.name, row)
                 if spans_on:
                     trace = (

@@ -328,6 +328,32 @@ class TestObservability:
             e.fields["kernel"] for e in events if e.kind == "batch_sense"
         ] == ["synthesize"]
 
+    def test_measure_read_complete_follows_merge(self, tiny_tlc, aged_stress):
+        """Serial and sharded measures emit the same ``read_complete``
+        sequence, as one contiguous block right after ``shard_merge``."""
+        from repro.ecc.capability import CapabilityEcc
+        from repro.retry.current_flash import CurrentFlashPolicy
+        from repro.ssd.retry_model import RetryProfile
+
+        chip = make_chip(tiny_tlc, aged_stress)
+        streams = []
+        for workers in (1, 2):
+            OBS.reset()
+            OBS.enable(metrics=False, tracing=True)
+            RetryProfile.measure(
+                chip,
+                CurrentFlashPolicy(CapabilityEcc.for_spec(tiny_tlc), tiny_tlc),
+                workers=workers,
+            )
+            events = OBS.tracer.events()
+            kinds = [e.kind for e in events]
+            done = [i for i, k in enumerate(kinds) if k == "read_complete"]
+            assert done == list(range(done[0], done[0] + len(done)))
+            assert kinds[done[0] - 1] == "shard_merge"
+            streams.append([events[i].fields for i in done])
+        assert len(streams[0]) == 8 * tiny_tlc.pages_per_wordline
+        assert streams[0] == streams[1]
+
     def test_wordline_reads_record_no_batch_sense(self, tiny_tlc, aged_stress):
         OBS.enable(metrics=True, tracing=True)
         views = make_chip(tiny_tlc, aged_stress).block_columns(0, range(2))

@@ -1,12 +1,17 @@
-"""Property tests for the rival read-retry policies.
+"""Property tests for the retry-ladder policies.
 
-Two guarantees the tournament harness leans on:
+Guarantees the tournament harness and ``RetryProfile.measure`` lean on:
 
-* the lockstep ``read_batch`` of :class:`AdaptiveRetryPolicy` and
-  :class:`OnlineModelPolicy` is **bit-identical** to the per-wordline
-  ``read`` path — across TLC/QLC, stress conditions and ragged row
-  subsets (the same contract :mod:`test_property_block` pins for the
-  columnar kernels);
+* the lockstep ``read_batch`` of every
+  :class:`repro.retry.policy.LadderPolicy` (vendor table, tracking, layer
+  similarity, OPT, adaptive retry, online model) is **bit-identical** to
+  the per-wordline ``read`` loop — across TLC/QLC, stress conditions,
+  ragged row subsets and cached hints, and under an active fault plan,
+  where the injector's counts must match too;
+* the lockstep path emits the same per-read obs as the loop: equal
+  multisets of ``read_attempt``/``ecc_decode`` events and equal counters;
+* OPT's optimum search runs only for reads whose default sense failed,
+  on both paths;
 * the online model **learns**: on a fixed-stress noiseless chip, total
   retries are monotonically non-increasing sweep over sweep as decode
   feedback is committed (read noise is zeroed so the property isolates
@@ -18,6 +23,7 @@ layer — is pinned at the bottom.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,10 +31,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecc.capability import CapabilityEcc
+from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
-from repro.retry import AdaptiveRetryPolicy, OnlineModelPolicy
+from repro.obs import OBS
+from repro.retry import (
+    AdaptiveRetryPolicy,
+    CurrentFlashPolicy,
+    LayerSimilarityPolicy,
+    OnlineModelPolicy,
+    OraclePolicy,
+    TrackingPolicy,
+)
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.timing import NandTiming
 
@@ -47,33 +62,88 @@ STRESSES = (
     StressState(pe_cycles=1500, retention_hours=1000.0),
     StressState(pe_cycles=3000, retention_hours=8760.0),
 )
+AGED = STRESSES[-1]
 
+#: policy factories: ``(ecc, chip) -> policy``
 POLICIES = {
-    "adaptive-retry": AdaptiveRetryPolicy,
-    "online-model": OnlineModelPolicy,
+    "current-flash": lambda ecc, chip: CurrentFlashPolicy(
+        ecc, chip.spec, soft_fallback=True
+    ),
+    "tracking": lambda ecc, chip: TrackingPolicy(ecc, chip),
+    "layer-similarity": lambda ecc, chip: LayerSimilarityPolicy(ecc, chip),
+    "opt": lambda ecc, chip: OraclePolicy(ecc),
+    "adaptive-retry": lambda ecc, chip: AdaptiveRetryPolicy(ecc, chip.spec),
+    "online-model": lambda ecc, chip: OnlineModelPolicy(ecc, chip.spec),
 }
+#: the policies that learn (commit_feedback) and read cached hints
+LEARNING = ("adaptive-retry", "online-model")
+
+#: every flash/ECC fault a ladder read can hit, at rates that fire often
+FAULT_PLAN = FaultPlan(
+    name="ladder-parity",
+    specs=(
+        FaultSpec("ecc.timeout", probability=0.3),
+        FaultSpec("ecc.miscorrect", probability=0.3),
+        FaultSpec("flash.bitflip", probability=0.4),
+    ),
+)
+
+
+@pytest.fixture(autouse=True)
+def _dormant():
+    FAULTS.deactivate()
+    OBS.disable()
+    OBS.reset()
+    yield
+    FAULTS.deactivate()
+    OBS.disable()
+    OBS.reset()
+
+
+def _chip(kind, stress):
+    chip = FlashChip(SPECS[kind], seed=5, sentinel_ratio=0.002)
+    chip.set_block_stress(0, stress)
+    return chip
 
 
 def _cols(kind, stress, rows=None):
-    chip = FlashChip(SPECS[kind], seed=5, sentinel_ratio=0.002)
-    chip.set_block_stress(0, stress)
-    return chip.block_columns(0, rows if rows is not None else range(4))
+    return _chip(kind, stress).block_columns(
+        0, rows if rows is not None else range(4)
+    )
+
+
+def _policy(name, kind, stress):
+    chip = _chip(kind, stress)
+    return POLICIES[name](CapabilityEcc.for_spec(chip.spec), chip)
+
+
+def _serial(policy, cols, pages, hints=None):
+    """The per-row loop ``read_batch`` must equal."""
+    hints = hints if hints is not None else [None] * cols.n_wordlines
+    return [
+        [policy.read(wl, p, hint=h) for p in pages]
+        for wl, h in zip(cols.iter_views(), hints)
+    ]
 
 
 def _assert_outcomes_identical(serial, batched):
     assert serial.success == batched.success
     assert serial.retries == batched.retries
     assert serial.pipelined_senses == batched.pipelined_senses
+    assert serial.soft_decoded == batched.soft_decoded
     assert len(serial.attempts) == len(batched.attempts)
     for a, b in zip(serial.attempts, batched.attempts):
         assert a.decoded == b.decoded
         assert a.rber == b.rber
-        if a.offsets is None or b.offsets is None:
-            assert (a.offsets is None or not np.any(a.offsets)) and (
-                b.offsets is None or not np.any(b.offsets)
-            )
-        else:
-            np.testing.assert_array_equal(a.offsets, b.offsets)
+        np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
+def _assert_all_identical(serial, batched):
+    assert len(batched) == len(serial)
+    for row_serial, row_batched in zip(serial, batched):
+        assert len(row_batched) == len(row_serial)
+        for s, b in zip(row_serial, row_batched):
+            _assert_outcomes_identical(s, b)
 
 
 kinds = st.sampled_from(sorted(SPECS))
@@ -82,62 +152,163 @@ policy_names = st.sampled_from(sorted(POLICIES))
 row_subsets = st.lists(
     st.integers(min_value=0, max_value=3), min_size=1, max_size=4, unique=True
 )
+hint_values = st.one_of(
+    st.none(), st.floats(min_value=-40.0, max_value=5.0, allow_nan=False)
+)
 
 
 @given(kind=kinds, stress=stresses, policy_name=policy_names,
-       rows=row_subsets)
-@settings(max_examples=25, deadline=None)
+       rows=row_subsets, data=st.data())
+@settings(max_examples=40, deadline=None)
 def test_lockstep_batch_bit_identical_to_serial(
-    kind, stress, policy_name, rows
+    kind, stress, policy_name, rows, data
 ):
     """read_batch == read, row for row, attempt for attempt."""
-    spec = SPECS[kind]
-    ecc = CapabilityEcc.for_spec(spec)
-    serial_policy = POLICIES[policy_name](ecc, spec)
-    batch_policy = POLICIES[policy_name](ecc, spec)
-    pages = list(range(spec.pages_per_wordline))
-
-    cols_serial = _cols(kind, stress, rows)
-    serial = [
-        [serial_policy.read(wl, p) for p in pages]
-        for wl in cols_serial.iter_views()
-    ]
-    cols_batch = _cols(kind, stress, rows)
-    batched = batch_policy.read_batch(cols_batch, pages)
-
-    assert len(batched) == len(serial)
-    for row_serial, row_batched in zip(serial, batched):
-        for s, b in zip(row_serial, row_batched):
-            _assert_outcomes_identical(s, b)
+    hints = data.draw(
+        st.lists(hint_values, min_size=len(rows), max_size=len(rows))
+    )
+    pages = list(range(SPECS[kind].pages_per_wordline))
+    serial = _serial(
+        _policy(policy_name, kind, stress), _cols(kind, stress, rows),
+        pages, hints,
+    )
+    batched = _policy(policy_name, kind, stress).read_batch(
+        _cols(kind, stress, rows), pages, hints
+    )
+    _assert_all_identical(serial, batched)
 
 
-@given(kind=kinds, policy_name=policy_names, rows=row_subsets)
+@given(kind=kinds, stress=stresses, policy_name=policy_names,
+       rows=row_subsets, seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=25, deadline=None)
+def test_lockstep_batch_bit_identical_under_faults(
+    kind, stress, policy_name, rows, seed
+):
+    """Fault decisions are keyed per wordline, so lockstep stays exact
+    under an active plan: same outcomes, same injection counts."""
+    pages = list(range(SPECS[kind].pages_per_wordline))
+    injector = FAULTS.activate(FAULT_PLAN, seed)
+    serial = _serial(
+        _policy(policy_name, kind, stress), _cols(kind, stress, rows), pages
+    )
+    serial_counts = dict(injector.counts)
+    injector = FAULTS.activate(FAULT_PLAN, seed)
+    batched = _policy(policy_name, kind, stress).read_batch(
+        _cols(kind, stress, rows), pages
+    )
+    _assert_all_identical(serial, batched)
+    assert FAULTS.injector.counts == serial_counts
+
+
+@given(kind=kinds, policy_name=st.sampled_from(LEARNING), rows=row_subsets)
 @settings(max_examples=10, deadline=None)
 def test_lockstep_batch_matches_serial_after_commit(
     kind, policy_name, rows
 ):
     """The equivalence survives a warm-up + commit_feedback cycle."""
-    spec = SPECS[kind]
-    stress = StressState(pe_cycles=3000, retention_hours=8760.0)
-    ecc = CapabilityEcc.for_spec(spec)
-    pages = list(range(spec.pages_per_wordline))
+    pages = list(range(SPECS[kind].pages_per_wordline))
 
     policies = []
     for _ in range(2):
-        policy = POLICIES[policy_name](ecc, spec)
-        policy.read_batch(_cols(kind, stress), pages)
+        policy = _policy(policy_name, kind, AGED)
+        policy.read_batch(_cols(kind, AGED), pages)
         policy.commit_feedback()
         policies.append(policy)
     serial_policy, batch_policy = policies
 
-    serial = [
-        [serial_policy.read(wl, p) for p in pages]
-        for wl in _cols(kind, stress, rows).iter_views()
-    ]
-    batched = batch_policy.read_batch(_cols(kind, stress, rows), pages)
-    for row_serial, row_batched in zip(serial, batched):
-        for s, b in zip(row_serial, row_batched):
-            _assert_outcomes_identical(s, b)
+    serial = _serial(serial_policy, _cols(kind, AGED, rows), pages)
+    batched = batch_policy.read_batch(_cols(kind, AGED, rows), pages)
+    _assert_all_identical(serial, batched)
+
+
+def _obs_of(run):
+    """(read_attempt/ecc_decode event multiset, read counters) of ``run``."""
+    OBS.reset()
+    OBS.enable(metrics=True, tracing=True)
+    run()
+    events = Counter(
+        (e.kind, tuple(sorted(e.fields.items())))
+        for e in OBS.tracer.events()
+        if e.kind in ("read_attempt", "ecc_decode")
+    )
+    counters = {
+        key: value for key, value in OBS.metrics.snapshot().items()
+        if key.startswith((
+            "repro_reads_total", "repro_read_attempts_total",
+            "repro_ecc_decodes_total",
+        ))
+    }
+    OBS.disable()
+    return events, counters
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+def test_lockstep_obs_matches_serial(policy_name):
+    """Deferred lockstep obs (``_flush_batch_obs`` plus the batched
+    decoder's per-row events) equals what the per-row loop emits.  The
+    aged QLC block exhausts the vendor ladder, so soft rescues run too."""
+    kind = "qlc"
+    pages = list(range(SPECS[kind].pages_per_wordline))
+    hints = [None, -6.0, None, -12.0]
+    serial = _obs_of(lambda: _serial(
+        _policy(policy_name, kind, AGED), _cols(kind, AGED), pages, hints
+    ))
+    batched = _obs_of(lambda: _policy(policy_name, kind, AGED).read_batch(
+        _cols(kind, AGED), pages, hints
+    ))
+    assert serial[0] and serial[1]
+    assert batched == serial
+
+
+@pytest.mark.parametrize("policy_name", LEARNING)
+def test_lockstep_feedback_queues_in_serial_order(policy_name):
+    """Feedback queues in canonical (row, page) order on both paths, so
+    the committed window (a key's last ``history`` entries) cannot depend
+    on batching.  All rows share one layer, hence one feedback key."""
+    spec = TLC_SPEC.scaled(
+        cells_per_wordline=1024, wordlines_per_layer=4, layers=1,
+        name_suffix="-rival-layer",
+    )
+    chip = FlashChip(spec, seed=5, sentinel_ratio=0.002)
+    chip.set_block_stress(0, AGED)
+    pages = list(range(spec.pages_per_wordline))
+    ecc = CapabilityEcc.for_spec(spec)
+    serial_policy, batch_policy = (
+        POLICIES[policy_name](ecc, chip) for _ in range(2)
+    )
+    _serial(serial_policy, chip.block_columns(0, range(4)), pages)
+    batch_policy.read_batch(chip.block_columns(0, range(4)), pages)
+    assert serial_policy._pending.keys() == batch_policy._pending.keys()
+    for key, queued in serial_policy._pending.items():
+        assert len(queued) > len(pages)
+        np.testing.assert_array_equal(queued, batch_policy._pending[key])
+
+
+def test_opt_searches_only_after_a_failed_default_read(monkeypatch):
+    """OPT's lockstep read computes the optimum once per failing
+    (row, page) — exactly as often as the per-row loop."""
+    import repro.retry.oracle as oracle
+
+    calls = []
+    search = oracle.optimal_offsets
+
+    def counted(wordline):
+        calls.append((wordline.index, wordline.layer))
+        return search(wordline)
+
+    monkeypatch.setattr(oracle, "optimal_offsets", counted)
+    kind = "tlc"
+    pages = list(range(SPECS[kind].pages_per_wordline))
+    serial = _serial(_policy("opt", kind, AGED), _cols(kind, AGED), pages)
+    serial_calls = list(calls)
+    calls.clear()
+    _policy("opt", kind, AGED).read_batch(_cols(kind, AGED), pages)
+    failing = sum(
+        not out.attempts[0].decoded for row in serial for out in row
+    )
+    assert 0 < failing < sum(len(row) for row in serial)
+    assert len(serial_calls) == len(calls) == failing
+    assert sorted(serial_calls) == sorted(calls)
 
 
 class TestOnlineModelLearns:

@@ -77,11 +77,6 @@ class TestOraclePolicy:
         assert outcome.success
         assert outcome.retries <= 1
 
-    def test_skip_default(self, aged_tlc_chip, ecc):
-        policy = OraclePolicy(ecc, skip_default=True)
-        outcome = policy.read(aged_tlc_chip.wordline(0, 1), "MSB")
-        assert outcome.success and outcome.retries == 0
-
     def test_oracle_beats_default_rber(self, aged_tlc_chip, ecc):
         policy = OraclePolicy(ecc)
         outcome = policy.read(aged_tlc_chip.wordline(0, 1), "MSB")
