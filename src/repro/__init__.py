@@ -38,6 +38,9 @@ The package is organised as follows:
 from repro.flash.spec import FlashSpec, TLC_SPEC, QLC_SPEC
 from repro.flash.chip import FlashChip, StressState
 from repro.flash.wordline import Wordline, ReadResult
+# repro.retry first: its TrackedSentinelPolicy subclasses SentinelController,
+# whose module in turn imports repro.retry.policy
+import repro.retry  # noqa: F401  (import order)
 from repro.core.controller import SentinelController, ReadOutcome
 from repro.core.characterization import CharacterizationResult, characterize_chip
 from repro.core.models import SentinelModel

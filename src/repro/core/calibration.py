@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
 
@@ -56,7 +54,11 @@ class CalibrationConfig:
 
 
 class Calibrator:
-    """Implements the state-change comparison and the step update."""
+    """Implements the state-change comparison.
+
+    The probe schedule around the inferred offset that the verdict steers
+    lives in :meth:`repro.core.controller.SentinelController.schedule`.
+    """
 
     def __init__(self, config: CalibrationConfig) -> None:
         self.config = config
@@ -81,23 +83,3 @@ class Calibrator:
         ncs_norm = ncs / max(wordline.n_sentinels, 1)
         verdict = FURTHER if nca_norm > ncs_norm else BACK
         return verdict, nca_norm, ncs_norm
-
-    # ------------------------------------------------------------------
-    def next_offset(
-        self,
-        wordline: Wordline,
-        sentinel_offset: float,
-        direction_hint: float,
-    ) -> float:
-        """One calibration step: nudge the sentinel offset by +-Delta.
-
-        ``direction_hint`` is the sign of the original inferred tuning (the
-        paper: the inferred *direction* is always correct); Case 1 moves
-        further along it, Case 2 backs off.
-        """
-        verdict, _, _ = self.state_change_verdict(wordline, sentinel_offset)
-        sign = np.sign(direction_hint) or -1.0
-        delta = self.config.delta_steps
-        if verdict == FURTHER:
-            return sentinel_offset + sign * delta
-        return sentinel_offset - sign * delta

@@ -15,11 +15,18 @@ For a page read (Section III-B):
    (Section III-C): compare ``NCa`` with the scaled sentinel count, nudge the
    sentinel offset by ``Delta`` in the indicated direction, re-derive the
    other voltages, and retry — until decode or retry exhaustion.
+5. If calibration exhausts, walk the vendor retry table.
+
+The flow is a lazy offset :meth:`SentinelController.schedule`: each step's
+voltages are decided after the previous attempt failed, from auxiliary
+senses the schedule makes itself.  :class:`repro.retry.policy.ReadPolicy`
+drives it per wordline or in lockstep over a columnar batch, like every
+other policy.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,10 +34,28 @@ from repro.core.calibration import CalibrationConfig, Calibrator
 from repro.core.models import SentinelModel
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.wordline import Wordline
-from repro.obs import OBS
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.current_flash import RetryTable
+from repro.retry.policy import ReadOutcome, ReadPolicy, ScheduleEvent
 
 __all__ = ["SentinelController", "ReadOutcome"]
+
+SENTINEL_INFERENCE = ScheduleEvent(
+    "sentinel_inference",
+    "repro_sentinel_inferences_total",
+    "sentinel error-difference inferences",
+)
+CALIBRATION_STEP = ScheduleEvent(
+    "calibration_step",
+    "repro_calibration_steps_total",
+    "state-change calibration nudges",
+    labels=("case",),
+)
+FALLBACK_TABLE = ScheduleEvent(
+    "fallback_table",
+    "repro_fallback_table_reads_total",
+    "reads that exhausted calibration and fell back to the vendor retry "
+    "table",
+)
 
 
 class SentinelController(ReadPolicy):
@@ -50,7 +75,6 @@ class SentinelController(ReadPolicy):
         super().__init__(ecc, max_retries)
         self.soft_fallback = soft_fallback
         self.model = model
-        self._calibration_config = calibration
         self._calibrator: Optional[Calibrator] = (
             Calibrator(calibration) if calibration else None
         )
@@ -66,65 +90,23 @@ class SentinelController(ReadPolicy):
         return self._calibrator
 
     # ------------------------------------------------------------------
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
-        spec = wordline.spec
+    def schedule(self, wordline, hint, outcome):
         temperature = wordline.stress.temperature_c
-        outcome = self.new_outcome(wordline, page)
         # A cached sentinel offset (from the serving layer's voltage cache)
         # replaces the default voltages on the first attempt; a fresh hint
         # usually decodes immediately, turning the read into a zero-retry one.
-        first = (
-            None if hint is None
-            else self.model.offsets_from_sentinel(float(hint), temperature)
+        if hint is None:
+            yield None
+        else:
+            yield self.model.offsets_from_sentinel(float(hint), temperature)
+        # the calibration and table caps count retries from this flow's
+        # first attempt (a TrackedSentinelPolicy read's third)
+        start = outcome.retries
+        sentinel_offset, correction, d_rate = self._infer(
+            wordline, outcome, 0.0 if hint is None else float(hint),
+            clamp=hint is not None,
         )
-        if self.attempt(wordline, outcome, first):
-            return outcome
-
-        # --- sentinel inference -------------------------------------------
-        sentinel_page = spec.gray.voltage_to_page(spec.sentinel_voltage)
-        if outcome.page != sentinel_page:
-            # CSB/MSB failure: issue the cheap extra read at the sentinel
-            # voltage ("this is also an LSB page read").
-            outcome.extra_single_reads += 1
-        # The error difference is measured at the position the failed read
-        # actually applied: the default sentinel voltage, or the hinted one.
-        base = float(hint) if hint is not None else 0.0
-        readout = wordline.sentinel_readout(base)
-        d_rate = readout.difference_rate
-        correction = float(
-            np.round(self.model.infer_sentinel_offset(d_rate))
-        )
-        if hint is not None:
-            # f(d) was fitted at the default position; relative to a hint it
-            # is a first-order correction, so clamp it to half a state pitch
-            # (same guard as the tracking+sentinel combination policy).
-            correction = float(np.clip(
-                correction, -spec.state_pitch / 2, spec.state_pitch / 2
-            ))
-        sentinel_offset = base + correction
-        if OBS.enabled:
-            if OBS.metrics.enabled:
-                OBS.metrics.counter(
-                    "repro_sentinel_inferences_total",
-                    help="sentinel error-difference inferences",
-                ).inc()
-            if OBS.tracer.enabled:
-                OBS.tracer.emit(
-                    "sentinel_inference",
-                    policy=self.name,
-                    page=outcome.page,
-                    d_rate=float(d_rate),
-                    sentinel_offset=float(sentinel_offset),
-                    temperature=float(temperature),
-                )
-        offsets = self.model.offsets_from_sentinel(sentinel_offset, temperature)
-        if self.attempt(wordline, outcome, offsets):
-            return outcome
+        yield self.model.offsets_from_sentinel(sentinel_offset, temperature)
 
         # --- calibration --------------------------------------------------
         # One state-change comparison (Section III-C) picks the first probe
@@ -135,9 +117,6 @@ class SentinelController(ReadPolicy):
         # expand around the inferred offset alternating sides, so a wrong
         # verdict costs one retry instead of a divergent walk.
         calibrator = self._calibrator_for(wordline)
-        direction_hint = correction if correction != 0.0 else (
-            d_rate if d_rate != 0.0 else -1.0
-        )
         # the comparison needs single-voltage reads at the default and the
         # inferred sentinel positions; the default-position read is already
         # in hand (step 2), the inferred-position one is new
@@ -145,62 +124,64 @@ class SentinelController(ReadPolicy):
         verdict, _, _ = calibrator.state_change_verdict(
             wordline, sentinel_offset
         )
-        sign = float(np.sign(direction_hint)) or -1.0
-        first = sign if verdict == "further" else -sign
-        # Case 1: all cells moved more than the scaled sentinels — the
-        # inferred tune fell short; Case 2: overshoot.
+        sign = float(np.sign(correction or d_rate)) or -1.0
+        first_side = sign if verdict == "further" else -sign
         case = "case1" if verdict == "further" else "case2"
         delta = calibrator.config.delta_steps
         for k in range(1, calibrator.config.max_steps + 1):
-            if outcome.retries >= self.max_retries:
+            if outcome.retries - start >= self.max_retries:
                 break
             magnitude = (k + 1) // 2 * delta
-            side = first if k % 2 == 1 else -first
+            side = first_side if k % 2 == 1 else -first_side
             current = sentinel_offset + side * magnitude
             outcome.calibration_steps += 1
-            if OBS.enabled:
-                if OBS.metrics.enabled:
-                    OBS.metrics.counter(
-                        "repro_calibration_steps_total",
-                        help="state-change calibration nudges",
-                        case=case,
-                    ).inc()
-                if OBS.tracer.enabled:
-                    OBS.tracer.emit(
-                        "calibration_step",
-                        policy=self.name,
-                        page=outcome.page,
-                        step=k,
-                        case=case,
-                        offset=float(current),
-                    )
-            offsets = self.model.offsets_from_sentinel(current, temperature)
-            if self.attempt(wordline, outcome, offsets):
-                return outcome
+            self.note(
+                outcome, CALIBRATION_STEP,
+                step=k, case=case, offset=float(current),
+            )
+            yield self.model.offsets_from_sentinel(current, temperature)
 
         if self.fallback_table:
-            from repro.retry.current_flash import RetryTable
-
-            if OBS.enabled:
-                if OBS.metrics.enabled:
-                    OBS.metrics.counter(
-                        "repro_fallback_table_reads_total",
-                        help="reads that exhausted calibration and fell "
-                             "back to the vendor retry table",
-                    ).inc()
-                if OBS.tracer.enabled:
-                    OBS.tracer.emit(
-                        "fallback_table",
-                        policy=self.name,
-                        page=outcome.page,
-                        after_retries=outcome.retries,
-                    )
-            table = RetryTable.vendor_default(spec)
-            for k in range(len(table)):
-                if outcome.retries >= self.max_retries:
+            self.note(outcome, FALLBACK_TABLE, after_retries=outcome.retries)
+            for entry in RetryTable.vendor_default(wordline.spec).entries:
+                if outcome.retries - start >= self.max_retries:
                     break
-                if self.attempt(wordline, outcome, table.entry(k)):
-                    return outcome
-        if self.soft_fallback and not outcome.success:
-            self.soft_rescue(wordline, outcome)
-        return outcome
+                yield entry
+
+    # perfbench/bench_trace.py wraps this by name in this class's own
+    # __dict__, so it stays here as a delegation to the ReadPolicy driver
+    def read(self, wordline, page, hint=None):
+        return super().read(wordline, page, hint)
+
+    # ------------------------------------------------------------------
+    def _infer(
+        self, wordline: Wordline, outcome: ReadOutcome, base: float,
+        clamp: bool,
+    ) -> Tuple[float, float, float]:
+        """Sentinel inference after a failed read that applied ``base``.
+
+        The error difference is measured at the position the failed read
+        actually applied (``base`` at the sentinel voltage).  Returns the
+        inferred sentinel offset, the correction it applies to ``base``
+        and the error-difference rate.  ``f(d)`` was fitted at the default
+        position; relative to any other base it is a first-order
+        correction, so ``clamp`` bounds it to half a state pitch.
+        """
+        spec = wordline.spec
+        if outcome.page != spec.gray.voltage_to_page(spec.sentinel_voltage):
+            # CSB/MSB failure: issue the cheap extra read at the sentinel
+            # voltage ("this is also an LSB page read").
+            outcome.extra_single_reads += 1
+        d_rate = wordline.sentinel_readout(base).difference_rate
+        correction = float(np.round(self.model.infer_sentinel_offset(d_rate)))
+        if clamp:
+            half_pitch = spec.state_pitch / 2
+            correction = float(np.clip(correction, -half_pitch, half_pitch))
+        sentinel_offset = base + correction
+        self.note(
+            outcome, SENTINEL_INFERENCE,
+            d_rate=float(d_rate),
+            sentinel_offset=float(sentinel_offset),
+            temperature=float(wordline.stress.temperature_c),
+        )
+        return sentinel_offset, correction, d_rate

@@ -1,11 +1,9 @@
 """Read-retry policies: the baselines the paper compares against.
 
-All policies implement :class:`repro.retry.policy.ReadPolicy` and return a
-:class:`repro.retry.policy.ReadOutcome`, so the experiment drivers can swap
-them freely.  The six whose voltages are fixed before the first sense
-derive from :class:`repro.retry.policy.LadderPolicy`: they declare a
-per-read offset schedule and the base reads it per wordline or in
-lockstep over a columnar batch.
+All policies derive from :class:`repro.retry.policy.ReadPolicy` and return
+a :class:`repro.retry.policy.ReadOutcome`, so the experiment drivers can
+swap them freely.  Each only declares a lazy per-read offset schedule; the
+base reads it per wordline or in lockstep over a columnar batch.
 
 * :class:`repro.retry.current_flash.CurrentFlashPolicy` — the vendor retry
   table shipped in today's chips ("current flash" in the paper's figures).
@@ -22,11 +20,14 @@ lockstep over a columnar batch.
 * :class:`repro.retry.online_model.OnlineModelPolicy` — Luo et al. (arXiv
   1807.05140): retention-model prediction before the first sense with
   online per-chunk process-variation corrections.
+* :class:`repro.retry.tracked_sentinel.TrackedSentinelPolicy` — the
+  paper's combination: a tracked first attempt, the sentinel flow on
+  failure.
 
 The sentinel controller itself lives in :mod:`repro.core.controller`.
 """
 
-from repro.retry.policy import LadderPolicy, ReadPolicy, ReadOutcome, ReadAttempt
+from repro.retry.policy import ReadPolicy, ReadOutcome, ReadAttempt
 from repro.retry.current_flash import CurrentFlashPolicy, RetryTable
 from repro.retry.tracking import TrackingPolicy
 from repro.retry.layer_similarity import LayerSimilarityPolicy
@@ -36,7 +37,6 @@ from repro.retry.adaptive import AdaptiveRetryPolicy
 from repro.retry.online_model import OnlineModelPolicy
 
 __all__ = [
-    "LadderPolicy",
     "ReadPolicy",
     "ReadOutcome",
     "ReadAttempt",

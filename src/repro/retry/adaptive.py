@@ -28,7 +28,7 @@ flight** — decode feedback only queues, and is folded into the
 per-(block, layer) start table when the caller invokes
 :meth:`commit_feedback` (an FTL would do this from its background task).
 So each read's ladder is a pure function of its (block, layer) key and
-hint, which lets :class:`repro.retry.policy.LadderPolicy` read a columnar
+hint, which lets :class:`repro.retry.policy.ReadPolicy` read a columnar
 batch in lockstep bit-identically to per-wordline reads, and keeps sharded
 measurements worker-count-invariant.
 """
@@ -43,13 +43,13 @@ from repro.ecc.capability import CapabilityEcc
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
 from repro.retry.current_flash import RetryTable
-from repro.retry.policy import LadderPolicy, ReadOutcome
+from repro.retry.policy import ReadOutcome, ReadPolicy
 
 #: feedback key: (block, layer)
 _Key = Tuple[int, int]
 
 
-class AdaptiveRetryPolicy(LadderPolicy):
+class AdaptiveRetryPolicy(ReadPolicy):
     """Vendor ladder with a learned per-(block, layer) starting entry."""
 
     name = "adaptive-retry"
@@ -107,7 +107,7 @@ class AdaptiveRetryPolicy(LadderPolicy):
                 break
         return idxs[:cap]
 
-    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+    def schedule(self, wordline, hint, outcome):
         start = self._start_for((wordline.block, wordline.layer), hint)
         return (
             None if entry < 0 else self.table.entry(entry)
@@ -157,7 +157,7 @@ class AdaptiveRetryPolicy(LadderPolicy):
         self._pending.clear()
 
     # perfbench/bench_trace.py wraps these two by name in this class's own
-    # __dict__, so they stay here as delegations to the LadderPolicy drivers
+    # __dict__, so they stay here as delegations to the ReadPolicy drivers
     def read(self, wordline, page, hint=None):
         return super().read(wordline, page, hint)
 

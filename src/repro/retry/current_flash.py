@@ -9,7 +9,7 @@ an aged block that means many retries (6.6 on average in the paper's
 Figure 13).
 
 The policy only declares that ladder (:meth:`CurrentFlashPolicy.schedule`);
-:class:`repro.retry.policy.LadderPolicy` walks it per wordline or, over a
+:class:`repro.retry.policy.ReadPolicy` walks it per wordline or, over a
 columnar batch, in lockstep: one batched sense per (page, ladder entry).
 """
 
@@ -27,8 +27,7 @@ from repro.flash.mechanisms import (
     state_mean_shifts,
 )
 from repro.flash.spec import FlashSpec
-from repro.flash.wordline import Wordline
-from repro.retry.policy import LadderPolicy
+from repro.retry.policy import ReadPolicy
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class RetryTable:
         return cls(entries=entries)
 
 
-class CurrentFlashPolicy(LadderPolicy):
+class CurrentFlashPolicy(ReadPolicy):
     """Walk the retry table until the page decodes."""
 
     name = "current-flash"
@@ -101,13 +100,13 @@ class CurrentFlashPolicy(LadderPolicy):
         self.table = table or RetryTable.vendor_default(spec)
         self.soft_fallback = soft_fallback
 
-    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+    def schedule(self, wordline, hint, outcome):
         # hint ignored: the vendor table has no notion of a cached offset
         yield None
         yield from self.table.ladder(self.max_retries)
 
     # perfbench/bench_trace.py wraps these two by name in this class's own
-    # __dict__, so they stay here as delegations to the LadderPolicy drivers
+    # __dict__, so they stay here as delegations to the ReadPolicy drivers
     def read(self, wordline, page, hint=None):
         return super().read(wordline, page, hint)
 

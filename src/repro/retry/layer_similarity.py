@@ -16,12 +16,11 @@ import numpy as np
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.optimal import optimal_offsets
-from repro.flash.wordline import Wordline
 from repro.retry.current_flash import RetryTable
-from repro.retry.policy import LadderPolicy
+from repro.retry.policy import ReadPolicy
 
 
-class LayerSimilarityPolicy(LadderPolicy):
+class LayerSimilarityPolicy(ReadPolicy):
     """First attempt at the layer's tracked offsets, then the retry table."""
 
     name = "layer-similarity"
@@ -47,7 +46,7 @@ class LayerSimilarityPolicy(LadderPolicy):
             self._tracked[key] = optimal_offsets(sample)
         return self._tracked[key]
 
-    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+    def schedule(self, wordline, hint, outcome):
         # hint ignored: the per-layer tracked table plays the same role
         yield self.tracked_offsets(wordline.block, wordline.layer)
         yield from self.table.ladder(self.max_retries - 1)

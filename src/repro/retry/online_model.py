@@ -31,7 +31,7 @@ Determinism contract: identical to :class:`AdaptiveRetryPolicy` — decode
 feedback queues in read order and only :meth:`commit_feedback` folds it
 into the committed per-chunk corrections, so each read's probe sequence is
 a pure function of its frozen prediction.  That keeps the lockstep and
-per-wordline reads of :class:`repro.retry.policy.LadderPolicy`
+per-wordline reads of :class:`repro.retry.policy.ReadPolicy`
 bit-identical and sharded measurements worker-count-invariant.
 """
 
@@ -49,13 +49,13 @@ from repro.flash.mechanisms import (
 )
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
-from repro.retry.policy import LadderPolicy, ReadOutcome
+from repro.retry.policy import ReadOutcome, ReadPolicy
 
 #: feedback key: (block, layer // chunk_layers)
 _Key = Tuple[int, int]
 
 
-class OnlineModelPolicy(LadderPolicy):
+class OnlineModelPolicy(ReadPolicy):
     """Model-predicted first sense with per-chunk online corrections."""
 
     name = "online-model"
@@ -134,7 +134,7 @@ class OnlineModelPolicy(LadderPolicy):
             pred + sign * magnitude * self._probe_step * self._profile
         )
 
-    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+    def schedule(self, wordline, hint, outcome):
         prior = self.prior_offsets(wordline.stress)
         pred = self._predict(
             prior, self._chunk_of(wordline.block, wordline.layer), hint
@@ -175,7 +175,7 @@ class OnlineModelPolicy(LadderPolicy):
         self._pending.clear()
 
     # perfbench/bench_trace.py wraps these two by name in this class's own
-    # __dict__, so they stay here as delegations to the LadderPolicy drivers
+    # __dict__, so they stay here as delegations to the ReadPolicy drivers
     def read(self, wordline, page, hint=None):
         return super().read(wordline, page, hint)
 

@@ -1,20 +1,20 @@
-"""Common interface of all read policies.
+"""Common base of all read policies.
 
 A *read policy* drives a page read to ECC success: it decides which voltage
 offsets every attempt uses and when to give up.  The outcome records enough
 accounting (full-page senses, auxiliary single-voltage senses, transfers) for
 the NAND timing model to price the whole operation.
 
-:class:`LadderPolicy` is the shared base of the policies whose voltages are
-fixed before the first sense: they declare an offset schedule, and the base
-reads it per wordline or in lockstep over a columnar batch.
+Every policy only declares a per-read offset :meth:`ReadPolicy.schedule`;
+:class:`ReadPolicy` reads it per wordline or in lockstep over a columnar
+batch.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class ReadOutcome:
     #: serializing them.  0 for non-pipelined policies.
     pipelined_senses: int = 0
     attempts: List[ReadAttempt] = field(default_factory=list)
+    #: schedule events not yet emitted, as ``(index of the attempt they
+    #: precede, event, fields)`` — see :meth:`ReadPolicy.note`
+    notes: List[tuple] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def initial_rber(self) -> float:
@@ -88,11 +91,60 @@ class ReadOutcome:
         return senses
 
 
+@dataclass(frozen=True)
+class ScheduleEvent:
+    """A trace event a schedule raises between attempts, and its counter."""
+
+    kind: str
+    counter: str
+    help: str
+    #: event fields that also label the counter
+    labels: Tuple[str, ...] = ()
+
+    def emit(self, policy: str, page: int, fields: dict) -> None:
+        if OBS.metrics.enabled:
+            OBS.metrics.counter(
+                self.counter,
+                help=self.help,
+                **{label: fields[label] for label in self.labels},
+            ).inc()
+        if OBS.tracer.enabled:
+            OBS.tracer.emit(self.kind, policy=policy, page=page, **fields)
+
+
+#: ``next()`` default that marks an exhausted schedule
+_EXHAUSTED = object()
+
+
 class ReadPolicy(ABC):
-    """Drives page reads to ECC success under some retry strategy."""
+    """Drives page reads to ECC success under some retry strategy.
+
+    A subclass only declares :meth:`schedule` — per wordline read, the
+    offsets it tries in order until one decodes — and, if it learns, a
+    :meth:`feedback` hook.  This base owns both read paths:
+
+    * :meth:`read` walks one wordline's schedule through :meth:`attempt`;
+    * :meth:`read_batch` walks every row of a columnar batch in lockstep,
+      page by page: wave ``k`` senses attempt ``k`` of every still-failing
+      row with one ``read_page_batch`` + ``decode_ok_batch`` call.
+
+    The two are bit-identical, also under an active fault plan.  A
+    schedule is resumed only after its previous attempt failed, so any
+    auxiliary sense it makes then (the sentinel readout, the calibration
+    comparison) falls between the same two senses of its row on both
+    paths; rows draw read noise from their own streams, and fault
+    decisions are keyed per wordline with a per-target ordinal, so only
+    rows interleave.  Schedules are consumed lazily, so an entry that is
+    costly to compute (OPT's optimum) is computed only once the attempt
+    before it has failed.  :meth:`feedback` runs once per read, in
+    canonical (row, page) order on both paths, and so does every read's
+    obs, the events its schedule raised through :meth:`note` included.
+    """
 
     #: human-readable policy name used in reports
     name: str = "abstract"
+    #: rescue a read whose schedule ran out with a soft-sensing decode
+    soft_fallback: bool = False
 
     def __init__(self, ecc: CapabilityEcc, max_retries: int = 10) -> None:
         self.ecc = ecc
@@ -106,13 +158,16 @@ class ReadPolicy(ABC):
         offsets,
     ) -> bool:
         """Perform one full read, record it, and return decode success."""
+        k = len(outcome.attempts)
+        if OBS.enabled:
+            self._emit_notes(outcome, k)
         dense = make_offsets(wordline.spec, offsets)
         result = wordline.read_page(outcome.page, dense)
         decoded = self._record(
             wordline, outcome, dense, result.rber, self.ecc.decode_ok(result)
         )
         if OBS.enabled:
-            self._note_attempt(outcome, len(outcome.attempts) - 1)
+            self._note_attempt(outcome, k)
         return decoded
 
     def _record(
@@ -166,29 +221,6 @@ class ReadPolicy(ABC):
         return False
 
     # ------------------------------------------------------------------
-    def read_batch(
-        self,
-        cols,
-        pages: Sequence[Union[int, str]],
-        hints: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[List[ReadOutcome]]:
-        """Read ``pages`` of every wordline of a columnar batch.
-
-        ``cols`` is a :class:`repro.flash.block.BlockColumns`; the return
-        value is ``outcomes[row][page_position]``.  This implementation
-        loops wordline views in row order — bit-identical to per-wordline
-        reads by construction, and still faster than materializing
-        wordlines because the batch was synthesized in one kernel.
-        :class:`LadderPolicy` overrides it with lockstep batched kernels.
-        """
-        out: List[List[ReadOutcome]] = []
-        for row in range(cols.n_wordlines):
-            wl = cols.wordline_view(row)
-            hint = hints[row] if hints is not None else None
-            out.append([self.read(wl, p, hint=hint) for p in pages])
-        return out
-
-    # ------------------------------------------------------------------
     # observability (callers check OBS.enabled)
     # ------------------------------------------------------------------
     def _note_read(self) -> None:
@@ -217,15 +249,23 @@ class ReadPolicy(ABC):
                 decoded=bool(att.decoded),
             )
 
+    def _emit_notes(self, outcome: ReadOutcome, upto: int) -> None:
+        """Emit (and drop) the noted events that precede attempt ``upto``."""
+        notes = outcome.notes
+        while notes and notes[0][0] <= upto:
+            _, event, fields = notes.pop(0)
+            event.emit(self.name, outcome.page, fields)
+
     def _flush_batch_obs(self, outcomes: List[List[ReadOutcome]]) -> None:
         """Emit the per-read obs a lockstep batch deferred, in row order.
 
         Lockstep batched reads process attempts page-major across rows, so
         they must not emit through :meth:`attempt` (the event order would
         depend on batching).  Instead they record silently and this helper
-        replays the exact per-read stream — ``repro_reads_total`` /
-        ``repro_read_attempts_total`` increments and one ``read_attempt``
-        event per attempt — in canonical (row, page, attempt) order.
+        replays the exact per-read stream — ``repro_reads_total``, then per
+        attempt the schedule events noted before it and its
+        ``read_attempt``, then the events noted after the last — in
+        canonical (row, page, attempt) order.
         """
         if not OBS.enabled:
             return
@@ -233,10 +273,38 @@ class ReadPolicy(ABC):
             for outcome in row:
                 self._note_read()
                 for k in range(len(outcome.attempts)):
+                    self._emit_notes(outcome, k)
                     self._note_attempt(outcome, k)
+                self._emit_notes(outcome, len(outcome.attempts))
 
     # ------------------------------------------------------------------
     @abstractmethod
+    def schedule(
+        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
+    ) -> Iterable[Optional[np.ndarray]]:
+        """The offsets of each attempt of one read, in order (lazily).
+
+        Each is ``None`` (the default voltages) or a dense per-voltage
+        vector; ``hint`` is as in :meth:`read`.  ``outcome`` is the read
+        so far: when resumed after a failed attempt, a schedule may sense
+        ``wordline`` itself, charge those senses to ``outcome`` and read
+        its live ``retries``.
+        """
+
+    def feedback(
+        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
+    ) -> None:
+        """Learn from one finished read (default: nothing to learn)."""
+
+    def note(self, outcome: ReadOutcome, event: ScheduleEvent, **fields) -> None:
+        """Queue one schedule event of a read for its driver to emit.
+
+        It is emitted just before the read's next ``read_attempt`` (or at
+        the end of the read), in the read's canonical place on both paths.
+        """
+        if OBS.enabled:
+            outcome.notes.append((len(outcome.attempts), event, fields))
+
     def read(
         self,
         wordline: Wordline,
@@ -248,78 +316,35 @@ class ReadPolicy(ABC):
         ``hint`` is an optional cached sentinel-voltage offset (in voltage
         steps) from an earlier read of the same block/layer — e.g. from a
         :class:`repro.service.voltage_cache.VoltageOffsetCache`.  Policies
-        that know how to derive per-voltage offsets from it (the sentinel
-        controller) start their first attempt there instead of at the
-        default voltages; others ignore it.
+        that know how to use it (the sentinel controller, adaptive retry,
+        the online model) start their first attempt from it; others
+        ignore it.
         """
-
-
-#: ``next()`` default that marks an exhausted schedule
-_EXHAUSTED = object()
-
-
-class LadderPolicy(ReadPolicy):
-    """A policy whose read voltages are fixed before the first sense.
-
-    A subclass only declares :meth:`schedule` — per wordline read, the
-    offsets it tries in order until one decodes — and, if it learns, a
-    :meth:`feedback` hook.  This base owns both read paths:
-
-    * :meth:`read` walks one wordline's schedule through :meth:`attempt`;
-    * :meth:`read_batch` walks every row of a columnar batch in lockstep,
-      page by page: wave ``k`` senses attempt ``k`` of every still-failing
-      row with one ``read_page_batch`` + ``decode_ok_batch`` call.
-
-    The two are bit-identical, also under an active fault plan: each
-    row's senses and fault decisions (keyed per wordline, with a
-    per-target ordinal) happen in the same order on both paths; only
-    rows interleave.  Schedules are consumed lazily, so an entry that is
-    costly to compute (OPT's optimum) is computed only once the attempt
-    before it has failed.  :meth:`feedback` runs once per read, in
-    canonical (row, page) order on both paths.
-    """
-
-    #: rescue a read whose schedule ran out with a soft-sensing decode
-    soft_fallback: bool = False
-
-    @abstractmethod
-    def schedule(
-        self, wordline: Wordline, hint: Optional[float]
-    ) -> Iterable[Optional[np.ndarray]]:
-        """The offsets of each attempt of one read, in order (lazily).
-
-        Each is ``None`` (the default voltages) or a dense per-voltage
-        vector; ``hint`` is as in :meth:`read`.
-        """
-
-    def feedback(
-        self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
-    ) -> None:
-        """Learn from one finished read (default: nothing to learn)."""
-
-    # ------------------------------------------------------------------
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
         outcome = self.new_outcome(wordline, page)
-        for offsets in self.schedule(wordline, hint):
+        for offsets in self.schedule(wordline, hint, outcome):
             if self.attempt(wordline, outcome, offsets):
                 break
+        if OBS.enabled:
+            self._emit_notes(outcome, len(outcome.attempts))
         if self.soft_fallback:
             self.soft_rescue(wordline, outcome)
         self.feedback(wordline, hint, outcome)
         return outcome
 
-    def read_batch(self, cols, pages, hints=None):
-        """Lockstep batched read over every row's schedule.
+    def read_batch(
+        self,
+        cols,
+        pages: Sequence[Union[int, str]],
+        hints: Optional[Sequence[Optional[float]]] = None,
+    ) -> List[List[ReadOutcome]]:
+        """Read ``pages`` of every wordline of a columnar batch, in lockstep.
 
-        Each row's view is built once and shared by all pages, so its
-        memoized state (e.g. the sorted Vth behind ``optimal_offsets``)
-        carries over as it does across per-row reads.  Per-read obs is
-        deferred to :meth:`_flush_batch_obs`.
+        ``cols`` is a :class:`repro.flash.block.BlockColumns`; the return
+        value is ``outcomes[row][page_position]``.  Each row's view is
+        built once and shared by all pages, so its memoized state (e.g.
+        the sorted Vth behind ``optimal_offsets``) carries over as it does
+        across per-row reads.  Per-read obs is deferred to
+        :meth:`_flush_batch_obs`.
         """
         spec = cols.spec
         views = list(cols.iter_views())
@@ -330,7 +355,10 @@ class LadderPolicy(ReadPolicy):
             p = spec.gray.page_index(page)
             n_pv = len(spec.gray.page_voltages(p))
             outs = [ReadOutcome(page=p, page_voltages=n_pv) for _ in views]
-            walks = [iter(self.schedule(v, h)) for v, h in zip(views, hints)]
+            walks = [
+                iter(self.schedule(v, h, o))
+                for v, h, o in zip(views, hints, outs)
+            ]
             active = range(len(views))
             while active:
                 rows, steps = [], []

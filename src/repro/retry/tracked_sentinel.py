@@ -11,23 +11,21 @@ sentinel machinery takes over (measuring the error difference at the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
-
-import numpy as np
-
+from repro.core.controller import SentinelController
+from repro.core.models import SentinelModel
 from repro.ecc.capability import CapabilityEcc
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.core.calibration import CalibrationConfig
-    from repro.core.models import SentinelModel
 from repro.flash.chip import FlashChip
-from repro.flash.optimal import optimal_offsets
-from repro.flash.wordline import Wordline
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.tracking import TrackedOffsets
 
 
-class TrackedSentinelPolicy(ReadPolicy):
-    """Tracked first attempt, sentinel inference on failure."""
+class TrackedSentinelPolicy(SentinelController):
+    """Tracked first attempt, sentinel inference on failure.
+
+    If the inferred retry fails too, the standard sentinel flow runs from
+    the default voltages (a fresh inference, calibration, vendor table).
+    Its caps count retries from its own default read, so a read can take
+    up to ``max_retries + 2`` retries.
+    """
 
     name = "tracking+sentinel"
 
@@ -35,73 +33,31 @@ class TrackedSentinelPolicy(ReadPolicy):
         self,
         ecc: CapabilityEcc,
         chip: FlashChip,
-        model: "SentinelModel",
-        sample_wordline: int = 0,
-        calibration: "Optional[CalibrationConfig]" = None,
+        model: SentinelModel,
         max_retries: int = 10,
     ) -> None:
-        from repro.core.controller import SentinelController
+        super().__init__(ecc, model, max_retries=max_retries)
+        #: ``tracked_offsets(block)``: the block's tracked optima
+        self.tracked_offsets = TrackedOffsets(chip)
 
-        super().__init__(ecc, max_retries)
-        self.chip = chip
-        self.sample_wordline = sample_wordline
-        self._tracked: dict = {}
-        # delegate the post-failure flow to the sentinel controller, but
-        # skip its own default first attempt
-        self._sentinel = SentinelController(
-            ecc, model, calibration=calibration, max_retries=max_retries
-        )
-        self.model = model
-
-    def tracked_offsets(self, block: int) -> np.ndarray:
-        key = (block, self.chip.block_stress(block).key())
-        if key not in self._tracked:
-            sample = self.chip.wordline(block, self.sample_wordline)
-            self._tracked[key] = optimal_offsets(sample)
-        return self._tracked[key]
-
-    def read(
-        self,
-        wordline: Wordline,
-        page: Union[int, str],
-        hint: Optional[float] = None,
-    ) -> ReadOutcome:
+    def schedule(self, wordline, hint, outcome):
         # hint ignored: tracking already supplies the first-attempt voltages
-        spec = wordline.spec
-        outcome = self.new_outcome(wordline, page)
         tracked = self.tracked_offsets(wordline.block)
-        if self.attempt(wordline, outcome, tracked):
-            return outcome
-
-        # sentinel takeover: measure the error difference at the position
-        # the failed read actually applied (the tracked sentinel voltage)
-        sentinel_page = spec.gray.voltage_to_page(spec.sentinel_voltage)
-        if outcome.page != sentinel_page:
-            outcome.extra_single_reads += 1
-        tracked_sent = float(tracked[spec.sentinel_voltage - 1])
-        readout = wordline.sentinel_readout(tracked_sent)
-        # f(d) estimates (optimum - reading position): fitted at the default
-        # position, but the error difference depends (to first order) only
-        # on the distance to the optimum, so the same map applies relative
-        # to the tracked position.  Clamped: a noisy reading must not move
-        # the voltage by more than half a state pitch on top of tracking.
-        correction = float(
-            np.round(self.model.infer_sentinel_offset(readout.difference_rate))
+        yield tracked
+        # sentinel takeover at the position the failed read applied (the
+        # tracked sentinel voltage).  The error difference depends, to
+        # first order, only on the distance to the optimum, so f(d)
+        # applies relative to it, clamped to half a state pitch.
+        sentinel_offset, _, _ = self._infer(
+            wordline, outcome,
+            float(tracked[wordline.spec.sentinel_voltage - 1]), clamp=True,
         )
-        correction = float(np.clip(correction, -spec.state_pitch / 2,
-                                   spec.state_pitch / 2))
-        sentinel_offset = tracked_sent + correction
-        temperature = wordline.stress.temperature_c
-        offsets = self.model.offsets_from_sentinel(sentinel_offset, temperature)
-        if self.attempt(wordline, outcome, offsets):
-            return outcome
+        yield self.model.offsets_from_sentinel(
+            sentinel_offset, wordline.stress.temperature_c
+        )
+        yield from super().schedule(wordline, None, outcome)
 
-        # hand the rest to the standard sentinel flow (fresh inference from
-        # the default position plus calibration/fallback)
-        tail = self._sentinel.read(wordline, page)
-        outcome.retries += tail.retries + 1  # tail includes its own default read
-        outcome.extra_single_reads += tail.extra_single_reads
-        outcome.calibration_steps += tail.calibration_steps
-        outcome.attempts.extend(tail.attempts)
-        outcome.success = tail.success
-        return outcome
+    # perfbench/bench_trace.py wraps this by name in this class's own
+    # __dict__, so it stays here as a delegation to the ReadPolicy driver
+    def read(self, wordline, page, hint=None):
+        return super().read(wordline, page, hint)

@@ -21,12 +21,30 @@ import numpy as np
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.optimal import optimal_offsets
-from repro.flash.wordline import Wordline
 from repro.retry.current_flash import RetryTable
-from repro.retry.policy import LadderPolicy
+from repro.retry.policy import ReadPolicy
+
+#: the wordline of each block whose optimum is tracked
+SAMPLE_WORDLINE = 0
 
 
-class TrackingPolicy(LadderPolicy):
+class TrackedOffsets:
+    """Tracked optima per block: the sampled wordline's optimum at the
+    block's current stress, measured lazily and cached per stress."""
+
+    def __init__(self, chip: FlashChip) -> None:
+        self.chip = chip
+        self._tracked: Dict[tuple, np.ndarray] = {}
+
+    def __call__(self, block: int) -> np.ndarray:
+        key = (block, self.chip.block_stress(block).key())
+        if key not in self._tracked:
+            sample = self.chip.wordline(block, SAMPLE_WORDLINE)
+            self._tracked[key] = optimal_offsets(sample)
+        return self._tracked[key]
+
+
+class TrackingPolicy(ReadPolicy):
     """First attempt at the block's tracked offsets, then the retry table."""
 
     name = "tracking"
@@ -35,26 +53,15 @@ class TrackingPolicy(LadderPolicy):
         self,
         ecc: CapabilityEcc,
         chip: FlashChip,
-        sample_wordline: int = 0,
         table: Optional[RetryTable] = None,
         max_retries: int = 10,
     ) -> None:
         super().__init__(ecc, max_retries)
-        self.chip = chip
-        self.sample_wordline = sample_wordline
         self.table = table or RetryTable.vendor_default(chip.spec)
-        self._tracked: Dict[tuple, np.ndarray] = {}
+        #: ``tracked_offsets(block)``: the block's tracked optima
+        self.tracked_offsets = TrackedOffsets(chip)
 
-    # ------------------------------------------------------------------
-    def tracked_offsets(self, block: int) -> np.ndarray:
-        """Tracked optima of a block (lazily measured, cached per stress)."""
-        key = (block, self.chip.block_stress(block).key())
-        if key not in self._tracked:
-            sample = self.chip.wordline(block, self.sample_wordline)
-            self._tracked[key] = optimal_offsets(sample)
-        return self._tracked[key]
-
-    def schedule(self, wordline: Wordline, hint: Optional[float] = None):
+    def schedule(self, wordline, hint, outcome):
         # hint ignored: tracking already supplies the first-attempt voltages
         yield self.tracked_offsets(wordline.block)
         yield from self.table.ladder(self.max_retries - 1)

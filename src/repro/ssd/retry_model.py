@@ -60,11 +60,9 @@ def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
 
     The shard's wordlines are built as :class:`BlockColumns` sub-batches
     (one batched synthesize for the whole sub-batch) and read with the
-    policy's :meth:`ReadPolicy.read_batch` — in kernel lockstep for
-    :class:`repro.retry.policy.LadderPolicy` policies, row by row through
-    wordline views otherwise.  Each wordline's draws come from its own
-    seed-tree streams in the same order either way, so the rows do not
-    depend on the sub-batch size.
+    policy's :meth:`ReadPolicy.read_batch`, in kernel lockstep.  Each
+    wordline's draws come from its own seed-tree streams in its per-row
+    order, so the rows do not depend on the sub-batch size.
     """
     from repro.flash.block import BlockColumns
 
@@ -196,9 +194,8 @@ class RetryProfile:
 
         Wordlines are measured through the columnar
         :class:`repro.flash.block.BlockColumns` store and the policy's
-        ``read_batch`` — batched synthesize plus, for
-        :class:`repro.retry.policy.LadderPolicy` policies, lockstep batched
-        sense/decode kernels.
+        ``read_batch`` — batched synthesize plus lockstep batched
+        sense/decode kernels, for every policy.
         """
         from functools import partial
 

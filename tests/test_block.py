@@ -277,8 +277,9 @@ class TestObservability:
 
     def test_measure_event_counts_pinned(self):
         """Obs-on measure with the sentinel controller: per-kind event
-        counts are pinned (one ``synthesize`` per store, per-row view
-        reads record no ``batch_sense``)."""
+        counts are pinned (one ``synthesize`` per store, one
+        ``sense_regions`` per lockstep wave; the schedule's auxiliary
+        senses go through the row's view and record no ``batch_sense``)."""
         from collections import Counter
 
         from repro.core.controller import SentinelController
@@ -314,7 +315,7 @@ class TestObservability:
         )
         events = OBS.tracer.events()
         assert dict(Counter(e.kind for e in events)) == {
-            "batch_sense": 1,
+            "batch_sense": 24,
             "calibration_step": 46,
             "ecc_decode": 92,
             "fallback_table": 4,
@@ -326,7 +327,7 @@ class TestObservability:
         }
         assert [
             e.fields["kernel"] for e in events if e.kind == "batch_sense"
-        ] == ["synthesize"]
+        ] == ["synthesize"] + ["sense_regions"] * 23
 
     def test_measure_read_complete_follows_merge(self, tiny_tlc, aged_stress):
         """Serial and sharded measures emit the same ``read_complete``

@@ -48,13 +48,6 @@ class TestCalibratorVerdict:
         assert verdict in (FURTHER, BACK)
         assert nca >= 0 and ncs >= 0
 
-    def test_next_offset_moves_by_delta(self, aged_tlc_chip):
-        wl = aged_tlc_chip.wordline(0, 1)
-        cfg = CalibrationConfig.for_spec(wl.spec)
-        cal = Calibrator(cfg)
-        new = cal.next_offset(wl, -20.0, direction_hint=-1.0)
-        assert abs(abs(new) - 20.0) == pytest.approx(cfg.delta_steps)
-
 
 class TestControllerFlow:
     def test_fresh_page_zero_retries(self, tlc_chip, tlc_model, ecc):

@@ -1,10 +1,9 @@
 """Property-based tests of the calibration loop (Section III-C).
 
-The claims under test: one calibration step always moves the sentinel
-offset by exactly +-Delta (Case 1 further, Case 2 back — never anything
-else), an iterated loop can never drift past ``max_steps * Delta`` from
-where it started, and the controller's expanding probe schedule terminates
-within its bound without ever revisiting an offset.
+The claims under test: the state-change verdict is always one of the two
+cases and is exactly the normalized-count comparison, and the controller's
+expanding probe schedule terminates within its bound without ever
+revisiting an offset.
 """
 
 import numpy as np
@@ -33,35 +32,6 @@ def _wordline():
         )
         _WORDLINE = chip.wordline(0, 3)
     return _WORDLINE
-
-
-@given(
-    offset=st.floats(min_value=-40.0, max_value=40.0, allow_nan=False),
-    hint=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    delta=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),
-)
-@settings(max_examples=25, deadline=None)
-def test_next_offset_moves_exactly_one_delta(offset, hint, delta):
-    calibrator = Calibrator(CalibrationConfig(delta_steps=delta))
-    nudged = calibrator.next_offset(_wordline(), offset, hint)
-    assert abs(abs(nudged - offset) - delta) < 1e-9
-
-
-@given(
-    start=st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
-    hint=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-    max_steps=st.integers(min_value=1, max_value=6),
-)
-@settings(max_examples=15, deadline=None)
-def test_iterated_calibration_never_escapes_the_step_bound(
-    start, hint, max_steps
-):
-    config = CalibrationConfig(delta_steps=4.0, max_steps=max_steps)
-    calibrator = Calibrator(config)
-    offset = start
-    for _ in range(max_steps):
-        offset = calibrator.next_offset(_wordline(), offset, hint)
-        assert abs(offset - start) <= max_steps * config.delta_steps + 1e-9
 
 
 @given(

@@ -1,15 +1,19 @@
-"""Property tests for the retry-ladder policies.
+"""Property tests for the retry policies.
 
 Guarantees the tournament harness and ``RetryProfile.measure`` lean on:
 
-* the lockstep ``read_batch`` of every
-  :class:`repro.retry.policy.LadderPolicy` (vendor table, tracking, layer
-  similarity, OPT, adaptive retry, online model) is **bit-identical** to
-  the per-wordline ``read`` loop — across TLC/QLC, stress conditions,
-  ragged row subsets and cached hints, and under an active fault plan,
-  where the injector's counts must match too;
-* the lockstep path emits the same per-read obs as the loop: equal
-  multisets of ``read_attempt``/``ecc_decode`` events and equal counters;
+* the lockstep ``read_batch`` of every policy (vendor table, tracking,
+  layer similarity, OPT, adaptive retry, online model, the sentinel
+  controller and tracking+sentinel) is **bit-identical** to the
+  per-wordline ``read`` loop — across TLC/QLC, stress conditions, ragged
+  row subsets and cached hints, and under an active fault plan, where the
+  injector's counts must match too;
+* the lockstep path emits the same per-read obs as the loop: the same
+  ordered ``read_attempt``/``sentinel_inference``/``calibration_step``/
+  ``fallback_table`` stream, an equal multiset of ``ecc_decode`` events
+  and equal counters;
+* every event and counter of a tracking+sentinel read carries that
+  policy's name, and its retries stay within ``max_retries + 2``;
 * OPT's optimum search runs only for reads whose default sense failed,
   on both paths;
 * the online model **learns**: on a fixed-stress noiseless chip, total
@@ -30,6 +34,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.controller import SentinelController
+from repro.core.fitting import PolynomialFit
+from repro.core.models import CorrelationTable, SentinelModel
 from repro.ecc.capability import CapabilityEcc
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.flash.chip import FlashChip
@@ -42,6 +49,7 @@ from repro.retry import (
     LayerSimilarityPolicy,
     OnlineModelPolicy,
     OraclePolicy,
+    TrackedSentinelPolicy,
     TrackingPolicy,
 )
 from repro.ssd.retry_model import RetryProfile
@@ -64,6 +72,26 @@ STRESSES = (
 )
 AGED = STRESSES[-1]
 
+
+def _sentinel_model(spec):
+    """A small fixed sentinel model: coarse enough that aged reads run
+    the calibration probes and the vendor-table fallback too."""
+    nv = spec.n_voltages
+    return SentinelModel(
+        spec_name=spec.name,
+        sentinel_voltage=spec.sentinel_voltage,
+        n_voltages=nv,
+        difference_poly=PolynomialFit(
+            coeffs=np.array([500.0, -2.0]), x_min=-0.1, x_max=0.1
+        ),
+        correlations=[
+            CorrelationTable(
+                -273.0, 1000.0, np.linspace(1.4, 0.4, nv), np.zeros(nv)
+            )
+        ],
+    )
+
+
 #: policy factories: ``(ecc, chip) -> policy``
 POLICIES = {
     "current-flash": lambda ecc, chip: CurrentFlashPolicy(
@@ -74,11 +102,17 @@ POLICIES = {
     "opt": lambda ecc, chip: OraclePolicy(ecc),
     "adaptive-retry": lambda ecc, chip: AdaptiveRetryPolicy(ecc, chip.spec),
     "online-model": lambda ecc, chip: OnlineModelPolicy(ecc, chip.spec),
+    "sentinel": lambda ecc, chip: SentinelController(
+        ecc, _sentinel_model(chip.spec)
+    ),
+    "tracking+sentinel": lambda ecc, chip: TrackedSentinelPolicy(
+        ecc, chip, _sentinel_model(chip.spec)
+    ),
 }
 #: the policies that learn (commit_feedback) and read cached hints
 LEARNING = ("adaptive-retry", "online-model")
 
-#: every flash/ECC fault a ladder read can hit, at rates that fire often
+#: every flash/ECC fault a read can hit, at rates that fire often
 FAULT_PLAN = FaultPlan(
     name="ladder-parity",
     specs=(
@@ -159,7 +193,7 @@ hint_values = st.one_of(
 
 @given(kind=kinds, stress=stresses, policy_name=policy_names,
        rows=row_subsets, data=st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=64, deadline=None)
 def test_lockstep_batch_bit_identical_to_serial(
     kind, stress, policy_name, rows, data
 ):
@@ -180,7 +214,7 @@ def test_lockstep_batch_bit_identical_to_serial(
 
 @given(kind=kinds, stress=stresses, policy_name=policy_names,
        rows=row_subsets, seed=st.integers(min_value=0, max_value=2**16))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_lockstep_batch_bit_identical_under_faults(
     kind, stress, policy_name, rows, seed
 ):
@@ -221,32 +255,48 @@ def test_lockstep_batch_matches_serial_after_commit(
     _assert_all_identical(serial, batched)
 
 
+#: events a read emits in canonical (row, page, attempt) order on both paths
+ORDERED_KINDS = (
+    "read_attempt", "sentinel_inference", "calibration_step", "fallback_table",
+)
+#: the events and counters the sentinel flow adds
+SENTINEL_KINDS = ORDERED_KINDS[1:]
+COUNTERS = (
+    "repro_reads_total", "repro_read_attempts_total",
+    "repro_ecc_decodes_total", "repro_sentinel_inferences_total",
+    "repro_calibration_steps_total", "repro_fallback_table_reads_total",
+)
+
+
 def _obs_of(run):
-    """(read_attempt/ecc_decode event multiset, read counters) of ``run``."""
+    """(ordered read events, ``ecc_decode`` multiset, counters) of ``run``."""
     OBS.reset()
     OBS.enable(metrics=True, tracing=True)
     run()
-    events = Counter(
+    events = OBS.tracer.events()
+    ordered = [
         (e.kind, tuple(sorted(e.fields.items())))
-        for e in OBS.tracer.events()
-        if e.kind in ("read_attempt", "ecc_decode")
+        for e in events if e.kind in ORDERED_KINDS
+    ]
+    decodes = Counter(
+        tuple(sorted(e.fields.items()))
+        for e in events if e.kind == "ecc_decode"
     )
     counters = {
         key: value for key, value in OBS.metrics.snapshot().items()
-        if key.startswith((
-            "repro_reads_total", "repro_read_attempts_total",
-            "repro_ecc_decodes_total",
-        ))
+        if key.startswith(COUNTERS)
     }
     OBS.disable()
-    return events, counters
+    return ordered, decodes, counters
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_lockstep_obs_matches_serial(policy_name):
     """Deferred lockstep obs (``_flush_batch_obs`` plus the batched
-    decoder's per-row events) equals what the per-row loop emits.  The
-    aged QLC block exhausts the vendor ladder, so soft rescues run too."""
+    decoder's per-row events) equals what the per-row loop emits: the
+    read events in the same order, the decodes as a multiset.  The aged
+    QLC block exhausts the vendor ladder, so soft rescues run too, and
+    the sentinel flow reaches calibration and the table fallback."""
     kind = "qlc"
     pages = list(range(SPECS[kind].pages_per_wordline))
     hints = [None, -6.0, None, -12.0]
@@ -256,8 +306,71 @@ def test_lockstep_obs_matches_serial(policy_name):
     batched = _obs_of(lambda: _policy(policy_name, kind, AGED).read_batch(
         _cols(kind, AGED), pages, hints
     ))
-    assert serial[0] and serial[1]
+    ordered, decodes, counters = serial
+    assert ordered and decodes and counters
+    if "sentinel" in policy_name:
+        assert {kind for kind, _ in ordered} >= set(SENTINEL_KINDS)
     assert batched == serial
+
+
+def test_tracked_sentinel_obs_carries_its_own_name():
+    """A tracking+sentinel read is one read: its events and counters all
+    say ``tracking+sentinel``, its attempts number 1..n, and each of its
+    inferences (the takeover, then the default-position flow's) emits
+    one ``sentinel_inference``."""
+    kind = "qlc"
+    policy = _policy("tracking+sentinel", kind, AGED)
+    OBS.reset()
+    OBS.enable(metrics=True, tracing=True)
+    inferences = attempts = reads = tails = 0
+    for wl in _cols(kind, AGED).iter_views():
+        for page in range(SPECS[kind].pages_per_wordline):
+            start = len(OBS.tracer.events())
+            outcome = policy.read(wl, page)
+            events = OBS.tracer.events()[start:]
+            n = len(outcome.attempts)
+            assert [
+                e.fields["attempt"] for e in events
+                if e.kind == "read_attempt"
+            ] == list(range(1, n + 1))
+            assert {
+                e.fields["policy"] for e in events if "policy" in e.fields
+            } == {"tracking+sentinel"}
+            inferred = (n >= 2) + (n >= 4)
+            assert sum(
+                e.kind == "sentinel_inference" for e in events
+            ) == inferred
+            inferences += inferred
+            attempts += n
+            reads += 1
+            tails += n >= 4
+    counters = OBS.metrics.snapshot()
+    OBS.disable()
+    assert tails > 0  # the default-position flow ran
+    name = 'policy="tracking+sentinel"'
+    assert counters[f"repro_reads_total{{{name}}}"] == reads
+    assert counters[f"repro_read_attempts_total{{{name}}}"] == attempts
+    assert counters["repro_sentinel_inferences_total"] == inferences
+    assert not [key for key in counters if 'policy="sentinel"' in key]
+
+
+@pytest.mark.parametrize("policy_name, bound", [
+    ("sentinel", 10), ("tracking+sentinel", 12),
+])
+def test_sentinel_retry_bounds(policy_name, bound):
+    """When no decode ever succeeds, the sentinel controller stops at
+    ``max_retries``; tracking+sentinel adds its tracked read and the
+    takeover retry before a flow whose caps count from its own default
+    read, so it stops at ``max_retries + 2``."""
+    FAULTS.activate(FaultPlan(
+        name="never-decodes",
+        specs=(FaultSpec("ecc.timeout", probability=1.0),),
+    ))
+    policy = _policy(policy_name, "tlc", AGED)
+    for wl in _cols("tlc", AGED, range(2)).iter_views():
+        outcome = policy.read(wl, "MSB")
+        assert not outcome.success
+        assert outcome.retries == bound
 
 
 @pytest.mark.parametrize("policy_name", LEARNING)
