@@ -35,7 +35,9 @@ serve-smoke:
 	$(PYTHON) -m repro serve --smoke --seed 1 --requests 300
 
 chaos-smoke:
-	$(PYTHON) -m repro chaos --smoke --seed 1 --workers 2
+	$(PYTHON) -m repro chaos --smoke --seed 1 --workers 2 \
+		--obs-spans .chaos-smoke-spans.jsonl
+	$(PYTHON) -m repro spans .chaos-smoke-spans.jsonl --check --top 0
 
 replay-smoke:
 	$(PYTHON) -m repro replay --trace tests/data/msr_sample.csv --smoke \

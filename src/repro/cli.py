@@ -366,7 +366,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.faults.campaign import run_campaign
+    from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 
     if args.plan:
@@ -385,7 +385,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         plan = FaultPlan.standard()
     _maybe_enable_obs(args)
-    report = run_campaign(
+    report = run_chaos(
         plan,
         seed=args.seed,
         kind=args.kind,

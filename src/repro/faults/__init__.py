@@ -14,12 +14,13 @@ data, JSON round-trippable) and evaluated by a
 :class:`~repro.faults.injector.FaultInjector` whose every decision draws
 from a fresh seed-tree stream — same plan + same seed means the same
 faults, at any worker count.  ``repro chaos`` runs a full campaign via
-:func:`repro.faults.campaign.run_campaign` (imported directly, not from
-this package root, to keep the hook sites' import graph acyclic).
+:func:`repro.faults.chaos.run_chaos` (imported directly, not from this
+package root, to keep the hook sites' import graph acyclic).
 
 Fault injection is **off by default**: with :data:`FAULTS` inactive every
 simulation is byte-identical to a build without this package, and a run
-under an *activated* zero-fault plan (``FaultPlan.none()``) is too — the
+under an *activated* zero-fault plan (``FaultPlan.none()``) is too —
+reports, trace events (span trees included) and metrics alike, the
 differential contract ``tests/test_faults.py`` enforces.
 """
 

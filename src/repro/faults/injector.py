@@ -18,7 +18,7 @@ on (``docs/RELIABILITY.md``).
 Injection counters (``counts``) live in the injector instance; worker
 processes therefore lose them on fork.  The campaign runner accounts for
 that by returning per-shard count deltas and merging them in canonical
-shard order (:mod:`repro.faults.campaign`).
+shard order (:mod:`repro.faults.chaos`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ the paper's latency claim rests on:
 * **what was the critical path** — the chain of spans that determined the
   request's completion time (other die chains overlap it);
 * **what did the sentinel save** — read spans carry ``saved_us``, the
-  fallback-table estimate (``degraded_retries`` full reads) minus the
-  actual service time, the per-read form of the paper's headline delta.
+  fallback-table estimate (``DEGRADED_RETRIES`` full-read rounds, see
+  :mod:`repro.service.broker`) minus the actual service time, the
+  per-read form of the paper's headline delta.
 
 Assembly is order-independent: children are sorted by ``(t0, span_id)``
 and trees by ``(root.t0, trace)``, so a shuffled or shard-merged event

@@ -33,6 +33,10 @@ from repro.ssd.timing import NandTiming
 from repro.traces.trace import Trace
 
 
+#: virtual-time spacing of ``replay_tick`` progress events
+TICK_INTERVAL_US = 250_000.0
+
+
 @dataclass(frozen=True)
 class ReplayConfig:
     """Knobs of the replay frontend (the broker keeps its own config)."""
@@ -47,8 +51,6 @@ class ReplayConfig:
     client: Optional[str] = None
     #: worker processes for the sharded translation preprocessing
     workers: int = 1
-    #: virtual-time spacing of ``replay_tick`` progress events
-    tick_interval_us: float = 250_000.0
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -59,8 +61,6 @@ class ReplayConfig:
             raise ValueError("max_pages_per_request must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.tick_interval_us <= 0:
-            raise ValueError("tick_interval_us must be positive")
 
 
 def replay_trace(
@@ -132,10 +132,10 @@ def replay_trace(
                 shed=shed,
             )
 
-        tick = cfg.tick_interval_us
+        tick = TICK_INTERVAL_US
         while tick <= last_arrival:
             service.queue.schedule(tick, lambda t=tick: snapshot(t))
-            tick += cfg.tick_interval_us
+            tick += TICK_INTERVAL_US
 
     service_report = service.run_prepared(
         {client: requests}, scenario=f"replay:{trace.name}"

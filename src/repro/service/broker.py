@@ -37,7 +37,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.faults import FAULTS
 from repro.flash.spec import FlashSpec
 from repro.obs import OBS
-from repro.service.breaker import OPEN, CircuitBreaker
+from repro.service.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.service.profiles import COLD, WARM
 from repro.service.report import ServiceReport
 from repro.service.scrubber import ScrubberConfig, SentinelScrubber
@@ -56,15 +56,35 @@ from repro.ssd.timing import NandTiming
 from repro.util.rng import derive_rng
 
 
+#: SLO-monitor window length (virtual microseconds)
+SLO_WINDOW_US = 250_000.0
+#: one read attempt is aborted (and counted a failure) past this budget.
+#: Only fault hazards get near it: the slowest fault-free read (a QLC MSB
+#: page with 12 retries and 20 auxiliary reads) costs ~3.2 ms
+OP_TIMEOUT_US = 20_000.0
+#: a request whose read attempts overrun this budget goes degraded outright
+REQUEST_TIMEOUT_US = 100_000.0
+#: attempts per read before the degraded fallback
+READ_ATTEMPTS = 3
+#: bounded exponential backoff between failed attempts
+BACKOFF_BASE_US = 200.0
+BACKOFF_CAP_US = 5_000.0
+#: per-die circuit breaker: consecutive timeouts to trip, cool-down
+BREAKER_THRESHOLD = 4
+BREAKER_OPEN_US = 50_000.0
+#: fallback-table retries charged to one degraded read — also the
+#: vendor-walk baseline a read span's ``saved_us`` is measured against
+DEGRADED_RETRIES = 4
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Broker admission, feature switches, and resilience knobs.
+    """Broker admission and feature switches.
 
-    The resilience parameters only matter while a fault campaign is
-    active (:data:`repro.faults.FAULTS`): the fault-free read path never
-    times out (the worst realistic read is ~6 ms against a 20 ms budget),
-    so the breaker and backoff machinery stays cold and reports remain
-    byte-identical to pre-resilience builds."""
+    The resilience parameters are module constants (``OP_TIMEOUT_US``,
+    ``READ_ATTEMPTS``, ...): they shape only reads that a fault hazard
+    pushed into failure, and without an active fault plan no read
+    fails."""
 
     admit_limit: int = 64  # outstanding requests across all clients
     die_queue_limit: int = 16  # pending chains per die
@@ -79,21 +99,6 @@ class ServiceConfig:
     batch_enabled: bool = False
     #: reads coalesced into one batch at most (leader included)
     batch_limit: int = 8
-    slo_window_us: float = 250_000.0
-    #: one read op is aborted (and counted a failure) past this budget
-    op_timeout_us: float = 20_000.0
-    #: a request whose retries exceed this budget goes degraded outright
-    request_timeout_us: float = 100_000.0
-    #: normal-path attempts per read before the degraded fallback
-    read_attempts: int = 3
-    #: bounded exponential backoff between failed attempts
-    backoff_base_us: float = 200.0
-    backoff_cap_us: float = 5_000.0
-    #: per-die circuit breaker: consecutive timeouts to trip, cool-down
-    breaker_threshold: int = 4
-    breaker_open_us: float = 50_000.0
-    #: fallback-table retries charged to one degraded read
-    degraded_retries: int = 4
 
     def __post_init__(self) -> None:
         if self.admit_limit < 1:
@@ -102,20 +107,6 @@ class ServiceConfig:
             raise ValueError("die_queue_limit must be positive")
         if self.batch_limit < 1:
             raise ValueError("batch_limit must be positive")
-        if self.op_timeout_us <= 0:
-            raise ValueError("op_timeout_us must be positive")
-        if self.request_timeout_us < self.op_timeout_us:
-            raise ValueError("request_timeout_us must cover one op timeout")
-        if self.read_attempts < 1:
-            raise ValueError("read_attempts must be positive")
-        if self.backoff_base_us < 0 or self.backoff_cap_us < self.backoff_base_us:
-            raise ValueError("backoff bounds must satisfy 0 <= base <= cap")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be positive")
-        if self.breaker_open_us <= 0:
-            raise ValueError("breaker_open_us must be positive")
-        if self.degraded_retries < 0:
-            raise ValueError("degraded_retries must be non-negative")
 
 
 class _InFlight:
@@ -176,15 +167,13 @@ class FlashReadService:
         self.scrubber = SentinelScrubber(
             scrub_config or ScrubberConfig(), self.cache, timing
         )
-        self.slo = SloMonitor(self.config.slo_window_us)
+        self.slo = SloMonitor(SLO_WINDOW_US)
         self._lanes = [_DieLane(d) for d in range(ssd_config.n_dies)]
         self._breakers = [
-            CircuitBreaker(
-                d, self.config.breaker_threshold, self.config.breaker_open_us
-            )
+            CircuitBreaker(d, BREAKER_THRESHOLD, BREAKER_OPEN_US)
             for d in range(ssd_config.n_dies)
         ]
-        #: resilience-path counters; stays empty without an active campaign
+        #: recovery counters (timeouts, backoffs, ...); empty until faults fire
         self.resilience: Dict[str, float] = {}
         #: batched die-scheduling counters (only reported when enabled)
         self.batch_stats: Dict[str, int] = {
@@ -197,8 +186,8 @@ class FlashReadService:
         self._remaining = 0
         self._closed_pending: Dict[str, Deque[ServiceRequest]] = {}
         self._client_mode: Dict[str, str] = {}
-        #: while a die slot is being priced with span tracing on, the read
-        #: paths append one ``(name, duration, phases, attrs)`` entry per
+        #: while a die slot is being priced with span tracing on, the op
+        #: pricers append one ``(name, duration, phases, attrs)`` entry per
         #: op here; ``None`` otherwise (the zero-cost default)
         self._op_phase_log: Optional[List[tuple]] = None
 
@@ -608,7 +597,7 @@ class FlashReadService:
     def _op_duration_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
         t = self.timing
         if op.kind == "read":
-            return self._read_duration_us(op, inflight)
+            return self._read_us(op, inflight)
         if op.kind == "program":
             duration = t.t_transfer_us + t.t_program_us
             if self._op_phase_log is not None:
@@ -648,222 +637,176 @@ class FlashReadService:
                 )
         return hit
 
-    def _read_duration_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
-        if FAULTS.active:
-            return self._read_resilient_us(op, inflight)
-        # fault-free fast path: one profile draw per read, no timeout or
-        # breaker bookkeeping — byte-identical to the pre-resilience broker
-        key = self._cache_key(op)
-        hit = self.config.cache_enabled and self._cache_probe(key, op)
-        profile = self.profiles[WARM if hit else COLD]
-        ptype = self._page_type(op)
-        retries, extra = profile.sample(ptype, self.rng)
-        self.retry_histogram[retries] = (
-            self.retry_histogram.get(retries, 0) + 1
-        )
-        if self.config.cache_enabled and not hit:
-            # the cold read's sentinel flow inferred the offset; remember it
-            self.cache.put(key, 0.0, self.queue.now, self._pe_of(key))
-        n_voltages = profile.page_voltages[ptype]
-        duration = self.timing.read_us(
-            n_voltages, retries, extra, pipelined=profile.pipelined
-        )
-        if self._op_phase_log is not None:
-            self._log_read_phases(op, ptype, n_voltages, retries, extra,
-                                  hit, duration)
-        return duration
+    def _read_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
+        """Price one read: the attempt loop every read runs.
 
-    def _log_read_phases(
+        An attempt probes the voltage cache, samples the warm (hit) or
+        cold (miss) retry profile and prices that read.  Fault hazards are
+        terms of the attempt, each zero without an active fault plan: a
+        die stall adds to it and channel congestion scales it — either can
+        push it past ``OP_TIMEOUT_US``, a failure counted against the
+        die's circuit breaker; a stale cache hit fails it silently (retried
+        cold after backoff, no die-health signal); a corrupt hit is
+        quarantined and the attempt proceeds cold.  An open breaker,
+        exhausted attempts or an overrun request budget end in the
+        degraded fallback-table read.  Without faults the first attempt
+        always succeeds, so the breaker is only checked, never driven."""
+        now = self.queue.now
+        breaker = self._breakers[op.die]
+        key = self._cache_key(op)
+        ptype = self._page_type(op)
+        faults = FAULTS.injector  # None while no fault plan is active
+        cache_on = self.config.cache_enabled
+        phases: List[tuple] = []
+        total = 0.0
+        if breaker.state != CLOSED and not breaker.allow(now):
+            reason = "breaker_open"
+        else:
+            attempt = 0
+            while True:
+                attempt += 1
+                hit = cache_on and self._cache_probe(key, op)
+                event = None
+                if hit and faults is not None:
+                    event = faults.cache_event(key, now)
+                    if event == "corrupt":
+                        # detected corruption: drop + quarantine, go cold
+                        self.cache.quarantine(key, now)
+                        self._resil("cache_quarantines")
+                        hit = False
+                profile = self.profiles[WARM if hit else COLD]
+                retries, extra = profile.sample(ptype, self.rng)
+                self.retry_histogram[retries] = (
+                    self.retry_histogram.get(retries, 0) + 1
+                )
+                if cache_on and not hit:
+                    # the cold read's sentinel flow inferred the offset
+                    self.cache.put(key, 0.0, now, self._pe_of(key))
+                n_voltages = profile.page_voltages[ptype]
+                duration = read_us = self.timing.read_us(
+                    n_voltages, retries, extra, pipelined=profile.pipelined
+                )
+                if faults is not None:
+                    stall = faults.die_stall_us(op.die, now)
+                    factor = faults.congestion_factor(now)
+                    duration = (read_us + stall) * factor
+
+                if duration > OP_TIMEOUT_US:
+                    duration = OP_TIMEOUT_US  # attempt aborted at the budget
+                    failure = "timeout"
+                elif event == "stale":
+                    failure = "stale"
+                else:
+                    total += duration
+                    if breaker.failures or breaker.state != CLOSED:
+                        breaker.record_success()
+                    if self._op_phase_log is not None:
+                        phases += self.timing.read_phases(
+                            n_voltages, retries, extra
+                        )
+                        if faults is not None and stall:
+                            phases.append(("die_stall", stall, {}))
+                        if faults is not None and factor > 1.0:
+                            phases.append((
+                                "congestion", duration - read_us - stall,
+                                {"factor": factor},
+                            ))
+                        self._log_read(
+                            op, ptype, n_voltages, retries, extra,
+                            "hit" if hit else ("miss" if cache_on else "off"),
+                            phases, total,
+                        )
+                    return total
+                total += duration
+                phases.append((
+                    "failed_attempt", duration,
+                    {
+                        "attempt": attempt, "outcome": failure,
+                        "retries": retries, "extra": extra,
+                    },
+                ))
+                if failure == "timeout":
+                    self._resil("op_timeouts")
+                    trip = breaker.record_failure(now + total)
+                    if trip:
+                        self._observe_breaker_trip(breaker, now + total, trip)
+                    if breaker.state == OPEN:
+                        reason = "retries_exhausted"
+                        break
+                else:
+                    # the hinted read silently missed: forget the bad entry
+                    # so the retry goes cold
+                    self._resil("stale_retries")
+                    self.cache.invalidate(key)
+                if total > REQUEST_TIMEOUT_US - (now - inflight.issue_us):
+                    self._resil("request_timeouts")
+                    reason = "request_timeout"
+                    break
+                if attempt == READ_ATTEMPTS:
+                    reason = "retries_exhausted"
+                    break
+                backoff = min(
+                    BACKOFF_BASE_US * (2 ** (attempt - 1)), BACKOFF_CAP_US
+                )
+                total += backoff
+                self._resil("backoffs")
+                self._resil("backoff_us", backoff)
+                phases.append(("backoff", backoff, {"attempt": attempt}))
+        degraded_us = self._degraded_read_us(op, inflight, now, reason)
+        total += degraded_us
+        if self._op_phase_log is not None:
+            phases.append(("degraded_fallback", degraded_us, {"reason": reason}))
+            self._log_read(
+                op, ptype, self.profiles[COLD].page_voltages[ptype],
+                DEGRADED_RETRIES, 0, "bypass", phases, total,
+            )
+        return total
+
+    def _log_read(
         self,
         op: PhysicalOp,
         ptype: int,
         n_voltages: int,
         retries: int,
         extra: int,
-        hit: bool,
+        cache: str,
+        phases: List[tuple],
         duration: float,
     ) -> None:
-        """Decompose one fast-path read into its span phases.
-
-        Mirrors :meth:`NandTiming.read_us`: the initial full read is the
-        sense (where the sentinel inference happens) plus transfer + host
-        ECC decode; the sentinel machinery's auxiliary single-voltage
-        reads follow, then each retry round re-senses and re-transfers.
-        ``saved_us`` is the fallback-table estimate (``degraded_retries``
-        full-read rounds, the vendor-walk baseline) minus the actual
-        duration — the per-read form of the paper's headline saving."""
-        t = self.timing
-        phases: List[tuple] = [
-            ("sense", t.sense_us(n_voltages), {}),
-            ("xfer_ecc", t.t_transfer_us, {}),
-        ]
-        if extra:
-            phases.append((
-                "aux_reads",
-                extra * (t.sense_us(1) + t.t_transfer_us),
-                {"count": extra},
-            ))
-        for r in range(1, retries + 1):
-            phases.append((
-                "retry_round",
-                t.sense_us(n_voltages) + t.t_transfer_us,
-                {"round": r},
-            ))
-        fallback = t.read_us(n_voltages, self.config.degraded_retries, 0)
+        """Record one read's span: its phases, the retries and auxiliary
+        reads of the read that returned the data, the cache outcome, and
+        ``saved_us`` — the fallback-table estimate (``DEGRADED_RETRIES``
+        full-read rounds, the vendor-walk baseline) minus the read's
+        duration, the per-read form of the paper's headline saving."""
+        fallback = self.timing.read_us(n_voltages, DEGRADED_RETRIES, 0)
         self._op_phase_log.append((
             "read", duration, phases,
             {
                 "die": op.die, "block": op.block, "page_type": ptype,
-                "retries": retries, "extra": extra,
-                "cache": (
-                    "hit" if hit
-                    else ("miss" if self.config.cache_enabled else "off")
-                ),
+                "retries": retries, "extra": extra, "cache": cache,
                 "saved_us": fallback - duration,
             },
         ))
-
-    # ------------------------------------------------------------------
-    # resilient read path (active fault campaigns only)
-    # ------------------------------------------------------------------
-    def _read_resilient_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
-        """Timeout + bounded-backoff attempt loop over the normal path.
-
-        Each attempt is the fast path plus injected hazards: a die stall
-        or channel congestion can push the op past ``op_timeout_us``
-        (counted against the die's circuit breaker), a stale cache hit
-        fails silently and retries cold after backoff (not a die-health
-        signal), a corrupt hit is quarantined and the read proceeds cold.
-        Exhausted attempts — or an open breaker — route to the degraded
-        fallback-table read."""
-        cfg = self.config
-        inj = FAULTS.injector
-        now = self.queue.now
-        breaker = self._breakers[op.die]
-        key = self._cache_key(op)
-        ptype = self._page_type(op)
-        phases: Optional[List[tuple]] = (
-            [] if self._op_phase_log is not None else None
-        )
-
-        def log_entry(total_us: float, degraded: bool) -> None:
-            if phases is None:
-                return
-            self._op_phase_log.append((
-                "read", total_us, phases,
-                {
-                    "die": op.die, "block": op.block, "page_type": ptype,
-                    "resilient": True, "degraded": degraded,
-                },
-            ))
-
-        if not breaker.allow(now):
-            duration = self._degraded_read_us(
-                op, inflight, now, "breaker_open"
-            )
-            if phases is not None:
-                phases.append((
-                    "degraded_fallback", duration,
-                    {"reason": "breaker_open"},
-                ))
-                log_entry(duration, True)
-            return duration
-
-        budget_us = cfg.request_timeout_us - (now - inflight.issue_us)
-        total = 0.0
-        reason = "retries_exhausted"
-        for attempt in range(1, cfg.read_attempts + 1):
-            hit = cfg.cache_enabled and self._cache_probe(key, op)
-            event = inj.cache_event(key, now) if hit else None
-            if event == "corrupt":
-                # detected corruption: drop + quarantine, proceed cold
-                self.cache.quarantine(key, now)
-                self._resil("cache_quarantines")
-                hit = False
-            profile = self.profiles[WARM if hit else COLD]
-            retries, extra = profile.sample(ptype, self.rng)
-            self.retry_histogram[retries] = (
-                self.retry_histogram.get(retries, 0) + 1
-            )
-            if cfg.cache_enabled and not hit:
-                self.cache.put(key, 0.0, now, self._pe_of(key))
-            n_voltages = profile.page_voltages[ptype]
-            duration = self.timing.read_us(
-                n_voltages, retries, extra, pipelined=profile.pipelined
-            )
-            duration += inj.die_stall_us(op.die, now)
-            duration *= inj.congestion_factor(now)
-
-            failure = None
-            if duration > cfg.op_timeout_us:
-                duration = cfg.op_timeout_us  # op aborted at the budget
-                failure = "timeout"
-            elif event == "stale":
-                failure = "stale"
-            total += duration
-            if phases is not None:
-                phases.append((
-                    "read_attempt", duration,
-                    {
-                        "attempt": attempt, "retries": retries,
-                        "extra": extra,
-                        "outcome": failure if failure else "ok",
-                    },
-                ))
-            if failure is None:
-                breaker.record_success()
-                log_entry(total, False)
-                return total
-            if failure == "timeout":
-                self._resil("op_timeouts")
-                trip = breaker.record_failure(now + total)
-                if trip:
-                    self._observe_breaker_trip(breaker, now + total, trip)
-                if breaker.state == OPEN:
-                    break
-            else:
-                # the hinted read silently missed: forget the bad entry so
-                # the retry goes cold; no die-health signal
-                self._resil("stale_retries")
-                self.cache.invalidate(key)
-            if total > budget_us:
-                self._resil("request_timeouts")
-                reason = "request_timeout"
-                break
-            if attempt < cfg.read_attempts:
-                backoff = min(
-                    cfg.backoff_base_us * (2 ** (attempt - 1)),
-                    cfg.backoff_cap_us,
-                )
-                total += backoff
-                self._resil("backoffs")
-                self._resil("backoff_us", backoff)
-                if phases is not None:
-                    phases.append(("backoff", backoff, {"attempt": attempt}))
-        degraded_us = self._degraded_read_us(op, inflight, now, reason)
-        if phases is not None:
-            phases.append(("degraded_fallback", degraded_us,
-                           {"reason": reason}))
-            log_entry(total + degraded_us, True)
-        return total + degraded_us
 
     def _degraded_read_us(
         self, op: PhysicalOp, inflight: _InFlight, now: float, reason: str
     ) -> float:
         """Last-resort read straight off the vendor fallback table.
 
-        No cache, no profile sampling: a fixed ``degraded_retries`` walk of
+        No cache, no profile sampling: a fixed ``DEGRADED_RETRIES`` walk of
         the table always lands on decodable voltages (the vendor guarantee
         the paper's baseline relies on).  Slow but certain — and still
         subject to an ongoing die stall, which is bounded, so the request
         completes."""
         profile = self.profiles[COLD]
         ptype = self._page_type(op)
-        retries = self.config.degraded_retries
+        retries = DEGRADED_RETRIES
         self.retry_histogram[retries] = (
             self.retry_histogram.get(retries, 0) + 1
         )
         duration = self.timing.read_us(profile.page_voltages[ptype], retries, 0)
+        # failed attempts, and the open breaker they cause, take faults:
+        # an injector is active whenever a read gets here
         duration += FAULTS.injector.die_stall_us(op.die, now)
         inflight.degraded = True
         self._resil("degraded_reads")

@@ -111,11 +111,10 @@ def _emit_read_spans(
 ) -> float:
     """Emit one chip-level read's span tree in deterministic virtual time.
 
-    Same phase decomposition as the serving layer (sense with the
-    sentinel inference, transfer + host ECC, auxiliary single-voltage
-    reads, retry rounds); the last child is clamped to the root's end so
-    the phases tile it exactly.  Returns the read's duration so the
-    caller can advance its cumulative clock."""
+    Same phase decomposition as the serving layer
+    (:meth:`NandTiming.read_phases`); the last child is clamped to the
+    root's end so the phases tile it exactly.  Returns the read's
+    duration so the caller can advance its cumulative clock."""
     page, retries, extra, calibration_steps, success = row
     duration = timing.read_us(n_voltages, retries, extra)
     t1 = t0 + duration
@@ -124,22 +123,7 @@ def _emit_read_spans(
         t0=t0, t1=t1, page=page, retries=retries, extra=extra,
         calibration_steps=calibration_steps, success=success,
     )
-    phases: List[tuple] = [
-        ("sense", timing.sense_us(n_voltages), {}),
-        ("xfer_ecc", timing.t_transfer_us, {}),
-    ]
-    if extra:
-        phases.append((
-            "aux_reads",
-            extra * (timing.sense_us(1) + timing.t_transfer_us),
-            {"count": extra},
-        ))
-    for r in range(1, retries + 1):
-        phases.append((
-            "retry_round",
-            timing.sense_us(n_voltages) + timing.t_transfer_us,
-            {"round": r},
-        ))
+    phases = timing.read_phases(n_voltages, retries, extra)
     t = t0
     for j, (pname, pdur, pattrs) in enumerate(phases):
         p_t1 = t1 if j == len(phases) - 1 else t + pdur

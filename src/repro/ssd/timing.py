@@ -13,6 +13,7 @@ transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.retry.policy import ReadOutcome
 
@@ -54,6 +55,33 @@ class NandTiming:
             full -= retries * self.pipeline_overlap_us(page_voltages)
         extra = extra_single_reads * (self.sense_us(1) + self.t_transfer_us)
         return full + extra
+
+    def read_phases(
+        self, page_voltages: int, retries: int = 0, extra_single_reads: int = 0
+    ) -> List[Tuple[str, float, Dict[str, int]]]:
+        """Split one read into its span phases, ``(name, us, attrs)``.
+
+        Mirrors :meth:`read_us` (unpipelined): the initial full read is the
+        ``sense`` (where the sentinel inference happens) plus ``xfer_ecc``
+        (transfer + host ECC decode); the sentinel machinery's auxiliary
+        single-voltage reads follow as one ``aux_reads`` phase, then each
+        ``retry_round`` re-senses and re-transfers.  Span emitters clamp
+        the last phase to the read's end, so the phases tile it."""
+        sense = self.sense_us(page_voltages)
+        full = sense + self.t_transfer_us
+        phases: List[Tuple[str, float, Dict[str, int]]] = [
+            ("sense", sense, {}),
+            ("xfer_ecc", self.t_transfer_us, {}),
+        ]
+        if extra_single_reads:
+            phases.append((
+                "aux_reads",
+                extra_single_reads * (self.sense_us(1) + self.t_transfer_us),
+                {"count": extra_single_reads},
+            ))
+        for r in range(1, retries + 1):
+            phases.append(("retry_round", full, {"round": r}))
+        return phases
 
     def pipeline_overlap_us(self, page_voltages: int) -> float:
         """Latency hidden per pipelined retry round (sense/transfer overlap)."""

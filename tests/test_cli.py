@@ -504,7 +504,7 @@ _REPORT_COMMANDS = {
     "serve": (["serve", "--smoke", "--requests", "100"],
               "service report:", None),
     "chaos": (["chaos", "--smoke", "--requests", "100"],
-              "chaos campaign:", ("repro.faults.campaign", "run_campaign")),
+              "chaos campaign:", ("repro.faults.chaos", "run_chaos")),
     "replay": (["replay", "--synthetic", "hm_0", "--smoke",
                 "--requests", "100"],
                "replay report:", ("repro.replay", "replay_trace")),

@@ -4,7 +4,8 @@ Two properties anchor everything here:
 
 * **zero-fault transparency** — with the fault machinery dormant *or*
   activated under the empty plan, the service and simulation reports are
-  byte-identical to the goldens captured before the subsystem existed;
+  byte-identical to the goldens captured before the subsystem existed,
+  and the service run's trace events and metrics are identical too;
 * **seed reproducibility** — the same plan + seed produces a
   byte-identical chaos report at any worker count.
 """
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.exp.common import sim_spec
 from repro.faults import FAULTS, FaultInjector, FaultPlan, FaultSpec
-from repro.faults.campaign import run_campaign
+from repro.faults.chaos import run_chaos
+from repro.obs import OBS
 from repro.service import (
     FlashReadService,
     ServiceConfig,
@@ -65,6 +68,22 @@ def _service_report_json() -> str:
         n_requests=200, read_iops=4000.0, footprint_pages=512
     )
     return service.run(list(clients), scenario="golden").to_json() + "\n"
+
+
+def _service_telemetry():
+    """Trace JSONL lines and Prometheus text of the golden service run
+    with metrics, tracing and span trees all on."""
+    OBS.disable()
+    OBS.reset()
+    obs.enable(capacity=500_000, spans=True)
+    try:
+        _service_report_json()
+        lines = [event.to_json() for event in OBS.tracer.events()]
+        prom = OBS.metrics.render_prometheus()
+    finally:
+        OBS.disable()
+        OBS.reset()
+    return lines, prom
 
 
 def _simulation_report_json() -> str:
@@ -120,6 +139,17 @@ class TestZeroFaultDifferential:
         assert _service_report_json() == _golden(
             "service_report_tlc_seed7.json"
         )
+
+    def test_telemetry_under_empty_plan_matches_dormant_run(self):
+        """The empty-plan contract covers telemetry too: every trace event
+        (span trees included) and every metric come out identical."""
+        dormant_lines, dormant_prom = _service_telemetry()
+        FAULTS.activate(FaultPlan.none(), seed=7)
+        lines, prom = _service_telemetry()
+        assert any('"name": "sense"' in line for line in dormant_lines)
+        assert len(lines) == len(dormant_lines)
+        assert lines == dormant_lines
+        assert prom == dormant_prom
 
     def test_simulation_report_matches_pre_fault_golden(self):
         assert _simulation_report_json() == _golden(
@@ -216,10 +246,10 @@ class TestInjectorDeterminism:
 
 class TestCampaign:
     def test_accounting_identity_and_worker_invariance(self):
-        serial = run_campaign(
+        serial = run_chaos(
             FaultPlan.standard(), seed=3, smoke=True, workers=1
         )
-        parallel = run_campaign(
+        parallel = run_chaos(
             FaultPlan.standard(), seed=3, smoke=True, workers=2
         )
         assert serial.to_json() == parallel.to_json()
@@ -230,7 +260,7 @@ class TestCampaign:
         )
 
     def test_empty_plan_campaign_injects_nothing(self):
-        report = run_campaign(FaultPlan.none(), seed=2, smoke=True, workers=1)
+        report = run_chaos(FaultPlan.none(), seed=2, smoke=True, workers=1)
         assert report.faults == {}
         assert report.accounting["balanced"]
         assert report.accounting["degraded"] == 0
@@ -239,9 +269,9 @@ class TestCampaign:
     @settings(max_examples=4, deadline=None)
     def test_seed_reproducibility_across_worker_counts(self, seed):
         FAULTS.deactivate()  # hypothesis reuses the fixture-wrapped frame
-        a = run_campaign(FaultPlan.standard(), seed=seed, smoke=True,
-                         workers=1)
-        b = run_campaign(FaultPlan.standard(), seed=seed, smoke=True,
-                         workers=2)
+        a = run_chaos(FaultPlan.standard(), seed=seed, smoke=True,
+                      workers=1)
+        b = run_chaos(FaultPlan.standard(), seed=seed, smoke=True,
+                      workers=2)
         assert a.to_json() == b.to_json()
         assert a.accounting["balanced"]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.exp.common import sim_spec
+from repro.faults import FAULTS, FaultPlan
 from repro.obs import OBS
 from repro.obs.spans import (
     PhaseBreakdown,
@@ -43,6 +44,7 @@ from repro.service import (
     mixed_scenario,
     synthetic_profiles,
 )
+from repro.service.broker import DEGRADED_RETRIES
 from repro.ssd.config import SsdConfig
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.timing import NandTiming
@@ -267,6 +269,47 @@ class TestServiceSpans:
             total = summary["read_count"] * summary["read_mean_us"] + \
                 summary["write_count"] * summary["write_mean_us"]
             assert by_client.get(client, 0.0) == pytest.approx(total)
+
+    @pytest.mark.parametrize("empty_plan", [False, True])
+    def test_fault_free_read_span_shape(self, empty_plan):
+        """Every fault-free read span is tiled by its sense / transfer+ECC /
+        auxiliary-read / retry-round phases and carries the cache outcome
+        and ``saved_us`` — dormant or under an activated empty plan."""
+        obs.enable(capacity=500_000, spans=True)
+        if empty_plan:
+            FAULTS.activate(FaultPlan.none(), seed=7)
+        try:
+            _run_service()
+        finally:
+            FAULTS.deactivate()
+        spans = [e.fields for e in OBS.tracer.events() if e.kind == "span"]
+        children = {}
+        for f in spans:
+            children.setdefault((f["trace"], f["parent"]), []).append(f)
+        timing = NandTiming()
+        voltages = synthetic_profiles("tlc")["cold"].page_voltages
+        reads = [f for f in spans if f["name"] == "read"]
+        assert reads
+        for read in reads:
+            attrs = {k for k in read if k not in
+                     ("trace", "span", "parent", "name", "t0", "t1")}
+            assert attrs == {"die", "block", "page_type", "retries",
+                             "extra", "cache", "saved_us"}
+            assert read["cache"] in ("hit", "miss")
+            phases = children[(read["trace"], read["span"])]
+            assert [p["name"] for p in phases] == (
+                ["sense", "xfer_ecc"]
+                + (["aux_reads"] if read["extra"] else [])
+                + ["retry_round"] * read["retries"]
+            )
+            assert phases[0]["t0"] == read["t0"]
+            assert phases[-1]["t1"] == read["t1"]
+            fallback = timing.read_us(
+                voltages[read["page_type"]], DEGRADED_RETRIES, 0
+            )
+            assert read["saved_us"] == pytest.approx(
+                fallback - (read["t1"] - read["t0"])
+            )
 
     def test_span_trace_ids_unique_per_request(self):
         obs.enable(capacity=500_000, spans=True)
