@@ -17,14 +17,12 @@ correlation tables (Section III-D).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.fitting import fit_difference_polynomial, fit_linear_correlations
 from repro.core.models import CorrelationTable, SentinelModel
-from repro.engine import ParallelMap, plan_wordline_shards
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.optimal import optimal_offsets
@@ -60,57 +58,19 @@ class CharacterizationResult:
         return predicted - self.sentinel_optima
 
 
-@dataclass(frozen=True)
-class _CharShard:
-    """One (stress, block, wordline run) unit of the training sweep."""
-
-    stress: StressState
-    block: int
-    wordlines: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _CharTask:
-    """Chip identity a worker rebuilds its shard's wordlines from."""
-
-    spec: object
-    seed: int
-    sentinel_ratio: float
-
-
-#: Cells per columnar sub-batch of a characterization shard.
-_CHAR_BATCH_CELLS = 1 << 23
-
-
-def _characterize_shard(task: _CharTask, shard: _CharShard) -> List[tuple]:
-    """Collect (d rate, ground-truth optima) rows for one shard.
+def _characterize_shard(cols) -> List[tuple]:
+    """Collect (stress, d rate, ground-truth optima) rows for a sub-batch.
 
     Both measurements are pure functions of the wordline identity: the
-    sentinel readouts of a sub-batch are one batched sense, each row
-    drawing from its own fresh read-noise stream, and the optimal search
-    is noiseless and runs per wordline view — so rebuilding the wordlines
-    here yields exactly the samples the caller's chip would.
+    sentinel readouts are one batched sense, each row drawing from its
+    own fresh read-noise stream, and the optimal search is noiseless and
+    runs per wordline view.
     """
-    from repro.flash.block import BlockColumns
-
-    indices = list(shard.wordlines)
-    per_batch = max(
-        1, _CHAR_BATCH_CELLS // max(task.spec.cells_per_wordline, 1)
-    )
-    rows: List[tuple] = []
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=shard.stress,
-        )
-        readouts = cols.sentinel_readout_batch(0.0)
-        for readout, wl in zip(readouts, cols.iter_views()):
-            rows.append((readout.difference_rate, optimal_offsets(wl)))
-    return rows
+    readouts = cols.sentinel_readout_batch(0.0)
+    return [
+        (cols.stress, readout.difference_rate, optimal_offsets(wl))
+        for readout, wl in zip(readouts, cols.iter_views())
+    ]
 
 
 def characterize_chip(
@@ -127,54 +87,39 @@ def characterize_chip(
     ``wordlines`` restricts the sweep (default: every wordline of each
     block); hundreds of (d, V_opt) pairs are plenty, per the paper.
 
-    ``workers > 1`` fans the sweep out over :class:`repro.engine.ParallelMap`
-    in canonical (stress, block, wordline) order; the collected samples —
-    and therefore the fitted model — are byte-identical to a serial run.
-    Each shard sweeps through the columnar
-    :class:`repro.flash.block.BlockColumns` store.
+    The sweep is one :meth:`FlashChip.map_wordlines` run in canonical
+    (stress, block, wordline) order; ``workers > 1`` fans it out over
+    :class:`repro.engine.ParallelMap`, and the collected samples — and
+    therefore the fitted model — are byte-identical to a serial run.
     """
     if chip.sentinel_ratio <= 0:
         raise ValueError("characterization requires a chip with sentinel cells")
     spec = chip.spec
-    wl_indices = (
-        tuple(wordlines)
-        if wordlines is not None
-        else tuple(range(spec.wordlines_per_block))
-    )
-    shards: List[_CharShard] = []
-    for stress in stresses:
-        for block in blocks:
-            for plan in plan_wordline_shards(block, wl_indices, workers):
-                shards.append(_CharShard(stress, block, plan.wordlines))
-    task = _CharTask(
-        spec=spec,
-        seed=chip.seed,
-        sentinel_ratio=chip.sentinel_ratio,
-    )
-    engine = ParallelMap(workers=workers)
-    per_shard = engine.run(
-        partial(_characterize_shard, task), shards, label="characterize"
+    rows = chip.map_wordlines(
+        _characterize_shard,
+        wordlines,
+        blocks=blocks,
+        stresses=stresses,
+        workers=workers,
+        label="characterize",
     )
 
     d_rates: List[float] = []
     optima_rows: List[np.ndarray] = []
     temps: List[float] = []
     labels: List[str] = []
-    for shard, rows in zip(shards, per_shard):
-        stress = shard.stress
-        label = (
+    for stress, d_rate, optima_row in rows:
+        d_rates.append(d_rate)
+        optima_rows.append(optima_row)
+        temps.append(stress.temperature_c)
+        labels.append(
             f"pe={stress.pe_cycles},ret={stress.retention_hours}h,"
             f"T={stress.temperature_c}C"
         )
-        for d_rate, optima_row in rows:
-            d_rates.append(d_rate)
-            optima_rows.append(optima_row)
-            temps.append(stress.temperature_c)
-            labels.append(label)
 
     # the serial sweep left every swept block at the last stress; keep that
     # contract for callers that reuse the chip afterwards
-    if len(shards) > 0:
+    if rows:
         for block in blocks:
             chip.set_block_stress(block, stresses[-1])
 

@@ -20,7 +20,11 @@ from repro.engine.parallel import (
     merge_in_order,
     run_sharded,
 )
-from repro.engine.shards import WordlineShard, plan_wordline_shards, shard_rng
+from repro.engine.shards import (
+    WordlineShard,
+    plan_wordline_shards,
+    split_contiguous,
+)
 
 __all__ = [
     "EngineReport",
@@ -29,5 +33,5 @@ __all__ = [
     "merge_in_order",
     "WordlineShard",
     "plan_wordline_shards",
-    "shard_rng",
+    "split_contiguous",
 ]

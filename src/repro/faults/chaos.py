@@ -8,8 +8,9 @@ One campaign exercises both halves of the stack under the same plan:
   breaker trips, degraded reads, quarantines) and the accounting identity
   ``served + degraded + shed == offered``;
 * a **chip sweep** — wordlines of the aged evaluation block are read with
-  the vendor-table baseline policy while flash/ECC faults fire, fanned out
-  over :mod:`repro.engine` shards.
+  the vendor-table baseline policy while flash/ECC faults fire, through
+  :meth:`FlashChip.map_wordlines` (lockstep ``read_batch`` per columnar
+  sub-batch, fanned out over :mod:`repro.engine` shards).
 
 Determinism contract: the :class:`ChaosReport` contains **no wall-clock**
 quantity, every fault decision is keyed by target identity
@@ -17,7 +18,8 @@ quantity, every fault decision is keyed by target identity
 fault-count deltas, which would otherwise be lost in worker processes —
 merge in canonical shard order.  The same plan + seed therefore produces
 byte-identical JSON at any worker count, the property
-``tests/test_faults.py`` asserts.
+``tests/test_faults.py`` asserts (and that the sweep equals a per-row
+``CurrentFlashPolicy.read`` loop under the same plan).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ecc.capability import CapabilityEcc
-from repro.engine import ParallelMap, WordlineShard, plan_wordline_shards
 from repro.exp.common import eval_stress, sim_spec
 from repro.faults import FAULTS, FaultPlan
 from repro.flash.chip import FlashChip
@@ -40,62 +41,41 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
 
 
-@dataclass(frozen=True)
-class _SweepTask:
-    """Everything a worker needs to sweep one shard under the campaign.
+def _sweep_batch(
+    plan: FaultPlan, fault_seed: int, pages: Tuple[int, ...], cols
+) -> List[Tuple[List[tuple], Dict[str, int]]]:
+    """Read one columnar sub-batch; returns ``[(rows, fault-count delta)]``.
 
-    The chip and policy are rebuilt worker-side (seed-tree identity makes
-    that exact); ``FAULTS.ensure`` installs the campaign's injector in
-    whatever process executes the shard."""
-
-    spec: object
-    chip_seed: int
-    sentinel_ratio: float
-    stress: object
-    plan: FaultPlan
-    fault_seed: int
-    pages: Tuple[int, ...]
-
-
-def _sweep_shard(
-    task: _SweepTask, shard: WordlineShard
-) -> Tuple[List[tuple], Dict[str, int]]:
-    """Read one shard's wordlines; returns (rows, fault-count delta).
-
-    The delta — injections this shard caused, not the injector's absolute
-    counters — is what merges deterministically: in serial execution one
-    injector accumulates across shards, in parallel execution each worker
-    accumulates independently, and the per-shard differences are identical
-    either way because every decision is keyed by wordline identity."""
-    injector = FAULTS.ensure(task.plan, task.fault_seed)
+    ``FAULTS.ensure`` installs the campaign's injector in whatever process
+    runs the sub-batch.  The delta — injections this sub-batch caused, not
+    the injector's absolute counters — is what merges deterministically:
+    in serial execution one injector accumulates across shards, in
+    parallel execution each worker accumulates independently, and the
+    per-batch differences are identical either way because every decision
+    is keyed by wordline identity."""
+    injector = FAULTS.ensure(plan, fault_seed)
     before = dict(injector.counts)
-    chip = FlashChip(
-        task.spec, task.chip_seed, task.sentinel_ratio, cache_wordlines=1
-    )
-    chip.set_block_stress(shard.block, task.stress)
-    policy = CurrentFlashPolicy(
-        CapabilityEcc.for_spec(task.spec), task.spec
-    )
-    rows: List[tuple] = []
-    for wl in chip.iter_wordlines(shard.block, shard.wordlines):
-        for p in task.pages:
-            outcome = policy.read(wl, p)
-            rows.append(
-                (
-                    wl.index,
-                    p,
-                    outcome.retries,
-                    outcome.extra_single_reads,
-                    bool(outcome.success),
-                )
-            )
+    policy = CurrentFlashPolicy(CapabilityEcc.for_spec(cols.spec), cols.spec)
+    rows = [
+        (
+            index,
+            p,
+            outcome.retries,
+            outcome.extra_single_reads,
+            bool(outcome.success),
+        )
+        for index, row_outcomes in zip(
+            cols.indices, policy.read_batch(cols, pages)
+        )
+        for p, outcome in zip(pages, row_outcomes)
+    ]
     after = injector.counts
     delta = {
         kind: after[kind] - before.get(kind, 0)
         for kind in sorted(after)
         if after[kind] != before.get(kind, 0)
     }
-    return rows, delta
+    return [(rows, delta)]
 
 
 @dataclass
@@ -182,7 +162,12 @@ def run_chaos(
     ``smoke`` selects the CI-sized configuration (small wordlines, the
     synthetic retry profiles, a thin sweep); the full configuration widens
     the sweep but keeps the synthetic profiles — a campaign stresses the
-    recovery machinery, not profile fidelity."""
+    recovery machinery, not profile fidelity.
+
+    The chip sweep is one :meth:`FlashChip.map_wordlines` run over block 0
+    at the evaluation stress; each sub-batch is read in lockstep with
+    ``CurrentFlashPolicy.read_batch`` and returns its own fault-count
+    delta, which the parent sums in sweep order."""
     cells = 4096 if smoke else 16384
     spec = sim_spec(kind, cells_per_wordline=cells)
     ssd_config = SsdConfig(
@@ -226,20 +211,14 @@ def run_chaos(
     step = max(1, spec.wordlines_per_block // divisor)
     wordlines = range(0, spec.wordlines_per_block, step)
     pages = sweep_pages if sweep_pages is not None else (0,)
-    task = _SweepTask(
-        spec=spec,
-        chip_seed=seed,
-        sentinel_ratio=0.002,
-        stress=eval_stress(kind),
-        plan=plan,
-        fault_seed=seed,
-        pages=tuple(pages),
-    )
-    shards = plan_wordline_shards(0, wordlines, workers)
-    engine = ParallelMap(workers=workers)
+    chip = FlashChip(spec, seed, sentinel_ratio=0.002)
+    chip.set_block_stress(0, eval_stress(kind))
     try:
-        per_shard = engine.run(
-            partial(_sweep_shard, task), shards, label="chaos-sweep"
+        per_batch = chip.map_wordlines(
+            partial(_sweep_batch, plan, seed, tuple(pages)),
+            wordlines,
+            workers=workers,
+            label="chaos-sweep",
         )
     finally:
         # serial execution installed the injector in this process
@@ -247,7 +226,7 @@ def run_chaos(
 
     sweep_rows: List[tuple] = []
     sweep_faults: Dict[str, int] = {}
-    for rows, delta in per_shard:
+    for rows, delta in per_batch:
         sweep_rows.extend(rows)
         for fault_kind, count in delta.items():
             sweep_faults[fault_kind] = sweep_faults.get(fault_kind, 0) + count

@@ -10,15 +10,21 @@ sweep.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.engine import ParallelMap, plan_wordline_shards
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
 from repro.flash.variation import BlockVariation
 from repro.flash.wordline import OffsetsLike, ReadResult, Wordline
 
 # re-exported for convenience: most callers import StressState from here
-__all__ = ["FlashChip", "StressState"]
+__all__ = ["FlashChip", "StressState", "SWEEP_BATCH_CELLS"]
+
+#: Cells per columnar sub-batch of a block sweep: bounds peak memory on
+#: whole-block sweeps at paper scale (~150 MB of column arrays per batch).
+SWEEP_BATCH_CELLS = 1 << 23
 
 
 class FlashChip:
@@ -167,21 +173,67 @@ class FlashChip:
         self,
         block: int,
         indices: Optional[Sequence[int]] = None,
-        batch: int = 32,
+        batch: Optional[int] = None,
     ) -> Iterator["BlockColumns"]:
         """Yield columnar sub-batches of a block in wordline order.
 
         The batched analogue of :meth:`iter_wordlines` for block-scale
         sweeps: each batch is one :class:`BlockColumns` of up to ``batch``
-        wordlines, materialized, yielded, and garbage-collected as the
-        caller advances — bounding peak memory on paper-scale blocks.
+        wordlines (default: :data:`SWEEP_BATCH_CELLS` cells' worth),
+        materialized, yielded, and garbage-collected as the caller
+        advances — bounding peak memory on paper-scale blocks.
         """
         if indices is None:
             indices = range(self.spec.wordlines_per_block)
         indices = list(indices)
+        if batch is None:
+            batch = SWEEP_BATCH_CELLS // max(self.spec.cells_per_wordline, 1)
         batch = max(1, batch)
         for b0 in range(0, len(indices), batch):
             yield self.block_columns(block, indices[b0 : b0 + batch])
+
+    def map_wordlines(
+        self,
+        fn: Callable[["BlockColumns"], List[Any]],
+        wordlines: Optional[Sequence[int]] = None,
+        blocks: Sequence[int] = (0,),
+        stresses: Optional[Sequence[StressState]] = None,
+        workers: int = 1,
+        label: str = "block-sweep",
+    ) -> List[Any]:
+        """Run ``fn`` over every listed wordline of ``blocks``; one list out.
+
+        The one block-sweep path.  The sweep runs in canonical (stress,
+        block, wordline) order — ``stresses=None`` sweeps each block once
+        at its current stress.  ``fn(cols)`` gets each columnar sub-batch
+        (:meth:`iter_wordline_batches`) and returns a list; the lists are
+        concatenated in sweep order.
+
+        With ``workers > 1`` the (stress, block) runs split into
+        :func:`~repro.engine.plan_wordline_shards` shards fanned out over
+        :class:`~repro.engine.ParallelMap` (``fn`` must pickle).  Every
+        shard, serial ones included, rebuilds the chip from ``(spec,
+        seed, sentinel_ratio)`` and sets its block's stress: the seed tree
+        keys all randomness by wordline identity, so the result is
+        byte-identical at any worker count and any sub-batch size.
+        """
+        if wordlines is None:
+            wordlines = range(self.spec.wordlines_per_block)
+        wordlines = tuple(wordlines)
+        units = [
+            (self.block_stress(block) if stress is None else stress, shard)
+            for stress in (stresses if stresses is not None else (None,))
+            for block in blocks
+            for shard in plan_wordline_shards(block, wordlines, workers)
+        ]
+        per_unit = ParallelMap(workers=workers).run(
+            partial(
+                _sweep_shard, self.spec, self.seed, self.sentinel_ratio, fn
+            ),
+            units,
+            label=label,
+        )
+        return [item for rows in per_unit for item in rows]
 
     # ------------------------------------------------------------------
     # convenience reads
@@ -200,3 +252,14 @@ class FlashChip:
             f"FlashChip({self.spec.name}, seed={self.seed}, "
             f"sentinel_ratio={self.sentinel_ratio})"
         )
+
+
+def _sweep_shard(spec, seed, sentinel_ratio, fn, unit) -> List[Any]:
+    """Worker side of :meth:`FlashChip.map_wordlines`: one shard's rows."""
+    stress, shard = unit
+    chip = FlashChip(spec, seed, sentinel_ratio)
+    chip.set_block_stress(shard.block, stress)
+    rows: List[Any] = []
+    for cols in chip.iter_wordline_batches(shard.block, shard.wordlines):
+        rows.extend(fn(cols))
+    return rows

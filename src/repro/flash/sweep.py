@@ -167,47 +167,6 @@ def measured_optimal_offsets_batch(
 # ----------------------------------------------------------------------
 # block-scale sweeps (engine-backed)
 # ----------------------------------------------------------------------
-#: Cells per columnar sub-batch of a sweep shard.
-_SWEEP_BATCH_CELLS = 1 << 23
-
-
-@dataclass(frozen=True)
-class _SweepTask:
-    """Chip identity + sweep parameters shipped to shard workers."""
-
-    spec: object
-    seed: int
-    sentinel_ratio: float
-    stress: object
-    step: int
-
-
-def _sweep_shard(task: _SweepTask, shard) -> List[Tuple[np.ndarray, int]]:
-    """Sweep every wordline of one shard with its own read-noise stream.
-
-    Columnar sub-batches of the shard go through
-    :func:`measured_optimal_offsets_batch`.
-    """
-    from repro.flash.block import BlockColumns
-
-    indices = list(shard.wordlines)
-    per_batch = max(
-        1, _SWEEP_BATCH_CELLS // max(task.spec.cells_per_wordline, 1)
-    )
-    rows: List[Tuple[np.ndarray, int]] = []
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=task.stress,
-        )
-        rows.extend(measured_optimal_offsets_batch(cols, step=task.step))
-    return rows
-
-
 def sweep_block_offsets(
     chip,
     block: int,
@@ -222,34 +181,22 @@ def sweep_block_offsets(
     ``total_reads`` is the block's total sweep cost in sensing operations
     (the tracking-overhead quantity of the paper's Section I).
 
-    Each wordline's sweep consumes that wordline's *own* read-noise
-    stream, so the result is byte-identical for any ``workers`` value
-    (fan-out via :class:`repro.engine.ParallelMap`) and equals
+    The block is swept by :meth:`FlashChip.map_wordlines` at its current
+    stress, each columnar sub-batch through
+    :func:`measured_optimal_offsets_batch`.  Each wordline's sweep
+    consumes that wordline's *own* read-noise stream, so the result is
+    byte-identical for any ``workers`` value and equals
     :func:`measured_optimal_offsets` run on each wordline in turn.
     """
-    from repro.engine import ParallelMap, plan_wordline_shards
-
-    spec = chip.spec
-    indices = (
-        tuple(wordlines)
-        if wordlines is not None
-        else tuple(range(spec.wordlines_per_block))
+    rows = chip.map_wordlines(
+        partial(measured_optimal_offsets_batch, step=step),
+        wordlines,
+        blocks=(block,),
+        workers=workers,
+        label="block-sweep",
     )
-    shards = plan_wordline_shards(block, indices, workers)
-    task = _SweepTask(
-        spec=spec,
-        seed=chip.seed,
-        sentinel_ratio=chip.sentinel_ratio,
-        stress=chip.block_stress(block),
-        step=step,
-    )
-    engine = ParallelMap(workers=workers)
-    per_shard = engine.run(
-        partial(_sweep_shard, task), shards, label="block-sweep"
-    )
-    rows = [row for shard_rows in per_shard for row in shard_rows]
     if not rows:
-        return np.zeros((0, spec.n_voltages)), 0
+        return np.zeros((0, chip.spec.n_voltages)), 0
     offsets = np.vstack([dense for dense, _ in rows])
     total_reads = int(sum(reads for _, reads in rows))
     return offsets, total_reads

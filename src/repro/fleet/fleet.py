@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import ParallelMap
+from repro.engine import ParallelMap, split_contiguous
 from repro.exp.common import sim_spec
 from repro.fleet.dispatcher import (
     DispatchPlan,
@@ -174,17 +174,7 @@ def _plan_device_shards(
     jobs: Sequence[_DeviceJob], workers: int
 ) -> List[Tuple[_DeviceJob, ...]]:
     """Contiguous near-equal chunks of the job list (canonical order)."""
-    if not jobs:
-        return []
-    n_shards = min(len(jobs), max(1, workers) * 2)
-    base, extra = divmod(len(jobs), n_shards)
-    shards: List[Tuple[_DeviceJob, ...]] = []
-    start = 0
-    for s in range(n_shards):
-        size = base + (1 if s < extra else 0)
-        shards.append(tuple(jobs[start:start + size]))
-        start += size
-    return shards
+    return split_contiguous(jobs, max(1, workers) * 2)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import EngineReport, run_sharded
-from repro.engine.shards import SHARDS_PER_WORKER
+from repro.engine.shards import SHARDS_PER_WORKER, split_contiguous
 from repro.traces.trace import Trace, TraceRequest
 
 
@@ -119,20 +119,8 @@ def plan_request_shards(
     exactly — the merge contract that keeps sharded preprocessing
     byte-identical to serial.
     """
-    items = list(requests)
-    if not items:
-        return []
-    if workers <= 1:
-        return [tuple(items)]
-    n_shards = max(1, min(len(items), workers * max(1, shards_per_worker)))
-    base, rem = divmod(len(items), n_shards)
-    shards: List[Tuple[TraceRequest, ...]] = []
-    start = 0
-    for k in range(n_shards):
-        size = base + (1 if k < rem else 0)
-        shards.append(tuple(items[start:start + size]))
-        start += size
-    return shards
+    n_shards = 1 if workers <= 1 else workers * max(1, shards_per_worker)
+    return split_contiguous(requests, n_shards)
 
 
 def translate_trace(

@@ -11,81 +11,44 @@ block, then replays i.i.d. samples per simulated read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import ParallelMap, WordlineShard, plan_wordline_shards
 from repro.flash.chip import FlashChip
 from repro.obs import OBS
 from repro.retry.policy import ReadPolicy
 from repro.ssd.timing import NandTiming
 
-#: Cells per columnar sub-batch of a measure shard (bounds peak memory on
-#: whole-block sweeps at paper scale: ~150 MB of column arrays per batch).
-_MEASURE_BATCH_CELLS = 1 << 23
 
+def _measure_shard(
+    policy: ReadPolicy,
+    pages: Tuple[int, ...],
+    hint_fn: Optional[Callable[..., float]],
+    cols,
+) -> List[tuple]:
+    """Measure one columnar sub-batch; rows in (wordline, page) order.
 
-@dataclass(frozen=True)
-class _MeasureTask:
-    """Everything a worker needs to measure one shard of wordlines.
-
-    The chip is rebuilt worker-side from ``(spec, seed, sentinel_ratio,
-    stress)`` — by construction that yields exactly the wordlines the
-    caller's chip would (the seed tree keys all randomness by wordline
-    identity), so sharding cannot change a single sample.
+    The policy reads the sub-batch with :meth:`ReadPolicy.read_batch`, in
+    kernel lockstep.  Each wordline's draws come from its own seed-tree
+    streams in its per-row order, so the rows do not depend on the
+    sub-batch size.
     """
-
-    spec: object
-    seed: int
-    sentinel_ratio: float
-    stress: object
-    policy: ReadPolicy
-    pages: Tuple[int, ...]
-    hint_fn: Optional[Callable[..., float]]
-
-
-def _outcome_row(p: int, outcome) -> tuple:
-    return (
-        p,
-        outcome.retries,
-        outcome.extra_single_reads,
-        outcome.calibration_steps,
-        bool(outcome.success),
-    )
-
-
-def _measure_shard(task: _MeasureTask, shard: WordlineShard) -> List[tuple]:
-    """Measure one shard; rows in (wordline, page) sweep order.
-
-    The shard's wordlines are built as :class:`BlockColumns` sub-batches
-    (one batched synthesize for the whole sub-batch) and read with the
-    policy's :meth:`ReadPolicy.read_batch`, in kernel lockstep.  Each
-    wordline's draws come from its own seed-tree streams in its per-row
-    order, so the rows do not depend on the sub-batch size.
-    """
-    from repro.flash.block import BlockColumns
-
-    rows: List[tuple] = []
-    indices = list(shard.wordlines)
-    per_batch = max(1, _MEASURE_BATCH_CELLS // max(task.spec.cells_per_wordline, 1))
-    for b0 in range(0, len(indices), per_batch):
-        cols = BlockColumns(
-            task.spec,
-            task.seed,
-            shard.block,
-            indices[b0 : b0 + per_batch],
-            task.sentinel_ratio,
-            stress=task.stress,
+    hints = None
+    if hint_fn is not None:
+        hints = [hint_fn(v) for v in cols.iter_views()]
+    return [
+        (
+            p,
+            outcome.retries,
+            outcome.extra_single_reads,
+            outcome.calibration_steps,
+            bool(outcome.success),
         )
-        hints = None
-        if task.hint_fn is not None:
-            hints = [task.hint_fn(v) for v in cols.iter_views()]
-        outcomes = task.policy.read_batch(cols, task.pages, hints)
-        for row_outcomes in outcomes:
-            for p, outcome in zip(task.pages, row_outcomes):
-                rows.append(_outcome_row(p, outcome))
-    return rows
+        for row_outcomes in policy.read_batch(cols, pages, hints)
+        for p, outcome in zip(pages, row_outcomes)
+    ]
 
 
 def _emit_read_complete(policy_name: str, row: tuple) -> None:
@@ -168,21 +131,17 @@ class RetryProfile:
         voltage-cache hit) alongside the cold one.  ``name`` overrides the
         stored policy name so both profiles stay distinguishable.
 
-        With ``workers > 1`` the wordline sweep fans out over
+        The block is swept by :meth:`FlashChip.map_wordlines` at its
+        current stress: each columnar sub-batch is read with the policy's
+        ``read_batch`` (:func:`_measure_shard`), in lockstep batched
+        sense/decode kernels.  With ``workers > 1`` the sweep fans out over
         :class:`repro.engine.ParallelMap`; the samples are byte-identical
         to a serial run because each wordline's randomness derives from its
         own seed-tree streams.  Policy-internal trace events are lost in
         worker processes.  At any worker count the parent emits one
         ``read_complete`` per read after the merge, in canonical sweep
         order, as one contiguous block.
-
-        Wordlines are measured through the columnar
-        :class:`repro.flash.block.BlockColumns` store and the policy's
-        ``read_batch`` — batched synthesize plus lockstep batched
-        sense/decode kernels, for every policy.
         """
-        from functools import partial
-
         spec = chip.spec
         if wordlines is None:
             step = max(1, spec.wordlines_per_block // 64)
@@ -194,19 +153,12 @@ class RetryProfile:
         voltages = {
             p: len(spec.gray.page_voltages(p)) for p in page_list
         }
-        task = _MeasureTask(
-            spec=spec,
-            seed=chip.seed,
-            sentinel_ratio=chip.sentinel_ratio,
-            stress=chip.block_stress(block),
-            policy=policy,
-            pages=tuple(page_list),
-            hint_fn=hint_fn,
-        )
-        shards = plan_wordline_shards(block, wordlines, workers)
-        engine = ParallelMap(workers=workers)
-        per_shard = engine.run(
-            partial(_measure_shard, task), shards, label="profile-measure"
+        per_row = chip.map_wordlines(
+            partial(_measure_shard, policy, tuple(page_list), hint_fn),
+            wordlines,
+            blocks=(block,),
+            workers=workers,
+            label="profile-measure",
         )
         # read_complete events and span trees always emit here, post-merge,
         # in canonical sweep order — serial and sharded runs produce an
@@ -221,21 +173,20 @@ class RetryProfile:
             span_timing = NandTiming()
             span_clock = 0.0
             span_index = 0
-        for rows in per_shard:
-            for row in rows:
-                p, retries, extra = row[0], row[1], row[2]
-                collected[p].append((retries, extra))
-                if OBS.enabled and OBS.tracer.enabled:
-                    _emit_read_complete(policy.name, row)
-                if spans_on:
-                    trace = (
-                        f"measure/{span_label}/"
-                        f"{_MEASURE_SPAN_RUNS}/{span_index}"
-                    )
-                    span_clock += _emit_read_spans(
-                        trace, row, voltages[p], span_timing, span_clock
-                    )
-                    span_index += 1
+        for row in per_row:
+            p, retries, extra = row[0], row[1], row[2]
+            collected[p].append((retries, extra))
+            if OBS.enabled and OBS.tracer.enabled:
+                _emit_read_complete(policy.name, row)
+            if spans_on:
+                trace = (
+                    f"measure/{span_label}/"
+                    f"{_MEASURE_SPAN_RUNS}/{span_index}"
+                )
+                span_clock += _emit_read_spans(
+                    trace, row, voltages[p], span_timing, span_clock
+                )
+                span_index += 1
         return cls(
             policy_name=name or policy.name,
             page_voltages=voltages,

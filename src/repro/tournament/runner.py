@@ -217,7 +217,6 @@ def measure_stress_profile(
     with a cache-hint function for the warm (cache-hit) distribution.
     """
     from repro.exp.common import EVAL_SEED
-    from repro.flash.block import BlockColumns
 
     spec = cell_spec(kind, cells_per_wordline)
     chip = FlashChip(spec, seed=EVAL_SEED, sentinel_ratio=sentinel_ratio)
@@ -242,10 +241,10 @@ def measure_stress_profile(
             picks.append(n if same_layer and n % step != 0 else w)
         warmup = list(dict.fromkeys(picks))
         if warmup:
-            cols = BlockColumns(
-                spec, EVAL_SEED, 0, warmup, sentinel_ratio, stress=stress
+            policy.read_batch(
+                chip.block_columns(0, warmup),
+                list(range(spec.pages_per_wordline)),
             )
-            policy.read_batch(cols, list(range(spec.pages_per_wordline)))
             policy.commit_feedback()
     return RetryProfile.measure(
         chip,

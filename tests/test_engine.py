@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
@@ -22,7 +22,7 @@ from repro.engine import (
     available_workers,
     merge_in_order,
     plan_wordline_shards,
-    shard_rng,
+    split_contiguous,
 )
 from repro.flash.chip import FlashChip, StressState
 
@@ -52,13 +52,24 @@ def test_serial_plan_is_one_shard():
     assert shards[0].wordlines == tuple(range(17))
 
 
-def test_shard_rng_depends_only_on_identity():
-    a = shard_rng(7, "s", WordlineShard(1, (3, 4)))
-    b = shard_rng(7, "s", WordlineShard(1, (3, 4)))
-    c = shard_rng(7, "s", WordlineShard(1, (3, 5)))
-    xa, xb, xc = (g.standard_normal(4) for g in (a, b, c))
-    assert np.array_equal(xa, xb)
-    assert not np.array_equal(xa, xc)
+@given(n=st.integers(min_value=0, max_value=60),
+       n_shards=st.integers(min_value=-1, max_value=80))
+def test_split_contiguous_is_near_equal_partition(n, n_shards):
+    items = list(range(n))
+    runs = split_contiguous(iter(items), n_shards)
+    assert [x for run in runs for x in run] == items
+    if items:
+        assert len(runs) == max(1, min(n, n_shards))
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
+    else:
+        assert runs == []
+
+
+def test_fleet_plans_two_shards_per_worker():
+    from repro.fleet.fleet import _plan_device_shards
+
+    assert [len(s) for s in _plan_device_shards(list(range(5)), 1)] == [3, 2]
+    assert len(_plan_device_shards(list(range(9)), 2)) == 4
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +213,71 @@ def test_sweep_block_offsets_identical_serial_vs_parallel(tiny_tlc):
     assert np.array_equal(o1, o2)
     assert r1 == r2
     assert o1.shape == (tiny_tlc.wordlines_per_block, tiny_tlc.n_voltages)
+
+
+def _sentinel_rows(cols):
+    """Each row's identity and stress plus one noisy sentinel readout."""
+    return [
+        (cols.block, index, cols.stress, r.up_errors, r.down_errors)
+        for index, r in zip(cols.indices, cols.sentinel_readout_batch(0.0))
+    ]
+
+
+_SWEEP_STRESSES = (
+    StressState(pe_cycles=1000, retention_hours=500.0),
+    StressState(pe_cycles=4000, retention_hours=8760.0),
+)
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    wordlines=st.lists(
+        st.integers(min_value=0, max_value=7), min_size=1, max_size=8,
+        unique=True,
+    ),
+    batch_rows=st.integers(min_value=1, max_value=3),
+    workers=st.sampled_from([1, 2]),
+    current_stress=st.booleans(),
+)
+def test_map_wordlines_matches_per_row_reference(
+    tiny_tlc, monkeypatch, wordlines, batch_rows, workers, current_stress
+):
+    """The one block-sweep path equals one-row stores read in (stress,
+    block, wordline) order, at any worker count and sub-batch size."""
+    from repro.flash import chip as chip_module
+    from repro.flash.block import BlockColumns
+
+    monkeypatch.setattr(
+        chip_module, "SWEEP_BATCH_CELLS",
+        batch_rows * tiny_tlc.cells_per_wordline,
+    )
+    chip = FlashChip(tiny_tlc, seed=5, sentinel_ratio=0.02)
+    if current_stress:
+        # stresses=None: each block once, at its own current stress
+        for block, stress in zip((0, 1), _SWEEP_STRESSES):
+            chip.set_block_stress(block, stress)
+        units = list(zip(_SWEEP_STRESSES, (0, 1)))
+        stresses = None
+    else:
+        units = [(s, b) for s in _SWEEP_STRESSES for b in (0, 1)]
+        stresses = _SWEEP_STRESSES
+    got = chip.map_wordlines(
+        _sentinel_rows, wordlines, blocks=(0, 1), stresses=stresses,
+        workers=workers,
+    )
+    expected = [
+        row
+        for stress, block in units
+        for w in wordlines
+        for row in _sentinel_rows(
+            BlockColumns(tiny_tlc, 5, block, [w], 0.02, stress=stress)
+        )
+    ]
+    assert got == expected
 
 
 def test_service_report_json_identical_serial_vs_parallel(tiny_tlc):

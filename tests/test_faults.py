@@ -12,16 +12,20 @@ Two properties anchor everything here:
 
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.exp.common import sim_spec
+from repro.ecc.capability import CapabilityEcc
+from repro.exp.common import eval_stress, sim_spec
 from repro.faults import FAULTS, FaultInjector, FaultPlan, FaultSpec
 from repro.faults.chaos import run_chaos
+from repro.flash.chip import FlashChip
 from repro.obs import OBS
+from repro.retry.current_flash import CurrentFlashPolicy
 from repro.service import (
     FlashReadService,
     ServiceConfig,
@@ -244,6 +248,36 @@ class TestInjectorDeterminism:
         assert inj.counts == {}
 
 
+def _per_row_chaos_sweep(plan, seed, pages):
+    """The chaos chip sweep read one wordline and page at a time with the
+    per-row policy driver: the reference the lockstep sweep must equal."""
+    spec = sim_spec("tlc", cells_per_wordline=4096)
+    injector = FAULTS.activate(plan, seed)
+    try:
+        chip = FlashChip(spec, seed, 0.002, cache_wordlines=1)
+        chip.set_block_stress(0, eval_stress("tlc"))
+        policy = CurrentFlashPolicy(CapabilityEcc.for_spec(spec), spec)
+        step = max(1, spec.wordlines_per_block // 8)
+        wordlines = range(0, spec.wordlines_per_block, step)
+        outcomes = [
+            policy.read(wl, p)
+            for wl in chip.iter_wordlines(0, wordlines)
+            for p in pages
+        ]
+        counts = dict(injector.counts)
+    finally:
+        FAULTS.deactivate()
+    histogram = Counter(str(o.retries) for o in outcomes)
+    return {
+        "reads": len(outcomes),
+        "failures": sum(not o.success for o in outcomes),
+        "retry_histogram": {
+            k: histogram[k] for k in sorted(histogram, key=int)
+        },
+        "faults": {k: counts[k] for k in sorted(counts) if counts[k]},
+    }
+
+
 class TestCampaign:
     def test_accounting_identity_and_worker_invariance(self):
         serial = run_chaos(
@@ -264,6 +298,20 @@ class TestCampaign:
         assert report.faults == {}
         assert report.accounting["balanced"]
         assert report.accounting["degraded"] == 0
+
+    @pytest.mark.parametrize("seed, workers", [(1, 1), (3, 2)])
+    def test_sweep_matches_per_row_reference(self, seed, workers):
+        """The lockstep chip sweep equals reading each wordline with
+        ``CurrentFlashPolicy.read`` under the same plan and seed."""
+        pages = (0, 1, 2)
+        sweep = run_chaos(
+            FaultPlan.standard(), seed=seed, smoke=True, workers=workers,
+            n_requests=20, sweep_pages=pages,
+        ).sweep
+        expected = _per_row_chaos_sweep(FaultPlan.standard(), seed, pages)
+        assert sweep["faults"]  # the reference is exercised under faults
+        for key in ("reads", "failures", "retry_histogram", "faults"):
+            assert sweep[key] == expected[key], key
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=4, deadline=None)
