@@ -57,7 +57,7 @@ fleet-smoke:
 
 tournament-smoke:
 	$(PYTHON) -m repro tournament --smoke --check --workers 2 \
-		--json .tournament-smoke.json
+		--frontends hm_0 usr_0 --json .tournament-smoke.json
 
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \

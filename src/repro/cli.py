@@ -517,25 +517,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def cmd_tournament(args: argparse.Namespace) -> int:
     """Race read-retry policies across a (frontend x chip-age) grid.
 
-    Deterministic end to end: cells shard over the fan-out engine and
-    merge in canonical (policy, age, frontend) order, so the report JSON
-    is byte-identical for any ``--workers`` count.  Exits non-zero when
-    any cell breaks served + degraded + shed == offered, or (with
-    ``--check``) when the sentinel policy fails to beat current-flash on
-    retries/read in any cell.
+    Deterministic end to end: each (policy, age) profile is measured
+    once and replayed under every frontend; these units shard over the
+    fan-out engine and merge in canonical (policy, age, frontend) cell
+    order, so the report JSON is byte-identical for any ``--workers``
+    count.  Exits 2 on an unknown or empty policy or age list, and
+    non-zero when any cell breaks served + degraded + shed == offered,
+    or (with ``--check``) when the sentinel policy fails to beat
+    current-flash on retries/read in any cell.
     """
-    from repro.tournament import (
-        POLICY_ALIASES,
-        TournamentConfig,
-        run_tournament,
-    )
+    from repro.tournament import TournamentConfig, run_tournament
 
-    for name in args.policies:
-        if name not in POLICY_ALIASES:
-            print(f"repro tournament: unknown policy {name!r}; one of "
-                  f"{', '.join(sorted(POLICY_ALIASES))}", file=sys.stderr)
-            return 2
-    _maybe_enable_obs(args)
     cells = args.cells
     requests = args.requests
     step = args.wordline_step
@@ -545,17 +537,22 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         cells = min(cells, 8192)
         requests = min(requests, 240)
         step = max(step, 8)
-    config = TournamentConfig(
-        kind=args.kind,
-        policies=tuple(args.policies),
-        ages=tuple(args.ages),
-        frontends=tuple(args.frontends),
-        cells_per_wordline=cells,
-        sentinel_ratio=args.ratio,
-        wordline_step=step,
-        requests_per_cell=requests,
-        workers=args.workers,
-    )
+    try:
+        config = TournamentConfig(
+            kind=args.kind,
+            policies=tuple(args.policies),
+            ages=tuple(args.ages),
+            frontends=tuple(args.frontends),
+            cells_per_wordline=cells,
+            sentinel_ratio=args.ratio,
+            wordline_step=step,
+            requests_per_cell=requests,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"repro tournament: {exc}", file=sys.stderr)
+        return 2
+    _maybe_enable_obs(args)
     report = run_tournament(config, seed=args.seed)
     status = _finish_report(
         args, report, "tournament",
@@ -962,8 +959,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ages", nargs="*", default=["mid", "old"],
                    choices=["mid", "old"],
                    help="chip-age presets (P/E + retention per kind)")
-    p.add_argument("--frontends", nargs="*", default=["hm_0"],
-                   help="synthetic MSR workloads replayed per cell")
+    p.add_argument("--frontends", nargs="+", default=["hm_0"],
+                   choices=_REPLAY_WORKLOADS,
+                   help="synthetic MSR workloads each (policy, age) profile "
+                        "is replayed under, one cell each")
     p.add_argument("--requests", type=int, default=240,
                    help="replayed requests per grid cell")
     p.add_argument("--ratio", type=float, default=0.02,

@@ -1,24 +1,30 @@
 """The policy tournament: every read-retry rival raced under one harness.
 
 A tournament races a set of :class:`ReadPolicy` implementations across a
-(replay frontend x chip age x chip kind) grid.  One **cell** is fully
-self-contained and runs exactly the standalone pipeline:
+(replay frontend x chip age x chip kind) grid.  The report has one
+**cell** per (policy, age, frontend); the unit of work is one
+(policy, age) **profile**, which is fully self-contained and runs
+exactly the standalone pipeline:
 
 1. build the evaluation chip (``EVAL_SEED``) and age block 0 with the
-   cell's stress preset;
-2. (learning policies only) one warm-up sweep over the *odd* wordline
-   subset, then ``commit_feedback()`` — train/measure split;
-3. measure a :class:`RetryProfile` over the even wordline subset with
+   age's stress preset;
+2. (learning policies only) one warm-up sweep over same-layer
+   neighbours of the measured wordlines, then ``commit_feedback()`` —
+   train/measure split;
+3. measure a :class:`RetryProfile` over the wordline subset with
    ``RetryProfile.measure(workers=1)``;
-4. replay the cell's synthetic frontend through the serving broker with
-   that profile (cold == warm: every policy is scored on its own reads,
-   no sentinel cache advantage).
+4. replay each configured synthetic frontend through the serving broker
+   with that one profile (cold == warm: every policy is scored on its
+   own reads, no sentinel cache advantage) — one cell per frontend.
 
-Cells shard over :class:`repro.engine.ParallelMap` and merge in canonical
-(policy, age, frontend) order, so the :class:`TournamentReport` JSON is
-byte-identical at any ``--workers`` — a cell never shares state with
-another, and all observability (``tournament_cell`` events,
-``repro_tournament_*`` metrics) is emitted parent-side after the merge.
+The profile takes no frontend and no seed, so it is measured once and
+replayed many times, as in the paper's evaluation.  Units shard over
+:class:`repro.engine.ParallelMap` and merge in canonical (policy, age)
+order, each contributing its cells in frontend order, so the
+:class:`TournamentReport` JSON is byte-identical at any ``--workers`` —
+a unit never shares state with another, and all observability
+(``tournament_cell`` events, ``repro_tournament_*`` metrics) is emitted
+parent-side after the merge, one per cell.
 """
 
 from __future__ import annotations
@@ -169,6 +175,11 @@ class TournamentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        from repro.traces.synthetic import MSR_WORKLOADS
+
+        for axis in ("policies", "ages", "frontends"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must not be empty")
         for name in self.policies:
             if name not in POLICY_ALIASES:
                 raise ValueError(
@@ -180,16 +191,23 @@ class TournamentConfig:
             raise ValueError(f"unknown chip kind {self.kind!r}")
         for age in self.ages:
             cell_stress(kind, age)  # raises on unknown names
+        for name in self.frontends:
+            if name not in MSR_WORKLOADS:
+                raise ValueError(
+                    f"unknown frontend {name!r}; "
+                    f"one of {sorted(MSR_WORKLOADS)}"
+                )
 
 
 @dataclass(frozen=True)
 class _CellTask:
-    """Everything a worker needs to run one self-contained grid cell."""
+    """Everything a worker needs to run one (policy, age) unit: one
+    profile measurement and a replay per frontend."""
 
     kind: str
     policy: str
     age: str
-    frontend: str
+    frontends: Tuple[str, ...]
     cells_per_wordline: int
     sentinel_ratio: float
     wordline_step: int
@@ -321,19 +339,12 @@ def replay_cell_frontend(
     )
 
 
-def _run_cell(task: _CellTask) -> Dict[str, Any]:
-    """One grid cell, start to finish; returns its scorecard dict."""
-    profile = measure_cell_profile(
-        task.policy,
-        task.kind,
-        task.age,
-        task.cells_per_wordline,
-        task.sentinel_ratio,
-        task.wordline_step,
-        task.model,
-    )
+def _cell_row(
+    task: _CellTask, profile: RetryProfile, frontend: str
+) -> Dict[str, Any]:
+    """Step 4 for one frontend; returns that cell's scorecard dict."""
     report = replay_cell_frontend(
-        task.frontend,
+        frontend,
         task.kind,
         task.cells_per_wordline,
         profile,
@@ -345,11 +356,11 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     acct = report.accounting
     reads_measured = int(sum(len(v) for v in profile.samples.values()))
     extra_total = sum(int(v[:, 1].sum()) for v in profile.samples.values())
-    client = report.service["clients"][task.frontend]
+    client = report.service["clients"][frontend]
     return {
         "policy": POLICY_ALIASES[task.policy],
         "age": task.age,
-        "frontend": task.frontend,
+        "frontend": frontend,
         "kind": task.kind,
         "pe_cycles": stress.pe_cycles,
         "retention_hours": stress.retention_hours,
@@ -368,6 +379,21 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
         "profile_sha256": profile_digest(profile),
         "replay_sha256": replay_digest(report),
     }
+
+
+def _run_cell(task: _CellTask) -> List[Dict[str, Any]]:
+    """One (policy, age) unit: measure its profile once, replay it under
+    every frontend; returns the unit's cells in frontend order."""
+    profile = measure_cell_profile(
+        task.policy,
+        task.kind,
+        task.age,
+        task.cells_per_wordline,
+        task.sentinel_ratio,
+        task.wordline_step,
+        task.model,
+    )
+    return [_cell_row(task, profile, frontend) for frontend in task.frontends]
 
 
 def _emit_cell_obs(cell: Dict[str, Any]) -> None:
@@ -419,7 +445,7 @@ def run_tournament(
             kind=kind,
             policy=policy,
             age=age,
-            frontend=frontend,
+            frontends=tuple(cfg.frontends),
             cells_per_wordline=cfg.cells_per_wordline,
             sentinel_ratio=cfg.sentinel_ratio,
             wordline_step=cfg.wordline_step,
@@ -430,12 +456,13 @@ def run_tournament(
         )
         for policy in cfg.policies
         for age in cfg.ages
-        for frontend in cfg.frontends
     ]
     engine = ParallelMap(workers=cfg.workers)
-    cells: List[Dict[str, Any]] = engine.run(
-        _run_cell, tasks, label="tournament"
-    )
+    cells: List[Dict[str, Any]] = [
+        cell
+        for unit in engine.run(_run_cell, tasks, label="tournament")
+        for cell in unit
+    ]
     # sentinel-vs-rival deltas, computed post-merge in canonical order
     sentinel_by: Dict[Tuple[str, str], Dict[str, Any]] = {
         (c["age"], c["frontend"]): c

@@ -9,6 +9,8 @@ The tentpole guarantees under test:
   only public APIs;
 * **worker invariance** — the report JSON is byte-identical at
   ``--workers`` 1/2/4;
+* **measure once, replay many** — each (policy, age) profile is
+  measured exactly once and every frontend's cell replays that profile;
 * the accounting identity served + degraded + shed == offered holds in
   every cell and gates the CLI exit status, as does the ``--check``
   sentinel-beats-current-flash floor.
@@ -31,23 +33,28 @@ from repro.tournament import (
     TournamentReport,
     cell_spec,
     cell_stress,
+    measure_cell_profile,
     profile_digest,
+    replay_cell_frontend,
     replay_digest,
     run_tournament,
     tournament_model,
 )
+from repro.tournament import runner
 
 # smoke-scale grid shared by the module: small enough for seconds,
 # aged enough that the policies actually separate
 KIND, CELLS, RATIO, STEP, REQUESTS = "tlc", 8192, 0.02, 8, 240
+TWO_FRONTENDS = ("hm_0", "usr_0")
 
 
-def small_config(policies, ages=("mid", "old"), workers=1):
+def small_config(policies, ages=("mid", "old"), workers=1,
+                 frontends=("hm_0",)):
     return TournamentConfig(
         kind=KIND,
         policies=tuple(policies),
         ages=tuple(ages),
-        frontends=("hm_0",),
+        frontends=tuple(frontends),
         cells_per_wordline=CELLS,
         sentinel_ratio=RATIO,
         wordline_step=STEP,
@@ -62,6 +69,24 @@ def existing_policy_report():
     return run_tournament(
         small_config(("current-flash", "sentinel", "opt")), seed=0
     )
+
+
+@pytest.fixture(scope="module")
+def two_frontend_run():
+    """A serial two-frontend tournament, counting profile measurements."""
+    calls = []
+    measure = runner.measure_cell_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return measure(*args, **kwargs)
+
+    config = small_config(("current-flash", "sentinel"),
+                          frontends=TWO_FRONTENDS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "measure_cell_profile", counted)
+        report = run_tournament(config, seed=0)
+    return config, report, calls
 
 
 class TestGoldenDifferential:
@@ -135,11 +160,62 @@ class TestWorkerInvariance:
         policies = ("current-flash", "sentinel", "adaptive-retry",
                     "online-model")
         jsons = {
-            w: run_tournament(small_config(policies, workers=w),
-                              seed=0).to_json()
+            w: run_tournament(
+                small_config(policies, workers=w, frontends=TWO_FRONTENDS),
+                seed=0,
+            ).to_json()
             for w in (1, 2, 4)
         }
         assert jsons[1] == jsons[2] == jsons[4]
+
+
+class TestSharedProfile:
+    """One measurement per (policy, age), replayed under every frontend."""
+
+    def test_profile_measured_once_per_policy_and_age(self, two_frontend_run):
+        config, _, calls = two_frontend_run
+        assert len(calls) == len(config.policies) * len(config.ages)
+        assert calls == [
+            (policy, KIND, age)
+            for policy in config.policies
+            for age in config.ages
+        ]
+
+    def test_cells_in_canonical_order(self, two_frontend_run):
+        config, report, _ = two_frontend_run
+        assert [(c["policy"], c["age"], c["frontend"])
+                for c in report.cells] == [
+            (policy, age, frontend)
+            for policy in config.policies
+            for age in config.ages
+            for frontend in config.frontends
+        ]
+
+    def test_frontends_share_one_profile(self, two_frontend_run):
+        config, report, _ = two_frontend_run
+        for policy in config.policies:
+            for age in config.ages:
+                hm, usr = (report.cell(policy, age, f) for f in TWO_FRONTENDS)
+                assert hm["profile_sha256"] == usr["profile_sha256"]
+                assert hm["reads_measured"] == usr["reads_measured"]
+                assert hm["replay_sha256"] != usr["replay_sha256"]
+
+    def test_second_frontend_matches_standalone_replay(self, two_frontend_run):
+        _, report, _ = two_frontend_run
+        model = tournament_model(KIND, CELLS, RATIO)
+        profile = measure_cell_profile(
+            "sentinel", KIND, "old", CELLS, RATIO, STEP, model
+        )
+        standalone = replay_cell_frontend(
+            "usr_0", KIND, CELLS, profile, REQUESTS, 0
+        )
+        cell = report.cell("sentinel", "old", "usr_0")
+        assert cell["profile_sha256"] == profile_digest(profile)
+        assert cell["replay_sha256"] == replay_digest(standalone)
+        assert cell["p99_us"] == (
+            standalone.service["clients"]["usr_0"]["read_p99_us"]
+        )
+        assert cell["completed_iops"] == standalone.completed_iops
 
 
 class TestReportInvariants:
@@ -214,6 +290,15 @@ class TestConfigValidation:
     def test_rejects_unknown_age(self):
         with pytest.raises(ValueError, match="unknown age"):
             small_config(("sentinel",), ages=("ancient",))
+
+    def test_rejects_unknown_frontend(self):
+        with pytest.raises(ValueError, match="unknown frontend"):
+            small_config(("sentinel",), frontends=("nosuch",))
+
+    @pytest.mark.parametrize("axis", ["policies", "ages", "frontends"])
+    def test_rejects_empty_axis(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} must not be empty"):
+            TournamentConfig(**{axis: ()})
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown chip kind"):
@@ -304,6 +389,17 @@ class TestCli:
     def test_unknown_policy_exits_2(self, capsys):
         assert main(["tournament", "--policies", "no-such"]) == 2
         assert "unknown policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frontends", [["nosuch"], []])
+    def test_bad_frontends_exit_2(self, capsys, frontends):
+        with pytest.raises(SystemExit) as exc:
+            main(["tournament", "--smoke", "--frontends", *frontends])
+        assert exc.value.code == 2
+        assert "--frontends" in capsys.readouterr().err
+
+    def test_empty_policies_exit_2(self, capsys):
+        assert main(["tournament", "--smoke", "--policies"]) == 2
+        assert "policies must not be empty" in capsys.readouterr().err
 
     def test_check_fails_when_sentinel_missing(self, capsys):
         # --check needs both sentinel and current-flash cells to compare
