@@ -25,7 +25,7 @@ from repro.core.fitting import fit_difference_polynomial, fit_linear_correlation
 from repro.core.models import CorrelationTable, SentinelModel
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
-from repro.flash.optimal import optimal_offsets
+from repro.flash.optimal import optimal_offsets_batch
 
 #: Default stress sweep: the conditions Section III collects data under.
 DEFAULT_TRAINING_STRESSES: Tuple[StressState, ...] = (
@@ -63,13 +63,14 @@ def _characterize_shard(cols) -> List[tuple]:
 
     Both measurements are pure functions of the wordline identity: the
     sentinel readouts are one batched sense, each row drawing from its
-    own fresh read-noise stream, and the optimal search is noiseless and
-    runs per wordline view.
+    own fresh read-noise stream, and the optimal search is one noiseless
+    batched kernel call.
     """
     readouts = cols.sentinel_readout_batch(0.0)
+    optima = optimal_offsets_batch(cols)
     return [
-        (cols.stress, readout.difference_rate, optimal_offsets(wl))
-        for readout, wl in zip(readouts, cols.iter_views())
+        (cols.stress, readout.difference_rate, row)
+        for readout, row in zip(readouts, optima)
     ]
 
 

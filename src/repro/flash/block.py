@@ -206,6 +206,9 @@ class BlockColumns:
         """Empty every cache and synthesize all rows under ``stress``."""
         self._vth_cache: "OrderedDict[StressState, np.ndarray]" = OrderedDict()
         self._stored_bits_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        #: ``(row, sorted keys)`` of the latest one-row ground-truth search
+        #: (:mod:`repro.flash.optimal`), dropped whenever the Vth changes
+        self._search_keys: Optional[Tuple[int, np.ndarray]] = None
         self.stress = stress
         self.vth = self._synthesize_cached(stress)
 
@@ -298,6 +301,7 @@ class BlockColumns:
         """
         self.stress = stress
         self.vth = self._synthesize_cached(stress)
+        self._search_keys = None
 
     def _stored_bits_batch(self, p: int) -> np.ndarray:
         """Stored bits of page ``p`` for all rows and cells, cached."""

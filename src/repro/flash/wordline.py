@@ -16,7 +16,7 @@ ECC cover data cells only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,7 +144,6 @@ class Wordline:
         #: the store holds other rows or other handles: detach before
         #: changing it (copy-on-write)
         self._shared = shared
-        self._sorted_by_state: Optional[Tuple[np.ndarray, Dict]] = None
         self.spec = store.spec
         self.chip_seed = store.chip_seed
         self.block = store.block
@@ -357,43 +356,6 @@ class Wordline:
         over = hi[hi < self.spec.n_voltages]
         np.add.at(errors, over, -1)
         return np.cumsum(errors)
-
-    # ------------------------------------------------------------------
-    # boundary (adjacent-state) error counting
-    # ------------------------------------------------------------------
-    def _state_sorted(self) -> Dict[int, np.ndarray]:
-        """Sorted data-cell Vth per state, kept while the store's Vth is."""
-        vth = self._store.vth
-        if self._sorted_by_state is None or self._sorted_by_state[0] is not vth:
-            row_vth = vth[self._row]
-            states = self.states
-            data = self.data_mask
-            self._sorted_by_state = (vth, {
-                s: np.sort(row_vth[(states == s) & data])
-                for s in range(self.spec.n_states)
-            })
-        return self._sorted_by_state[1]
-
-    def boundary_error_counts(
-        self, vindex: int, offsets: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Noiseless up/down error counts of ``V_vindex`` over many offsets.
-
-        ``up[i]`` counts data cells of the lower state sensed above the
-        threshold placed at ``default + offsets[i]``; ``down[i]`` counts the
-        upper state sensed below it.  Used by the ground-truth optimal search.
-        """
-        spec = self.spec
-        lo_state, hi_state = spec.gray.adjacent_states(vindex)
-        sorted_states = self._state_sorted()
-        thresholds = spec.default_read_voltages[vindex - 1] + np.asarray(
-            offsets, dtype=np.float64
-        )
-        lo_vals = sorted_states[lo_state]
-        hi_vals = sorted_states[hi_state]
-        up = len(lo_vals) - np.searchsorted(lo_vals, thresholds, side="left")
-        down = np.searchsorted(hi_vals, thresholds, side="left")
-        return up.astype(np.int64), down.astype(np.int64)
 
     # ------------------------------------------------------------------
     # sentinel machinery

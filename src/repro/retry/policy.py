@@ -341,9 +341,7 @@ class ReadPolicy(ABC):
 
         ``cols`` is a :class:`repro.flash.block.BlockColumns`; the return
         value is ``outcomes[row][page_position]``.  Each row's view is
-        built once and shared by all pages, so its memoized state (e.g.
-        the sorted Vth behind ``optimal_offsets``) carries over as it does
-        across per-row reads.  Per-read obs is deferred to
+        built once and shared by all pages.  Per-read obs is deferred to
         :meth:`_flush_batch_obs`.
         """
         spec = cols.spec

@@ -8,11 +8,16 @@ readout — so tests can check the kernels against it row for row.  It
 shares only the seed tree, the latent sampler, the Gray code and the
 stress mechanisms with the simulator, and uses ``np.searchsorted`` for
 sensing where the kernels count comparisons.
+
+It also keeps the per-row ground-truth optimal search — per-state sorted
+Vth, an up/down ``searchsorted`` pair per voltage and a scalar walk over
+the error curve — that :mod:`repro.flash.optimal`'s batched kernel must
+match exactly.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,3 +133,61 @@ class OracleWordline:
         up = int(np.count_nonzero((states == s_low) & high))
         down = int(np.count_nonzero((states == s_high) & ~high))
         return up, down
+
+
+# ----------------------------------------------------------------------
+# ground-truth optimal search, one row at a time
+# ----------------------------------------------------------------------
+def boundary_error_counts(
+    wl, vindex: int, offsets: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Noiseless ``(up, down)`` counts of ``V_vindex`` at each offset.
+
+    ``wl`` is anything with ``spec``, ``states``, ``vth`` and
+    ``data_mask`` (a :class:`~repro.flash.wordline.Wordline` or an
+    :class:`OracleWordline`).
+    """
+    spec = wl.spec
+    lo_state, hi_state = spec.gray.adjacent_states(vindex)
+    thresholds = spec.default_read_voltages[vindex - 1] + np.asarray(
+        offsets, dtype=np.float64
+    )
+    lo_vals = np.sort(wl.vth[(wl.states == lo_state) & wl.data_mask])
+    hi_vals = np.sort(wl.vth[(wl.states == hi_state) & wl.data_mask])
+    up = len(lo_vals) - np.searchsorted(lo_vals, thresholds, side="left")
+    down = np.searchsorted(hi_vals, thresholds, side="left")
+    return up.astype(np.int64), down.astype(np.int64)
+
+
+def window_centre(errors: np.ndarray, offsets: np.ndarray) -> int:
+    """Centre of the near-minimal run of an error curve (scalar walk)."""
+    best_index = int(np.argmin(errors))
+    best = int(errors[best_index])
+    tolerance = best + max(2.0, 0.03 * best)
+    run_lo = best_index
+    while run_lo - 1 >= 0 and errors[run_lo - 1] <= tolerance:
+        run_lo -= 1
+    run_hi = best_index
+    while run_hi + 1 < len(errors) and errors[run_hi + 1] <= tolerance:
+        run_hi += 1
+    return int(round((offsets[run_lo] + offsets[run_hi]) / 2.0))
+
+
+def optimal_offsets(
+    wl,
+    voltages: Optional[Sequence[int]] = None,
+    search_range: Optional[Tuple[int, int]] = None,
+) -> np.ndarray:
+    """Dense optimal offsets of the requested voltages (others 0)."""
+    from repro.flash.optimal import default_search_range
+
+    spec = wl.spec
+    if voltages is None:
+        voltages = range(1, spec.n_voltages + 1)
+    lo, hi = search_range or default_search_range(spec.state_pitch)
+    offsets = np.arange(lo, hi)
+    dense = np.zeros(spec.n_voltages, dtype=np.float64)
+    for v in voltages:
+        up, down = boundary_error_counts(wl, v, offsets)
+        dense[v - 1] = window_centre(up + down, offsets)
+    return dense

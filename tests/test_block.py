@@ -380,6 +380,36 @@ class TestObservability:
         assert stats.batch_kernels["sense_regions"][0] >= 1
         assert "columnar batched kernels" in render(stats)
 
+    def test_characterize_notes_one_optimal_kernel_per_batch(
+        self, tiny_tlc, tmp_path, capsys
+    ):
+        """Each characterization sub-batch runs one sentinel readout and
+        one ground-truth search; ``repro stats`` lists the search with the
+        other columnar kernels."""
+        from collections import Counter
+
+        from repro.cli import main
+        from repro.core.characterization import (
+            DEFAULT_TRAINING_STRESSES,
+            characterize_chip,
+        )
+
+        OBS.enable(metrics=False, tracing=True)
+        characterize_chip(make_chip(tiny_tlc), blocks=(0, 1))
+        kernels = Counter(
+            e.fields["kernel"] for e in OBS.tracer.events()
+            if e.kind == "batch_sense"
+        )
+        batches = len(DEFAULT_TRAINING_STRESSES) * 2
+        assert kernels["optimal"] == kernels["sentinel_readout"] == batches
+        trace = tmp_path / "characterize.jsonl"
+        OBS.tracer.export_jsonl(str(trace))
+        assert main(["stats", str(trace)]) == 0
+        table = capsys.readouterr().out.split("columnar batched kernels")[1]
+        rows = {line.split()[0]: line.split()[1:3] for line in
+                table.strip().split("\n\n")[0].splitlines()[2:]}
+        assert rows["optimal"] == [str(batches), str(8 * batches)]
+
     def test_disabled_obs_emits_nothing(self, tiny_tlc):
         chip = make_chip(tiny_tlc)
         cols = chip.block_columns(0, range(2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.flash.optimal import (
+    boundary_error_counts_batch,
     default_search_range,
     errors_at_offsets,
     min_boundary_errors,
@@ -46,7 +47,10 @@ class TestErrorsAtOffsets:
 
     def test_monotone_components(self, aged_wl):
         # up errors fall with threshold position; down errors grow
-        up, down = aged_wl.boundary_error_counts(4, np.arange(-50, 50))
+        up, down = boundary_error_counts_batch(
+            aged_wl._store, [aged_wl._row], 4, np.arange(-50, 50)
+        )
+        up, down = up[0], down[0]
         assert (np.diff(up) <= 0).all()
         assert (np.diff(down) >= 0).all()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import TLC_SPEC
+from repro.flash.optimal import boundary_error_counts_batch
 from repro.flash.wordline import Wordline
 
 _SPEC = TLC_SPEC.scaled(
@@ -49,7 +50,10 @@ def test_rber_bounded(wl):
 @settings(max_examples=25, deadline=None)
 def test_boundary_counts_are_complementary_monotone(wl, offset):
     """up errors never increase, down errors never decrease with position."""
-    up, down = wl.boundary_error_counts(4, np.array([offset, offset + 10]))
+    up, down = boundary_error_counts_batch(
+        wl._store, [wl._row], 4, np.array([offset, offset + 10])
+    )
+    up, down = up[0], down[0]
     assert up[1] <= up[0]
     assert down[1] >= down[0]
 
