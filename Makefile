@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test coverage lint bench examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke perfbench-smoke clean
+.PHONY: install test coverage lint bench examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke simulate-smoke perfbench-smoke clean
 
 install:
 	pip install -e .[test]
@@ -62,6 +62,9 @@ tournament-smoke:
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \
 		--json .campaign-smoke.json
+
+simulate-smoke:
+	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600
 
 # run.py exits 0 even when a digest mismatches, so the last stdout line
 # (the JSON summary) must say "correct": true

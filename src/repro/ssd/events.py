@@ -4,28 +4,26 @@ The SSD model mostly uses resource-availability scheduling (dies and
 channels carry ``busy_until`` clocks), but trace arrival and completion
 callbacks run through this queue so the simulation stays strictly ordered in
 virtual time.
+
+Heap entries are plain ``(time, seq, callback)`` tuples, so ``heapq``
+compares them in C. ``seq`` is unique per queue: equal-time events fire in
+insertion order and the callbacks themselves are never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
 
 
 class EventQueue:
     """Min-heap of timestamped callbacks."""
 
     def __init__(self) -> None:
-        self._heap: List[_Event] = []
+        # (time, seq, callback): seq breaks time ties FIFO before the
+        # tuple comparison could reach the callback
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self.now = 0.0
 
@@ -35,7 +33,7 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule into the past ({time} < now {self.now})"
             )
-        heapq.heappush(self._heap, _Event(time, next(self._counter), callback))
+        heapq.heappush(self._heap, (time, next(self._counter), callback))
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         self.schedule(self.now + delay, callback)
@@ -47,15 +45,14 @@ class EventQueue:
         """Run the earliest event; returns False when the queue is empty."""
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.now = event.time
-        event.callback()
+        self.now, _, callback = heapq.heappop(self._heap)
+        callback()
         return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue (optionally only up to virtual time ``until``)."""
         while self._heap:
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 break
             self.step()
         return self.now

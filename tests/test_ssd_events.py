@@ -123,6 +123,110 @@ class TestEventQueueProperties:
         assert observed == pytest.approx(totals)
 
 
+# a few integer instants, so ties between events are common
+instants = st.integers(min_value=0, max_value=6).map(float)
+# what a firing event schedules: an event at ``q.now`` (as the broker's
+# ``_request_done`` does), one at an already-queued timestamp, or one later
+child_specs = st.one_of(
+    st.just(("now", 0)),
+    st.tuples(st.just("queued"), st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("after"), st.integers(min_value=1, max_value=3)),
+)
+spawn_plans = st.lists(st.lists(child_specs, max_size=3), max_size=40)
+
+
+def _drive(q, initial, spawns, stops=()):
+    """Schedule ``initial``; event ``i`` (global insertion index) schedules
+    the children ``spawns[i]``. Runs ``q.run(until=t)`` for each of
+    ``stops`` and then ``q.run()``. Returns every scheduled
+    ``(time, index)`` and the fired indices in firing order."""
+    scheduled = []
+    pending = []
+    fired = []
+
+    def add(t):
+        i = len(scheduled)
+        scheduled.append((t, i))
+        pending.append(t)
+        q.schedule(t, lambda: fire(i))
+
+    def fire(i):
+        t = scheduled[i][0]
+        assert q.now == t
+        pending.remove(t)
+        fired.append(i)
+        for kind, k in spawns[i] if i < len(spawns) else ():
+            if kind == "now":
+                add(q.now)
+            elif kind == "queued":
+                queued = sorted(pending)
+                add(queued[k % len(queued)] if queued else q.now)
+            else:
+                add(q.now + k)
+
+    for t in initial:
+        add(t)
+    for stop in stops:
+        q.run(until=stop)
+        assert all(scheduled[i][0] <= stop for i in fired)
+        assert all(t > stop for t in pending)
+    q.run()
+    return scheduled, fired
+
+
+class _Incomparable:
+    """A callback that raises on any comparison with anything."""
+
+    def __init__(self, log, tag):
+        self.log, self.tag = log, tag
+
+    def __call__(self):
+        self.log.append(self.tag)
+
+    def _refuse(self, other):
+        raise TypeError("callbacks must never be compared")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __hash__ = object.__hash__
+
+
+class TestBrokerEventPatterns:
+    """The patterns the serving broker drives the queue with."""
+
+    @given(initial=st.lists(instants, min_size=1, max_size=20),
+           spawns=spawn_plans)
+    @settings(max_examples=100, deadline=None)
+    def test_callbacks_scheduling_at_now_and_queued_times(
+        self, initial, spawns
+    ):
+        """Events scheduled from callbacks, at ``q.now`` or at a timestamp
+        already in the queue, fire in (time, global insertion index)
+        order, exactly as if every event had been known up front."""
+        scheduled, fired = _drive(EventQueue(), initial, spawns)
+        assert fired == [i for _, i in sorted(scheduled)]
+
+    @given(initial=st.lists(instants, min_size=1, max_size=20),
+           spawns=spawn_plans,
+           stops=st.lists(instants, max_size=4).map(sorted))
+    @settings(max_examples=100, deadline=None)
+    def test_run_until_then_run_matches_one_run(self, initial, spawns, stops):
+        whole = _drive(EventQueue(), initial, spawns)
+        assert _drive(EventQueue(), initial, spawns, stops) == whole
+
+    def test_callbacks_are_never_compared(self):
+        q = EventQueue()
+        log = []
+        for tag in range(32):
+            q.schedule(float(tag % 3), _Incomparable(log, tag))
+        q.schedule(0.0, lambda: q.schedule(q.now, _Incomparable(log, "late")))
+        q.run()
+        assert log == (
+            [t for t in range(32) if t % 3 == 0] + ["late"]
+            + [t for t in range(32) if t % 3 == 1]
+            + [t for t in range(32) if t % 3 == 2]
+        )
+
+
 class TestResource:
     def test_idle_resource_starts_immediately(self):
         r = Resource("die")
