@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test coverage lint bench examples figures serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke simulate-smoke perfbench-smoke clean
+.PHONY: install test coverage lint bench examples figures paper-digests serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke simulate-smoke perfbench-smoke clean
 
 install:
 	pip install -e .[test]
@@ -30,6 +30,15 @@ examples:
 figures:
 	$(PYTHON) -m repro figure fig13
 	$(PYTHON) -m repro figure table1 --kind qlc
+
+# re-record benchmarks/paper_digests.json (the exact paper results) from
+# the committed tree only, so every pin belongs to one commit
+paper-digests:
+	@test -z "$$(git status --porcelain)" || { \
+		echo "paper-digests: commit or stash your changes first" >&2; \
+		git status --short >&2; exit 1; }
+	REPRO_RECORD_PAPER_DIGESTS=1 $(PYTHON) -m pytest benchmarks/ -q \
+		--benchmark-disable
 
 serve-smoke:
 	$(PYTHON) -m repro serve --smoke --seed 1 --requests 300

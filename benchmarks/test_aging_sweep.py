@@ -11,8 +11,9 @@ def bench():
     )
 
 
-def test_aging_sweep(benchmark):
+def test_aging_sweep(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Aging sweep (TLC, 1 yr retention): mean retries and failure rate",
         result.rows(),

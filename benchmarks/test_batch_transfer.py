@@ -9,8 +9,9 @@ def bench():
     return run_batch_transfer("qlc", eval_seeds=(1, 2, 3, 4), wordline_step=8)
 
 
-def test_batch_transfer(benchmark):
+def test_batch_transfer(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         f"Batch transfer (QLC): model fitted on die {result.train_seed}, "
         "evaluated on sibling dies",

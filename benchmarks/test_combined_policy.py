@@ -39,8 +39,9 @@ def bench():
     return rows
 
 
-def test_tracking_plus_sentinel(benchmark):
+def test_tracking_plus_sentinel(benchmark, paper_digest):
     rows = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(rows)
     emit(
         "Hybrid policy: tracked first attempt + sentinel on failure (TLC)",
         [

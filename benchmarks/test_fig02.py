@@ -10,8 +10,9 @@ def bench():
                     step=2)
 
 
-def test_fig2(benchmark):
+def test_fig2(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         f"Figure 2 ({result.kind.upper()}): error count vs V{result.vindex} offset",
         result.rows(),

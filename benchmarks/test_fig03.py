@@ -31,13 +31,15 @@ def report(result):
     )
 
 
-def test_fig3_tlc(benchmark):
+def test_fig3_tlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("tlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     assert result.reduction_factor(5000) > 3.0
 
 
-def test_fig3_qlc(benchmark):
+def test_fig3_qlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("qlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     assert result.reduction_factor(3000) > 5.0

@@ -9,8 +9,9 @@ def bench():
     return run_fig4("qlc", pe_cycles=3000, retention_hours=1.0, wordline_step=4)
 
 
-def test_fig4(benchmark):
+def test_fig4(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 4 (QLC): mean page RBER after 1 h, 25 degC vs 80 degC",
         [

@@ -12,8 +12,9 @@ def bench():
     )
 
 
-def test_fig5(benchmark):
+def test_fig5(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 5 (QLC): mean optimal offset after 1 h, 25 degC vs 80 degC",
         [

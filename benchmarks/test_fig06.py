@@ -10,8 +10,9 @@ def bench():
                     wordlines_per_layer_sampled=1)
 
 
-def test_fig6(benchmark):
+def test_fig6(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 6 (QLC): per-layer optimal offsets, mean [min, max] spread",
         result.rows(),

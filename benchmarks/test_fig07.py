@@ -10,8 +10,9 @@ def bench():
                     max_points_per_wordline=200)
 
 
-def test_fig7(benchmark):
+def test_fig7(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit("Figure 7 (QLC): error-position structure", result.rows())
     # errors uniform along wordlines, strongly varying between them
     assert result.uniform_fraction > 0.75

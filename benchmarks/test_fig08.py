@@ -9,8 +9,9 @@ def bench():
     return run_fig8("qlc")
 
 
-def test_fig8(benchmark):
+def test_fig8(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         f"Figure 8 (QLC): linear fit of each optimum vs V{result.sentinel_voltage}",
         result.rows(),

@@ -16,15 +16,17 @@ def report(result):
     )
 
 
-def test_fig10_tlc(benchmark):
+def test_fig10_tlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("tlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     assert result.direction_accuracy() > 0.95
     assert result.mean_abs_error() < 0.08 * 256
 
 
-def test_fig10_qlc(benchmark):
+def test_fig10_qlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("qlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     assert result.direction_accuracy() > 0.95
     assert result.mean_abs_error() < 0.08 * 128

@@ -9,8 +9,9 @@ def bench():
     return run_fig12("qlc", deltas=(-9, -6, -3, 0, 3, 6, 9), wordline_step=4)
 
 
-def test_fig12(benchmark):
+def test_fig12(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 12 (QLC): state-change count vs offset from the optimum "
         "(normalized to the exact prediction)",

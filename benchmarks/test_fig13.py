@@ -10,8 +10,9 @@ def bench():
     return run_fig13("tlc", page="MSB", n_wordlines=240, wordline_step=1)
 
 
-def test_fig13(benchmark):
+def test_fig13(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit("Figure 13 (TLC, 5K P/E, 1 yr): retry counts", result.rows())
     hist_cur = np.bincount(result.current_retries, minlength=11)
     hist_sen = np.bincount(result.sentinel_retries, minlength=11)

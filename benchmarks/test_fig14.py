@@ -9,8 +9,9 @@ def bench():
     return run_fig14("tlc", n_requests=6000, rate_scale=20.0)
 
 
-def test_fig14(benchmark):
+def test_fig14(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     rows = []
     for name in sorted(result.reductions):
         cur = result.reports[name]["current-flash"].read_stats

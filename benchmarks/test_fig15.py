@@ -11,8 +11,9 @@ def bench():
     return run_fig15("qlc", data=data)
 
 
-def test_fig15(benchmark):
+def test_fig15(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 15 (QLC): wordlines reaching the optimal voltage",
         result.rows(),

@@ -9,8 +9,9 @@ def bench():
     return run_fig17(wordline_step=4)
 
 
-def test_fig17(benchmark):
+def test_fig17(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 17 (QLC): mean bit errors per read voltage",
         result.rows(),

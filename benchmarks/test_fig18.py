@@ -9,8 +9,9 @@ def bench():
     return run_fig18("qlc", voltages=(4, 8, 11, 15), wordline_step=4)
 
 
-def test_fig18(benchmark):
+def test_fig18(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 18 (QLC): mean errors, default / calibrated / tracking / optimal",
         result.rows(),

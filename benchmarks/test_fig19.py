@@ -14,8 +14,9 @@ def bench():
     )
 
 
-def test_fig19(benchmark):
+def test_fig19(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Figure 19 (TLC): LDPC decoding success rate "
         f"(sentinel punctures {result.punctured_parity_fraction:.1%} of parity)",

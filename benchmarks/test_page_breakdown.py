@@ -9,8 +9,9 @@ def bench():
     return run_page_breakdown("qlc", wordline_step=8)
 
 
-def test_page_breakdown(benchmark):
+def test_page_breakdown(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Per-page breakdown (QLC aged): retries and read latency",
         result.rows(),

@@ -42,8 +42,9 @@ def bench():
     return np.array(cur), np.array(sen), fails
 
 
-def test_paper_scale_fig13(benchmark):
+def test_paper_scale_fig13(benchmark, paper_digest):
     cur, sen, fails = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest((cur, sen, fails))
     reduction = 1 - sen.mean() / cur.mean()
     emit(
         "Paper-scale Figure 13 (148736-cell wordlines, 297 sentinels)",

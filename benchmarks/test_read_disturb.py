@@ -13,8 +13,9 @@ def bench():
     )
 
 
-def test_read_disturb(benchmark):
+def test_read_disturb(benchmark, paper_digest):
     result = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(result)
     emit(
         "Read disturb (TLC): mean MSB RBER vs reads since programming",
         result.rows(),

@@ -22,8 +22,9 @@ def report(result):
     )
 
 
-def test_table1_tlc(benchmark):
+def test_table1_tlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("tlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     # sampling noise allows small wiggles between adjacent ratios; the
     # endpoint trend is the paper's claim
@@ -31,8 +32,9 @@ def test_table1_tlc(benchmark):
     assert result.mean_abs[0.0002] > result.mean_abs[0.006]
 
 
-def test_table1_qlc(benchmark):
+def test_table1_qlc(benchmark, paper_digest):
     result = benchmark.pedantic(bench, args=("qlc",), rounds=1, iterations=1)
+    paper_digest(result)
     report(result)
     assert result.is_monotone_improving(slack=0.20)
     assert result.mean_abs[0.0002] > result.mean_abs[0.006]

@@ -26,8 +26,9 @@ def bench():
     return out
 
 
-def test_closed_loop_throughput(benchmark):
+def test_closed_loop_throughput(benchmark, paper_digest):
     reports = benchmark.pedantic(bench, rounds=1, iterations=1)
+    paper_digest(reports)
     rows = [
         (
             name,

@@ -78,6 +78,28 @@ class TestCharacterizeAndRead:
         out = capsys.readouterr().out
         assert "current-flash" in out and "sentinel" in out and "opt" in out
 
+    def test_read_table_pinned(self, tmp_path, capsys):
+        """The printed table of one seed and wordline is byte-identical."""
+        model_path = tmp_path / "model.json"
+        main(
+            [
+                "characterize",
+                "--kind", "tlc",
+                "--cells", "8192",
+                "--out", str(model_path),
+                "--wordline-step", "96",
+            ]
+        )
+        capsys.readouterr()
+        argv = [
+            "read", "--kind", "tlc", "--cells", "8192",
+            "--model", str(model_path), "--seed", "2", "--block", "1",
+            "--wordline", "7", "--pe", "5000",
+        ]
+        assert main(argv) == 0
+        golden = Path(__file__).parent / "golden" / "read_tlc_seed2_wl7.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestQuietFlag:
     def test_quiet_suppresses_info_output(self, capsys):
