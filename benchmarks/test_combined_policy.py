@@ -25,12 +25,13 @@ def bench():
     ]
     rows = {}
     for policy in policies:
-        retries, fails, first_ok = [], 0, 0
-        for wl in chip.iter_wordlines(0, range(0, 128, 2)):
-            outcome = policy.read(wl, "MSB")
-            retries.append(outcome.retries)
-            fails += not outcome.success
-            first_ok += outcome.retries == 0
+        outcomes = chip.map_wordlines(
+            lambda cols: [row[0] for row in policy.read_batch(cols, ["MSB"])],
+            range(0, 128, 2),
+        )
+        retries = [o.retries for o in outcomes]
+        fails = sum(not o.success for o in outcomes)
+        first_ok = sum(o.retries == 0 for o in outcomes)
         rows[policy.name] = (
             float(np.mean(retries)),
             first_ok / len(retries),

@@ -32,13 +32,17 @@ def bench():
     ecc = CapabilityEcc.for_spec(spec)
     sentinel = SentinelController(ecc, model)
     current = CurrentFlashPolicy(ecc, spec)
-    cur, sen = [], []
-    fails = 0
-    for wl in chip.iter_wordlines(0, range(0, 480, 4)):
-        cur.append(current.read(wl, "MSB").retries)
-        outcome = sentinel.read(wl, "MSB")
-        sen.append(outcome.retries)
-        fails += not outcome.success
+
+    def batch(cols):
+        # per wordline: the current-flash read, then the sentinel read
+        return list(zip(
+            current.read_batch(cols, ["MSB"]), sentinel.read_batch(cols, ["MSB"])
+        ))
+
+    reads = chip.map_wordlines(batch, range(0, 480, 4))
+    cur = [c.retries for (c,), _ in reads]
+    sen = [s.retries for _, (s,) in reads]
+    fails = sum(not s.success for _, (s,) in reads)
     return np.array(cur), np.array(sen), fails
 
 

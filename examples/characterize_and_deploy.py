@@ -16,6 +16,7 @@ Run:  python examples/characterize_and_deploy.py [output.json]
 
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,11 @@ from repro.core.characterization import characterize_chip
 from repro.core.controller import SentinelController
 from repro.core.models import SentinelModel
 from repro.ecc.capability import CapabilityEcc
-from repro.exp.common import eval_stress, training_stresses
-from repro.flash.optimal import optimal_offset
+from repro.exp.common import (
+    eval_stress,
+    sentinel_inference_errors,
+    training_stresses,
+)
 
 
 def main() -> None:
@@ -69,23 +73,19 @@ def main() -> None:
     chip = FlashChip(spec, seed=1)
     chip.set_block_stress(0, eval_stress("qlc"))
 
-    diffs = []
-    for wl in chip.iter_wordlines(0, range(0, spec.wordlines_per_block, 8)):
-        real = optimal_offset(wl, spec.sentinel_voltage)
-        predicted = model.infer_sentinel_offset(
-            wl.sentinel_readout().difference_rate
-        )
-        diffs.append(abs(predicted - real))
+    # |predicted - real| per wordline, swept one columnar batch at a time
+    diffs = chip.map_wordlines(
+        partial(sentinel_inference_errors, model=model),
+        range(0, spec.wordlines_per_block, 8),
+    )
     print(
         f"  sentinel-voltage prediction error: {np.mean(diffs):.2f} steps mean "
         f"({np.std(diffs):.2f} std) on a {spec.state_pitch}-step state pitch"
     )
 
     controller = SentinelController(CapabilityEcc.for_spec(spec), model)
-    retries = [
-        controller.read(wl, "MSB").retries
-        for wl in chip.iter_wordlines(0, range(0, 64, 4))
-    ]
+    cols = chip.block_columns(0, range(0, 64, 4))
+    retries = [row[0].retries for row in controller.read_batch(cols, ["MSB"])]
     print(f"  MSB reads: {np.mean(retries):.2f} mean retries "
           f"(histogram {np.bincount(retries).tolist()})")
 

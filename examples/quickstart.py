@@ -43,9 +43,9 @@ def main() -> None:
     timing = NandTiming()
     rows = []
     for policy in policies:
-        outcomes = [
-            policy.read(wl, "MSB") for wl in chip.iter_wordlines(0, range(0, 64, 4))
-        ]
+        # one lockstep read of every sampled wordline (a fresh store each)
+        cols = chip.block_columns(0, range(0, 64, 4))
+        outcomes = [row[0] for row in policy.read_batch(cols, ["MSB"])]
         mean_retries = sum(o.retries for o in outcomes) / len(outcomes)
         mean_latency = sum(timing.read_outcome_us(o) for o in outcomes) / len(
             outcomes

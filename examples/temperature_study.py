@@ -18,7 +18,7 @@ from repro.core.controller import SentinelController
 from repro.ecc.capability import CapabilityEcc
 from repro.exp.common import trained_model
 from repro.flash.mechanisms import arrhenius_factor
-from repro.flash.optimal import optimal_offset
+from repro.flash.optimal import optimal_offsets_batch
 from repro.retry import TrackingPolicy
 
 
@@ -38,13 +38,13 @@ def main() -> None:
         ),
     }
 
+    v = spec.sentinel_voltage
     rows = []
     for label, stress in conditions.items():
         chip.set_block_stress(0, stress)
-        rbers, optima = [], []
-        for wl in chip.iter_wordlines(0, range(0, 64, 8)):
-            rbers.append(wl.page_rber("MSB"))
-            optima.append(optimal_offset(wl, spec.sentinel_voltage))
+        cols = chip.block_columns(0, range(0, 64, 8))
+        rbers = cols.read_page_batch("MSB").rber
+        optima = optimal_offsets_batch(cols, voltages=[v])[:, v - 1]
         rows.append(
             (label, f"{np.mean(rbers):.2e}", f"{np.mean(optima):+.1f}")
         )
@@ -66,19 +66,19 @@ def main() -> None:
     chip.set_block_stress(0, conditions["1 h @ 80 degC"])
 
     sentinel = SentinelController(ecc, trained_model("qlc"))
-    rows = []
-    for wl in chip.iter_wordlines(0, range(0, 48, 8)):
-        stale_rber = wl.page_rber("MSB", stale)
-        outcome = sentinel.read(wl, "MSB")
-        rows.append(
-            (
-                wl.index,
-                f"{wl.page_rber('MSB'):.2e}",
-                f"{stale_rber:.2e}",
-                f"{outcome.final_rber:.2e}",
-                outcome.retries,
-            )
+    # per wordline: a read at the stale voltages, the sentinel read, then
+    # a default read
+    cols = chip.block_columns(0, range(0, 48, 8))
+    stale_rber = cols.read_page_batch("MSB", stale).rber
+    outcomes = [row[0] for row in sentinel.read_batch(cols, ["MSB"])]
+    default_rber = cols.read_page_batch("MSB").rber
+    rows = [
+        (index, f"{default:.2e}", f"{tracked:.2e}", f"{o.final_rber:.2e}",
+         o.retries)
+        for index, default, tracked, o in zip(
+            cols.indices, default_rber, stale_rber, outcomes
         )
+    ]
     print_table(
         rows,
         headers=["wordline", "default RBER", "stale-tracked RBER",

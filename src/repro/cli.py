@@ -252,7 +252,7 @@ def cmd_read(args: argparse.Namespace) -> int:
 
         model = trained_model(args.kind)
     _maybe_enable_obs(args)
-    wl = chip.wordline(args.block, args.wordline)
+    cols = chip.block_columns(args.block, [args.wordline])
     timing = NandTiming()
     rows = []
     for policy in (
@@ -260,7 +260,7 @@ def cmd_read(args: argparse.Namespace) -> int:
         SentinelController(ecc, model),
         OraclePolicy(ecc),
     ):
-        o = policy.read(wl, args.page)
+        [[o]] = policy.read_batch(cols, [args.page])
         rows.append(
             (
                 policy.name,

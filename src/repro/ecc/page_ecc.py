@@ -78,8 +78,9 @@ def shortened_bch(frame_bits: int, t: int, m: int = 13) -> ShortenedBch:
 class RealPageEcc:
     """Page ECC backed by a real decoder; drop-in for ``CapabilityEcc``.
 
-    Implements the two methods the read policies use (``decode_ok`` and
-    ``with_mode``) by tiling the page's error mask into code-sized frames.
+    Implements the methods the read policies use (``decode_ok``, its
+    per-row ``decode_ok_batch`` and ``with_mode``) by tiling the page's
+    error mask into code-sized frames.
     ``mode`` switching is supported for LDPC (soft decoding raises the LLR
     quality, approximated here by scaling weak-error confidence); BCH is
     hard-decision only and ignores it.
@@ -132,3 +133,7 @@ class RealPageEcc:
                 result="ok" if page_ok else "fail",
             ).inc()
         return page_ok
+
+    def decode_ok_batch(self, mismatch: np.ndarray) -> np.ndarray:
+        """:meth:`decode_ok` of each row of a ``(rows, cells)`` error mask."""
+        return np.array([self.decode_ok(row) for row in mismatch], dtype=bool)

@@ -18,22 +18,21 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.calibration import CalibrationConfig
-from repro.core.characterization import characterize_chip
 from repro.core.controller import SentinelController
 from repro.core.fitting import fit_difference_polynomial
 from repro.exp.common import (
     EVAL_SEED,
-    TRAIN_SEED,
     characterization,
+    characterize_training_die,
     default_ecc,
     eval_chip,
     eval_stress,
+    sentinel_accuracy,
     sim_spec,
+    sweep_reads,
     trained_model,
-    training_stresses,
 )
 from repro.flash.chip import FlashChip
-from repro.flash.optimal import optimal_offset
 
 
 @dataclass
@@ -50,13 +49,11 @@ class SweepResult:
 
 
 def _mean_retries(chip, controller, wordline_step: int, page: str = "MSB") -> float:
-    spec = chip.spec
-    retries = []
-    for wl in chip.iter_wordlines(
-        0, range(0, spec.wordlines_per_block, wordline_step)
-    ):
-        retries.append(controller.read(wl, page).retries)
-    return float(np.mean(retries))
+    reads = sweep_reads(
+        chip, [controller], [page],
+        range(0, chip.spec.wordlines_per_block, wordline_step),
+    )
+    return float(np.mean([row[0].retries for row in reads]))
 
 
 def ablate_sentinel_ratio(
@@ -68,12 +65,8 @@ def ablate_sentinel_ratio(
     spec = sim_spec(kind)
     metrics = {}
     for ratio in ratios:
-        train = FlashChip(spec, seed=TRAIN_SEED, sentinel_ratio=ratio)
-        model = characterize_chip(
-            train,
-            blocks=(0,),
-            stresses=training_stresses(kind),
-            wordlines=range(0, spec.wordlines_per_block, wordline_step),
+        model = characterize_training_die(
+            kind, spec, wordline_step, ratio
         ).model
         chip = FlashChip(spec, seed=EVAL_SEED, sentinel_ratio=ratio)
         chip.set_block_stress(0, eval_stress(kind))
@@ -103,25 +96,8 @@ def ablate_sentinel_voltage(
     metrics = {}
     for v in voltages:
         spec = replace(sim_spec(kind), sentinel_voltage=v)
-        train = FlashChip(spec, seed=TRAIN_SEED)
-        model = characterize_chip(
-            train,
-            blocks=(0,),
-            stresses=training_stresses(kind),
-            wordlines=range(0, spec.wordlines_per_block, wordline_step),
-        ).model
-        chip = FlashChip(spec, seed=EVAL_SEED)
-        chip.set_block_stress(0, eval_stress(kind))
-        diffs = []
-        for wl in chip.iter_wordlines(
-            0, range(0, spec.wordlines_per_block, wordline_step)
-        ):
-            real = optimal_offset(wl, v)
-            predicted = model.infer_sentinel_offset(
-                wl.sentinel_readout(0.0).difference_rate
-            )
-            diffs.append(abs(predicted - real))
-        metrics[v] = float(np.mean(diffs))
+        _, errors = sentinel_accuracy(kind, spec, wordline_step, wordline_step)
+        metrics[v] = float(errors.mean())
     return SweepResult(
         name="sentinel-voltage",
         knob_values=tuple(voltages),
@@ -222,25 +198,8 @@ def ablate_read_noise(
     metrics = {}
     for sigma in noise_sigmas:
         spec = dc_replace(sim_spec(kind), read_noise_sigma=sigma)
-        train = FlashChip(spec, seed=TRAIN_SEED)
-        model = characterize_chip(
-            train,
-            blocks=(0,),
-            stresses=training_stresses(kind),
-            wordlines=range(0, spec.wordlines_per_block, wordline_step),
-        ).model
-        chip = FlashChip(spec, seed=EVAL_SEED)
-        chip.set_block_stress(0, eval_stress(kind))
-        diffs = []
-        for wl in chip.iter_wordlines(
-            0, range(0, spec.wordlines_per_block, wordline_step)
-        ):
-            real = optimal_offset(wl, spec.sentinel_voltage)
-            predicted = model.infer_sentinel_offset(
-                wl.sentinel_readout(0.0).difference_rate
-            )
-            diffs.append(abs(predicted - real))
-        metrics[sigma] = float(np.mean(diffs))
+        _, errors = sentinel_accuracy(kind, spec, wordline_step, wordline_step)
+        metrics[sigma] = float(errors.mean())
     return SweepResult(
         name="read-noise",
         knob_values=tuple(noise_sigmas),
@@ -263,26 +222,9 @@ def ablate_training_budget(
     spec = sim_spec(kind)
     metrics = {}
     for step in wordline_steps:
-        train = FlashChip(spec, seed=TRAIN_SEED)
-        result = characterize_chip(
-            train,
-            blocks=(0,),
-            stresses=training_stresses(kind),
-            wordlines=range(0, spec.wordlines_per_block, step),
-        )
-        chip = FlashChip(spec, seed=EVAL_SEED)
-        chip.set_block_stress(0, eval_stress(kind))
-        diffs = []
-        for wl in chip.iter_wordlines(
-            0, range(0, spec.wordlines_per_block, eval_step)
-        ):
-            real = optimal_offset(wl, spec.sentinel_voltage)
-            predicted = result.model.infer_sentinel_offset(
-                wl.sentinel_readout(0.0).difference_rate
-            )
-            diffs.append(abs(predicted - real))
+        result, errors = sentinel_accuracy(kind, spec, step, eval_step)
         # key by the number of training samples, the quantity that matters
-        metrics[len(result.d_rates)] = float(np.mean(diffs))
+        metrics[len(result.d_rates)] = float(errors.mean())
     return SweepResult(
         name="training-budget",
         knob_values=tuple(sorted(metrics)),

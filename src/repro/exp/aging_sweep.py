@@ -16,7 +16,9 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core.controller import SentinelController
-from repro.exp.common import ONE_YEAR_H, default_ecc, eval_chip, trained_model
+from repro.exp.common import (
+    ONE_YEAR_H, default_ecc, eval_chip, sweep_reads, trained_model,
+)
 from repro.flash.mechanisms import StressState
 from repro.retry import CurrentFlashPolicy, OraclePolicy
 from repro.ssd.timing import NandTiming
@@ -81,21 +83,14 @@ def run_aging_sweep(
         chip.set_block_stress(
             0, StressState(pe_cycles=pe, retention_hours=retention_hours)
         )
-        samples = {name: [] for name in policies}
-        fails = {name: 0 for name in policies}
-        lat = {name: [] for name in policies}
-        count = 0
-        for wl in chip.iter_wordlines(0, indices):
-            count += 1
-            for name, policy in policies.items():
-                outcome = policy.read(wl, page)
-                samples[name].append(outcome.retries)
-                lat[name].append(timing.read_outcome_us(outcome))
-                fails[name] += not outcome.success
-        for name in policies:
-            retries[name][i] = float(np.mean(samples[name]))
-            latency[name][i] = float(np.mean(lat[name]))
-            failures[name][i] = fails[name] / count
+        # per wordline: current flash, then sentinel, then opt
+        rows = sweep_reads(chip, policies.values(), [page], indices)
+        for name, outs in zip(policies, zip(*rows)):
+            retries[name][i] = float(np.mean([o.retries for o in outs]))
+            latency[name][i] = float(
+                np.mean([timing.read_outcome_us(o) for o in outs])
+            )
+            failures[name][i] = sum(not o.success for o in outs) / len(outs)
     return AgingSweepResult(
         kind=kind,
         pe_cycles=tuple(pe_cycles),

@@ -20,9 +20,11 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core.controller import SentinelController
-from repro.exp.common import default_ecc, eval_stress, sim_spec, trained_model
+from repro.exp.common import (
+    TRAIN_SEED, default_ecc, eval_stress, read_rows, sentinel_inference_errors,
+    sim_spec, trained_model,
+)
 from repro.flash.chip import FlashChip
-from repro.flash.optimal import optimal_offset
 
 
 @dataclass
@@ -68,21 +70,14 @@ def run_batch_transfer(
         chip = FlashChip(spec, seed=seed)
         chip.set_block_stress(0, eval_stress(kind))
         controller = SentinelController(ecc, model)
-        diffs = []
-        counts = []
-        for wl in chip.iter_wordlines(
-            0, range(0, spec.wordlines_per_block, wordline_step)
-        ):
-            real = optimal_offset(wl, spec.sentinel_voltage)
-            predicted = model.infer_sentinel_offset(
-                wl.sentinel_readout().difference_rate
-            )
-            diffs.append(abs(predicted - real))
-            counts.append(controller.read(wl, "MSB").retries)
-        errors[seed] = float(np.mean(diffs))
-        retries[seed] = float(np.mean(counts))
-    from repro.exp.common import TRAIN_SEED
-
+        # per row: the sentinel inference, then the controller's read
+        rows = chip.map_wordlines(
+            lambda cols: list(zip(sentinel_inference_errors(cols, model),
+                                  read_rows(controller, cols, "MSB"))),
+            range(0, spec.wordlines_per_block, wordline_step),
+        )
+        errors[seed] = float(np.mean([err for err, _ in rows]))
+        retries[seed] = float(np.mean([o.retries for _, o in rows]))
     return BatchTransferResult(
         kind=kind,
         train_seed=TRAIN_SEED,

@@ -9,11 +9,11 @@ the same batch, exactly the paper's deployment story.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.exp.common import characterization, eval_chip
-from repro.flash.optimal import optimal_offset
+from repro.exp.common import characterization, eval_chip, sentinel_inferences
 
 
 @dataclass
@@ -60,12 +60,9 @@ def run_fig10(kind: str = "tlc", wordline_step: int = 2) -> Fig10Result:
     chip = eval_chip(kind)
     spec = chip.spec
     indices = np.arange(0, spec.wordlines_per_block, wordline_step)
-    groundtruth = np.zeros(len(indices))
-    inferred = np.zeros(len(indices))
-    for i, wl in enumerate(chip.iter_wordlines(0, indices)):
-        groundtruth[i] = optimal_offset(wl, spec.sentinel_voltage)
-        readout = wl.sentinel_readout(0.0)
-        inferred[i] = model.infer_sentinel_offset(readout.difference_rate)
+    rows = chip.map_wordlines(partial(sentinel_inferences, model=model), indices)
+    groundtruth = np.array([real for real, _ in rows], dtype=np.float64)
+    inferred = np.array([pred for _, pred in rows], dtype=np.float64)
     return Fig10Result(
         kind=kind,
         sentinel_voltage=spec.sentinel_voltage,

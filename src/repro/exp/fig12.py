@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exp.common import eval_chip
-from repro.flash.optimal import optimal_offset
+from repro.flash.optimal import optimal_offsets_batch
 
 
 @dataclass
@@ -46,20 +46,22 @@ def run_fig12(
     chip = eval_chip(kind)
     spec = chip.spec
     indices = range(0, spec.wordlines_per_block, wordline_step)
-    rows = []
-    for wl in chip.iter_wordlines(0, indices):
-        opt = optimal_offset(wl, spec.sentinel_voltage)
-        pos_default = spec.read_voltage(spec.sentinel_voltage, 0.0)
-        base_changes = None
-        row = np.zeros(len(deltas))
-        for i, delta in enumerate(deltas):
-            pos = spec.read_voltage(spec.sentinel_voltage, opt + delta)
-            nca, _ = wl.state_change_counts(pos_default, pos)
-            row[i] = nca
-        zero_index = list(deltas).index(0)
-        base_changes = max(row[zero_index], 1.0)
-        rows.append(row / base_changes)
-    per_wordline = np.asarray(rows)
+    v = spec.sentinel_voltage
+    pos_default = spec.read_voltage(v, 0.0)
+    zero_index = list(deltas).index(0)
+
+    def batch(cols):
+        rows = []
+        optima = optimal_offsets_batch(cols, voltages=[v])[:, v - 1]
+        for wl, opt in zip(cols.iter_views(), optima):
+            row = np.zeros(len(deltas))
+            for i, delta in enumerate(deltas):
+                pos = spec.read_voltage(v, int(opt) + delta)
+                row[i], _ = wl.state_change_counts(pos_default, pos)
+            rows.append(row / max(row[zero_index], 1.0))
+        return rows
+
+    per_wordline = np.asarray(chip.map_wordlines(batch, indices))
     return Fig12Result(
         kind=kind,
         deltas=tuple(deltas),

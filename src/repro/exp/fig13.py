@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.controller import SentinelController
-from repro.exp.common import default_ecc, eval_chip, trained_model
+from repro.exp.common import default_ecc, eval_chip, sweep_reads, trained_model
 from repro.retry import CurrentFlashPolicy
 
 
@@ -67,15 +67,12 @@ def run_fig13(
     current = CurrentFlashPolicy(ecc, spec)
     limit = min(n_wordlines * wordline_step, spec.wordlines_per_block)
     indices = np.arange(0, limit, wordline_step)
-    cur = np.zeros(len(indices), dtype=np.int64)
-    sen = np.zeros(len(indices), dtype=np.int64)
-    cur_fail = sen_fail = 0
-    for i, wl in enumerate(chip.iter_wordlines(0, indices)):
-        o1 = current.read(wl, page)
-        o2 = sentinel.read(wl, page)
-        cur[i], sen[i] = o1.retries, o2.retries
-        cur_fail += not o1.success
-        sen_fail += not o2.success
+    # per wordline: the current-flash read, then the sentinel read
+    reads = sweep_reads(chip, (current, sentinel), [page], indices)
+    cur = np.array([o1.retries for o1, _ in reads], dtype=np.int64)
+    sen = np.array([o2.retries for _, o2 in reads], dtype=np.int64)
+    cur_fail = sum(not o1.success for o1, _ in reads)
+    sen_fail = sum(not o2.success for _, o2 in reads)
     return Fig13Result(
         kind=kind,
         page=page,

@@ -22,9 +22,11 @@ from repro.core.controller import SentinelController
 from repro.core.sentinel import worst_case_parity_donation
 from repro.ecc.ldpc import LdpcCode
 from repro.ecc.soft import SoftSensing, extract_frames, page_llrs
-from repro.exp.common import ONE_YEAR_H, default_ecc, eval_chip, trained_model
+from repro.exp.common import (
+    ONE_YEAR_H, default_ecc, eval_chip, read_rows, trained_model,
+)
 from repro.flash.mechanisms import StressState
-from repro.flash.optimal import optimal_offsets
+from repro.flash.optimal import optimal_offsets_batch
 from repro.retry import CurrentFlashPolicy
 from repro.util.rng import derive_rng
 
@@ -95,31 +97,39 @@ def run_fig19(
         chip.set_block_stress(
             0, StressState(pe_cycles=pe, retention_hours=ONE_YEAR_H)
         )
-        counts = {key: [0, 0] for key in success}  # decoded, total
         current_policy = CurrentFlashPolicy(ecc, spec)
         sentinel_policy = SentinelController(ecc, model)
-        for wl in chip.iter_wordlines(0, indices):
-            offsets = {
-                "opt": optimal_offsets(wl),
-                "current-flash": current_policy.read(wl, page).final_offsets,
-                "sentinel": sentinel_policy.read(wl, page).final_offsets,
-            }
-            for method, off in offsets.items():
-                for mode in MODES:
-                    sensing = SoftSensing.for_pitch(spec.state_pitch, mode)
-                    err, mag = page_llrs(wl, page, off, sensing, rng)
-                    frames_e, frames_m = extract_frames(
-                        err, mag, frame_bits, max_frames=frames_per_wordline
-                    )
-                    for fe, fm in zip(frames_e, frames_m):
-                        result = code.decode_error_pattern(
-                            fe,
-                            fm,
-                            punctured if method == "sentinel" else None,
+
+        def batch(cols):
+            # per row: current flash, then sentinel, then the LDPC frames
+            # (these draw the shared rng, in row order)
+            reads = zip(
+                cols.iter_views(), optimal_offsets_batch(cols),
+                read_rows(current_policy, cols, page),
+                read_rows(sentinel_policy, cols, page),
+            )
+            decodes = []
+            for wl, opt, cur, sen in reads:
+                offsets = {"opt": opt, "current-flash": cur.final_offsets,
+                           "sentinel": sen.final_offsets}
+                for method, off in offsets.items():
+                    for mode in MODES:
+                        sensing = SoftSensing.for_pitch(spec.state_pitch, mode)
+                        err, mag = page_llrs(wl, page, off, sensing, rng)
+                        frames_e, frames_m = extract_frames(
+                            err, mag, frame_bits, max_frames=frames_per_wordline
                         )
-                        key = (mode, method)
-                        counts[key][0] += result.success
-                        counts[key][1] += 1
+                        for fe, fm in zip(frames_e, frames_m):
+                            result = code.decode_error_pattern(
+                                fe, fm, punctured if method == "sentinel" else None
+                            )
+                            decodes.append(((mode, method), result.success))
+            return decodes
+
+        counts = {key: [0, 0] for key in success}  # decoded, total
+        for key, decoded in chip.map_wordlines(batch, indices):
+            counts[key][0] += decoded
+            counts[key][1] += 1
         for key, (decoded, total) in counts.items():
             success[key][pi] = decoded / max(total, 1)
     return Fig19Result(

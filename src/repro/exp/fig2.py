@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exp.common import eval_chip
-from repro.flash.optimal import errors_at_offsets, optimal_offset
+from repro.flash.optimal import boundary_error_counts_batch, optimal_offsets_batch
 
 
 @dataclass
@@ -65,12 +65,15 @@ def run_fig2(
     """Average error-vs-offset curve of one boundary over a few wordlines."""
     chip = eval_chip(kind)
     offsets = np.arange(-span, span // 3 + 1, step)
-    curves = []
-    optima = []
-    for wl in chip.iter_wordlines(0, wordlines):
-        curves.append(errors_at_offsets(wl, vindex, offsets))
-        optima.append(optimal_offset(wl, vindex))
-    errors = np.mean(curves, axis=0)
+
+    def batch(cols):
+        up, down = boundary_error_counts_batch(cols, None, vindex, offsets)
+        optima = optimal_offsets_batch(cols, voltages=[vindex])[:, vindex - 1]
+        return list(zip(up + down, optima))
+
+    rows = chip.map_wordlines(batch, wordlines)
+    errors = np.mean([curve for curve, _ in rows], axis=0)
+    optima = [opt for _, opt in rows]
     zero_index = int(np.argmin(np.abs(offsets)))
     return Fig2Result(
         kind=kind,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exp.common import ONE_YEAR_H, eval_chip
 from repro.flash.mechanisms import StressState
-from repro.flash.optimal import optimal_offsets
+from repro.flash.optimal import optimal_offsets_batch
 
 
 @dataclass
@@ -67,25 +67,28 @@ def run_fig3(
     chip = eval_chip(kind)
     spec = chip.spec
     layers = np.arange(0, spec.layers, layer_step)
+    per_layer = min(wordlines_per_layer_sampled, spec.wordlines_per_layer)
+    indices = [
+        layer * spec.wordlines_per_layer + k for layer in layers for k in range(per_layer)
+    ]
+
+    def batch(cols):
+        # per row: a default read, then a read at the optimum
+        opt = optimal_offsets_batch(cols)
+        default = cols.read_page_batch("MSB").rber
+        return list(zip(default, cols.read_page_batch("MSB", opt).rber))
+
     default_rber: Dict[int, np.ndarray] = {}
     optimal_rber: Dict[int, np.ndarray] = {}
     for pe in pe_cycles:
         chip.set_block_stress(
             0, StressState(pe_cycles=pe, retention_hours=ONE_YEAR_H)
         )
-        dmax = np.zeros(len(layers))
-        omax = np.zeros(len(layers))
-        for li, layer in enumerate(layers):
-            base = layer * spec.wordlines_per_layer
-            indices = range(
-                base, base + min(wordlines_per_layer_sampled, spec.wordlines_per_layer)
-            )
-            for wl in chip.iter_wordlines(0, indices):
-                dmax[li] = max(dmax[li], wl.page_rber("MSB"))
-                opt = optimal_offsets(wl)
-                omax[li] = max(omax[li], wl.page_rber("MSB", opt))
-        default_rber[pe] = dmax
-        optimal_rber[pe] = omax
+        rber = np.reshape(
+            chip.map_wordlines(batch, indices), (len(layers), per_layer, 2)
+        )
+        default_rber[pe] = rber[..., 0].max(axis=1, initial=0.0)
+        optimal_rber[pe] = rber[..., 1].max(axis=1, initial=0.0)
     return Fig3Result(
         kind=kind,
         pe_cycles=tuple(pe_cycles),

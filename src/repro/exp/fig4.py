@@ -9,7 +9,7 @@ periods cannot follow the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -60,18 +60,19 @@ def run_fig4(
     page_names = list(pages) if pages is not None else list(spec.gray.page_names)
     indices = np.arange(0, spec.wordlines_per_block, wordline_step)
     room = StressState(pe_cycles=pe_cycles, retention_hours=retention_hours)
-    hot = StressState(
-        pe_cycles=pe_cycles,
-        retention_hours=retention_hours,
-        temperature_c=HIGH_TEMP_C,
-    )
+    hot = replace(room, temperature_c=HIGH_TEMP_C)
+
+    def batch(cols):
+        # per row: every page in turn
+        return list(zip(*(cols.read_page_batch(p).rber for p in page_names)))
+
     room_rber = {p: np.zeros(len(indices)) for p in page_names}
     high_rber = {p: np.zeros(len(indices)) for p in page_names}
     for stress, store in ((room, room_rber), (hot, high_rber)):
         chip.set_block_stress(0, stress)
-        for i, wl in enumerate(chip.iter_wordlines(0, indices)):
-            for page in page_names:
-                store[page][i] = wl.page_rber(page)
+        rows = chip.map_wordlines(batch, indices)
+        for page, rber in zip(page_names, zip(*rows)):
+            store[page][:] = rber
     return Fig4Result(
         kind=kind, wordlines=indices, room_rber=room_rber, high_rber=high_rber
     )

@@ -8,14 +8,14 @@ periodic tracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.exp.common import HIGH_TEMP_C, eval_chip
 from repro.flash.mechanisms import StressState
-from repro.flash.optimal import optimal_offset
+from repro.flash.optimal import optimal_offsets_batch
 
 
 @dataclass
@@ -55,23 +55,20 @@ def run_fig5(
     chip = eval_chip(kind)
     spec = chip.spec
     indices = np.arange(0, spec.wordlines_per_block, wordline_step)
-    conditions = {
-        "room": StressState(pe_cycles=pe_cycles, retention_hours=retention_hours),
-        "high": StressState(
-            pe_cycles=pe_cycles,
-            retention_hours=retention_hours,
-            temperature_c=HIGH_TEMP_C,
-        ),
-    }
+    room = StressState(pe_cycles=pe_cycles, retention_hours=retention_hours)
+    conditions = {"room": room, "high": replace(room, temperature_c=HIGH_TEMP_C)}
     results = {
         name: {v: np.zeros(len(indices)) for v in voltages}
         for name in conditions
     }
     for name, stress in conditions.items():
         chip.set_block_stress(0, stress)
-        for i, wl in enumerate(chip.iter_wordlines(0, indices)):
-            for v in voltages:
-                results[name][v][i] = optimal_offset(wl, v)
+        optima = np.vstack(chip.map_wordlines(
+            lambda cols: list(optimal_offsets_batch(cols, voltages=voltages)),
+            indices,
+        ))
+        for v in voltages:
+            results[name][v][:] = optima[:, v - 1]
     return Fig5Result(
         kind=kind,
         voltages=tuple(voltages),

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exp.common import ONE_YEAR_H, eval_chip
 from repro.flash.mechanisms import StressState
-from repro.flash.optimal import optimal_offsets
+from repro.flash.optimal import optimal_offsets_batch
 
 
 @dataclass
@@ -61,15 +61,14 @@ def run_fig6(
     )
     voltages = tuple(range(2, spec.n_voltages + 1))
     layers = np.arange(0, spec.layers, layer_step)
+    per_layer = min(wordlines_per_layer_sampled, spec.wordlines_per_layer)
+    optima = chip.map_wordlines(
+        lambda cols: list(optimal_offsets_batch(cols, voltages=voltages)),
+        [layer * spec.wordlines_per_layer + k
+         for layer in layers for k in range(per_layer)],
+    )
     table = np.zeros((len(layers), len(voltages)))
-    for li, layer in enumerate(layers):
-        base = layer * spec.wordlines_per_layer
-        rows = []
-        indices = range(
-            base,
-            base + min(wordlines_per_layer_sampled, spec.wordlines_per_layer),
-        )
-        for wl in chip.iter_wordlines(0, indices):
-            rows.append(optimal_offsets(wl, voltages=voltages)[np.array(voltages) - 1])
-        table[li] = np.mean(rows, axis=0)
+    for li in range(len(layers)):
+        rows = optima[li * per_layer : (li + 1) * per_layer]
+        table[li] = np.mean([row[np.array(voltages) - 1] for row in rows], axis=0)
     return Fig6Result(kind=kind, layers=layers, voltages=voltages, offsets=table)

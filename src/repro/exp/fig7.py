@@ -62,18 +62,21 @@ def run_fig7(
         0, StressState(pe_cycles=pe_cycles, retention_hours=ONE_YEAR_H)
     )
     indices = range(0, spec.wordlines_per_block, wordline_step)
+    errors = chip.map_wordlines(
+        lambda cols: [wl.error_cell_indices() for wl in cols.iter_views()],
+        indices,
+    )
     points: List[Tuple[int, int]] = []
     counts = []
     p_values = []
-    for wl in chip.iter_wordlines(0, indices):
-        err = wl.error_cell_indices()
+    for index, err in zip(indices, errors):
         counts.append(len(err))
         p_values.append(_chi_square_uniform_p(err, spec.cells_per_wordline))
         if len(err) > max_points_per_wordline:
             sample = err[:: max(1, len(err) // max_points_per_wordline)]
         else:
             sample = err
-        points.extend((wl.index, int(b)) for b in sample)
+        points.extend((index, int(b)) for b in sample)
     counts_arr = np.asarray(counts, dtype=np.float64)
     return Fig7Result(
         kind=kind,

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.core.controller import SentinelController
 from repro.ecc.capability import CapabilityEcc
-from repro.exp.common import default_ecc, eval_chip, trained_model
-from repro.flash.optimal import errors_at_offsets, optimal_offsets
+from repro.exp.common import default_ecc, eval_chip, read_rows, trained_model
+from repro.flash.optimal import errors_at_offsets, optimal_offsets_batch
 from repro.retry import TrackingPolicy
 
 METHOD_ORDER = ("default", "inferred", "calibrated", "tracking", "optimal")
@@ -102,32 +102,40 @@ def collect_method_errors(
 
     tracked = tracking.tracked_offsets(0) if tracking is not None else None
 
-    for i, wl in enumerate(chip.iter_wordlines(0, indices)):
-        per_wl: Dict[str, np.ndarray] = {}
-        per_wl["default"] = np.zeros(n_v)
-        per_wl["optimal"] = optimal_offsets(wl)
-        readout = wl.sentinel_readout(0.0)
-        per_wl["inferred"] = model.infer_offsets(
-            readout.difference_rate, wl.stress.temperature_c
-        )
-        outcome = controller.read(wl, page)
-        # calibration output counts only when it converged; on a strict-ECC
-        # wipeout the controller would fall back to the vendor table, so the
-        # honest "calibrated" voltages are the inferred ones
-        if outcome.success and len(outcome.final_offsets) == n_v:
-            per_wl["calibrated"] = outcome.final_offsets
-        else:
-            per_wl["calibrated"] = per_wl["inferred"]
-        if tracked is not None:
-            per_wl["tracking"] = tracked
-        for method in methods:
-            off = per_wl[method]
+    def batch(cols):
+        # per row: sentinel readout, then the controller's read, then the
+        # error counts of every method
+        rows = []
+        for wl, opt, readout, outcome in zip(
+            cols.iter_views(), optimal_offsets_batch(cols),
+            cols.sentinel_readout_batch(0.0), read_rows(controller, cols, page),
+        ):
+            inferred = model.infer_offsets(
+                readout.difference_rate, wl.stress.temperature_c
+            )
+            # calibration output counts only when it converged; on a strict-ECC
+            # wipeout the controller would fall back to the vendor table, so the
+            # honest "calibrated" voltages are the inferred ones
+            converged = outcome.success and len(outcome.final_offsets) == n_v
+            per_wl = {
+                "default": np.zeros(n_v), "optimal": opt, "inferred": inferred,
+                "calibrated": outcome.final_offsets if converged else inferred,
+                "tracking": tracked,
+            }
+            rows.append([
+                (off, wl.per_voltage_errors(off), [
+                    errors_at_offsets(wl, v, [off[v - 1]])[0]
+                    for v in range(1, n_v + 1)
+                ])
+                for off in (per_wl[m] for m in methods)
+            ])
+        return rows
+
+    for i, row in enumerate(chip.map_wordlines(batch, indices)):
+        for method, (off, errs, bounds) in zip(methods, row):
             offsets[method][i] = off
-            errors[method][i] = wl.per_voltage_errors(off)
-            boundary[method][i] = [
-                errors_at_offsets(wl, v, [off[v - 1]])[0]
-                for v in range(1, n_v + 1)
-            ]
+            errors[method][i] = errs
+            boundary[method][i] = bounds
     return MethodErrorData(
         kind=kind,
         wordlines=indices,

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.core.controller import SentinelController
-from repro.exp.common import default_ecc, eval_chip, trained_model
+from repro.exp.common import default_ecc, eval_chip, sweep_reads, trained_model
 from repro.retry import CurrentFlashPolicy
 from repro.ssd.timing import NandTiming
 
@@ -69,10 +69,11 @@ def run_page_breakdown(
         p.name: {page: [] for page in page_names} for p in policies
     }
     indices = range(0, spec.wordlines_per_block, wordline_step)
-    for wl in chip.iter_wordlines(0, indices):
+    for row in sweep_reads(chip, policies, page_names, indices):
+        outcomes = iter(row)  # each policy in turn, every page
         for policy in policies:
             for page in page_names:
-                outcome = policy.read(wl, page)
+                outcome = next(outcomes)
                 retries[policy.name][page].append(outcome.retries)
                 latency[policy.name][page].append(
                     timing.read_outcome_us(outcome)

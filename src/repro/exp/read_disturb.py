@@ -67,6 +67,8 @@ def run_read_disturb(
                 read_count=reads,
             ),
         )
-        samples = [wl.page_rber("MSB") for wl in chip.iter_wordlines(0, indices)]
+        samples = chip.map_wordlines(
+            lambda cols: list(cols.read_page_batch("MSB").rber), indices
+        )
         rber[i] = float(np.mean(samples))
     return ReadDisturbResult(kind=kind, read_counts=tuple(read_counts), rber=rber)

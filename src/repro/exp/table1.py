@@ -12,18 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.characterization import characterize_chip
-from repro.exp.common import (
-    EVAL_SEED,
-    TRAIN_SEED,
-    eval_stress,
-    sim_spec,
-    training_stresses,
-)
-from repro.flash.chip import FlashChip
-from repro.flash.optimal import optimal_offset
+from repro.exp.common import sentinel_accuracy, sim_spec
 
 
 @dataclass
@@ -66,24 +55,9 @@ def run_table1(
     std: Dict[float, float] = {}
     counts: Dict[float, int] = {}
     for ratio in ratios:
-        train_chip = FlashChip(spec, seed=TRAIN_SEED, sentinel_ratio=ratio)
-        model = characterize_chip(
-            train_chip,
-            blocks=(0,),
-            stresses=training_stresses(kind),
-            wordlines=range(0, spec.wordlines_per_block, train_wordline_step),
-        ).model
-        chip = FlashChip(spec, seed=EVAL_SEED, sentinel_ratio=ratio)
-        chip.set_block_stress(0, eval_stress(kind))
-        diffs = []
-        for wl in chip.iter_wordlines(
-            0, range(0, spec.wordlines_per_block, eval_wordline_step)
-        ):
-            real = optimal_offset(wl, spec.sentinel_voltage)
-            readout = wl.sentinel_readout(0.0)
-            predicted = model.infer_sentinel_offset(readout.difference_rate)
-            diffs.append(abs(predicted - real))
-        arr = np.asarray(diffs)
+        _, arr = sentinel_accuracy(
+            kind, spec, train_wordline_step, eval_wordline_step, ratio
+        )
         mean_abs[ratio] = float(arr.mean())
         std[ratio] = float(arr.std())
         counts[ratio] = spec.sentinel_cells(ratio)

@@ -124,29 +124,6 @@ class FlashChip:
             self._cache.popitem(last=False)
         return wl
 
-    def iter_wordlines(
-        self, block: int, indices: Optional[Sequence[int]] = None
-    ) -> Iterator[Wordline]:
-        """Yield wordlines lazily without populating the cache.
-
-        Use this for block-scale sweeps: each wordline is materialized,
-        yielded, and garbage-collected once the caller moves on.
-        """
-        if indices is None:
-            indices = range(self.spec.wordlines_per_block)
-        variation = self.block_variation(block)
-        stress = self.block_stress(block)
-        for index in indices:
-            yield Wordline(
-                self.spec,
-                self.seed,
-                block,
-                index,
-                stress=stress,
-                sentinel_ratio=self.sentinel_ratio,
-                variation=variation,
-            )
-
     def block_columns(
         self, block: int, indices: Optional[Sequence[int]] = None
     ) -> "BlockColumns":
@@ -177,8 +154,7 @@ class FlashChip:
     ) -> Iterator["BlockColumns"]:
         """Yield columnar sub-batches of a block in wordline order.
 
-        The batched analogue of :meth:`iter_wordlines` for block-scale
-        sweeps: each batch is one :class:`BlockColumns` of up to ``batch``
+        Each batch is one :class:`BlockColumns` of up to ``batch``
         wordlines (default: :data:`SWEEP_BATCH_CELLS` cells' worth),
         materialized, yielded, and garbage-collected as the caller
         advances — bounding peak memory on paper-scale blocks.

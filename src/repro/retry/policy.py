@@ -6,8 +6,8 @@ accounting (full-page senses, auxiliary single-voltage senses, transfers) for
 the NAND timing model to price the whole operation.
 
 Every policy only declares a per-read offset :meth:`ReadPolicy.schedule`;
-:class:`ReadPolicy` reads it per wordline or in lockstep over a columnar
-batch.
+:class:`ReadPolicy` reads it in lockstep over a columnar batch, and a
+one-wordline read is a one-row batch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.ecc.capability import CapabilityEcc
 from repro.faults import FAULTS
-from repro.flash.wordline import Wordline, make_offsets
+from repro.flash.wordline import Wordline
 from repro.obs import OBS
 
 
@@ -121,24 +121,23 @@ class ReadPolicy(ABC):
 
     A subclass only declares :meth:`schedule` — per wordline read, the
     offsets it tries in order until one decodes — and, if it learns, a
-    :meth:`feedback` hook.  This base owns both read paths:
+    :meth:`feedback` hook.  This base owns the one read driver, which
+    walks every row of a columnar batch in lockstep, page by page: wave
+    ``k`` senses attempt ``k`` of every still-failing row with one
+    ``read_page_batch`` + ``decode_ok_batch`` call.  :meth:`read_batch`
+    drives every row of a store; :meth:`read` drives one wordline's row.
 
-    * :meth:`read` walks one wordline's schedule through :meth:`attempt`;
-    * :meth:`read_batch` walks every row of a columnar batch in lockstep,
-      page by page: wave ``k`` senses attempt ``k`` of every still-failing
-      row with one ``read_page_batch`` + ``decode_ok_batch`` call.
-
-    The two are bit-identical, also under an active fault plan.  A
-    schedule is resumed only after its previous attempt failed, so any
-    auxiliary sense it makes then (the sentinel readout, the calibration
-    comparison) falls between the same two senses of its row on both
-    paths; rows draw read noise from their own streams, and fault
-    decisions are keyed per wordline with a per-target ordinal, so only
-    rows interleave.  Schedules are consumed lazily, so an entry that is
-    costly to compute (OPT's optimum) is computed only once the attempt
-    before it has failed.  :meth:`feedback` runs once per read, in
-    canonical (row, page) order on both paths, and so does every read's
-    obs, the events its schedule raised through :meth:`note` included.
+    Each row reads exactly as if it were read alone, one page after the
+    other, also under an active fault plan.  A schedule is resumed only
+    after its previous attempt failed, so any auxiliary sense it makes
+    then (the sentinel readout, the calibration comparison) falls between
+    the same two senses of its row; rows draw read noise from their own
+    streams, and fault decisions are keyed per wordline with a per-target
+    ordinal, so only rows interleave.  Schedules are consumed lazily, so
+    an entry that is costly to compute (OPT's optimum) is computed only
+    once the attempt before it has failed.  :meth:`feedback` runs once per
+    read, in canonical (row, page) order, and so does every read's obs,
+    the events its schedule raised through :meth:`note` included.
     """
 
     #: human-readable policy name used in reports
@@ -151,25 +150,6 @@ class ReadPolicy(ABC):
         self.max_retries = max_retries
 
     # ------------------------------------------------------------------
-    def attempt(
-        self,
-        wordline: Wordline,
-        outcome: ReadOutcome,
-        offsets,
-    ) -> bool:
-        """Perform one full read, record it, and return decode success."""
-        k = len(outcome.attempts)
-        if OBS.enabled:
-            self._emit_notes(outcome, k)
-        dense = make_offsets(wordline.spec, offsets)
-        result = wordline.read_page(outcome.page, dense)
-        decoded = self._record(
-            wordline, outcome, dense, result.rber, self.ecc.decode_ok(result)
-        )
-        if OBS.enabled:
-            self._note_attempt(outcome, k)
-        return decoded
-
     def _record(
         self,
         wordline: Wordline,
@@ -187,14 +167,6 @@ class ReadPolicy(ABC):
             outcome.retries += 1
         outcome.success = decoded
         return decoded
-
-    def new_outcome(self, wordline: Wordline, page: Union[int, str]) -> ReadOutcome:
-        p = wordline.spec.gray.page_index(page)
-        if OBS.enabled:
-            self._note_read()
-        return ReadOutcome(
-            page=p, page_voltages=len(wordline.spec.gray.page_voltages(p))
-        )
 
     def soft_rescue(
         self,
@@ -259,10 +231,10 @@ class ReadPolicy(ABC):
     def _flush_batch_obs(self, outcomes: List[List[ReadOutcome]]) -> None:
         """Emit the per-read obs a lockstep batch deferred, in row order.
 
-        Lockstep batched reads process attempts page-major across rows, so
-        they must not emit through :meth:`attempt` (the event order would
-        depend on batching).  Instead they record silently and this helper
-        replays the exact per-read stream — ``repro_reads_total``, then per
+        Lockstep reads process attempts page-major across rows, so they
+        must not emit as they sense (the event order would depend on
+        batching).  Instead they record silently and this helper replays
+        the exact per-read stream — ``repro_reads_total``, then per
         attempt the schedule events noted before it and its
         ``read_attempt``, then the events noted after the last — in
         canonical (row, page, attempt) order.
@@ -313,23 +285,16 @@ class ReadPolicy(ABC):
     ) -> ReadOutcome:
         """Read a page to completion (success or retry exhaustion).
 
-        ``hint`` is an optional cached sentinel-voltage offset (in voltage
-        steps) from an earlier read of the same block/layer — e.g. from a
+        The one-row form of :meth:`read_batch`: it drives only
+        ``wordline``'s row of its store.  ``hint`` is an optional cached
+        sentinel-voltage offset (in voltage steps) from an earlier read of
+        the same block/layer — e.g. from a
         :class:`repro.service.voltage_cache.VoltageOffsetCache`.  Policies
         that know how to use it (the sentinel controller, adaptive retry,
         the online model) start their first attempt from it; others
         ignore it.
         """
-        outcome = self.new_outcome(wordline, page)
-        for offsets in self.schedule(wordline, hint, outcome):
-            if self.attempt(wordline, outcome, offsets):
-                break
-        if OBS.enabled:
-            self._emit_notes(outcome, len(outcome.attempts))
-        if self.soft_fallback:
-            self.soft_rescue(wordline, outcome)
-        self.feedback(wordline, hint, outcome)
-        return outcome
+        return self._lockstep(wordline._store, [wordline], [page], [hint])[0][0]
 
     def read_batch(
         self,
@@ -341,13 +306,26 @@ class ReadPolicy(ABC):
 
         ``cols`` is a :class:`repro.flash.block.BlockColumns`; the return
         value is ``outcomes[row][page_position]``.  Each row's view is
-        built once and shared by all pages.  Per-read obs is deferred to
-        :meth:`_flush_batch_obs`.
+        built once and shared by all pages.
         """
-        spec = cols.spec
         views = list(cols.iter_views())
         if hints is None:
             hints = [None] * len(views)
+        return self._lockstep(cols, views, pages, hints)
+
+    def _lockstep(
+        self,
+        cols,
+        views: List[Wordline],
+        pages: Sequence[Union[int, str]],
+        hints: Sequence[Optional[float]],
+    ) -> List[List[ReadOutcome]]:
+        """The read driver: ``pages`` of each view's row of ``cols``.
+
+        Per-read obs is deferred to :meth:`_flush_batch_obs`.
+        """
+        spec = cols.spec
+        store_rows = [view._row for view in views]
         outcomes: List[List[ReadOutcome]] = [[] for _ in views]
         for page in pages:
             p = spec.gray.page_index(page)
@@ -371,7 +349,9 @@ class ReadPolicy(ABC):
                 for i, step in enumerate(steps):
                     if step is not None:
                         matrix[i] = step
-                batch = cols.read_page_batch(p, matrix, rows=rows)
+                batch = cols.read_page_batch(
+                    p, matrix, rows=[store_rows[r] for r in rows]
+                )
                 decoded = self.ecc.decode_ok_batch(batch.mismatch)
                 active = [
                     r for i, r in enumerate(rows)

@@ -191,3 +191,26 @@ def optimal_offsets(
         up, down = boundary_error_counts(wl, v, offsets)
         dense[v - 1] = window_centre(up + down, offsets)
     return dense
+
+
+def one_row_wordlines(chip, block: int, indices: Optional[Sequence[int]] = None):
+    """Each listed wordline of ``block`` as a standalone one-row store.
+
+    The per-row reference of a block sweep: ``Wordline`` objects built
+    one at a time at the block's current stress, with the chip's
+    sentinel ratio and block variation, in ``indices`` order (default:
+    the whole block).
+    """
+    from repro.flash.wordline import Wordline
+
+    if indices is None:
+        indices = range(chip.spec.wordlines_per_block)
+    return [
+        Wordline(
+            chip.spec, chip.seed, block, index,
+            stress=chip.block_stress(block),
+            sentinel_ratio=chip.sentinel_ratio,
+            variation=chip.block_variation(block),
+        )
+        for index in indices
+    ]

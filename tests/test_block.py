@@ -19,6 +19,7 @@ from repro.flash.mechanisms import StressState
 from repro.flash.spec import TLC_SPEC
 from repro.flash.wordline import Wordline
 from repro.obs import OBS
+from tests.flash_oracle import one_row_wordlines
 
 SEED = 11
 RATIO = 0.002
@@ -48,7 +49,8 @@ class TestConstruction:
         """Construction is bit-identical to per-wordline materialization."""
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(4))
-        for row, wl in enumerate(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(4))):
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(4))
+        for row, wl in enumerate(serial):
             assert np.array_equal(cols.states[row], wl.states)
             assert np.array_equal(cols.vth[row], wl.vth)
             assert np.array_equal(cols.sentinel_indices, wl.sentinel_indices)
@@ -57,7 +59,7 @@ class TestConstruction:
         """A view consumes the same noise stream as a dedicated Wordline."""
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(3))
-        fresh = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(3)))
+        fresh = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(3))
         for row in range(3):
             view = cols.wordline_view(row)
             for page in range(tiny_tlc.pages_per_wordline):
@@ -70,7 +72,7 @@ class TestConstruction:
         """View reads and batched kernels share one stream per row."""
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(2))
-        serial = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(2)))
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(2))
         # read page 0 through the views, page 1 through the batch kernel
         for row in range(2):
             assert (
@@ -148,7 +150,7 @@ class TestKernels:
     def test_read_page_batch_matches_serial(self, tiny_tlc, aged_stress):
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(4))
-        serial = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(4)))
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(4))
         for page in range(tiny_tlc.pages_per_wordline):
             batch = cols.read_page_batch(page)
             for row, wl in enumerate(serial):
@@ -172,7 +174,7 @@ class TestKernels:
         """A (rows, n_voltages) offsets matrix applies row-wise."""
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(3))
-        serial = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(3)))
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(3))
         rng = np.random.default_rng(7)
         offs = rng.integers(-40, 40, size=(3, tiny_tlc.n_voltages)).astype(float)
         batch = cols.read_page_batch(0, offsets=offs)
@@ -183,7 +185,7 @@ class TestKernels:
     def test_sentinel_readout_batch_matches_serial(self, tiny_tlc, aged_stress):
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(4))
-        serial = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(4)))
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(4))
         for off in (0.0, -12.0):
             batch = cols.sentinel_readout_batch(off)
             for row, wl in enumerate(serial):
@@ -193,7 +195,7 @@ class TestKernels:
     def test_single_voltage_counts_matches_serial(self, tiny_tlc, aged_stress):
         chip = make_chip(tiny_tlc, aged_stress)
         cols = chip.block_columns(0, range(4))
-        serial = list(make_chip(tiny_tlc, aged_stress).iter_wordlines(0, range(4)))
+        serial = one_row_wordlines(make_chip(tiny_tlc, aged_stress), 0, range(4))
         pos = tiny_tlc.read_voltage(1, -8)
         counts = cols.single_voltage_counts(pos)
         for row, wl in enumerate(serial):

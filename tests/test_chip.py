@@ -22,14 +22,16 @@ class TestWordlineAccess:
         assert first is not again
         np.testing.assert_array_equal(first.states, again.states)
 
-    def test_iter_wordlines_lazy_and_ordered(self, tlc_chip):
-        indices = [0, 2, 4]
-        seen = [wl.index for wl in tlc_chip.iter_wordlines(0, indices)]
+    def test_map_wordlines_ordered(self, tlc_chip):
+        indices = [4, 0, 2]
+        seen = tlc_chip.map_wordlines(
+            lambda cols: [wl.index for wl in cols.iter_views()], indices
+        )
         assert seen == indices
 
-    def test_iter_default_covers_block(self, tlc_chip):
-        count = sum(1 for _ in tlc_chip.iter_wordlines(0))
-        assert count == tlc_chip.spec.wordlines_per_block
+    def test_map_default_covers_block(self, tlc_chip):
+        seen = tlc_chip.map_wordlines(lambda cols: list(cols.indices))
+        assert seen == list(range(tlc_chip.spec.wordlines_per_block))
 
     def test_same_seed_same_chip(self, tiny_tlc):
         a = FlashChip(tiny_tlc, seed=5).wordline(0, 3)

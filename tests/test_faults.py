@@ -37,6 +37,8 @@ from repro.ssd.retry_model import RetryProfile
 from repro.ssd.ssd import Ssd
 from repro.ssd.timing import NandTiming
 from repro.traces.synthetic import MSR_WORKLOADS, generate_workload
+from tests import retry_oracle
+from tests.flash_oracle import one_row_wordlines
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -250,7 +252,7 @@ class TestInjectorDeterminism:
 
 def _per_row_chaos_sweep(plan, seed, pages):
     """The chaos chip sweep read one wordline and page at a time with the
-    per-row policy driver: the reference the lockstep sweep must equal."""
+    per-row reference driver: what the lockstep sweep must equal."""
     spec = sim_spec("tlc", cells_per_wordline=4096)
     injector = FAULTS.activate(plan, seed)
     try:
@@ -260,8 +262,8 @@ def _per_row_chaos_sweep(plan, seed, pages):
         step = max(1, spec.wordlines_per_block // 8)
         wordlines = range(0, spec.wordlines_per_block, step)
         outcomes = [
-            policy.read(wl, p)
-            for wl in chip.iter_wordlines(0, wordlines)
+            retry_oracle.read(policy, wl, p)
+            for wl in one_row_wordlines(chip, 0, wordlines)
             for p in pages
         ]
         counts = dict(injector.counts)

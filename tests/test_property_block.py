@@ -20,7 +20,8 @@ from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
 from repro.flash.wordline import Wordline
-from tests.flash_oracle import OracleWordline
+from tests import retry_oracle
+from tests.flash_oracle import OracleWordline, one_row_wordlines
 
 SPECS = {
     kind: base.scaled(
@@ -162,15 +163,16 @@ def _aged(spec):
 
 
 def _assert_measure_matches_reads(spec, make_policy):
-    """``RetryProfile.measure`` == ``policy.read`` over each wordline."""
+    """``RetryProfile.measure`` == the per-row reference read of each
+    wordline."""
     from repro.ssd.retry_model import RetryProfile
 
     profile = RetryProfile.measure(_aged(spec), make_policy())
     policy = make_policy()
     expected = {p: [] for p in range(spec.pages_per_wordline)}
-    for wl in _aged(spec).iter_wordlines(0):
+    for wl in one_row_wordlines(_aged(spec), 0):
         for p in expected:
-            outcome = policy.read(wl, p)
+            outcome = retry_oracle.read(policy, wl, p)
             expected[p].append((outcome.retries, outcome.extra_single_reads))
     assert profile.samples.keys() == expected.keys()
     for p, rows in expected.items():
@@ -234,7 +236,7 @@ def test_characterize_batched_equals_serial(tiny_tlc):
     for stress in DEFAULT_TRAINING_STRESSES:
         for block in (0, 1):
             chip.set_block_stress(block, stress)
-            for wl in chip.iter_wordlines(block):
+            for wl in one_row_wordlines(chip, block):
                 d_rates.append(wl.sentinel_readout(0.0).difference_rate)
                 optima.append(optimal_offsets(wl))
     assert np.array_equal(result.d_rates, np.asarray(d_rates))
@@ -246,6 +248,9 @@ def test_sweep_batched_equals_serial(tiny_tlc):
     from repro.flash.sweep import measured_optimal_offsets, sweep_block_offsets
 
     offsets, reads = sweep_block_offsets(_aged(tiny_tlc), 0)
-    rows = [measured_optimal_offsets(wl) for wl in _aged(tiny_tlc).iter_wordlines(0)]
+    rows = [
+        measured_optimal_offsets(wl)
+        for wl in one_row_wordlines(_aged(tiny_tlc), 0)
+    ]
     assert np.array_equal(offsets, np.vstack([dense for dense, _ in rows]))
     assert reads == sum(n for _, n in rows)

@@ -5,9 +5,12 @@ Guarantees the tournament harness and ``RetryProfile.measure`` lean on:
 * the lockstep ``read_batch`` of every policy (vendor table, tracking,
   layer similarity, OPT, adaptive retry, online model, the sentinel
   controller and tracking+sentinel) is **bit-identical** to the
-  per-wordline ``read`` loop — across TLC/QLC, stress conditions, ragged
-  row subsets and cached hints, and under an active fault plan, where the
-  injector's counts must match too;
+  per-wordline reference loop of ``tests/retry_oracle.py`` — across
+  TLC/QLC, stress conditions, ragged row subsets and cached hints, and
+  under an active fault plan, where the injector's counts must match too;
+* ``read`` on a view of a shared multi-row store is the one-row form of
+  the same driver: it equals the reference on that row and leaves every
+  other row's read-noise stream untouched;
 * the lockstep path emits the same per-read obs as the loop: the same
   ordered ``read_attempt``/``sentinel_inference``/``calibration_step``/
   ``fallback_table`` stream, an equal multiset of ``ecc_decode`` events
@@ -54,6 +57,7 @@ from repro.retry import (
 )
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.timing import NandTiming
+from tests import retry_oracle
 
 SPECS = {
     kind: base.scaled(
@@ -152,12 +156,8 @@ def _policy(name, kind, stress):
 
 
 def _serial(policy, cols, pages, hints=None):
-    """The per-row loop ``read_batch`` must equal."""
-    hints = hints if hints is not None else [None] * cols.n_wordlines
-    return [
-        [policy.read(wl, p, hint=h) for p in pages]
-        for wl, h in zip(cols.iter_views(), hints)
-    ]
+    """The per-row reference loop ``read_batch`` must equal."""
+    return retry_oracle.read_rows(policy, cols, pages, hints)
 
 
 def _assert_outcomes_identical(serial, batched):
@@ -197,7 +197,7 @@ hint_values = st.one_of(
 def test_lockstep_batch_bit_identical_to_serial(
     kind, stress, policy_name, rows, data
 ):
-    """read_batch == read, row for row, attempt for attempt."""
+    """read_batch == the reference, row for row, attempt for attempt."""
     hints = data.draw(
         st.lists(hint_values, min_size=len(rows), max_size=len(rows))
     )
@@ -232,6 +232,44 @@ def test_lockstep_batch_bit_identical_under_faults(
     )
     _assert_all_identical(serial, batched)
     assert FAULTS.injector.counts == serial_counts
+
+
+@given(kind=kinds, stress=stresses, policy_name=policy_names,
+       row=st.integers(min_value=0, max_value=3), hint=hint_values,
+       seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)))
+@settings(max_examples=48, deadline=None)
+def test_read_of_a_shared_view_reads_only_its_row(
+    kind, stress, policy_name, row, hint, seed
+):
+    """``policy.read`` on one view of a 4-row store equals the reference
+    read of that row, consumes only that row's read-noise stream and
+    (with a fault plan, ``seed`` not None) draws the same faults."""
+    pages = list(range(SPECS[kind].pages_per_wordline))
+
+    def run(read, policy):
+        injector = FAULTS.activate(FAULT_PLAN, seed) if seed is not None else None
+        cols = _cols(kind, stress)
+        view = cols.wordline_view(row)
+        outcomes = [read(policy, view, p, hint) for p in pages]
+        counts = dict(injector.counts) if injector is not None else None
+        FAULTS.deactivate()
+        states = [cols.read_rng(r).bit_generator.state for r in range(4)]
+        return outcomes, counts, states
+
+    expected, ref_counts, ref_states = run(
+        retry_oracle.read, _policy(policy_name, kind, stress)
+    )
+    got, counts, states = run(
+        lambda policy, view, p, h: policy.read(view, p, hint=h),
+        _policy(policy_name, kind, stress),
+    )
+    _assert_all_identical([expected], [got])
+    assert counts == ref_counts
+    assert states == ref_states
+    untouched = _cols(kind, stress)
+    for r in range(4):
+        if r != row:
+            assert states[r] == untouched.read_rng(r).bit_generator.state
 
 
 @given(kind=kinds, policy_name=st.sampled_from(LEARNING), rows=row_subsets)
@@ -489,7 +527,7 @@ class TestAdaptiveRetryUnit:
         chip = FlashChip(spec, seed=5, sentinel_ratio=0.002)
         chip.set_block_stress(0, StressState(pe_cycles=3000,
                                              retention_hours=8760.0))
-        wl = next(iter(chip.iter_wordlines(0, [0])))
+        wl = chip.block_columns(0, [0]).wordline_view(0)
         policy.read(wl, 0)
         assert policy._pending and not policy._starts
         policy.commit_feedback()
@@ -501,7 +539,7 @@ class TestAdaptiveRetryUnit:
         chip.set_block_stress(0, StressState(pe_cycles=3000,
                                              retention_hours=8760.0))
         assert policy.pipelined
-        for wl in chip.iter_wordlines(0, range(4)):
+        for wl in chip.block_columns(0, range(4)).iter_views():
             for p in range(spec.pages_per_wordline):
                 out = policy.read(wl, p)
                 assert out.pipelined_senses == out.retries
@@ -550,7 +588,7 @@ class TestOnlineModelUnit:
         chip = FlashChip(spec, seed=5, sentinel_ratio=0.002)
         chip.set_block_stress(0, StressState(pe_cycles=3000,
                                              retention_hours=8760.0))
-        wl = next(iter(chip.iter_wordlines(0, [0])))
+        wl = chip.block_columns(0, [0]).wordline_view(0)
         for p in range(spec.pages_per_wordline):
             policy.read(wl, p)
         assert not policy._corrections

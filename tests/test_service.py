@@ -434,7 +434,7 @@ class TestSentinelHint:
         hint_fn = sentinel_hint_fn(model)
         cold = warm = 0
         wordlines = range(0, chip.spec.wordlines_per_block, 12)
-        for wl in chip.iter_wordlines(0, wordlines):
+        for wl in chip.block_columns(0, wordlines).iter_views():
             hint = hint_fn(wl)
             for page in range(chip.spec.pages_per_wordline):
                 cold += policy.read(wl, page).retries
