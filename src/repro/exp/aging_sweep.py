@@ -79,13 +79,14 @@ def run_aging_sweep(
     retries = {name: np.zeros(len(pe_cycles)) for name in policies}
     latency = {name: np.zeros(len(pe_cycles)) for name in policies}
     failures = {name: np.zeros(len(pe_cycles)) for name in policies}
-    for i, pe in enumerate(pe_cycles):
-        chip.set_block_stress(
-            0, StressState(pe_cycles=pe, retention_hours=retention_hours)
-        )
-        # per wordline: current flash, then sentinel, then opt
-        rows = sweep_reads(chip, policies.values(), [page], indices)
-        for name, outs in zip(policies, zip(*rows)):
+    # per wordline: current flash, then sentinel, then opt
+    rows = sweep_reads(chip, policies.values(), [page], indices, stresses=[
+        StressState(pe_cycles=pe, retention_hours=retention_hours)
+        for pe in pe_cycles
+    ])
+    for i in range(len(pe_cycles)):
+        per_pe = rows[i * len(indices) : (i + 1) * len(indices)]
+        for name, outs in zip(policies, zip(*per_pe)):
             retries[name][i] = float(np.mean([o.retries for o in outs]))
             latency[name][i] = float(
                 np.mean([timing.read_outcome_us(o) for o in outs])

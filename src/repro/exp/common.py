@@ -127,16 +127,18 @@ def read_rows(policy, cols, page) -> list:
     return [outcomes[0] for outcomes in policy.read_batch(cols, [page])]
 
 
-def sweep_reads(chip: FlashChip, policies, pages, wordlines) -> List[list]:
+def sweep_reads(
+    chip: FlashChip, policies, pages, wordlines, stresses=None
+) -> List[list]:
     """Each policy's reads of ``pages`` on each of ``wordlines`` of block 0,
     one list of outcomes per wordline in (policy, page) order: one
-    :meth:`FlashChip.map_wordlines` sweep at the block's stress, in which
-    every row reads that order too."""
+    :meth:`FlashChip.map_wordlines` sweep at ``stresses`` (default: the
+    block's stress), in which every row reads that order too."""
     def batch(cols):
         reads = [policy.read_batch(cols, pages) for policy in policies]
         return [[o for outs in row for o in outs] for row in zip(*reads)]
 
-    return chip.map_wordlines(batch, wordlines)
+    return chip.map_wordlines(batch, wordlines, stresses=stresses)
 
 
 def sentinel_inferences(cols, model: SentinelModel) -> List[Tuple[float, float]]:

@@ -78,21 +78,17 @@ def run_fig3(
         default = cols.read_page_batch("MSB").rber
         return list(zip(default, cols.read_page_batch("MSB", opt).rber))
 
-    default_rber: Dict[int, np.ndarray] = {}
-    optimal_rber: Dict[int, np.ndarray] = {}
-    for pe in pe_cycles:
-        chip.set_block_stress(
-            0, StressState(pe_cycles=pe, retention_hours=ONE_YEAR_H)
-        )
-        rber = np.reshape(
-            chip.map_wordlines(batch, indices), (len(layers), per_layer, 2)
-        )
-        default_rber[pe] = rber[..., 0].max(axis=1, initial=0.0)
-        optimal_rber[pe] = rber[..., 1].max(axis=1, initial=0.0)
+    rber = np.reshape(  # (pe, layer, wordline, default/optimal)
+        chip.map_wordlines(batch, indices, stresses=[
+            StressState(pe_cycles=pe, retention_hours=ONE_YEAR_H)
+            for pe in pe_cycles
+        ]),
+        (len(pe_cycles), len(layers), per_layer, 2),
+    ).max(axis=2, initial=0.0)
     return Fig3Result(
         kind=kind,
         pe_cycles=tuple(pe_cycles),
         layers=layers,
-        default_rber=default_rber,
-        optimal_rber=optimal_rber,
+        default_rber=dict(zip(pe_cycles, rber[..., 0])),
+        optimal_rber=dict(zip(pe_cycles, rber[..., 1])),
     )

@@ -66,13 +66,13 @@ def run_fig4(
         # per row: every page in turn
         return list(zip(*(cols.read_page_batch(p).rber for p in page_names)))
 
-    room_rber = {p: np.zeros(len(indices)) for p in page_names}
-    high_rber = {p: np.zeros(len(indices)) for p in page_names}
-    for stress, store in ((room, room_rber), (hot, high_rber)):
-        chip.set_block_stress(0, stress)
-        rows = chip.map_wordlines(batch, indices)
-        for page, rber in zip(page_names, zip(*rows)):
-            store[page][:] = rber
+    rber = np.reshape(  # (stress, wordline, page)
+        chip.map_wordlines(batch, indices, stresses=(room, hot)),
+        (2, len(indices), -1),
+    )
+    room_rber, high_rber = (
+        {page: r[:, i] for i, page in enumerate(page_names)} for r in rber
+    )
     return Fig4Result(
         kind=kind, wordlines=indices, room_rber=room_rber, high_rber=high_rber
     )

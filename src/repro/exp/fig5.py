@@ -56,23 +56,21 @@ def run_fig5(
     spec = chip.spec
     indices = np.arange(0, spec.wordlines_per_block, wordline_step)
     room = StressState(pe_cycles=pe_cycles, retention_hours=retention_hours)
-    conditions = {"room": room, "high": replace(room, temperature_c=HIGH_TEMP_C)}
-    results = {
-        name: {v: np.zeros(len(indices)) for v in voltages}
-        for name in conditions
-    }
-    for name, stress in conditions.items():
-        chip.set_block_stress(0, stress)
-        optima = np.vstack(chip.map_wordlines(
+    hot = replace(room, temperature_c=HIGH_TEMP_C)
+    optima = np.reshape(  # (stress, wordline, voltage)
+        chip.map_wordlines(
             lambda cols: list(optimal_offsets_batch(cols, voltages=voltages)),
-            indices,
-        ))
-        for v in voltages:
-            results[name][v][:] = optima[:, v - 1]
+            indices, stresses=(room, hot),
+        ),
+        (2, len(indices), -1),
+    )
+    room_offsets, high_offsets = (
+        {v: o[:, v - 1] for v in voltages} for o in optima
+    )
     return Fig5Result(
         kind=kind,
         voltages=tuple(voltages),
         wordlines=indices,
-        room_offsets=results["room"],
-        high_offsets=results["high"],
+        room_offsets=room_offsets,
+        high_offsets=high_offsets,
     )

@@ -57,18 +57,13 @@ def run_read_disturb(
     chip = eval_chip(kind)
     spec = chip.spec
     indices = range(0, spec.wordlines_per_block, wordline_step)
-    rber = np.zeros(len(read_counts))
-    for i, reads in enumerate(read_counts):
-        chip.set_block_stress(
-            0,
-            StressState(
-                pe_cycles=pe_cycles,
-                retention_hours=retention_hours,
-                read_count=reads,
-            ),
-        )
-        samples = chip.map_wordlines(
-            lambda cols: list(cols.read_page_batch("MSB").rber), indices
-        )
-        rber[i] = float(np.mean(samples))
+    samples = chip.map_wordlines(
+        lambda cols: list(cols.read_page_batch("MSB").rber), indices,
+        stresses=[
+            StressState(pe_cycles=pe_cycles, retention_hours=retention_hours,
+                        read_count=reads)
+            for reads in read_counts
+        ],
+    )
+    rber = np.mean(np.reshape(samples, (len(read_counts), -1)), axis=1)
     return ReadDisturbResult(kind=kind, read_counts=tuple(read_counts), rber=rber)

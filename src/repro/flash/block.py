@@ -124,7 +124,8 @@ class BlockColumns:
     own seed-tree streams (in row order, which cannot matter: the streams
     are independent), then synthesizes all Vth rows with one batched
     kernel.  The stored cells never change after construction:
-    programming a wordline moves it to a new private store.
+    programming a wordline moves it to a new private store, and
+    :meth:`restart` re-stresses the same cells as if freshly built.
     """
 
     #: Distinct stress points whose Vth synthesis is kept per store.  The
@@ -185,7 +186,6 @@ class BlockColumns:
         self.prog_noise = np.empty((w, n), dtype=np.float32)
         self.leak_rate = np.empty((w, n), dtype=np.float32)
         self.tail_mag = np.empty((w, n), dtype=np.float32)
-        self._read_rngs: List[np.random.Generator] = []
         for row, index in enumerate(self.indices):
             data_rng = derive_rng(chip_seed, "data", block, index)
             self.states[row] = data_rng.integers(
@@ -197,10 +197,23 @@ class BlockColumns:
             self.prog_noise[row] = lat.prog_noise
             self.leak_rate[row] = lat.leak_rate
             self.tail_mag[row] = lat.tail_mag
-            self._read_rngs.append(
-                derive_rng(chip_seed, "readnoise", block, index)
-            )
-        self._reset(stress or StressState())
+        self.restart(stress or StressState())
+
+    def restart(self, stress: StressState) -> None:
+        """Make the store exactly a fresh build of its cells at ``stress``.
+
+        Every row gets its ``readnoise`` stream back at the seed-tree
+        origin, the memos are emptied and all rows are synthesized under
+        ``stress``.  States, latents and modifiers do not depend on
+        stress, so nothing is redrawn: a multi-stress sweep builds each
+        sub-batch once and restarts it per stress.
+        """
+        self._read_rngs: List[np.random.Generator] = [
+            derive_rng(self.chip_seed, "readnoise", self.block, index)
+            for index in self.indices
+        ]
+        self.vth = None  # drop the old Vth first: no two copies at peak
+        self._reset(stress)
 
     def _reset(self, stress: StressState) -> None:
         """Empty every cache and synthesize all rows under ``stress``."""

@@ -185,21 +185,31 @@ class FlashChip:
         (:meth:`iter_wordline_batches`) and returns a list; the lists are
         concatenated in sweep order.
 
-        With ``workers > 1`` the (stress, block) runs split into
+        Each sub-batch is built once, at the first stress, and
+        :meth:`BlockColumns.restart` re-stresses it for every further one,
+        so a multi-stress sweep draws each wordline's cells once.  The
+        calls of ``fn`` on one sub-batch then run back to back, stress
+        after stress: ``fn`` must be a pure function of its batch (no
+        state carried from one call to the next).
+
+        With ``workers > 1`` each block's wordlines split into
         :func:`~repro.engine.plan_wordline_shards` shards fanned out over
         :class:`~repro.engine.ParallelMap` (``fn`` must pickle).  Every
         shard, serial ones included, rebuilds the chip from ``(spec,
-        seed, sentinel_ratio)`` and sets its block's stress: the seed tree
-        keys all randomness by wordline identity, so the result is
-        byte-identical at any worker count and any sub-batch size.
+        seed, sentinel_ratio)``: the seed tree keys all randomness by
+        wordline identity, so the result is byte-identical at any worker
+        count and any sub-batch size.
         """
         if wordlines is None:
             wordlines = range(self.spec.wordlines_per_block)
         wordlines = tuple(wordlines)
+        runs = (
+            [(self.block_stress(block),) for block in blocks]
+            if stresses is None else [tuple(stresses)] * len(blocks)
+        )
         units = [
-            (self.block_stress(block) if stress is None else stress, shard)
-            for stress in (stresses if stresses is not None else (None,))
-            for block in blocks
+            (run, shard)
+            for block, run in zip(blocks, runs) if run
             for shard in plan_wordline_shards(block, wordlines, workers)
         ]
         per_unit = ParallelMap(workers=workers).run(
@@ -209,7 +219,13 @@ class FlashChip:
             units,
             label=label,
         )
-        return [item for rows in per_unit for item in rows]
+        # stress-major merge: the canonical (stress, block, wordline) order
+        return [
+            item
+            for per_stress in zip(*per_unit)
+            for rows in per_stress
+            for item in rows
+        ]
 
     # ------------------------------------------------------------------
     # convenience reads
@@ -230,12 +246,16 @@ class FlashChip:
         )
 
 
-def _sweep_shard(spec, seed, sentinel_ratio, fn, unit) -> List[Any]:
-    """Worker side of :meth:`FlashChip.map_wordlines`: one shard's rows."""
-    stress, shard = unit
+def _sweep_shard(spec, seed, sentinel_ratio, fn, unit) -> List[List[Any]]:
+    """Worker side of :meth:`FlashChip.map_wordlines`: one shard's rows,
+    one list per stress; each sub-batch is built once and restarted."""
+    stresses, shard = unit
     chip = FlashChip(spec, seed, sentinel_ratio)
-    chip.set_block_stress(shard.block, stress)
-    rows: List[Any] = []
+    chip.set_block_stress(shard.block, stresses[0])
+    per_stress: List[List[Any]] = [[] for _ in stresses]
     for cols in chip.iter_wordline_batches(shard.block, shard.wordlines):
-        rows.extend(fn(cols))
-    return rows
+        for k, stress in enumerate(stresses):
+            if k:
+                cols.restart(stress)
+            per_stress[k].extend(fn(cols))
+    return per_stress

@@ -134,6 +134,24 @@ class TestConstruction:
         batch = cols.read_page_batch(0, rows=[1])
         assert np.array_equal(batch.mismatch[0], b.mismatch)
 
+    def test_restart_equals_fresh_build(self, tiny_tlc, aged_stress):
+        """A used store restarted at a stress is exactly a fresh build
+        there: same cells, same Vth bytes, same next noisy sense."""
+        cols = make_chip(tiny_tlc).block_columns(0, range(3))
+        cols.read_page_batch(0)
+        cols.sentinel_readout_batch(0.0)
+        cols.restart(aged_stress)
+        fresh = make_chip(tiny_tlc, aged_stress).block_columns(0, range(3))
+        assert cols.stress == fresh.stress == aged_stress
+        for name in ("states", "prog_noise", "leak_rate", "tail_mag"):
+            assert np.array_equal(getattr(cols, name), getattr(fresh, name))
+        assert cols.vth.tobytes() == fresh.vth.tobytes()
+        positions = tiny_tlc.default_read_voltages
+        assert np.array_equal(
+            cols.sense_regions_batch(positions),
+            fresh.sense_regions_batch(positions),
+        )
+
     def test_iter_wordline_batches_partitions_in_order(self, tiny_tlc):
         chip = make_chip(tiny_tlc)
         got = []

@@ -4,21 +4,65 @@ import numpy as np
 import pytest
 
 from repro.core.characterization import characterize_chip
+from repro.flash import block as block_module
+from repro.flash import chip as chip_module
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
+from repro.obs import OBS
+
+
+STRESSES = (
+    StressState(pe_cycles=1000, retention_hours=720),
+    StressState(pe_cycles=3000, retention_hours=8760),
+    StressState(pe_cycles=2000, retention_hours=24, temperature_c=80.0),
+)
 
 
 @pytest.fixture(scope="module")
 def tiny_characterization(tiny_tlc):
     chip = FlashChip(tiny_tlc, seed=42)
-    stresses = (
-        StressState(pe_cycles=1000, retention_hours=720),
-        StressState(pe_cycles=3000, retention_hours=8760),
-        StressState(pe_cycles=2000, retention_hours=24, temperature_c=80.0),
-    )
     return characterize_chip(
-        chip, blocks=(0,), stresses=stresses, wordlines=range(0, 8)
+        chip, blocks=(0,), stresses=STRESSES, wordlines=range(0, 8)
     )
+
+
+def test_cells_drawn_once_per_swept_wordline(
+    tiny_tlc, tiny_characterization, monkeypatch
+):
+    """Over k stresses each wordline's latents are drawn once, not k
+    times; Vth is still synthesized once per (stress, sub-batch), and
+    the samples equal a one-sub-batch sweep's."""
+    draws = []
+    real = block_module.sample_latents
+
+    def counting(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(block_module, "sample_latents", counting)
+    # sub-batches of 3, 3 and 2 rows
+    monkeypatch.setattr(
+        chip_module, "SWEEP_BATCH_CELLS", 3 * tiny_tlc.cells_per_wordline
+    )
+    OBS.disable()
+    OBS.reset()
+    OBS.enable(metrics=False, tracing=True)
+    try:
+        result = characterize_chip(
+            FlashChip(tiny_tlc, seed=42), blocks=(0,), stresses=STRESSES,
+            wordlines=range(0, 8),
+        )
+        synth = [
+            e for e in OBS.tracer.events()
+            if e.kind == "batch_sense" and e.fields["kernel"] == "synthesize"
+        ]
+    finally:
+        OBS.disable()
+        OBS.reset()
+    assert np.array_equal(result.d_rates, tiny_characterization.d_rates)
+    assert np.array_equal(result.optima, tiny_characterization.optima)
+    assert len(draws) == 8
+    assert len(synth) == len(STRESSES) * 3
 
 
 class TestCharacterize:

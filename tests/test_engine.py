@@ -25,6 +25,7 @@ from repro.engine import (
     split_contiguous,
 )
 from repro.flash.chip import FlashChip, StressState
+from repro.flash.optimal import optimal_offsets_batch
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +217,15 @@ def test_sweep_block_offsets_identical_serial_vs_parallel(tiny_tlc):
 
 
 def _sentinel_rows(cols):
-    """Each row's identity and stress plus one noisy sentinel readout."""
+    """Each row's identity and stress, one noisy sentinel readout, one
+    noisy page read (RBER) and the noiseless optima of its Vth."""
+    readouts = cols.sentinel_readout_batch(0.0)
+    rber = cols.read_page_batch("MSB").rber
+    optima = optimal_offsets_batch(cols)
     return [
-        (cols.block, index, cols.stress, r.up_errors, r.down_errors)
-        for index, r in zip(cols.indices, cols.sentinel_readout_batch(0.0))
+        (cols.block, index, cols.stress, r.up_errors, r.down_errors, e,
+         tuple(o))
+        for index, r, e, o in zip(cols.indices, readouts, rber, optima)
     ]
 
 
@@ -247,7 +253,8 @@ def test_map_wordlines_matches_per_row_reference(
     tiny_tlc, monkeypatch, wordlines, batch_rows, workers, current_stress
 ):
     """The one block-sweep path equals one-row stores read in (stress,
-    block, wordline) order, at any worker count and sub-batch size."""
+    block, wordline) order, at any worker count and sub-batch size; no
+    stresses sweep nothing."""
     from repro.flash import chip as chip_module
     from repro.flash.block import BlockColumns
 
@@ -278,6 +285,10 @@ def test_map_wordlines_matches_per_row_reference(
         )
     ]
     assert got == expected
+    assert chip.map_wordlines(
+        _sentinel_rows, wordlines, blocks=(0, 1), stresses=(),
+        workers=workers,
+    ) == []
 
 
 def test_service_report_json_identical_serial_vs_parallel(tiny_tlc):
