@@ -18,14 +18,20 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
+EXAMPLES = quickstart characterize_and_deploy temperature_study ecc_comparison \
+	distribution_explorer figure_gallery ssd_trace_simulation
+
+# every script is deterministic: its stdout must match its golden under
+# tests/golden/examples/ byte for byte (a run's output is kept in
+# .examples-out/; copy it over the golden to re-record an intended change)
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/characterize_and_deploy.py
-	$(PYTHON) examples/temperature_study.py
-	$(PYTHON) examples/ecc_comparison.py
-	$(PYTHON) examples/distribution_explorer.py
-	$(PYTHON) examples/figure_gallery.py
-	$(PYTHON) examples/ssd_trace_simulation.py
+	@mkdir -p .examples-out
+	@for name in $(EXAMPLES); do \
+		echo "examples/$$name.py"; \
+		$(PYTHON) examples/$$name.py > .examples-out/$$name.txt || exit 1; \
+		diff -u tests/golden/examples/$$name.txt .examples-out/$$name.txt \
+			|| exit 1; \
+	done
 
 figures:
 	$(PYTHON) -m repro figure fig13
@@ -86,5 +92,5 @@ perfbench-smoke:
 		sys.exit(r['correct'] is not True)"
 
 clean:
-	rm -rf build dist *.egg-info .pytest_cache .benchmarks
+	rm -rf build dist *.egg-info .pytest_cache .benchmarks .examples-out
 	find . -name __pycache__ -type d -exec rm -rf {} +
