@@ -51,15 +51,12 @@ def explore(label: str, wordline) -> None:
 
 def main() -> None:
     spec = QLC_SPEC.scaled(cells_per_wordline=65536, wordlines_per_layer=4)
-    chip = FlashChip(spec, seed=1)
+    wl = FlashChip(spec, seed=1).wordline(0, 8)
+    explore("fresh block", wl)
 
-    chip.set_block_stress(0, StressState())
-    explore("fresh block", chip.wordline(0, 8))
-
-    chip.set_block_stress(
-        0, StressState(pe_cycles=1000, retention_hours=8760)
-    )
-    explore("aged block (1000 P/E + 1 year)", chip.wordline(0, 8))
+    # the same cells (and read-noise stream) a year of retention later
+    wl.set_stress(StressState(pe_cycles=1000, retention_hours=8760))
+    explore("aged block (1000 P/E + 1 year)", wl)
 
     print(
         "\nAfter a year of retention every programmed state has slid left"

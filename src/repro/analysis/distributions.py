@@ -56,8 +56,8 @@ def full_axis_histogram(
     positions = np.arange(lo, hi + step, step)
     cumulative = np.empty(len(positions), dtype=np.int64)
     for i, pos in enumerate(positions):
-        above = wordline.single_voltage_read(pos)
-        cumulative[i] = wordline.n_cells - int(above.sum())
+        above = wordline.store.single_voltage_counts(pos, rows=[wordline.row])
+        cumulative[i] = wordline.n_cells - int(above[0])
     counts = np.diff(cumulative)
     np.clip(counts, 0, None, out=counts)
     return AxisHistogram(

@@ -51,15 +51,15 @@ def run_fig12(
     zero_index = list(deltas).index(0)
 
     def batch(cols):
-        rows = []
         optima = optimal_offsets_batch(cols, voltages=[v])[:, v - 1]
-        for wl, opt in zip(cols.iter_views(), optima):
-            row = np.zeros(len(deltas))
-            for i, delta in enumerate(deltas):
-                pos = spec.read_voltage(v, int(opt) + delta)
-                row[i], _ = wl.state_change_counts(pos_default, pos)
-            rows.append(row / max(row[zero_index], 1.0))
-        return rows
+        # NCa of every row at each delta, probed around the row's own optimum
+        counts = np.stack([
+            cols.state_change_counts_batch(
+                pos_default, pos_default + (optima + delta)
+            )[0]
+            for delta in deltas
+        ], axis=1).astype(np.float64)
+        return list(counts / np.maximum(counts[:, [zero_index]], 1.0))
 
     per_wordline = np.asarray(chip.map_wordlines(batch, indices))
     return Fig12Result(

@@ -49,6 +49,13 @@ def _chi_square_uniform_p(indices: np.ndarray, n_cells: int, bins: int = 16) -> 
     return float(stats.chi2.sf(chi2, df=bins - 1))
 
 
+def error_positions(cols) -> List[np.ndarray]:
+    """Per row of a store: bitlines of the data cells that one full-state
+    read at the default voltages misreads."""
+    wrong = (cols.read_states_batch() != cols.states) & cols.data_mask
+    return [np.nonzero(row)[0] for row in wrong]
+
+
 def run_fig7(
     kind: str = "qlc",
     pe_cycles: int = 3000,
@@ -62,10 +69,7 @@ def run_fig7(
         0, StressState(pe_cycles=pe_cycles, retention_hours=ONE_YEAR_H)
     )
     indices = range(0, spec.wordlines_per_block, wordline_step)
-    errors = chip.map_wordlines(
-        lambda cols: [wl.error_cell_indices() for wl in cols.iter_views()],
-        indices,
-    )
+    errors = chip.map_wordlines(error_positions, indices)
     points: List[Tuple[int, int]] = []
     counts = []
     p_values = []

@@ -103,33 +103,37 @@ def collect_method_errors(
     tracked = tracking.tracked_offsets(0) if tracking is not None else None
 
     def batch(cols):
-        # per row: sentinel readout, then the controller's read, then the
-        # error counts of every method
-        rows = []
-        for wl, opt, readout, outcome in zip(
-            cols.iter_views(), optimal_offsets_batch(cols),
+        # every row's sentinel readout and controller read, then each
+        # method's offsets and the error counts at them
+        chosen = {m: np.zeros((cols.n_wordlines, n_v)) for m in methods}
+        chosen["optimal"] = optimal_offsets_batch(cols)
+        for j, (readout, outcome) in enumerate(zip(
             cols.sentinel_readout_batch(0.0), read_rows(controller, cols, page),
-        ):
+        )):
             inferred = model.infer_offsets(
-                readout.difference_rate, wl.stress.temperature_c
+                readout.difference_rate, cols.stress.temperature_c
             )
             # calibration output counts only when it converged; on a strict-ECC
             # wipeout the controller would fall back to the vendor table, so the
             # honest "calibrated" voltages are the inferred ones
             converged = outcome.success and len(outcome.final_offsets) == n_v
-            per_wl = {
-                "default": np.zeros(n_v), "optimal": opt, "inferred": inferred,
-                "calibrated": outcome.final_offsets if converged else inferred,
-                "tracking": tracked,
-            }
-            rows.append([
-                (off, wl.per_voltage_errors(off), [
-                    errors_at_offsets(wl, v, [off[v - 1]])[0]
+            chosen["inferred"][j] = inferred
+            chosen["calibrated"][j] = (
+                outcome.final_offsets if converged else inferred
+            )
+            if tracked is not None:
+                chosen["tracking"][j] = tracked
+        errs = {m: cols.per_voltage_errors_batch(chosen[m]) for m in methods}
+        return [
+            [
+                (chosen[m][j], errs[m][j], [
+                    errors_at_offsets(wl, v, [chosen[m][j, v - 1]])[0]
                     for v in range(1, n_v + 1)
                 ])
-                for off in (per_wl[m] for m in methods)
-            ])
-        return rows
+                for m in methods
+            ]
+            for j, wl in enumerate(cols.iter_views())
+        ]
 
     for i, row in enumerate(chip.map_wordlines(batch, indices)):
         for method, (off, errs, bounds) in zip(methods, row):

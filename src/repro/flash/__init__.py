@@ -9,7 +9,7 @@ cell model:
 * ``mechanisms``  — P/E wear, Arrhenius-accelerated retention, read disturb.
 * ``variation``   — layer-to-layer / wordline-to-wordline process variation.
 * ``vth``         — per-cell threshold-voltage synthesis.
-* ``wordline``    — program/read of one wordline, error accounting.
+* ``wordline``    — one wordline: programming, page and sentinel reads.
 * ``block``       — columnar block store + batched sense/decode kernels.
 * ``chip``        — chip-level API (blocks, stress, wordline factory).
 * ``optimal``     — ground-truth optimal read-voltage search.

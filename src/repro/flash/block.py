@@ -379,7 +379,6 @@ class BlockColumns:
         rows: Sequence[int],
         sel,
         positions: np.ndarray,
-        noisy: bool,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Region index of every cell of ``rows`` w.r.t. ``positions``.
@@ -391,7 +390,7 @@ class BlockColumns:
         promotes the float32 sensed values to float64 exactly as
         searchsorted does.  Writes into ``out`` when given.
         """
-        sensed = self._sensed(rows, sel) if noisy else self.vth[sel]
+        sensed = self._sensed(rows, sel)
         if out is None:
             regions = np.zeros(sensed.shape, dtype=np.int16)
         else:
@@ -429,14 +428,14 @@ class BlockColumns:
                 )
         return bits, mismatch, n_err
 
-    def _sentinel_errors(
+    def _sentinel_readouts(
         self, rows: Sequence[int], sel, offset: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-sentinel up/down error masks of ``rows`` at ``offset``.
+    ) -> List[SentinelReadout]:
+        """Sentinel up/down errors of ``rows`` at ``offset``.
 
-        One noise draw of ``n_sentinels`` values per row.  ``up`` marks
-        low-state sentinels sensed at or above the sentinel voltage,
-        ``down`` high-state sentinels sensed below it.
+        One noise draw of ``n_sentinels`` values per row.  Up errors are
+        low-state sentinels sensed at or above the sentinel voltage, down
+        errors high-state sentinels sensed below it.
         """
         if self.n_sentinels == 0:
             raise RuntimeError("wordline has no sentinel cells")
@@ -447,7 +446,31 @@ class BlockColumns:
         high = sensed >= pos
         s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
         sent_states = self.states[sel][:, idx]
-        return (sent_states == s_low) & high, (sent_states == s_high) & ~high
+        up = np.count_nonzero((sent_states == s_low) & high, axis=1)
+        down = np.count_nonzero((sent_states == s_high) & ~high, axis=1)
+        return [
+            SentinelReadout(int(u), int(d), self.n_sentinels)
+            for u, d in zip(up, down)
+        ]
+
+    def _state_changes(
+        self, rows: Sequence[int], sel, position_a, position_b
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(NCa, NCs)`` of ``rows`` between single-voltage reads at
+        ``position_a``, then ``position_b`` (each a scalar or one per row).
+
+        A threshold is rounded to float32, the precision of the sensed
+        Vth (as comparing against a Python float does).
+        """
+        def read(position) -> np.ndarray:
+            pos = np.asarray(position, dtype=np.float64).reshape(-1, 1)
+            return self._sensed(rows, sel) >= pos.astype(np.float32)
+
+        changed = read(position_a) != read(position_b)
+        return (
+            np.count_nonzero(changed & self.data_mask, axis=1),
+            np.count_nonzero(changed & self.sentinel_mask, axis=1),
+        )
 
     @staticmethod
     def _selector(rows: List[int]) -> Union[slice, List[int]]:
@@ -476,53 +499,61 @@ class BlockColumns:
     # ------------------------------------------------------------------
     # per-row entry points (what a Wordline handle calls; not noted)
     # ------------------------------------------------------------------
-    def _sense_row(
-        self, row: int, positions: np.ndarray, noisy: bool = True
-    ) -> np.ndarray:
-        """Region index of every cell of one row (see :meth:`_regions`)."""
-        positions = self._ascending(np.asarray(positions, dtype=np.float64))
-        return self._regions([row], slice(row, row + 1), positions, noisy)[0]
-
     def _read_page_row(
-        self, row: int, p: int, positions: np.ndarray
+        self, row: int, p: int, dense: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """One row's page read: data-cell bits, mismatch mask, errors."""
+        """One row's page read at dense offsets: data-cell bits, mismatch
+        mask, errors."""
         rows, sel = [row], slice(row, row + 1)
-        regions = self._regions(rows, sel, self._ascending(positions), True)
+        positions = self._page_positions(p, dense)
+        regions = self._regions(rows, sel, self._ascending(positions))
         bits, mismatch, n_err = self._decode_page(p, rows, sel, regions)
         return bits[0][self.data_mask], mismatch[0], int(n_err[0])
 
     def _sentinel_row(self, row: int, offset: float) -> SentinelReadout:
-        up, down = self._sentinel_errors([row], slice(row, row + 1), offset)
-        return SentinelReadout(
-            up_errors=int(np.count_nonzero(up)),
-            down_errors=int(np.count_nonzero(down)),
-            n_sentinels=self.n_sentinels,
-        )
+        return self._sentinel_readouts([row], slice(row, row + 1), offset)[0]
 
-    def _single_voltage_row(self, row: int, position: float) -> np.ndarray:
-        """Boolean sensing of one row's cells against one threshold."""
-        return self._sensed([row], slice(row, row + 1))[0] >= position
+    def _state_change_row(
+        self, row: int, position_a: float, position_b: float
+    ) -> Tuple[int, int]:
+        nca, ncs = self._state_changes(
+            [row], slice(row, row + 1), position_a, position_b
+        )
+        return int(nca[0]), int(ncs[0])
 
     # ------------------------------------------------------------------
     # batched kernels (timed; each call records one batch_sense event)
     # ------------------------------------------------------------------
+    def _page_positions(self, p: int, dense: np.ndarray) -> np.ndarray:
+        """Thresholds of page ``p`` at dense (or per-row dense) offsets."""
+        idx = self.spec.gray.page_voltage_arrays[p]
+        return self.spec.default_read_voltages[idx] + dense[..., idx]
+
     def _row_list(self, rows: Optional[Sequence[int]]) -> List[int]:
         return list(range(self.n_wordlines)) if rows is None else list(rows)
+
+    def _dense_offsets(
+        self, offsets: Union[OffsetsLike, np.ndarray]
+    ) -> np.ndarray:
+        """Dense float64 offsets, shared ``(V,)`` or per-row ``(rows, V)``."""
+        n_v = self.spec.n_voltages
+        if isinstance(offsets, np.ndarray) and offsets.ndim == 2:
+            if offsets.shape[1] != n_v:
+                raise ValueError(f"per-row offsets must have {n_v} columns")
+            return offsets.astype(np.float64, copy=True)
+        return make_offsets(self.spec, offsets)
 
     def sense_regions_batch(
         self,
         positions: np.ndarray,
         rows: Optional[Sequence[int]] = None,
-        noisy: bool = True,
     ) -> np.ndarray:
         """Region index of every cell of every row, in one timed pass.
 
         ``positions`` is either one shared ascending position vector
         ``(V,)`` or a per-row matrix ``(len(rows), V)``.  Returns an
-        ``(len(rows), n_cells)`` int16 array; row ``j`` equals what
-        ``wordline_view(rows[j]).sense_regions(positions[j])`` would
-        return at the same stream position.
+        ``(len(rows), n_cells)`` int16 array of regions (see
+        :meth:`_regions`), sensed with fresh comparator noise per call.
         """
         row_idx = self._row_list(rows)
         positions = self._ascending(np.asarray(positions, dtype=np.float64))
@@ -539,7 +570,7 @@ class BlockColumns:
             sub = row_idx[c0 : c0 + chunk]
             pos = positions[c0 : c0 + chunk] if positions.ndim == 2 else positions
             self._regions(
-                sub, self._selector(sub), pos, noisy,
+                sub, self._selector(sub), pos,
                 out=regions[c0 : c0 + len(sub)],
             )
         _note_kernel(
@@ -565,22 +596,12 @@ class BlockColumns:
         ``wordline_view(r).read_page(page, offsets_r)`` issued in row
         order.
         """
-        spec = self.spec
-        p = spec.gray.page_index(page)
-        idx = spec.gray.page_voltage_arrays[p]
-        off = np.asarray(offsets) if isinstance(offsets, np.ndarray) else None
-        if off is not None and off.ndim == 2:
-            dense = off.astype(np.float64, copy=True)
-            if dense.shape[1] != spec.n_voltages:
-                raise ValueError(
-                    f"per-row offsets must have {spec.n_voltages} columns"
-                )
-            positions = spec.default_read_voltages[idx][None, :] + dense[:, idx]
-        else:
-            dense = make_offsets(spec, offsets)
-            positions = spec.default_read_voltages[idx] + dense[idx]
+        p = self.spec.gray.page_index(page)
+        dense = self._dense_offsets(offsets)
         row_idx = self._row_list(rows)
-        regions = self.sense_regions_batch(positions, row_idx)
+        regions = self.sense_regions_batch(
+            self._page_positions(p, dense), row_idx
+        )
         _, mismatch, n_err = self._decode_page(
             p, row_idx, self._selector(row_idx), regions
         )
@@ -591,6 +612,80 @@ class BlockColumns:
             offsets=dense,
             mismatch=mismatch,
         )
+
+    def read_states_batch(
+        self,
+        offsets: Union[OffsetsLike, np.ndarray] = None,
+        rows: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Estimated state of every cell from one read with all voltages:
+        the regions at ``default + offsets`` (shared or per-row offsets,
+        as in :meth:`read_page_batch`)."""
+        positions = self.spec.default_read_voltages + self._dense_offsets(
+            offsets
+        )
+        return self.sense_regions_batch(positions, rows)
+
+    def per_voltage_errors_batch(
+        self,
+        offsets: Union[OffsetsLike, np.ndarray] = None,
+        rows: Optional[Sequence[int]] = None,
+    ) -> np.ndarray:
+        """Bit errors of a full-state read charged to each read voltage.
+
+        A data cell misread from state ``s`` to region ``r`` flips exactly
+        one page bit at every boundary it crosses (Gray coding), so
+        boundary ``V_i`` is charged one error for every data cell with
+        ``min(s, r) < i <= max(s, r)`` — the per-voltage quantity of
+        Figures 16-18.  Returns ``(len(rows), n_voltages)`` int64.
+        """
+        row_idx = self._row_list(rows)
+        est = self.read_states_batch(offsets, row_idx)
+        states = self.states[self._selector(row_idx)]
+        lo = np.minimum(states, est).take(self._data_idx, axis=1)
+        hi = np.maximum(states, est).take(self._data_idx, axis=1)
+        n = self.spec.n_states
+        crossed = np.empty((len(row_idx), n), dtype=np.int64)
+        for j in range(len(row_idx)):
+            # boundary k + 1 is crossed by the cells with lo <= k < hi
+            crossed[j] = np.bincount(lo[j], None, n) - np.bincount(hi[j], None, n)
+        return np.cumsum(crossed, axis=1)[:, :-1]
+
+    def state_change_counts_batch(
+        self,
+        position_a: Union[float, np.ndarray],
+        position_b: Union[float, np.ndarray],
+        rows: Optional[Sequence[int]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cells whose single-voltage readout changes between two positions.
+
+        Returns ``(NCa, NCs)`` per row: the count over data cells and over
+        sentinel cells, the two quantities the calibration of Section
+        III-C compares (``NCa`` vs ``NCs / r``).  Each position is one
+        absolute threshold for every row or one per row (Figure 12 probes
+        each row's own optimum).  Row ``j`` equals
+        ``wordline_view(rows[j]).state_change_counts(a_j, b_j)`` at the
+        same stream position.
+        """
+        row_idx = self._row_list(rows)
+        a, b = (
+            np.broadcast_to(np.asarray(p, dtype=np.float64), len(row_idx))
+            for p in (position_a, position_b)
+        )
+        nca = np.empty(len(row_idx), dtype=np.int64)
+        ncs = np.empty_like(nca)
+        chunk = max(1, _CHUNK_ELEMS // max(self.n_cells, 1))
+        t0 = time.perf_counter()
+        for c0 in range(0, len(row_idx), chunk):
+            sub, out = row_idx[c0 : c0 + chunk], slice(c0, c0 + chunk)
+            nca[out], ncs[out] = self._state_changes(
+                sub, self._selector(sub), a[out], b[out]
+            )
+        _note_kernel(
+            "state_change", len(row_idx), self.n_cells, 2,
+            time.perf_counter() - t0,
+        )
+        return nca, ncs
 
     def sentinel_readout_batch(
         self,
@@ -604,25 +699,14 @@ class BlockColumns:
         """
         row_idx = self._row_list(rows)
         t0 = time.perf_counter()
-        up, down = self._sentinel_errors(
+        readouts = self._sentinel_readouts(
             row_idx, self._selector(row_idx), offset
         )
-        up = np.count_nonzero(up, axis=1)
-        down = np.count_nonzero(down, axis=1)
         _note_kernel(
-            "sentinel_readout",
-            len(row_idx),
-            self.n_sentinels,
-            1,
+            "sentinel_readout", len(row_idx), self.n_sentinels, 1,
             time.perf_counter() - t0,
         )
-        return [
-            SentinelReadout(
-                up_errors=int(u), down_errors=int(d),
-                n_sentinels=self.n_sentinels,
-            )
-            for u, d in zip(up, down)
-        ]
+        return readouts
 
     def single_voltage_counts(
         self,
@@ -631,8 +715,7 @@ class BlockColumns:
     ) -> np.ndarray:
         """Cells sensed at or above ``position``, per row (batched).
 
-        Equals ``int(wordline_view(r).single_voltage_read(position).sum())``
-        for each row at the same stream position; the boolean readout
+        One noise draw of ``n_cells`` values per row; the boolean readout
         itself is never materialized for all rows at once.
         """
         row_idx = self._row_list(rows)

@@ -1,15 +1,15 @@
 """Chip-level API: blocks, stress bookkeeping, and wordline access.
 
-:class:`FlashChip` is a lazy factory — wordlines are materialized on demand
-(deterministically from the chip seed) and a small LRU cache keeps the hot
-ones.  Block-level state is limited to the stress condition (P/E cycles,
+:class:`FlashChip` is a lazy factory — wordlines are materialized on demand,
+deterministically from the chip seed, and nothing is cached: a wordline's
+content depends only on its identity and its block's current stress.
+Block-level state is limited to the stress condition (P/E cycles,
 retention, temperature, read count), which is exactly what the experiments
-sweep.
+sweep; :meth:`FlashChip.map_wordlines` is the one block-sweep path.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -17,7 +17,7 @@ from repro.engine import ParallelMap, plan_wordline_shards
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
 from repro.flash.variation import BlockVariation
-from repro.flash.wordline import OffsetsLike, ReadResult, Wordline
+from repro.flash.wordline import Wordline
 
 # re-exported for convenience: most callers import StressState from here
 __all__ = ["FlashChip", "StressState", "SWEEP_BATCH_CELLS"]
@@ -49,48 +49,26 @@ class FlashChip:
         spec: FlashSpec,
         seed: int = 0,
         sentinel_ratio: float = 0.002,
-        cache_wordlines: int = 16,
     ) -> None:
-        if sentinel_ratio and not spec.sentinel_fits_in_free_oob(sentinel_ratio):
-            # Allowed, but flagged: Section IV-C evaluates exactly this case
-            # (sentinels stealing ECC parity space).
-            self.sentinels_fit_oob = False
-        else:
-            self.sentinels_fit_oob = True
         self.spec = spec
         self.seed = seed
         self.sentinel_ratio = sentinel_ratio
         self._stress: Dict[int, StressState] = {}
         self._variation: Dict[int, BlockVariation] = {}
-        self._cache: "OrderedDict[tuple, Wordline]" = OrderedDict()
-        self._cache_size = cache_wordlines
-        self._erase_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # stress bookkeeping
     # ------------------------------------------------------------------
     def set_block_stress(self, block: int, stress: StressState) -> None:
-        """Set the stress condition of a block; cached wordlines follow."""
+        """Set the stress condition of a block's later reads.
+
+        Handles fetched before keep their stress: move one with
+        :meth:`Wordline.set_stress`.
+        """
         self._stress[block] = stress
-        for (b, _), wl in self._cache.items():
-            if b == block:
-                wl.set_stress(stress)
 
     def block_stress(self, block: int) -> StressState:
         return self._stress.get(block, StressState())
-
-    def erase_block(self, block: int) -> None:
-        """Erase bookkeeping: bumps the wear counter, resets retention."""
-        count = self._erase_counts.get(block, 0) + 1
-        self._erase_counts[block] = count
-        prior = self.block_stress(block)
-        self.set_block_stress(
-            block,
-            StressState(pe_cycles=max(prior.pe_cycles, count), retention_hours=0.0),
-        )
-
-    def erase_count(self, block: int) -> int:
-        return self._erase_counts.get(block, 0)
 
     # ------------------------------------------------------------------
     # wordline access
@@ -101,16 +79,9 @@ class FlashChip:
         return self._variation[block]
 
     def wordline(self, block: int, index: int) -> Wordline:
-        """Materialize (or fetch from cache) one wordline."""
-        key = (block, index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            stress = self.block_stress(block)
-            if cached.stress != stress:
-                cached.set_stress(stress)
-            return cached
-        wl = Wordline(
+        """A fresh one-row handle at the block's current stress: the seed
+        cells and a read-noise stream from its start (nothing is cached)."""
+        return Wordline(
             self.spec,
             self.seed,
             block,
@@ -119,10 +90,6 @@ class FlashChip:
             sentinel_ratio=self.sentinel_ratio,
             variation=self.block_variation(block),
         )
-        self._cache[key] = wl
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return wl
 
     def block_columns(
         self, block: int, indices: Optional[Sequence[int]] = None
@@ -226,18 +193,6 @@ class FlashChip:
             for rows in per_stress
             for item in rows
         ]
-
-    # ------------------------------------------------------------------
-    # convenience reads
-    # ------------------------------------------------------------------
-    def read_page(
-        self,
-        block: int,
-        wordline: int,
-        page: "int | str",
-        offsets: OffsetsLike = None,
-    ) -> ReadResult:
-        return self.wordline(block, wordline).read_page(page, offsets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -111,9 +111,6 @@ class StressState:
             self, retention_hours=prior + hours, temperature_c=temp
         )
 
-    def with_pe_cycles(self, cycles: int) -> "StressState":
-        return replace(self, pe_cycles=cycles)
-
     def key(self) -> tuple:
         """Hashable key used to derive per-stress random streams."""
         return (

@@ -268,7 +268,7 @@ def errors_at_offsets(
 ) -> np.ndarray:
     """Adjacent-state error count of ``V_vindex`` at each candidate offset."""
     up, down = _error_counts_rows(
-        wordline._store, [wordline._row], vindex, offsets
+        wordline.store, [wordline.row], vindex, offsets
     )
     return up[0] + down[0]
 
@@ -301,7 +301,7 @@ def optimal_offsets(
     """
     voltages, offsets = _search_grid(wordline.spec, voltages, search_range)
     return _optimal_rows(
-        wordline._store, [wordline._row], voltages, offsets
+        wordline.store, [wordline.row], voltages, offsets
     )[0]
 
 

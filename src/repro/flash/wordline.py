@@ -1,10 +1,11 @@
-"""One wordline: programming, page reads, and error accounting.
+"""One wordline: programming, page reads and the sentinel readout.
 
 The wordline is the unit the paper operates on: sentinel cells are reserved
-per wordline, the error difference is counted per wordline, and every figure
-that sweeps "wordline number" iterates these objects.  A :class:`Wordline`
-is a ``(store, row)`` handle on a :class:`repro.flash.block.BlockColumns`
-store, whose kernels are the model's one read implementation.
+per wordline and the error difference is counted per wordline.  A
+:class:`Wordline` is a ``(store, row)`` handle on a
+:class:`repro.flash.block.BlockColumns` store, whose kernels are the model's
+one read implementation; the handle programs its row and its reads are
+one-row calls of those kernels.
 
 Cells split into *data cells* and *sentinel cells*.  Sentinel cells are
 spread evenly along the bitline axis (they live in spare OOB columns) and are
@@ -139,8 +140,9 @@ class Wordline:
         return wl
 
     def _bind(self, store, row: int, shared: bool) -> None:
-        self._store = store
-        self._row = row
+        #: the store whose kernels read this wordline, and its row there
+        self.store = store
+        self.row = row
         #: the store holds other rows or other handles: detach before
         #: changing it (copy-on-write)
         self._shared = shared
@@ -149,8 +151,6 @@ class Wordline:
         self.block = store.block
         self.index = store.indices[row]
         self.layer = store.spec.layer_of_wordline(self.index)
-        self.modifiers = store.modifiers[row]
-        self.sentinel_ratio = store.sentinel_ratio
         self.sentinel_indices = store.sentinel_indices
 
     def _detach(
@@ -159,8 +159,8 @@ class Wordline:
         stress: Optional[StressState] = None,
     ) -> None:
         """Move this row into a private one-row store (see ``_row_store``)."""
-        self._store = self._store._row_store(self._row, states, stress)
-        self._row = 0
+        self.store = self.store._row_store(self.row, states, stress)
+        self.row = 0
         self._shared = False
 
     # ------------------------------------------------------------------
@@ -168,28 +168,28 @@ class Wordline:
     # ------------------------------------------------------------------
     @property
     def states(self) -> np.ndarray:
-        return self._store.states[self._row]
+        return self.store.states[self.row]
 
     @property
     def vth(self) -> np.ndarray:
-        return self._store.vth[self._row]
+        return self.store.vth[self.row]
 
     @property
     def stress(self) -> StressState:
-        return self._store.stress
+        return self.store.stress
 
     @property
     def read_rng(self) -> np.random.Generator:
         """This wordline's read-noise generator (one stream per wordline)."""
-        return self._store.read_rng(self._row)
+        return self.store.read_rng(self.row)
 
     @property
     def data_mask(self) -> np.ndarray:
-        return self._store.data_mask
+        return self.store.data_mask
 
     @property
     def sentinel_mask(self) -> np.ndarray:
-        return self._store.sentinel_mask
+        return self.store.sentinel_mask
 
     # ------------------------------------------------------------------
     # programming user data
@@ -231,7 +231,7 @@ class Wordline:
     def stored_page_bits(self, page: Union[int, str]) -> np.ndarray:
         """The data-cell bits currently stored for one page."""
         p = self.spec.gray.page_index(page)
-        return self._store._stored_bits_batch(p)[self._row][self.data_mask]
+        return self.store._stored_bits_batch(p)[self.row][self.data_mask]
 
     # ------------------------------------------------------------------
     # identity / geometry helpers
@@ -263,48 +263,25 @@ class Wordline:
         if self._shared:
             self._detach(stress=stress)
         else:
-            self._store.set_stress(stress)
-
-    # ------------------------------------------------------------------
-    # low-level sensing
-    # ------------------------------------------------------------------
-    def sense_regions(self, positions: np.ndarray, noisy: bool = True) -> np.ndarray:
-        """Region index of every cell w.r.t. the sorted ``positions``.
-
-        Region ``r`` means the sensed Vth lies between ``positions[r-1]`` and
-        ``positions[r]``.  Sensing adds fresh comparator noise per call, so
-        two reads at identical voltages can disagree — the paper notes this
-        is why even the optimal voltages cannot be matched exactly.
-        """
-        return self._store._sense_row(self._row, positions, noisy)
+            self.store.set_stress(stress)
 
     # ------------------------------------------------------------------
     # page reads
     # ------------------------------------------------------------------
-    def _page_positions_dense(self, p: int, dense: np.ndarray) -> np.ndarray:
-        """Page thresholds from an already-normalized dense offset array."""
-        spec = self.spec
-        idx = spec.gray.page_voltage_arrays[p]
-        return spec.default_read_voltages[idx] + dense[idx]
-
     def page_positions(
         self, page: Union[int, str], offsets: OffsetsLike = None
     ) -> np.ndarray:
         """Absolute threshold positions applied when reading ``page``."""
-        spec = self.spec
-        p = spec.gray.page_index(page)
-        return self._page_positions_dense(p, make_offsets(spec, offsets))
+        p = self.spec.gray.page_index(page)
+        return self.store._page_positions(p, make_offsets(self.spec, offsets))
 
     def read_page(
         self, page: Union[int, str], offsets: OffsetsLike = None
     ) -> ReadResult:
         """Read one page; count bit errors on data cells only."""
-        spec = self.spec
-        p = spec.gray.page_index(page)
-        dense = make_offsets(spec, offsets)
-        bits, mismatch, n_err = self._store._read_page_row(
-            self._row, p, self._page_positions_dense(p, dense)
-        )
+        p = self.spec.gray.page_index(page)
+        dense = make_offsets(self.spec, offsets)
+        bits, mismatch, n_err = self.store._read_page_row(self.row, p, dense)
         return ReadResult(
             page=p,
             bits=bits,
@@ -313,49 +290,6 @@ class Wordline:
             offsets=dense,
             mismatch=mismatch,
         )
-
-    def page_rber(self, page: Union[int, str], offsets: OffsetsLike = None) -> float:
-        return self.read_page(page, offsets).rber
-
-    # ------------------------------------------------------------------
-    # full-state read and per-voltage error attribution
-    # ------------------------------------------------------------------
-    def read_states(self, offsets: OffsetsLike = None, noisy: bool = True) -> np.ndarray:
-        """Estimated state of every cell from a read with all voltages."""
-        spec = self.spec
-        dense = make_offsets(spec, offsets)
-        positions = spec.default_read_voltages + dense
-        return self.sense_regions(positions, noisy=noisy)
-
-    def per_voltage_errors(
-        self, offsets: OffsetsLike = None, data_only: bool = True
-    ) -> np.ndarray:
-        """Bit errors attributed to each read voltage (length ``n_voltages``).
-
-        A cell misread from state ``s`` to region ``r`` flips exactly one
-        page bit at every boundary it crosses (Gray coding), so boundary
-        ``V_i`` is charged one error for every cell with
-        ``min(s, r) < i <= max(s, r)``.  This is the quantity plotted per
-        voltage in Figures 16-18.
-        """
-        est = self.read_states(offsets)
-        states = self.states
-        if data_only:
-            est = est[self.data_mask]
-            states = states[self.data_mask]
-        errors = np.zeros(self.spec.n_voltages, dtype=np.int64)
-        lo = np.minimum(states, est)
-        hi = np.maximum(states, est)
-        moved = hi > lo
-        if not moved.any():
-            return errors
-        lo = lo[moved]
-        hi = hi[moved]
-        # each moved cell contributes +1 to boundaries lo+1 .. hi
-        np.add.at(errors, lo, 1)
-        over = hi[hi < self.spec.n_voltages]
-        np.add.at(errors, over, -1)
-        return np.cumsum(errors)
 
     # ------------------------------------------------------------------
     # sentinel machinery
@@ -366,11 +300,7 @@ class Wordline:
         This is what the controller extracts from a (failed) read: the
         original sentinel data is known by construction, so errors are exact.
         """
-        return self._store._sentinel_row(self._row, offset)
-
-    def single_voltage_read(self, position: float) -> np.ndarray:
-        """Boolean sensing of every cell against one absolute threshold."""
-        return self._store._single_voltage_row(self._row, position)
+        return self.store._sentinel_row(self.row, offset)
 
     def state_change_counts(
         self, position_a: float, position_b: float
@@ -381,24 +311,9 @@ class Wordline:
         cells, the two quantities compared by the calibration procedure of
         Section III-C (``NCa`` vs ``NCs / r``).
         """
-        read_a = self.single_voltage_read(position_a)
-        read_b = self.single_voltage_read(position_b)
-        changed = read_a != read_b
-        nca = int(np.count_nonzero(changed & self.data_mask))
-        ncs = int(np.count_nonzero(changed & self.sentinel_mask))
-        return nca, ncs
-
-    # ------------------------------------------------------------------
-    # analysis helpers
-    # ------------------------------------------------------------------
-    def error_cell_indices(self, offsets: OffsetsLike = None) -> np.ndarray:
-        """Bitline indices of data cells misread by a full-state read.
-
-        Feeds the Figure 7 error-position map.
-        """
-        est = self.read_states(offsets)
-        wrong = (est != self.states) & self.data_mask
-        return np.nonzero(wrong)[0]
+        return self.store._state_change_row(
+            self.row, position_a, position_b
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

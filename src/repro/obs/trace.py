@@ -60,7 +60,8 @@ kind                  fields
                       one columnar kernel call over a wordline batch
                       (:mod:`repro.flash.block`); ``kernel`` names the
                       operation (``synthesize``, ``sense_regions``,
-                      ``sentinel_readout``, ``single_voltage``)
+                      ``sentinel_readout``, ``state_change``,
+                      ``single_voltage``, ``optimal``)
 ``replay_tick``       ``ts, offered, completed, shed`` — periodic progress
                       snapshot of a trace replay in virtual time
 ``span``              ``trace, span, parent, name, t0, t1`` plus free-form

@@ -9,15 +9,15 @@ per-wordline sentinel inference.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
-from repro.flash.optimal import optimal_offsets
 from repro.retry.current_flash import RetryTable
 from repro.retry.policy import ReadPolicy
+from repro.retry.tracking import TrackedOffsets
 
 
 class LayerSimilarityPolicy(ReadPolicy):
@@ -33,18 +33,13 @@ class LayerSimilarityPolicy(ReadPolicy):
         max_retries: int = 10,
     ) -> None:
         super().__init__(ecc, max_retries)
-        self.chip = chip
         self.table = table or RetryTable.vendor_default(chip.spec)
-        self._tracked: Dict[tuple, np.ndarray] = {}
+        self._per_layer = chip.spec.wordlines_per_layer
+        self._tracked = TrackedOffsets(chip)
 
     def tracked_offsets(self, block: int, layer: int) -> np.ndarray:
         """Tracked optima of one layer (first wordline of the layer)."""
-        key = (block, layer, self.chip.block_stress(block).key())
-        if key not in self._tracked:
-            sample_index = layer * self.chip.spec.wordlines_per_layer
-            sample = self.chip.wordline(block, sample_index)
-            self._tracked[key] = optimal_offsets(sample)
-        return self._tracked[key]
+        return self._tracked(block, layer * self._per_layer)
 
     def schedule(self, wordline, hint, outcome):
         # hint ignored: the per-layer tracked table plays the same role

@@ -294,7 +294,7 @@ class ReadPolicy(ABC):
         the online model) start their first attempt from it; others
         ignore it.
         """
-        return self._lockstep(wordline._store, [wordline], [page], [hint])[0][0]
+        return self._lockstep(wordline.store, [wordline], [page], [hint])[0][0]
 
     def read_batch(
         self,
@@ -325,7 +325,7 @@ class ReadPolicy(ABC):
         Per-read obs is deferred to :meth:`_flush_batch_obs`.
         """
         spec = cols.spec
-        store_rows = [view._row for view in views]
+        store_rows = [view.row for view in views]
         outcomes: List[List[ReadOutcome]] = [[] for _ in views]
         for page in pages:
             p = spec.gray.page_index(page)

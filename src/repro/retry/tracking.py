@@ -29,18 +29,18 @@ SAMPLE_WORDLINE = 0
 
 
 class TrackedOffsets:
-    """Tracked optima per block: the sampled wordline's optimum at the
-    block's current stress, measured lazily and cached per stress."""
+    """Tracked optima: a sampled wordline's optimum at its block's current
+    stress, measured lazily (one one-row build and one search) and
+    memoized per (block, sample wordline, stress)."""
 
     def __init__(self, chip: FlashChip) -> None:
         self.chip = chip
         self._tracked: Dict[tuple, np.ndarray] = {}
 
-    def __call__(self, block: int) -> np.ndarray:
-        key = (block, self.chip.block_stress(block).key())
+    def __call__(self, block: int, sample: int = SAMPLE_WORDLINE) -> np.ndarray:
+        key = (block, sample, self.chip.block_stress(block).key())
         if key not in self._tracked:
-            sample = self.chip.wordline(block, SAMPLE_WORDLINE)
-            self._tracked[key] = optimal_offsets(sample)
+            self._tracked[key] = optimal_offsets(self.chip.wordline(block, sample))
         return self._tracked[key]
 
 

@@ -3,8 +3,10 @@
 The simulator reads every wordline through the columnar kernels of
 :mod:`repro.flash.block`.  This module keeps an independent, deliberately
 plain per-row statement of the same model — construction draws, Vth
-synthesis, comparator noise, page sensing/decode and the sentinel
-readout — so tests can check the kernels against it row for row.  It
+synthesis, comparator noise, page sensing/decode, the sentinel readout
+and the per-wordline analyses (full-state reads, per-voltage errors,
+state-change counts) — so tests can check the kernels against it row for
+row.  It
 shares only the seed tree, the latent sampler, the Gray code and the
 stress mechanisms with the simulator, and uses ``np.searchsorted`` for
 sensing where the kernels count comparisons.
@@ -121,6 +123,42 @@ class OracleWordline:
         stored = spec.gray.stored_bits(p, self.states)
         mismatch = (bits != stored)[self.data_mask]
         return bits[self.data_mask], mismatch, int(mismatch.sum())
+
+    def read_states(self, offsets=None) -> np.ndarray:
+        """Region of every cell from one read with all voltages."""
+        spec = self.spec
+        positions = np.sort(
+            spec.default_read_voltages + make_offsets(spec, offsets)
+        )
+        sensed = self.vth + self._noise(len(self.vth))
+        return np.searchsorted(positions, sensed, side="left")
+
+    def per_voltage_errors(self, offsets=None) -> np.ndarray:
+        """Data-cell errors charged to each boundary ``V_i`` a misread
+        crosses: cells with ``min(s, r) < i <= max(s, r)``."""
+        est = self.read_states(offsets)[self.data_mask]
+        states = self.states[self.data_mask]
+        lo, hi = np.minimum(states, est), np.maximum(states, est)
+        return np.array([
+            np.count_nonzero((lo < i) & (i <= hi))
+            for i in range(1, self.spec.n_voltages + 1)
+        ], dtype=np.int64)
+
+    def single_voltage_read(self, position: float) -> np.ndarray:
+        """Every cell sensed at or above one threshold, compared at the
+        sensed Vth's float32 precision."""
+        sensed = self.vth + self._noise(len(self.vth))
+        return sensed >= np.float32(position)
+
+    def state_change_counts(self, position_a: float, position_b: float):
+        """``(NCa, NCs)``: data and sentinel cells whose single-voltage
+        readout differs between the two positions (``a`` read first)."""
+        read_a = self.single_voltage_read(position_a)
+        changed = read_a != self.single_voltage_read(position_b)
+        return (
+            int(np.count_nonzero(changed & self.data_mask)),
+            int(np.count_nonzero(changed & ~self.data_mask)),
+        )
 
     def sentinel_readout(self, offset: float = 0.0) -> Tuple[int, int]:
         """``(up errors, down errors)`` of the sentinel cells."""

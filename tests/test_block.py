@@ -217,7 +217,7 @@ class TestKernels:
         pos = tiny_tlc.read_voltage(1, -8)
         counts = cols.single_voltage_counts(pos)
         for row, wl in enumerate(serial):
-            assert counts[row] == int(wl.single_voltage_read(pos).sum())
+            assert counts[row] == wl.store.single_voltage_counts(pos)[0]
 
     def test_decode_ok_batch_matches_decode_ok(self):
         ecc = default_ecc("tlc")

@@ -206,16 +206,6 @@ def test_characterize_leaves_last_stress_applied(tiny_tlc):
         assert chip.block_stress(block) == DEFAULT_TRAINING_STRESSES[-1]
 
 
-def test_sweep_block_offsets_identical_serial_vs_parallel(tiny_tlc):
-    from repro.flash.sweep import sweep_block_offsets
-
-    o1, r1 = sweep_block_offsets(_aged_chip(tiny_tlc), 0, workers=1)
-    o2, r2 = sweep_block_offsets(_aged_chip(tiny_tlc), 0, workers=3)
-    assert np.array_equal(o1, o2)
-    assert r1 == r2
-    assert o1.shape == (tiny_tlc.wordlines_per_block, tiny_tlc.n_voltages)
-
-
 def _sentinel_rows(cols):
     """Each row's identity and stress, one noisy sentinel readout, one
     noisy page read (RBER) and the noiseless optima of its Vth."""

@@ -18,7 +18,6 @@ from repro.exp.fig14 import Fig14Result
 from repro.exp.fig19 import Fig19Result
 from repro.exp.read_disturb import ReadDisturbResult
 from repro.exp.table1 import Table1Result
-from repro.flash.sweep import SweepResult
 
 
 class TestFig2Result:
@@ -195,25 +194,3 @@ class TestBatchTransferResult:
         )
         assert r.worst_error() == 6.0
         assert r.error_spread() == pytest.approx(2.0 / 5.0)
-
-
-class TestSweepResult:
-    def test_valley_of_clean_v(self):
-        offsets = np.arange(-10, 11)
-        hist = np.abs(np.arange(-9.5, 10.5)) * 10 + 3
-        sweep = SweepResult(
-            vindex=4, offsets=offsets,
-            cumulative=np.concatenate([[0], np.cumsum(hist)]).astype(np.int64),
-            histogram=hist.astype(np.int64), reads_used=len(offsets),
-        )
-        assert abs(sweep.valley_offset(smooth=1)) < 1.5
-
-    def test_valley_of_plateau_takes_center(self):
-        offsets = np.arange(0, 13)
-        hist = np.array([90, 60, 30, 5, 5, 5, 5, 5, 30, 60, 90, 95])
-        sweep = SweepResult(
-            vindex=4, offsets=offsets,
-            cumulative=np.concatenate([[0], np.cumsum(hist)]).astype(np.int64),
-            histogram=hist, reads_used=len(offsets),
-        )
-        assert sweep.valley_offset(smooth=1) == pytest.approx(5.5, abs=1.0)

@@ -256,7 +256,7 @@ def _per_row_chaos_sweep(plan, seed, pages):
     spec = sim_spec("tlc", cells_per_wordline=4096)
     injector = FAULTS.activate(plan, seed)
     try:
-        chip = FlashChip(spec, seed, 0.002, cache_wordlines=1)
+        chip = FlashChip(spec, seed, 0.002)
         chip.set_block_stress(0, eval_stress("tlc"))
         policy = CurrentFlashPolicy(CapabilityEcc.for_spec(spec), spec)
         step = max(1, spec.wordlines_per_block // 8)

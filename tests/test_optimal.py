@@ -48,7 +48,7 @@ class TestErrorsAtOffsets:
     def test_monotone_components(self, aged_wl):
         # up errors fall with threshold position; down errors grow
         up, down = boundary_error_counts_batch(
-            aged_wl._store, [aged_wl._row], 4, np.arange(-50, 50)
+            aged_wl.store, [aged_wl.row], 4, np.arange(-50, 50)
         )
         up, down = up[0], down[0]
         assert (np.diff(up) <= 0).all()

@@ -7,8 +7,8 @@ subsets, these tests assert that reading rows ``[a, b, c]`` of one store —
 batched, through views, or both interleaved — equals reading one-row
 stores in the same order; and that one-row reads equal the plain
 per-wordline numpy oracle in ``tests/flash_oracle.py``.  The end-to-end
-pipelines (``measure`` / ``characterize_chip`` / ``sweep_block_offsets``)
-are pinned at the bottom against short compositions of per-wordline calls.
+pipelines (``measure`` / ``characterize_chip``) are pinned at the bottom
+against short compositions of per-wordline calls.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecc.capability import CapabilityEcc
+from repro.exp.fig7 import error_positions
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
@@ -102,9 +103,7 @@ def test_batched_single_voltage_bit_identical(kind, stress, rows):
     pos = spec.read_voltage(spec.sentinel_voltage, -4)
     counts = cols.single_voltage_counts(pos, rows=rows)
     for j, r in enumerate(rows):
-        assert int(counts[j]) == int(
-            single[r].wordline_view(0).single_voltage_read(pos).sum()
-        )
+        assert counts[j] == single[r].single_voltage_counts(pos)[0]
 
 
 @given(
@@ -132,6 +131,62 @@ def test_one_row_reads_match_numpy_oracle(kind, stress, index, offset, pages):
         readout = wl.sentinel_readout(float(offset))
         assert (readout.up_errors, readout.down_errors) == (
             oracle.sentinel_readout(float(offset))
+        )
+
+
+# fractional parts, some not representable in float32: thresholds must
+# round to the sensed Vth's precision the same way in both paths
+fractions = st.sampled_from([0.0, 0.25, 0.3])
+
+
+@given(kind=kinds, stress=stresses, rows=row_subsets, data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_analysis_twins_match_numpy_oracle(kind, stress, rows, data):
+    """Error positions, full-state reads, per-voltage errors and
+    state-change counts of a store equal the per-row oracle, row by row,
+    with shared and per-row offsets and positions."""
+    spec = SPECS[kind]
+    # a large sentinel share, and offsets far enough out to misread some
+    # sentinels: counting them as data cells must show
+    chip = FlashChip(spec, seed=5, sentinel_ratio=0.05)
+    chip.set_block_stress(0, stress)
+    cols = chip.block_columns(0, range(4))
+    oracles = [
+        OracleWordline(spec, 5, 0, r, stress=stress, sentinel_ratio=0.05)
+        for r in range(4)
+    ]
+    per_row = np.array(data.draw(st.lists(
+        st.lists(st.integers(-100, 40), min_size=spec.n_voltages,
+                 max_size=spec.n_voltages),
+        min_size=len(rows), max_size=len(rows),
+    )), dtype=np.float64) + data.draw(fractions)
+    shared = data.draw(st.integers(-100, 40))
+
+    # Figure 7's error positions: one default read of every row
+    for r, got in enumerate(error_positions(cols)):
+        wrong = oracles[r].read_states() != oracles[r].states
+        assert np.array_equal(got, np.nonzero(wrong & oracles[r].data_mask)[0])
+    est = cols.read_states_batch(per_row, rows=rows)
+    errors = cols.per_voltage_errors_batch(shared, rows=rows)
+    per_row_errors = cols.per_voltage_errors_batch(per_row, rows=rows)
+    for j, r in enumerate(rows):
+        assert np.array_equal(est[j], oracles[r].read_states(per_row[j]))
+        assert np.array_equal(errors[j], oracles[r].per_voltage_errors(shared))
+        assert np.array_equal(
+            per_row_errors[j], oracles[r].per_voltage_errors(per_row[j])
+        )
+
+    v = spec.sentinel_voltage
+    pos_a = spec.read_voltage(v, float(shared))
+    pos_b = spec.default_read_voltages[v - 1] + per_row[:, v - 1]
+    nca, ncs = cols.state_change_counts_batch(pos_a, pos_b, rows=rows)
+    for j, r in enumerate(rows):
+        assert (nca[j], ncs[j]) == oracles[r].state_change_counts(
+            pos_a, pos_b[j]
+        )
+        # the calibrator's one-row delegation reads the same kernel
+        assert cols.wordline_view(r).state_change_counts(pos_b[j], pos_a) == (
+            oracles[r].state_change_counts(pos_b[j], pos_a)
         )
 
 
@@ -241,16 +296,3 @@ def test_characterize_batched_equals_serial(tiny_tlc):
                 optima.append(optimal_offsets(wl))
     assert np.array_equal(result.d_rates, np.asarray(d_rates))
     assert np.array_equal(result.optima, np.vstack(optima))
-
-
-def test_sweep_batched_equals_serial(tiny_tlc):
-    """Block sweep == measured_optimal_offsets on each wordline in turn."""
-    from repro.flash.sweep import measured_optimal_offsets, sweep_block_offsets
-
-    offsets, reads = sweep_block_offsets(_aged(tiny_tlc), 0)
-    rows = [
-        measured_optimal_offsets(wl)
-        for wl in one_row_wordlines(_aged(tiny_tlc), 0)
-    ]
-    assert np.array_equal(offsets, np.vstack([dense for dense, _ in rows]))
-    assert reads == sum(n for _, n in rows)

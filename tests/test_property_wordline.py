@@ -42,7 +42,7 @@ wl_strategy = st.builds(
 @settings(max_examples=25, deadline=None)
 def test_rber_bounded(wl):
     for page in wl.spec.gray.page_names:
-        rber = wl.page_rber(page)
+        rber = wl.store.read_page_batch(page, rows=[wl.row]).rber[0]
         assert 0.0 <= rber <= 1.0
 
 
@@ -51,7 +51,7 @@ def test_rber_bounded(wl):
 def test_boundary_counts_are_complementary_monotone(wl, offset):
     """up errors never increase, down errors never decrease with position."""
     up, down = boundary_error_counts_batch(
-        wl._store, [wl._row], 4, np.array([offset, offset + 10])
+        wl.store, [wl.row], 4, np.array([offset, offset + 10])
     )
     up, down = up[0], down[0]
     assert up[1] <= up[0]
@@ -61,10 +61,11 @@ def test_boundary_counts_are_complementary_monotone(wl, offset):
 @given(wl=wl_strategy)
 @settings(max_examples=20, deadline=None)
 def test_per_voltage_errors_conserve_crossings(wl):
-    est = twin(wl).read_states()  # the same noise draws as wl's next read
+    # the same noise draws as wl's next read
+    est = twin(wl).store.read_states_batch()[0]
     data = wl.data_mask
     total = np.abs(est[data].astype(int) - wl.states[data].astype(int)).sum()
-    per_v = wl.per_voltage_errors()
+    per_v = wl.store.per_voltage_errors_batch(rows=[wl.row])[0]
     assert per_v.sum() == total
 
 
@@ -88,8 +89,10 @@ def test_state_changes_grow_with_window(wl, a, b):
     comparison via ordering of window nesting)."""
     lo, hi = min(a, b), max(a, b)
     pos = wl.spec.read_voltage(4)
-    inner, _ = twin(wl).state_change_counts(pos + lo, pos + (lo + hi) / 2)
-    outer, _ = twin(wl).state_change_counts(pos + lo, pos + hi)
+    inner = twin(wl).store.state_change_counts_batch(
+        pos + lo, pos + (lo + hi) / 2
+    )[0][0]
+    outer = twin(wl).store.state_change_counts_batch(pos + lo, pos + hi)[0][0]
     # same start, wider end: the outer window covers the inner one up to
     # sensing noise; allow a small noise margin
     assert outer >= inner - wl.n_cells * 0.01

