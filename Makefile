@@ -70,13 +70,21 @@ fleet-smoke:
 	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 2 \
 		--json .fleet-smoke.json
 
+# the span runs stay at --workers 1: worker processes' span events are
+# not shipped back to the parent's trace
 tournament-smoke:
 	$(PYTHON) -m repro tournament --smoke --check --workers 2 \
 		--frontends hm_0 usr_0 --json .tournament-smoke.json
+	$(PYTHON) -m repro tournament --smoke --workers 1 \
+		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans.jsonl
+	$(PYTHON) -m repro spans .tournament-smoke-spans.jsonl --check --top 0
 
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \
 		--json .campaign-smoke.json
+	$(PYTHON) -m repro campaign --smoke --workers 1 \
+		--obs-spans .campaign-smoke-spans.jsonl
+	$(PYTHON) -m repro spans .campaign-smoke-spans.jsonl --check --top 0
 
 simulate-smoke:
 	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600

@@ -168,6 +168,9 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
                 spec, ssd_config, timing, {COLD: cold, WARM: warm},
                 seed=task.seed,
             )
+            service.trace_prefix = (
+                f"{canonical}/{task.schedule}/{task.environment}/"
+            )
         else:
             service.profiles = {COLD: cold, WARM: warm}
 

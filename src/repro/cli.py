@@ -29,7 +29,7 @@ Commands
 ``spans``         assemble causal request span trees from a trace and
                   report the critical-path phase breakdown (``--check``
                   exits non-zero if phases fail to reconcile with the
-                  end-to-end latencies).
+                  end-to-end latencies or a span leaves its parent).
 
 ``replay``, ``fleet``, ``tournament``, ``campaign`` and ``chaos`` exit
 non-zero if the request accounting identity (served + degraded + shed ==
@@ -649,7 +649,8 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
     ``--check`` turns reconciliation into an exit status: the sum of
     critical-path leaf durations must equal each request's end-to-end
-    latency (up to float tolerance), and there must be at least one tree.
+    latency (up to float tolerance), no span may end before it starts or
+    leave its parent's interval, and there must be at least one tree.
     """
     import json
 
@@ -696,6 +697,10 @@ def cmd_spans(args: argparse.Namespace) -> int:
         if not ok:
             print(f"repro spans: FAIL: phase sums diverge from end-to-end "
                   f"latencies (max delta {delta:.3f} us)", file=sys.stderr)
+            return 1
+        if bd.stray_spans:
+            print(f"repro spans: FAIL: {bd.stray_spans} spans end before "
+                  f"they start or leave their parent", file=sys.stderr)
             return 1
         echo("spans check: ok")
     return 0
@@ -1065,7 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="export the assembled trees as nested JSONL here")
     p.add_argument("--check", action="store_true",
                    help="exit non-zero unless phase sums reconcile with "
-                        "end-to-end latencies and at least one tree exists")
+                        "end-to-end latencies, every span runs forward "
+                        "inside its parent and at least one tree exists")
     p.add_argument("--width", type=int, default=48,
                    help="breakdown table width hint")
     p.set_defaults(func=cmd_spans)

@@ -95,6 +95,14 @@ class FaultInjection:
             return decoded
         return self.injector.ecc_verdict(block, wordline, decoded)
 
+    def die_stall_us(self, die: int, now_us: float) -> float:
+        """One read's die stall (0.0 while inactive)."""
+        return self.injector.die_stall_us(die, now_us) if self.active else 0.0
+
+    def congestion_factor(self, now_us: float) -> float:
+        """The channel-transfer slowdown now (1.0 while inactive)."""
+        return self.injector.congestion_factor(now_us) if self.active else 1.0
+
 
 #: The process-wide fault-injection singleton every hook site consults.
 FAULTS = FaultInjection()

@@ -23,7 +23,7 @@ kind                        effect (magnitude meaning)
                             converging, forcing a retry (magnitude unused)
 ``ssd.die_stall``           reads on the die take extra microseconds
                             (magnitude = stall in us)
-``ssd.channel_congestion``  all ops slow down by a multiplicative factor
+``ssd.channel_congestion``  channel transfers slow down by a factor
                             (magnitude = factor, > 1)
 ``service.cache_corrupt``   a voltage-cache hit returns a corrupted entry;
                             detection quarantines the key (magnitude unused)

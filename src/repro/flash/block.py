@@ -435,12 +435,13 @@ class BlockColumns:
 
         One noise draw of ``n_sentinels`` values per row.  Up errors are
         low-state sentinels sensed at or above the sentinel voltage, down
-        errors high-state sentinels sensed below it.
+        errors high-state sentinels sensed below it.  The threshold is
+        rounded to float32, the precision of the sensed Vth.
         """
         if self.n_sentinels == 0:
             raise RuntimeError("wordline has no sentinel cells")
         spec = self.spec
-        pos = spec.read_voltage(spec.sentinel_voltage, offset)
+        pos = np.float32(spec.read_voltage(spec.sentinel_voltage, offset))
         idx = self.sentinel_indices
         sensed = self.vth[sel][:, idx] + self._noise_rows(rows, len(idx))
         high = sensed >= pos
@@ -716,8 +717,10 @@ class BlockColumns:
         """Cells sensed at or above ``position``, per row (batched).
 
         One noise draw of ``n_cells`` values per row; the boolean readout
-        itself is never materialized for all rows at once.
+        itself is never materialized for all rows at once.  The threshold
+        is rounded to float32, the precision of the sensed Vth.
         """
+        threshold = np.float32(position)
         row_idx = self._row_list(rows)
         n = self.n_cells
         counts = np.empty(len(row_idx), dtype=np.int64)
@@ -726,7 +729,7 @@ class BlockColumns:
         for c0 in range(0, len(row_idx), chunk):
             sub = row_idx[c0 : c0 + chunk]
             sensed = self._sensed(sub, self._selector(sub))
-            counts[c0 : c0 + chunk] = (sensed >= position).sum(axis=1)
+            counts[c0 : c0 + chunk] = (sensed >= threshold).sum(axis=1)
         _note_kernel(
             "single_voltage", len(row_idx), n, 1, time.perf_counter() - t0
         )

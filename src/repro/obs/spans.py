@@ -24,8 +24,9 @@ stream reconstructs byte-identical trees (a hypothesis test pins this).
 Phase accounting is a *tiling*: every parent's children partition its
 interval (emitters clamp the last child to the parent's end), so the
 critical-path leaf durations sum to the root's end-to-end latency —
-``reconcile`` checks that identity and ``repro spans --check`` turns it
-into an exit status.
+``reconcile`` checks that identity, ``PhaseBreakdown.stray_spans``
+counts spans that run backwards or outside their parent, and
+``repro spans --check`` turns both into an exit status.
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ class PhaseBreakdown:
     saved_reads: int = 0
     #: worst per-tree |root duration - sum(critical leaf durations)|
     max_delta_us: float = 0.0
+    #: spans that end before they start or leave their parent's interval
+    stray_spans: int = 0
 
     @property
     def total_phase_us(self) -> float:
@@ -254,12 +257,25 @@ def phase_breakdown(trees: Iterable[SpanTree]) -> PhaseBreakdown:
         delta = abs(tree.duration_us - leaf_sum)
         if delta > out.max_delta_us:
             out.max_delta_us = delta
+        out.stray_spans += _stray(tree.root, tree.root)
         for span in _walk(tree.root):
             saved = span.attrs.get("saved_us")
             if saved is not None:
                 out.saved_us += float(saved)
                 out.saved_reads += 1
+            out.stray_spans += sum(_stray(c, span) for c in span.children)
     return out
+
+
+def _stray(span: Span, parent: Span) -> bool:
+    """Whether ``span`` ends before it starts or leaves ``parent`` (beyond
+    1e-12 relative float noise).  :func:`reconcile` sees neither: clamped
+    last children make the critical-path sums telescope."""
+    tol = _EPS_US * max(1.0, 1e-6 * abs(parent.t1))
+    return not (
+        parent.t0 - tol <= span.t0 <= span.t1 + tol
+        and span.t1 <= parent.t1 + tol
+    )
 
 
 def reconcile(trees: Iterable[SpanTree]) -> Tuple[bool, float]:

@@ -72,8 +72,10 @@ def replay_trace(
     seed: int = 0,
     config: Optional[ReplayConfig] = None,
     service_config: Optional[ServiceConfig] = None,
+    trace_prefix: str = "",
 ) -> ReplayReport:
-    """Replay one trace against a fresh serving layer; return the report."""
+    """Replay one trace against a fresh serving layer; return the report.
+    ``trace_prefix`` prefixes the broker's span trace ids."""
     cfg = config or ReplayConfig()
     client = cfg.client or trace.name
 
@@ -105,6 +107,7 @@ def replay_trace(
     service = FlashReadService(
         spec, ssd_config, timing, profiles, seed=seed, config=svc_cfg
     )
+    service.trace_prefix = trace_prefix
 
     # Progress ticks: pre-scheduled snapshots of the accounting state in
     # virtual time.  Tracing-only, and clamped to the last arrival so the

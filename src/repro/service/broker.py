@@ -190,6 +190,9 @@ class FlashReadService:
         #: pricers append one ``(name, duration, phases, attrs)`` entry per
         #: op here; ``None`` otherwise (the zero-cost default)
         self._op_phase_log: Optional[List[tuple]] = None
+        #: prepended to every span trace id (``{client}/{index}``): a
+        #: driver that traces several brokers into one stream names each
+        self.trace_prefix = ""
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -240,9 +243,8 @@ class FlashReadService:
     def _spans_on(self) -> bool:
         return OBS.enabled and OBS.tracer.enabled and OBS.spans_enabled
 
-    @staticmethod
-    def _trace_id(req: ServiceRequest) -> str:
-        return f"{req.client}/{req.index}"
+    def _trace_id(self, req: ServiceRequest) -> str:
+        return f"{self.trace_prefix}{req.client}/{req.index}"
 
     @staticmethod
     def _next_span(inflight: _InFlight) -> int:
@@ -641,10 +643,11 @@ class FlashReadService:
         """Price one read: the attempt loop every read runs.
 
         An attempt probes the voltage cache, samples the warm (hit) or
-        cold (miss) retry profile and prices that read.  Fault hazards are
-        terms of the attempt, each zero without an active fault plan: a
-        die stall adds to it and channel congestion scales it — either can
-        push it past ``OP_TIMEOUT_US``, a failure counted against the
+        cold (miss) retry profile and prices that read with
+        :meth:`NandTiming.read_cost`.  Fault hazards are terms of the
+        attempt, each zero without an active fault plan: a die stall adds
+        to its sensing and channel congestion scales its transfers — either
+        can push it past ``OP_TIMEOUT_US``, a failure counted against the
         die's circuit breaker; a stale cache hit fails it silently (retried
         cold after backoff, no die-health signal); a corrupt hit is
         quarantined and the attempt proceeds cold.  An open breaker,
@@ -657,7 +660,8 @@ class FlashReadService:
         ptype = self._page_type(op)
         faults = FAULTS.injector  # None while no fault plan is active
         cache_on = self.config.cache_enabled
-        phases: List[tuple] = []
+        # span phases, only while a die slot is priced with spans on
+        phases = [] if self._op_phase_log is not None else None
         total = 0.0
         if breaker.state != CLOSED and not breaker.allow(now):
             reason = "breaker_open"
@@ -683,14 +687,15 @@ class FlashReadService:
                     # the cold read's sentinel flow inferred the offset
                     self.cache.put(key, 0.0, now, self._pe_of(key))
                 n_voltages = profile.page_voltages[ptype]
-                duration = read_us = self.timing.read_us(
-                    n_voltages, retries, extra, pipelined=profile.pipelined
+                read_phases = [] if phases is not None else None
+                die, channel, overlap = self.timing.read_cost(
+                    n_voltages, retries, extra,
+                    retries if profile.pipelined else 0,
+                    FAULTS.die_stall_us(op.die, now),
+                    FAULTS.congestion_factor(now),
+                    read_phases,
                 )
-                if faults is not None:
-                    stall = faults.die_stall_us(op.die, now)
-                    factor = faults.congestion_factor(now)
-                    duration = (read_us + stall) * factor
-
+                duration = die + channel - overlap
                 if duration > OP_TIMEOUT_US:
                     duration = OP_TIMEOUT_US  # attempt aborted at the budget
                     failure = "timeout"
@@ -700,17 +705,8 @@ class FlashReadService:
                     total += duration
                     if breaker.failures or breaker.state != CLOSED:
                         breaker.record_success()
-                    if self._op_phase_log is not None:
-                        phases += self.timing.read_phases(
-                            n_voltages, retries, extra
-                        )
-                        if faults is not None and stall:
-                            phases.append(("die_stall", stall, {}))
-                        if faults is not None and factor > 1.0:
-                            phases.append((
-                                "congestion", duration - read_us - stall,
-                                {"factor": factor},
-                            ))
+                    if read_phases is not None:
+                        phases += read_phases
                         self._log_read(
                             op, ptype, n_voltages, retries, extra,
                             "hit" if hit else ("miss" if cache_on else "off"),
@@ -718,13 +714,14 @@ class FlashReadService:
                         )
                     return total
                 total += duration
-                phases.append((
-                    "failed_attempt", duration,
-                    {
-                        "attempt": attempt, "outcome": failure,
-                        "retries": retries, "extra": extra,
-                    },
-                ))
+                if phases is not None:
+                    phases.append((
+                        "failed_attempt", duration,
+                        {
+                            "attempt": attempt, "outcome": failure,
+                            "retries": retries, "extra": extra,
+                        },
+                    ))
                 if failure == "timeout":
                     self._resil("op_timeouts")
                     trip = breaker.record_failure(now + total)
@@ -751,10 +748,11 @@ class FlashReadService:
                 total += backoff
                 self._resil("backoffs")
                 self._resil("backoff_us", backoff)
-                phases.append(("backoff", backoff, {"attempt": attempt}))
+                if phases is not None:
+                    phases.append(("backoff", backoff, {"attempt": attempt}))
         degraded_us = self._degraded_read_us(op, inflight, now, reason)
         total += degraded_us
-        if self._op_phase_log is not None:
+        if phases is not None:
             phases.append(("degraded_fallback", degraded_us, {"reason": reason}))
             self._log_read(
                 op, ptype, self.profiles[COLD].page_voltages[ptype],
@@ -804,10 +802,11 @@ class FlashReadService:
         self.retry_histogram[retries] = (
             self.retry_histogram.get(retries, 0) + 1
         )
-        duration = self.timing.read_us(profile.page_voltages[ptype], retries, 0)
-        # failed attempts, and the open breaker they cause, take faults:
-        # an injector is active whenever a read gets here
-        duration += FAULTS.injector.die_stall_us(op.die, now)
+        die, channel, _ = self.timing.read_cost(
+            profile.page_voltages[ptype], retries,
+            stall_us=FAULTS.die_stall_us(op.die, now),
+        )
+        duration = die + channel
         inflight.degraded = True
         self._resil("degraded_reads")
         if OBS.enabled:

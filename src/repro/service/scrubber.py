@@ -54,8 +54,8 @@ class SentinelScrubber:
     ) -> None:
         self.config = config
         self.cache = cache
-        #: one refresh = a single-voltage sense plus the readout transfer
-        self.entry_cost_us = timing.sense_us(1) + timing.t_transfer_us
+        #: one refresh = a single-voltage read (sense plus transfer)
+        self.entry_cost_us = timing.read_us(1)
         self.passes = 0
         self.entries_refreshed = 0
         self.busy_us = 0.0

@@ -70,23 +70,27 @@ _MEASURE_SPAN_RUNS = 0
 
 
 def _emit_read_spans(
-    trace: str, row: tuple, n_voltages: int, timing: NandTiming, t0: float
+    trace: str, row: tuple, n_voltages: int, pipelined: bool, t0: float
 ) -> float:
     """Emit one chip-level read's span tree in deterministic virtual time.
 
-    Same phase decomposition as the serving layer
-    (:meth:`NandTiming.read_phases`); the last child is clamped to the
-    root's end so the phases tile it exactly.  Returns the read's
-    duration so the caller can advance its cumulative clock."""
+    Duration and phases come from :meth:`NandTiming.read_cost`, as in the
+    serving layer; the last child is clamped to the root's end so float
+    noise cannot open a gap.  Returns the read's duration so the caller
+    can advance its cumulative clock."""
     page, retries, extra, calibration_steps, success = row
-    duration = timing.read_us(n_voltages, retries, extra)
+    phases: List[tuple] = []
+    die, channel, overlap = NandTiming().read_cost(
+        n_voltages, retries, extra, retries if pipelined else 0,
+        phases=phases,
+    )
+    duration = die + channel - overlap
     t1 = t0 + duration
     OBS.tracer.emit(
         "span", trace=trace, span=0, parent=None, name="chip_read",
         t0=t0, t1=t1, page=page, retries=retries, extra=extra,
         calibration_steps=calibration_steps, success=success,
     )
-    phases = timing.read_phases(n_voltages, retries, extra)
     t = t0
     for j, (pname, pdur, pattrs) in enumerate(phases):
         p_t1 = t1 if j == len(phases) - 1 else t + pdur
@@ -107,7 +111,7 @@ class RetryProfile:
     samples: Dict[int, np.ndarray]  # page type -> (n, 2) [retries, extra]
     #: the measured policy pipelines speculative retry sensing (Park et
     #: al.); replayed reads price retries with the sense/transfer overlap
-    #: shaved (see :meth:`NandTiming.read_us`)
+    #: shaved (see :meth:`NandTiming.read_cost`)
     pipelined: bool = False
 
     # ------------------------------------------------------------------
@@ -166,34 +170,29 @@ class RetryProfile:
         spans_on = (
             OBS.enabled and OBS.tracer.enabled and OBS.spans_enabled
         )
+        pipelined = bool(getattr(policy, "pipelined", False))
         if spans_on:
             global _MEASURE_SPAN_RUNS
             _MEASURE_SPAN_RUNS += 1
-            span_label = name or policy.name
-            span_timing = NandTiming()
+            span_trace = f"measure/{name or policy.name}/{_MEASURE_SPAN_RUNS}/"
             span_clock = 0.0
-            span_index = 0
-        for row in per_row:
+        for i, row in enumerate(per_row):
             p, retries, extra = row[0], row[1], row[2]
             collected[p].append((retries, extra))
             if OBS.enabled and OBS.tracer.enabled:
                 _emit_read_complete(policy.name, row)
             if spans_on:
-                trace = (
-                    f"measure/{span_label}/"
-                    f"{_MEASURE_SPAN_RUNS}/{span_index}"
-                )
                 span_clock += _emit_read_spans(
-                    trace, row, voltages[p], span_timing, span_clock
+                    f"{span_trace}{i}", row, voltages[p], pipelined,
+                    span_clock,
                 )
-                span_index += 1
         return cls(
             policy_name=name or policy.name,
             page_voltages=voltages,
             samples={
                 p: np.asarray(v, dtype=np.int64) for p, v in collected.items()
             },
-            pipelined=bool(getattr(policy, "pipelined", False)),
+            pipelined=pipelined,
         )
 
     @classmethod
@@ -222,13 +221,9 @@ class RetryProfile:
 
     def mean_read_us(self, timing: NandTiming) -> float:
         """Analytic mean read service time across page types."""
-        total = 0.0
-        count = 0
-        for p, rows in self.samples.items():
-            for retries, extra in rows:
-                total += timing.read_us(
-                    self.page_voltages[p], retries, extra,
-                    pipelined=self.pipelined,
-                )
-                count += 1
-        return total / count if count else 0.0
+        costs = [
+            timing.read_us(self.page_voltages[p], retries, extra,
+                           pipelined=self.pipelined)
+            for p, rows in self.samples.items() for retries, extra in rows
+        ]
+        return sum(costs) / len(costs) if costs else 0.0

@@ -4,7 +4,9 @@ Scheduling model (standard SSDSim-style decomposition):
 
 * a **read** senses on its die (time proportional to the page's read
   voltages, retries and auxiliary reads — priced by the retry profile), then
-  transfers over the die's channel;
+  transfers over the die's channel, starting early by the pipelined-retry
+  overlap (:meth:`~repro.ssd.timing.NandTiming.read_cost` prices all
+  three);
 * a **write** transfers host data over the channel, then programs on the die;
 * an **erase** occupies the die;
 * operations of one request run in parallel across dies; the request
@@ -29,7 +31,7 @@ from repro.ssd.ftl import PageMappingFtl, PhysicalOp
 from repro.ssd.metrics import SimulationReport
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.timing import NandTiming
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, TraceRequest
 from repro.util.rng import derive_rng
 
 # re-export for the package namespace
@@ -61,43 +63,39 @@ class Ssd:
         self._die_writes = [Resource(f"die{d}:w") for d in range(config.n_dies)]
         self._channels = [Resource(f"ch{c}") for c in range(config.channels)]
         self.suspend_us = 8.0
-        # retries -> number of page reads that needed exactly that many;
-        # the scalar total is derived (``retries_sampled``)
+        # retries -> number of page reads that needed exactly that many
+        # (the report derives ``retries_sampled`` from it)
         self.retry_histogram: Dict[int, int] = {}
-
-    @property
-    def retries_sampled(self) -> int:
-        """Total retries drawn so far (derived from the histogram)."""
-        return sum(k * v for k, v in self.retry_histogram.items())
 
     # ------------------------------------------------------------------
     # per-op scheduling
     # ------------------------------------------------------------------
-    def _page_type(self, op: PhysicalOp) -> int:
-        return op.page % self.spec.pages_per_wordline
-
     def _schedule_op(self, op: PhysicalOp, earliest_us: float) -> float:
         """Place one op on its die/channel; returns its completion time."""
         channel = self._channels[self.config.channel_of_die(op.die)]
         t = self.timing
         if op.kind == "read":
             read_lane = self._die_reads[op.die]
-            write_lane = self._die_writes[op.die]
-            ptype = self._page_type(op)
+            ptype = op.page % self.spec.pages_per_wordline
             retries, extra = self.profile.sample(ptype, self.rng)
             self.retry_histogram[retries] = (
                 self.retry_histogram.get(retries, 0) + 1
             )
-            n_v = self.profile.page_voltages[ptype]
-            sense = (1 + retries) * t.sense_us(n_v) + extra * t.sense_us(1)
-            if write_lane.busy_until > max(earliest_us, read_lane.busy_until):
-                sense += self.suspend_us  # suspend an in-flight program/erase
-            transfers = (1 + retries + extra) * t.t_transfer_us
-            if FAULTS.active:
-                sense += FAULTS.injector.die_stall_us(op.die, earliest_us)
-                transfers *= FAULTS.injector.congestion_factor(earliest_us)
-            sense_start, sense_end = read_lane.acquire(earliest_us, sense)
-            xfer_start, end = channel.acquire(sense_end, transfers)
+            stall = FAULTS.die_stall_us(op.die, earliest_us)
+            if self._die_writes[op.die].busy_until > max(
+                earliest_us, read_lane.busy_until
+            ):
+                stall += self.suspend_us  # suspend an in-flight program/erase
+            die_us, channel_us, overlap_us = t.read_cost(
+                self.profile.page_voltages[ptype], retries, extra,
+                retries if self.profile.pipelined else 0,
+                stall, FAULTS.congestion_factor(earliest_us),
+            )
+            sense_start, sense_end = read_lane.acquire(earliest_us, die_us)
+            # a pipelined read's transfers start before its last sense ends
+            xfer_start, end = channel.acquire(
+                sense_end - overlap_us, channel_us
+            )
             if OBS.enabled:
                 self._observe_read(op, ptype, retries, extra, read_lane,
                                    channel, sense_start, sense_end,
@@ -105,10 +103,10 @@ class Ssd:
             return end
         write_lane = self._die_writes[op.die]
         if op.kind == "program":
-            xfer_us = t.t_transfer_us
-            if FAULTS.active:
-                xfer_us *= FAULTS.injector.congestion_factor(earliest_us)
-            xfer_start, xfer_end = channel.acquire(earliest_us, xfer_us)
+            xfer_start, xfer_end = channel.acquire(
+                earliest_us,
+                t.t_transfer_us * FAULTS.congestion_factor(earliest_us),
+            )
             # the program cannot start while a read is sensing
             start = max(xfer_end, self._die_reads[op.die].busy_until)
             prog_start, end = write_lane.acquire(start, t.t_program_us)
@@ -180,15 +178,37 @@ class Ssd:
     # ------------------------------------------------------------------
     # trace replay
     # ------------------------------------------------------------------
-    def _lpns_of(self, lba_bytes: int, size_bytes: int) -> range:
+    def _lpns_of(self, req: TraceRequest) -> List[int]:
+        """The logical pages a request touches, wrapped onto the device."""
         page = self.config.page_user_bytes
-        first = lba_bytes // page
-        last = (lba_bytes + max(size_bytes, 1) - 1) // page
+        lba, size = int(req.lba_bytes), int(req.size_bytes)
+        first, last = lba // page, (lba + max(size, 1) - 1) // page
         span = len(self.ftl.mapping)
-        return range(int(first % span), int(first % span) + int(last - first) + 1)
+        return [(first + k) % span for k in range(last - first + 1)]
 
-    def _wrap(self, lpn: int) -> int:
-        return lpn % len(self.ftl.mapping)
+    def _requests(
+        self, trace: Trace, precondition: bool, max_requests: Optional[int]
+    ) -> List[TraceRequest]:
+        """The replayed prefix of the trace, its footprint preconditioned."""
+        requests = trace.requests[: max_requests or len(trace.requests)]
+        if precondition:
+            self.ftl.precondition(sorted({
+                lpn for req in requests for lpn in self._lpns_of(req)
+            }))
+        return requests
+
+    def _serve(self, req: TraceRequest, issue_us: float) -> float:
+        """Schedule one request's ops; returns its completion time."""
+        completion = issue_us
+        for lpn in self._lpns_of(req):
+            ops = self.ftl.read_ops(lpn) if req.is_read else self.ftl.write_ops(lpn)
+            op_time = issue_us
+            for op in ops:
+                # ops of one lpn are dependent (GC before reuse);
+                # different lpns of the request run in parallel
+                op_time = self._schedule_op(op, op_time)
+            completion = max(completion, op_time)
+        return completion
 
     def run_trace(
         self,
@@ -197,48 +217,20 @@ class Ssd:
         max_requests: Optional[int] = None,
     ) -> SimulationReport:
         """Replay a trace open-loop; returns the latency report."""
-        if precondition:
-            touched = set()
-            for req in trace.requests[: max_requests or len(trace.requests)]:
-                for lpn in self._lpns_of(req.lba_bytes, req.size_bytes):
-                    touched.add(self._wrap(lpn))
-            self.ftl.precondition(sorted(touched))
-
-        read_lat: List[float] = []
-        write_lat: List[float] = []
-        host_reads = host_writes = 0
         # traces keep completion-log order; open-loop replay issues in
         # arrival order (stable sort keeps equal-time ties in file order)
         requests = sorted(
-            trace.requests[: max_requests or len(trace.requests)],
+            self._requests(trace, precondition, max_requests),
             key=lambda r: r.time_s,
         )
+        read_lat: List[float] = []
+        write_lat: List[float] = []
         for req in requests:
             arrival_us = req.time_s * 1e6
-            completion = arrival_us
-            for lpn in self._lpns_of(req.lba_bytes, req.size_bytes):
-                lpn = self._wrap(lpn)
-                if req.is_read:
-                    ops = self.ftl.read_ops(lpn)
-                else:
-                    ops = self.ftl.write_ops(lpn)
-                op_time = arrival_us
-                for op in ops:
-                    # ops of one lpn are dependent (GC before reuse);
-                    # different lpns of the request run in parallel
-                    op_time = self._schedule_op(op, op_time)
-                completion = max(completion, op_time)
-            latency = completion - arrival_us
-            if req.is_read:
-                read_lat.append(latency)
-                host_reads += 1
-            else:
-                write_lat.append(latency)
-                host_writes += 1
-
+            latency = self._serve(req, arrival_us) - arrival_us
+            (read_lat if req.is_read else write_lat).append(latency)
         sim_seconds = requests[-1].time_s - requests[0].time_s if requests else 0.0
-        return self._report(trace, read_lat, write_lat, host_reads,
-                            host_writes, sim_seconds)
+        return self._report(trace, read_lat, write_lat, sim_seconds)
 
     def run_closed_loop(
         self,
@@ -253,23 +245,12 @@ class Ssd:
         one of the outstanding requests completes.  This measures the
         device's *throughput* limit (reported in ``extras['iops']``) and the
         latency under saturation — where read retries hurt the most.
-
-        Admission runs on an :class:`~repro.ssd.events.EventQueue`: each
-        request schedules a completion event, and when the device is at
-        ``queue_depth`` the loop steps virtual time forward to the earliest
-        completion before issuing the next request.
+        At ``queue_depth`` outstanding requests, admission steps an
+        :class:`~repro.ssd.events.EventQueue` to the earliest completion.
         """
-        if precondition:
-            touched = set()
-            for req in trace.requests[: max_requests or len(trace.requests)]:
-                for lpn in self._lpns_of(req.lba_bytes, req.size_bytes):
-                    touched.add(self._wrap(lpn))
-            self.ftl.precondition(sorted(touched))
-
+        requests = self._requests(trace, precondition, max_requests)
         read_lat: List[float] = []
         write_lat: List[float] = []
-        host_reads = host_writes = 0
-        requests = trace.requests[: max_requests or len(trace.requests)]
         queue = EventQueue()
         outstanding = 0
 
@@ -281,31 +262,12 @@ class Ssd:
             while outstanding >= queue_depth and queue.step():
                 pass  # advance to the earliest completion to free a slot
             issue_us = queue.now
-            completion = issue_us
-            for lpn in self._lpns_of(req.lba_bytes, req.size_bytes):
-                lpn = self._wrap(lpn)
-                ops = (
-                    self.ftl.read_ops(lpn) if req.is_read
-                    else self.ftl.write_ops(lpn)
-                )
-                op_time = issue_us
-                for op in ops:
-                    op_time = self._schedule_op(op, op_time)
-                completion = max(completion, op_time)
+            completion = self._serve(req, issue_us)
             outstanding += 1
             queue.schedule(completion, _request_completed)
-            latency = completion - issue_us
-            if req.is_read:
-                read_lat.append(latency)
-                host_reads += 1
-            else:
-                write_lat.append(latency)
-                host_writes += 1
+            (read_lat if req.is_read else write_lat).append(completion - issue_us)
         last_completion = queue.run()  # drain the tail of in-flight requests
-        report = self._report(
-            trace, read_lat, write_lat, host_reads, host_writes,
-            last_completion / 1e6,
-        )
+        report = self._report(trace, read_lat, write_lat, last_completion / 1e6)
         if last_completion > 0:
             report.extras["iops"] = len(requests) / (last_completion / 1e6)
         report.extras["queue_depth"] = float(queue_depth)
@@ -316,26 +278,21 @@ class Ssd:
         trace: Trace,
         read_lat: List[float],
         write_lat: List[float],
-        host_reads: int,
-        host_writes: int,
         sim_seconds: float,
     ) -> SimulationReport:
+        lanes = {
+            "die_read": self._die_reads,
+            "die_write": self._die_writes,
+            "channel": self._channels,
+        }
         horizon = max(
-            [r.busy_until for r in self._die_reads]
-            + [r.busy_until for r in self._die_writes]
-            + [r.busy_until for r in self._channels]
-            + [1.0]
+            [r.busy_until for rs in lanes.values() for r in rs] + [1.0]
         )
         extras = {
-            "die_read_utilization": float(
-                np.mean([r.utilization(horizon) for r in self._die_reads])
-            ),
-            "die_write_utilization": float(
-                np.mean([r.utilization(horizon) for r in self._die_writes])
-            ),
-            "channel_utilization": float(
-                np.mean([r.utilization(horizon) for r in self._channels])
-            ),
+            f"{name}_utilization": float(
+                np.mean([r.utilization(horizon) for r in rs])
+            )
+            for name, rs in lanes.items()
         }
         if OBS.enabled and OBS.metrics.enabled:
             extras["obs"] = OBS.metrics.snapshot()
@@ -345,8 +302,8 @@ class Ssd:
             read_latencies_us=np.asarray(read_lat),
             write_latencies_us=np.asarray(write_lat),
             simulated_seconds=max(sim_seconds, 0.0),
-            host_reads=host_reads,
-            host_writes=host_writes,
+            host_reads=len(read_lat),
+            host_writes=len(write_lat),
             gc_writes=self.ftl.gc_writes,
             gc_erases=self.ftl.gc_erases,
             write_amplification=self.ftl.write_amplification,

@@ -13,7 +13,7 @@ transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.retry.policy import ReadOutcome
 
@@ -34,71 +34,72 @@ class NandTiming:
             raise ValueError("a read applies at least one voltage")
         return self.t_sense_base_us + n_voltages * self.t_sense_per_voltage_us
 
+    def read_cost(
+        self,
+        page_voltages: int,
+        retries: int = 0,
+        extra_single_reads: int = 0,
+        pipelined_rounds: int = 0,
+        stall_us: float = 0.0,
+        factor: float = 1.0,
+        phases: Optional[List[tuple]] = None,
+    ) -> Tuple[float, float, float]:
+        """Price one page read: ``(die_us, channel_us, overlap_us)``.
+
+        The read costs ``die_us + channel_us - overlap_us``.  Each full
+        read (the first and every retry) senses ``page_voltages`` levels,
+        each auxiliary read one; every read transfers the page.  ``die_us``
+        is the senses plus ``stall_us``, ``channel_us`` the transfers
+        times the congestion ``factor``.  The first ``pipelined_rounds``
+        retries sense while the previous data is on the channel (Park et
+        al., arXiv 2104.09611), each hiding ``min(sense, transfer)``.
+        Given ``phases``, appends the span phases ``(name, us, attrs)``,
+        built from the same terms so they sum to the cost."""
+        sense, aux_sense = self.sense_us(page_voltages), self.sense_us(1)
+        xfer = self.t_transfer_us
+        transfers = (1 + retries + extra_single_reads) * xfer
+        die = (1 + retries) * sense + extra_single_reads * aux_sense + stall_us
+        channel = transfers * factor
+        rounds = min(pipelined_rounds, retries)
+        shaved = min(sense, xfer)
+        if phases is not None:
+            phases += [("sense", sense, {}), ("xfer_ecc", xfer, {})]
+            if extra_single_reads:
+                phases.append((
+                    "aux_reads", extra_single_reads * (aux_sense + xfer),
+                    {"count": extra_single_reads},
+                ))
+            phases += [
+                ("retry_round", sense + xfer - (shaved if r <= rounds else 0.0),
+                 {"round": r})
+                for r in range(1, retries + 1)
+            ]
+            if stall_us:
+                phases.append(("die_stall", stall_us, {}))
+            if factor != 1.0:
+                phases.append(
+                    ("congestion", channel - transfers, {"factor": factor})
+                )
+        return die, channel, rounds * shaved
+
     def read_us(self, page_voltages: int, retries: int = 0,
                 extra_single_reads: int = 0, pipelined: bool = False) -> float:
-        """Total on-die time of a complete page-read operation.
-
-        Every full read (the initial attempt plus each retry) senses
-        ``page_voltages`` levels and transfers the page for ECC; every
-        auxiliary read senses one level and also transfers (the controller
-        compares readouts host-side).
-
-        ``pipelined`` models Park et al.'s pipelined read-retry (arXiv
-        2104.09611): each retry's array sensing is issued speculatively
-        while the previous attempt's data is still on the channel, so a
-        retry round costs ``max(sense, transfer)`` instead of their sum —
-        the overlap (``min(sense, transfer)``) is shaved off every retry.
-        """
-        full_reads = 1 + retries
-        full = full_reads * (self.sense_us(page_voltages) + self.t_transfer_us)
-        if pipelined and retries > 0:
-            full -= retries * self.pipeline_overlap_us(page_voltages)
-        extra = extra_single_reads * (self.sense_us(1) + self.t_transfer_us)
-        return full + extra
-
-    def read_phases(
-        self, page_voltages: int, retries: int = 0, extra_single_reads: int = 0
-    ) -> List[Tuple[str, float, Dict[str, int]]]:
-        """Split one read into its span phases, ``(name, us, attrs)``.
-
-        Mirrors :meth:`read_us` (unpipelined): the initial full read is the
-        ``sense`` (where the sentinel inference happens) plus ``xfer_ecc``
-        (transfer + host ECC decode); the sentinel machinery's auxiliary
-        single-voltage reads follow as one ``aux_reads`` phase, then each
-        ``retry_round`` re-senses and re-transfers.  Span emitters clamp
-        the last phase to the read's end, so the phases tile it."""
-        sense = self.sense_us(page_voltages)
-        full = sense + self.t_transfer_us
-        phases: List[Tuple[str, float, Dict[str, int]]] = [
-            ("sense", sense, {}),
-            ("xfer_ecc", self.t_transfer_us, {}),
-        ]
-        if extra_single_reads:
-            phases.append((
-                "aux_reads",
-                extra_single_reads * (self.sense_us(1) + self.t_transfer_us),
-                {"count": extra_single_reads},
-            ))
-        for r in range(1, retries + 1):
-            phases.append(("retry_round", full, {"round": r}))
-        return phases
+        """Cost of one fault-free read; ``pipelined`` overlaps every retry."""
+        die, channel, overlap = self.read_cost(
+            page_voltages, retries, extra_single_reads,
+            retries if pipelined else 0,
+        )
+        return die + channel - overlap
 
     def pipeline_overlap_us(self, page_voltages: int) -> float:
         """Latency hidden per pipelined retry round (sense/transfer overlap)."""
-        return min(self.sense_us(page_voltages), self.t_transfer_us)
+        return self.read_cost(page_voltages, 1, 0, 1)[2]
 
     def read_outcome_us(self, outcome: ReadOutcome) -> float:
-        """Price a chip-level :class:`ReadOutcome`.
-
-        ``outcome.pipelined_senses`` retry rounds had their sensing issued
-        speculatively during the previous round's transfer + ECC; the
-        overlap is subtracted like the ``pipelined`` flag of
-        :meth:`read_us` does, but per-outcome.
-        """
-        base = self.read_us(
-            outcome.page_voltages, outcome.retries, outcome.extra_single_reads
+        """Price a chip-level :class:`ReadOutcome`; its
+        ``pipelined_senses`` retry rounds are overlapped."""
+        die, channel, overlap = self.read_cost(
+            outcome.page_voltages, outcome.retries,
+            outcome.extra_single_reads, outcome.pipelined_senses,
         )
-        overlapped = min(outcome.pipelined_senses, outcome.retries)
-        if overlapped > 0:
-            base -= overlapped * self.pipeline_overlap_us(outcome.page_voltages)
-        return base
+        return die + channel - overlap

@@ -308,6 +308,7 @@ def replay_cell_frontend(
     requests: int,
     seed: int,
     scale: float = 1.0,
+    trace_prefix: str = "",
 ):
     """Step 4 of a cell: one synthetic frontend through the broker.
 
@@ -315,6 +316,7 @@ def replay_cell_frontend(
     priced on its own reads, with no separate sentinel-cache-hit
     distribution — the tournament compares *policies*, not cache warmth.
     Public and standalone-callable for the golden differential tests.
+    ``trace_prefix`` names the cell's span trace ids.
     """
     from repro.replay import ReplayConfig, replay_trace
     from repro.service.profiles import COLD, WARM
@@ -336,6 +338,7 @@ def replay_cell_frontend(
         profiles={COLD: profile, WARM: profile},
         seed=seed,
         config=ReplayConfig(scale=scale, workers=1),
+        trace_prefix=trace_prefix,
     )
 
 
@@ -351,6 +354,7 @@ def _cell_row(
         task.requests_per_cell,
         task.seed,
         task.scale,
+        trace_prefix=f"{POLICY_ALIASES[task.policy]}/{task.age}/",
     )
     stress = cell_stress(task.kind, task.age)
     acct = report.accounting

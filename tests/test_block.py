@@ -219,6 +219,39 @@ class TestKernels:
         for row, wl in enumerate(serial):
             assert counts[row] == wl.store.single_voltage_counts(pos)[0]
 
+    @staticmethod
+    def _just_above(sensed: np.ndarray) -> float:
+        """A float64 threshold a quarter float32 ulp above ``sensed[0]``:
+        it rounds to that float32 value, but exceeds it in float64."""
+        v = sensed.flat[0]
+        return float(v) + float(np.spacing(v)) / 4
+
+    def test_threshold_scalar_type_does_not_change_sensing(
+        self, tiny_tlc, aged_stress
+    ):
+        """A Python-float and an ``np.float64`` threshold both round to
+        float32, so the same cell senses alike at either."""
+        sensed = make_chip(tiny_tlc, aged_stress).block_columns(0, [0])
+        position = self._just_above(sensed._sensed([0], slice(0, 1)))
+        counts = [
+            make_chip(tiny_tlc, aged_stress).block_columns(0, [0])
+            .single_voltage_counts(p)[0]
+            for p in (position, np.float64(position))
+        ]
+        assert counts[0] == counts[1]
+
+        cols = make_chip(tiny_tlc, aged_stress).block_columns(0, [0])
+        idx = cols.sentinel_indices
+        v = cols.vth[0:1][:, idx] + cols._noise_rows([0], len(idx))
+        base = tiny_tlc.read_voltage(tiny_tlc.sentinel_voltage)
+        offset = self._just_above(v) - base
+        readouts = [
+            make_chip(tiny_tlc, aged_stress).block_columns(0, [0])
+            .sentinel_readout_batch(o)[0]
+            for o in (offset, np.float64(offset))
+        ]
+        assert readouts[0] == readouts[1]
+
     def test_decode_ok_batch_matches_decode_ok(self):
         ecc = default_ecc("tlc")
         rng = np.random.default_rng(3)

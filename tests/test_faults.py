@@ -92,7 +92,23 @@ def _service_telemetry():
     return lines, prom
 
 
-def _simulation_report_json() -> str:
+def _simulation_telemetry():
+    """Trace JSONL lines and Prometheus text of the golden simulation run
+    with metrics and tracing on."""
+    OBS.disable()
+    OBS.reset()
+    obs.enable(capacity=500_000)
+    try:
+        _simulation_report()
+        lines = [event.to_json() for event in OBS.tracer.events()]
+        prom = OBS.metrics.render_prometheus()
+    finally:
+        OBS.disable()
+        OBS.reset()
+    return lines, prom
+
+
+def _simulation_report():
     """The exact configuration the committed simulation golden was built from."""
     spec = sim_spec("tlc", cells_per_wordline=4096)
     trace = generate_workload(
@@ -103,7 +119,7 @@ def _simulation_report_json() -> str:
         page_voltages={0: 1, 1: 2, 2: 4},
         samples=synthetic_profiles("tlc")["cold"].samples,
     )
-    sim = Ssd(
+    return Ssd(
         spec,
         SsdConfig.for_spec(
             spec, channels=2, dies_per_channel=1, blocks_per_die=32
@@ -112,6 +128,10 @@ def _simulation_report_json() -> str:
         profile,
         seed=5,
     ).run_trace(trace)
+
+
+def _simulation_report_json() -> str:
+    sim = _simulation_report()
     payload = {
         "trace_name": sim.trace_name,
         "policy_name": sim.policy_name,
@@ -167,6 +187,16 @@ class TestZeroFaultDifferential:
         assert _simulation_report_json() == _golden(
             "simulation_report_tlc_seed5.json"
         )
+
+    def test_simulation_telemetry_under_empty_plan_matches_dormant_run(self):
+        """``Ssd``'s fault terms are exactly 0.0 and 1.0 under the empty
+        plan: every trace event and metric comes out identical."""
+        dormant_lines, dormant_prom = _simulation_telemetry()
+        FAULTS.activate(FaultPlan.none(), seed=5)
+        lines, prom = _simulation_telemetry()
+        assert any('"level": "ssd"' in line for line in dormant_lines)
+        assert lines == dormant_lines
+        assert prom == dormant_prom
 
 
 class TestPlanRoundTrip:

@@ -13,6 +13,7 @@ Three properties anchor everything here:
   to the pre-span golden.
 """
 
+import dataclasses
 import json
 import os
 
@@ -176,6 +177,20 @@ class TestCriticalPath:
         assert not ok
         assert delta == pytest.approx(40.0)
 
+    def test_stray_spans_flag_what_reconcile_cannot(self):
+        """A phase that overruns its read, followed by a last phase clamped
+        back to the read's end, still reconciles; both count as stray."""
+        events = [
+            _span_event(0, "c/0", 0, None, "request", 0.0, 100.0),
+            _span_event(1, "c/0", 1, 0, "read", 0.0, 100.0),
+            _span_event(2, "c/0", 2, 1, "sense", 0.0, 130.0),
+            _span_event(3, "c/0", 3, 1, "retry_round", 130.0, 100.0),
+        ]
+        trees = assemble(events)
+        assert reconcile(trees)[0]
+        assert phase_breakdown(trees).stray_spans == 2
+        assert phase_breakdown(assemble(_request_events())).stray_spans == 0
+
 
 # ---------------------------------------------------------------------------
 # phase breakdown + rendering
@@ -222,7 +237,7 @@ class TestBreakdown:
 # ---------------------------------------------------------------------------
 # end-to-end: the serving layer under span tracing
 # ---------------------------------------------------------------------------
-def _run_service(seed=7):
+def _run_service(seed=7, profiles=None, trace_prefix=""):
     spec = sim_spec("tlc", cells_per_wordline=4096)
     service = FlashReadService(
         spec=spec,
@@ -231,10 +246,11 @@ def _run_service(seed=7):
             pages_per_block=64,
         ),
         timing=NandTiming(),
-        profiles=synthetic_profiles("tlc"),
+        profiles=profiles or synthetic_profiles("tlc"),
         seed=seed,
         config=ServiceConfig(),
     )
+    service.trace_prefix = trace_prefix
     clients = mixed_scenario(
         n_requests=200, read_iops=4000.0, footprint_pages=512
     )
@@ -319,6 +335,45 @@ class TestServiceSpans:
         completed = sum(s["completed"] for s in report.clients.values())
         shed = sum(s["shed"] for s in report.clients.values())
         assert len(trees) == completed + shed
+
+    def test_trace_prefix_keeps_broker_runs_apart(self):
+        """Two brokers traced into one stream: without a prefix their
+        ``{client}/{index}`` ids collide, with one every tree has its own
+        root."""
+        obs.enable(capacity=500_000, spans=True)
+        _run_service()
+        single = assemble(OBS.tracer.events())
+        assert all(t.trace_id.count("/") == 1 for t in single)
+        _run_service()
+        assert len(assemble(OBS.tracer.events())) == len(single)
+        OBS.reset()
+        obs.enable(capacity=500_000, spans=True)
+        _run_service(trace_prefix="a/")
+        _run_service(trace_prefix="b/")
+        trees = assemble(OBS.tracer.events())
+        assert len(trees) == 2 * len(single)
+        assert all(t.orphans == 0 for t in trees)
+        assert {t.trace_id for t in trees} == {
+            f"{p}{t.trace_id}" for p in ("a/", "b/") for t in single
+        }
+
+    def test_pipelined_read_phases_tile_the_read(self):
+        """A pipelined profile's retry rounds are shaved by the overlap in
+        the phases as in the read's cost: every span runs forward inside
+        its parent, and the trees reconcile."""
+        profiles = {
+            name: dataclasses.replace(profile, pipelined=True)
+            for name, profile in synthetic_profiles("tlc").items()
+        }
+        obs.enable(capacity=500_000, spans=True)
+        _run_service(profiles=profiles)
+        trees = assemble(OBS.tracer.events())
+        assert any(
+            e.fields["name"] == "retry_round" for e in OBS.tracer.events()
+            if e.kind == "span"
+        )
+        assert phase_breakdown(trees).stray_spans == 0
+        assert reconcile(trees)[0]
 
 
 # ---------------------------------------------------------------------------

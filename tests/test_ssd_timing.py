@@ -1,5 +1,6 @@
 """NAND timing model."""
 
+import numpy as np
 import pytest
 
 from repro.retry.policy import ReadOutcome
@@ -52,3 +53,116 @@ class TestReadPricing:
             sentinel = t.read_us(voltages, retries=1, extra_single_reads=2)
             ladder = t.read_us(voltages, retries=6)
             assert sentinel < ladder
+
+
+class TestReadCost:
+    """``read_cost`` is the one read-pricing function; its phases, the
+    ``read_us`` views and both device simulators agree with it."""
+
+    @pytest.mark.parametrize("pipelined_rounds", [0, 1, 3])
+    @pytest.mark.parametrize("stall, factor", [(0.0, 1.0), (30.5, 1.0),
+                                               (0.0, 1.5), (7.0, 2.25)])
+    def test_phases_sum_to_the_cost(self, pipelined_rounds, stall, factor):
+        t = NandTiming()
+        phases = []
+        die, channel, overlap = t.read_cost(
+            4, 3, 2, pipelined_rounds, stall, factor, phases
+        )
+        assert sum(us for _, us, _ in phases) == pytest.approx(
+            die + channel - overlap, abs=1e-9
+        )
+        assert all(us >= 0 for _, us, _ in phases)
+        names = [name for name, _, _ in phases]
+        assert names[:3] == ["sense", "xfer_ecc", "aux_reads"]
+        assert names.count("retry_round") == 3
+        assert ("die_stall" in names) == bool(stall)
+        assert ("congestion" in names) == (factor != 1.0)
+
+    def test_congestion_scales_only_transfers(self):
+        t = NandTiming()
+        die, channel, _ = t.read_cost(4, 2, 1)
+        c_die, c_channel, _ = t.read_cost(4, 2, 1, factor=2.0)
+        assert c_die == die
+        assert c_channel == 2.0 * channel == 2.0 * 4 * t.t_transfer_us
+
+    def test_stall_adds_to_the_die_part_only(self):
+        t = NandTiming()
+        die, channel, _ = t.read_cost(8, 1)
+        s_die, s_channel, _ = t.read_cost(8, 1, stall_us=100.0)
+        assert (s_die, s_channel) == (die + 100.0, channel)
+
+    def test_pipelined_rounds_capped_at_retries(self):
+        t = NandTiming()
+        assert t.read_cost(4, 2, 0, 5)[2] == 2 * t.pipeline_overlap_us(4)
+
+    def test_no_phases_without_a_list(self):
+        t = NandTiming()
+        assert t.read_cost(4, 2, 1, phases=None) == t.read_cost(4, 2, 1)
+
+
+def _idle_read_us_ssd(profile) -> float:
+    from repro.exp.common import sim_spec
+    from repro.ssd.config import SsdConfig
+    from repro.ssd.ssd import Ssd
+    from repro.traces.trace import Trace, TraceRequest
+
+    spec = sim_spec("tlc", cells_per_wordline=4096)
+    config = SsdConfig.for_spec(
+        spec, channels=2, dies_per_channel=1, blocks_per_die=8
+    )
+    ssd = Ssd(spec, config, NandTiming(), profile, seed=1)
+    one_page = TraceRequest(0.0, "R", 0, config.page_user_bytes)
+    report = ssd.run_trace(Trace("one", [one_page]))
+    return float(report.read_latencies_us[0])
+
+
+def _idle_read_us_broker(profile) -> float:
+    from repro.exp.common import sim_spec
+    from repro.service import FlashReadService, ServiceConfig
+    from repro.service.profiles import COLD
+    from repro.service.workload import ServiceRequest
+    from repro.ssd.config import SsdConfig
+
+    spec = sim_spec("tlc", cells_per_wordline=4096)
+    service = FlashReadService(
+        spec,
+        SsdConfig(channels=2, dies_per_channel=2, blocks_per_die=8,
+                  pages_per_block=64),
+        NandTiming(),
+        {COLD: profile},
+        seed=1,
+        config=ServiceConfig(cache_enabled=False, scrub_enabled=False),
+    )
+    request = ServiceRequest(client="c", index=0, is_read=True, lpn=0,
+                             n_pages=1, arrival_us=0.0)
+    report = service.run_prepared({"c": [request]})
+    return report.clients["c"]["read_mean_us"]
+
+
+class TestDeviceSimulatorsAgree:
+    """One read on an idle ``Ssd`` costs exactly what the broker charges
+    for a fault-free, cache-off read, and both equal ``read_us``: the two
+    simulators price reads with the same function.  Every page type's
+    voltage count is covered (a profile prices all page types alike, so
+    the FTL's page placement does not matter)."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("n_voltages", [1, 2, 4, 8])
+    def test_idle_read_costs_read_us(self, pipelined, n_voltages):
+        from repro.ssd.retry_model import RetryProfile
+
+        t = NandTiming()
+        for retries in (0, 1, 6):
+            for extra in (0, 3):
+                profile = RetryProfile(
+                    "fixed",
+                    page_voltages={p: n_voltages for p in range(3)},
+                    samples={
+                        p: np.array([[retries, extra]], dtype=np.int64)
+                        for p in range(3)
+                    },
+                    pipelined=pipelined,
+                )
+                expected = t.read_us(n_voltages, retries, extra, pipelined)
+                assert _idle_read_us_ssd(profile) == expected
+                assert _idle_read_us_broker(profile) == expected
