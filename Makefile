@@ -70,21 +70,25 @@ fleet-smoke:
 	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 2 \
 		--json .fleet-smoke.json
 
-# the span runs stay at --workers 1: worker processes' span events are
-# not shipped back to the parent's trace
+# the traced runs stay at --workers 1: worker processes' events are not
+# shipped back to the parent's trace
 tournament-smoke:
 	$(PYTHON) -m repro tournament --smoke --check --workers 2 \
 		--frontends hm_0 usr_0 --json .tournament-smoke.json
 	$(PYTHON) -m repro tournament --smoke --workers 1 \
-		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans.jsonl
+		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans.jsonl \
+		--obs-trace .tournament-smoke-trace.jsonl
 	$(PYTHON) -m repro spans .tournament-smoke-spans.jsonl --check --top 0
+	$(PYTHON) -m repro stats .tournament-smoke-trace.jsonl
 
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \
 		--json .campaign-smoke.json
 	$(PYTHON) -m repro campaign --smoke --workers 1 \
-		--obs-spans .campaign-smoke-spans.jsonl
+		--obs-spans .campaign-smoke-spans.jsonl \
+		--obs-trace .campaign-smoke-trace.jsonl
 	$(PYTHON) -m repro spans .campaign-smoke-spans.jsonl --check --top 0
+	$(PYTHON) -m repro stats .campaign-smoke-trace.jsonl
 
 simulate-smoke:
 	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600

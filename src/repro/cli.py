@@ -757,11 +757,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     from repro.analysis import print_table
 
     module_name, func_name = _FIGURES[args.name]
+    if args.kind and func_name in ("run_fig16", "run_fig17"):
+        print(f"repro figure: {args.name} runs a fixed flash kind; "
+              f"drop --kind", file=sys.stderr)
+        return 2
     driver = getattr(importlib.import_module(module_name), func_name)
-    kwargs = {}
-    if args.kind and func_name not in ("run_fig16", "run_fig17"):
-        kwargs["kind"] = args.kind
-    result = driver(**kwargs)
+    result = driver(**({"kind": args.kind} if args.kind else {}))
     print_table(result.rows(), title=f"{args.name} ({args.kind or 'default'})")
     return 0
 

@@ -56,8 +56,8 @@ unchanged while the same declarative form drives months-long scenarios.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 #: The closed set of injectable fault kinds.
 FAULT_KINDS = frozenset(
@@ -215,9 +215,6 @@ class FaultPlan:
 
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted({s.kind for s in self.specs}))
-
-    def with_specs(self, specs: Sequence[FaultSpec]) -> "FaultPlan":
-        return replace(self, specs=tuple(specs))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

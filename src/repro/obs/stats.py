@@ -1,36 +1,12 @@
 """Trace replay and aggregation: what ``python -m repro stats`` prints.
 
-Aggregates an exported JSONL event stream (see :mod:`repro.obs.trace`)
-into the three views the paper's evaluation keeps coming back to:
-
-* the **retry-count histogram** — how many reads needed 0, 1, 2, ...
-  retries (Figure 13's distributional claim);
-* the **calibration-case breakdown** — how often the state-change
-  comparison diagnosed undershoot (Case 1) vs. overshoot (Case 2);
-* **die/channel occupancy** — busy microseconds per resource against the
-  trace horizon, the utilization view of where read time actually went;
-* the **serving layer** — voltage-cache hits/misses, scrub passes and
-  sheds from ``repro serve`` runs (see :mod:`repro.service`);
-* the **parallel engine** — fan-out runs, shard counts, execution modes
-  and pool utilization from ``shard_dispatch``/``shard_merge`` events
-  (see :mod:`repro.engine`);
-* **faults** — injections by kind, breaker trips per die and degraded
-  reads by reason from ``fault_injected``/``breaker_trip``/
-  ``degraded_read`` events (see :mod:`repro.faults`);
-* **trace replay** — batches and coalesced reads from ``batch_coalesce``
-  events plus the last ``replay_tick`` progress snapshot (see
-  :mod:`repro.replay`);
-* **columnar kernels** — calls, wordlines per call and kernel seconds by
-  kernel name from ``batch_sense`` events (see :mod:`repro.flash.block`);
-* the **fleet** — tenant-to-device dispatch routes, warm-started devices
-  and the last fleet-wide per-tenant SLO rollup from ``fleet_dispatch``/
-  ``cache_warm_start``/``tenant_slo`` events (see :mod:`repro.fleet`);
-* the **policy tournament** — per-policy mean retries/read and replayed
-  p99 over the grid cells of ``tournament_cell`` events (see
-  :mod:`repro.tournament`);
-* the **lifetime campaign** — per-policy mean retries/read and p99 over
-  the served phases of ``campaign_phase`` events, plus the oldest device
-  age reached (see :mod:`repro.campaign`).
+Folds an exported JSONL event stream (see :mod:`repro.obs.trace`) into one
+:class:`Summary` per report section.  :data:`SUMMARIES` lists them in
+render order; ``docs/OBSERVABILITY.md`` maps each section to the event
+kinds it folds.  The first three are the views the paper's evaluation
+keeps coming back to: the retry-count histogram (Figure 13), the
+calibration-case breakdown (Case 1 undershoot vs. Case 2 overshoot) and
+die/channel occupancy.
 
 Events whose kind is not in :data:`repro.obs.trace.EVENT_KINDS` (a trace
 written by a newer build, say) still count and render — they are listed in
@@ -40,204 +16,574 @@ replay.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Tuple, Type, TypeVar
 
-from repro.obs.trace import EVENT_KINDS, TraceEvent
+from repro.analysis.ascii_plot import bar_chart
+from repro.analysis.report import format_table
+from repro.obs.trace import EVENT_KINDS, TraceEvent, load_jsonl
 
 _CASE_NAMES = {"case1": "case1 (undershoot: probe further)",
                "case2": "case2 (overshoot: probe back)"}
 
-#: Kinds ``fold`` aggregates into a dedicated summary section below.
-#: Together with :data:`TABLE_ONLY_KINDS` this must cover every registered
-#: kind — the obs regression test asserts the partition, so adding a kind
-#: to ``EVENT_KINDS`` without deciding how ``repro stats`` treats it is a
-#: test failure, not a silent omission.
-SUMMARIZED_KINDS = frozenset(
-    {
-        "read_attempt",
-        "read_complete",
-        "calibration_step",
-        "fallback_table",
-        "ecc_decode",
-        "gc_migrate",
-        "die_busy",
-        "channel_busy",
-        "cache_hit",
-        "cache_miss",
-        "scrub_pass",
-        "shed",
-        "shard_dispatch",
-        "shard_merge",
-        "fault_injected",
-        "breaker_trip",
-        "degraded_read",
-        "batch_coalesce",
-        "replay_tick",
-        "batch_sense",
-        "span",
-        "slo_window",
-        "fleet_dispatch",
-        "tenant_slo",
-        "cache_warm_start",
-        "tournament_cell",
-        "campaign_phase",
-        "trace_meta",
-    }
-)
 
-#: Kinds deliberately left to the per-kind count table: they carry no
-#: aggregate beyond their count (the sentinel inferences themselves are
-#: summarized through the retry histogram their reads produce).
-TABLE_ONLY_KINDS = frozenset({"sentinel_inference"})
+def _tally(counts: Mapping[Any, int], fmt: str = "{}={}") -> str:
+    """``k=v, ...`` over ``counts`` in key order (``fmt`` shapes a pair)."""
+    return ", ".join(fmt.format(k, v) for k, v in sorted(counts.items()))
+
+
+def _snapshot(f: Mapping[str, Any], keys: Sequence[str]) -> Dict[str, float]:
+    return {key: float(f.get(key, 0.0)) for key in keys}
+
+
+def _paragraph(*lines: Any) -> str:
+    """The truthy ``lines``, one per line (``cond and text`` drops out)."""
+    return "\n".join(line for line in lines if line)
+
+
+class Summary:
+    """One ``repro stats`` section.
+
+    ``fold`` sees every event whose kind is in ``kinds``; ``render``
+    returns the section's text, or ``""`` to leave the section out.
+    """
+
+    kinds: Tuple[str, ...] = ()
+
+    def fold(self, kind: str, f: Mapping[str, Any]) -> None:
+        raise NotImplementedError
+
+    def render(self, width: int) -> str:
+        raise NotImplementedError
 
 
 @dataclass
-class TraceStats:
-    """Aggregates of one event stream."""
+class RetryHistogram(Summary):
+    """Retries -> reads, from events that carry a read's retry total."""
 
-    n_events: int = 0
-    kind_counts: Dict[str, int] = field(default_factory=dict)
-    #: retries -> number of reads (from SSD-level ``read_attempt`` and
-    #: chip-level ``read_complete`` events, which carry a total)
-    retry_histogram: Dict[int, int] = field(default_factory=dict)
-    calibration_cases: Dict[str, int] = field(default_factory=dict)
-    fallback_reads: int = 0
-    ecc_failures: int = 0
-    ecc_decodes: int = 0
-    gc_pages_migrated: int = 0
-    #: resource name -> cumulative busy microseconds
-    resource_busy_us: Dict[str, float] = field(default_factory=dict)
-    horizon_us: float = 0.0
-    # serving-layer events (repro.service)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    scrub_passes: int = 0
-    scrub_pages_refreshed: int = 0
-    #: client name -> requests shed by admission control
-    shed_by_client: Dict[str, int] = field(default_factory=dict)
-    # parallel-engine events (repro.engine)
-    engine_dispatches: int = 0
-    engine_shards: int = 0
-    engine_merges: int = 0
-    engine_wall_seconds: float = 0.0
-    engine_busy_seconds: float = 0.0
-    engine_merge_seconds: float = 0.0
-    engine_capacity_seconds: float = 0.0  # sum of workers * wall per run
-    #: execution mode ("serial" / "parallel" / "serial-fallback") -> runs
-    engine_modes: Dict[str, int] = field(default_factory=dict)
-    #: engine run label -> runs
-    engine_labels: Dict[str, int] = field(default_factory=dict)
-    # fault-injection + resilience events (repro.faults, hardened broker)
-    #: fault kind (e.g. ``ssd.die_stall``) -> injections
-    faults_by_kind: Dict[str, int] = field(default_factory=dict)
-    #: die index -> breaker trips (opens + re-opens)
-    breaker_trips_by_die: Dict[int, int] = field(default_factory=dict)
-    #: degraded-read reason -> count
-    degraded_by_reason: Dict[str, int] = field(default_factory=dict)
-    # trace-replay events (repro.replay, batched die scheduling)
-    batches: int = 0
-    batch_coalesced_reads: int = 0
-    batch_max_size: int = 0
-    #: die index -> batches served by that die's lane
-    batches_by_die: Dict[int, int] = field(default_factory=dict)
-    replay_ticks: int = 0
-    #: the last ``replay_tick`` snapshot seen (offered/completed/shed)
-    replay_last: Dict[str, float] = field(default_factory=dict)
-    # columnar batched kernels (repro.flash.block)
-    #: kernel name -> [calls, wordlines, kernel seconds]
-    batch_kernels: Dict[str, List[float]] = field(default_factory=dict)
-    # span trees (repro.obs.spans)
-    span_events: int = 0
-    #: span name -> [count, total duration us] over every span event
-    span_phase_us: Dict[str, List[float]] = field(default_factory=dict)
-    #: root-span outcome ("ok"/"degraded"/"shed") -> requests
-    span_outcomes: Dict[str, int] = field(default_factory=dict)
-    span_saved_us: float = 0.0
-    span_saved_reads: int = 0
-    # streaming SLO windows (repro.service.slo)
-    #: client -> windows closed by the watermark
-    slo_windows_by_client: Dict[str, int] = field(default_factory=dict)
-    #: client -> the last closed window's fields
-    slo_last_window: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: client -> cumulative late arrivals (from the last window event)
-    slo_late_by_client: Dict[str, int] = field(default_factory=dict)
-    # fleet simulation (repro.fleet)
-    fleet_dispatches: int = 0
-    fleet_requests_routed: int = 0
-    fleet_spilled: int = 0
-    #: tenant -> devices its requests landed on
-    fleet_devices_by_tenant: Dict[str, int] = field(default_factory=dict)
-    fleet_warm_starts: int = 0  # devices warm-started
-    fleet_warm_entries: int = 0  # cache entries imported fleet-wide
-    #: tenant -> the last fleet-wide ``tenant_slo`` rollup seen
-    tenant_slo_last: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # policy tournament (repro.tournament)
-    #: policy -> [cells, sum retries/read, sum p99 us]
-    tournament_by_policy: Dict[str, List[float]] = field(default_factory=dict)
-    tournament_imbalanced: int = 0
-    # lifetime campaigns (repro.campaign)
-    #: policy -> [phases, sum retries/read, sum p99 us]
-    campaign_by_policy: Dict[str, List[float]] = field(default_factory=dict)
-    campaign_imbalanced: int = 0
-    #: oldest device age seen across ``campaign_phase`` events, in hours
-    campaign_max_age_hours: float = 0.0
-    # export trailer (``trace_meta``)
-    trace_dropped: int = 0
-    trace_capacity: int = 0
-    #: kinds outside ``EVENT_KINDS`` (traces from newer builds)
-    unknown_kinds: Dict[str, int] = field(default_factory=dict)
+    kinds = ("read_attempt", "read_complete")
+    histogram: Counter = field(default_factory=Counter)
+
+    def fold(self, kind, f):
+        # chip-level read_attempt events are per attempt and carry no total
+        retries = f.get("retries", 0 if kind == "read_complete" else None)
+        if retries is not None:
+            self.histogram[int(retries)] += 1
 
     @property
     def reads(self) -> int:
-        return sum(self.retry_histogram.values())
-
-    @property
-    def total_retries(self) -> int:
-        return sum(k * v for k, v in self.retry_histogram.items())
+        return sum(self.histogram.values())
 
     @property
     def mean_retries(self) -> float:
-        return self.total_retries / self.reads if self.reads else 0.0
+        total = sum(k * v for k, v in self.histogram.items())
+        return total / self.reads if self.reads else 0.0
 
-    @property
-    def cache_lookups(self) -> int:
-        return self.cache_hits + self.cache_misses
+    def render(self, width):
+        if not self.histogram:
+            return "retry-count histogram: no read events in trace"
+        ks = range(min(self.histogram), max(self.histogram) + 1)
+        return bar_chart(
+            [str(k) for k in ks], [float(self.histogram[k]) for k in ks],
+            width=width,
+            title=(f"retry-count histogram ({self.reads} reads, "
+                   f"mean {self.mean_retries:.2f} retries/read)"),
+        )
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
 
-    @property
-    def shed_requests(self) -> int:
-        return sum(self.shed_by_client.values())
+@dataclass
+class CalibrationCases(Summary):
+    """Calibration steps by state-change diagnosis (Section III-C)."""
 
-    @property
-    def faults_injected(self) -> int:
-        return sum(self.faults_by_kind.values())
+    kinds = ("calibration_step",)
+    cases: Counter = field(default_factory=Counter)
 
-    @property
-    def breaker_trips(self) -> int:
-        return sum(self.breaker_trips_by_die.values())
+    def fold(self, kind, f):
+        self.cases[str(f.get("case", "unknown"))] += 1
 
-    @property
-    def degraded_reads(self) -> int:
-        return sum(self.degraded_by_reason.values())
+    def render(self, width):
+        if not self.cases:
+            return "calibration-case breakdown: no calibration events"
+        rows = [(_CASE_NAMES.get(case, case), count)
+                for case, count in sorted(self.cases.items())]
+        return format_table(rows, headers=["calibration case", "steps"],
+                            title="calibration-case breakdown")
 
-    @property
-    def engine_utilization(self) -> float:
-        """Busy fraction of the dispatched worker-pool capacity."""
-        if self.engine_capacity_seconds <= 0:
-            return 0.0
-        return self.engine_busy_seconds / self.engine_capacity_seconds
+
+@dataclass
+class Occupancy(Summary):
+    """Busy us per die/channel against a horizon scrub passes advance too."""
+
+    kinds = ("die_busy", "channel_busy", "scrub_pass")
+    #: resource name -> cumulative busy microseconds
+    busy_us: Dict[str, float] = field(default_factory=dict)
+    horizon_us: float = 0.0
+
+    def fold(self, kind, f):
+        end = float(f.get("end", 0.0))
+        if kind != "scrub_pass":
+            name = str(f.get("resource", kind))
+            busy = end - float(f.get("start", 0.0))
+            self.busy_us[name] = self.busy_us.get(name, 0.0) + busy
+        self.horizon_us = max(self.horizon_us, end)
 
     def utilization(self) -> Dict[str, float]:
         if self.horizon_us <= 0:
-            return {name: 0.0 for name in self.resource_busy_us}
-        return {
-            name: busy / self.horizon_us
-            for name, busy in self.resource_busy_us.items()
-        }
+            return {name: 0.0 for name in self.busy_us}
+        return {name: busy / self.horizon_us
+                for name, busy in self.busy_us.items()}
+
+    def render(self, width):
+        if not self.busy_us:
+            return ""
+        util = self.utilization()
+        rows = [(name, f"{busy:.0f}", f"{util[name]:.1%}")
+                for name, busy in sorted(self.busy_us.items())]
+        return format_table(
+            rows, headers=["resource", "busy us", "utilization"],
+            title=f"die/channel occupancy (horizon {self.horizon_us:.0f} us)",
+        )
+
+
+@dataclass
+class Serving(Summary):
+    """Voltage-cache lookups, scrub passes and sheds (:mod:`repro.service`)."""
+
+    kinds = ("cache_hit", "cache_miss", "scrub_pass", "shed")
+    counts: Counter = field(default_factory=Counter)  # kind -> events
+    scrub_refreshed: int = 0
+    shed_by_client: Counter = field(default_factory=Counter)
+
+    def fold(self, kind, f):
+        self.counts[kind] += 1
+        if kind == "scrub_pass":
+            self.scrub_refreshed += int(f.get("refreshed", 0))
+        elif kind == "shed":
+            self.shed_by_client[str(f.get("client", "unknown"))] += 1
+
+    def render(self, width):
+        hits, passes = self.counts["cache_hit"], self.counts["scrub_pass"]
+        lookups = hits + self.counts["cache_miss"]
+        if not (lookups or passes or self.shed_by_client):
+            return ""
+        rate = hits / lookups if lookups else 0.0
+        shed = self.shed_by_client
+        return _paragraph(
+            "serving layer:",
+            f"  voltage cache: {hits}/{lookups} hits ({rate:.1%})",
+            f"  scrubber: {passes} passes, "
+            f"{self.scrub_refreshed} entries refreshed",
+            shed and f"  shed requests: {sum(shed.values())} ({_tally(shed)})",
+        )
+
+
+@dataclass
+class Faults(Summary):
+    """Injections, breaker trips and degraded reads (:mod:`repro.faults`)."""
+
+    kinds = ("fault_injected", "breaker_trip", "degraded_read")
+    by_kind: Counter = field(default_factory=Counter)
+    trips_by_die: Counter = field(default_factory=Counter)
+    degraded_by_reason: Counter = field(default_factory=Counter)
+
+    def fold(self, kind, f):
+        if kind == "fault_injected":
+            self.by_kind[str(f.get("fault", "unknown"))] += 1
+        elif kind == "breaker_trip":
+            self.trips_by_die[int(f.get("die", -1))] += 1
+        else:
+            self.degraded_by_reason[str(f.get("reason", "unknown"))] += 1
+
+    def render(self, width):
+        trips, degraded = self.trips_by_die, self.degraded_by_reason
+        if not (self.by_kind or trips or degraded):
+            return ""
+        return _paragraph(
+            "faults:",
+            f"  injected: {sum(self.by_kind.values())} "
+            f"({_tally(self.by_kind) or 'none'})",
+            trips and f"  breaker trips: {sum(trips.values())} "
+                      f"({_tally(trips, 'die{}={}')})",
+            degraded and f"  degraded reads: {sum(degraded.values())} "
+                         f"({_tally(degraded)})",
+        )
+
+
+@dataclass
+class Replay(Summary):
+    """Batched die scheduling and progress ticks (:mod:`repro.replay`)."""
+
+    kinds = ("batch_coalesce", "replay_tick")
+    batches: int = 0
+    coalesced_reads: int = 0
+    max_size: int = 0
+    batches_by_die: Counter = field(default_factory=Counter)
+    ticks: int = 0
+    last: Dict[str, float] = field(default_factory=dict)
+
+    def fold(self, kind, f):
+        if kind == "batch_coalesce":
+            self.batches += 1
+            size = int(f.get("size", 0))
+            self.coalesced_reads += max(size - 1, 0)
+            self.max_size = max(self.max_size, size)
+            self.batches_by_die[int(f.get("die", -1))] += 1
+        else:
+            self.ticks += 1
+            self.last = _snapshot(f, ("ts", "offered", "completed", "shed"))
+
+    def render(self, width):
+        if not (self.batches or self.ticks):
+            return ""
+        last = self.last
+        return _paragraph(
+            "trace replay:",
+            self.batches and (
+                f"  batched die scheduling: {self.batches} batches, "
+                f"{self.coalesced_reads} reads coalesced (largest "
+                f"{self.max_size}; {_tally(self.batches_by_die, 'die{}={}')})"
+            ),
+            self.ticks and (
+                f"  progress ticks: {self.ticks} (last at "
+                f"{last['ts']:.0f} us: {last['completed']:.0f}/"
+                f"{last['offered']:.0f} done, {last['shed']:.0f} shed)"
+            ),
+        )
+
+
+@dataclass
+class Kernels(Summary):
+    """Columnar kernel calls and time by kernel (:mod:`repro.flash.block`)."""
+
+    kinds = ("batch_sense",)
+    #: kernel name -> [calls, wordlines, kernel seconds]
+    by_kernel: Dict[str, List[float]] = field(default_factory=dict)
+
+    def fold(self, kind, f):
+        entry = self.by_kernel.setdefault(str(f.get("kernel", "unknown")),
+                                          [0, 0, 0.0])
+        entry[0] += 1
+        entry[1] += int(f.get("wordlines", 0))
+        entry[2] += float(f.get("seconds", 0.0))
+
+    def render(self, width):
+        if not self.by_kernel:
+            return ""
+        rows = [(kernel, n, wl, f"{wl / n:.1f}", f"{seconds * 1e3:.1f}")
+                for kernel, (n, wl, seconds) in sorted(self.by_kernel.items())]
+        return format_table(rows, headers=["kernel", "calls", "wordlines",
+                                           "wl/call", "total ms"],
+                            title="columnar batched kernels")
+
+
+@dataclass
+class Spans(Summary):
+    """Span time by name, root outcomes and the sentinel's saving."""
+
+    kinds = ("span",)
+    events: int = 0
+    #: span name -> [count, total duration us]
+    phase_us: Dict[str, List[float]] = field(default_factory=dict)
+    outcomes: Counter = field(default_factory=Counter)
+    saved_us: float = 0.0
+    saved_reads: int = 0
+
+    def fold(self, kind, f):
+        self.events += 1
+        dur = float(f.get("t1", 0.0)) - float(f.get("t0", 0.0))
+        entry = self.phase_us.setdefault(str(f.get("name", "unknown")),
+                                         [0, 0.0])
+        entry[0] += 1
+        entry[1] += dur
+        if f.get("parent") is None:
+            self.outcomes[str(f.get("outcome", "ok"))] += 1
+        if f.get("saved_us") is not None:
+            self.saved_us += float(f["saved_us"])
+            self.saved_reads += 1
+
+    def render(self, width):
+        if not self.events:
+            return ""
+        rows = [(name, count, f"{total:.1f}", f"{total / count:.1f}")
+                for name, (count, total) in sorted(
+                    self.phase_us.items(), key=lambda item: -item[1][1])]
+        return _paragraph(
+            format_table(
+                rows, headers=["span", "count", "total us", "mean us"],
+                title=(f"request spans ({self.events} spans, "
+                       f"outcomes: {_tally(self.outcomes) or 'none'})"),
+            ),
+            self.saved_reads and (
+                f"  sentinel vs fallback-table estimate: saved "
+                f"{self.saved_us:.1f} us over {self.saved_reads} reads"
+            ),
+            "  (per-request critical paths: `repro spans <trace>`)",
+        )
+
+
+@dataclass
+class SloWindows(Summary):
+    """Event-time SLO windows closed per client (:mod:`repro.service.slo`)."""
+
+    kinds = ("slo_window",)
+    closed: Counter = field(default_factory=Counter)
+    #: client -> the last closed window's fields, cumulative late arrivals
+    last: Dict[str, Tuple[Dict[str, float], int]] = field(
+        default_factory=dict)
+
+    def fold(self, kind, f):
+        client = str(f.get("client", "unknown"))
+        self.closed[client] += 1
+        self.last[client] = (
+            _snapshot(f, ("window_start_us", "completed", "iops",
+                          "read_p99_us")),
+            int(f.get("late", 0)),
+        )
+
+    def render(self, width):
+        if not self.closed:
+            return ""
+        lines = ["streaming SLO windows (closed by watermark):"]
+        for client in sorted(self.closed):
+            last, late = self.last[client]
+            lines.append(
+                f"  {client}: {self.closed[client]} closed (last @ "
+                f"{last['window_start_us']:.0f} us: "
+                f"{last['completed']:.0f} done, {last['iops']:.0f} IOPS, "
+                f"p99 {last['read_p99_us']:.0f} us; {late} late arrivals)"
+            )
+        return "\n".join(lines)
+
+
+@dataclass
+class Fleet(Summary):
+    """Routes, warm starts and per-tenant SLO rollups (:mod:`repro.fleet`)."""
+
+    kinds = ("fleet_dispatch", "cache_warm_start", "tenant_slo")
+    dispatches: int = 0
+    requests_routed: int = 0
+    spilled: int = 0
+    devices_by_tenant: Counter = field(default_factory=Counter)
+    warm_starts: int = 0  # devices warm-started
+    warm_entries: int = 0  # cache entries imported fleet-wide
+    tenant_slo: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def fold(self, kind, f):
+        if kind == "fleet_dispatch":
+            self.dispatches += 1
+            self.requests_routed += int(f.get("requests", 0))
+            self.spilled += int(f.get("spilled", 0))
+            self.devices_by_tenant[str(f.get("tenant", "unknown"))] += 1
+        elif kind == "cache_warm_start":
+            self.warm_starts += 1
+            self.warm_entries += int(f.get("imported", 0))
+        else:
+            self.tenant_slo[str(f.get("tenant", "unknown"))] = _snapshot(
+                f, ("offered", "served", "degraded", "shed", "read_p99_us"))
+
+    def render(self, width):
+        if not (self.dispatches or self.tenant_slo):
+            return ""
+        return _paragraph(
+            "fleet:",
+            self.dispatches and (
+                f"  dispatch: {self.requests_routed} requests over "
+                f"{self.dispatches} tenant-device routes "
+                f"({self.spilled} spilled past affinity; devices per "
+                f"tenant: {_tally(self.devices_by_tenant, '{}:{}')})"
+            ),
+            self.warm_starts and (
+                f"  warm-start: {self.warm_starts} devices seeded "
+                f"with {self.warm_entries} cache entries"
+            ),
+            *(f"  {tenant}: {t['served']:.0f} served + "
+              f"{t['degraded']:.0f} degraded + {t['shed']:.0f} shed = "
+              f"{t['offered']:.0f} offered "
+              f"(read p99 {t['read_p99_us']:.0f} us)"
+              for tenant, t in sorted(self.tenant_slo.items())),
+        )
+
+
+@dataclass
+class _PolicyGrid(Summary):
+    """Per-policy ``[n, sum retries/read, sum p99 us]`` over grid events."""
+
+    unit = ""  # what one event is: "cells", "phases"
+    title = ""
+    by_policy: Dict[str, List[float]] = field(default_factory=dict)
+    imbalanced: int = 0
+
+    def fold(self, kind, f):
+        entry = self.by_policy.setdefault(str(f.get("policy", "unknown")),
+                                          [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += float(f.get("retries_per_read", 0.0))
+        entry[2] += float(f.get("p99_us", 0.0))
+        self.imbalanced += not f.get("balanced", True)
+
+    def notes(self) -> List[str]:
+        return []
+
+    def render(self, width):
+        if not self.by_policy:
+            return ""
+        rows = [(policy, n, f"{retries / n:.3f}", f"{p99 / n:.0f}")
+                for policy, (n, retries, p99)
+                in sorted(self.by_policy.items())]
+        return _paragraph(
+            format_table(rows, headers=["policy", self.unit,
+                                        "mean retries/read", "mean p99 us"],
+                         title=self.title),
+            *self.notes(),
+            self.imbalanced and (
+                f"  WARNING: {self.imbalanced} {self.unit} broke "
+                f"served + degraded + shed == offered"
+            ),
+        )
+
+
+@dataclass
+class Tournament(_PolicyGrid):
+    """Policy tournament cells (:mod:`repro.tournament`)."""
+
+    kinds = ("tournament_cell",)
+    unit = "cells"
+    title = "policy tournament"
+
+
+@dataclass
+class Campaign(_PolicyGrid):
+    """Served campaign phases and the oldest age (:mod:`repro.campaign`)."""
+
+    kinds = ("campaign_phase",)
+    unit = "phases"
+    title = "lifetime campaign"
+    max_age_hours: float = 0.0
+
+    def fold(self, kind, f):
+        super().fold(kind, f)
+        self.max_age_hours = max(self.max_age_hours,
+                                 float(f.get("age_hours", 0.0)))
+
+    def notes(self):
+        return [f"  oldest device age: {self.max_age_hours:.0f} h"]
+
+
+@dataclass
+class Engine(Summary):
+    """Fan-out runs, modes and pool utilization (:mod:`repro.engine`)."""
+
+    kinds = ("shard_dispatch", "shard_merge")
+    dispatches: int = 0
+    shards: int = 0
+    merges: int = 0
+    wall_seconds: float = 0.0
+    busy_seconds: float = 0.0
+    merge_seconds: float = 0.0
+    capacity_seconds: float = 0.0  # sum of workers * wall per run
+    modes: Counter = field(default_factory=Counter)  # runs by mode
+    labels: Counter = field(default_factory=Counter)  # runs by label
+
+    def fold(self, kind, f):
+        if kind == "shard_dispatch":
+            self.dispatches += 1
+            self.shards += int(f.get("shards", 0))
+            self.modes[str(f.get("mode", "unknown"))] += 1
+            self.labels[str(f.get("label", "engine"))] += 1
+        else:
+            self.merges += 1
+            wall = float(f.get("wall_s", 0.0))
+            self.wall_seconds += wall
+            self.busy_seconds += float(f.get("busy_s", 0.0))
+            self.merge_seconds += float(f.get("merge_s", 0.0))
+            self.capacity_seconds += wall * float(f.get("workers", 1))
+
+    @property
+    def utilization(self) -> float:
+        """Busy fraction of the dispatched worker-pool capacity."""
+        if self.capacity_seconds <= 0:
+            return 0.0
+        return self.busy_seconds / self.capacity_seconds
+
+    def render(self, width):
+        if not self.dispatches:
+            return ""
+        return _paragraph(
+            "parallel engine:",
+            f"  runs: {self.dispatches} ({self.shards} shards; "
+            f"{_tally(self.modes)})",
+            f"  by label: {_tally(self.labels)}",
+            f"  wall {self.wall_seconds:.3f}s, busy "
+            f"{self.busy_seconds:.3f}s, merge {self.merge_seconds:.4f}s "
+            f"(pool utilization {self.utilization:.1%})",
+        )
+
+
+@dataclass
+class Counters(Summary):
+    """The closing paragraph: fallback-table reads, ECC decodes and GC
+    migrations (the unrecognized-kinds line joins it)."""
+
+    kinds = ("fallback_table", "ecc_decode", "gc_migrate")
+    fallback_reads: int = 0
+    ecc_decodes: int = 0
+    ecc_failures: int = 0
+    gc_pages_migrated: int = 0
+
+    def fold(self, kind, f):
+        if kind == "fallback_table":
+            self.fallback_reads += 1
+        elif kind == "ecc_decode":
+            self.ecc_decodes += 1
+            self.ecc_failures += not f.get("decoded", True)
+        else:
+            self.gc_pages_migrated += int(f.get("migrated", 0))
+
+    def render(self, width):
+        return _paragraph(
+            self.fallback_reads and (
+                f"fallback-table reads: {self.fallback_reads}"),
+            self.ecc_decodes and (
+                f"ECC decodes: {self.ecc_decodes} "
+                f"({self.ecc_failures} failed)"),
+            self.gc_pages_migrated and (
+                f"GC pages migrated: {self.gc_pages_migrated}"),
+        )
+
+
+#: Every ``repro stats`` section, in render order.  ``sentinel_inference``
+#: is the one registered kind no section folds: the inferences show up
+#: through the retry histogram of the reads they serve.
+SUMMARIES: Tuple[Type[Summary], ...] = (
+    RetryHistogram, CalibrationCases, Occupancy, Serving, Faults, Replay,
+    Kernels, Spans, SloWindows, Fleet, Tournament, Campaign, Engine,
+    Counters,
+)
+
+S = TypeVar("S", bound=Summary)
+
+
+class TraceStats:
+    """Aggregates of one event stream: the per-kind count table, the
+    export trailer's truncation record, and one instance of each
+    :data:`SUMMARIES` section."""
+
+    def __init__(self) -> None:
+        self.n_events = 0
+        self.kind_counts: Counter = Counter()
+        self.unknown_kinds: Counter = Counter()  # not in ``EVENT_KINDS``
+        self.trace_dropped = self.trace_capacity = 0  # from ``trace_meta``
+        self.sections = tuple(cls() for cls in SUMMARIES)
+        self._by_kind: Dict[str, List[Summary]] = {}
+        for section in self.sections:
+            for kind in section.kinds:
+                self._by_kind.setdefault(kind, []).append(section)
+
+    def section(self, cls: Type[S]) -> S:
+        """This stream's instance of the section class ``cls``."""
+        return self.sections[SUMMARIES.index(cls)]
 
 
 def aggregate(events: Iterable[TraceEvent]) -> TraceStats:
@@ -261,180 +607,18 @@ def fold(stats: TraceStats, event: TraceEvent) -> None:
                                    int(f.get("capacity", 0)))
         return
     stats.n_events += 1
-    stats.kind_counts[event.kind] = stats.kind_counts.get(event.kind, 0) + 1
-    if event.kind == "read_attempt":
-        retries = f.get("retries")
-        if retries is not None:  # SSD-level events carry the total
-            r = int(retries)
-            stats.retry_histogram[r] = stats.retry_histogram.get(r, 0) + 1
-    elif event.kind == "read_complete":
-        r = int(f.get("retries", 0))
-        stats.retry_histogram[r] = stats.retry_histogram.get(r, 0) + 1
-    elif event.kind == "calibration_step":
-        case = str(f.get("case", "unknown"))
-        stats.calibration_cases[case] = (
-            stats.calibration_cases.get(case, 0) + 1
-        )
-    elif event.kind == "fallback_table":
-        stats.fallback_reads += 1
-    elif event.kind == "ecc_decode":
-        stats.ecc_decodes += 1
-        if not f.get("decoded", True):
-            stats.ecc_failures += 1
-    elif event.kind == "gc_migrate":
-        stats.gc_pages_migrated += int(f.get("migrated", 0))
-    elif event.kind in ("die_busy", "channel_busy"):
-        name = str(f.get("resource", event.kind))
-        busy = float(f.get("end", 0.0)) - float(f.get("start", 0.0))
-        stats.resource_busy_us[name] = (
-            stats.resource_busy_us.get(name, 0.0) + busy
-        )
-        stats.horizon_us = max(stats.horizon_us, float(f.get("end", 0.0)))
-    elif event.kind == "cache_hit":
-        stats.cache_hits += 1
-    elif event.kind == "cache_miss":
-        stats.cache_misses += 1
-    elif event.kind == "scrub_pass":
-        stats.scrub_passes += 1
-        stats.scrub_pages_refreshed += int(f.get("refreshed", 0))
-        stats.horizon_us = max(stats.horizon_us, float(f.get("end", 0.0)))
-    elif event.kind == "shed":
-        client = str(f.get("client", "unknown"))
-        stats.shed_by_client[client] = (
-            stats.shed_by_client.get(client, 0) + 1
-        )
-    elif event.kind == "shard_dispatch":
-        stats.engine_dispatches += 1
-        stats.engine_shards += int(f.get("shards", 0))
-        mode = str(f.get("mode", "unknown"))
-        stats.engine_modes[mode] = stats.engine_modes.get(mode, 0) + 1
-        label = str(f.get("label", "engine"))
-        stats.engine_labels[label] = stats.engine_labels.get(label, 0) + 1
-    elif event.kind == "shard_merge":
-        stats.engine_merges += 1
-        wall = float(f.get("wall_s", 0.0))
-        stats.engine_wall_seconds += wall
-        stats.engine_busy_seconds += float(f.get("busy_s", 0.0))
-        stats.engine_merge_seconds += float(f.get("merge_s", 0.0))
-        stats.engine_capacity_seconds += wall * float(f.get("workers", 1))
-    elif event.kind == "fault_injected":
-        fault = str(f.get("fault", "unknown"))
-        stats.faults_by_kind[fault] = (
-            stats.faults_by_kind.get(fault, 0) + 1
-        )
-    elif event.kind == "breaker_trip":
-        die = int(f.get("die", -1))
-        stats.breaker_trips_by_die[die] = (
-            stats.breaker_trips_by_die.get(die, 0) + 1
-        )
-    elif event.kind == "degraded_read":
-        reason = str(f.get("reason", "unknown"))
-        stats.degraded_by_reason[reason] = (
-            stats.degraded_by_reason.get(reason, 0) + 1
-        )
-    elif event.kind == "batch_coalesce":
-        stats.batches += 1
-        size = int(f.get("size", 0))
-        stats.batch_coalesced_reads += max(size - 1, 0)
-        stats.batch_max_size = max(stats.batch_max_size, size)
-        die = int(f.get("die", -1))
-        stats.batches_by_die[die] = stats.batches_by_die.get(die, 0) + 1
-    elif event.kind == "replay_tick":
-        stats.replay_ticks += 1
-        stats.replay_last = {
-            key: float(f.get(key, 0.0))
-            for key in ("ts", "offered", "completed", "shed")
-        }
-    elif event.kind == "batch_sense":
-        kernel = str(f.get("kernel", "unknown"))
-        entry = stats.batch_kernels.setdefault(kernel, [0, 0, 0.0])
-        entry[0] += 1
-        entry[1] += int(f.get("wordlines", 0))
-        entry[2] += float(f.get("seconds", 0.0))
-    elif event.kind == "span":
-        stats.span_events += 1
-        name = str(f.get("name", "unknown"))
-        dur = float(f.get("t1", 0.0)) - float(f.get("t0", 0.0))
-        entry = stats.span_phase_us.setdefault(name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += dur
-        if f.get("parent") is None:
-            outcome = str(f.get("outcome", "ok"))
-            stats.span_outcomes[outcome] = (
-                stats.span_outcomes.get(outcome, 0) + 1
-            )
-        saved = f.get("saved_us")
-        if saved is not None:
-            stats.span_saved_us += float(saved)
-            stats.span_saved_reads += 1
-    elif event.kind == "slo_window":
-        client = str(f.get("client", "unknown"))
-        stats.slo_windows_by_client[client] = (
-            stats.slo_windows_by_client.get(client, 0) + 1
-        )
-        stats.slo_last_window[client] = {
-            key: float(f.get(key, 0.0))
-            for key in ("window_start_us", "completed", "iops",
-                        "read_p99_us")
-        }
-        stats.slo_late_by_client[client] = int(f.get("late", 0))
-    elif event.kind == "fleet_dispatch":
-        stats.fleet_dispatches += 1
-        stats.fleet_requests_routed += int(f.get("requests", 0))
-        stats.fleet_spilled += int(f.get("spilled", 0))
-        tenant = str(f.get("tenant", "unknown"))
-        stats.fleet_devices_by_tenant[tenant] = (
-            stats.fleet_devices_by_tenant.get(tenant, 0) + 1
-        )
-    elif event.kind == "cache_warm_start":
-        stats.fleet_warm_starts += 1
-        stats.fleet_warm_entries += int(f.get("imported", 0))
-    elif event.kind == "tenant_slo":
-        tenant = str(f.get("tenant", "unknown"))
-        stats.tenant_slo_last[tenant] = {
-            key: float(f.get(key, 0.0))
-            for key in ("offered", "served", "degraded", "shed",
-                        "read_p99_us")
-        }
-    elif event.kind == "tournament_cell":
-        policy = str(f.get("policy", "unknown"))
-        entry = stats.tournament_by_policy.setdefault(policy, [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += float(f.get("retries_per_read", 0.0))
-        entry[2] += float(f.get("p99_us", 0.0))
-        if not f.get("balanced", True):
-            stats.tournament_imbalanced += 1
-    elif event.kind == "campaign_phase":
-        policy = str(f.get("policy", "unknown"))
-        entry = stats.campaign_by_policy.setdefault(policy, [0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += float(f.get("retries_per_read", 0.0))
-        entry[2] += float(f.get("p99_us", 0.0))
-        stats.campaign_max_age_hours = max(
-            stats.campaign_max_age_hours, float(f.get("age_hours", 0.0))
-        )
-        if not f.get("balanced", True):
-            stats.campaign_imbalanced += 1
-    elif event.kind not in EVENT_KINDS:
-        stats.unknown_kinds[event.kind] = (
-            stats.unknown_kinds.get(event.kind, 0) + 1
-        )
+    stats.kind_counts[event.kind] += 1
+    if event.kind not in EVENT_KINDS:
+        stats.unknown_kinds[event.kind] += 1
+    for section in stats._by_kind.get(event.kind, ()):
+        section.fold(event.kind, f)
 
 
 def render(stats: TraceStats, width: int = 48) -> str:
     """Human-readable report of a :class:`TraceStats` (ASCII only)."""
-    from repro.analysis.ascii_plot import bar_chart
-    from repro.analysis.report import format_table
-
-    sections: List[str] = []
-    sections.append(
-        format_table(
-            sorted(stats.kind_counts.items()),
-            headers=["event kind", "count"],
-            title=f"trace: {stats.n_events} events",
-        )
-    )
-
+    sections = [format_table(sorted(stats.kind_counts.items()),
+                             headers=["event kind", "count"],
+                             title=f"trace: {stats.n_events} events")]
     if stats.trace_dropped:
         sections.append(
             f"WARNING: ring buffer dropped {stats.trace_dropped} oldest "
@@ -442,336 +626,17 @@ def render(stats: TraceStats, width: int = 48) -> str:
             f"truncated and every aggregate below undercounts early "
             f"activity"
         )
-
-    if stats.retry_histogram:
-        ks = sorted(stats.retry_histogram)
-        labels = [str(k) for k in range(ks[0], ks[-1] + 1)]
-        values = [
-            float(stats.retry_histogram.get(k, 0))
-            for k in range(ks[0], ks[-1] + 1)
-        ]
-        sections.append(
-            bar_chart(
-                labels,
-                values,
-                width=width,
-                title=(
-                    f"retry-count histogram ({stats.reads} reads, "
-                    f"mean {stats.mean_retries:.2f} retries/read)"
-                ),
-            )
-        )
-    else:
-        sections.append("retry-count histogram: no read events in trace")
-
-    if stats.calibration_cases:
-        rows = [
-            (_CASE_NAMES.get(case, case), count)
-            for case, count in sorted(stats.calibration_cases.items())
-        ]
-        sections.append(
-            format_table(
-                rows,
-                headers=["calibration case", "steps"],
-                title="calibration-case breakdown",
-            )
-        )
-    else:
-        sections.append("calibration-case breakdown: no calibration events")
-
-    if stats.resource_busy_us:
-        util = stats.utilization()
-        rows = [
-            (name, f"{busy:.0f}", f"{util[name]:.1%}")
-            for name, busy in sorted(stats.resource_busy_us.items())
-        ]
-        sections.append(
-            format_table(
-                rows,
-                headers=["resource", "busy us", "utilization"],
-                title=(
-                    f"die/channel occupancy "
-                    f"(horizon {stats.horizon_us:.0f} us)"
-                ),
-            )
-        )
-
-    if stats.cache_lookups or stats.scrub_passes or stats.shed_by_client:
-        lines = [
-            "serving layer:",
-            (
-                f"  voltage cache: {stats.cache_hits}/{stats.cache_lookups}"
-                f" hits ({stats.cache_hit_rate:.1%})"
-            ),
-            (
-                f"  scrubber: {stats.scrub_passes} passes, "
-                f"{stats.scrub_pages_refreshed} entries refreshed"
-            ),
-        ]
-        if stats.shed_by_client:
-            per_client = ", ".join(
-                f"{client}={count}"
-                for client, count in sorted(stats.shed_by_client.items())
-            )
-            lines.append(
-                f"  shed requests: {stats.shed_requests} ({per_client})"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.faults_by_kind or stats.breaker_trips or stats.degraded_reads:
-        by_kind = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(stats.faults_by_kind.items())
-        )
-        lines = ["faults:",
-                 f"  injected: {stats.faults_injected} ({by_kind or 'none'})"]
-        if stats.breaker_trips_by_die:
-            per_die = ", ".join(
-                f"die{die}={count}"
-                for die, count in sorted(stats.breaker_trips_by_die.items())
-            )
-            lines.append(
-                f"  breaker trips: {stats.breaker_trips} ({per_die})"
-            )
-        if stats.degraded_by_reason:
-            per_reason = ", ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(stats.degraded_by_reason.items())
-            )
-            lines.append(
-                f"  degraded reads: {stats.degraded_reads} ({per_reason})"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.batches or stats.replay_ticks:
-        lines = ["trace replay:"]
-        if stats.batches:
-            per_die = ", ".join(
-                f"die{die}={count}"
-                for die, count in sorted(stats.batches_by_die.items())
-            )
-            lines.append(
-                f"  batched die scheduling: {stats.batches} batches, "
-                f"{stats.batch_coalesced_reads} reads coalesced "
-                f"(largest {stats.batch_max_size}; {per_die})"
-            )
-        if stats.replay_ticks:
-            last = stats.replay_last
-            lines.append(
-                f"  progress ticks: {stats.replay_ticks} (last at "
-                f"{last.get('ts', 0.0):.0f} us: "
-                f"{last.get('completed', 0.0):.0f}/"
-                f"{last.get('offered', 0.0):.0f} done, "
-                f"{last.get('shed', 0.0):.0f} shed)"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.batch_kernels:
-        rows = []
-        for kernel in sorted(stats.batch_kernels):
-            calls, wordlines, seconds = stats.batch_kernels[kernel]
-            calls = int(calls)
-            rows.append((
-                kernel,
-                calls,
-                int(wordlines),
-                f"{wordlines / calls:.1f}" if calls else "0.0",
-                f"{seconds * 1e3:.1f}",
-            ))
-        sections.append(
-            format_table(
-                rows,
-                headers=["kernel", "calls", "wordlines", "wl/call",
-                         "total ms"],
-                title="columnar batched kernels",
-            )
-        )
-
-    if stats.span_events:
-        rows = []
-        for name in sorted(stats.span_phase_us,
-                           key=lambda n: -stats.span_phase_us[n][1]):
-            count, total = stats.span_phase_us[name]
-            count = int(count)
-            rows.append((
-                name, count, f"{total:.1f}",
-                f"{total / count:.1f}" if count else "0.0",
-            ))
-        outcomes = ", ".join(
-            f"{outcome}={count}"
-            for outcome, count in sorted(stats.span_outcomes.items())
-        )
-        lines = [
-            format_table(
-                rows,
-                headers=["span", "count", "total us", "mean us"],
-                title=(
-                    f"request spans ({stats.span_events} spans, "
-                    f"outcomes: {outcomes or 'none'})"
-                ),
-            )
-        ]
-        if stats.span_saved_reads:
-            lines.append(
-                f"  sentinel vs fallback-table estimate: saved "
-                f"{stats.span_saved_us:.1f} us over "
-                f"{stats.span_saved_reads} reads"
-            )
-        lines.append(
-            "  (per-request critical paths: `repro spans <trace>`)"
-        )
-        sections.append("\n".join(lines))
-
-    if stats.slo_windows_by_client:
-        lines = ["streaming SLO windows (closed by watermark):"]
-        for client in sorted(stats.slo_windows_by_client):
-            last = stats.slo_last_window.get(client, {})
-            late = stats.slo_late_by_client.get(client, 0)
-            lines.append(
-                f"  {client}: {stats.slo_windows_by_client[client]} closed"
-                f" (last @ {last.get('window_start_us', 0.0):.0f} us: "
-                f"{last.get('completed', 0.0):.0f} done, "
-                f"{last.get('iops', 0.0):.0f} IOPS, "
-                f"p99 {last.get('read_p99_us', 0.0):.0f} us; "
-                f"{late} late arrivals)"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.fleet_dispatches or stats.tenant_slo_last:
-        lines = ["fleet:"]
-        if stats.fleet_dispatches:
-            per_tenant = ", ".join(
-                f"{tenant}:{count}" for tenant, count in
-                sorted(stats.fleet_devices_by_tenant.items())
-            )
-            lines.append(
-                f"  dispatch: {stats.fleet_requests_routed} requests over "
-                f"{stats.fleet_dispatches} tenant-device routes "
-                f"({stats.fleet_spilled} spilled past affinity; "
-                f"devices per tenant: {per_tenant})"
-            )
-        if stats.fleet_warm_starts:
-            lines.append(
-                f"  warm-start: {stats.fleet_warm_starts} devices seeded "
-                f"with {stats.fleet_warm_entries} cache entries"
-            )
-        for tenant in sorted(stats.tenant_slo_last):
-            t = stats.tenant_slo_last[tenant]
-            lines.append(
-                f"  {tenant}: {t.get('served', 0.0):.0f} served + "
-                f"{t.get('degraded', 0.0):.0f} degraded + "
-                f"{t.get('shed', 0.0):.0f} shed = "
-                f"{t.get('offered', 0.0):.0f} offered "
-                f"(read p99 {t.get('read_p99_us', 0.0):.0f} us)"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.tournament_by_policy:
-        rows = []
-        for policy in sorted(stats.tournament_by_policy):
-            cells, retries, p99 = stats.tournament_by_policy[policy]
-            cells = int(cells)
-            rows.append((
-                policy,
-                cells,
-                f"{retries / cells:.3f}" if cells else "0.000",
-                f"{p99 / cells:.0f}" if cells else "0",
-            ))
-        lines = [
-            format_table(
-                rows,
-                headers=["policy", "cells", "mean retries/read",
-                         "mean p99 us"],
-                title="policy tournament",
-            )
-        ]
-        if stats.tournament_imbalanced:
-            lines.append(
-                f"  WARNING: {stats.tournament_imbalanced} cells broke "
-                f"served + degraded + shed == offered"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.campaign_by_policy:
-        rows = []
-        for policy in sorted(stats.campaign_by_policy):
-            phases, retries, p99 = stats.campaign_by_policy[policy]
-            phases = int(phases)
-            rows.append((
-                policy,
-                phases,
-                f"{retries / phases:.3f}" if phases else "0.000",
-                f"{p99 / phases:.0f}" if phases else "0",
-            ))
-        lines = [
-            format_table(
-                rows,
-                headers=["policy", "phases", "mean retries/read",
-                         "mean p99 us"],
-                title="lifetime campaign",
-            ),
-            f"  oldest device age: {stats.campaign_max_age_hours:.0f} h",
-        ]
-        if stats.campaign_imbalanced:
-            lines.append(
-                f"  WARNING: {stats.campaign_imbalanced} phases broke "
-                f"served + degraded + shed == offered"
-            )
-        sections.append("\n".join(lines))
-
-    if stats.engine_dispatches:
-        modes = ", ".join(
-            f"{mode}={count}"
-            for mode, count in sorted(stats.engine_modes.items())
-        )
-        labels = ", ".join(
-            f"{label}={count}"
-            for label, count in sorted(stats.engine_labels.items())
-        )
-        lines = [
-            "parallel engine:",
-            (
-                f"  runs: {stats.engine_dispatches} "
-                f"({stats.engine_shards} shards; {modes})"
-            ),
-            f"  by label: {labels}",
-            (
-                f"  wall {stats.engine_wall_seconds:.3f}s, busy "
-                f"{stats.engine_busy_seconds:.3f}s, merge "
-                f"{stats.engine_merge_seconds:.4f}s "
-                f"(pool utilization {stats.engine_utilization:.1%})"
-            ),
-        ]
-        sections.append("\n".join(lines))
-
-    extras = []
-    if stats.fallback_reads:
-        extras.append(f"fallback-table reads: {stats.fallback_reads}")
-    if stats.ecc_decodes:
-        extras.append(
-            f"ECC decodes: {stats.ecc_decodes} "
-            f"({stats.ecc_failures} failed)"
-        )
-    if stats.gc_pages_migrated:
-        extras.append(f"GC pages migrated: {stats.gc_pages_migrated}")
+    sections += [section.render(width) for section in stats.sections]
     if stats.unknown_kinds:
-        listed = ", ".join(
-            f"{kind} x{count}"
-            for kind, count in sorted(stats.unknown_kinds.items())
-        )
-        extras.append(
-            f"unrecognized event kinds (newer trace format?): {listed}"
-        )
-    if extras:
-        sections.append("\n".join(extras))
-
-    return "\n\n".join(sections)
+        unknown = ("unrecognized event kinds (newer trace format?): "
+                   + _tally(stats.unknown_kinds, "{} x{}"))
+        # the line closes the last section's paragraph
+        sections[-1] = _paragraph(sections[-1], unknown)
+    return "\n\n".join(filter(None, sections))
 
 
 def stats_from_jsonl(path: str) -> TraceStats:
     """Load + aggregate in one call (the ``repro stats`` entry point)."""
-    from repro.obs.trace import load_jsonl
-
     return aggregate(load_jsonl(path))
 
 
@@ -792,15 +657,11 @@ def follow_stats(
     skipped rather than fatal — a live file can always be mid-write.
     Stops after ``max_updates`` renders (tests) or on Ctrl-C; returns 0.
     """
-    import json as _json
     import sys
     import time
 
     out = out if out is not None else sys.stdout
-    stats = TraceStats()
-    buf = ""
-    fh = None
-    updates = 0
+    stats, buf, fh, updates = TraceStats(), "", None, 0
     try:
         while True:
             if fh is None:
@@ -809,28 +670,18 @@ def follow_stats(
                 except OSError:
                     pass  # not created yet: keep polling
             if fh is not None:
-                chunk = fh.read()
-                if chunk:
-                    buf += chunk
-                    lines = buf.split("\n")
-                    buf = lines.pop()  # partial tail, if any
-                    for line in lines:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            event = TraceEvent.from_json(line)
-                        except (_json.JSONDecodeError, KeyError, ValueError):
-                            continue
-                        fold(stats, event)
+                # a partial trailing line waits for its newline
+                *lines, buf = (buf + fh.read()).split("\n")
+                for line in filter(None, map(str.strip, lines)):
+                    try:
+                        event = TraceEvent.from_json(line)
+                    except (KeyError, ValueError):  # JSONDecodeError too
+                        continue
+                    fold(stats, event)
             if clear:
                 out.write("\x1b[2J\x1b[H")  # clear screen, home cursor
-            out.write(
-                f"following {path} — {stats.n_events} events "
-                f"(Ctrl-C to stop)\n\n"
-            )
-            out.write(render(stats, width=width))
-            out.write("\n")
+            out.write(f"following {path} — {stats.n_events} events "
+                      f"(Ctrl-C to stop)\n\n{render(stats, width=width)}\n")
             out.flush()
             updates += 1
             if max_updates is not None and updates >= max_updates:

@@ -8,94 +8,10 @@ events win.  ``export_jsonl``/``load_jsonl`` round-trip the buffer through
 one-JSON-object-per-line files, the format ``python -m repro stats``
 replays.
 
-Event schema (fields beyond ``seq``/``kind`` by emitting site):
-
-====================  ====================================================
-kind                  fields
-====================  ====================================================
-``read_attempt``      chip level: ``policy, page, attempt, rber, decoded``;
-                      SSD level: ``level="ssd", policy, die, page_type,
-                      gc, retries, extra, ts, service_us``
-``read_complete``     ``policy, page, retries, extra, calibration_steps,
-                      success`` (one per chip-level read, emitted by
-                      :meth:`repro.ssd.retry_model.RetryProfile.measure`)
-``sentinel_inference``  ``policy, page, d_rate, sentinel_offset,
-                      temperature``
-``calibration_step``  ``policy, page, step, case, offset`` — ``case`` is
-                      ``case1`` (state change says: probe further) or
-                      ``case2`` (overshoot: probe back)
-``fallback_table``    ``policy, page, after_retries``
-``ecc_decode``        ``decoded, frames, max_frame_errors``
-``gc_migrate``        ``die, block, migrated``
-``die_busy``          ``resource, start, end`` (microseconds)
-``channel_busy``      ``resource, start, end`` (microseconds)
-``cache_hit``         ``die, block, layer, ts, gc`` — voltage-cache lookup
-                      that found a fresh offset (serving layer)
-``cache_miss``        ``die, block, layer, ts, gc`` — lookup that found
-                      nothing (or a drift-stale entry)
-``scrub_pass``        ``die, refreshed, start, end`` — one bounded
-                      background scrub pass over a die's cache entries
-``shed``              ``client, ts, read`` — request rejected by the
-                      broker's admission control
-``shard_dispatch``    ``label, mode, shards, workers`` — one engine
-                      fan-out run started (:mod:`repro.engine`)
-``shard_merge``       ``label, mode, shards, workers, wall_s, busy_s,
-                      merge_s, utilization`` — the run's results merged
-                      in canonical shard order
-``fault_injected``    ``fault`` (the fault kind) plus whichever of
-                      ``die, block, wordline, ts`` the hook site knows —
-                      one event per injected fault (:mod:`repro.faults`)
-``breaker_trip``      ``die, ts, failures, state`` — a per-die circuit
-                      breaker opened (``state`` is ``open`` on the first
-                      trip, ``reopen`` when a half-open trial failed)
-``degraded_read``     ``die, block, ts, reason`` — a read was routed to
-                      the degraded fallback-table path (``reason`` is
-                      ``breaker_open``, ``retries_exhausted`` or
-                      ``request_timeout``)
-``batch_coalesce``    ``die, block, wordline, size, ts`` — the batched die
-                      scheduler served ``size`` co-queued reads of one
-                      (die, block, wordline) off a single wordline
-                      activation/sentinel inference (:mod:`repro.replay`)
-``batch_sense``       ``kernel, wordlines, cells, positions, seconds`` —
-                      one columnar kernel call over a wordline batch
-                      (:mod:`repro.flash.block`); ``kernel`` names the
-                      operation (``synthesize``, ``sense_regions``,
-                      ``sentinel_readout``, ``state_change``,
-                      ``single_voltage``, ``optimal``)
-``replay_tick``       ``ts, offered, completed, shed`` — periodic progress
-                      snapshot of a trace replay in virtual time
-``span``              ``trace, span, parent, name, t0, t1`` plus free-form
-                      attributes — one node of a causal per-request span
-                      tree in virtual microseconds (``parent`` is ``None``
-                      on the root; see :mod:`repro.obs.spans`)
-``slo_window``        ``client, window_start_us, window_end_us, completed,
-                      iops, read_p99_us, late`` — one event-time SLO
-                      window closed by the watermark
-                      (:mod:`repro.service.slo`)
-``fleet_dispatch``    ``tenant, device, requests, spilled`` — one tenant's
-                      request share routed to one device by the fleet
-                      dispatcher (:mod:`repro.fleet`); ``spilled`` counts
-                      the requests that overflowed past the tenant's
-                      affinity device
-``tenant_slo``        ``tenant, offered, served, degraded, shed,
-                      read_p99_us`` — fleet-wide per-tenant SLO rollup
-                      emitted after the canonical-order merge
-``cache_warm_start``  ``device, cohort, imported, source`` — a device
-                      seeded its voltage-offset cache from its cohort's
-                      exported state (``source`` is the donor device)
-``tournament_cell``   ``policy, age, frontend, retries_per_read, p99_us,
-                      iops, balanced`` — one grid cell of a policy
-                      tournament, emitted parent-side after the
-                      canonical-order merge (:mod:`repro.tournament`)
-``campaign_phase``    ``policy, schedule, environment, workload, phase,
-                      age_hours, pe_cycles, retries_per_read, p99_us,
-                      balanced`` — one served phase of a lifetime
-                      campaign cell, emitted parent-side after the
-                      canonical-order merge (:mod:`repro.campaign`)
-``trace_meta``        ``dropped, capacity, events`` — trailer line
-                      appended by ``export_jsonl`` so a truncated trace is
-                      never misread as a complete run
-====================  ====================================================
+The event schema (each kind's emitting site and fields) and the
+``repro stats`` section each kind feeds are tabled once, in
+``docs/OBSERVABILITY.md``; ``tests/test_obs.py`` checks that every kind in
+:data:`EVENT_KINDS` has a row there.
 """
 
 from __future__ import annotations
@@ -295,8 +211,3 @@ def load_jsonl(path: str) -> List[TraceEvent]:
             if line:
                 events.append(TraceEvent.from_json(line))
     return events
-
-
-def iter_kind(events: Iterable[TraceEvent], kind: str) -> Iterable[TraceEvent]:
-    """Filter helper used by the aggregators."""
-    return (e for e in events if e.kind == kind)

@@ -59,10 +59,6 @@ class SsdConfig:
         """Pages exposed to the host after overprovisioning."""
         return int(self.total_pages * (1.0 - self.overprovisioning))
 
-    @property
-    def logical_bytes(self) -> int:
-        return self.logical_pages * self.page_user_bytes
-
     def die_of(self, channel: int, die: int) -> int:
         return channel * self.dies_per_channel + die
 

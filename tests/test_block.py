@@ -423,14 +423,14 @@ class TestObservability:
         assert kernels == ["synthesize", "synthesize"]
 
     def test_stats_fold_batch_kernels(self, tiny_tlc):
-        from repro.obs.stats import aggregate, render
+        from repro.obs.stats import Kernels, aggregate, render
 
         OBS.enable(metrics=False, tracing=True)
         chip = make_chip(tiny_tlc)
         cols = chip.block_columns(0, range(2))
         cols.read_page_batch(0)
         stats = aggregate(OBS.tracer.events())
-        assert stats.batch_kernels["sense_regions"][0] >= 1
+        assert stats.section(Kernels).by_kernel["sense_regions"][0] >= 1
         assert "columnar batched kernels" in render(stats)
 
     def test_characterize_notes_one_optimal_kernel_per_batch(

@@ -230,7 +230,7 @@ class TestObs:
             OBS.reset()
 
     def test_stats_fold_summarizes_phases(self):
-        from repro.obs.stats import TraceStats, fold, render
+        from repro.obs.stats import Campaign, TraceStats, fold, render
         from repro.obs.trace import TraceEvent
 
         stats = TraceStats()
@@ -241,9 +241,10 @@ class TestObs:
                 "retries_per_read": retries, "p99_us": 700.0,
                 "balanced": p != 3,
             }))
-        assert stats.campaign_by_policy["sentinel"][0] == 3
-        assert stats.campaign_max_age_hours == pytest.approx(8760.0)
-        assert stats.campaign_imbalanced == 1
+        campaign = stats.section(Campaign)
+        assert campaign.by_policy["sentinel"][0] == 3
+        assert campaign.max_age_hours == pytest.approx(8760.0)
+        assert campaign.imbalanced == 1
         text = render(stats)
         assert "lifetime campaign" in text
         assert "oldest device age: 8760 h" in text

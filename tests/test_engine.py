@@ -343,7 +343,7 @@ def test_warm_hint_fn_pickles_and_matches(tiny_tlc):
 def test_engine_emits_dispatch_and_merge_events(tiny_tlc):
     import repro.obs as obs
     from repro.obs import OBS
-    from repro.obs.stats import aggregate
+    from repro.obs.stats import Engine, aggregate
 
     obs.enable(metrics=True, tracing=True)
     try:
@@ -353,13 +353,13 @@ def test_engine_emits_dispatch_and_merge_events(tiny_tlc):
         events = OBS.tracer.events()
         kinds = [e.kind for e in events]
         assert "shard_dispatch" in kinds and "shard_merge" in kinds
-        stats = aggregate(events)
-        assert stats.engine_dispatches == 1
-        assert stats.engine_merges == 1
-        assert stats.engine_shards == len(shards)
-        assert stats.engine_modes.get("parallel") == 1
-        assert stats.engine_labels.get("unit") == 1
-        assert 0.0 <= stats.engine_utilization
+        engine = aggregate(events).section(Engine)
+        assert engine.dispatches == 1
+        assert engine.merges == 1
+        assert engine.shards == len(shards)
+        assert engine.modes.get("parallel") == 1
+        assert engine.labels.get("unit") == 1
+        assert 0.0 <= engine.utilization
     finally:
         obs.disable()
 
@@ -410,20 +410,21 @@ def test_pipelines_fan_out_in_parallel_mode(tiny_tlc):
 
 
 def test_stats_render_includes_engine_section():
-    from repro.obs.stats import TraceStats, render
+    from repro.obs.stats import Engine, TraceStats, render
 
-    stats = TraceStats(
-        n_events=2,
-        kind_counts={"shard_dispatch": 1, "shard_merge": 1},
-        engine_dispatches=1,
-        engine_shards=8,
-        engine_merges=1,
-        engine_wall_seconds=0.5,
-        engine_busy_seconds=0.8,
-        engine_merge_seconds=0.001,
-        engine_capacity_seconds=1.0,
-        engine_modes={"parallel": 1},
-        engine_labels={"profile-measure": 1},
+    stats = TraceStats()
+    stats.n_events = 2
+    stats.kind_counts.update({"shard_dispatch": 1, "shard_merge": 1})
+    vars(stats.section(Engine)).update(
+        dispatches=1,
+        shards=8,
+        merges=1,
+        wall_seconds=0.5,
+        busy_seconds=0.8,
+        merge_seconds=0.001,
+        capacity_seconds=1.0,
+        modes={"parallel": 1},
+        labels={"profile-measure": 1},
     )
     text = render(stats)
     assert "parallel engine:" in text

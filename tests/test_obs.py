@@ -9,7 +9,16 @@ import pytest
 from repro import obs
 from repro.obs import OBS
 from repro.obs.metrics import Histogram, MetricsRegistry, log_buckets
-from repro.obs.stats import aggregate, render
+from repro.obs.stats import (
+    SUMMARIES,
+    CalibrationCases,
+    Faults,
+    Fleet,
+    Occupancy,
+    RetryHistogram,
+    aggregate,
+    render,
+)
 from repro.obs.trace import EventTracer, TraceEvent, load_jsonl
 from repro.ssd.config import SsdConfig
 from repro.ssd.metrics import LatencyStats
@@ -282,12 +291,14 @@ class TestStats:
         stats = aggregate(load_jsonl(str(path)))
         # the trace_meta trailer is bookkeeping, not a counted event
         assert stats.n_events == len(load_jsonl(str(path))) - 1
-        assert stats.reads > 0
-        assert stats.retry_histogram
-        assert stats.mean_retries >= 0
-        assert stats.resource_busy_us
-        assert 0 < stats.horizon_us < math.inf
-        for util in stats.utilization().values():
+        retries = stats.section(RetryHistogram)
+        assert retries.reads > 0
+        assert retries.histogram
+        assert retries.mean_retries >= 0
+        occupancy = stats.section(Occupancy)
+        assert occupancy.busy_us
+        assert 0 < occupancy.horizon_us < math.inf
+        for util in occupancy.utilization().values():
             assert 0.0 <= util <= 1.0
 
         text = render(stats)
@@ -306,7 +317,8 @@ class TestStats:
             TraceEvent(2, "calibration_step", {"case": "case2", "step": 1}),
         ]
         stats = aggregate(events)
-        assert stats.calibration_cases == {"case1": 2, "case2": 1}
+        assert stats.section(CalibrationCases).cases == {"case1": 2,
+                                                         "case2": 1}
         assert "case1" in render(stats)
 
 
@@ -357,10 +369,11 @@ class TestFaultStats:
                                             "reason": "breaker_open"}),
         ]
         stats = aggregate(events)
-        assert stats.faults_by_kind == {"ssd.die_stall": 2, "flash.bitflip": 1}
-        assert stats.faults_injected == 3
-        assert stats.breaker_trips_by_die == {1: 2}
-        assert stats.degraded_by_reason == {"breaker_open": 1}
+        faults = stats.section(Faults)
+        assert faults.by_kind == {"ssd.die_stall": 2, "flash.bitflip": 1}
+        assert sum(faults.by_kind.values()) == 3
+        assert faults.trips_by_die == {1: 2}
+        assert faults.degraded_by_reason == {"breaker_open": 1}
         assert stats.unknown_kinds == {}  # registered kinds, not flagged
         text = render(stats)
         assert "faults:" in text
@@ -373,28 +386,32 @@ class TestFaultStats:
         assert stats.unknown_kinds == {"quantum_flip": 1}
         assert "unrecognized event kinds" in render(stats)
 
-    def test_every_registered_kind_rendered_or_explicitly_ignored(self):
-        """Every kind in EVENT_KINDS must be either folded into the stats
-        summary (SUMMARIZED_KINDS — its literal appears in fold()) or
-        explicitly declared table-only (TABLE_ONLY_KINDS).  A new event
-        kind that lands in neither would silently vanish from
-        ``repro stats`` output."""
-        import inspect
-
-        from repro.obs.stats import SUMMARIZED_KINDS, TABLE_ONLY_KINDS, fold
+    def test_every_registered_kind_has_a_section(self):
+        """Every kind in EVENT_KINDS is folded by some SUMMARIES section,
+        except ``sentinel_inference`` (table-only: the inferences show up
+        through the retry histogram of the reads they serve) and the
+        ``trace_meta`` trailer ``TraceStats`` keeps itself.  A new event
+        kind no section claims would silently vanish from ``repro stats``
+        output; a section claiming an unregistered kind folds nothing."""
         from repro.obs.trace import EVENT_KINDS
 
-        assert SUMMARIZED_KINDS | TABLE_ONLY_KINDS == EVENT_KINDS
-        assert not SUMMARIZED_KINDS & TABLE_ONLY_KINDS
-        source = inspect.getsource(fold)
-        for kind in sorted(SUMMARIZED_KINDS):
-            assert f'"{kind}"' in source, (
-                f"{kind} is claimed summarized but fold() never matches it"
-            )
-        for kind in sorted(TABLE_ONLY_KINDS):
-            assert f'"{kind}"' not in source, (
-                f"{kind} is claimed table-only but fold() handles it"
-            )
+        folded = {kind for cls in SUMMARIES for kind in cls.kinds}
+        assert folded <= EVENT_KINDS
+        assert EVENT_KINDS - folded == {"sentinel_inference", "trace_meta"}
+
+    def test_every_registered_kind_has_a_schema_row(self):
+        """docs/OBSERVABILITY.md holds the one copy of the event schema:
+        each kind in EVENT_KINDS has a row, and each row names a kind."""
+        import re
+        from pathlib import Path
+
+        from repro.obs.trace import EVENT_KINDS
+
+        doc = (Path(__file__).parents[1] / "docs" / "OBSERVABILITY.md")
+        text = doc.read_text(encoding="utf-8")
+        schema = text.split("## Event schema", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| `(\w+)`", schema, flags=re.MULTILINE))
+        assert rows == EVENT_KINDS
 
     def test_fleet_kinds_aggregate_and_render(self):
         events = [
@@ -410,11 +427,12 @@ class TestFaultStats:
         ]
         stats = aggregate(events)
         assert stats.unknown_kinds == {}
-        assert stats.fleet_requests_routed == 40
-        assert stats.fleet_spilled == 10
-        assert stats.fleet_devices_by_tenant == {"t0": 2}
-        assert stats.fleet_warm_starts == 1
-        assert stats.fleet_warm_entries == 16
+        fleet = stats.section(Fleet)
+        assert fleet.requests_routed == 40
+        assert fleet.spilled == 10
+        assert fleet.devices_by_tenant == {"t0": 2}
+        assert fleet.warm_starts == 1
+        assert fleet.warm_entries == 16
         text = render(stats)
         assert "fleet:" in text
         assert "40 offered" in text

@@ -17,6 +17,7 @@ The tentpole guarantees under test:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -167,6 +168,31 @@ class TestWorkerInvariance:
             for w in (1, 2, 4)
         }
         assert jsons[1] == jsons[2] == jsons[4]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="events emitted in engine worker processes die with the "
+               "worker: 732 events traced at workers=1, 4 at workers=2",
+    )
+    def test_trace_kind_counts_identical_at_1_2_workers(self):
+        from repro.obs.stats import aggregate
+
+        config = TournamentConfig(
+            kind=KIND, policies=("current-flash", "sentinel"),
+            ages=("mid",), frontends=("hm_0",), cells_per_wordline=CELLS,
+            wordline_step=16, requests_per_cell=60,
+        )
+        counts = {}
+        for workers in (1, 2):
+            OBS.reset()
+            OBS.enable(metrics=False, tracing=True)
+            try:
+                run_tournament(replace(config, workers=workers), seed=0)
+                counts[workers] = aggregate(OBS.tracer.events()).kind_counts
+            finally:
+                OBS.disable()
+                OBS.reset()
+        assert counts[1] == counts[2]
 
 
 class TestSharedProfile:
@@ -335,7 +361,7 @@ class TestObs:
             OBS.reset()
 
     def test_stats_fold_summarizes_cells(self):
-        from repro.obs.stats import TraceStats, fold, render
+        from repro.obs.stats import Tournament, TraceStats, fold, render
         from repro.obs.trace import TraceEvent
 
         stats = TraceStats()
@@ -349,8 +375,9 @@ class TestObs:
             "retries_per_read": 0.1, "p99_us": 800.0, "iops": 80.0,
             "balanced": False,
         }))
-        assert stats.tournament_by_policy["sentinel"][0] == 2
-        assert stats.tournament_imbalanced == 1
+        tournament = stats.section(Tournament)
+        assert tournament.by_policy["sentinel"][0] == 2
+        assert tournament.imbalanced == 1
         text = render(stats)
         assert "policy tournament" in text
         assert "WARNING" in text
