@@ -54,9 +54,15 @@ chaos-smoke:
 		--obs-spans .chaos-smoke-spans.jsonl
 	$(PYTHON) -m repro spans .chaos-smoke-spans.jsonl --check --top 0
 
+# --scale 100 compresses the sample's arrivals enough that reads co-queue;
+# the smoke fails unless batched scheduling formed at least one batch
 replay-smoke:
 	$(PYTHON) -m repro replay --trace tests/data/msr_sample.csv --smoke \
-		--batch --workers 2 --json .replay-smoke.json
+		--batch --scale 100 --workers 2 --json .replay-smoke.json
+	$(PYTHON) -c "import json, sys; \
+		b = json.load(open('.replay-smoke.json'))['service']['batch']; \
+		print('replay batches:', b['batches']); \
+		sys.exit(not b['batches'] > 0)"
 
 obs-smoke:
 	$(PYTHON) -m repro replay --synthetic hm_0 --smoke --seed 1 \

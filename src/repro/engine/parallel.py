@@ -97,15 +97,12 @@ class ParallelMap:
     ----------
     workers:
         Worker processes to use.  ``<= 1`` selects the in-process serial
-        path (no pool, no pickling).
-    mp_context:
-        ``multiprocessing`` start-method name; defaults to ``fork`` where
-        available so workers inherit per-process caches.
+        path (no pool, no pickling).  The pool uses the ``fork`` start
+        method where available, so workers inherit per-process caches.
     """
 
-    def __init__(self, workers: int = 1, mp_context: Optional[str] = None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self._mp_context = mp_context
         self.last_report: Optional[EngineReport] = None
 
     # ------------------------------------------------------------------
@@ -164,11 +161,8 @@ class ParallelMap:
         import multiprocessing as mp
 
         context = None
-        method = self._mp_context
-        if method is None and "fork" in mp.get_all_start_methods():
-            method = "fork"
-        if method is not None:
-            context = mp.get_context(method)
+        if "fork" in mp.get_all_start_methods():
+            context = mp.get_context("fork")
         workers = min(self.workers, len(shards))
         results: Dict[int, Any] = {}
         busy = 0.0

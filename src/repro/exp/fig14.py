@@ -44,17 +44,9 @@ class Fig14Result:
 
 
 def measure_profiles(
-    kind: str, wordline_step: int = 8, uniform_page_retries: bool = False
+    kind: str, wordline_step: int = 8
 ) -> Dict[str, RetryProfile]:
-    """Chip-level retry profiles of both policies on the aged block.
-
-    With ``uniform_page_retries`` the MSB page's retry distribution is
-    applied to *every* page type — the modeling assumption of SSDSim-style
-    studies (the paper's Figure 14 inputs come from the per-wordline
-    Figure 13 measurement).  Measured effect here: small — the reduction is
-    dominated by the retry *ratio*, which is similar across page types; the
-    knob exists to quantify exactly that (see EXPERIMENTS.md).
-    """
+    """Chip-level retry profiles of both policies on the aged block."""
     chip = eval_chip(kind)
     spec = chip.spec
     ecc = default_ecc(kind)
@@ -63,16 +55,10 @@ def measure_profiles(
         SentinelController(ecc, trained_model(kind)),
     ]
     wordlines = range(0, spec.wordlines_per_block, wordline_step)
-    profiles = {
+    return {
         policy.name: RetryProfile.measure(chip, policy, wordlines=wordlines)
         for policy in policies
     }
-    if uniform_page_retries:
-        msb = spec.pages_per_wordline - 1
-        for profile in profiles.values():
-            msb_samples = profile.samples[msb]
-            profile.samples = {p: msb_samples for p in profile.samples}
-    return profiles
 
 
 def run_fig14(
@@ -83,15 +69,13 @@ def run_fig14(
     blocks_per_die: int = 32,
     seed: int = 7,
     traces: Optional[Dict[str, Trace]] = None,
-    uniform_page_retries: bool = False,
 ) -> Fig14Result:
     """Replay the workloads against both policies' SSDs.
 
     Pass ``traces`` to use real MSR CSVs (via :mod:`repro.traces.msr`)
-    instead of the synthetic stand-ins.  ``uniform_page_retries`` switches
-    to the SSDSim-style retry model (see :func:`measure_profiles`).
+    instead of the synthetic stand-ins.
     """
-    profiles = measure_profiles(kind, uniform_page_retries=uniform_page_retries)
+    profiles = measure_profiles(kind)
     spec = eval_chip(kind).spec
     timing = NandTiming()
     config = SsdConfig.for_spec(spec, blocks_per_die=blocks_per_die)

@@ -40,33 +40,25 @@ class StreamingWindows:
     """Incremental fixed-window event-time aggregation with a watermark.
 
     One instance per client.  ``observe(ts)`` buckets the event
-    immediately; the watermark is ``max(event time) - allowed_lateness_us``
-    and every window whose end the watermark has passed is *closed* in
-    index order (emitting one ``slo_window`` event each when tracing).
+    immediately; the watermark is the maximum event time seen, and every
+    window whose end the watermark has passed is *closed* in index
+    order (emitting one ``slo_window`` event each when tracing).
     Closed windows keep their data — a late arrival increments
     ``late_arrivals`` and still lands in its window, so ``series()`` is
     exact for any arrival order.
     """
 
     __slots__ = (
-        "window_us", "client", "allowed_lateness_us",
+        "window_us", "client",
         "_counts", "_read_lats", "watermark_us", "closed_windows",
         "late_arrivals", "max_event_us",
     )
 
-    def __init__(
-        self,
-        window_us: float,
-        client: str = "",
-        allowed_lateness_us: float = 0.0,
-    ) -> None:
+    def __init__(self, window_us: float, client: str = "") -> None:
         if window_us <= 0:
             raise ValueError("window_us must be positive")
-        if allowed_lateness_us < 0:
-            raise ValueError("allowed_lateness_us must be non-negative")
         self.window_us = window_us
         self.client = client
-        self.allowed_lateness_us = allowed_lateness_us
         self._counts: Dict[int, int] = {}
         self._read_lats: Dict[int, List[float]] = {}
         self.watermark_us = -math.inf
@@ -95,13 +87,13 @@ class StreamingWindows:
             self._read_lats.setdefault(idx, []).append(read_latency_us)
         if self.max_event_us is None or ts_us > self.max_event_us:
             self.max_event_us = ts_us
-            self._advance(ts_us - self.allowed_lateness_us)
+            self._advance(ts_us)
 
     def advance_to(self, ts_us: float) -> None:
         """Push the watermark from a time signal with no completion (the
         replay's progress tick, the broker's end-of-run horizon) so idle
         clients still close their trailing windows."""
-        self._advance(ts_us - self.allowed_lateness_us)
+        self._advance(ts_us)
 
     def _advance(self, watermark_us: float) -> None:
         if watermark_us <= self.watermark_us:
@@ -190,15 +182,10 @@ class ClientAccount:
 class SloMonitor:
     """Folds the broker's lifecycle callbacks into per-client SLO views."""
 
-    def __init__(
-        self,
-        window_us: float = 250_000.0,
-        allowed_lateness_us: float = 0.0,
-    ) -> None:
+    def __init__(self, window_us: float = 250_000.0) -> None:
         if window_us <= 0:
             raise ValueError("window_us must be positive")
         self.window_us = window_us
-        self.allowed_lateness_us = allowed_lateness_us
         self.clients: Dict[str, ClientAccount] = {}
         #: client name -> tenant name; empty means no tenant dimension
         #: (the single-device case — reports then omit the section).  A
@@ -209,11 +196,7 @@ class SloMonitor:
         acct = self.clients.get(client)
         if acct is None:
             acct = ClientAccount()
-            acct.windows = StreamingWindows(
-                self.window_us,
-                client=client,
-                allowed_lateness_us=self.allowed_lateness_us,
-            )
+            acct.windows = StreamingWindows(self.window_us, client=client)
             self.clients[client] = acct
         return acct
 

@@ -187,14 +187,13 @@ class Ssd:
         return [(first + k) % span for k in range(last - first + 1)]
 
     def _requests(
-        self, trace: Trace, precondition: bool, max_requests: Optional[int]
+        self, trace: Trace, max_requests: Optional[int] = None
     ) -> List[TraceRequest]:
         """The replayed prefix of the trace, its footprint preconditioned."""
         requests = trace.requests[: max_requests or len(trace.requests)]
-        if precondition:
-            self.ftl.precondition(sorted({
-                lpn for req in requests for lpn in self._lpns_of(req)
-            }))
+        self.ftl.precondition(sorted({
+            lpn for req in requests for lpn in self._lpns_of(req)
+        }))
         return requests
 
     def _serve(self, req: TraceRequest, issue_us: float) -> float:
@@ -211,16 +210,13 @@ class Ssd:
         return completion
 
     def run_trace(
-        self,
-        trace: Trace,
-        precondition: bool = True,
-        max_requests: Optional[int] = None,
+        self, trace: Trace, max_requests: Optional[int] = None
     ) -> SimulationReport:
         """Replay a trace open-loop; returns the latency report."""
         # traces keep completion-log order; open-loop replay issues in
         # arrival order (stable sort keeps equal-time ties in file order)
         requests = sorted(
-            self._requests(trace, precondition, max_requests),
+            self._requests(trace, max_requests),
             key=lambda r: r.time_s,
         )
         read_lat: List[float] = []
@@ -233,11 +229,7 @@ class Ssd:
         return self._report(trace, read_lat, write_lat, sim_seconds)
 
     def run_closed_loop(
-        self,
-        trace: Trace,
-        queue_depth: int = 8,
-        precondition: bool = True,
-        max_requests: Optional[int] = None,
+        self, trace: Trace, queue_depth: int = 8
     ) -> SimulationReport:
         """Closed-loop replay: keep ``queue_depth`` requests outstanding.
 
@@ -248,7 +240,7 @@ class Ssd:
         At ``queue_depth`` outstanding requests, admission steps an
         :class:`~repro.ssd.events.EventQueue` to the earliest completion.
         """
-        requests = self._requests(trace, precondition, max_requests)
+        requests = self._requests(trace)
         read_lat: List[float] = []
         write_lat: List[float] = []
         queue = EventQueue()

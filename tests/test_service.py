@@ -446,11 +446,10 @@ class TestSentinelHint:
 # streaming event-time windows + watermark
 # ---------------------------------------------------------------------------
 class TestStreamingWindows:
-    def _windows(self, window_us=100.0, lateness=0.0):
+    def _windows(self, window_us=100.0):
         from repro.service.slo import StreamingWindows
 
-        return StreamingWindows(window_us, client="c",
-                                allowed_lateness_us=lateness)
+        return StreamingWindows(window_us, client="c")
 
     def test_watermark_closes_passed_windows(self):
         w = self._windows()
@@ -469,15 +468,6 @@ class TestStreamingWindows:
         series = w.series()
         assert series[0]["iops"] == pytest.approx(1 / (100.0 / 1e6))
         assert series[0]["read_p99_us"] == pytest.approx(99.0)
-
-    def test_allowed_lateness_defers_closing(self):
-        w = self._windows(lateness=100.0)
-        w.observe(180.0)
-        assert w.closed_windows == 0  # watermark held back to 80
-        w.observe(50.0)  # window 0 still open: not late
-        assert w.late_arrivals == 0
-        w.observe(250.0)  # watermark 150 -> now window 0 closes
-        assert w.closed_windows == 1
 
     def test_advance_to_closes_idle_tail(self):
         w = self._windows()
@@ -535,5 +525,3 @@ class TestStreamingWindows:
 
         with pytest.raises(ValueError):
             StreamingWindows(0.0)
-        with pytest.raises(ValueError):
-            StreamingWindows(10.0, allowed_lateness_us=-1.0)
