@@ -274,3 +274,10 @@ class TestCli:
         grid.write_text(json.dumps({"policies": ["sputnik"]}))
         assert main(["campaign", "--grid", str(grid)]) == 2
         assert "bad grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "null"])
+    def test_grid_that_is_no_object_exits_2(self, content, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(content)
+        assert main(["campaign", "--grid", str(grid)]) == 2
+        assert "holds no JSON object" in capsys.readouterr().err
