@@ -72,9 +72,14 @@ obs-smoke:
 	$(PYTHON) -m repro stats .obs-smoke-trace.jsonl
 	$(PYTHON) -m repro spans .obs-smoke-spans.jsonl --check --top 1
 
+# each grid smoke also runs at --workers 1 and fails unless that report's
+# JSON is byte-identical to the --workers 2 one
 fleet-smoke:
 	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 2 \
 		--json .fleet-smoke.json
+	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 1 \
+		--json .fleet-smoke-w1.json
+	cmp .fleet-smoke.json .fleet-smoke-w1.json
 
 # the traced runs stay at --workers 1: worker processes' events are not
 # shipped back to the parent's trace
@@ -83,7 +88,9 @@ tournament-smoke:
 		--frontends hm_0 usr_0 --json .tournament-smoke.json
 	$(PYTHON) -m repro tournament --smoke --workers 1 \
 		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans.jsonl \
-		--obs-trace .tournament-smoke-trace.jsonl
+		--obs-trace .tournament-smoke-trace.jsonl \
+		--json .tournament-smoke-w1.json
+	cmp .tournament-smoke.json .tournament-smoke-w1.json
 	$(PYTHON) -m repro spans .tournament-smoke-spans.jsonl --check --top 0
 	$(PYTHON) -m repro stats .tournament-smoke-trace.jsonl
 
@@ -92,7 +99,9 @@ campaign-smoke:
 		--json .campaign-smoke.json
 	$(PYTHON) -m repro campaign --smoke --workers 1 \
 		--obs-spans .campaign-smoke-spans.jsonl \
-		--obs-trace .campaign-smoke-trace.jsonl
+		--obs-trace .campaign-smoke-trace.jsonl \
+		--json .campaign-smoke-w1.json
+	cmp .campaign-smoke.json .campaign-smoke-w1.json
 	$(PYTHON) -m repro spans .campaign-smoke-spans.jsonl --check --top 0
 	$(PYTHON) -m repro stats .campaign-smoke-trace.jsonl
 

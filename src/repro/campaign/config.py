@@ -175,6 +175,9 @@ class CampaignConfig:
         from repro.tournament import POLICY_ALIASES
         from repro.traces.synthetic import MSR_WORKLOADS
 
+        for axis in ("policies", "schedules", "environments", "workloads"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must not be empty")
         for name in self.policies:
             if name not in POLICY_ALIASES:
                 raise ValueError(
@@ -197,12 +200,18 @@ class CampaignConfig:
                     f"unknown workload {name!r}; "
                     f"one of {sorted(MSR_WORKLOADS)}"
                 )
+        for name in ("phases", "requests_per_phase"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.phases < 1:
             raise ValueError("phases must be positive")
         if self.lifetime_hours <= 0:
             raise ValueError("lifetime_hours must be positive")
         if self.requests_per_phase < 1:
             raise ValueError("requests_per_phase must be positive")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         if self.inter_phase_gap_us <= 0:
             raise ValueError("inter_phase_gap_us must be positive")
         for name in ("policies", "schedules", "environments", "workloads"):

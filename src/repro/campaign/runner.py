@@ -22,17 +22,20 @@ state forward while the flash underneath drifts:
    rewinds — and score the phase from the broker's per-client accounting
    and retry-histogram deltas.
 
-Cells shard over :class:`repro.engine.ParallelMap` and merge in canonical
-(policy, schedule, environment, workload) order; all observability
-(``campaign_phase`` events, ``repro_campaign_*`` metrics) is emitted
-parent-side after the merge, so the :class:`CampaignReport` JSON is
-byte-identical at any ``--workers``.
+Cells shard over :class:`repro.engine.ParallelMap`: a worker receives one
+(policy, schedule, environment, workload) grid point and ``_run_cell``
+bound by :func:`functools.partial` to the frozen :class:`CampaignConfig`,
+the seed and the fitted sentinel model.  Cells merge in canonical grid
+order; all observability (``campaign_phase`` events,
+``repro_campaign_*`` metrics) is emitted parent-side after the merge, so
+the :class:`CampaignReport` JSON is byte-identical at any ``--workers``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from dataclasses import replace
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.config import (
     END_PE,
@@ -46,6 +49,7 @@ from repro.campaign.report import CampaignReport
 from repro.engine import ParallelMap
 from repro.flash.mechanisms import StressState
 from repro.obs import OBS
+from repro.service.report import request_accounting
 from repro.tournament import (
     POLICY_ALIASES,
     cell_spec,
@@ -59,80 +63,42 @@ from repro.tournament import (
 HINTED_POLICIES = frozenset({"sentinel", "tracking+sentinel"})
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """Everything a worker needs to run one campaign cell."""
-
-    kind: str
-    policy: str
-    schedule: str
-    environment: str
-    workload: str
-    phases: int
-    lifetime_hours: float
-    requests_per_phase: int
-    cells_per_wordline: int
-    sentinel_ratio: float
-    wordline_step: int
-    scale: float
-    inter_phase_gap_us: float
-    seed: int
-    model: object = field(repr=False)
-
-
-def _phase_requests(task: _CellTask, translated, client: str, start_us: float):
-    from repro.service.workload import ServiceRequest
-
-    return [
-        ServiceRequest(
-            client=client,
-            index=i,
-            is_read=t.is_read,
-            lpn=t.lpn,
-            n_pages=t.n_pages,
-            arrival_us=start_us + t.arrival_us,
-        )
-        for i, t in enumerate(translated)
-    ]
-
-
-def _run_cell(task: _CellTask) -> Dict[str, Any]:
+def _run_cell(
+    cfg: CampaignConfig, seed: int, model, point: Tuple[str, str, str, str]
+) -> Dict[str, Any]:
     """One campaign cell, birth to end of life; returns its scorecard."""
-    from repro.replay.translate import LbaTranslator, translate_trace
+    from repro.replay.translate import (
+        LbaTranslator,
+        service_requests,
+        translate_trace,
+    )
     from repro.service.broker import FlashReadService
-    from repro.service.profiles import COLD, WARM, sentinel_hint_fn
+    from repro.service.profiles import COLD, WARM, SentinelHintFn
     from repro.ssd.config import SsdConfig
     from repro.ssd.timing import NandTiming
     from repro.traces.synthetic import MSR_WORKLOADS, generate_workload
 
-    canonical = POLICY_ALIASES[task.policy]
-    spec = cell_spec(task.kind, task.cells_per_wordline)
+    policy, schedule, environment, workload = point
+    kind = cfg.kind.lower()
+    canonical = POLICY_ALIASES[policy]
+    spec = cell_spec(kind, cfg.cells_per_wordline)
     ssd_config = SsdConfig.for_spec(
         spec, channels=2, dies_per_channel=2, blocks_per_die=64
     )
     timing = NandTiming()
-    plan = environment_plan(task.environment, task.lifetime_hours)
-    hint_fn = (
-        sentinel_hint_fn(task.model) if canonical in HINTED_POLICIES else None
-    )
+    plan = environment_plan(environment, cfg.lifetime_hours)
+    hint_fn = SentinelHintFn(model) if canonical in HINTED_POLICIES else None
 
     # the workload is translated once; each phase replays the same request
     # stream as a fresh client offset past the previous phase's horizon
     trace = generate_workload(
-        MSR_WORKLOADS[task.workload],
-        n_requests=task.requests_per_phase,
-        seed=task.seed,
-    )
-    translator = LbaTranslator(
-        page_bytes=ssd_config.page_user_bytes,
-        max_pages_per_request=8,
-        scale=task.scale,
+        MSR_WORKLOADS[workload], n_requests=cfg.requests_per_phase, seed=seed
     )
     translated, _stats, _engine = translate_trace(
-        trace, translator, workers=1
+        trace, LbaTranslator(ssd_config.page_user_bytes, scale=cfg.scale)
     )
 
-    end_pe = END_PE[task.kind.lower()]
+    end_pe = END_PE[kind]
     stress = StressState()
     read_count = 0
     service: Optional[FlashReadService] = None
@@ -140,37 +106,35 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     prev_retries = 0
     phase_rows: List[Dict[str, Any]] = []
 
-    for p in range(1, task.phases + 1):
-        h0 = task.lifetime_hours * (p - 1) / task.phases
-        h1 = task.lifetime_hours * p / task.phases
+    for p in range(1, cfg.phases + 1):
+        h0 = cfg.lifetime_hours * (p - 1) / cfg.phases
+        h1 = cfg.lifetime_hours * p / cfg.phases
         # 1. age: piecewise retention over the environment's temperature
         # windows, then the schedule's cumulative wear and the read
         # disturb the broker actually generated
         for hours, temp_c in temperature_segments(plan, h0, h1):
             stress = stress.with_retention(hours, temperature_c=temp_c)
-        pe = pe_at(task.schedule, p, task.phases, end_pe)
+        pe = pe_at(schedule, p, cfg.phases, end_pe)
         stress = replace(stress, pe_cycles=pe, read_count=read_count)
 
         # 2. re-measure the drifted retry profiles and swap them in
         cold = measure_stress_profile(
-            task.policy, task.kind, stress, task.cells_per_wordline,
-            task.sentinel_ratio, task.wordline_step, task.model,
+            policy, kind, stress, cfg.cells_per_wordline,
+            cfg.sentinel_ratio, cfg.wordline_step, model,
         )
         warm = cold
         if hint_fn is not None:
             warm = measure_stress_profile(
-                task.policy, task.kind, stress, task.cells_per_wordline,
-                task.sentinel_ratio, task.wordline_step, task.model,
+                policy, kind, stress, cfg.cells_per_wordline,
+                cfg.sentinel_ratio, cfg.wordline_step, model,
                 hint_fn=hint_fn,
             )
         if service is None:
             service = FlashReadService(
                 spec, ssd_config, timing, {COLD: cold, WARM: warm},
-                seed=task.seed,
+                seed=seed,
             )
-            service.trace_prefix = (
-                f"{canonical}/{task.schedule}/{task.environment}/"
-            )
+            service.trace_prefix = f"{canonical}/{schedule}/{environment}/"
         else:
             service.profiles = {COLD: cold, WARM: warm}
 
@@ -184,20 +148,16 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
 
         # 4. serve this phase as a fresh open-loop client, strictly
         # after everything already on the virtual clock
-        client = f"{task.workload}#p{p}"
-        start_us = service.queue.now + task.inter_phase_gap_us
-        requests = _phase_requests(task, translated, client, start_us)
+        client = f"{workload}#p{p}"
+        start_us = service.queue.now + cfg.inter_phase_gap_us
+        requests = service_requests(translated, client, start_us)
         report = service.run_prepared(
             {client: requests},
             scenario=f"campaign:{canonical}:p{p}",
         )
 
         summary = report.clients[client]
-        offered = len(requests)
-        completed = int(summary.get("completed", 0))
         degraded = int(summary.get("degraded", 0))
-        shed = int(summary.get("shed", 0))
-        served = completed - degraded
         hist_reads = sum(service.retry_histogram.values())
         hist_retries = sum(
             k * v for k, v in service.retry_histogram.items()
@@ -223,11 +183,12 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
             "served_retries_per_read": (
                 phase_retries / phase_reads if phase_reads else 0.0
             ),
-            "offered": offered,
-            "served": served,
-            "degraded": degraded,
-            "shed": shed,
-            "balanced": bool(served + degraded + shed == offered),
+            **request_accounting(
+                len(requests),
+                int(summary.get("completed", 0)) - degraded,
+                degraded,
+                int(summary.get("shed", 0)),
+            ),
             "p99_us": float(summary.get("read_p99_us", 0.0)),
         })
 
@@ -237,10 +198,10 @@ def _run_cell(task: _CellTask) -> Dict[str, Any]:
     }
     return {
         "policy": canonical,
-        "schedule": task.schedule,
-        "environment": task.environment,
-        "workload": task.workload,
-        "kind": task.kind,
+        "schedule": schedule,
+        "environment": environment,
+        "workload": workload,
+        "kind": kind,
         "end_pe": end_pe,
         "phases": phase_rows,
         **totals,
@@ -303,24 +264,8 @@ def run_campaign(
     cfg = config or CampaignConfig()
     kind = cfg.kind.lower()
     model = tournament_model(kind, cfg.cells_per_wordline, cfg.sentinel_ratio)
-    tasks = [
-        _CellTask(
-            kind=kind,
-            policy=policy,
-            schedule=schedule,
-            environment=environment,
-            workload=workload,
-            phases=cfg.phases,
-            lifetime_hours=cfg.lifetime_hours,
-            requests_per_phase=cfg.requests_per_phase,
-            cells_per_wordline=cfg.cells_per_wordline,
-            sentinel_ratio=cfg.sentinel_ratio,
-            wordline_step=cfg.wordline_step,
-            scale=cfg.scale,
-            inter_phase_gap_us=cfg.inter_phase_gap_us,
-            seed=seed,
-            model=model,
-        )
+    points = [
+        (policy, schedule, environment, workload)
         for policy in cfg.policies
         for schedule in cfg.schedules
         for environment in cfg.environments
@@ -328,7 +273,7 @@ def run_campaign(
     ]
     engine = ParallelMap(workers=cfg.workers)
     cells: List[Dict[str, Any]] = engine.run(
-        _run_cell, tasks, label="campaign"
+        partial(_run_cell, cfg, seed, model), points, label="campaign"
     )
     for cell in cells:
         _emit_cell_obs(cell)

@@ -606,16 +606,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.phases is not None:
         grid["phases"] = args.phases
     grid.setdefault("workers", args.workers)
-    if args.smoke:
-        # CI-sized lifetime: the default 2-policy cell pair ages through
-        # four phases in seconds at tournament-smoke chip scale
-        grid["cells_per_wordline"] = min(
-            int(grid.get("cells_per_wordline", 8192)), 8192)
-        grid["requests_per_phase"] = min(
-            int(grid.get("requests_per_phase", 120)), 120)
-        grid["phases"] = min(int(grid.get("phases", 4)), 4)
-        grid["wordline_step"] = max(int(grid.get("wordline_step", 8)), 8)
     try:
+        if args.smoke:
+            # CI-sized lifetime: the default 2-policy cell pair ages
+            # through four phases in seconds at tournament-smoke chip scale
+            grid["cells_per_wordline"] = min(
+                int(grid.get("cells_per_wordline", 8192)), 8192)
+            grid["requests_per_phase"] = min(
+                int(grid.get("requests_per_phase", 120)), 120)
+            grid["phases"] = min(int(grid.get("phases", 4)), 4)
+            grid["wordline_step"] = max(int(grid.get("wordline_step", 8)), 8)
         config = CampaignConfig.from_dict(grid)
     except (TypeError, ValueError) as exc:
         raise CommandError(f"bad grid: {exc}", status=2) from exc

@@ -36,6 +36,7 @@ from repro.flash.chip import FlashChip
 from repro.retry.current_flash import CurrentFlashPolicy
 from repro.service.broker import FlashReadService, ServiceConfig
 from repro.service.profiles import synthetic_profiles
+from repro.service.report import request_accounting
 from repro.service.workload import mixed_scenario
 from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
@@ -194,17 +195,12 @@ def run_chaos(
     finally:
         FAULTS.deactivate()
 
-    offered = service_report.issued_total
-    degraded = service_report.degraded_total
-    shed = service_report.shed_total
-    served = service_report.served_total
-    accounting = {
-        "offered": offered,
-        "served": served,
-        "degraded": degraded,
-        "shed": shed,
-        "balanced": bool(served + degraded + shed == offered),
-    }
+    accounting = request_accounting(
+        service_report.issued_total,
+        service_report.served_total,
+        service_report.degraded_total,
+        service_report.shed_total,
+    )
 
     # --- chip sweep (flash/ECC faults through the real read path)
     divisor = 8 if smoke else 2

@@ -15,10 +15,13 @@ and cross-device learning runs per cohort:
    exported state (:meth:`warm_start`) before serving, so its first read
    of a known (die, block, layer) already hits the warm retry profile.
 
-Both phases fan out over :mod:`repro.engine` with device-index shards and
-canonical-order merge, and the :class:`FleetReport` carries no wall-clock
-quantity — its JSON is byte-identical at any ``--workers`` count.  Fleet
-events (``fleet_dispatch``/``cache_warm_start``/``tenant_slo``) and
+Both phases fan out over :mod:`repro.engine` with one task per device: a
+worker receives one device's job (identity, routed streams, cohort cache
+state) and ``_run_device`` bound by :func:`functools.partial` to the
+frozen :class:`FleetConfig`.  Results merge in device-index order, and
+the :class:`FleetReport` carries no wall-clock quantity — its JSON is
+byte-identical at any ``--workers`` count.  Fleet events
+(``fleet_dispatch``/``cache_warm_start``/``tenant_slo``) and
 ``repro_fleet_*`` metrics are emitted parent-side *after* the merge, in
 canonical order, so the observable stream is worker-invariant too.
 """
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import ParallelMap, split_contiguous
+from repro.engine import ParallelMap
 from repro.exp.common import sim_spec
 from repro.fleet.dispatcher import (
     DispatchPlan,
@@ -42,7 +45,7 @@ from repro.fleet.report import FleetReport
 from repro.obs import OBS
 from repro.service.broker import FlashReadService, ServiceConfig
 from repro.service.profiles import synthetic_profiles
-from repro.service.report import ServiceReport
+from repro.service.report import ServiceReport, request_accounting
 from repro.ssd.config import SsdConfig
 from repro.ssd.metrics import LatencyStats
 from repro.ssd.timing import NandTiming
@@ -87,14 +90,6 @@ class FleetConfig:
 # worker side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _DeviceTask:
-    """Shared per-run configuration every device worker needs."""
-
-    kind: str
-    cells: int
-
-
-@dataclass(frozen=True)
 class _DeviceJob:
     """One device's identity, workload share, and warm-start input."""
 
@@ -129,14 +124,14 @@ def _device_ssd_config() -> SsdConfig:
     )
 
 
-def _run_device(task: _DeviceTask, job: _DeviceJob) -> _DeviceResult:
+def _run_device(config: FleetConfig, job: _DeviceJob) -> _DeviceResult:
     """Simulate one device end to end (deterministic in the job alone)."""
-    spec = sim_spec(task.kind, cells_per_wordline=task.cells)
+    spec = sim_spec(config.kind, cells_per_wordline=config.cells_per_wordline)
     service = FlashReadService(
         spec,
         _device_ssd_config(),
         NandTiming(),
-        synthetic_profiles(task.kind),
+        synthetic_profiles(config.kind),
         seed=job.seed,
         config=ServiceConfig(),
     )
@@ -162,19 +157,6 @@ def _run_device(task: _DeviceTask, job: _DeviceJob) -> _DeviceResult:
         imported=imported,
         read_latencies=read_latencies,
     )
-
-
-def _run_device_shard(
-    task: _DeviceTask, shard: Tuple[_DeviceJob, ...]
-) -> List[_DeviceResult]:
-    return [_run_device(task, job) for job in shard]
-
-
-def _plan_device_shards(
-    jobs: Sequence[_DeviceJob], workers: int
-) -> List[Tuple[_DeviceJob, ...]]:
-    """Contiguous near-equal chunks of the job list (canonical order)."""
-    return split_contiguous(jobs, max(1, workers) * 2)
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +193,6 @@ def run_fleet(
     cohort_seed_device = {label: idx[0] for label, idx in members.items()}
     seed_indices = sorted(cohort_seed_device.values())
 
-    task = _DeviceTask(kind=config.kind, cells=config.cells_per_wordline)
-
     def make_job(
         index: int, state: Optional[Dict[str, Any]], collect: bool
     ) -> _DeviceJob:
@@ -231,17 +211,13 @@ def run_fleet(
         )
 
     engine = ParallelMap(workers=config.workers)
+    run_device = partial(_run_device, config)
     results: Dict[int, _DeviceResult] = {}
 
     # phase 1: cohort seed devices run cold (and export when warm-start on)
     jobs = [make_job(i, None, config.warm_start) for i in seed_indices]
-    for shard_results in engine.run(
-        partial(_run_device_shard, task),
-        _plan_device_shards(jobs, config.workers),
-        label="fleet-seed",
-    ):
-        for res in shard_results:
-            results[res.index] = res
+    for res in engine.run(run_device, jobs, label="fleet-seed"):
+        results[res.index] = res
 
     cohort_state: Dict[str, Dict[str, Any]] = {}
     if config.warm_start:
@@ -260,13 +236,8 @@ def run_fleet(
         for i in rest
     ]
     if jobs:
-        for shard_results in engine.run(
-            partial(_run_device_shard, task),
-            _plan_device_shards(jobs, config.workers),
-            label="fleet-run",
-        ):
-            for res in shard_results:
-                results[res.index] = res
+        for res in engine.run(run_device, jobs, label="fleet-run"):
+            results[res.index] = res
 
     ordered = [results[i] for i in range(config.n_devices)]
     report = _build_report(
@@ -365,30 +336,17 @@ def _build_report(
             "read_p99_us": stats.p99_us,
             "read_p999_us": stats.p999_us,
         }
-        acc_tenants[tenant] = {
-            "offered": offered,
-            "served": served,
-            "degraded": degraded,
-            "shed": shed,
-            "dispatched": len(streams[tenant]),
-            "balanced": bool(
-                served + degraded + shed == offered
-                and offered == len(streams[tenant])
-            ),
-        }
+        acct = request_accounting(offered, served, degraded, shed)
+        dispatched = len(streams[tenant])
+        acct["dispatched"] = dispatched
+        acct["balanced"] = acct["balanced"] and offered == dispatched
+        acc_tenants[tenant] = acct
 
-    offered = sum(t["offered"] for t in acc_tenants.values())
-    served = sum(t["served"] for t in acc_tenants.values())
-    degraded = sum(t["degraded"] for t in acc_tenants.values())
-    shed = sum(t["shed"] for t in acc_tenants.values())
-    accounting: Dict[str, Any] = {
-        "offered": offered,
-        "served": served,
-        "degraded": degraded,
-        "shed": shed,
-        "balanced": bool(served + degraded + shed == offered),
-        "tenants": acc_tenants,
+    totals = {
+        key: sum(t[key] for t in acc_tenants.values())
+        for key in ("offered", "served", "degraded", "shed")
     }
+    accounting = {**request_accounting(**totals), "tenants": acc_tenants}
 
     cohorts_out = {
         label: {

@@ -19,14 +19,18 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.flash.spec import FlashSpec
 from repro.obs import OBS
 from repro.replay.report import ReplayReport
-from repro.replay.translate import LbaTranslator, translate_trace
+from repro.replay.translate import (
+    LbaTranslator,
+    service_requests,
+    translate_trace,
+)
 from repro.service.broker import FlashReadService, ServiceConfig
-from repro.service.workload import ServiceRequest
+from repro.service.report import request_accounting
 from repro.ssd.config import SsdConfig
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.timing import NandTiming
@@ -45,10 +49,6 @@ class ReplayConfig:
     scale: float = 1.0
     batch_enabled: bool = False
     batch_limit: int = 8
-    #: translation cap per request (counted in ``truncated_pages``)
-    max_pages_per_request: int = 8
-    #: SLO-monitor client name; defaults to the trace's name
-    client: Optional[str] = None
     #: worker processes for the sharded translation preprocessing
     workers: int = 1
 
@@ -57,8 +57,6 @@ class ReplayConfig:
             raise ValueError("scale must be positive")
         if self.batch_limit < 1:
             raise ValueError("batch_limit must be positive")
-        if self.max_pages_per_request < 1:
-            raise ValueError("max_pages_per_request must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -77,27 +75,14 @@ def replay_trace(
     """Replay one trace against a fresh serving layer; return the report.
     ``trace_prefix`` prefixes the broker's span trace ids."""
     cfg = config or ReplayConfig()
-    client = cfg.client or trace.name
+    client = trace.name
 
-    translator = LbaTranslator(
-        page_bytes=ssd_config.page_user_bytes,
-        max_pages_per_request=cfg.max_pages_per_request,
-        scale=cfg.scale,
-    )
     translated, stats, _engine = translate_trace(
-        trace, translator, workers=cfg.workers
+        trace,
+        LbaTranslator(ssd_config.page_user_bytes, scale=cfg.scale),
+        workers=cfg.workers,
     )
-    requests = [
-        ServiceRequest(
-            client=client,
-            index=i,
-            is_read=t.is_read,
-            lpn=t.lpn,
-            n_pages=t.n_pages,
-            arrival_us=t.arrival_us,
-        )
-        for i, t in enumerate(translated)
-    ]
+    requests = service_requests(translated, client)
 
     svc_cfg = replace(
         service_config or ServiceConfig(),
@@ -145,16 +130,12 @@ def replay_trace(
     )
 
     offered = len(requests)
-    served = service_report.served_total
-    degraded = service_report.degraded_total
-    shed = service_report.shed_total
-    accounting = {
-        "offered": offered,
-        "served": served,
-        "degraded": degraded,
-        "shed": shed,
-        "balanced": int(served + degraded + shed == offered),
-    }
+    accounting = request_accounting(
+        offered,
+        service_report.served_total,
+        service_report.degraded_total,
+        service_report.shed_total,
+    )
 
     # Rate guards (trace.duration_s is 0 for <= 1 request; an empty trace
     # leaves the horizon at 0): degenerate denominators report 0, not a

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import EngineReport, run_sharded
 from repro.engine.shards import SHARDS_PER_WORKER, split_contiguous
+from repro.service.workload import ServiceRequest
 from repro.traces.trace import Trace, TraceRequest
 
 
@@ -153,3 +154,23 @@ def translate_trace(
         for key in stats:
             stats[key] += result["stats"][key]
     return requests, stats, engine_report
+
+
+def service_requests(
+    translated: Sequence[TranslatedRequest],
+    client: str,
+    start_us: float = 0.0,
+) -> List[ServiceRequest]:
+    """One open-loop client's :class:`ServiceRequest` stream from a
+    translated trace, every arrival shifted by ``start_us``."""
+    return [
+        ServiceRequest(
+            client=client,
+            index=i,
+            is_read=t.is_read,
+            lpn=t.lpn,
+            n_pages=t.n_pages,
+            arrival_us=start_us + t.arrival_us,
+        )
+        for i, t in enumerate(translated)
+    ]

@@ -25,8 +25,8 @@ from repro.service.broker import FlashReadService, ServiceConfig
 from repro.service.profiles import (
     COLD,
     WARM,
+    SentinelHintFn,
     measure_service_profiles,
-    sentinel_hint_fn,
     synthetic_profiles,
 )
 from repro.service.report import ServiceReport
@@ -61,7 +61,7 @@ __all__ = [
     "SloMonitor",
     "measure_service_profiles",
     "synthetic_profiles",
-    "sentinel_hint_fn",
+    "SentinelHintFn",
     "COLD",
     "WARM",
 ]

@@ -19,7 +19,7 @@ chip model, instant — for smoke tests and CI.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class SentinelHintFn:
         ))
 
 
-def sentinel_hint_fn(model: SentinelModel) -> Callable[[Wordline], float]:
-    """Build the cache-hint callable for ``model`` (picklable)."""
-    return SentinelHintFn(model)
-
-
 def measure_service_profiles(
     kind: str, wordline_step: int = 8, workers: int = 1
 ) -> Dict[str, RetryProfile]:
@@ -80,7 +75,7 @@ def measure_service_profiles(
         chip,
         policy,
         wordlines=wordlines,
-        hint_fn=sentinel_hint_fn(model),
+        hint_fn=SentinelHintFn(model),
         name="sentinel-warm",
         workers=workers,
     )

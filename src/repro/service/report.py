@@ -10,9 +10,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.analysis.report import format_table
+
+
+def request_accounting(
+    offered: int, served: int, degraded: int, shed: int
+) -> Dict[str, Any]:
+    """The request accounting of one serving run, with the verdict every
+    frontend reports: ``balanced`` is ``served + degraded + shed ==
+    offered``, where ``offered`` is the caller's count of what it
+    submitted."""
+    return {
+        "offered": offered,
+        "served": served,
+        "degraded": degraded,
+        "shed": shed,
+        "balanced": served + degraded + shed == offered,
+    }
 
 
 @dataclass

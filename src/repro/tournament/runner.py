@@ -19,18 +19,20 @@ exactly the standalone pipeline:
 
 The profile takes no frontend and no seed, so it is measured once and
 replayed many times, as in the paper's evaluation.  Units shard over
-:class:`repro.engine.ParallelMap` and merge in canonical (policy, age)
-order, each contributing its cells in frontend order, so the
-:class:`TournamentReport` JSON is byte-identical at any ``--workers`` —
-a unit never shares state with another, and all observability
-(``tournament_cell`` events, ``repro_tournament_*`` metrics) is emitted
-parent-side after the merge, one per cell.
+:class:`repro.engine.ParallelMap`: a worker receives one (policy, age)
+pair and ``_run_cell`` bound by :func:`functools.partial` to the frozen
+:class:`TournamentConfig`, the seed and the fitted sentinel model.  Units
+merge in canonical (policy, age) order, each contributing its cells in
+frontend order, so the :class:`TournamentReport` JSON is byte-identical
+at any ``--workers`` — a unit never shares state with another, and all
+observability (``tournament_cell`` events, ``repro_tournament_*``
+metrics) is emitted parent-side after the merge, one per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ecc.capability import CapabilityEcc
@@ -108,25 +110,16 @@ def tournament_model(
     their own training die with the same stress sweep — seconds, not
     minutes, at a few thousand cells per wordline.
     """
-    from repro.core.characterization import characterize_chip
     from repro.exp.common import (
         SIM_CELLS,
-        TRAIN_SEED,
+        characterize_training_die,
         trained_model,
-        training_stresses,
     )
 
     if cells_per_wordline == SIM_CELLS:
         return trained_model(kind, sentinel_ratio)
     spec = cell_spec(kind, cells_per_wordline)
-    chip = FlashChip(spec, seed=TRAIN_SEED, sentinel_ratio=sentinel_ratio)
-    result = characterize_chip(
-        chip,
-        blocks=(0,),
-        stresses=training_stresses(kind),
-        wordlines=range(0, spec.wordlines_per_block, 8),
-    )
-    return result.model
+    return characterize_training_die(kind, spec, 8, sentinel_ratio).model
 
 
 def build_policy(name: str, ecc: CapabilityEcc, spec: FlashSpec,
@@ -197,24 +190,6 @@ class TournamentConfig:
                     f"unknown frontend {name!r}; "
                     f"one of {sorted(MSR_WORKLOADS)}"
                 )
-
-
-@dataclass(frozen=True)
-class _CellTask:
-    """Everything a worker needs to run one (policy, age) unit: one
-    profile measurement and a replay per frontend."""
-
-    kind: str
-    policy: str
-    age: str
-    frontends: Tuple[str, ...]
-    cells_per_wordline: int
-    sentinel_ratio: float
-    wordline_step: int
-    requests_per_cell: int
-    scale: float
-    seed: int
-    model: object = field(repr=False)
 
 
 def measure_stress_profile(
@@ -343,29 +318,35 @@ def replay_cell_frontend(
 
 
 def _cell_row(
-    task: _CellTask, profile: RetryProfile, frontend: str
+    cfg: TournamentConfig,
+    seed: int,
+    policy: str,
+    age: str,
+    profile: RetryProfile,
+    frontend: str,
 ) -> Dict[str, Any]:
     """Step 4 for one frontend; returns that cell's scorecard dict."""
+    kind = cfg.kind.lower()
     report = replay_cell_frontend(
         frontend,
-        task.kind,
-        task.cells_per_wordline,
+        kind,
+        cfg.cells_per_wordline,
         profile,
-        task.requests_per_cell,
-        task.seed,
-        task.scale,
-        trace_prefix=f"{POLICY_ALIASES[task.policy]}/{task.age}/",
+        cfg.requests_per_cell,
+        seed,
+        cfg.scale,
+        trace_prefix=f"{POLICY_ALIASES[policy]}/{age}/",
     )
-    stress = cell_stress(task.kind, task.age)
+    stress = cell_stress(kind, age)
     acct = report.accounting
     reads_measured = int(sum(len(v) for v in profile.samples.values()))
     extra_total = sum(int(v[:, 1].sum()) for v in profile.samples.values())
     client = report.service["clients"][frontend]
     return {
-        "policy": POLICY_ALIASES[task.policy],
-        "age": task.age,
+        "policy": POLICY_ALIASES[policy],
+        "age": age,
         "frontend": frontend,
-        "kind": task.kind,
+        "kind": kind,
         "pe_cycles": stress.pe_cycles,
         "retention_hours": stress.retention_hours,
         "reads_measured": reads_measured,
@@ -385,19 +366,25 @@ def _cell_row(
     }
 
 
-def _run_cell(task: _CellTask) -> List[Dict[str, Any]]:
+def _run_cell(
+    cfg: TournamentConfig, seed: int, model, unit: Tuple[str, str]
+) -> List[Dict[str, Any]]:
     """One (policy, age) unit: measure its profile once, replay it under
     every frontend; returns the unit's cells in frontend order."""
+    policy, age = unit
     profile = measure_cell_profile(
-        task.policy,
-        task.kind,
-        task.age,
-        task.cells_per_wordline,
-        task.sentinel_ratio,
-        task.wordline_step,
-        task.model,
+        policy,
+        cfg.kind.lower(),
+        age,
+        cfg.cells_per_wordline,
+        cfg.sentinel_ratio,
+        cfg.wordline_step,
+        model,
     )
-    return [_cell_row(task, profile, frontend) for frontend in task.frontends]
+    return [
+        _cell_row(cfg, seed, policy, age, profile, frontend)
+        for frontend in cfg.frontends
+    ]
 
 
 def _emit_cell_obs(cell: Dict[str, Any]) -> None:
@@ -444,27 +431,13 @@ def run_tournament(
     cfg = config or TournamentConfig()
     kind = cfg.kind.lower()
     model = tournament_model(kind, cfg.cells_per_wordline, cfg.sentinel_ratio)
-    tasks = [
-        _CellTask(
-            kind=kind,
-            policy=policy,
-            age=age,
-            frontends=tuple(cfg.frontends),
-            cells_per_wordline=cfg.cells_per_wordline,
-            sentinel_ratio=cfg.sentinel_ratio,
-            wordline_step=cfg.wordline_step,
-            requests_per_cell=cfg.requests_per_cell,
-            scale=cfg.scale,
-            seed=seed,
-            model=model,
-        )
-        for policy in cfg.policies
-        for age in cfg.ages
-    ]
+    units = [(policy, age) for policy in cfg.policies for age in cfg.ages]
     engine = ParallelMap(workers=cfg.workers)
     cells: List[Dict[str, Any]] = [
         cell
-        for unit in engine.run(_run_cell, tasks, label="tournament")
+        for unit in engine.run(
+            partial(_run_cell, cfg, seed, model), units, label="tournament"
+        )
         for cell in unit
     ]
     # sentinel-vs-rival deltas, computed post-merge in canonical order

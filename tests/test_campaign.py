@@ -281,3 +281,31 @@ class TestCli:
         grid.write_text(content)
         assert main(["campaign", "--grid", str(grid)]) == 2
         assert "holds no JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"scale": 0},
+        {"scale": -1},
+        {"phases": 2.5},
+        {"requests_per_phase": 2.5},
+        {"policies": []},
+        {"schedules": []},
+        {"environments": []},
+        {"workloads": []},
+    ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+    def test_grid_with_a_bad_value_exits_2(self, content, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(content))
+        assert main(["campaign", "--grid", str(grid)]) == 2
+        assert "bad grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        {"phases": "x"},
+        {"cells_per_wordline": None},
+    ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+    def test_smoke_grid_with_a_bad_value_exits_2(
+        self, content, tmp_path, capsys
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(content))
+        assert main(["campaign", "--smoke", "--grid", str(grid)]) == 2
+        assert "bad grid" in capsys.readouterr().err

@@ -66,13 +66,6 @@ def test_split_contiguous_is_near_equal_partition(n, n_shards):
         assert runs == []
 
 
-def test_fleet_plans_two_shards_per_worker():
-    from repro.fleet.fleet import _plan_device_shards
-
-    assert [len(s) for s in _plan_device_shards(list(range(5)), 1)] == [3, 2]
-    assert len(_plan_device_shards(list(range(9)), 2)) == 4
-
-
 # ----------------------------------------------------------------------
 # merge order
 # ----------------------------------------------------------------------
@@ -327,9 +320,9 @@ def test_warm_hint_fn_pickles_and_matches(tiny_tlc):
     """The scrubber-hint callable survives pickling into worker processes."""
     import pickle
 
-    from repro.service.profiles import sentinel_hint_fn
+    from repro.service.profiles import SentinelHintFn
 
-    fn = sentinel_hint_fn(_FakeModel())
+    fn = SentinelHintFn(_FakeModel())
     clone = pickle.loads(pickle.dumps(fn))
     wl = _aged_chip(tiny_tlc).wordline(0, 0)
     # both consume an identical fresh read-noise stream position

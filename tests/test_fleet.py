@@ -426,6 +426,17 @@ class TestFleetObs:
         ]
         assert serial == sharded
 
+    def test_one_engine_task_per_device(self):
+        obs.enable()
+        run_small(workers=1, n_devices=6)
+        shards = {
+            e.fields["label"]: e.fields["shards"]
+            for e in OBS.tracer.events()
+            if e.kind == "shard_dispatch"
+        }
+        # two cohorts: their seed devices, then the other four
+        assert shards == {"fleet-seed": 2, "fleet-run": 4}
+
     def test_disabled_obs_leaves_no_residue(self):
         run_small(workers=2)
         assert len(OBS.tracer) == 0

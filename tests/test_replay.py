@@ -15,7 +15,8 @@ from repro.replay import (
     replay_trace,
     translate_trace,
 )
-from repro.service import synthetic_profiles
+from repro.service import ServiceConfig, synthetic_profiles
+from repro.service.report import request_accounting
 from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
 from repro.traces.msr import load_msr_trace
@@ -200,3 +201,57 @@ class TestReplay:
             assert (
                 acc["served"] + acc["degraded"] + acc["shed"] == acc["offered"]
             )
+
+
+# ---------------------------------------------------------------------------
+# the request accounting identity
+# ---------------------------------------------------------------------------
+class TestAccounting:
+    @pytest.mark.parametrize("key", ["offered", "served", "degraded", "shed"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_one_count_off_by_one_is_imbalanced(self, key, delta):
+        counts = {"offered": 10, "served": 6, "degraded": 1, "shed": 3}
+        assert request_accounting(**counts)["balanced"]
+        counts[key] += delta
+        acct = request_accounting(**counts)
+        assert acct == {**counts, "balanced": False}
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        raw=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.002),
+                st.booleans(),
+                st.integers(min_value=0, max_value=255),
+                st.integers(min_value=1, max_value=32 * 1024),
+            ),
+            min_size=20,
+            max_size=60,
+        ),
+        admit_limit=st.integers(min_value=1, max_value=4),
+        die_queue_limit=st.integers(min_value=1, max_value=4),
+    )
+    def test_replay_balances_under_shedding(
+        self, raw, admit_limit, die_queue_limit
+    ):
+        trace = Trace(
+            "shed",
+            [
+                TraceRequest(t, "R" if r else "W", lba * 4096, size)
+                for t, r, lba, size in raw
+            ],
+        )
+        service_config = ServiceConfig(
+            admit_limit=admit_limit, die_queue_limit=die_queue_limit
+        )
+        serial, sharded = (
+            run_replay(
+                trace,
+                config=ReplayConfig(workers=w),
+                service_config=service_config,
+            )
+            for w in (1, 2)
+        )
+        assert serial.accounting["balanced"]
+        assert serial.accounting["offered"] == len(trace)
+        assert serial.to_json() == sharded.to_json()

@@ -426,12 +426,12 @@ class TestSentinelHint:
     def test_good_hint_shaves_retries(self):
         from repro.core.controller import SentinelController
         from repro.exp.common import default_ecc, eval_chip, trained_model
-        from repro.service.profiles import sentinel_hint_fn
+        from repro.service.profiles import SentinelHintFn
 
         chip = eval_chip("tlc", cells_per_wordline=4096)
         model = trained_model("tlc")
         policy = SentinelController(default_ecc("tlc"), model)
-        hint_fn = sentinel_hint_fn(model)
+        hint_fn = SentinelHintFn(model)
         cold = warm = 0
         wordlines = range(0, chip.spec.wordlines_per_block, 12)
         for wl in chip.block_columns(0, wordlines).iter_views():
