@@ -73,35 +73,40 @@ obs-smoke:
 	$(PYTHON) -m repro spans .obs-smoke-spans.jsonl --check --top 1
 
 # each grid smoke also runs at --workers 1 and fails unless that report's
-# JSON is byte-identical to the --workers 2 one
+# JSON and span file are byte-identical to the --workers 2 ones
 fleet-smoke:
 	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 2 \
-		--json .fleet-smoke.json
+		--obs-spans .fleet-smoke-spans.jsonl --json .fleet-smoke.json
 	$(PYTHON) -m repro fleet --smoke --seed 1 --workers 1 \
-		--json .fleet-smoke-w1.json
+		--obs-spans .fleet-smoke-spans-w1.jsonl --json .fleet-smoke-w1.json
 	cmp .fleet-smoke.json .fleet-smoke-w1.json
+	cmp .fleet-smoke-spans.jsonl .fleet-smoke-spans-w1.jsonl
 
-# the traced runs stay at --workers 1: worker processes' events are not
-# shipped back to the parent's trace
 tournament-smoke:
 	$(PYTHON) -m repro tournament --smoke --check --workers 2 \
-		--frontends hm_0 usr_0 --json .tournament-smoke.json
-	$(PYTHON) -m repro tournament --smoke --workers 1 \
 		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans.jsonl \
 		--obs-trace .tournament-smoke-trace.jsonl \
+		--json .tournament-smoke.json
+	$(PYTHON) -m repro tournament --smoke --workers 1 \
+		--frontends hm_0 usr_0 --obs-spans .tournament-smoke-spans-w1.jsonl \
+		--obs-trace .tournament-smoke-trace-w1.jsonl \
 		--json .tournament-smoke-w1.json
 	cmp .tournament-smoke.json .tournament-smoke-w1.json
+	cmp .tournament-smoke-spans.jsonl .tournament-smoke-spans-w1.jsonl
 	$(PYTHON) -m repro spans .tournament-smoke-spans.jsonl --check --top 0
 	$(PYTHON) -m repro stats .tournament-smoke-trace.jsonl
 
 campaign-smoke:
 	$(PYTHON) -m repro campaign --smoke --workers 2 \
-		--json .campaign-smoke.json
-	$(PYTHON) -m repro campaign --smoke --workers 1 \
 		--obs-spans .campaign-smoke-spans.jsonl \
 		--obs-trace .campaign-smoke-trace.jsonl \
+		--json .campaign-smoke.json
+	$(PYTHON) -m repro campaign --smoke --workers 1 \
+		--obs-spans .campaign-smoke-spans-w1.jsonl \
+		--obs-trace .campaign-smoke-trace-w1.jsonl \
 		--json .campaign-smoke-w1.json
 	cmp .campaign-smoke.json .campaign-smoke-w1.json
+	cmp .campaign-smoke-spans.jsonl .campaign-smoke-spans-w1.jsonl
 	$(PYTHON) -m repro spans .campaign-smoke-spans.jsonl --check --top 0
 	$(PYTHON) -m repro stats .campaign-smoke-trace.jsonl
 

@@ -118,16 +118,18 @@ def _run_cell(
         stress = replace(stress, pe_cycles=pe, read_count=read_count)
 
         # 2. re-measure the drifted retry profiles and swap them in
+        prefix = f"{canonical}/{schedule}/{environment}/{workload}/{p}/"
         cold = measure_stress_profile(
             policy, kind, stress, cfg.cells_per_wordline,
             cfg.sentinel_ratio, cfg.wordline_step, model,
+            trace_prefix=f"{prefix}cold/",
         )
         warm = cold
         if hint_fn is not None:
             warm = measure_stress_profile(
                 policy, kind, stress, cfg.cells_per_wordline,
                 cfg.sentinel_ratio, cfg.wordline_step, model,
-                hint_fn=hint_fn,
+                hint_fn=hint_fn, trace_prefix=f"{prefix}warm/",
             )
         if service is None:
             service = FlashReadService(

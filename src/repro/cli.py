@@ -113,26 +113,17 @@ def _write_output(prefix: str, what: str, path: str,
     return 0
 
 
-def _maybe_enable_obs(args: argparse.Namespace,
-                      engine_workers: int = 1) -> None:
-    """Turn on observability when an export flag asked for it.
-
-    ``engine_workers`` is the worker count of a command whose grid cells
-    run in engine workers.  The span events of those workers are not
-    collected yet, so ``--obs-spans`` there needs one worker.
-    """
+def _maybe_enable_obs(args: argparse.Namespace) -> None:
+    """Turn on observability, from empty, when an export flag asked for it."""
     trace_path = args.obs_trace
     spans_path = args.obs_spans
-    if spans_path and engine_workers > 1:
-        raise CommandError(
-            "--obs-spans needs --workers 1: span events from engine "
-            "workers are not collected yet", status=2)
     if not (trace_path or args.obs_prom or spans_path
             or args.obs_port is not None):
         return
     from repro import obs
     from repro.obs import OBS
 
+    obs.reset()
     obs.enable(
         metrics=True,
         tracing=bool(trace_path or spans_path),
@@ -520,7 +511,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         kind=args.kind,
         cells_per_wordline=args.cells,
     )
-    _maybe_enable_obs(args, engine_workers=config.workers)
+    _maybe_enable_obs(args)
     report = run_fleet(config, seed=args.seed)
     return _finish_report(
         args, report,
@@ -568,7 +559,7 @@ def cmd_tournament(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CommandError(str(exc), status=2) from exc
-    _maybe_enable_obs(args, engine_workers=config.workers)
+    _maybe_enable_obs(args)
     report = run_tournament(config, seed=args.seed)
     status = _finish_report(
         args, report,
@@ -619,7 +610,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         config = CampaignConfig.from_dict(grid)
     except (TypeError, ValueError) as exc:
         raise CommandError(f"bad grid: {exc}", status=2) from exc
-    _maybe_enable_obs(args, engine_workers=config.workers)
+    _maybe_enable_obs(args)
     report = run_campaign(config, seed=args.seed)
     return _finish_report(
         args, report,

@@ -15,7 +15,10 @@ raised by the shard function itself are *not* swallowed: they would occur
 serially too, so they propagate.
 
 Observability: each run emits ``shard_dispatch``/``shard_merge`` trace
-events and ``repro_engine_*`` metrics (see ``repro stats``).
+events and ``repro_engine_*`` metrics (see ``repro stats``).  Trace
+events a shard emits in a pool worker come back with its result and are
+re-emitted by the parent in canonical shard order, before
+``shard_merge`` — the same stream a serial run emits live.
 """
 
 from __future__ import annotations
@@ -69,6 +72,18 @@ def _timed_call(fn: Callable[[Any], Any], index: int, shard: Any):
     t0 = time.perf_counter()
     value = fn(shard)
     return index, value, time.perf_counter() - t0
+
+
+def _pool_call(fn: Callable[[Any], Any], index: int, shard: Any):
+    """Pool-worker wrapper: run one shard, return its trace events too.
+
+    The fork-inherited tracer is cut from the parent's live stream and
+    emptied first, so only this shard's events (and drops) come back."""
+    OBS.tracer.close_stream()
+    OBS.tracer.clear()
+    index, value, seconds = _timed_call(fn, index, shard)
+    events = [(e.kind, e.fields) for e in OBS.tracer.events()]
+    return index, (value, events, OBS.tracer.dropped), seconds
 
 
 @dataclass
@@ -132,6 +147,12 @@ class ParallelMap:
             results, busy = self._run_serial(fn, shards)
         t_merge = time.perf_counter()
         ordered = merge_in_order(results, len(shards))
+        if mode == "parallel":  # worker events, in canonical shard order
+            for _, events, dropped in ordered:
+                OBS.tracer.dropped += dropped
+                for kind, fields in events:
+                    OBS.tracer.emit(kind, **fields)
+            ordered = [value for value, _, _ in ordered]
         merge_seconds = time.perf_counter() - t_merge
         report = EngineReport(
             label=label,
@@ -168,7 +189,7 @@ class ParallelMap:
         busy = 0.0
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures = [
-                pool.submit(_timed_call, fn, index, shard)
+                pool.submit(_pool_call, fn, index, shard)
                 for index, shard in enumerate(shards)
             ]
             for future in as_completed(futures):

@@ -422,8 +422,7 @@ def _build_report(
 
 
 def _emit_fleet_obs(report: FleetReport) -> None:
-    """Parent-side events + metrics, after the merge, in canonical order
-    — worker processes would lose them, so nothing is emitted there."""
+    """Parent-side events + metrics, after the merge, in canonical order."""
     if not OBS.enabled:
         return
     if OBS.tracer.enabled:

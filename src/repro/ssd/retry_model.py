@@ -33,12 +33,12 @@ def _measure_shard(
     The policy reads the sub-batch with :meth:`ReadPolicy.read_batch`, in
     kernel lockstep.  Each wordline's draws come from its own seed-tree
     streams in its per-row order, so the rows do not depend on the
-    sub-batch size.
+    sub-batch size.  Emits one ``read_complete`` per row.
     """
     hints = None
     if hint_fn is not None:
         hints = [hint_fn(v) for v in cols.iter_views()]
-    return [
+    rows = [
         (
             p,
             outcome.retries,
@@ -49,24 +49,14 @@ def _measure_shard(
         for row_outcomes in policy.read_batch(cols, pages, hints)
         for p, outcome in zip(pages, row_outcomes)
     ]
-
-
-def _emit_read_complete(policy_name: str, row: tuple) -> None:
-    page, retries, extra, calibration_steps, success = row
-    OBS.tracer.emit(
-        "read_complete",
-        policy=policy_name,
-        page=page,
-        retries=retries,
-        extra=extra,
-        calibration_steps=calibration_steps,
-        success=success,
-    )
-
-
-#: measure() invocations that emitted span trees, for unique trace ids —
-#: advanced identically by serial and sharded runs of the same process
-_MEASURE_SPAN_RUNS = 0
+    if OBS.enabled and OBS.tracer.enabled:
+        for p, retries, extra, calibration_steps, success in rows:
+            OBS.tracer.emit(
+                "read_complete", policy=policy.name, page=p, retries=retries,
+                extra=extra, calibration_steps=calibration_steps,
+                success=success,
+            )
+    return rows
 
 
 def _emit_read_spans(
@@ -126,6 +116,7 @@ class RetryProfile:
         hint_fn: Optional[Callable[..., float]] = None,
         name: Optional[str] = None,
         workers: int = 1,
+        trace_prefix: str = "",
     ) -> "RetryProfile":
         """Measure a policy on one (aged) block of the chip model.
 
@@ -141,10 +132,9 @@ class RetryProfile:
         sense/decode kernels.  With ``workers > 1`` the sweep fans out over
         :class:`repro.engine.ParallelMap`; the samples are byte-identical
         to a serial run because each wordline's randomness derives from its
-        own seed-tree streams.  Policy-internal trace events are lost in
-        worker processes.  At any worker count the parent emits one
-        ``read_complete`` per read after the merge, in canonical sweep
-        order, as one contiguous block.
+        own seed-tree streams.  With span tracing on, read ``i`` is the
+        span tree ``f"{trace_prefix}measure/{name}/{i}"``; a caller that
+        measures one name more than once tells the runs apart by prefix.
         """
         spec = chip.spec
         if wordlines is None:
@@ -164,23 +154,17 @@ class RetryProfile:
             workers=workers,
             label="profile-measure",
         )
-        # read_complete events and span trees always emit here, post-merge,
-        # in canonical sweep order — serial and sharded runs produce an
-        # identical stream
+        # span trees emit here, post-merge, on one cumulative virtual
+        # clock in canonical sweep order
         spans_on = (
             OBS.enabled and OBS.tracer.enabled and OBS.spans_enabled
         )
         pipelined = bool(getattr(policy, "pipelined", False))
-        if spans_on:
-            global _MEASURE_SPAN_RUNS
-            _MEASURE_SPAN_RUNS += 1
-            span_trace = f"measure/{name or policy.name}/{_MEASURE_SPAN_RUNS}/"
-            span_clock = 0.0
+        span_trace = f"{trace_prefix}measure/{name or policy.name}/"
+        span_clock = 0.0
         for i, row in enumerate(per_row):
             p, retries, extra = row[0], row[1], row[2]
             collected[p].append((retries, extra))
-            if OBS.enabled and OBS.tracer.enabled:
-                _emit_read_complete(policy.name, row)
             if spans_on:
                 span_clock += _emit_read_spans(
                     f"{span_trace}{i}", row, voltages[p], pipelined,

@@ -201,6 +201,7 @@ def measure_stress_profile(
     wordline_step: int,
     model,
     hint_fn=None,
+    trace_prefix: str = "",
 ) -> RetryProfile:
     """Measure one policy's retry profile at an explicit stress point.
 
@@ -208,6 +209,7 @@ def measure_stress_profile(
     named age presets; the lifetime campaign (:mod:`repro.campaign`) calls
     it directly with the composed aging stress of each phase, optionally
     with a cache-hint function for the warm (cache-hit) distribution.
+    ``trace_prefix`` names the measurement's span trace ids.
     """
     from repro.exp.common import EVAL_SEED
 
@@ -246,6 +248,7 @@ def measure_stress_profile(
         name=POLICY_ALIASES[task_policy],
         hint_fn=hint_fn,
         workers=1,
+        trace_prefix=trace_prefix,
     )
 
 
@@ -272,6 +275,7 @@ def measure_cell_profile(
         sentinel_ratio,
         wordline_step,
         model,
+        trace_prefix=f"{POLICY_ALIASES[task_policy]}/{age}/",
     )
 
 

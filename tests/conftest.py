@@ -14,8 +14,19 @@ import pytest
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
+from repro.obs import OBS
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _obs_off_after_test():
+    """No test leaves observability on, or its events and metrics, to the
+    next: the suite must pass in any order."""
+    yield
+    OBS.tracer.close_stream()
+    OBS.disable()
+    OBS.reset()
 
 
 @pytest.fixture(scope="session")

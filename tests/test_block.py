@@ -382,16 +382,25 @@ class TestObservability:
             e.fields["kernel"] for e in events if e.kind == "batch_sense"
         ] == ["synthesize"] + ["sense_regions"] * 23
 
-    def test_measure_read_complete_follows_merge(self, tiny_tlc, aged_stress):
-        """Serial and sharded measures emit the same ``read_complete``
-        sequence, as one contiguous block right after ``shard_merge``."""
+    def test_measure_trace_same_in_pool_and_serial(self, tiny_tlc,
+                                                   aged_stress, monkeypatch):
+        """Pool shards hand their events back to the parent, so a sharded
+        measure traces what its shard plan traces run serially, bar
+        wall-clock and engine-mode fields.  The plan itself depends on the
+        worker count and batch-level events (``batch_sense`` per kernel
+        call, ``ecc_decode`` within a lockstep batch) follow it; each
+        per-read kind still matches an unsharded run."""
+        import repro.flash.chip as chip_module
         from repro.ecc.capability import CapabilityEcc
+        from repro.engine import ParallelMap
         from repro.retry.current_flash import CurrentFlashPolicy
         from repro.ssd.retry_model import RetryProfile
 
+        varying = {"seconds", "wall_s", "busy_s", "merge_s", "utilization",
+                   "mode", "workers"}
         chip = make_chip(tiny_tlc, aged_stress)
-        streams = []
-        for workers in (1, 2):
+
+        def trace(workers):
             OBS.reset()
             OBS.enable(metrics=False, tracing=True)
             RetryProfile.measure(
@@ -400,13 +409,29 @@ class TestObservability:
                 workers=workers,
             )
             events = OBS.tracer.events()
-            kinds = [e.kind for e in events]
-            done = [i for i, k in enumerate(kinds) if k == "read_complete"]
-            assert done == list(range(done[0], done[0] + len(done)))
-            assert kinds[done[0] - 1] == "shard_merge"
-            streams.append([events[i].fields for i in done])
-        assert len(streams[0]) == 8 * tiny_tlc.pages_per_wordline
-        assert streams[0] == streams[1]
+            mode = events[-1].fields["mode"]
+            return mode, [
+                (e.seq, e.kind,
+                 {k: v for k, v in e.fields.items() if k not in varying})
+                for e in events
+            ]
+
+        unsharded = trace(1)[1]
+        pool = trace(2)
+        with monkeypatch.context() as m:
+            m.setattr(chip_module, "ParallelMap",
+                      lambda workers: ParallelMap(workers=1))
+            serial = trace(2)
+        assert (pool[0], serial[0]) == ("parallel", "serial")
+        assert pool[1] == serial[1]
+
+        def per_read(stream):
+            return {kind: [f for _, k, f in stream if k == kind]
+                    for kind in ("read_attempt", "read_complete")}
+
+        reads = per_read(unsharded)
+        assert len(reads["read_complete"]) == 8 * tiny_tlc.pages_per_wordline
+        assert per_read(pool[1]) == reads
 
     def test_wordline_reads_record_no_batch_sense(self, tiny_tlc, aged_stress):
         OBS.enable(metrics=True, tracing=True)

@@ -64,21 +64,47 @@ class TestKindChoices:
 
 class TestEngineWorkerSpans:
     """fleet, tournament and campaign run their cells in engine workers,
-    whose span events are not collected yet, so ``--obs-spans`` with more
-    than one worker is refused before the run starts."""
+    whose span events come back with the shard results, so the span file
+    is the same at any worker count.  Each run is a fresh process: an
+    in-process rerun finds the sentinel model cached and traces fewer
+    events before its first span."""
 
     @pytest.mark.parametrize("command", ["fleet", "tournament", "campaign"])
-    def test_obs_spans_needs_one_worker(self, command, tmp_path, capsys):
-        path = tmp_path / "spans.jsonl"
-        argv = [command, "--smoke", "--workers", "2",
-                "--obs-spans", str(path)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert (f"repro {command}: --obs-spans needs --workers 1"
-                in captured.err)
-        assert "not collected yet" in captured.err
-        assert captured.out == ""
-        assert not path.exists()
+    def test_obs_spans_identical_at_1_2_workers(self, command, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        spans = {}
+        for workers in (1, 2):
+            path = tmp_path / f"spans-{workers}.jsonl"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "-q", command, "--smoke",
+                 "--seed", "1", "--workers", str(workers),
+                 "--obs-spans", str(path)],
+                cwd=tmp_path, env=env, check=True, capture_output=True,
+            )
+            spans[workers] = path.read_bytes()
+        assert spans[1].count(b'"kind": "span"') > 100
+        assert spans[1] == spans[2]
+
+
+class TestObsRunsStartEmpty:
+    def test_second_in_process_run_exports_the_same_trace(self, tmp_path,
+                                                          capsys):
+        """An in-process run does not inherit a previous run's events."""
+        exports = []
+        for i in range(2):
+            path = tmp_path / f"trace-{i}.jsonl"
+            assert main(["serve", "--smoke", "--seed", "1", "--requests",
+                         "100", "--obs-trace", str(path)]) == 0
+            exports.append(path.read_text())
+        capsys.readouterr()
+        assert exports[0] == exports[1]
 
 
 def parser_spec():

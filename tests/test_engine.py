@@ -362,7 +362,8 @@ def test_pipelines_fan_out_in_parallel_mode(tiny_tlc):
 
     A shard the pool cannot ship (an unpicklable task, say) falls back to
     serial with byte-identical output, so only the engine's ``mode``
-    shows the lost fan-out.
+    shows the lost fan-out.  Only the top-level runs are checked: the
+    serial runs nested inside tournament workers reach the trace too.
     """
     import repro.obs as obs
     from repro.ecc.capability import CapabilityEcc
@@ -394,11 +395,8 @@ def test_pipelines_fan_out_in_parallel_mode(tiny_tlc):
                   if e.kind == "shard_merge"]
     finally:
         obs.disable()
-    modes = {}
-    for m in merges:
-        modes.setdefault(m["label"], []).append(m["mode"])
-    assert modes["tournament"] == ["parallel"]
-    assert modes["profile-measure"] == ["parallel"]
+    top = [(m["label"], m["mode"]) for m in (merges[0], merges[-1])]
+    assert top == [("profile-measure", "parallel"), ("tournament", "parallel")]
     assert all(m["mode"] != "serial-fallback" for m in merges)
 
 

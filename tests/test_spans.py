@@ -400,10 +400,6 @@ class TestMeasureSpans:
             return trees
 
         serial = measure(aged_tlc_chip, workers=1)
-        import repro.ssd.retry_model as rm
-
-        # realign the run counter so both runs mint the same trace ids
-        rm._MEASURE_SPAN_RUNS -= 1
         sharded = measure(aged_tlc_chip, workers=2)
         assert serial  # the sweep actually produced span trees
         assert serial == sharded
