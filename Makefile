@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test coverage lint bench examples figures paper-digests serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke simulate-smoke perfbench-smoke clean
+.PHONY: install test coverage lint bench examples figures paper-digests serve-smoke chaos-smoke replay-smoke obs-smoke fleet-smoke tournament-smoke campaign-smoke simulate-smoke perfbench-smoke perf-ab clean
 
 install:
 	pip install -e .[test]
@@ -122,6 +122,12 @@ perfbench-smoke:
 		"import json, sys; r = json.loads(sys.stdin.read()); \
 		print('perfbench correct:', r['correct']); \
 		sys.exit(r['correct'] is not True)"
+
+# alternating perfbench pairs, PARENT=<rev> against the work tree, each
+# from a clean copy in a temporary directory (see tools/perf_ab.py)
+perf-ab:
+	@test -n "$(PARENT)" || { echo "perf-ab: set PARENT=<rev>" >&2; exit 1; }
+	$(PYTHON) tools/perf_ab.py --parent $(PARENT)
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks .examples-out

@@ -29,6 +29,9 @@ the seed and the fitted sentinel model.  Cells merge in canonical grid
 order; all observability (``campaign_phase`` events,
 ``repro_campaign_*`` metrics) is emitted parent-side after the merge, so
 the :class:`CampaignReport` JSON is byte-identical at any ``--workers``.
+Every phase of every cell measures the same evaluation block, so the
+grid runs inside :func:`repro.flash.block.shared_cells`: each process
+draws the block's cells once and re-synthesizes them per phase.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.campaign.config import (
 )
 from repro.campaign.report import CampaignReport
 from repro.engine import ParallelMap
+from repro.flash.block import shared_cells
 from repro.flash.mechanisms import StressState
 from repro.obs import OBS
 from repro.service.report import request_accounting
@@ -274,9 +278,10 @@ def run_campaign(
         for workload in cfg.workloads
     ]
     engine = ParallelMap(workers=cfg.workers)
-    cells: List[Dict[str, Any]] = engine.run(
-        partial(_run_cell, cfg, seed, model), points, label="campaign"
-    )
+    with shared_cells():
+        cells: List[Dict[str, Any]] = engine.run(
+            partial(_run_cell, cfg, seed, model), points, label="campaign"
+        )
     for cell in cells:
         _emit_cell_obs(cell)
     return CampaignReport(

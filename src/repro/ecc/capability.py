@@ -17,7 +17,8 @@ The default values are calibrated against the real LDPC decoder in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
+from functools import partial
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -30,6 +31,38 @@ MODE_GAIN = {"hard": 1.0, "soft2": 1.45, "soft3": 1.65}
 
 #: Capability lost per unit fraction of parity donated to sentinel cells.
 PARITY_LOSS_SLOPE = 1.2
+
+
+def _emit_decode(decoded: bool, frames: int, max_frame_errors: int) -> None:
+    if OBS.metrics.enabled:
+        OBS.metrics.counter(
+            "repro_ecc_decodes_total",
+            help="page decode attempts by outcome",
+            result="ok" if decoded else "fail",
+        ).inc()
+    if OBS.tracer.enabled:
+        OBS.tracer.emit(
+            "ecc_decode",
+            decoded=decoded,
+            frames=frames,
+            max_frame_errors=max_frame_errors,
+        )
+
+
+def report_decode(
+    deferred: Optional[List[Callable[[], None]]], decoded: bool, frames: int,
+    max_frame_errors: int,
+) -> None:
+    """Count and trace one page decode (``repro_ecc_decodes_total``,
+    ``ecc_decode``) now or, given a list ``deferred``, append that
+    emission to it as a call for the caller to make in its own place."""
+    if not OBS.enabled:
+        return
+    emit = partial(_emit_decode, decoded, frames, max_frame_errors)
+    if deferred is None:
+        emit()
+    else:
+        deferred.append(emit)
 
 
 @dataclass(frozen=True)
@@ -105,35 +138,33 @@ class CapabilityEcc:
             dtype=np.int64,
         )
 
-    def decode_ok(self, read: Union[ReadResult, np.ndarray]) -> bool:
-        """Whether the page decodes: every frame within capability."""
+    def decode_ok(
+        self,
+        read: Union[ReadResult, np.ndarray],
+        deferred: Optional[List[Callable[[], None]]] = None,
+    ) -> bool:
+        """Whether the page decodes: every frame within capability.
+
+        The decode is counted and traced as :func:`report_decode` says.
+        """
         mismatch = read.mismatch if isinstance(read, ReadResult) else read
         counts = self.frame_error_counts(np.asarray(mismatch, dtype=bool))
         ok = bool((counts <= self.max_errors_per_frame()).all())
-        if OBS.enabled:
-            if OBS.metrics.enabled:
-                OBS.metrics.counter(
-                    "repro_ecc_decodes_total",
-                    help="page decode attempts by outcome",
-                    result="ok" if ok else "fail",
-                ).inc()
-            if OBS.tracer.enabled:
-                OBS.tracer.emit(
-                    "ecc_decode",
-                    decoded=ok,
-                    frames=len(counts),
-                    max_frame_errors=int(counts.max()),
-                )
+        report_decode(deferred, ok, len(counts), int(counts.max()))
         return ok
 
-    def decode_ok_batch(self, mismatch: np.ndarray) -> np.ndarray:
+    def decode_ok_batch(
+        self,
+        mismatch: np.ndarray,
+        deferred: Optional[List[Callable[[], None]]] = None,
+    ) -> np.ndarray:
         """Batched :meth:`decode_ok`: one row of error masks per wordline.
 
         Frame boundaries match ``np.array_split`` in
         :meth:`frame_error_counts` exactly, so ``decode_ok_batch(m)[i] ==
-        decode_ok(m[i])`` for every row; observability counters and events
-        are emitted per row to keep aggregate counts identical to the
-        per-row path (only their interleaving with other events differs).
+        decode_ok(m[i])`` for every row.  Each row's decode is reported
+        as in :meth:`decode_ok`, in row order: the read driver passes
+        ``deferred`` and emits each row's in that read's canonical place.
         """
         m = np.asarray(mismatch, dtype=bool)
         n = m.shape[1]
@@ -141,24 +172,14 @@ class CapabilityEcc:
         base, rem = divmod(n, n_frames)
         sizes = [base + 1] * rem + [base] * (n_frames - rem)
         bounds = np.cumsum([0] + sizes[:-1])
-        counts = np.add.reduceat(m.astype(np.int32), bounds, axis=1)
+        # sum the bool mask as int32 directly: no int32 copy of the mask
+        counts = np.add.reduceat(m, bounds, axis=1, dtype=np.int32)
         ok = (counts <= self.max_errors_per_frame()).all(axis=1)
         if OBS.enabled:
             for i in range(len(ok)):
-                row_ok = bool(ok[i])
-                if OBS.metrics.enabled:
-                    OBS.metrics.counter(
-                        "repro_ecc_decodes_total",
-                        help="page decode attempts by outcome",
-                        result="ok" if row_ok else "fail",
-                    ).inc()
-                if OBS.tracer.enabled:
-                    OBS.tracer.emit(
-                        "ecc_decode",
-                        decoded=row_ok,
-                        frames=int(counts.shape[1]),
-                        max_frame_errors=int(counts[i].max()),
-                    )
+                report_decode(
+                    deferred, bool(ok[i]), n_frames, int(counts[i].max())
+                )
         return ok
 
     def decode_ok_by_rate(self, rber: float) -> bool:

@@ -17,11 +17,12 @@ data bits pinned to zero), the standard construction in flash controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from repro.ecc.bch import BchCode
+from repro.ecc.capability import report_decode
 from repro.ecc.ldpc import LdpcCode
 from repro.flash.wordline import ReadResult
 from repro.obs import OBS
@@ -94,7 +95,13 @@ class RealPageEcc:
     def with_mode(self, mode: str) -> "RealPageEcc":
         return RealPageEcc(self.code, mode=mode)
 
-    def decode_ok(self, read: Union[ReadResult, np.ndarray]) -> bool:
+    def decode_ok(
+        self,
+        read: Union[ReadResult, np.ndarray],
+        deferred: Optional[List[Callable[[], None]]] = None,
+    ) -> bool:
+        """Whether every frame decodes; reported as
+        :meth:`CapabilityEcc.decode_ok` reports it."""
         mask = read.mismatch if isinstance(read, ReadResult) else read
         mask = np.asarray(mask, dtype=bool)
         frame_bits = (
@@ -105,9 +112,12 @@ class RealPageEcc:
         n_frames = len(mask) // frame_bits
         if n_frames == 0:
             raise ValueError("page smaller than one ECC frame")
+        frames = [
+            mask[f * frame_bits : (f + 1) * frame_bits]
+            for f in range(-(-len(mask) // frame_bits))
+        ]
         page_ok = True
-        for f in range(-(-len(mask) // frame_bits)):
-            frame = mask[f * frame_bits : (f + 1) * frame_bits]
+        for frame in frames:
             if len(frame) < frame_bits:
                 # the tail shorter than a frame is its own shortened frame:
                 # the missing positions are known-zero, so error-free
@@ -126,14 +136,19 @@ class RealPageEcc:
             if not ok:
                 page_ok = False
                 break
-        if OBS.enabled and OBS.metrics.enabled:
-            OBS.metrics.counter(
-                "repro_ecc_decodes_total",
-                help="page decode attempts by outcome",
-                result="ok" if page_ok else "fail",
-            ).inc()
+        if OBS.enabled:
+            report_decode(
+                deferred, page_ok, len(frames),
+                max(int(frame.sum()) for frame in frames),
+            )
         return page_ok
 
-    def decode_ok_batch(self, mismatch: np.ndarray) -> np.ndarray:
+    def decode_ok_batch(
+        self,
+        mismatch: np.ndarray,
+        deferred: Optional[List[Callable[[], None]]] = None,
+    ) -> np.ndarray:
         """:meth:`decode_ok` of each row of a ``(rows, cells)`` error mask."""
-        return np.array([self.decode_ok(row) for row in mismatch], dtype=bool)
+        return np.array(
+            [self.decode_ok(row, deferred) for row in mismatch], dtype=bool
+        )

@@ -18,6 +18,10 @@ Memory per cell: int16 states + 3x float32 latents + float32 vth = 18
 bytes, with no per-wordline object overhead — a full paper-scale block
 (768 x 148736 cells) fits in ~2 GB.  Kernels chunk rows internally so
 their working sets stay cache-sized on memory-bandwidth-starved hosts.
+
+Drawn cells are shared only inside a :func:`shared_cells` scope: there,
+every store of one identity reuses the first one's read-only cell arrays
+and only re-synthesizes its Vth (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from __future__ import annotations
 import copy
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from repro.faults import FAULTS
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
 from repro.flash.variation import BlockVariation, WordlineModifiers
-from repro.flash.vth import sample_latents, synthesize_vth_batch
+from repro.flash.vth import CHUNK_ELEMS, sample_latents, synthesize_vth_batch
 from repro.flash.wordline import (
     OffsetsLike,
     SentinelReadout,
@@ -44,10 +51,104 @@ from repro.flash.wordline import (
 from repro.obs import OBS
 from repro.util.rng import derive_rng
 
-#: Target elements per kernel chunk (~4 MB of float64 scratch): keeps the
-#: batched working set inside the last-level cache instead of streaming
-#: multi-hundred-MB temporaries through memory.
-_CHUNK_ELEMS = 1 << 19
+
+class _Cells(NamedTuple):
+    """The drawn cells of one store identity; nothing here depends on
+    stress, and every array is read-only."""
+
+    modifiers: Tuple[WordlineModifiers, ...]
+    states: np.ndarray  # (rows, cells) int16
+    prog_noise: np.ndarray  # (rows, cells) float32
+    leak_rate: np.ndarray  # (rows, cells) float32
+    tail_mag: np.ndarray  # (rows, cells) float32
+    sentinel_indices: np.ndarray
+    sentinel_mask: np.ndarray
+    data_mask: np.ndarray
+    data_idx: np.ndarray
+
+
+#: ``(spec, chip_seed, block, indices, sentinel_ratio)`` -> drawn cells,
+#: inside a :func:`shared_cells` scope; ``None`` outside one
+_SHARED_CELLS: Optional[Dict[tuple, _Cells]] = None
+
+
+@contextmanager
+def shared_cells() -> Iterator[None]:
+    """Draw each store identity's cells once while the scope is open.
+
+    Inside the scope, :class:`BlockColumns` keeps the cells it draws, keyed
+    by ``(spec, chip_seed, block, indices, sentinel_ratio)``, and a later
+    build of the same identity reuses them and only synthesizes its Vth:
+    a grid that measures one block at several policies and ages draws
+    the block once.  A nested scope shares the outer one's cells.  The
+    scope holds its cells until it closes, so open it only around work
+    that rebuilds the same stores: a forked engine worker inherits the
+    open, empty scope and fills its own, and the parent keeps nothing.
+    """
+    global _SHARED_CELLS
+    outer = _SHARED_CELLS
+    if outer is None:
+        _SHARED_CELLS = {}
+    try:
+        yield
+    finally:
+        _SHARED_CELLS = outer
+
+
+def _draw_cells(
+    spec: FlashSpec,
+    chip_seed: int,
+    block: int,
+    indices: Tuple[int, ...],
+    sentinel_ratio: float,
+    variation: BlockVariation,
+) -> _Cells:
+    """Draw the cells of ``indices``, each row from its wordline's own
+    ``data``/``latent`` streams (in row order, which cannot matter: the
+    streams are independent), plus the shared sentinel geometry."""
+    n = spec.cells_per_wordline
+    # shared sentinel geometry: the reserved columns and their
+    # alternating states are identical for every wordline of a spec
+    # (Section III-B: S3/S4 for TLC, S7/S8 for QLC, spread evenly
+    # along the bitline axis)
+    if sentinel_ratio > 0.0:
+        n_sent = spec.sentinel_cells(sentinel_ratio)
+        sentinel_indices = np.linspace(0, n - 1, n_sent).astype(np.int64)
+        s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
+        sentinel_states = np.where(
+            np.arange(n_sent) % 2 == 0, s_low, s_high
+        ).astype(np.int16)
+    else:
+        sentinel_indices = np.empty(0, dtype=np.int64)
+        sentinel_states = np.empty(0, dtype=np.int16)
+    sentinel_mask = np.zeros(n, dtype=bool)
+    sentinel_mask[sentinel_indices] = True
+    data_mask = ~sentinel_mask
+
+    w = len(indices)
+    states = np.empty((w, n), dtype=np.int16)
+    prog_noise = np.empty((w, n), dtype=np.float32)
+    leak_rate = np.empty((w, n), dtype=np.float32)
+    tail_mag = np.empty((w, n), dtype=np.float32)
+    for row, index in enumerate(indices):
+        data_rng = derive_rng(chip_seed, "data", block, index)
+        states[row] = data_rng.integers(0, spec.n_states, size=n).astype(
+            np.int16
+        )
+        states[row, sentinel_indices] = sentinel_states
+        latent_rng = derive_rng(chip_seed, "latent", block, index)
+        lat = sample_latents(spec, n, latent_rng)
+        prog_noise[row] = lat.prog_noise
+        leak_rate[row] = lat.leak_rate
+        tail_mag[row] = lat.tail_mag
+    cells = _Cells(
+        tuple(variation.wordline_modifiers(i) for i in indices),
+        states, prog_noise, leak_rate, tail_mag,
+        sentinel_indices, sentinel_mask, data_mask, np.flatnonzero(data_mask),
+    )
+    for array in cells[1:]:
+        array.flags.writeable = False
+    return cells
 
 
 def count_cache_eviction(cache: str) -> None:
@@ -121,11 +222,12 @@ class BlockColumns:
     """Struct-of-arrays storage for ``indices`` wordlines of one block.
 
     Construction draws each row's states and latents from that wordline's
-    own seed-tree streams (in row order, which cannot matter: the streams
-    are independent), then synthesizes all Vth rows with one batched
-    kernel.  The stored cells never change after construction:
-    programming a wordline moves it to a new private store, and
-    :meth:`restart` re-stresses the same cells as if freshly built.
+    own seed-tree streams — or, inside a :func:`shared_cells` scope,
+    reuses the cells an earlier store of the same identity drew — then
+    synthesizes all Vth rows with one batched kernel.  The drawn cells
+    are read-only and never change: programming a wordline moves it to a
+    new private store, and :meth:`restart` re-stresses the same cells as
+    if freshly built.
     """
 
     #: Distinct stress points whose Vth synthesis is kept per store.  The
@@ -152,51 +254,22 @@ class BlockColumns:
             indices = range(spec.wordlines_per_block)
         self.indices: Tuple[int, ...] = tuple(int(i) for i in indices)
         self.sentinel_ratio = float(sentinel_ratio)
-        if variation is None:
-            variation = BlockVariation(spec, chip_seed, block)
-        self.modifiers: List[WordlineModifiers] = [
-            variation.wordline_modifiers(i) for i in self.indices
-        ]
-
-        n = spec.cells_per_wordline
-        w = len(self.indices)
-        # shared sentinel geometry: the reserved columns and their
-        # alternating states are identical for every wordline of a spec
-        # (Section III-B: S3/S4 for TLC, S7/S8 for QLC, spread evenly
-        # along the bitline axis)
-        if sentinel_ratio > 0.0:
-            n_sent = spec.sentinel_cells(sentinel_ratio)
-            self.sentinel_indices = np.linspace(0, n - 1, n_sent).astype(
-                np.int64
+        # the modifiers are a function of (spec, chip_seed, block), so the
+        # identity key need not name the variation
+        key = (spec, chip_seed, block, self.indices, self.sentinel_ratio)
+        cells = None if _SHARED_CELLS is None else _SHARED_CELLS.get(key)
+        if cells is None:
+            cells = _draw_cells(
+                spec, chip_seed, block, self.indices, self.sentinel_ratio,
+                variation or BlockVariation(spec, chip_seed, block),
             )
-            s_low, s_high = spec.gray.adjacent_states(spec.sentinel_voltage)
-            sentinel_states = np.where(
-                np.arange(n_sent) % 2 == 0, s_low, s_high
-            ).astype(np.int16)
-        else:
-            self.sentinel_indices = np.empty(0, dtype=np.int64)
-            sentinel_states = np.empty(0, dtype=np.int16)
-        self.sentinel_mask = np.zeros(n, dtype=bool)
-        self.sentinel_mask[self.sentinel_indices] = True
-        self.data_mask = ~self.sentinel_mask
-        self._data_idx = np.flatnonzero(self.data_mask)
-
-        # per-row construction from each wordline's own streams
-        self.states = np.empty((w, n), dtype=np.int16)
-        self.prog_noise = np.empty((w, n), dtype=np.float32)
-        self.leak_rate = np.empty((w, n), dtype=np.float32)
-        self.tail_mag = np.empty((w, n), dtype=np.float32)
-        for row, index in enumerate(self.indices):
-            data_rng = derive_rng(chip_seed, "data", block, index)
-            self.states[row] = data_rng.integers(
-                0, spec.n_states, size=n
-            ).astype(np.int16)
-            self.states[row, self.sentinel_indices] = sentinel_states
-            latent_rng = derive_rng(chip_seed, "latent", block, index)
-            lat = sample_latents(spec, n, latent_rng)
-            self.prog_noise[row] = lat.prog_noise
-            self.leak_rate[row] = lat.leak_rate
-            self.tail_mag[row] = lat.tail_mag
+            if _SHARED_CELLS is not None:
+                _SHARED_CELLS[key] = cells
+        (
+            self.modifiers, self.states, self.prog_noise, self.leak_rate,
+            self.tail_mag, self.sentinel_indices, self.sentinel_mask,
+            self.data_mask, self._data_idx,
+        ) = cells
         self.restart(stress or StressState())
 
     def restart(self, stress: StressState) -> None:
@@ -220,8 +293,10 @@ class BlockColumns:
         self._vth_cache: "OrderedDict[StressState, np.ndarray]" = OrderedDict()
         self._stored_bits_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: ``(row, sorted keys)`` of the latest one-row ground-truth search
-        #: (:mod:`repro.flash.optimal`), dropped whenever the Vth changes
+        #: and each one-row search's answer (:mod:`repro.flash.optimal`),
+        #: both dropped whenever the Vth changes
         self._search_keys: Optional[Tuple[int, np.ndarray]] = None
+        self._optima: Dict[tuple, np.ndarray] = {}
         self.stress = stress
         self.vth = self._synthesize_cached(stress)
 
@@ -315,6 +390,7 @@ class BlockColumns:
         self.stress = stress
         self.vth = self._synthesize_cached(stress)
         self._search_keys = None
+        self._optima = {}
 
     def _stored_bits_batch(self, p: int) -> np.ndarray:
         """Stored bits of page ``p`` for all rows and cells, cached."""
@@ -565,7 +641,7 @@ class BlockColumns:
             )
         n = self.n_cells
         regions = np.empty((len(row_idx), n), dtype=np.int16)
-        chunk = max(1, _CHUNK_ELEMS // max(n, 1))
+        chunk = max(1, CHUNK_ELEMS // max(n, 1))
         t0 = time.perf_counter()
         for c0 in range(0, len(row_idx), chunk):
             sub = row_idx[c0 : c0 + chunk]
@@ -675,7 +751,7 @@ class BlockColumns:
         )
         nca = np.empty(len(row_idx), dtype=np.int64)
         ncs = np.empty_like(nca)
-        chunk = max(1, _CHUNK_ELEMS // max(self.n_cells, 1))
+        chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
         t0 = time.perf_counter()
         for c0 in range(0, len(row_idx), chunk):
             sub, out = row_idx[c0 : c0 + chunk], slice(c0, c0 + chunk)
@@ -724,7 +800,7 @@ class BlockColumns:
         row_idx = self._row_list(rows)
         n = self.n_cells
         counts = np.empty(len(row_idx), dtype=np.int64)
-        chunk = max(1, _CHUNK_ELEMS // max(n, 1))
+        chunk = max(1, CHUNK_ELEMS // max(n, 1))
         t0 = time.perf_counter()
         for c0 in range(0, len(row_idx), chunk):
             sub = row_idx[c0 : c0 + chunk]

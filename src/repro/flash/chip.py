@@ -1,8 +1,11 @@
 """Chip-level API: blocks, stress bookkeeping, and wordline access.
 
 :class:`FlashChip` is a lazy factory — wordlines are materialized on demand,
-deterministically from the chip seed, and nothing is cached: a wordline's
-content depends only on its identity and its block's current stress.
+deterministically from the chip seed, and a wordline's content depends
+only on its identity and its block's current stress.  The chip keeps no
+cells: each store it builds draws its own, except inside a
+:func:`repro.flash.block.shared_cells` scope, where stores of one
+identity share the cells the first one drew.
 Block-level state is limited to the stress condition (P/E cycles,
 retention, temperature, read count), which is exactly what the experiments
 sweep; :meth:`FlashChip.map_wordlines` is the one block-sweep path.
@@ -80,7 +83,7 @@ class FlashChip:
 
     def wordline(self, block: int, index: int) -> Wordline:
         """A fresh one-row handle at the block's current stress: the seed
-        cells and a read-noise stream from its start (nothing is cached)."""
+        cells and a read-noise stream from its start."""
         return Wordline(
             self.spec,
             self.seed,

@@ -24,8 +24,9 @@ upper state starts and, for each (voltage, offset), how many cells of
 the lower and of the upper state lie below the threshold.  The centre of
 each boundary's near-minimal window is then found with masks over all
 curves at once.  Per-wordline callers often probe one row many times in
-a row, so a store keeps the sorted keys of its latest one-row search
-until its Vth changes.
+a row, so a store keeps the sorted keys of its latest one-row search,
+and the answer of every one-row :func:`optimal_offsets`, until its Vth
+changes.
 
 **Exactness.**  A threshold is ``default + offset`` in float64, and a cell
 lies below it when its float32 Vth compares ``<`` in float64.  For a
@@ -297,12 +298,21 @@ def optimal_offsets(
     """Optimal offsets for the requested voltages (default: all of them).
 
     Returns a dense array of length ``n_voltages``; entries for voltages not
-    requested are 0.
+    requested are 0.  The search is noiseless, so the store keeps each
+    answer until the row's Vth changes (OPT asks once per failed page).
     """
-    voltages, offsets = _search_grid(wordline.spec, voltages, search_range)
-    return _optimal_rows(
-        wordline.store, [wordline.row], voltages, offsets
-    )[0]
+    store = wordline.store
+    key = (
+        wordline.row,
+        None if voltages is None else tuple(voltages),
+        None if search_range is None else tuple(search_range),
+    )
+    dense = store._optima.get(key)
+    if dense is None:
+        voltages, offsets = _search_grid(wordline.spec, voltages, search_range)
+        dense = _optimal_rows(store, [wordline.row], voltages, offsets)[0]
+        store._optima[key] = dense
+    return dense.copy()
 
 
 def min_boundary_errors(

@@ -31,6 +31,12 @@ from repro.flash.mechanisms import (
 from repro.flash.spec import FlashSpec
 from repro.flash.variation import WordlineModifiers
 
+#: Target elements per row chunk of a batched kernel (Vth synthesis here,
+#: sensing in :mod:`repro.flash.block`): 512 KB per float64 temporary, so
+#: the working set stays in cache and the scratch stays a few MB whatever
+#: the block size.  Rows are independent, so the chunk changes no value.
+CHUNK_ELEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CellLatents:
@@ -98,7 +104,7 @@ def synthesize_vth_batch(
     weights_tab = state_shift_weights(spec) if rscale > 0.0 else None
 
     out = np.empty((n_wordlines, n_cells), dtype=np.float32)
-    chunk = max(1, (1 << 19) // max(n_cells, 1))
+    chunk = max(1, CHUNK_ELEMS // max(n_cells, 1))
     n_states = mean_tab.shape[1]
     for c0 in range(0, n_wordlines, chunk):
         c1 = min(c0 + chunk, n_wordlines)

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (
+    Callable, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -59,8 +62,8 @@ class ReadOutcome:
     #: serializing them.  0 for non-pipelined policies.
     pipelined_senses: int = 0
     attempts: List[ReadAttempt] = field(default_factory=list)
-    #: schedule events not yet emitted, as ``(index of the attempt they
-    #: precede, event, fields)`` — see :meth:`ReadPolicy.note`
+    #: obs not yet emitted, as ``(index of the attempt it precedes,
+    #: emit)``: schedule events (:meth:`ReadPolicy.note`) and page decodes
     notes: List[tuple] = field(default_factory=list, repr=False, compare=False)
 
     @property
@@ -186,7 +189,10 @@ class ReadPolicy(ABC):
         best = min(outcome.attempts, key=lambda a: a.rber)
         result = wordline.read_page(outcome.page, best.offsets)
         for mode in modes:
-            if self.ecc.with_mode(mode).decode_ok(result):
+            deferred: List[Callable[[], None]] = []
+            ok = self.ecc.with_mode(mode).decode_ok(result, deferred)
+            self._note_decodes(outcome, deferred)
+            if ok:
                 outcome.soft_decoded = mode
                 outcome.success = True
                 return True
@@ -222,11 +228,19 @@ class ReadPolicy(ABC):
             )
 
     def _emit_notes(self, outcome: ReadOutcome, upto: int) -> None:
-        """Emit (and drop) the noted events that precede attempt ``upto``."""
+        """Emit (and drop) the noted obs that precedes attempt ``upto``."""
         notes = outcome.notes
         while notes and notes[0][0] <= upto:
-            _, event, fields = notes.pop(0)
-            event.emit(self.name, outcome.page, fields)
+            notes.pop(0)[1]()
+
+    @staticmethod
+    def _note_decodes(
+        outcome: ReadOutcome, deferred: List[Callable[[], None]]
+    ) -> None:
+        """Queue page decodes (``ecc_decode``) at the read's current place:
+        just before its next ``read_attempt``, or at its end."""
+        for emit in deferred:
+            outcome.notes.append((len(outcome.attempts), emit))
 
     def _flush_batch_obs(self, outcomes: List[List[ReadOutcome]]) -> None:
         """Emit the per-read obs a lockstep batch deferred, in row order.
@@ -235,9 +249,10 @@ class ReadPolicy(ABC):
         must not emit as they sense (the event order would depend on
         batching).  Instead they record silently and this helper replays
         the exact per-read stream — ``repro_reads_total``, then per
-        attempt the schedule events noted before it and its
-        ``read_attempt``, then the events noted after the last — in
-        canonical (row, page, attempt) order.
+        attempt the schedule events noted before it, its ``ecc_decode``
+        and its ``read_attempt``, then the events noted after the last
+        (soft-rescue decodes included) — in canonical (row, page,
+        attempt) order.
         """
         if not OBS.enabled:
             return
@@ -275,7 +290,10 @@ class ReadPolicy(ABC):
         the end of the read), in the read's canonical place on both paths.
         """
         if OBS.enabled:
-            outcome.notes.append((len(outcome.attempts), event, fields))
+            outcome.notes.append((
+                len(outcome.attempts),
+                partial(event.emit, self.name, outcome.page, fields),
+            ))
 
     def read(
         self,
@@ -352,14 +370,17 @@ class ReadPolicy(ABC):
                 batch = cols.read_page_batch(
                     p, matrix, rows=[store_rows[r] for r in rows]
                 )
-                decoded = self.ecc.decode_ok_batch(batch.mismatch)
-                active = [
-                    r for i, r in enumerate(rows)
+                deferred: List[Callable[[], None]] = []
+                decoded = self.ecc.decode_ok_batch(batch.mismatch, deferred)
+                active = []
+                for i, r in enumerate(rows):
+                    # one decode per row when obs is on, none when off
+                    self._note_decodes(outs[r], deferred[i : i + 1])
                     if not self._record(
                         views[r], outs[r], batch.offsets[i],
                         float(batch.rber[i]), bool(decoded[i]),
-                    )
-                ]
+                    ):
+                        active.append(r)
             for view, out, row in zip(views, outs, outcomes):
                 if self.soft_fallback:
                     self.soft_rescue(view, out)

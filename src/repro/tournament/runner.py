@@ -26,7 +26,10 @@ merge in canonical (policy, age) order, each contributing its cells in
 frontend order, so the :class:`TournamentReport` JSON is byte-identical
 at any ``--workers`` — a unit never shares state with another, and all
 observability (``tournament_cell`` events, ``repro_tournament_*``
-metrics) is emitted parent-side after the merge, one per cell.
+metrics) is emitted parent-side after the merge, one per cell.  The
+grid runs inside :func:`repro.flash.block.shared_cells`: every unit in
+one process measures the same block, so its cells are drawn once per
+process and each unit only re-synthesizes them at its age.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ecc.capability import CapabilityEcc
 from repro.engine import ParallelMap
+from repro.flash.block import shared_cells
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
@@ -437,13 +441,11 @@ def run_tournament(
     model = tournament_model(kind, cfg.cells_per_wordline, cfg.sentinel_ratio)
     units = [(policy, age) for policy in cfg.policies for age in cfg.ages]
     engine = ParallelMap(workers=cfg.workers)
-    cells: List[Dict[str, Any]] = [
-        cell
-        for unit in engine.run(
+    with shared_cells():
+        per_unit = engine.run(
             partial(_run_cell, cfg, seed, model), units, label="tournament"
         )
-        for cell in unit
-    ]
+    cells: List[Dict[str, Any]] = [cell for unit in per_unit for cell in unit]
     # sentinel-vs-rival deltas, computed post-merge in canonical order
     sentinel_by: Dict[Tuple[str, str], Dict[str, Any]] = {
         (c["age"], c["frontend"]): c

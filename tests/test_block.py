@@ -387,9 +387,9 @@ class TestObservability:
         """Pool shards hand their events back to the parent, so a sharded
         measure traces what its shard plan traces run serially, bar
         wall-clock and engine-mode fields.  The plan itself depends on the
-        worker count and batch-level events (``batch_sense`` per kernel
-        call, ``ecc_decode`` within a lockstep batch) follow it; each
-        per-read kind still matches an unsharded run."""
+        worker count and ``batch_sense`` (one per kernel call) follows it;
+        each per-read kind, ``ecc_decode`` included, still matches an
+        unsharded run."""
         import repro.flash.chip as chip_module
         from repro.ecc.capability import CapabilityEcc
         from repro.engine import ParallelMap
@@ -427,10 +427,12 @@ class TestObservability:
 
         def per_read(stream):
             return {kind: [f for _, k, f in stream if k == kind]
-                    for kind in ("read_attempt", "read_complete")}
+                    for kind in ("read_attempt", "read_complete",
+                                 "ecc_decode")}
 
         reads = per_read(unsharded)
         assert len(reads["read_complete"]) == 8 * tiny_tlc.pages_per_wordline
+        assert len(reads["ecc_decode"]) == len(reads["read_attempt"])
         assert per_read(pool[1]) == reads
 
     def test_wordline_reads_record_no_batch_sense(self, tiny_tlc, aged_stress):

@@ -13,8 +13,7 @@ Guarantees the tournament harness and ``RetryProfile.measure`` lean on:
   other row's read-noise stream untouched;
 * the lockstep path emits the same per-read obs as the loop: the same
   ordered ``read_attempt``/``sentinel_inference``/``calibration_step``/
-  ``fallback_table`` stream, an equal multiset of ``ecc_decode`` events
-  and equal counters;
+  ``fallback_table``/``ecc_decode`` stream and equal counters;
 * every event and counter of a tracking+sentinel read carries that
   policy's name, and its retries stay within ``max_retries + 2``;
 * OPT's optimum search runs only for reads whose default sense failed,
@@ -30,7 +29,6 @@ layer — is pinned at the bottom.
 """
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -296,9 +294,10 @@ def test_lockstep_batch_matches_serial_after_commit(
 #: events a read emits in canonical (row, page, attempt) order on both paths
 ORDERED_KINDS = (
     "read_attempt", "sentinel_inference", "calibration_step", "fallback_table",
+    "ecc_decode",
 )
 #: the events and counters the sentinel flow adds
-SENTINEL_KINDS = ORDERED_KINDS[1:]
+SENTINEL_KINDS = ORDERED_KINDS[1:4]
 COUNTERS = (
     "repro_reads_total", "repro_read_attempts_total",
     "repro_ecc_decodes_total", "repro_sentinel_inferences_total",
@@ -307,7 +306,7 @@ COUNTERS = (
 
 
 def _obs_of(run):
-    """(ordered read events, ``ecc_decode`` multiset, counters) of ``run``."""
+    """(ordered read events, counters) of ``run``."""
     OBS.reset()
     OBS.enable(metrics=True, tracing=True)
     run()
@@ -316,25 +315,21 @@ def _obs_of(run):
         (e.kind, tuple(sorted(e.fields.items())))
         for e in events if e.kind in ORDERED_KINDS
     ]
-    decodes = Counter(
-        tuple(sorted(e.fields.items()))
-        for e in events if e.kind == "ecc_decode"
-    )
     counters = {
         key: value for key, value in OBS.metrics.snapshot().items()
         if key.startswith(COUNTERS)
     }
     OBS.disable()
-    return ordered, decodes, counters
+    return ordered, counters
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 def test_lockstep_obs_matches_serial(policy_name):
-    """Deferred lockstep obs (``_flush_batch_obs`` plus the batched
-    decoder's per-row events) equals what the per-row loop emits: the
-    read events in the same order, the decodes as a multiset.  The aged
-    QLC block exhausts the vendor ladder, so soft rescues run too, and
-    the sentinel flow reaches calibration and the table fallback."""
+    """Deferred lockstep obs (``_flush_batch_obs``, the decodes included)
+    equals what the per-row loop emits, event for event in the same
+    order.  The aged QLC block exhausts the vendor ladder, so soft rescues
+    run too, and the sentinel flow reaches calibration and the table
+    fallback."""
     kind = "qlc"
     pages = list(range(SPECS[kind].pages_per_wordline))
     hints = [None, -6.0, None, -12.0]
@@ -344,8 +339,9 @@ def test_lockstep_obs_matches_serial(policy_name):
     batched = _obs_of(lambda: _policy(policy_name, kind, AGED).read_batch(
         _cols(kind, AGED), pages, hints
     ))
-    ordered, decodes, counters = serial
-    assert ordered and decodes and counters
+    ordered, counters = serial
+    assert counters
+    assert {kind for kind, _ in ordered} >= {"read_attempt", "ecc_decode"}
     if "sentinel" in policy_name:
         assert {kind for kind, _ in ordered} >= set(SENTINEL_KINDS)
     assert batched == serial
