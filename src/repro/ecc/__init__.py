@@ -2,9 +2,9 @@
 
 Two models with one interface:
 
-* :class:`repro.ecc.capability.CapabilityEcc` — a calibrated
-  correction-capability threshold: a frame decodes iff its raw bit errors do
-  not exceed the capability.  Fast enough for block-scale sweeps; this is
+* :class:`repro.ecc.capability.CapabilityEcc` — a correction-capability
+  threshold: a frame decodes iff its raw bit errors do not exceed the
+  capability.  Fast enough for block-scale sweeps; this is
   what the read controllers use.
 * :class:`repro.ecc.ldpc.LdpcCode` — a real (random regular) LDPC code with
   a normalized min-sum decoder, fed by the hard / 2-bit soft / 3-bit soft

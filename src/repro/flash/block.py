@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -101,11 +100,11 @@ def _draw_cells(
     block: int,
     indices: Tuple[int, ...],
     sentinel_ratio: float,
-    variation: BlockVariation,
 ) -> _Cells:
     """Draw the cells of ``indices``, each row from its wordline's own
     ``data``/``latent`` streams (in row order, which cannot matter: the
-    streams are independent), plus the shared sentinel geometry."""
+    streams are independent), plus the shared sentinel geometry and the
+    rows' modifiers from the block's variation."""
     n = spec.cells_per_wordline
     # shared sentinel geometry: the reserved columns and their
     # alternating states are identical for every wordline of a spec
@@ -141,6 +140,7 @@ def _draw_cells(
         prog_noise[row] = lat.prog_noise
         leak_rate[row] = lat.leak_rate
         tail_mag[row] = lat.tail_mag
+    variation = BlockVariation(spec, chip_seed, block)
     cells = _Cells(
         tuple(variation.wordline_modifiers(i) for i in indices),
         states, prog_noise, leak_rate, tail_mag,
@@ -149,20 +149,6 @@ def _draw_cells(
     for array in cells[1:]:
         array.flags.writeable = False
     return cells
-
-
-def count_cache_eviction(cache: str) -> None:
-    """Count one bounded-cache eviction (Vth memo, stored bits, ...).
-
-    Long aging sweeps touch many distinct :class:`StressState` keys; the
-    caches stay bounded and this counter makes the churn observable.
-    """
-    if OBS.enabled and OBS.metrics.enabled:
-        OBS.metrics.counter(
-            "repro_flash_cache_evictions_total",
-            help="bounded flash-model cache evictions by cache kind",
-            cache=cache,
-        ).inc()
 
 
 def _note_kernel(
@@ -230,13 +216,6 @@ class BlockColumns:
     if freshly built.
     """
 
-    #: Distinct stress points whose Vth synthesis is kept per store.  The
-    #: arrays are block-sized, so the memo is small; evictions surface via
-    #: ``repro_flash_cache_evictions_total``.
-    _VTH_CACHE_SIZE = 2
-    #: Per-page stored-bits arrays kept per store.
-    _STORED_BITS_CACHE_SIZE = 8
-
     def __init__(
         self,
         spec: FlashSpec,
@@ -245,7 +224,6 @@ class BlockColumns:
         indices: Optional[Sequence[int]] = None,
         sentinel_ratio: float = 0.002,
         stress: Optional[StressState] = None,
-        variation: Optional[BlockVariation] = None,
     ) -> None:
         self.spec = spec
         self.chip_seed = chip_seed
@@ -254,15 +232,10 @@ class BlockColumns:
             indices = range(spec.wordlines_per_block)
         self.indices: Tuple[int, ...] = tuple(int(i) for i in indices)
         self.sentinel_ratio = float(sentinel_ratio)
-        # the modifiers are a function of (spec, chip_seed, block), so the
-        # identity key need not name the variation
         key = (spec, chip_seed, block, self.indices, self.sentinel_ratio)
         cells = None if _SHARED_CELLS is None else _SHARED_CELLS.get(key)
         if cells is None:
-            cells = _draw_cells(
-                spec, chip_seed, block, self.indices, self.sentinel_ratio,
-                variation or BlockVariation(spec, chip_seed, block),
-            )
+            cells = _draw_cells(*key)
             if _SHARED_CELLS is not None:
                 _SHARED_CELLS[key] = cells
         (
@@ -289,16 +262,24 @@ class BlockColumns:
         self._reset(stress)
 
     def _reset(self, stress: StressState) -> None:
-        """Empty every cache and synthesize all rows under ``stress``."""
-        self._vth_cache: "OrderedDict[StressState, np.ndarray]" = OrderedDict()
-        self._stored_bits_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        """Empty every memo and synthesize all rows under ``stress``."""
+        #: page -> stored bits of all rows (at most one entry per page)
+        self._stored_bits: Dict[int, np.ndarray] = {}
         #: ``(row, sorted keys)`` of the latest one-row ground-truth search
         #: and each one-row search's answer (:mod:`repro.flash.optimal`),
         #: both dropped whenever the Vth changes
         self._search_keys: Optional[Tuple[int, np.ndarray]] = None
         self._optima: Dict[tuple, np.ndarray] = {}
         self.stress = stress
-        self.vth = self._synthesize_cached(stress)
+        t0 = time.perf_counter()
+        self.vth = synthesize_vth_batch(
+            self.spec, self.states, stress, self.modifiers,
+            self.prog_noise, self.leak_rate, self.tail_mag,
+        )
+        _note_kernel(
+            "synthesize", self.n_wordlines, self.n_cells, 0,
+            time.perf_counter() - t0,
+        )
 
     def _row_store(
         self,
@@ -306,24 +287,28 @@ class BlockColumns:
         states: Optional[np.ndarray] = None,
         stress: Optional[StressState] = None,
     ) -> "BlockColumns":
-        """A private one-row store holding a copy of row ``row``.
+        """A private one-row store of row ``row``.
 
-        The copy-on-write target of a view: same identity, modifiers and
-        latents, the given ``states`` (default: the row's), synthesized
-        under ``stress`` (default: this store's).  It keeps sharing the
-        row's read-noise generator, so the wordline's reads stay one
-        stream.  Built without ``__init__``: nothing is redrawn.
+        The copy-on-write target of a wordline: same identity, modifiers
+        and latents, the given ``states`` (default: the row's), synthesized
+        under ``stress`` (default: this store's).  The cell arrays are
+        read-only views of this store's (programmed ``states`` are marked
+        read-only), and it keeps sharing the row's read-noise generator,
+        so the wordline's reads stay one stream.  Built without
+        ``__init__``: nothing is redrawn.
         """
         store = copy.copy(self)  # shares spec and sentinel geometry
         sel = slice(row, row + 1)
         store.indices = self.indices[sel]
         store.modifiers = self.modifiers[sel]
-        store.states = (
-            self.states[sel] if states is None else states.reshape(1, -1)
-        ).copy()
-        store.prog_noise = self.prog_noise[sel].copy()
-        store.leak_rate = self.leak_rate[sel].copy()
-        store.tail_mag = self.tail_mag[sel].copy()
+        if states is None:
+            store.states = self.states[sel]
+        else:
+            store.states = states.reshape(1, -1)
+            store.states.flags.writeable = False
+        store.prog_noise = self.prog_noise[sel]
+        store.leak_rate = self.leak_rate[sel]
+        store.tail_mag = self.tail_mag[sel]
         store._read_rngs = self._read_rngs[sel]
         store._reset(self.stress if stress is None else stress)
         return store
@@ -351,58 +336,13 @@ class BlockColumns:
         """Row ``row``'s read-noise generator (shared with its views)."""
         return self._read_rngs[row]
 
-    # ------------------------------------------------------------------
-    # stress / caches
-    # ------------------------------------------------------------------
-    def _synthesize_cached(self, stress: StressState) -> np.ndarray:
-        vth = self._vth_cache.get(stress)
-        if vth is None:
-            t0 = time.perf_counter()
-            vth = synthesize_vth_batch(
-                self.spec,
-                self.states,
-                stress,
-                self.modifiers,
-                self.prog_noise,
-                self.leak_rate,
-                self.tail_mag,
-            )
-            _note_kernel(
-                "synthesize",
-                self.n_wordlines,
-                self.n_cells,
-                0,
-                time.perf_counter() - t0,
-            )
-            self._vth_cache[stress] = vth
-            while len(self._vth_cache) > self._VTH_CACHE_SIZE:
-                self._vth_cache.popitem(last=False)
-                count_cache_eviction("block_vth")
-        else:
-            self._vth_cache.move_to_end(stress)
-        return vth
-
-    def set_stress(self, stress: StressState) -> None:
-        """Re-evaluate every row under a new stress condition.
-
-        Views of the store follow (they read ``vth`` and ``stress`` live).
-        """
-        self.stress = stress
-        self.vth = self._synthesize_cached(stress)
-        self._search_keys = None
-        self._optima = {}
-
     def _stored_bits_batch(self, p: int) -> np.ndarray:
-        """Stored bits of page ``p`` for all rows and cells, cached."""
-        bits = self._stored_bits_cache.get(p)
+        """Stored bits of page ``p`` for all rows and cells, memoized."""
+        bits = self._stored_bits.get(p)
         if bits is None:
-            bits = self.spec.gray.stored_bits(p, self.states)
-            self._stored_bits_cache[p] = bits
-            while len(self._stored_bits_cache) > self._STORED_BITS_CACHE_SIZE:
-                self._stored_bits_cache.popitem(last=False)
-                count_cache_eviction("block_stored_bits")
-        else:
-            self._stored_bits_cache.move_to_end(p)
+            bits = self._stored_bits[p] = self.spec.gray.stored_bits(
+                p, self.states
+            )
         return bits
 
     # ------------------------------------------------------------------
@@ -413,10 +353,10 @@ class BlockColumns:
 
         The view reads the row live — states, Vth, stress and the
         read-noise generator — so reads through it and batched kernels
-        over the same row consume one stream, and :meth:`set_stress` on
-        the store moves its views too.  ``program_pages`` (or
-        ``set_stress`` to another stress) on the view detaches it into a
-        private one-row store; the shared columns never change.
+        over the same row consume one stream, and :meth:`restart` on the
+        store moves its views too.  ``program_pages`` or ``set_stress``
+        on the view moves it into a private one-row store; the shared
+        columns never change.
         """
         return Wordline._view(self, row)
 

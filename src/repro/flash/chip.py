@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from repro.engine import ParallelMap, plan_wordline_shards
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
-from repro.flash.variation import BlockVariation
 from repro.flash.wordline import Wordline
 
 # re-exported for convenience: most callers import StressState from here
@@ -57,16 +56,17 @@ class FlashChip:
         self.seed = seed
         self.sentinel_ratio = sentinel_ratio
         self._stress: Dict[int, StressState] = {}
-        self._variation: Dict[int, BlockVariation] = {}
 
     # ------------------------------------------------------------------
     # stress bookkeeping
     # ------------------------------------------------------------------
     def set_block_stress(self, block: int, stress: StressState) -> None:
-        """Set the stress condition of a block's later reads.
+        """Set the stress at which later :meth:`wordline` and
+        :meth:`block_columns` calls build the block.
 
-        Handles fetched before keep their stress: move one with
-        :meth:`Wordline.set_stress`.
+        Handles and stores fetched before keep their stress: move a
+        wordline with :meth:`Wordline.set_stress`, a store with
+        :meth:`BlockColumns.restart`.
         """
         self._stress[block] = stress
 
@@ -76,11 +76,6 @@ class FlashChip:
     # ------------------------------------------------------------------
     # wordline access
     # ------------------------------------------------------------------
-    def block_variation(self, block: int) -> BlockVariation:
-        if block not in self._variation:
-            self._variation[block] = BlockVariation(self.spec, self.seed, block)
-        return self._variation[block]
-
     def wordline(self, block: int, index: int) -> Wordline:
         """A fresh one-row handle at the block's current stress: the seed
         cells and a read-noise stream from its start."""
@@ -91,7 +86,6 @@ class FlashChip:
             index,
             stress=self.block_stress(block),
             sentinel_ratio=self.sentinel_ratio,
-            variation=self.block_variation(block),
         )
 
     def block_columns(
@@ -113,7 +107,6 @@ class FlashChip:
             indices,
             self.sentinel_ratio,
             stress=self.block_stress(block),
-            variation=self.block_variation(block),
         )
 
     def iter_wordline_batches(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -220,10 +220,3 @@ class GrayCode:
         if not 1 <= vindex <= self.n_voltages:
             raise IndexError(f"voltage index {vindex} out of range")
         return vindex - 1, vindex
-
-    def pages_to_bits(self, states: np.ndarray) -> Dict[str, np.ndarray]:
-        """All page bit vectors of cells in ``states`` keyed by page name."""
-        return {
-            name: self.state_bits[states, p]
-            for p, name in enumerate(self.page_names)
-        }

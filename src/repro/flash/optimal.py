@@ -314,12 +314,3 @@ def optimal_offsets(
         store._optima[key] = dense
     return dense.copy()
 
-
-def min_boundary_errors(
-    wordline: Wordline,
-    vindex: int,
-    search_range: Optional[Tuple[int, int]] = None,
-) -> int:
-    """Error count at the optimal offset of one boundary (noiseless)."""
-    _, offsets = _search_grid(wordline.spec, None, search_range)
-    return int(errors_at_offsets(wordline, vindex, offsets).min())

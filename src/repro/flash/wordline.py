@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
-from repro.flash.variation import BlockVariation
 
 OffsetsLike = Union[None, float, Mapping[int, float], Sequence[float], np.ndarray]
 
@@ -104,8 +103,6 @@ class Wordline:
         :meth:`set_stress`; the same cells are re-evaluated).
     sentinel_ratio:
         Fraction of cells reserved as sentinels (0 disables sentinels).
-    variation:
-        Block variation profile; created on the fly when omitted.
 
     Constructing a wordline builds a private one-row
     :class:`~repro.flash.block.BlockColumns`; ``BlockColumns.wordline_view``
@@ -122,30 +119,25 @@ class Wordline:
         index: int,
         stress: Optional[StressState] = None,
         sentinel_ratio: float = 0.002,
-        variation: Optional[BlockVariation] = None,
     ) -> None:
         from repro.flash.block import BlockColumns
 
         store = BlockColumns(
-            spec, chip_seed, block, (index,), sentinel_ratio,
-            stress=stress, variation=variation,
+            spec, chip_seed, block, (index,), sentinel_ratio, stress=stress
         )
-        self._bind(store, 0, shared=False)
+        self._bind(store, 0)
 
     @classmethod
     def _view(cls, store, row: int) -> "Wordline":
         """A handle on row ``row`` of a store it shares with others."""
         wl = cls.__new__(cls)
-        wl._bind(store, row, shared=True)
+        wl._bind(store, row)
         return wl
 
-    def _bind(self, store, row: int, shared: bool) -> None:
+    def _bind(self, store, row: int) -> None:
         #: the store whose kernels read this wordline, and its row there
         self.store = store
         self.row = row
-        #: the store holds other rows or other handles: detach before
-        #: changing it (copy-on-write)
-        self._shared = shared
         self.spec = store.spec
         self.chip_seed = store.chip_seed
         self.block = store.block
@@ -161,7 +153,6 @@ class Wordline:
         """Move this row into a private one-row store (see ``_row_store``)."""
         self.store = self.store._row_store(self.row, states, stress)
         self.row = 0
-        self._shared = False
 
     # ------------------------------------------------------------------
     # live row state
@@ -255,15 +246,13 @@ class Wordline:
     def set_stress(self, stress: StressState) -> None:
         """Re-evaluate the same cells under a new stress condition.
 
-        A view moving to a stress other than its store's detaches first,
-        so its siblings and the store keep theirs.
+        Moving to a stress other than the store's moves the row into a
+        private one-row store (as :meth:`program_pages` does), so the old
+        store and its other rows keep theirs; the row's read-noise stream
+        continues.
         """
-        if stress == self.stress:
-            return
-        if self._shared:
+        if stress != self.stress:
             self._detach(stress=stress)
-        else:
-            self.store.set_stress(stress)
 
     # ------------------------------------------------------------------
     # page reads

@@ -236,8 +236,7 @@ def one_row_wordlines(chip, block: int, indices: Optional[Sequence[int]] = None)
 
     The per-row reference of a block sweep: ``Wordline`` objects built
     one at a time at the block's current stress, with the chip's
-    sentinel ratio and block variation, in ``indices`` order (default:
-    the whole block).
+    sentinel ratio, in ``indices`` order (default: the whole block).
     """
     from repro.flash.wordline import Wordline
 
@@ -248,7 +247,6 @@ def one_row_wordlines(chip, block: int, indices: Optional[Sequence[int]] = None)
             chip.spec, chip.seed, block, index,
             stress=chip.block_stress(block),
             sentinel_ratio=chip.sentinel_ratio,
-            variation=chip.block_variation(block),
         )
         for index in indices
     ]

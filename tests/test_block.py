@@ -5,7 +5,7 @@ batch-size invariance: a kernel over rows ``[a, b, c]`` produces exactly
 what one-row stores (standalone wordlines) produce at the same RNG stream
 positions ("batch the arithmetic, not the RNG consumption order").
 Broader randomized coverage lives in ``tests/test_property_block.py``;
-this file pins the mechanics — live views, copy-on-write, cache bounds,
+this file pins the mechanics — live views, copy-on-write, restarts,
 observability.
 """
 
@@ -97,15 +97,42 @@ class TestConstruction:
         assert np.array_equal(cols.states, before)
         assert not np.array_equal(view.states, before[0])
 
-    def test_view_follows_store_set_stress(self, aged_stress):
-        """A view made before ``cols.set_stress`` reads at the new stress."""
+    @pytest.mark.parametrize("move", ["set_stress", "program_pages"])
+    def test_row_store_shares_read_only_cells(self, tiny_tlc, aged_stress, move):
+        """A row moved to a private store reads its parent's latents as
+        read-only views; its states are read-only too."""
+        cols = make_chip(tiny_tlc).block_columns(0, range(3))
+        view = cols.wordline_view(1)
+        if move == "set_stress":
+            view.set_stress(aged_stress)
+        else:
+            zeros = np.zeros(view.n_data_cells, dtype=np.uint8)
+            view.program_pages(
+                {p: zeros for p in range(tiny_tlc.pages_per_wordline)}
+            )
+        row = view.store
+        assert row is not cols and row.n_wordlines == 1
+        for name in ("prog_noise", "leak_rate", "tail_mag"):
+            assert np.shares_memory(getattr(row, name), getattr(cols, name))
+        # programming gives the row new states; re-stressing keeps them
+        assert np.shares_memory(row.states, cols.states) == (
+            move == "set_stress"
+        )
+        for name in ("prog_noise", "leak_rate", "tail_mag", "states"):
+            array = getattr(row, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_view_follows_store_restart(self, aged_stress):
+        """A view made before ``cols.restart`` reads at the new stress."""
         spec = TLC_SPEC.scaled(
             cells_per_wordline=2048, wordlines_per_layer=1, layers=8,
             name_suffix="-live",
         )
         cols = BlockColumns(spec, 3, 0, range(8))
         view = cols.wordline_view(5)
-        cols.set_stress(aged_stress)
+        cols.restart(aged_stress)
         assert view.stress == aged_stress
         assert np.array_equal(view.vth, cols.vth[5])
         got = view.read_page("MSB")
@@ -260,48 +287,6 @@ class TestKernels:
             batched = ecc.decode_ok_batch(mismatch)
             for i in range(len(mismatch)):
                 assert batched[i] == ecc.decode_ok(mismatch[i])
-
-
-# ---------------------------------------------------------------------------
-# caches
-# ---------------------------------------------------------------------------
-class TestCaches:
-    def _eviction_count(self, cache):
-        text = OBS.metrics.render_prometheus()
-        for line in text.splitlines():
-            if "repro_flash_cache_evictions_total" in line and cache in line:
-                return float(line.rsplit(" ", 1)[1])
-        return 0.0
-
-    def test_vth_memo_bounded_with_eviction_counter(self, tiny_tlc):
-        OBS.enable(metrics=True, tracing=False)
-        chip = make_chip(tiny_tlc)
-        cols = chip.block_columns(0, range(2))
-        stresses = [StressState(pe_cycles=p) for p in (100, 200, 300, 400)]
-        for s in stresses:
-            cols.set_stress(s)
-        assert len(cols._vth_cache) <= BlockColumns._VTH_CACHE_SIZE
-        assert self._eviction_count('cache="block_vth"') >= 1
-
-    def test_vth_memo_hit_returns_same_array(self, tiny_tlc, aged_stress):
-        chip = make_chip(tiny_tlc)
-        cols = chip.block_columns(0, range(2))
-        cols.set_stress(aged_stress)
-        first = cols.vth
-        cols.set_stress(StressState())
-        cols.set_stress(aged_stress)
-        assert cols.vth is first
-
-    def test_stored_bits_cache_bounded_with_eviction_counter(self, tiny_tlc):
-        OBS.enable(metrics=True, tracing=False)
-        chip = make_chip(tiny_tlc)
-        cols = chip.block_columns(0, range(2))
-        cols._STORED_BITS_CACHE_SIZE = 1  # shrink to force turnover
-        cols.read_page_batch(0)
-        cols.read_page_batch(1)
-        cols.read_page_batch(2)
-        assert len(cols._stored_bits_cache) <= 1
-        assert self._eviction_count('cache="block_stored_bits"') >= 2
 
 
 # ---------------------------------------------------------------------------

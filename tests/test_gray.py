@@ -102,10 +102,6 @@ class TestMapping:
         with pytest.raises(IndexError):
             gray.page_index(gray.n_pages)
 
-    def test_pages_to_bits_keys(self, gray):
-        states = np.zeros(4, dtype=np.int64)
-        assert set(gray.pages_to_bits(states)) == set(gray.page_names)
-
     def test_misread_one_region_flips_one_page_bit(self, gray):
         """Gray property end-to-end: one boundary crossing = one bit error."""
         for s in range(gray.n_states - 1):

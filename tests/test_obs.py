@@ -413,6 +413,23 @@ class TestFaultStats:
         rows = set(re.findall(r"^\| `(\w+)`", schema, flags=re.MULTILINE))
         assert rows == EVENT_KINDS
 
+    def test_every_registered_metric_has_a_table_row(self):
+        """docs/OBSERVABILITY.md "Metric names" lists exactly the
+        ``repro_*`` metric names that src/repro registers."""
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).parents[1]
+        registered = set()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            registered |= set(
+                re.findall(r'"(repro_\w+)"', path.read_text(encoding="utf-8"))
+            )
+        text = (root / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        table = text.split("## Metric names", 1)[1].split("\n## ", 1)[0]
+        rows = set(re.findall(r"^\| `(repro_\w+)`", table, flags=re.MULTILINE))
+        assert rows == registered
+
     def test_fleet_kinds_aggregate_and_render(self):
         events = [
             TraceEvent(0, "fleet_dispatch", {"tenant": "t0", "device": 0,

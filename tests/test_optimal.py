@@ -7,7 +7,6 @@ from repro.flash.optimal import (
     boundary_error_counts_batch,
     default_search_range,
     errors_at_offsets,
-    min_boundary_errors,
     optimal_offset,
     optimal_offsets,
 )
@@ -103,10 +102,3 @@ class TestOptimalOffsets:
         # the Figure 6 pattern
         assert abs(dense[1]) > abs(dense[-1])
 
-
-class TestMinBoundaryErrors:
-    def test_lower_than_default(self, aged_wl):
-        for v in (2, 4):
-            assert min_boundary_errors(aged_wl, v) <= errors_at_offsets(
-                aged_wl, v, [0]
-            )[0]

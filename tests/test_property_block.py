@@ -134,6 +134,41 @@ def test_one_row_reads_match_numpy_oracle(kind, stress, index, offset, pages):
         )
 
 
+@given(
+    kind=kinds,
+    a=stresses,
+    b=stresses,
+    index=st.integers(min_value=0, max_value=3),
+    pages=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+)
+@settings(max_examples=20, deadline=None)
+def test_set_stress_round_trip_matches_numpy_oracle(kind, a, b, index, pages):
+    """A wordline moved A -> B -> A by ``set_stress``, read at each stop,
+    reads like the oracle built at each stress on one continued noise
+    stream."""
+    spec = SPECS[kind]
+    wl = Wordline(spec, 5, 0, index, stress=a)
+    read_rng = None
+    for stress in (a, b, a):
+        wl.set_stress(stress)
+        oracle = OracleWordline(spec, 5, 0, index, stress=stress)
+        if read_rng is None:
+            read_rng = oracle.read_rng
+        oracle.read_rng = read_rng
+        assert wl.stress == stress
+        assert wl.vth.tobytes() == oracle.vth.tobytes()
+        for page in pages:
+            page %= spec.pages_per_wordline
+            got = wl.read_page(page)
+            _, mismatch, n_errors = oracle.read_page(page)
+            assert got.n_errors == n_errors
+            assert np.array_equal(got.mismatch, mismatch)
+        readout = wl.sentinel_readout(-4.0)
+        assert (readout.up_errors, readout.down_errors) == (
+            oracle.sentinel_readout(-4.0)
+        )
+
+
 # fractional parts, some not representable in float32: thresholds must
 # round to the sensed Vth's precision the same way in both paths
 fractions = st.sampled_from([0.0, 0.25, 0.3])

@@ -166,3 +166,73 @@ class TestDeviceSimulatorsAgree:
                 expected = t.read_us(n_voltages, retries, extra, pipelined)
                 assert _idle_read_us_ssd(profile) == expected
                 assert _idle_read_us_broker(profile) == expected
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 11: Ssd suspends programs and clocks channels, "
+        "the broker's die FIFO does neither, so reads under writes queue "
+        "differently",
+    )
+    def test_write_mixed_trace_read_latencies_agree(self, monkeypatch):
+        """A small write-mixed trace reads the same latencies on ``Ssd`` and
+        on the bare broker (cache, scrubber and batching off, no admission
+        or die-queue limit): equal sorted samples within 0.1 % + 1 us."""
+        from repro.exp.common import sim_spec
+        from repro.replay import frontend
+        from repro.service import ServiceConfig
+        from repro.service.profiles import COLD
+        from repro.ssd.config import SsdConfig
+        from repro.ssd.retry_model import RetryProfile
+        from repro.ssd.ssd import Ssd
+        from repro.traces.trace import Trace, TraceRequest
+
+        spec = sim_spec("tlc")
+        config = SsdConfig.for_spec(
+            spec, channels=2, dies_per_channel=1, blocks_per_die=8
+        )
+        page = config.page_user_bytes
+        rng = np.random.default_rng(11)
+        n = 240
+        times = np.cumsum(rng.exponential(300e-6, size=n))
+        trace = Trace("mixed", [
+            TraceRequest(
+                float(times[i]),
+                "W" if rng.random() < 0.3 else "R",
+                int(rng.integers(0, 64)) * page,
+                int(rng.integers(1, 9)) * page,  # at most 8 pages
+            )
+            for i in range(n)
+        ])
+        profile = RetryProfile(
+            "fixed",
+            page_voltages={
+                p: len(v) for p, v in enumerate(spec.gray.page_voltage_arrays)
+            },
+            samples={
+                p: np.array([[2, 1]], dtype=np.int64)
+                for p in range(spec.pages_per_wordline)
+            },
+        )
+        ssd = Ssd(spec, config, NandTiming(), profile, seed=1).run_trace(trace)
+
+        services = []
+
+        class Recording(frontend.FlashReadService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(frontend, "FlashReadService", Recording)
+        frontend.replay_trace(
+            trace, spec, config, NandTiming(), {COLD: profile}, seed=1,
+            service_config=ServiceConfig(
+                admit_limit=10**9, die_queue_limit=10**9,
+                cache_enabled=False, scrub_enabled=False,
+            ),
+        )
+        broker = services[0].slo.clients[trace.name].read_latencies_us
+        assert len(broker) == len(ssd.read_latencies_us) > 0
+        np.testing.assert_allclose(
+            np.sort(broker), np.sort(ssd.read_latencies_us),
+            rtol=1e-3, atol=1.0,
+        )
