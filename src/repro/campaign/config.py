@@ -57,6 +57,10 @@ def pe_at(schedule: str, phase: int, phases: int, end_pe: int) -> int:
     return int(round(end_pe * PE_SCHEDULES[schedule](phase / phases)))
 
 
+#: virtual-time gap between a phase's end and the next phase's first
+#: arrival (the months of aging compress into this quiet window)
+INTER_PHASE_GAP_US = 200_000.0
+
 #: Named environments (see :func:`environment_plan`).
 ENVIRONMENT_NAMES: Tuple[str, ...] = ("room", "hot", "heat-wave", "outage")
 
@@ -101,19 +105,16 @@ def environment_plan(name: str, lifetime_hours: float) -> FaultPlan:
 
 
 def temperature_segments(
-    plan: FaultPlan,
-    h0: float,
-    h1: float,
-    base_c: float = ROOM_TEMP_C,
+    plan: FaultPlan, h0: float, h1: float
 ) -> Tuple[Tuple[float, float], ...]:
     """Piecewise-constant ``(hours, temperature_c)`` segments over the
     lifetime interval ``[h0, h1)``.
 
     ``env.temperature_step`` windows are read in hours; inside a window the
-    ambient sits at the spec's magnitude, outside at ``base_c``.  When
-    windows overlap, the **last** spec in plan order wins — plans are
-    ordered data, so the outcome is deterministic.  An eventless interval
-    collapses to one segment at ``base_c``, which keeps the
+    ambient sits at the spec's magnitude, outside at ``ROOM_TEMP_C``.
+    When windows overlap, the **last** spec in plan order wins — plans
+    are ordered data, so the outcome is deterministic.  An eventless
+    interval collapses to one segment at ``ROOM_TEMP_C``, which keeps the
     constant-temperature aging path bit-identical to a plain
     ``with_retention`` call.
     """
@@ -130,7 +131,7 @@ def temperature_segments(
     for a, b in zip(edges, edges[1:]):
         if b <= a:
             continue
-        temp = base_c
+        temp = ROOM_TEMP_C
         for spec in steps:
             if a >= spec.start_us and (spec.end_us is None or a < spec.end_us):
                 temp = spec.strength
@@ -166,9 +167,6 @@ class CampaignConfig:
     sentinel_ratio: float = 0.02
     wordline_step: int = 8
     scale: float = 1.0
-    #: virtual-time gap between a phase's end and the next phase's first
-    #: arrival (the months of aging compress into this quiet window)
-    inter_phase_gap_us: float = 200_000.0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -212,8 +210,6 @@ class CampaignConfig:
             raise ValueError("requests_per_phase must be positive")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.inter_phase_gap_us <= 0:
-            raise ValueError("inter_phase_gap_us must be positive")
         for name in ("policies", "schedules", "environments", "workloads"):
             value = getattr(self, name)
             if not isinstance(value, tuple):

@@ -57,19 +57,6 @@ class CampaignReport:
                 return c
         return None
 
-    def retries_monotone(self, policy: Optional[str] = None) -> bool:
-        """Whether measured cold retries/read strictly increases with age
-        in every (matching) cell — the aging sanity floor."""
-        checked = 0
-        for c in self.cells:
-            if policy is not None and c["policy"] != policy:
-                continue
-            checked += 1
-            series = [row["retries_per_read"] for row in c["phases"]]
-            if any(b <= a for a, b in zip(series, series[1:])):
-                return False
-        return checked > 0
-
     # ------------------------------------------------------------------
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

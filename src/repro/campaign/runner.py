@@ -15,7 +15,7 @@ state forward while the flash underneath drifts:
 2. re-measure the cold/warm retry profiles on the aged evaluation block
    and swap them into the broker (``service.profiles``);
 3. bump every block's erase baseline (``age_blocks``) so the voltage
-   cache's P/E-drift invalidation sees the wear; drop the cache entirely
+   cache's erase invalidation sees the wear; drop the cache entirely
    when an ``env.power_loss`` window elapsed (volatile state);
 4. replay the workload as a fresh open-loop client (``workload#pN``)
    scheduled after the previous phase's horizon — virtual time never
@@ -42,6 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.config import (
     END_PE,
+    INTER_PHASE_GAP_US,
     CampaignConfig,
     environment_plan,
     pe_at,
@@ -145,7 +146,7 @@ def _run_cell(
             service.profiles = {COLD: cold, WARM: warm}
 
         # 3. wear + environment events on the persistent broker: the
-        # erase baseline moves (P/E-drift cache invalidation), and an
+        # erase baseline moves (the cache's erase invalidation), and an
         # elapsed power-loss window drops the volatile cache outright
         service.age_blocks(pe)
         flushed = 0
@@ -155,7 +156,7 @@ def _run_cell(
         # 4. serve this phase as a fresh open-loop client, strictly
         # after everything already on the virtual clock
         client = f"{workload}#p{p}"
-        start_us = service.queue.now + cfg.inter_phase_gap_us
+        start_us = service.queue.now + INTER_PHASE_GAP_US
         requests = service_requests(translated, client, start_us)
         report = service.run_prepared(
             {client: requests},

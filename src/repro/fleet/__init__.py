@@ -16,28 +16,29 @@ fleet-wide.  See ``docs/FLEET.md`` and the ``repro fleet`` CLI.
 """
 
 from repro.fleet.dispatcher import (
+    CAPACITY_HEADROOM,
     FLEET_NAMESPACE,
     DispatchPlan,
     DispatchRecord,
-    TenantSpec,
     default_tenants,
     device_seed,
     dispatch,
     tenant_seed,
 )
-from repro.fleet.fleet import FleetConfig, run_fleet
+from repro.fleet.fleet import PE_COHORTS, FleetConfig, run_fleet
 from repro.fleet.report import FleetReport
 
 __all__ = [
+    "CAPACITY_HEADROOM",
     "FLEET_NAMESPACE",
     "DispatchPlan",
     "DispatchRecord",
-    "TenantSpec",
     "default_tenants",
     "device_seed",
     "dispatch",
     "tenant_seed",
     "FleetConfig",
+    "PE_COHORTS",
     "run_fleet",
     "FleetReport",
 ]

@@ -9,9 +9,9 @@ of the seed tree).  The dispatcher routes every request to a device:
   tenant order, modulo the fleet size), so a tenant's working set stays
   hot on one voltage cache;
 * **spillover** — each device accepts at most ``capacity`` requests of
-  the plan (``ceil(total * headroom / n_devices)``); a request whose
-  primary is full walks the device ring to the next free one and is
-  counted as *spilled*.  Routing walks all requests in global arrival
+  the plan (``ceil(total * CAPACITY_HEADROOM / n_devices)``); a request
+  whose primary is full walks the device ring to the next free one and
+  is counted as *spilled*.  Routing walks all requests in global arrival
   order (ties broken by tenant then index), so spill decisions — like
   everything else here — are a pure function of (streams, fleet size).
 
@@ -28,13 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.service.workload import ClientSpec, ServiceRequest, generate_requests
+from repro.service.workload import ClientSpec, ServiceRequest
 from repro.util.rng import derive_seed
 
 #: First key of every fleet-owned seed-tree stream; distinct from the
 #: "service", "engine" and "faults" namespaces so per-device randomness
 #: can never collide with shard or fault streams (tests pin this).
 FLEET_NAMESPACE = "fleet"
+#: each device accepts ``ceil(total * CAPACITY_HEADROOM / n_devices)``
+#: requests of a plan; above 1, so the fleet's capacity covers the load
+CAPACITY_HEADROOM = 1.25
 
 
 def device_seed(seed: int, index: int) -> int:
@@ -45,40 +48,6 @@ def device_seed(seed: int, index: int) -> int:
 def tenant_seed(seed: int, name: str) -> int:
     """The RNG root of one tenant's workload stream."""
     return derive_seed(seed, FLEET_NAMESPACE, "tenant", name)
-
-
-@dataclass(frozen=True)
-class TenantSpec:
-    """One tenant of the fleet: a named open-loop workload stream."""
-
-    name: str
-    n_requests: int = 200
-    read_fraction: float = 0.9
-    mean_iops: float = 2000.0
-    footprint_pages: int = 1024
-    base_lpn: int = 0
-    zipf_theta: float = 0.7
-    max_pages_per_request: int = 2
-
-    def client_spec(self) -> ClientSpec:
-        """The equivalent serving-layer client (open-loop Poisson)."""
-        return ClientSpec(
-            name=self.name,
-            mode="poisson",
-            n_requests=self.n_requests,
-            read_fraction=self.read_fraction,
-            mean_iops=self.mean_iops,
-            footprint_pages=self.footprint_pages,
-            base_lpn=self.base_lpn,
-            zipf_theta=self.zipf_theta,
-            max_pages_per_request=self.max_pages_per_request,
-        )
-
-    def requests(self, seed: int) -> List[ServiceRequest]:
-        """The tenant's full request stream off its seed-tree branch."""
-        return generate_requests(
-            self.client_spec(), seed=tenant_seed(seed, self.name)
-        )
 
 
 @dataclass(frozen=True)
@@ -117,26 +86,22 @@ class DispatchPlan:
 
 
 def dispatch(
-    streams: Dict[str, Sequence[ServiceRequest]],
-    n_devices: int,
-    headroom: float = 1.25,
+    streams: Dict[str, Sequence[ServiceRequest]], n_devices: int
 ) -> DispatchPlan:
     """Route every tenant stream onto ``n_devices`` devices.
 
-    ``headroom >= 1`` guarantees the fleet's total capacity covers the
-    offered load, so every request lands somewhere and the accounting
-    identity starts from ``dispatched == offered``.
+    The fleet's total capacity covers the offered load, so every request
+    lands somewhere and the accounting identity starts from
+    ``dispatched == offered``.
     """
     if n_devices < 1:
         raise ValueError("n_devices must be positive")
-    if headroom < 1.0:
-        raise ValueError("headroom must be >= 1 (capacity must cover load)")
     tenants = sorted(streams)
     primaries = {
         tenant: rank % n_devices for rank, tenant in enumerate(tenants)
     }
     total = sum(len(streams[t]) for t in tenants)
-    capacity = max(1, int(math.ceil(total * headroom / n_devices)))
+    capacity = max(1, int(math.ceil(total * CAPACITY_HEADROOM / n_devices)))
 
     # global arrival order; ties broken by (tenant, index) for determinism
     ordered: List[Tuple[float, str, int, ServiceRequest]] = sorted(
@@ -192,18 +157,21 @@ def default_tenants(
     read_fraction: float = 0.9,
     mean_iops: float = 2000.0,
     footprint_pages: int = 1024,
-) -> List[TenantSpec]:
-    """``n_tenants`` tenants over disjoint logical partitions."""
+) -> List[ClientSpec]:
+    """``n_tenants`` open-loop Poisson tenants over disjoint logical
+    partitions; a tenant's stream is ``generate_requests(spec,
+    seed=tenant_seed(seed, spec.name))``."""
     if n_tenants < 1:
         raise ValueError("n_tenants must be positive")
     return [
-        TenantSpec(
+        ClientSpec(
             name=f"tenant-{t:02d}",
             n_requests=n_requests,
             read_fraction=read_fraction,
             mean_iops=mean_iops,
             footprint_pages=footprint_pages,
             base_lpn=t * footprint_pages,
+            max_pages_per_request=2,
         )
         for t in range(n_tenants)
     ]

@@ -30,25 +30,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import ParallelMap
 from repro.exp.common import sim_spec
 from repro.fleet.dispatcher import (
     DispatchPlan,
-    TenantSpec,
     default_tenants,
     device_seed,
     dispatch,
+    tenant_seed,
 )
 from repro.fleet.report import FleetReport
 from repro.obs import OBS
 from repro.service.broker import FlashReadService, ServiceConfig
 from repro.service.profiles import synthetic_profiles
 from repro.service.report import ServiceReport, request_accounting
+from repro.service.workload import generate_requests
 from repro.ssd.config import SsdConfig
 from repro.ssd.metrics import LatencyStats
 from repro.ssd.timing import NandTiming
+
+#: P/E ages devices cycle through (device i gets age i mod len); one
+#: cohort per distinct age (layer count is fixed by the spec)
+PE_COHORTS = (1000, 3000)
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,9 @@ class FleetConfig:
     read_fraction: float = 0.9
     mean_iops: float = 2000.0
     footprint_pages: int = 1024
-    #: per-device request budget = ceil(total * headroom / n_devices)
-    capacity_headroom: float = 1.25
     warm_start: bool = True
     kind: str = "tlc"
     cells_per_wordline: int = 4096
-    #: P/E ages devices cycle through (device i gets age i mod len);
-    #: one cohort per distinct age (layer count is fixed by the spec)
-    pe_cohorts: Tuple[int, ...] = (1000, 3000)
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:
@@ -78,12 +78,6 @@ class FleetConfig:
             raise ValueError("n_tenants must be positive")
         if self.requests_per_tenant < 1:
             raise ValueError("requests_per_tenant must be positive")
-        if self.capacity_headroom < 1.0:
-            raise ValueError("capacity_headroom must be >= 1")
-        if not self.pe_cohorts:
-            raise ValueError("pe_cohorts must not be empty")
-        if any(pe < 0 for pe in self.pe_cohorts):
-            raise ValueError("pe_cohorts entries must be non-negative")
 
 
 # ----------------------------------------------------------------------
@@ -162,31 +156,28 @@ def _run_device(config: FleetConfig, job: _DeviceJob) -> _DeviceResult:
 # ----------------------------------------------------------------------
 # parent side
 # ----------------------------------------------------------------------
-def run_fleet(
-    config: FleetConfig,
-    seed: int = 0,
-    tenants: Optional[Sequence[TenantSpec]] = None,
-) -> FleetReport:
+def run_fleet(config: FleetConfig, seed: int = 0) -> FleetReport:
     """Run the whole fleet; byte-identical JSON at any worker count."""
     spec = sim_spec(config.kind, cells_per_wordline=config.cells_per_wordline)
-    tenant_specs = list(tenants) if tenants is not None else default_tenants(
+    tenant_specs = default_tenants(
         config.n_tenants,
         n_requests=config.requests_per_tenant,
         read_fraction=config.read_fraction,
         mean_iops=config.mean_iops,
         footprint_pages=config.footprint_pages,
     )
-    streams = {t.name: t.requests(seed) for t in tenant_specs}
-    plan = dispatch(
-        streams, config.n_devices, headroom=config.capacity_headroom
-    )
+    streams = {
+        t.name: generate_requests(t, seed=tenant_seed(seed, t.name))
+        for t in tenant_specs
+    }
+    plan = dispatch(streams, config.n_devices)
 
-    # cohort assignment: device i ages pe_cohorts[i mod len]; one cohort
+    # cohort assignment: device i ages PE_COHORTS[i mod len]; one cohort
     # per distinct (layers, P/E age); lowest member index seeds the cohort
     cohort_of: Dict[int, Tuple[str, int]] = {}
     members: Dict[str, List[int]] = {}
     for i in range(config.n_devices):
-        pe = config.pe_cohorts[i % len(config.pe_cohorts)]
+        pe = PE_COHORTS[i % len(PE_COHORTS)]
         label = f"L{spec.layers}-PE{pe}"
         cohort_of[i] = (label, pe)
         members.setdefault(label, []).append(i)

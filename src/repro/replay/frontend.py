@@ -73,8 +73,20 @@ def replay_trace(
     trace_prefix: str = "",
 ) -> ReplayReport:
     """Replay one trace against a fresh serving layer; return the report.
+
+    ``config`` is the one setter of batching: a ``service_config`` whose
+    ``batch_enabled``/``batch_limit`` differ from the defaults raises
+    ``ValueError`` instead of being silently overridden.
     ``trace_prefix`` prefixes the broker's span trace ids."""
     cfg = config or ReplayConfig()
+    svc_cfg = service_config or ServiceConfig()
+    if (svc_cfg.batch_enabled, svc_cfg.batch_limit) != (
+        ServiceConfig.batch_enabled, ServiceConfig.batch_limit
+    ):
+        raise ValueError(
+            "replay batching is set by ReplayConfig.batch_enabled/"
+            "batch_limit, not by service_config"
+        )
     client = trace.name
 
     translated, stats, _engine = translate_trace(
@@ -85,9 +97,7 @@ def replay_trace(
     requests = service_requests(translated, client)
 
     svc_cfg = replace(
-        service_config or ServiceConfig(),
-        batch_enabled=cfg.batch_enabled,
-        batch_limit=cfg.batch_limit,
+        svc_cfg, batch_enabled=cfg.batch_enabled, batch_limit=cfg.batch_limit
     )
     service = FlashReadService(
         spec, ssd_config, timing, profiles, seed=seed, config=svc_cfg

@@ -110,9 +110,7 @@ class _TranslateShardFn:
 
 
 def plan_request_shards(
-    requests: Sequence[TraceRequest],
-    workers: int,
-    shards_per_worker: int = SHARDS_PER_WORKER,
+    requests: Sequence[TraceRequest], workers: int
 ) -> List[Tuple[TraceRequest, ...]]:
     """Contiguous near-equal request runs in canonical (trace) order.
 
@@ -120,7 +118,7 @@ def plan_request_shards(
     exactly — the merge contract that keeps sharded preprocessing
     byte-identical to serial.
     """
-    n_shards = 1 if workers <= 1 else workers * max(1, shards_per_worker)
+    n_shards = 1 if workers <= 1 else workers * SHARDS_PER_WORKER
     return split_contiguous(requests, n_shards)
 
 

@@ -30,13 +30,9 @@ from repro.service.profiles import (
     synthetic_profiles,
 )
 from repro.service.report import ServiceReport
-from repro.service.scrubber import ScrubberConfig, SentinelScrubber
+from repro.service.scrubber import SentinelScrubber
 from repro.service.slo import SloMonitor
-from repro.service.voltage_cache import (
-    CacheEntry,
-    VoltageCacheConfig,
-    VoltageOffsetCache,
-)
+from repro.service.voltage_cache import CacheEntry, VoltageOffsetCache
 from repro.service.workload import (
     ClientSpec,
     ServiceRequest,
@@ -54,10 +50,8 @@ __all__ = [
     "generate_requests",
     "mixed_scenario",
     "VoltageOffsetCache",
-    "VoltageCacheConfig",
     "CacheEntry",
     "SentinelScrubber",
-    "ScrubberConfig",
     "SloMonitor",
     "measure_service_profiles",
     "synthetic_profiles",

@@ -40,13 +40,9 @@ from repro.obs import OBS
 from repro.service.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.service.profiles import COLD, WARM
 from repro.service.report import ServiceReport
-from repro.service.scrubber import ScrubberConfig, SentinelScrubber
+from repro.service.scrubber import IDLE_DELAY_US, SentinelScrubber
 from repro.service.slo import SloMonitor
-from repro.service.voltage_cache import (
-    CacheKey,
-    VoltageCacheConfig,
-    VoltageOffsetCache,
-)
+from repro.service.voltage_cache import CacheKey, VoltageOffsetCache
 from repro.service.workload import ClientSpec, ServiceRequest, generate_requests
 from repro.ssd.config import SsdConfig
 from repro.ssd.events import EventQueue
@@ -145,8 +141,6 @@ class FlashReadService:
         profiles: Dict[str, RetryProfile],
         seed: int = 0,
         config: Optional[ServiceConfig] = None,
-        cache_config: Optional[VoltageCacheConfig] = None,
-        scrub_config: Optional[ScrubberConfig] = None,
     ) -> None:
         if COLD not in profiles:
             raise ValueError(f"profiles must contain a {COLD!r} entry")
@@ -163,10 +157,8 @@ class FlashReadService:
         self.ftl = PageMappingFtl(ssd_config, seed=seed)
         self.rng = derive_rng(seed, "service", "retries")
         self.queue = EventQueue()
-        self.cache = VoltageOffsetCache(cache_config)
-        self.scrubber = SentinelScrubber(
-            scrub_config or ScrubberConfig(), self.cache, timing
-        )
+        self.cache = VoltageOffsetCache()
+        self.scrubber = SentinelScrubber(self.cache, timing)
         self.slo = SloMonitor(SLO_WINDOW_US)
         self._lanes = [_DieLane(d) for d in range(ssd_config.n_dies)]
         self._breakers = [
@@ -217,8 +209,8 @@ class FlashReadService:
     def age_blocks(self, pe_cycles: int) -> None:
         """Set every block's erase-count baseline — a device that has
         lived ``pe_cycles`` program/erase cycles before this run.  The
-        voltage cache's P/E-drift invalidation and the fleet's cohort
-        warm-start both measure erase *deltas* against this baseline."""
+        voltage cache invalidates an entry once its block is erased past
+        the count the entry was inferred (or imported) at."""
         if pe_cycles < 0:
             raise ValueError("pe_cycles must be non-negative")
         for die in range(self.ssd_config.n_dies):
@@ -226,8 +218,8 @@ class FlashReadService:
                 self._erases[(die, block)] = pe_cycles
 
     def export_cache_state(self) -> Dict[str, object]:
-        """Snapshot the voltage cache for cohort warm-start (ages and
-        P/E lags relative to this device's clock and erase counters)."""
+        """Snapshot the voltage cache for cohort warm-start (ages relative
+        to this device's clock)."""
         return self.cache.export_state(self.queue.now, pe_of=self._pe_of)
 
     def warm_start_cache(self, state: Dict[str, object]) -> int:
@@ -496,8 +488,7 @@ class FlashReadService:
                 and self._remaining > 0
             ):
                 self.queue.schedule_after(
-                    self.scrubber.config.idle_delay_us,
-                    lambda: self._scrub_check(lane),
+                    IDLE_DELAY_US, lambda: self._scrub_check(lane)
                 )
             return
         inflight, ops = lane.queue.popleft()

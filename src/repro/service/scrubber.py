@@ -1,12 +1,12 @@
 """Background sentinel scrubber: keep the voltage cache warm in idle gaps.
 
 RARO-style reliability work in device idle time: when a die's queue drains
-and stays empty for ``idle_delay_us``, the scrubber refreshes the stalest
+and stays empty for ``IDLE_DELAY_US``, the scrubber refreshes the stalest
 voltage-cache entries of that die — one single-voltage sentinel readout
 plus transfer per entry, the cheapest operation the chip offers.  Passes
-are bounded to ``batch`` entries, so a foreground read arriving mid-pass
-waits at most ``preemption_bound_us`` (the explicit contract the broker's
-scheduler enforces by never starting a pass longer than that).
+are bounded to ``SCRUB_BATCH`` entries, so a foreground read arriving
+mid-pass waits at most ``preemption_bound_us`` (the explicit contract the
+broker's scheduler enforces by never starting a pass longer than that).
 
 The scrubber itself is pure policy + accounting; the broker owns the event
 queue and die state and calls in:
@@ -19,40 +19,22 @@ queue and die state and calls in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.obs import OBS
 from repro.service.voltage_cache import CacheKey, VoltageOffsetCache
 from repro.ssd.timing import NandTiming
 
-
-@dataclass(frozen=True)
-class ScrubberConfig:
-    """Idle-gap detection and pass sizing."""
-
-    #: how long a die must sit idle before a pass starts
-    idle_delay_us: float = 500.0
-    #: entries refreshed per pass (bounds foreground preemption)
-    batch: int = 4
-
-    def __post_init__(self) -> None:
-        if self.idle_delay_us < 0:
-            raise ValueError("idle_delay_us must be non-negative")
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
+#: how long a die must sit idle before a pass starts
+IDLE_DELAY_US = 500.0
+#: entries refreshed per pass (bounds foreground preemption)
+SCRUB_BATCH = 4
 
 
 class SentinelScrubber:
     """Refreshes cache entries with cheap single-voltage sentinel reads."""
 
-    def __init__(
-        self,
-        config: ScrubberConfig,
-        cache: VoltageOffsetCache,
-        timing: NandTiming,
-    ) -> None:
-        self.config = config
+    def __init__(self, cache: VoltageOffsetCache, timing: NandTiming) -> None:
         self.cache = cache
         #: one refresh = a single-voltage read (sense plus transfer)
         self.entry_cost_us = timing.read_us(1)
@@ -63,12 +45,12 @@ class SentinelScrubber:
     @property
     def preemption_bound_us(self) -> float:
         """The longest a foreground op can wait behind a scrub pass."""
-        return self.config.batch * self.entry_cost_us
+        return SCRUB_BATCH * self.entry_cost_us
 
     # ------------------------------------------------------------------
     def candidates(self, die: int, now_us: float) -> List[CacheKey]:
         """Entries of one die due for refresh this pass (may be empty)."""
-        return self.cache.scrub_candidates(die, now_us, self.config.batch)
+        return self.cache.scrub_candidates(die, now_us, SCRUB_BATCH)
 
     def pass_duration_us(self, n_entries: int) -> float:
         return n_entries * self.entry_cost_us

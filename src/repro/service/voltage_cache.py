@@ -10,10 +10,9 @@ usually decodes with zero retries.
 Cached offsets go stale two ways, and the cache invalidates on both:
 
 * **age in virtual time** — retention drift moves the optimum; an entry
-  older than ``ttl_us`` is dropped on lookup;
-* **P/E delta** — once the block is erased and reprogrammed the old offsets
-  describe dead data; an entry whose stored erase count trails the block's
-  current one by more than ``max_pe_delta`` is dropped.
+  older than ``TTL_US`` is dropped on lookup;
+* **erase** — once the block is erased and reprogrammed the old offsets
+  describe dead data; any erase since the inference drops the entry.
 
 Capacity is bounded with LRU eviction so a large drive cannot grow the
 cache without bound.  All bookkeeping is deterministic (insertion-ordered
@@ -34,10 +33,10 @@ P/E-age) cohort share process characteristics the way wordlines of one
 layer do, so a new device can start from a sibling's learned offsets
 instead of rediscovering them read by read — the fleet-scale form of the
 paper's Section III-D batch-transfer claim.  :meth:`export_state` snapshots
-the fresh entries with *relative* ages and P/E lags (quarantined keys are
-never exported), and :meth:`warm_start` re-bases such a snapshot onto the
-importing device's own virtual clock and erase counts, so TTL and
-P/E-drift invalidation keep working across the transfer.  Warm-started
+the fresh entries with *relative* ages (quarantined keys are never
+exported), and :meth:`warm_start` re-bases such a snapshot onto the
+importing device's own virtual clock and erase counts, so TTL expiry and
+erase invalidation keep working across the transfer.  Warm-started
 entries are tracked separately (``warm_started``/``warm_hits``/
 ``warm_expired``) so the fleet report can prove the transfer win.
 """
@@ -53,36 +52,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 CacheKey = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class VoltageCacheConfig:
-    """Sizing and drift-invalidation knobs."""
-
-    capacity: int = 4096
-    #: age bound in virtual microseconds (retention-drift invalidation)
-    ttl_us: float = 2_000_000.0
-    #: entries whose block gained more than this many erases are stale
-    max_pe_delta: int = 0
-    #: the scrubber refreshes entries older than this fraction of the TTL
-    refresh_age_fraction: float = 0.5
-    #: how long a quarantined key refuses re-insertion after detected
-    #: corruption (the resilience path of the hardened broker)
-    quarantine_us: float = 500_000.0
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
-        if self.ttl_us <= 0:
-            raise ValueError("ttl_us must be positive")
-        if self.max_pe_delta < 0:
-            raise ValueError("max_pe_delta must be non-negative")
-        if not 0.0 < self.refresh_age_fraction <= 1.0:
-            raise ValueError("refresh_age_fraction must be in (0, 1]")
-        if self.quarantine_us <= 0:
-            raise ValueError("quarantine_us must be positive")
-
-    @property
-    def refresh_age_us(self) -> float:
-        return self.refresh_age_fraction * self.ttl_us
+#: entries a cache holds before LRU eviction
+CAPACITY = 4096
+#: age bound in virtual microseconds (retention-drift invalidation)
+TTL_US = 2_000_000.0
+#: the scrubber refreshes entries at least this old (half the TTL)
+REFRESH_AGE_US = 1_000_000.0
+#: how long a quarantined key refuses re-insertion after detected
+#: corruption (the resilience path of the hardened broker)
+QUARANTINE_US = 500_000.0
 
 
 @dataclass
@@ -103,8 +81,10 @@ class CacheEntry:
 class VoltageOffsetCache:
     """Bounded LRU map ``(die, block, layer) -> CacheEntry``."""
 
-    def __init__(self, config: Optional[VoltageCacheConfig] = None) -> None:
-        self.config = config or VoltageCacheConfig()
+    def __init__(self, capacity: int = CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         #: die -> (stored_us, key) of that die's entries, sorted
         self._by_age: Dict[int, List[Tuple[float, CacheKey]]] = {}
@@ -145,16 +125,14 @@ class VoltageOffsetCache:
         return entry
 
     def _evict_over_capacity(self) -> None:
-        while len(self._entries) > self.config.capacity:
+        while len(self._entries) > self.capacity:
             key, entry = self._entries.popitem(last=False)
             self._unindex(key, entry.stored_us)
             self.evicted += 1
 
     def _fresh(self, entry: CacheEntry, now_us: float, pe_cycles: int) -> bool:
-        c = self.config
-        if entry.age_us(now_us) > c.ttl_us:
-            return False
-        return (pe_cycles - entry.pe_cycles) <= c.max_pe_delta
+        """Within the TTL, and no erase of the block since the inference."""
+        return entry.age_us(now_us) <= TTL_US and pe_cycles <= entry.pe_cycles
 
     # ------------------------------------------------------------------
     def lookup(
@@ -192,7 +170,7 @@ class VoltageOffsetCache:
         """Store a freshly inferred offset (replacing any prior entry).
 
         A key under active quarantine refuses the insert — a corrupted
-        location must be re-observed clean for ``quarantine_us`` before
+        location must be re-observed clean for ``QUARANTINE_US`` before
         its inferences are trusted again."""
         if self._quarantine and self._quarantined_now(key, now_us):
             return
@@ -233,17 +211,14 @@ class VoltageOffsetCache:
         return True
 
     def quarantine(self, key: CacheKey, now_us: float) -> None:
-        """Drop ``key`` and block it for ``quarantine_us`` of virtual time.
+        """Drop ``key`` and block it for ``QUARANTINE_US`` of virtual time.
 
         Called by the broker when a cached offset is detected corrupt; the
         read that detected it proceeds cold and its (fresh) inference is
         *not* re-cached until the quarantine lapses."""
         self._remove(key)
-        self._quarantine[key] = now_us + self.config.quarantine_us
+        self._quarantine[key] = now_us + QUARANTINE_US
         self.quarantined += 1
-
-    def is_quarantined(self, key: CacheKey, now_us: float) -> bool:
-        return self._quarantined_now(key, now_us)
 
     def invalidate(self, key: CacheKey) -> None:
         """Drop one entry the read path detected stale (no quarantine)."""
@@ -273,18 +248,18 @@ class VoltageOffsetCache:
         """Up to ``limit`` entries of one die worth refreshing, stalest
         first (ties broken by hotness, then key, for determinism).
 
-        Only entries older than ``refresh_age_us`` qualify — refreshing a
+        Only entries at least ``REFRESH_AGE_US`` old qualify — refreshing a
         young entry buys nothing; entries past the TTL still qualify, since
         a refresh re-infers from the block's *current* state and
         revalidates them.
 
         Walks only the due prefix of the die's age index: it stops at the
-        first entry younger than ``refresh_age_us`` (``now_us - stored_us``
+        first entry younger than ``REFRESH_AGE_US`` (``now_us - stored_us``
         is monotone in ``stored_us``, so the cut is exact), or once
         ``limit`` entries are held and the next ``stored_us`` differs from
         the last one taken, so hotness ties across the limit still sort
         exactly."""
-        min_age = self.config.refresh_age_us
+        min_age = REFRESH_AGE_US
         due = []
         last = None
         for stored_us, key in self._by_age.get(die, ()):
@@ -313,16 +288,15 @@ class VoltageOffsetCache:
     ) -> Dict[str, Any]:
         """JSON-portable snapshot of the fresh entries for cohort sharing.
 
-        Ages and erase counts are exported *relative* to this device —
-        ``age_us`` instead of ``stored_us``, and ``pe_lag`` (how many
-        erases the block has seen since the inference) instead of the raw
-        erase count — so the importer can re-base them onto its own
-        virtual clock and erase counters and the TTL / P/E-drift
-        invalidation rules keep their meaning across the transfer.
+        Ages are exported *relative* to this device — ``age_us`` instead
+        of ``stored_us`` — so the importer can re-base them onto its own
+        virtual clock and TTL expiry keeps its meaning across the
+        transfer.  No erase count travels: an exported entry has seen no
+        erase since its inference, or it would not be fresh.
 
         Keys under active quarantine and entries already past the TTL or
-        P/E bound are never exported; shipping a corrupted or stale offset
-        to a sibling would poison its fast path."""
+        erased since are never exported; shipping a corrupted or stale
+        offset to a sibling would poison its fast path."""
         entries = []
         for key, entry in self._entries.items():
             if self._quarantine and self._quarantined_now(key, now_us):
@@ -337,10 +311,9 @@ class VoltageOffsetCache:
                     "layer": key[2],
                     "offset": entry.offset,
                     "age_us": entry.age_us(now_us),
-                    "pe_lag": pe_now - entry.pe_cycles,
                 }
             )
-        return {"ttl_us": self.config.ttl_us, "entries": entries}
+        return {"entries": entries}
 
     def warm_start(
         self,
@@ -352,8 +325,8 @@ class VoltageOffsetCache:
 
         Each imported entry is re-based: ``stored_us = now_us - age_us``
         (so retention-drift TTL expiry still fires at the right virtual
-        age) and ``pe_cycles = local_pe - pe_lag`` (so the P/E-drift bound
-        still measures total erases since the original inference).  Local
+        age) and ``pe_cycles`` is the importer's current erase count of
+        the block (so its next erase invalidates the entry).  Local
         entries and quarantined keys win over fleet history; entries that
         would be born stale are skipped.  Returns the number imported."""
         imported = 0
@@ -367,7 +340,7 @@ class VoltageOffsetCache:
             entry = CacheEntry(
                 offset=float(item["offset"]),
                 stored_us=now_us - float(item["age_us"]),
-                pe_cycles=pe_now - int(item.get("pe_lag", 0)),
+                pe_cycles=pe_now,
                 warm=True,
             )
             if not self._fresh(entry, now_us, pe_now):

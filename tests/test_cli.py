@@ -740,6 +740,27 @@ class TestReportTail:
         assert header in captured.out
 
 
+class TestReportGoldens:
+    """The fleet and replay smoke reports, pinned byte for byte.
+
+    ``fleet --smoke --seed 1`` exercises dispatch spillover, both P/E
+    cohorts and the voltage-cache export and warm-start; the replay runs
+    ``make replay-smoke``'s arguments (batched, so batches form).  To
+    re-record, run the command with ``--json`` onto the golden."""
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("fleet_report_smoke_seed1.json",
+         ["fleet", "--smoke", "--seed", "1"]),
+        ("replay_report_msr_sample_batch.json",
+         ["replay", "--trace", TestReplayCommand.FIXTURE, "--smoke",
+          "--batch", "--scale", "100", "--workers", "2"]),
+    ], ids=["fleet", "replay"])
+    def test_report_matches_golden(self, golden, argv, tmp_path, capsys):
+        path = tmp_path / golden
+        assert main(["-q"] + argv + ["--json", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 class TestDocsNameEveryCommand:
     """The module docstring and the README list exactly the parser's
     subcommands, so a command added or retired shows up in both."""

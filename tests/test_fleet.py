@@ -10,7 +10,6 @@ from repro import obs
 from repro.fleet import (
     FLEET_NAMESPACE,
     FleetConfig,
-    TenantSpec,
     default_tenants,
     device_seed,
     dispatch,
@@ -18,7 +17,8 @@ from repro.fleet import (
     tenant_seed,
 )
 from repro.obs import OBS
-from repro.service.voltage_cache import VoltageCacheConfig, VoltageOffsetCache
+from repro.service.voltage_cache import TTL_US, VoltageOffsetCache
+from repro.service.workload import generate_requests
 from repro.util.rng import derive_seed
 
 SMALL = FleetConfig(
@@ -93,18 +93,25 @@ class TestSeedNamespacing:
 # ---------------------------------------------------------------------------
 # dispatcher
 # ---------------------------------------------------------------------------
+def _requests(spec, seed):
+    """A tenant's stream, generated as the fleet runner does."""
+    return generate_requests(spec, seed=tenant_seed(seed, spec.name))
+
+
 def _streams(sizes, seed=9):
     specs = default_tenants(len(sizes), n_requests=max(sizes))
     out = {}
     for spec, size in zip(specs, sizes):
-        out[spec.name] = spec.requests(seed)[:size]
+        out[spec.name] = _requests(spec, seed)[:size]
     return out
 
 
 class TestDispatcher:
     def test_affinity_keeps_tenant_on_primary_when_capacity_allows(self):
+        # capacity = ceil(20 * 1.25 / 2) = 13 >= 10: no tenant spills
         streams = _streams([10, 10])
-        plan = dispatch(streams, n_devices=4, headroom=2.0)
+        plan = dispatch(streams, n_devices=2)
+        assert plan.capacity == 13
         assert plan.primaries == {"tenant-00": 0, "tenant-01": 1}
         assert plan.spilled_total == 0
         assert set(plan.per_device[0]) == {"tenant-00"}
@@ -124,14 +131,14 @@ class TestDispatcher:
             assert sum(len(reqs) for reqs in dev.values()) <= plan.capacity
 
     def test_spillover_walks_ring_past_full_primary(self):
-        # one tenant, two devices: capacity = ceil(40 * 1.0 / 2) = 20, so
-        # half the stream must spill off the primary onto device 1
+        # one tenant, two devices: capacity = ceil(40 * 1.25 / 2) = 25, so
+        # the rest of the stream must spill off the primary onto device 1
         streams = _streams([40])
-        plan = dispatch(streams, n_devices=2, headroom=1.0)
-        assert plan.capacity == 20
-        assert plan.spilled_total == 20
+        plan = dispatch(streams, n_devices=2)
+        assert plan.capacity == 25
+        assert plan.spilled_total == 15
         spilled = {r.device: r.spilled for r in plan.records}
-        assert spilled == {0: 0, 1: 20}
+        assert spilled == {0: 0, 1: 15}
 
     def test_deterministic_replan(self):
         streams = _streams([17, 29, 5])
@@ -144,59 +151,65 @@ class TestDispatcher:
         with pytest.raises(ValueError):
             dispatch(_streams([4]), n_devices=0)
         with pytest.raises(ValueError):
-            dispatch(_streams([4]), n_devices=2, headroom=0.5)
-        with pytest.raises(ValueError):
             default_tenants(0)
 
     def test_tenant_streams_deterministic_and_partitioned(self):
         spec_a, spec_b = default_tenants(2, n_requests=20, footprint_pages=64)
-        assert spec_a.requests(3) == spec_a.requests(3)
-        assert spec_a.requests(3) != spec_a.requests(4)
+        assert _requests(spec_a, 3) == _requests(spec_a, 3)
+        assert _requests(spec_a, 3) != _requests(spec_a, 4)
         # disjoint logical partitions: tenant-01 starts past tenant-00
         assert spec_b.base_lpn == spec_a.base_lpn + spec_a.footprint_pages
-        lpns_a = {r.lpn for r in spec_a.requests(3)}
-        lpns_b = {r.lpn for r in spec_b.requests(3)}
+        lpns_a = {r.lpn for r in _requests(spec_a, 3)}
+        lpns_b = {r.lpn for r in _requests(spec_b, 3)}
         assert max(lpns_a) < spec_b.base_lpn <= min(lpns_b)
 
 
 # ---------------------------------------------------------------------------
 # voltage-cache export / warm-start round trip
 # ---------------------------------------------------------------------------
-CFG = VoltageCacheConfig(capacity=8, ttl_us=100.0, max_pe_delta=2)
+#: the transfer tests' time unit: the TTL is 100 units
+U = TTL_US / 100
 
 
 class TestCacheTransfer:
     def test_ttl_survives_export_import(self):
-        src = VoltageOffsetCache(CFG)
-        src.put((0, 1, 2), offset=3.0, now_us=10.0, pe_cycles=0)
-        state = src.export_state(now_us=40.0)
-        assert state["entries"][0]["age_us"] == pytest.approx(30.0)
+        src = VoltageOffsetCache()
+        src.put((0, 1, 2), offset=3.0, now_us=10 * U, pe_cycles=0)
+        state = src.export_state(now_us=40 * U)
+        assert state["entries"][0]["age_us"] == pytest.approx(30 * U)
 
-        dst = VoltageOffsetCache(CFG)
-        assert dst.warm_start(state, now_us=1000.0) == 1
-        # re-based age is 30 us: still fresh at total age 99...
-        hit = dst.lookup((0, 1, 2), now_us=1069.0, pe_cycles=0)
+        dst = VoltageOffsetCache()
+        assert dst.warm_start(state, now_us=1000 * U) == 1
+        # re-based age is 30 units: still fresh at total age 99...
+        hit = dst.lookup((0, 1, 2), now_us=1069 * U, pe_cycles=0)
         assert hit is not None and hit.offset == 3.0 and hit.warm
         assert dst.warm_hits == 1
         # ...and expired past the TTL, counted as a *warm* expiry
-        assert dst.lookup((0, 1, 2), now_us=1071.0, pe_cycles=0) is None
+        assert dst.lookup((0, 1, 2), now_us=1071 * U, pe_cycles=0) is None
         assert dst.warm_expired == 1
 
-    def test_pe_drift_survives_export_import(self):
-        src = VoltageOffsetCache(CFG)
+    def test_one_erase_after_import_invalidates(self):
+        src = VoltageOffsetCache()
         src.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=4)
-        state = src.export_state(now_us=1.0, pe_of=lambda key: 5)
-        assert state["entries"][0]["pe_lag"] == 1
+        # erased since the inference: stale, so never exported
+        assert src.export_state(now_us=1.0, pe_of=lambda key: 5) == {
+            "entries": []
+        }
+        state = src.export_state(now_us=1.0, pe_of=lambda key: 4)
+        assert set(state["entries"][0]) == {
+            "die", "block", "layer", "offset", "age_us"
+        }
 
-        dst = VoltageOffsetCache(CFG)
+        dst = VoltageOffsetCache()
         assert dst.warm_start(state, now_us=0.0, pe_of=lambda key: 10) == 1
-        # rebased pe_cycles = 10 - 1 = 9: total drift 1 + 1 = 2 <= bound
-        assert dst.lookup((0, 0, 0), now_us=1.0, pe_cycles=11) is not None
-        # one more erase crosses max_pe_delta and invalidates
-        assert dst.lookup((0, 0, 0), now_us=2.0, pe_cycles=12) is None
+        # the importer's erase count at import is the entry's baseline...
+        assert dst.lookup((0, 0, 0), now_us=1.0, pe_cycles=10) is not None
+        # ...and one erase after the import invalidates
+        assert dst.lookup((0, 0, 0), now_us=2.0, pe_cycles=11) is None
+        assert dst.warm_expired == 1
 
     def test_quarantined_keys_never_exported(self):
-        src = VoltageOffsetCache(CFG)
+        src = VoltageOffsetCache()
         src.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=0)
         src.put((0, 0, 1), offset=2.0, now_us=0.0, pe_cycles=0)
         src.quarantine((0, 0, 0), now_us=1.0)
@@ -206,49 +219,47 @@ class TestCacheTransfer:
         assert exported == {(0, 0, 1)}
 
     def test_quarantined_importer_key_refuses_entry(self):
-        src = VoltageOffsetCache(CFG)
+        src = VoltageOffsetCache()
         src.put((1, 1, 1), offset=5.0, now_us=0.0, pe_cycles=0)
         state = src.export_state(now_us=1.0)
-        dst = VoltageOffsetCache(CFG)
+        dst = VoltageOffsetCache()
         dst.quarantine((1, 1, 1), now_us=0.0)
         assert dst.warm_start(state, now_us=1.0) == 0
         assert len(dst) == 0
 
     def test_local_entries_win_over_fleet_history(self):
-        src = VoltageOffsetCache(CFG)
+        src = VoltageOffsetCache()
         src.put((2, 2, 2), offset=9.0, now_us=0.0, pe_cycles=0)
         state = src.export_state(now_us=1.0)
-        dst = VoltageOffsetCache(CFG)
+        dst = VoltageOffsetCache()
         dst.put((2, 2, 2), offset=4.0, now_us=0.0, pe_cycles=0)
         assert dst.warm_start(state, now_us=1.0) == 0
         assert dst.lookup((2, 2, 2), now_us=1.0, pe_cycles=0).offset == 4.0
 
     def test_stale_export_entries_skipped_on_import(self):
         state = {
-            "ttl_us": 100.0,
             "entries": [
                 {"die": 0, "block": 0, "layer": 0, "offset": 1.0,
-                 "age_us": 500.0, "pe_lag": 0},
+                 "age_us": TTL_US + 1.0},
             ],
         }
-        dst = VoltageOffsetCache(CFG)
+        dst = VoltageOffsetCache()
         assert dst.warm_start(state, now_us=0.0) == 0
 
     def test_import_respects_capacity(self):
-        tiny = VoltageCacheConfig(capacity=2, ttl_us=100.0)
-        src = VoltageOffsetCache(VoltageCacheConfig(capacity=8, ttl_us=100.0))
+        src = VoltageOffsetCache()
         for layer in range(4):
             src.put((0, 0, layer), offset=1.0, now_us=0.0, pe_cycles=0)
-        dst = VoltageOffsetCache(tiny)
+        dst = VoltageOffsetCache(capacity=2)
         assert dst.warm_start(src.export_state(now_us=0.0), now_us=0.0) == 4
         assert len(dst) == 2
         assert dst.evicted == 2
 
     def test_warm_counters_gated_in_stats(self):
-        cache = VoltageOffsetCache(CFG)
+        cache = VoltageOffsetCache()
         cache.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=0)
         assert "warm_started" not in cache.stats()
-        other = VoltageOffsetCache(CFG)
+        other = VoltageOffsetCache()
         other.warm_start(cache.export_state(now_us=0.0), now_us=0.0)
         stats = other.stats()
         assert stats["warm_started"] == 1
@@ -323,28 +334,6 @@ class TestFleetRun:
             FleetConfig(n_devices=0)
         with pytest.raises(ValueError):
             FleetConfig(n_tenants=0)
-        with pytest.raises(ValueError):
-            FleetConfig(capacity_headroom=0.9)
-        with pytest.raises(ValueError):
-            FleetConfig(pe_cohorts=())
-        with pytest.raises(ValueError):
-            FleetConfig(pe_cohorts=(100, -1))
-
-    def test_custom_tenant_specs(self):
-        tenants = [
-            TenantSpec(name="db", n_requests=30, footprint_pages=128),
-            TenantSpec(name="log", n_requests=20, footprint_pages=128,
-                       base_lpn=128, read_fraction=0.5),
-        ]
-        report = run_fleet(
-            FleetConfig(n_devices=2, n_tenants=2, requests_per_tenant=10),
-            seed=2,
-            tenants=tenants,
-        )
-        assert set(report.tenants) == {"db", "log"}
-        assert report.accounting["tenants"]["db"]["dispatched"] == 30
-        assert report.accounting["tenants"]["log"]["dispatched"] == 20
-        assert report.balanced
 
     def test_render_mentions_key_sections(self, small_report):
         text = small_report.render()

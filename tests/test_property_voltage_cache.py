@@ -13,23 +13,29 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.voltage_cache import VoltageCacheConfig, VoltageOffsetCache
-
-CONFIG = VoltageCacheConfig(
-    capacity=5, ttl_us=100.0, refresh_age_fraction=0.5, quarantine_us=30.0
+from repro.service.voltage_cache import (
+    REFRESH_AGE_US,
+    TTL_US,
+    VoltageOffsetCache,
 )
+
+#: small enough that LRU eviction fires among the 12 keys drawn below
+CAPACITY = 5
+#: the time grid's step: times span two TTLs, the quarantine a few steps
+STEP = TTL_US / 10
 DIES = (0, 1, 2)
 LIMITS = (1, 4, 64)
-CHECK_NOWS = (0.0, 50.0, 60.0, 110.0, 250.0)
+CHECK_NOWS = (
+    0.0, REFRESH_AGE_US, REFRESH_AGE_US + STEP, TTL_US + STEP, 2.5 * TTL_US
+)
 
 
 def reference_scrub(cache, die, now_us, limit):
     """The full-cache scan: every entry of every die, filtered and sorted."""
-    min_age = cache.config.refresh_age_us
     due = [
         (entry.stored_us, -entry.hits, key)
         for key, entry in cache._entries.items()
-        if key[0] == die and entry.age_us(now_us) >= min_age
+        if key[0] == die and entry.age_us(now_us) >= REFRESH_AGE_US
     ]
     due.sort()
     return [key for _, _, key in due[:limit]]
@@ -53,7 +59,7 @@ keys = st.tuples(
     st.sampled_from(DIES), st.integers(0, 1), st.integers(0, 1)
 )
 #: a coarse grid of times so equal stored_us values are common
-times = st.integers(0, 20).map(lambda t: t * 10.0)
+times = st.integers(0, 20).map(lambda t: t * STEP)
 pes = st.integers(0, 2)
 warm_items = st.lists(
     st.fixed_dictionaries({
@@ -61,8 +67,7 @@ warm_items = st.lists(
         "block": st.integers(0, 1),
         "layer": st.integers(0, 1),
         "offset": st.integers(-3, 3).map(float),
-        "age_us": st.integers(0, 12).map(lambda a: a * 10.0),
-        "pe_lag": st.integers(0, 1),
+        "age_us": st.integers(0, 12).map(lambda a: a * STEP),
     }),
     max_size=8,
 )
@@ -84,7 +89,7 @@ ops = st.one_of(
 @settings(max_examples=250, deadline=None)
 @given(st.lists(ops, min_size=1, max_size=40))
 def test_scrub_index_matches_full_scan(steps):
-    cache = VoltageOffsetCache(CONFIG)
+    cache = VoltageOffsetCache(capacity=CAPACITY)
     for step in steps:
         name, now = step[0], 0.0
         if name == "put":
@@ -109,40 +114,43 @@ def test_scrub_index_matches_full_scan(steps):
         else:
             now = step[1]
             cache.export_state(now)
-        assert len(cache) <= CONFIG.capacity
+        assert len(cache) <= CAPACITY
         assert_index_exact(cache, now)
 
 
 def test_hotness_tie_break_across_the_limit_boundary():
-    cache = VoltageOffsetCache(CONFIG)
+    cache = VoltageOffsetCache(capacity=CAPACITY)
     for layer in range(3):
         cache.put((0, 0, layer), 1.0, 0.0, 0)
-    cache.put((0, 1, 0), 1.0, 10.0, 0)  # due later, never ahead of the tie
+    cache.put((0, 1, 0), 1.0, STEP, 0)  # due later, never ahead of the tie
     for _ in range(2):
         cache.lookup((0, 0, 2), 1.0, 0)
     cache.lookup((0, 0, 1), 1.0, 0)
     # all three share stored_us=0; the hottest has the largest key, so the
     # walk must take the whole tie group before cutting at the limit
-    assert cache.scrub_candidates(0, 100.0, 1) == [(0, 0, 2)]
-    assert cache.scrub_candidates(0, 100.0, 2) == [(0, 0, 2), (0, 0, 1)]
-    assert cache.scrub_candidates(0, 100.0, 4) == [
+    assert cache.scrub_candidates(0, TTL_US, 1) == [(0, 0, 2)]
+    assert cache.scrub_candidates(0, TTL_US, 2) == [(0, 0, 2), (0, 0, 1)]
+    assert cache.scrub_candidates(0, TTL_US, 4) == [
         (0, 0, 2), (0, 0, 1), (0, 0, 0), (0, 1, 0)
     ]
     for limit in LIMITS:
-        assert cache.scrub_candidates(0, 100.0, limit) == (
-            reference_scrub(cache, 0, 100.0, limit)
+        assert cache.scrub_candidates(0, TTL_US, limit) == (
+            reference_scrub(cache, 0, TTL_US, limit)
         )
 
 
 def test_warm_start_inserts_entries_older_than_existing_ones():
-    cache = VoltageOffsetCache(
-        VoltageCacheConfig(ttl_us=200.0, refresh_age_fraction=0.5)
-    )
-    cache.put((0, 0, 0), 1.0, 100.0, 0)
+    unit = REFRESH_AGE_US / 100  # the refresh age is 100 units
+    cache = VoltageOffsetCache()
+    cache.put((0, 0, 0), 1.0, 100 * unit, 0)
     state = {"entries": [{"die": 0, "block": 1, "layer": 0,
-                          "offset": -2.0, "age_us": 90.0}]}
-    assert cache.warm_start(state, now_us=100.0) == 1
-    assert cache._by_age[0] == [(10.0, (0, 1, 0)), (100.0, (0, 0, 0))]
-    assert cache.scrub_candidates(0, 150.0, 4) == [(0, 1, 0)]
-    assert cache.scrub_candidates(0, 200.0, 4) == [(0, 1, 0), (0, 0, 0)]
-    assert cache.scrub_candidates(0, 200.0, 1) == [(0, 1, 0)]
+                          "offset": -2.0, "age_us": 90 * unit}]}
+    assert cache.warm_start(state, now_us=100 * unit) == 1
+    assert cache._by_age[0] == [
+        (10 * unit, (0, 1, 0)), (100 * unit, (0, 0, 0))
+    ]
+    assert cache.scrub_candidates(0, 150 * unit, 4) == [(0, 1, 0)]
+    assert cache.scrub_candidates(0, 200 * unit, 4) == [
+        (0, 1, 0), (0, 0, 0)
+    ]
+    assert cache.scrub_candidates(0, 200 * unit, 1) == [(0, 1, 0)]

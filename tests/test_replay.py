@@ -159,6 +159,19 @@ class TestReplay:
         assert report.balanced
         assert report.offered_iops == 0.0 and report.completed_iops == 0.0
 
+    @pytest.mark.parametrize(
+        "service_config",
+        [ServiceConfig(batch_enabled=True), ServiceConfig(batch_limit=4)],
+        ids=["batch_enabled", "batch_limit"],
+    )
+    def test_service_config_cannot_set_batching(self, service_config):
+        """ReplayConfig is the one setter of replay batching: a broker
+        config that sets it is refused, not silently overridden."""
+        with pytest.raises(ValueError, match="ReplayConfig"):
+            run_replay(
+                load_msr_trace(FIXTURE), service_config=service_config
+            )
+
     def test_batching_coalesces_and_stays_balanced(self):
         trace = load_msr_trace(FIXTURE)
         batched = run_replay(

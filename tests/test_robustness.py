@@ -13,7 +13,7 @@ import pytest
 from repro.core.models import SentinelModel
 from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.voltage_cache import VoltageCacheConfig, VoltageOffsetCache
+from repro.service.voltage_cache import QUARANTINE_US, VoltageOffsetCache
 from repro.ssd.config import SsdConfig
 from repro.ssd.retry_model import RetryProfile
 from repro.ssd.ssd import Ssd
@@ -178,38 +178,33 @@ class TestCircuitBreaker:
 # service resilience: cache quarantine
 # ---------------------------------------------------------------------------
 class TestCacheQuarantine:
-    def _cache(self, quarantine_us=100.0):
-        return VoltageOffsetCache(
-            VoltageCacheConfig(quarantine_us=quarantine_us)
-        )
-
     def test_quarantine_drops_and_blocks_the_key(self):
-        cache = self._cache()
+        cache = VoltageOffsetCache()
         key = (0, 1, 2)
         cache.put(key, 3.0, now_us=0.0, pe_cycles=0)
         cache.quarantine(key, now_us=10.0)
         assert cache.quarantined == 1
-        assert cache.is_quarantined(key, 10.0)
         assert cache.lookup(key, 20.0, 0) is None
         cache.put(key, 4.0, now_us=20.0, pe_cycles=0)  # refused
         assert len(cache) == 0
 
     def test_quarantine_expires(self):
-        cache = self._cache(quarantine_us=100.0)
+        cache = VoltageOffsetCache()
         key = (0, 0, 0)
         cache.quarantine(key, now_us=0.0)
-        assert not cache.is_quarantined(key, 100.0)
-        cache.put(key, 1.0, now_us=100.0, pe_cycles=0)
-        assert cache.lookup(key, 101.0, 0) is not None
+        cache.put(key, 1.0, now_us=QUARANTINE_US - 1.0, pe_cycles=0)
+        assert len(cache) == 0  # still refused just before the expiry
+        cache.put(key, 1.0, now_us=QUARANTINE_US, pe_cycles=0)
+        assert cache.lookup(key, QUARANTINE_US + 1.0, 0) is not None
 
     def test_other_keys_unaffected(self):
-        cache = self._cache()
+        cache = VoltageOffsetCache()
         cache.put((0, 0, 0), 1.0, now_us=0.0, pe_cycles=0)
         cache.quarantine((9, 9, 9), now_us=0.0)
         assert cache.lookup((0, 0, 0), 1.0, 0) is not None
 
     def test_stats_key_only_when_quarantined(self):
-        cache = self._cache()
+        cache = VoltageOffsetCache()
         assert "quarantined" not in cache.stats()
         cache.quarantine((0, 0, 0), now_us=0.0)
         assert cache.stats()["quarantined"] == 1

@@ -10,16 +10,15 @@ from repro.service import (
     WARM,
     ClientSpec,
     FlashReadService,
-    ScrubberConfig,
     ServiceConfig,
     SloMonitor,
     ServiceRequest,
-    VoltageCacheConfig,
     VoltageOffsetCache,
     generate_requests,
     mixed_scenario,
     synthetic_profiles,
 )
+from repro.service.voltage_cache import REFRESH_AGE_US, TTL_US
 from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
 
@@ -29,7 +28,7 @@ SSD_CONFIG = SsdConfig(
 )
 
 
-def make_service(seed=7, config=None, cache_config=None, scrub_config=None):
+def make_service(seed=7, config=None):
     return FlashReadService(
         spec=SPEC,
         ssd_config=SSD_CONFIG,
@@ -37,17 +36,14 @@ def make_service(seed=7, config=None, cache_config=None, scrub_config=None):
         profiles=synthetic_profiles("tlc"),
         seed=seed,
         config=config,
-        cache_config=cache_config,
-        scrub_config=scrub_config,
     )
 
 
-def run_mixed(seed=7, config=None, cache_config=None, n_requests=200,
-              read_iops=4000.0):
+def run_mixed(seed=7, config=None, n_requests=200, read_iops=4000.0):
     clients = mixed_scenario(
         n_requests=n_requests, read_iops=read_iops, footprint_pages=512
     )
-    svc = make_service(seed=seed, config=config, cache_config=cache_config)
+    svc = make_service(seed=seed, config=config)
     return svc.run(list(clients), scenario="test")
 
 
@@ -67,24 +63,25 @@ class TestVoltageCache:
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_ttl_expiry(self):
-        cache = VoltageOffsetCache(VoltageCacheConfig(ttl_us=100.0))
+        cache = VoltageOffsetCache()
         cache.put(self.KEY, 1.0, 0.0, 0)
-        assert cache.lookup(self.KEY, 100.0, 0) is not None  # at the bound
+        assert cache.lookup(self.KEY, TTL_US, 0) is not None  # at the bound
         cache.put(self.KEY, 1.0, 0.0, 0)
-        assert cache.lookup(self.KEY, 100.1, 0) is None
+        assert cache.lookup(self.KEY, TTL_US + 0.1, 0) is None
         assert cache.expired == 1
         # the stale entry was removed, not just skipped
         assert len(cache) == 0
 
     def test_pe_delta_invalidation(self):
-        cache = VoltageOffsetCache(VoltageCacheConfig(max_pe_delta=0))
+        """Any erase since the inference makes an entry stale."""
+        cache = VoltageOffsetCache()
         cache.put(self.KEY, 1.0, 0.0, pe_cycles=4)
         assert cache.lookup(self.KEY, 1.0, pe_cycles=4) is not None
         assert cache.lookup(self.KEY, 2.0, pe_cycles=5) is None
         assert cache.expired == 1
 
     def test_lru_eviction(self):
-        cache = VoltageOffsetCache(VoltageCacheConfig(capacity=2))
+        cache = VoltageOffsetCache(capacity=2)
         cache.put((0, 0, 0), 1.0, 0.0, 0)
         cache.put((0, 0, 1), 1.0, 1.0, 0)
         cache.lookup((0, 0, 0), 2.0, 0)  # touch: (0,0,1) becomes LRU
@@ -94,32 +91,27 @@ class TestVoltageCache:
         assert cache.peek_offset((0, 0, 0), default=99.0) == 1.0
 
     def test_scrub_candidates_stalest_first_one_die_only(self):
-        cache = VoltageOffsetCache(
-            VoltageCacheConfig(ttl_us=100.0, refresh_age_fraction=0.5)
-        )
+        cache = VoltageOffsetCache()
+        now = TTL_US
         cache.put((0, 0, 0), 1.0, 0.0, 0)   # stalest
-        cache.put((0, 0, 1), 1.0, 20.0, 0)
+        cache.put((0, 0, 1), 1.0, now - REFRESH_AGE_US, 0)  # just due
         cache.put((1, 0, 0), 1.0, 0.0, 0)   # other die: excluded
-        cache.put((0, 0, 2), 1.0, 60.0, 0)  # age 40 < 50: not due
-        keys = cache.scrub_candidates(die=0, now_us=100.0, limit=8)
+        cache.put((0, 0, 2), 1.0, now - REFRESH_AGE_US + 1.0, 0)  # not due
+        keys = cache.scrub_candidates(die=0, now_us=now, limit=8)
         assert keys == [(0, 0, 0), (0, 0, 1)]
-        assert cache.scrub_candidates(die=0, now_us=100.0, limit=1) == [(0, 0, 0)]
+        assert cache.scrub_candidates(die=0, now_us=now, limit=1) == [(0, 0, 0)]
 
     def test_refresh_revalidates_past_ttl(self):
-        cache = VoltageOffsetCache(VoltageCacheConfig(ttl_us=100.0))
+        cache = VoltageOffsetCache()
         cache.put(self.KEY, 1.0, 0.0, 0)
-        cache.refresh(self.KEY, -3.0, 500.0, 0)
-        entry = cache.lookup(self.KEY, 550.0, 0)
+        cache.refresh(self.KEY, -3.0, 5 * TTL_US, 0)
+        entry = cache.lookup(self.KEY, 5.5 * TTL_US, 0)
         assert entry is not None and entry.offset == -3.0
         assert cache.refreshed == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            VoltageCacheConfig(capacity=0)
-        with pytest.raises(ValueError):
-            VoltageCacheConfig(ttl_us=0.0)
-        with pytest.raises(ValueError):
-            VoltageCacheConfig(refresh_age_fraction=0.0)
+            VoltageOffsetCache(capacity=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +247,27 @@ class TestFlashReadService:
         )
 
     def test_scrubber_improves_hit_rate_under_drift(self):
-        # short TTL so entries drift-expire within the run; low load so
-        # dies have idle gaps for the scrubber to use
-        cache_config = VoltageCacheConfig(ttl_us=30_000.0)
+        # low load over a horizon past the TTL: entries drift-expire within
+        # the run, and dies have idle gaps for the scrubber to use
         clients = mixed_scenario(
-            n_requests=300, read_iops=600.0, footprint_pages=256
+            n_requests=300, read_iops=100.0, footprint_pages=256
         )
         scrubbed = make_service(
             config=ServiceConfig(scrub_enabled=True),
-            cache_config=cache_config,
         ).run(list(clients), scenario="drift")
         plain = make_service(
             config=ServiceConfig(scrub_enabled=False),
-            cache_config=cache_config,
         ).run(list(clients), scenario="drift")
+        assert plain.horizon_us > TTL_US
+        assert plain.cache["expired"] > 0  # drift fires without the scrubber
         assert scrubbed.scrub["passes"] > 0
         assert scrubbed.cache["hit_rate"] > plain.cache["hit_rate"]
         assert scrubbed.mean_retries_per_read < plain.mean_retries_per_read
 
     def test_scrub_pass_bounded_by_preemption_bound(self):
-        scrub_config = ScrubberConfig(idle_delay_us=100.0, batch=4)
-        svc = make_service(
-            cache_config=VoltageCacheConfig(ttl_us=30_000.0),
-            scrub_config=scrub_config,
-        )
+        svc = make_service()
         clients = mixed_scenario(
-            n_requests=300, read_iops=600.0, footprint_pages=256
+            n_requests=300, read_iops=100.0, footprint_pages=256
         )
         report = svc.run(list(clients), scenario="drift")
         passes = report.scrub["passes"]
