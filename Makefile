@@ -114,14 +114,21 @@ simulate-smoke:
 	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600
 
 # run.py exits 0 even when a digest mismatches, so the last stdout line
-# (the JSON summary) must say "correct": true
+# (the JSON summary) of each run must say "correct": true; the read-hot
+# run covers cache, scrubber and batching, the write-gc run FTL writes,
+# GC migration and the broker's read pricing
+PERFBENCH_CORRECT = $(PYTHON) -c \
+	"import json, sys; r = json.loads(sys.stdin.read()); \
+	print('perfbench correct:', r['correct']); \
+	sys.exit(r['correct'] is not True)"
+
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload replay-read-hot --seed 0 \
 		--seconds 5 --trace 0 > .perfbench-smoke.txt
-	tail -n 1 .perfbench-smoke.txt | $(PYTHON) -c \
-		"import json, sys; r = json.loads(sys.stdin.read()); \
-		print('perfbench correct:', r['correct']); \
-		sys.exit(r['correct'] is not True)"
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload replay-write-gc --seed 0 \
+		--seconds 5 --trace 0 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 
 # alternating perfbench pairs, PARENT=<rev> against the work tree, each
 # from a clean copy in a temporary directory (see tools/perf_ab.py)

@@ -154,7 +154,7 @@ class FlashReadService:
             raise ValueError(
                 f"cache enabled but profiles lack a {WARM!r} entry"
             )
-        self.ftl = PageMappingFtl(ssd_config, seed=seed)
+        self.ftl = PageMappingFtl(ssd_config)
         self.rng = derive_rng(seed, "service", "retries")
         self.queue = EventQueue()
         self.cache = VoltageOffsetCache()
@@ -178,6 +178,9 @@ class FlashReadService:
         self._remaining = 0
         self._closed_pending: Dict[str, Deque[ServiceRequest]] = {}
         self._client_mode: Dict[str, str] = {}
+        #: read price ``die + channel - overlap`` per full argument tuple of
+        #: :meth:`NandTiming.read_cost` (it is pure in those arguments)
+        self._read_prices: Dict[tuple, float] = {}
         #: while a die slot is being priced with span tracing on, the op
         #: pricers append one ``(name, duration, phases, attrs)`` entry per
         #: op here; ``None`` otherwise (the zero-cost default)
@@ -499,7 +502,9 @@ class FlashReadService:
         spans_on = self._spans_on()
         if spans_on:
             self._op_phase_log = []
-        duration = sum(self._op_duration_us(op, inflight) for op in ops)
+        duration = 0
+        for op in ops:  # summed as ``sum()`` would: 0 + d1 + d2 ...
+            duration += self._op_duration_us(op, inflight)
         leader_duration = duration
         for _, f_ops in followers:
             duration += self._follower_read_us(f_ops[0], ops[0])
@@ -635,13 +640,15 @@ class FlashReadService:
 
         An attempt probes the voltage cache, samples the warm (hit) or
         cold (miss) retry profile and prices that read with
-        :meth:`NandTiming.read_cost`.  Fault hazards are terms of the
-        attempt, each zero without an active fault plan: a die stall adds
-        to its sensing and channel congestion scales its transfers — either
-        can push it past ``OP_TIMEOUT_US``, a failure counted against the
-        die's circuit breaker; a stale cache hit fails it silently (retried
-        cold after backoff, no die-health signal); a corrupt hit is
-        quarantined and the attempt proceeds cold.  An open breaker,
+        :meth:`NandTiming.read_cost`, memoised per argument tuple (with
+        spans on, ``read_cost`` runs every time to build the phases).
+        Fault hazards are terms of the attempt, each zero without an
+        active fault plan: a die stall adds to its sensing and channel
+        congestion scales its transfers — either can push it past
+        ``OP_TIMEOUT_US``, a failure counted against the die's circuit
+        breaker; a stale cache hit fails it silently (retried cold after
+        backoff, no die-health signal); a corrupt hit is quarantined and
+        the attempt proceeds cold.  An open breaker,
         exhausted attempts or an overrun request budget end in the
         degraded fallback-table read.  Without faults the first attempt
         always succeeds, so the breaker is only checked, never driven."""
@@ -678,15 +685,27 @@ class FlashReadService:
                     # the cold read's sentinel flow inferred the offset
                     self.cache.put(key, 0.0, now, self._pe_of(key))
                 n_voltages = profile.page_voltages[ptype]
-                read_phases = [] if phases is not None else None
-                die, channel, overlap = self.timing.read_cost(
+                cost_args = (
                     n_voltages, retries, extra,
                     retries if profile.pipelined else 0,
                     FAULTS.die_stall_us(op.die, now),
                     FAULTS.congestion_factor(now),
-                    read_phases,
                 )
-                duration = die + channel - overlap
+                if phases is None:
+                    read_phases = None
+                    duration = self._read_prices.get(cost_args)
+                    if duration is None:
+                        die, channel, overlap = self.timing.read_cost(
+                            *cost_args
+                        )
+                        duration = die + channel - overlap
+                        self._read_prices[cost_args] = duration
+                else:
+                    read_phases = []
+                    die, channel, overlap = self.timing.read_cost(
+                        *cost_args, read_phases
+                    )
+                    duration = die + channel - overlap
                 if duration > OP_TIMEOUT_US:
                     duration = OP_TIMEOUT_US  # attempt aborted at the budget
                     failure = "timeout"

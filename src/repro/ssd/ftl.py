@@ -9,23 +9,23 @@ The FTL emits :class:`PhysicalOp` lists; the :class:`repro.ssd.ssd.Ssd`
 device model prices and schedules them.  GC migration reads are real reads —
 they go through the same read-retry machinery as host reads, which is one of
 the reasons slow reads hurt write tails too.
+
+All state is plain Python lists and ints: every host write and every GC
+migration runs through here one page at a time, where numpy scalars cost
+more than they save.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.obs import OBS
 from repro.ssd.config import SsdConfig
 
-INVALID = np.int64(-1)
+INVALID = -1
 
 
-@dataclass(frozen=True)
-class PhysicalOp:
+class PhysicalOp(NamedTuple):
     """One NAND operation the device must execute."""
 
     kind: str  # "read" | "program" | "erase"
@@ -52,10 +52,12 @@ class _DieState:
         self.free_blocks: List[int] = list(range(blocks))
         self.active_block: int = self.free_blocks.pop()
         self.write_page: int = 0
-        self.valid_count = np.zeros(blocks, dtype=np.int32)
-        self.erase_count = np.zeros(blocks, dtype=np.int64)
-        # reverse map: lpn stored in each physical slot
-        self.page_lpn = np.full((blocks, pages_per_block), INVALID, dtype=np.int64)
+        self.valid_count: List[int] = [0] * blocks
+        self.erase_count: List[int] = [0] * blocks
+        # reverse map: lpn stored in each physical slot, one list per block
+        self.page_lpn: List[List[int]] = [
+            [INVALID] * pages_per_block for _ in range(blocks)
+        ]
         self.sealed: List[int] = []  # fully-written blocks eligible for GC
 
     def take_free_block(self, wear_leveling: bool) -> int:
@@ -65,7 +67,7 @@ class _DieState:
             raise RuntimeError("no free blocks")
         if not wear_leveling:
             return self.free_blocks.pop()
-        best = min(self.free_blocks, key=lambda b: self.erase_count[b])
+        best = min(self.free_blocks, key=self.erase_count.__getitem__)
         self.free_blocks.remove(best)
         return best
 
@@ -73,18 +75,15 @@ class _DieState:
 class PageMappingFtl:
     """Page-level mapping across all dies of the SSD."""
 
-    def __init__(
-        self, config: SsdConfig, seed: int = 0, wear_leveling: bool = True
-    ) -> None:
+    def __init__(self, config: SsdConfig, wear_leveling: bool = True) -> None:
         self.config = config
         self.wear_leveling = wear_leveling
-        self.mapping = np.full(config.logical_pages, INVALID, dtype=np.int64)
+        self.mapping: List[int] = [INVALID] * config.logical_pages
         self._dies = [
             _DieState(config.blocks_per_die, config.pages_per_block)
             for _ in range(config.n_dies)
         ]
         self._next_die = 0
-        self._rng = np.random.default_rng(seed)
         self.host_writes = 0
         self.gc_writes = 0
         self.gc_erases = 0
@@ -92,17 +91,15 @@ class PageMappingFtl:
     # ------------------------------------------------------------------
     # physical address packing
     # ------------------------------------------------------------------
-    def _pack(self, die: int, block: int, page: int) -> np.int64:
+    def _pack(self, die: int, block: int, page: int) -> int:
         c = self.config
-        return np.int64(
-            (die * c.blocks_per_die + block) * c.pages_per_block + page
-        )
+        return (die * c.blocks_per_die + block) * c.pages_per_block + page
 
-    def _unpack(self, ppn: np.int64) -> Tuple[int, int, int]:
+    def _unpack(self, ppn: int) -> Tuple[int, int, int]:
         c = self.config
-        page = int(ppn % c.pages_per_block)
-        blk_global = int(ppn // c.pages_per_block)
-        return blk_global // c.blocks_per_die, blk_global % c.blocks_per_die, page
+        blk_global, page = divmod(ppn, c.pages_per_block)
+        die, block = divmod(blk_global, c.blocks_per_die)
+        return die, block, page
 
     # ------------------------------------------------------------------
     # lookup
@@ -121,12 +118,11 @@ class PageMappingFtl:
         modelling a preconditioned drive)."""
         loc = self.translate(lpn)
         if loc is None:
-            for _ in self.write_ops(lpn, count_host=False):
-                pass  # lazily precondition; timing of this write is not charged
+            # lazily precondition; timing of this write is not charged
+            self.write_ops(lpn, count_host=False)
             loc = self.translate(lpn)
             assert loc is not None
-        die, block, page = loc
-        return [PhysicalOp(kind="read", die=die, block=block, page=page)]
+        return [PhysicalOp("read", *loc)]
 
     # ------------------------------------------------------------------
     # writes + GC
@@ -138,7 +134,7 @@ class PageMappingFtl:
         die, block, page = self._unpack(ppn)
         state = self._dies[die]
         state.valid_count[block] -= 1
-        state.page_lpn[block, page] = INVALID
+        state.page_lpn[block][page] = INVALID
         self.mapping[lpn] = INVALID
 
     def _append(self, die_index: int, lpn: int) -> PhysicalOp:
@@ -156,9 +152,9 @@ class PageMappingFtl:
         block, page = state.active_block, state.write_page
         state.write_page += 1
         state.valid_count[block] += 1
-        state.page_lpn[block, page] = lpn
+        state.page_lpn[block][page] = lpn
         self.mapping[lpn] = self._pack(die_index, block, page)
-        return PhysicalOp(kind="program", die=die_index, block=block, page=page)
+        return PhysicalOp("program", die_index, block, page)
 
     def peek_write_die(self, k: int = 0) -> int:
         """Die the ``k``-th upcoming write will land on (round-robin
@@ -170,47 +166,38 @@ class PageMappingFtl:
         """Ops to serve a host write: the program plus any GC it triggers."""
         if not 0 <= lpn < len(self.mapping):
             raise IndexError(f"lpn {lpn} out of range")
+        c = self.config
         die_index = self._next_die
-        self._next_die = (self._next_die + 1) % self.config.n_dies
+        self._next_die = (die_index + 1) % c.n_dies
         self._invalidate(lpn)
         ops = [self._append(die_index, lpn)]
         if count_host:
             self.host_writes += 1
-        ops.extend(self._maybe_gc(die_index))
+        if len(self._dies[die_index].free_blocks) < c.gc_free_block_threshold:
+            self._collect(die_index, ops)
         return ops
 
-    def _maybe_gc(self, die_index: int) -> List[PhysicalOp]:
+    def _collect(self, die_index: int, ops: List[PhysicalOp]) -> None:
+        """Greedy GC on one die, appending its ops to ``ops``."""
         c = self.config
         state = self._dies[die_index]
-        ops: List[PhysicalOp] = []
-        if len(state.free_blocks) >= c.gc_free_block_threshold:
-            return ops
         while len(state.free_blocks) < c.gc_stop_free_blocks and state.sealed:
-            victim = min(state.sealed, key=lambda b: self._victim_cost(state, b))
+            victim = self._pick_victim(state)
             if state.valid_count[victim] >= c.pages_per_block:
                 break  # nothing reclaimable: migrating a full block gains nothing
             state.sealed.remove(victim)
             migrated = 0
-            for page in range(c.pages_per_block):
-                lpn = state.page_lpn[victim, page]
+            for page, lpn in enumerate(state.page_lpn[victim]):
                 if lpn == INVALID:
                     continue
-                ops.append(
-                    PhysicalOp(
-                        kind="read", die=die_index, block=victim, page=page, gc=True
-                    )
-                )
-                state.valid_count[victim] -= 1
-                state.page_lpn[victim, page] = INVALID
-                self.mapping[lpn] = INVALID
-                ops.append(self._append(die_index, int(lpn)))
-                # _append marks it as a program on the active block
-                self.gc_writes += 1
+                ops.append(PhysicalOp("read", die_index, victim, page, True))
+                # _append remaps the lpn with a program on the active block
+                ops.append(self._append(die_index, lpn))
                 migrated += 1
-            ops.append(
-                PhysicalOp(kind="erase", die=die_index, block=victim, page=0, gc=True)
-            )
+            self.gc_writes += migrated
+            ops.append(PhysicalOp("erase", die_index, victim, 0, True))
             state.free_blocks.append(victim)
+            state.page_lpn[victim] = [INVALID] * c.pages_per_block
             state.valid_count[victim] = 0
             state.erase_count[victim] += 1
             self.gc_erases += 1
@@ -231,26 +218,19 @@ class PageMappingFtl:
                         block=victim,
                         migrated=migrated,
                     )
-        return ops
 
-    def _victim_cost(self, state: _DieState, block: int) -> float:
-        """Greedy GC cost, wear-aware: prefer few valid pages, and among
+    def _pick_victim(self, state: _DieState) -> int:
+        """Greedy GC victim, wear-aware: prefer few valid pages, and among
         similar candidates prefer the less-worn block (static leveling)."""
-        cost = float(state.valid_count[block])
-        if self.wear_leveling:
-            spread = state.erase_count[block] - state.erase_count.min()
-            cost += 0.5 * float(spread)
-        return cost
-
-    # ------------------------------------------------------------------
-    def erase_count_stats(self) -> dict:
-        """Wear spread across all blocks (max, mean, and max-min gap)."""
-        counts = np.concatenate([d.erase_count for d in self._dies])
-        return {
-            "max": int(counts.max()),
-            "mean": float(counts.mean()),
-            "gap": int(counts.max() - counts.min()),
-        }
+        valid = state.valid_count
+        if not self.wear_leveling:
+            return min(state.sealed, key=valid.__getitem__)
+        erases = state.erase_count
+        floor = min(erases)
+        return min(
+            state.sealed,
+            key=lambda b: float(valid[b]) + 0.5 * float(erases[b] - floor),
+        )
 
     # ------------------------------------------------------------------
     def precondition(self, lpns: Iterable[int]) -> None:
@@ -264,9 +244,3 @@ class PageMappingFtl:
         if self.host_writes == 0:
             return 1.0
         return (self.host_writes + self.gc_writes) / self.host_writes
-
-    def free_block_counts(self) -> List[int]:
-        return [len(d.free_blocks) for d in self._dies]
-
-    def valid_page_total(self) -> int:
-        return int(sum(d.valid_count.sum() for d in self._dies))

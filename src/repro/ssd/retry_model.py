@@ -104,6 +104,15 @@ class RetryProfile:
     #: shaved (see :meth:`NandTiming.read_cost`)
     pipelined: bool = False
 
+    def __post_init__(self) -> None:
+        # ``sample`` runs once per simulated read: it picks from these
+        # per-page-type (retries, extra) int tuples, built once here,
+        # instead of converting a numpy row on every draw
+        self._rows: Dict[int, List[Tuple[int, int]]] = {
+            p: [(int(r), int(e)) for r, e in np.asarray(v).tolist()]
+            for p, v in self.samples.items()
+        }
+
     # ------------------------------------------------------------------
     @classmethod
     def measure(
@@ -193,9 +202,8 @@ class RetryProfile:
         self, page_type: int, rng: np.random.Generator
     ) -> Tuple[int, int]:
         """Draw one (retries, extra single reads) pair for a page type."""
-        pool = self.samples[page_type]
-        row = pool[rng.integers(len(pool))]
-        return int(row[0]), int(row[1])
+        rows = self._rows[page_type]
+        return rows[rng.integers(len(rows))]
 
     def mean_retries(self, page_type: Optional[int] = None) -> float:
         if page_type is not None:

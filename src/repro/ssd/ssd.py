@@ -53,7 +53,7 @@ class Ssd:
         self.config = config
         self.timing = timing
         self.profile = retry_profile
-        self.ftl = PageMappingFtl(config, seed=seed)
+        self.ftl = PageMappingFtl(config)
         self.rng = derive_rng(seed, "ssd", retry_profile.policy_name)
         # Reads preempt programs/erases (program-suspend, standard in modern
         # controllers): each die keeps one clock for reads and one for

@@ -760,6 +760,43 @@ class TestReportGoldens:
         assert main(["-q"] + argv + ["--json", str(path)]) == 0
         assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    def test_write_gc_replay_matches_golden(self):
+        """An rsrch_0-shaped (~95 % writes) replay on a 6-block-per-die
+        device with the scrubber off: garbage collection migrates pages
+        through the broker's read pricing and some requests are shed.  No
+        command builds this device, so it is driven through
+        ``replay_trace``; re-record by writing ``report.to_json()`` plus a
+        newline onto the golden."""
+        from dataclasses import replace
+
+        from repro.exp.common import sim_spec
+        from repro.replay import ReplayConfig, replay_trace
+        from repro.service import synthetic_profiles
+        from repro.service.broker import ServiceConfig
+        from repro.ssd.config import SsdConfig
+        from repro.ssd.timing import NandTiming
+        from repro.traces.synthetic import MSR_WORKLOADS, generate_workload
+
+        spec = sim_spec("tlc", cells_per_wordline=8192, wordlines_per_layer=4)
+        params = replace(MSR_WORKLOADS["rsrch_0"], mean_iops=25.0,
+                         footprint_bytes=48 * 2**20)
+        report = replay_trace(
+            generate_workload(params, n_requests=1500, seed=0),
+            spec=spec,
+            ssd_config=SsdConfig.for_spec(
+                spec, channels=2, dies_per_channel=2, blocks_per_die=6
+            ),
+            timing=NandTiming(),
+            profiles=synthetic_profiles("tlc"),
+            seed=0,
+            config=ReplayConfig(workers=1),
+            service_config=ServiceConfig(scrub_enabled=False),
+        )
+        assert report.service["extras"]["gc_erases"] > 0
+        assert report.accounting["shed"] > 0
+        golden = GOLDEN / "replay_report_write_gc_seed0.json"
+        assert report.to_json() + "\n" == golden.read_text(encoding="utf-8")
+
 
 class TestDocsNameEveryCommand:
     """The module docstring and the README list exactly the parser's
