@@ -151,6 +151,21 @@ def _draw_cells(
     return cells
 
 
+def _float32_floor(positions: np.ndarray) -> np.ndarray:
+    """The largest float32 at or below each float64 position.
+
+    For every float32 ``x``, ``x > p`` equals ``x > _float32_floor(p)``:
+    ``p`` either is a float32 or lies strictly between its floor and the
+    next float32 up, and no float32 lies in between.  So the sensed
+    float32 Vth can be compared in float32, without promoting every cell
+    to float64, and decide exactly as against ``p``.
+    """
+    low = positions.astype(np.float32)
+    above = low > positions
+    low[above] = np.nextafter(low[above], np.float32(-np.inf))
+    return low
+
+
 def _note_kernel(
     kernel: str, wordlines: int, cells: int, positions: int, seconds: float
 ) -> None:
@@ -263,8 +278,9 @@ class BlockColumns:
 
     def _reset(self, stress: StressState) -> None:
         """Empty every memo and synthesize all rows under ``stress``."""
-        #: page -> stored bits of all rows (at most one entry per page)
-        self._stored_bits: Dict[int, np.ndarray] = {}
+        #: page -> decode target of all rows (see :meth:`_page_target`);
+        #: emptied before synthesis, so it never adds to the Vth peak
+        self._targets: Dict[int, np.ndarray] = {}
         #: ``(row, sorted keys)`` of the latest one-row ground-truth search
         #: and each one-row search's answer (:mod:`repro.flash.optimal`),
         #: both dropped whenever the Vth changes
@@ -336,15 +352,6 @@ class BlockColumns:
         """Row ``row``'s read-noise generator (shared with its views)."""
         return self._read_rngs[row]
 
-    def _stored_bits_batch(self, p: int) -> np.ndarray:
-        """Stored bits of page ``p`` for all rows and cells, memoized."""
-        bits = self._stored_bits.get(p)
-        if bits is None:
-            bits = self._stored_bits[p] = self.spec.gray.stored_bits(
-                p, self.states
-            )
-        return bits
-
     # ------------------------------------------------------------------
     # per-wordline views
     # ------------------------------------------------------------------
@@ -399,12 +406,13 @@ class BlockColumns:
     ) -> np.ndarray:
         """Region index of every cell of ``rows`` w.r.t. ``positions``.
 
-        ``positions`` is one ascending vector ``(V,)`` or a per-row matrix
-        ``(len(rows), V)``.  Counting ``sensed > p`` over the positions
-        equals ``searchsorted(positions, sensed, side="left")`` but is
-        several times faster at these position counts; each comparison
-        promotes the float32 sensed values to float64 exactly as
-        searchsorted does.  Writes into ``out`` when given.
+        ``positions`` is one vector ``(V,)`` or a per-row matrix
+        ``(len(rows), V)``, in any order.  Counting ``sensed > p`` over the
+        positions equals ``searchsorted(sorted(positions), sensed,
+        side="left")`` but is several times faster at these position
+        counts; each comparison promotes the float32 sensed values to
+        float64 exactly as searchsorted does.  Writes into ``out`` when
+        given.
         """
         sensed = self._sensed(rows, sel)
         if out is None:
@@ -413,36 +421,92 @@ class BlockColumns:
             regions = out
             regions.fill(0)
         cmp = np.empty(sensed.shape, dtype=bool)
-        if positions.ndim == 2:
-            for v in range(positions.shape[1]):
-                np.greater(sensed, positions[:, v : v + 1], out=cmp)
-                regions += cmp
-        else:
-            for p in positions:
-                np.greater(sensed, p, out=cmp)
-                regions += cmp
+        for p in self._columns(positions):
+            np.greater(sensed, p, out=cmp)
+            regions += cmp
         return regions
 
-    def _decode_page(
-        self, p: int, rows: Sequence[int], sel, regions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Page bits, data-cell mismatch mask and error counts of ``rows``.
+    @staticmethod
+    def _columns(positions: np.ndarray):
+        """The thresholds of ``positions`` one voltage at a time: scalars of
+        a shared ``(V,)`` vector, ``(rows, 1)`` columns of a per-row one."""
+        if positions.ndim == 2:
+            return [positions[:, v : v + 1] for v in range(positions.shape[1])]
+        return positions
+
+    def _page_target(self, p: int) -> np.ndarray:
+        """``stored bit != region_bits(p)[0]`` of every cell, memoized per
+        page: the sensed parity a correct read of page ``p`` gives each
+        cell (see :meth:`_page_mismatch`)."""
+        target = self._targets.get(p)
+        if target is None:
+            gray = self.spec.gray
+            table = gray.state_bits[:, p] != gray.region_bits(p)[0]
+            target = self._targets[p] = np.empty(self.states.shape, bool)
+            # take casts its int16 indices to one intp copy: chunk the
+            # rows so that copy stays cache-sized instead of 8 B per cell
+            chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
+            for c0 in range(0, self.n_wordlines, chunk):
+                rows = slice(c0, c0 + chunk)
+                table.take(self.states[rows], out=target[rows])
+        return target
+
+    def _page_mismatch(
+        self, p: int, rows: List[int], positions: np.ndarray
+    ) -> np.ndarray:
+        """Data-cell mismatch mask of page ``p`` read at ``positions``.
+
+        The page-read kernel.  Under the Gray code page ``p``'s bit
+        toggles at exactly its own read voltages, so a cell's read bit is
+        ``region_bits(p)[0]`` XOR the parity of the thresholds it is
+        sensed above — the region lookup bit for bit, in any position
+        order.  Each chunk of rows is sensed once (noise in row order) and
+        its comparisons are XORed onto the target: the data columns of
+        the result are the mismatches.  ``positions`` is shared ``(V,)``
+        or per-row ``(len(rows), V)``; the comparisons run in float32
+        against :func:`_float32_floor` of them, which decides alike.
+        """
+        positions = _float32_floor(positions)
+        mismatch = np.empty((len(rows), self.n_data_cells), dtype=bool)
+        target = self._page_target(p)
+        chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
+        for c0 in range(0, len(rows), chunk):
+            sub = rows[c0 : c0 + chunk]
+            sel = self._selector(sub)
+            pos = positions[c0 : c0 + chunk] if positions.ndim == 2 else positions
+            sensed = self._sensed(sub, sel)
+            parity = target[sel].copy()
+            cmp = np.empty_like(parity)
+            for threshold in self._columns(pos):
+                np.greater(sensed, threshold, out=cmp)
+                parity ^= cmp
+            # an integer take: a boolean column mask on a 2-D array is
+            # several times slower
+            np.take(
+                parity, self._data_idx, axis=1,
+                out=mismatch[c0 : c0 + len(sub)],
+            )
+        return mismatch
+
+    def _page_errors(
+        self, rows: Sequence[int], mismatch: np.ndarray
+    ) -> np.ndarray:
+        """Error count per row of a page read's mismatch mask.
 
         Fault injection (``FAULTS.flash_read``) applies per row, in row
         order, to that row's mismatch mask in place.
         """
-        bits = self.spec.gray.region_bits(p)[regions]
-        stored = self._stored_bits_batch(p)[sel]
-        # an integer take: a boolean column mask on a 2-D array is several
-        # times slower, most of a one-row read's decode
-        mismatch = (bits != stored).take(self._data_idx, axis=1)
-        n_err = mismatch.sum(axis=1).astype(np.int64)
+        # per row: count_nonzero along an axis is several times slower
+        n_err = np.fromiter(
+            (np.count_nonzero(row) for row in mismatch), np.int64,
+            len(mismatch),
+        )
         if FAULTS.active:
             for j, r in enumerate(rows):
                 n_err[j] = FAULTS.injector.flash_read(
                     self.block, self.indices[r], mismatch[j], int(n_err[j])
                 )
-        return bits, mismatch, n_err
+        return n_err
 
     def _sentinel_readouts(
         self, rows: Sequence[int], sel, offset: float
@@ -496,23 +560,6 @@ class BlockColumns:
             return slice(rows[0], rows[0] + len(rows))
         return rows
 
-    @staticmethod
-    def _ascending(positions: np.ndarray) -> np.ndarray:
-        """Sort threshold positions (per row) only where they are not.
-
-        Callers pass positions in ascending voltage order already; only
-        pathological offset vectors (larger than a state pitch) unsort
-        them, so check instead of re-sorting on every read.
-        """
-        if positions.ndim == 2:
-            bad = np.any(positions[:, 1:] < positions[:, :-1], axis=1)
-            if bad.any():
-                positions = positions.copy()
-                positions[bad] = np.sort(positions[bad], axis=1)
-        elif positions.size > 1 and np.any(positions[1:] < positions[:-1]):
-            positions = np.sort(positions)
-        return positions
-
     # ------------------------------------------------------------------
     # per-row entry points (what a Wordline handle calls; not noted)
     # ------------------------------------------------------------------
@@ -521,11 +568,12 @@ class BlockColumns:
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One row's page read at dense offsets: data-cell bits, mismatch
         mask, errors."""
-        rows, sel = [row], slice(row, row + 1)
-        positions = self._page_positions(p, dense)
-        regions = self._regions(rows, sel, self._ascending(positions))
-        bits, mismatch, n_err = self._decode_page(p, rows, sel, regions)
-        return bits[0][self.data_mask], mismatch[0], int(n_err[0])
+        mismatch = self._page_mismatch(p, [row], self._page_positions(p, dense))
+        # the read bits, taken before any fault lands on the mask
+        bits = mismatch[0] ^ self._page_target(p)[row, self._data_idx]
+        bits ^= bool(self.spec.gray.region_bits(p)[0])
+        n_err = self._page_errors([row], mismatch)
+        return bits.view(np.uint8), mismatch[0], int(n_err[0])
 
     def _sentinel_row(self, row: int, offset: float) -> SentinelReadout:
         return self._sentinel_readouts([row], slice(row, row + 1), offset)[0]
@@ -549,6 +597,16 @@ class BlockColumns:
     def _row_list(self, rows: Optional[Sequence[int]]) -> List[int]:
         return list(range(self.n_wordlines)) if rows is None else list(rows)
 
+    @staticmethod
+    def _check_rows(positions: np.ndarray, rows: List[int]) -> np.ndarray:
+        """``positions``, refused if per-row with a row count not ``rows``'."""
+        if positions.ndim == 2 and positions.shape[0] != len(rows):
+            raise ValueError(
+                f"per-row positions want {len(rows)} rows, "
+                f"got {positions.shape[0]}"
+            )
+        return positions
+
     def _dense_offsets(
         self, offsets: Union[OffsetsLike, np.ndarray]
     ) -> np.ndarray:
@@ -567,18 +625,15 @@ class BlockColumns:
     ) -> np.ndarray:
         """Region index of every cell of every row, in one timed pass.
 
-        ``positions`` is either one shared ascending position vector
-        ``(V,)`` or a per-row matrix ``(len(rows), V)``.  Returns an
+        ``positions`` is either one shared position vector ``(V,)`` or a
+        per-row matrix ``(len(rows), V)``.  Returns an
         ``(len(rows), n_cells)`` int16 array of regions (see
         :meth:`_regions`), sensed with fresh comparator noise per call.
         """
         row_idx = self._row_list(rows)
-        positions = self._ascending(np.asarray(positions, dtype=np.float64))
-        if positions.ndim == 2 and positions.shape[0] != len(row_idx):
-            raise ValueError(
-                f"per-row positions want {len(row_idx)} rows, "
-                f"got {positions.shape[0]}"
-            )
+        positions = self._check_rows(
+            np.asarray(positions, dtype=np.float64), row_idx
+        )
         n = self.n_cells
         regions = np.empty((len(row_idx), n), dtype=np.int16)
         chunk = max(1, CHUNK_ELEMS // max(n, 1))
@@ -616,12 +671,14 @@ class BlockColumns:
         p = self.spec.gray.page_index(page)
         dense = self._dense_offsets(offsets)
         row_idx = self._row_list(rows)
-        regions = self.sense_regions_batch(
-            self._page_positions(p, dense), row_idx
+        positions = self._check_rows(self._page_positions(p, dense), row_idx)
+        t0 = time.perf_counter()
+        mismatch = self._page_mismatch(p, row_idx, positions)
+        _note_kernel(
+            "sense_regions", len(row_idx), self.n_cells,
+            int(positions.shape[-1]), time.perf_counter() - t0,
         )
-        _, mismatch, n_err = self._decode_page(
-            p, row_idx, self._selector(row_idx), regions
-        )
+        n_err = self._page_errors(row_idx, mismatch)
         return BatchReadResult(
             page=p,
             n_errors=n_err,

@@ -222,7 +222,7 @@ class Wordline:
     def stored_page_bits(self, page: Union[int, str]) -> np.ndarray:
         """The data-cell bits currently stored for one page."""
         p = self.spec.gray.page_index(page)
-        return self.store._stored_bits_batch(p)[self.row][self.data_mask]
+        return self.spec.gray.stored_bits(p, self.states[self.data_mask])
 
     # ------------------------------------------------------------------
     # identity / geometry helpers

@@ -48,7 +48,7 @@ from repro.service.profiles import synthetic_profiles
 from repro.service.report import ServiceReport, request_accounting
 from repro.service.workload import generate_requests
 from repro.ssd.config import SsdConfig
-from repro.ssd.metrics import LatencyStats
+from repro.ssd.metrics import LatencyStats, p99_us
 from repro.ssd.timing import NandTiming
 
 #: P/E ages devices cycle through (device i gets age i mod len); one
@@ -373,12 +373,8 @@ def _build_report(
                 "warm_mean_retries": (
                     warm_retries / warm_reads if warm_reads else 0.0
                 ),
-                "cold_read_p99_us": LatencyStats.from_samples(
-                    group_lats["cold"]
-                ).p99_us,
-                "warm_read_p99_us": LatencyStats.from_samples(
-                    group_lats["warm"]
-                ).p99_us,
+                "cold_read_p99_us": p99_us(group_lats["cold"]),
+                "warm_read_p99_us": p99_us(group_lats["warm"]),
             })
 
     return FleetReport(

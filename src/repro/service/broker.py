@@ -407,19 +407,6 @@ class FlashReadService:
         if pending:
             self._issue(pending.popleft())
 
-    def _target_dies(self, req: ServiceRequest) -> List[int]:
-        """Predict the die of each page's chain without mutating the FTL."""
-        dies = []
-        for k in range(req.n_pages):
-            lpn = self._wrap(req.lpn + k)
-            if req.is_read:
-                loc = self.ftl.translate(lpn)
-                # preconditioned up front, so reads always resolve
-                dies.append(loc[0] if loc else self.ftl.peek_write_die(0))
-            else:
-                dies.append(self.ftl.peek_write_die(k))
-        return dies
-
     def _resil(self, name: str, amount: float = 1) -> None:
         self.resilience[name] = self.resilience.get(name, 0) + amount
 
@@ -436,19 +423,22 @@ class FlashReadService:
                 self._resil("overload_sheds")
             self._shed(req)
             return
-        per_die = Counter(self._target_dies(req))
-        for die, count in per_die.items():
+        # a read chain only looks its page up (the footprint is
+        # preconditioned, so no read maps a page), so reads translate once
+        # and take their dies from their chains; writes mutate the FTL, so
+        # their dies are predicted and their chains built only once admitted
+        lpns = [self._wrap(req.lpn + k) for k in range(req.n_pages)]
+        if req.is_read:
+            chains = [self.ftl.read_ops(lpn) for lpn in lpns]
+            dies = [ops[0].die for ops in chains]
+        else:
+            dies = [self.ftl.peek_write_die(k) for k in range(req.n_pages)]
+        for die, count in Counter(dies).items():
             if len(self._lanes[die].queue) + count > self.config.die_queue_limit:
                 self._shed(req)
                 return
-        chains: List[List[PhysicalOp]] = []
-        for k in range(req.n_pages):
-            lpn = self._wrap(req.lpn + k)
-            ops = (
-                self.ftl.read_ops(lpn) if req.is_read
-                else self.ftl.write_ops(lpn)
-            )
-            chains.append(ops)
+        if not req.is_read:
+            chains = [self.ftl.write_ops(lpn) for lpn in lpns]
         self._outstanding += 1
         inflight = _InFlight(req, issue_us=self.queue.now, chains=len(chains))
         for ops in chains:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import OBS
-from repro.ssd.metrics import LatencyStats
+from repro.ssd.metrics import LatencyStats, p99_us
 
 
 class StreamingWindows:
@@ -107,8 +107,6 @@ class StreamingWindows:
     def _close(self, idx: int) -> None:
         if OBS.enabled and OBS.tracer.enabled:
             w = self.window_us
-            lats = self._read_lats.get(idx, [])
-            stats = LatencyStats.from_samples(lats)
             OBS.tracer.emit(
                 "slo_window",
                 client=self.client,
@@ -116,7 +114,7 @@ class StreamingWindows:
                 window_end_us=(idx + 1) * w,
                 completed=self._counts.get(idx, 0),
                 iops=self._counts.get(idx, 0) / (w / 1e6),
-                read_p99_us=stats.p99_us,
+                read_p99_us=p99_us(self._read_lats.get(idx, [])),
                 late=self.late_arrivals,
             )
         if OBS.enabled and OBS.metrics.enabled:
@@ -145,11 +143,10 @@ class StreamingWindows:
             n_windows = max(n_windows, int(math.ceil(horizon_us / w)))
         series = []
         for i in range(n_windows):
-            stats = LatencyStats.from_samples(self._read_lats.get(i, []))
             series.append({
                 "window_start_us": i * w,
                 "iops": self._counts.get(i, 0) / (w / 1e6),
-                "read_p99_us": stats.p99_us,
+                "read_p99_us": p99_us(self._read_lats.get(i, [])),
             })
         return series
 

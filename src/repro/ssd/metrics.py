@@ -8,6 +8,16 @@ from typing import Any, Dict, List
 import numpy as np
 
 
+def p99_us(samples: "List[float] | np.ndarray") -> float:
+    """The 99th percentile of the finite ``samples``; 0.0 if there are
+    none (an empty sample never reaches numpy)."""
+    if len(samples) == 0:
+        return 0.0
+    arr = np.asarray(samples, dtype=np.float64)
+    arr = arr[np.isfinite(arr)]
+    return float(np.percentile(arr, 99)) if len(arr) else 0.0
+
+
 @dataclass
 class LatencyStats:
     """Summary statistics of a latency sample (microseconds)."""
@@ -34,7 +44,7 @@ class LatencyStats:
             mean_us=float(arr.mean()),
             median_us=float(np.median(arr)),
             p95_us=float(np.percentile(arr, 95)),
-            p99_us=float(np.percentile(arr, 99)),
+            p99_us=p99_us(arr),
             max_us=float(arr.max()),
             p999_us=float(np.percentile(arr, 99.9)),
         )

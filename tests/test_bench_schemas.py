@@ -9,6 +9,7 @@ no schema entry fails the coverage test until one is added.
 
 import json
 import subprocess
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ def committed_bench_jsons():
     Reading the index rather than the disk keeps a local benchmark run's
     scratch report out of the checks, and makes a report that exists on
     disk but was never added to git fail them.  Outside a git checkout
-    (an exported tree) the disk is all there is."""
+    (an exported tree) the disk is all there is, less the names
+    ``.gitignore`` lists: a local run's scratch report is never tracked."""
     if (ROOT / ".git").exists():
         try:
             out = subprocess.run(
@@ -33,7 +35,21 @@ def committed_bench_jsons():
             return sorted(Path(line).name for line in out.splitlines())
         except (OSError, subprocess.CalledProcessError):
             pass
-    return sorted(p.name for p in BENCH_DIR.glob("BENCH_*.json"))
+    ignore = ROOT / ".gitignore"
+    patterns = [
+        line.strip() for line in (
+            ignore.read_text(encoding="utf-8").splitlines()
+            if ignore.is_file() else ()
+        )
+        if line.strip() and not line.startswith("#")
+    ]
+    return sorted(
+        p.name for p in BENCH_DIR.glob("BENCH_*.json")
+        if not any(
+            fnmatch(p.relative_to(ROOT).as_posix(), pat) or fnmatch(p.name, pat)
+            for pat in patterns
+        )
+    )
 
 
 def load(name):
