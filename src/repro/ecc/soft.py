@@ -57,11 +57,6 @@ class SoftSensing:
     def n_bins(self) -> int:
         return len(_MAGNITUDES[self.mode])
 
-    @property
-    def reads_per_voltage(self) -> int:
-        """Sensing passes per read voltage (1, 3 or 7)."""
-        return 2 * (self.n_bins - 1) + 1
-
     def magnitudes(self) -> np.ndarray:
         return _MAGNITUDES[self.mode]
 

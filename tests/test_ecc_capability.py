@@ -1,5 +1,7 @@
 """Capability-threshold ECC model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ class TestModesAndPenalty:
 
     def test_parity_donation_lowers_capability(self):
         full = CapabilityEcc()
-        donated = full.with_parity_donated(0.02)
+        donated = replace(full, parity_donated=0.02)
         assert donated.effective_rber < full.effective_rber
 
     def test_extreme_donation_clamps_at_zero(self):
@@ -84,8 +86,3 @@ class TestDecoding:
         mask[0] = mask[120] = mask[240] = True
         counts = ecc.frame_error_counts(mask)
         assert counts.sum() == 3 and len(counts) == 3
-
-    def test_decode_by_rate(self):
-        ecc = CapabilityEcc(capability_rber=5e-3)
-        assert ecc.decode_ok_by_rate(4e-3)
-        assert not ecc.decode_ok_by_rate(6e-3)

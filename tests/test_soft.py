@@ -19,11 +19,6 @@ class TestSoftSensing:
         assert SoftSensing(mode="soft2").n_bins == 2
         assert SoftSensing(mode="soft3").n_bins == 4
 
-    def test_reads_per_voltage(self):
-        assert SoftSensing(mode="hard").reads_per_voltage == 1
-        assert SoftSensing(mode="soft2").reads_per_voltage == 3
-        assert SoftSensing(mode="soft3").reads_per_voltage == 7
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SoftSensing(mode="soft4")
