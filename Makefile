@@ -116,7 +116,8 @@ simulate-smoke:
 # run.py exits 0 even when a digest mismatches, so the last stdout line
 # (the JSON summary) of each run must say "correct": true; the read-hot
 # run covers cache, scrubber and batching, the write-gc run FTL writes,
-# GC migration and the broker's read pricing
+# GC migration and the broker's read pricing, and the tournament and
+# campaign runs pin every retry policy's measured profile
 PERFBENCH_CORRECT = $(PYTHON) -c \
 	"import json, sys; r = json.loads(sys.stdin.read()); \
 	print('perfbench correct:', r['correct']); \
@@ -127,6 +128,12 @@ perfbench-smoke:
 		--seconds 5 --trace 0 > .perfbench-smoke.txt
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 	$(PYTHON) perfbench/run.py --workload replay-write-gc --seed 0 \
+		--seconds 5 --trace 0 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload tournament-tlc --seed 0 \
+		--seconds 5 --trace 0 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload campaign-qlc --seed 0 \
 		--seconds 5 --trace 0 > .perfbench-smoke.txt
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 

@@ -473,7 +473,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         config=ReplayConfig(
             scale=args.scale,
             batch_enabled=args.batch,
-            batch_limit=args.batch_limit,
             workers=args.workers,
         ),
     )
@@ -885,8 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="enable batched die scheduling (coalesce co-queued "
                         "same-wordline reads behind one sentinel inference)")
-    p.add_argument("--batch-limit", type=int, default=8,
-                   help="reads per batch at most, leader included")
     p.add_argument("--requests", type=int, default=None,
                    help="cap the replayed request count (synthetic default "
                         "4000)")

@@ -33,10 +33,13 @@ from repro.flash.wordline import Wordline
 FURTHER = "further"
 BACK = "back"
 
+#: calibration probes per read at most, before the vendor-table fallback
+MAX_STEPS = 6
+
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Tuning knobs of the calibration loop.
+    """Step size of the calibration loop.
 
     ``delta_steps`` is the small offset Delta the paper applies per
     calibration step; the default scales with the state pitch (5 steps for
@@ -44,13 +47,10 @@ class CalibrationConfig:
     """
 
     delta_steps: float
-    max_steps: int = 6
 
     @classmethod
-    def for_spec(cls, spec: FlashSpec, **overrides) -> "CalibrationConfig":
-        params = dict(delta_steps=max(2.0, round(0.02 * spec.state_pitch)))
-        params.update(overrides)
-        return cls(**params)
+    def for_spec(cls, spec: FlashSpec) -> "CalibrationConfig":
+        return cls(delta_steps=max(2.0, round(0.02 * spec.state_pitch)))
 
 
 class Calibrator:

@@ -14,8 +14,12 @@ For a page read (Section III-B):
 4. If the retry still fails, run the state-change calibration loop
    (Section III-C): compare ``NCa`` with the scaled sentinel count, nudge the
    sentinel offset by ``Delta`` in the indicated direction, re-derive the
-   other voltages, and retry — until decode or retry exhaustion.
-5. If calibration exhausts, walk the vendor retry table.
+   other voltages, and retry — until decode, ``MAX_STEPS`` probes or
+   ``MAX_RETRIES`` retries.
+5. If calibration exhausts, walk the vendor retry table (up to
+   ``MAX_RETRIES`` retries in all).
+
+There is no soft-decode stage: a read whose schedule runs out fails.
 
 The flow is a lazy offset :meth:`SentinelController.schedule`: each step's
 voltages are decided after the previous attempt failed, from auxiliary
@@ -30,12 +34,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.calibration import CalibrationConfig, Calibrator
+from repro.core.calibration import MAX_STEPS, CalibrationConfig, Calibrator
 from repro.core.models import SentinelModel
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.wordline import Wordline
-from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadOutcome, ReadPolicy, ScheduleEvent
+from repro.retry.current_flash import vendor_table
+from repro.retry.policy import (
+    MAX_RETRIES, ReadOutcome, ReadPolicy, ScheduleEvent,
+)
 
 __all__ = ["SentinelController", "ReadOutcome"]
 
@@ -68,12 +74,9 @@ class SentinelController(ReadPolicy):
         ecc: CapabilityEcc,
         model: SentinelModel,
         calibration: Optional[CalibrationConfig] = None,
-        max_retries: int = 10,
         fallback_table: bool = True,
-        soft_fallback: bool = False,
     ) -> None:
-        super().__init__(ecc, max_retries)
-        self.soft_fallback = soft_fallback
+        super().__init__(ecc)
         self.model = model
         self._calibrator: Optional[Calibrator] = (
             Calibrator(calibration) if calibration else None
@@ -128,8 +131,8 @@ class SentinelController(ReadPolicy):
         first_side = sign if verdict == "further" else -sign
         case = "case1" if verdict == "further" else "case2"
         delta = calibrator.config.delta_steps
-        for k in range(1, calibrator.config.max_steps + 1):
-            if outcome.retries - start >= self.max_retries:
+        for k in range(1, MAX_STEPS + 1):
+            if outcome.retries - start >= MAX_RETRIES:
                 break
             magnitude = (k + 1) // 2 * delta
             side = first_side if k % 2 == 1 else -first_side
@@ -143,8 +146,8 @@ class SentinelController(ReadPolicy):
 
         if self.fallback_table:
             self.note(outcome, FALLBACK_TABLE, after_retries=outcome.retries)
-            for entry in RetryTable.vendor_default(wordline.spec).entries:
-                if outcome.retries - start >= self.max_retries:
+            for entry in vendor_table(wordline.spec):
+                if outcome.retries - start >= MAX_RETRIES:
                     break
                 yield entry
 

@@ -7,9 +7,9 @@ wordlines the errors concentrate, so a page can fail even when its average
 RBER looks fine — one of the effects the paper's calibration step exists to
 handle.
 
-The capability is expressed as a correctable RBER per frame.  Soft decoding
-modes raise it (2-bit and 3-bit soft sensing feed the LDPC better LLRs), and
-donating parity cells to sentinels lowers it (the Section IV-C worst case).
+The capability is expressed as a correctable RBER per frame of hard-decision
+input: the read flow of Section III-B/C has no soft-decode stage (Figure
+19's soft sensing runs the real LDPC through :mod:`repro.ecc.soft`).
 The threshold rule tracks the real LDPC decoder of :mod:`repro.ecc.ldpc`
 when the capability is the LDPC's own, measured on random frames
 (``tests/test_page_ecc.py``).  The default values are not yet held to it:
@@ -21,7 +21,7 @@ frames, with this model the stricter one at default read voltages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Union
 
@@ -30,13 +30,6 @@ import numpy as np
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import ReadResult
 from repro.obs import OBS
-
-#: Capability multiplier of each sensing/decoding mode relative to hard input.
-MODE_GAIN = {"hard": 1.0, "soft2": 1.45, "soft3": 1.65}
-
-#: Capability lost per unit fraction of parity donated to sentinel cells.
-PARITY_LOSS_SLOPE = 1.2
-
 
 def _emit_decode(decoded: bool, frames: int, max_frame_errors: int) -> None:
     if OBS.metrics.enabled:
@@ -77,58 +70,34 @@ class CapabilityEcc:
     Parameters
     ----------
     capability_rber:
-        Correctable raw bit error rate per frame for hard decoding with the
-        full parity budget.
+        Correctable raw bit error rate per frame for hard decoding.
     frame_bits:
         Payload+parity bits covered by one frame (frames tile the page).
-    mode:
-        Sensing/decoding mode: ``hard``, ``soft2`` or ``soft3``.
-    parity_donated:
-        Fraction of the ECC parity space occupied by sentinel cells (the
-        paper's worst case; 0 when sentinels fit in free OOB).
     """
 
     capability_rber: float = 2.8e-3
     frame_bits: int = 16384
-    mode: str = "hard"
-    parity_donated: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODE_GAIN:
-            raise ValueError(f"unknown mode {self.mode!r}; one of {sorted(MODE_GAIN)}")
-        if not 0.0 <= self.parity_donated < 1.0:
-            raise ValueError("parity_donated must be in [0, 1)")
         if self.frame_bits <= 0:
             raise ValueError("frame_bits must be positive")
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_spec(cls, spec: FlashSpec, **overrides) -> "CapabilityEcc":
+    def for_spec(cls, spec: FlashSpec) -> "CapabilityEcc":
         """An ECC sized for a chip spec.
 
         The capability sits between the optimal-voltage RBER and the
         default-voltage RBER of an aged block — the regime the paper's
         evaluation lives in (default reads fail, optimal reads succeed).
         """
-        capability = 5.0e-3
-        frame_bits = min(16384, spec.cells_per_wordline // 4 or 1)
-        params = dict(capability_rber=capability, frame_bits=frame_bits)
-        params.update(overrides)
-        return cls(**params)
-
-    def with_mode(self, mode: str) -> "CapabilityEcc":
-        return replace(self, mode=mode)
-
-    # ------------------------------------------------------------------
-    @property
-    def effective_rber(self) -> float:
-        """Capability after the mode gain and the parity donation penalty."""
-        gain = MODE_GAIN[self.mode]
-        penalty = 1.0 - PARITY_LOSS_SLOPE * self.parity_donated
-        return self.capability_rber * gain * max(penalty, 0.0)
+        return cls(
+            capability_rber=5.0e-3,
+            frame_bits=min(16384, spec.cells_per_wordline // 4 or 1),
+        )
 
     def max_errors_per_frame(self) -> int:
-        return int(self.effective_rber * self.frame_bits)
+        return int(self.capability_rber * self.frame_bits)
 
     # ------------------------------------------------------------------
     def frame_error_counts(self, mismatch: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ threshold so block-scale sweeps stay fast.  This module provides the
 non-abstracted alternative: a page ECC whose ``decode_ok`` tiles the page
 into frames and runs the LDPC decoder of :mod:`repro.ecc.ldpc` on each one,
 via the symmetric-channel shortcut (all-zero codeword, the page's error mask
-as the received pattern).  Any read policy accepts it in place of the
+as the received pattern, every bit at full hard-decision confidence).  Any read policy accepts it in place of the
 threshold model, so a controller can run against genuine coding behaviour.
 
 It is the instrument for holding the threshold model to the real decoder
@@ -30,20 +30,15 @@ from repro.obs import OBS
 class RealPageEcc:
     """Page ECC backed by the real LDPC decoder; drop-in for ``CapabilityEcc``.
 
-    Implements the methods the read policies use (``decode_ok``, its
-    per-row ``decode_ok_batch`` and ``with_mode``) by tiling the page's
-    error mask into ``code.n``-bit frames.  A soft ``mode`` raises the LLR
-    quality, approximated here by lowering the confidence of every error.
+    Implements the methods the read policies use (``decode_ok`` and its
+    per-row ``decode_ok_batch``) by tiling the page's error mask into
+    ``code.n``-bit frames, each decoded from hard-decision input.
     """
 
-    def __init__(self, code: LdpcCode, mode: str = "hard"):
+    def __init__(self, code: LdpcCode):
         self.code = code
-        self.mode = mode
 
     # -- CapabilityEcc-compatible surface --------------------------------
-    def with_mode(self, mode: str) -> "RealPageEcc":
-        return RealPageEcc(self.code, mode=mode)
-
     def decode_ok(
         self,
         read: Union[ReadResult, np.ndarray],
@@ -60,6 +55,7 @@ class RealPageEcc:
             mask[start : start + frame_bits]
             for start in range(0, len(mask), frame_bits)
         ]
+        magnitude = np.ones(frame_bits)
         page_ok = True
         for frame in frames:
             if len(frame) < frame_bits:
@@ -68,11 +64,6 @@ class RealPageEcc:
                 frame = np.concatenate(
                     [frame, np.zeros(frame_bits - len(frame), dtype=bool)]
                 )
-            magnitude = np.ones(frame_bits)
-            if self.mode != "hard":
-                # soft sensing: errors sit near thresholds and arrive
-                # with reduced confidence
-                magnitude = np.where(frame, 0.4, 1.0)
             if not self.code.decode_error_pattern(frame, magnitude).success:
                 page_ok = False
                 break

@@ -47,16 +47,15 @@ class ReplayConfig:
 
     #: time compression: arrivals land at ``time_s * 1e6 / scale``
     scale: float = 1.0
+    #: batched die scheduling (``repro.service.broker.BATCH_LIMIT`` reads
+    #: per batch at most)
     batch_enabled: bool = False
-    batch_limit: int = 8
     #: worker processes for the sharded translation preprocessing
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.batch_limit < 1:
-            raise ValueError("batch_limit must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -74,18 +73,16 @@ def replay_trace(
 ) -> ReplayReport:
     """Replay one trace against a fresh serving layer; return the report.
 
-    ``config`` is the one setter of batching: a ``service_config`` whose
-    ``batch_enabled``/``batch_limit`` differ from the defaults raises
-    ``ValueError`` instead of being silently overridden.
+    ``config`` is the one setter of batching: a ``service_config`` that
+    sets ``batch_enabled`` raises ``ValueError`` instead of being silently
+    overridden.
     ``trace_prefix`` prefixes the broker's span trace ids."""
     cfg = config or ReplayConfig()
     svc_cfg = service_config or ServiceConfig()
-    if (svc_cfg.batch_enabled, svc_cfg.batch_limit) != (
-        ServiceConfig.batch_enabled, ServiceConfig.batch_limit
-    ):
+    if svc_cfg.batch_enabled != ServiceConfig.batch_enabled:
         raise ValueError(
-            "replay batching is set by ReplayConfig.batch_enabled/"
-            "batch_limit, not by service_config"
+            "replay batching is set by ReplayConfig.batch_enabled, not by "
+            "service_config"
         )
     client = trace.name
 
@@ -96,9 +93,7 @@ def replay_trace(
     )
     requests = service_requests(translated, client)
 
-    svc_cfg = replace(
-        svc_cfg, batch_enabled=cfg.batch_enabled, batch_limit=cfg.batch_limit
-    )
+    svc_cfg = replace(svc_cfg, batch_enabled=cfg.batch_enabled)
     service = FlashReadService(
         spec, ssd_config, timing, profiles, seed=seed, config=svc_cfg
     )

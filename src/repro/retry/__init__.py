@@ -19,7 +19,7 @@ base reads it per wordline or in lockstep over a columnar batch.
   speculative retry sensing.
 * :class:`repro.retry.online_model.OnlineModelPolicy` — Luo et al. (arXiv
   1807.05140): retention-model prediction before the first sense with
-  online per-chunk process-variation corrections.
+  online per-layer process-variation corrections.
 * :class:`repro.retry.tracked_sentinel.TrackedSentinelPolicy` — the
   paper's combination: a tracked first attempt, the sentinel flow on
   failure.
@@ -27,8 +27,8 @@ base reads it per wordline or in lockstep over a columnar batch.
 The sentinel controller itself lives in :mod:`repro.core.controller`.
 """
 
-from repro.retry.policy import ReadPolicy, ReadOutcome, ReadAttempt
-from repro.retry.current_flash import CurrentFlashPolicy, RetryTable
+from repro.retry.policy import MAX_RETRIES, ReadPolicy, ReadOutcome, ReadAttempt
+from repro.retry.current_flash import CurrentFlashPolicy, vendor_table
 from repro.retry.tracking import TrackingPolicy
 from repro.retry.layer_similarity import LayerSimilarityPolicy
 from repro.retry.oracle import OraclePolicy
@@ -37,11 +37,12 @@ from repro.retry.adaptive import AdaptiveRetryPolicy
 from repro.retry.online_model import OnlineModelPolicy
 
 __all__ = [
+    "MAX_RETRIES",
     "ReadPolicy",
     "ReadOutcome",
     "ReadAttempt",
     "CurrentFlashPolicy",
-    "RetryTable",
+    "vendor_table",
     "TrackingPolicy",
     "LayerSimilarityPolicy",
     "OraclePolicy",

@@ -19,9 +19,9 @@ Read Latency by Optimizing Read-Retry" as a :class:`ReadPolicy` drop-in:
   round's transfer (``max`` instead of sum — see
   :meth:`NandTiming.read_us`).  Once an attempt decodes, the walk ends and
   the in-flight speculative sense is discarded; decodes that clear the
-  configured ECC margin feed the ladder-start predictor, thin-margin
-  decodes predict one entry deeper (the optimum is drifting past the
-  entry that barely worked).
+  ECC margin (:data:`MARGIN_FRACTION`) feed the ladder-start predictor,
+  thin-margin decodes predict one entry deeper (the optimum is drifting
+  past the entry that barely worked).
 
 Determinism contract: predictions are **frozen while reads are in
 flight** — decode feedback only queues, and is folded into the
@@ -42,11 +42,16 @@ import numpy as np
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
-from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.current_flash import vendor_table
+from repro.retry.policy import MAX_RETRIES, ReadOutcome, ReadPolicy
 
 #: feedback key: (block, layer)
 _Key = Tuple[int, int]
+
+#: most recent outcomes per key that a committed ladder start averages
+HISTORY = 8
+#: a decode clears the ECC margin at or below this fraction of capability
+MARGIN_FRACTION = 0.75
 
 
 class AdaptiveRetryPolicy(ReadPolicy):
@@ -56,20 +61,10 @@ class AdaptiveRetryPolicy(ReadPolicy):
     #: retries overlap sensing with the previous round's transfer + ECC
     pipelined = True
 
-    def __init__(
-        self,
-        ecc: CapabilityEcc,
-        spec: FlashSpec,
-        table: Optional[RetryTable] = None,
-        max_retries: int = 10,
-        history: int = 8,
-        margin_fraction: float = 0.75,
-    ) -> None:
-        super().__init__(ecc, max_retries)
+    def __init__(self, ecc: CapabilityEcc, spec: FlashSpec) -> None:
+        super().__init__(ecc)
         self.spec = spec
-        self.table = table or RetryTable.vendor_default(spec)
-        self.history = max(1, history)
-        self.margin_fraction = margin_fraction
+        self.table = vendor_table(spec)
         #: committed ladder-start per (block, layer); None = cold walk
         self._starts: Dict[_Key, int] = {}
         #: decode feedback queued since the last commit, in read order
@@ -81,7 +76,7 @@ class AdaptiveRetryPolicy(ReadPolicy):
     def _start_from_hint(self, hint: float) -> int:
         """Ladder entry whose sentinel-voltage offset is nearest the hint."""
         sv = self.spec.sentinel_voltage - 1
-        column = self.table.entries[:, sv]
+        column = self.table[:, sv]
         return int(np.argmin(np.abs(column - float(hint))))
 
     def _start_for(self, key: _Key, hint: Optional[float]) -> Optional[int]:
@@ -94,7 +89,7 @@ class AdaptiveRetryPolicy(ReadPolicy):
         (zero-offset) read.  Cold reads walk the vendor ladder from the
         top; predicted reads expand around the start entry."""
         n = len(self.table)
-        cap = self.max_retries + 1
+        cap = MAX_RETRIES + 1
         if start is None:
             return ([-1] + list(range(n)))[:cap]
         idxs: List[int] = []
@@ -110,7 +105,7 @@ class AdaptiveRetryPolicy(ReadPolicy):
     def schedule(self, wordline, hint, outcome):
         start = self._start_for((wordline.block, wordline.layer), hint)
         return (
-            None if entry < 0 else self.table.entry(entry)
+            None if entry < 0 else self.table[entry]
             for entry in self._schedule(start)
         )
 
@@ -118,7 +113,7 @@ class AdaptiveRetryPolicy(ReadPolicy):
     # feedback
     # ------------------------------------------------------------------
     def _margin_clears(self, rber: float) -> bool:
-        return rber <= self.margin_fraction * self.ecc.effective_rber
+        return rber <= MARGIN_FRACTION * self.ecc.capability_rber
 
     def feedback(
         self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
@@ -142,13 +137,13 @@ class AdaptiveRetryPolicy(ReadPolicy):
         """Fold queued decode feedback into the ladder-start table.
 
         The committed start of a key is the rounded mean of its most
-        recent ``history`` outcomes; a negative mean (default reads keep
+        recent :data:`HISTORY` outcomes; a negative mean (default reads keep
         decoding) clears the prediction back to the cold walk.  Feedback
         queued inside :class:`repro.engine.ParallelMap` worker processes
         dies with the worker — commit boundaries belong to the caller.
         """
         for key, entries in self._pending.items():
-            window = entries[-self.history:]
+            window = entries[-HISTORY:]
             start = int(round(float(np.mean(window))))
             if start < 0:
                 self._starts.pop(key, None)

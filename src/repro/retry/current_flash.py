@@ -15,9 +15,6 @@ columnar batch, in lockstep: one batched sense per (page, ladder entry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.ecc.capability import CapabilityEcc
@@ -27,60 +24,47 @@ from repro.flash.mechanisms import (
     state_mean_shifts,
 )
 from repro.flash.spec import FlashSpec
-from repro.retry.policy import ReadPolicy
+from repro.retry.policy import MAX_RETRIES, ReadPolicy
+
+#: vendor table: entries, base stride as a fraction of the state pitch, and
+#: the stride growth per entry
+TABLE_ENTRIES = 12
+TABLE_STEP_FRACTION = 0.02
+TABLE_RAMP = 0.08
 
 
-@dataclass(frozen=True)
-class RetryTable:
-    """An ordered list of per-voltage offset vectors."""
+def vendor_table(spec: FlashSpec) -> np.ndarray:
+    """The vendor retry table: ``(TABLE_ENTRIES, n_voltages)`` offsets of
+    growing downward corrections, read-only.
 
-    entries: np.ndarray  # (n_entries, n_voltages)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def entry(self, index: int) -> np.ndarray:
-        return self.entries[index]
-
-    def ladder(self, n: int) -> np.ndarray:
-        """The first ``n`` entries (none for ``n <= 0``)."""
-        return self.entries[: max(n, 0)]
-
-    @classmethod
-    def vendor_default(
-        cls,
-        spec: FlashSpec,
-        n_entries: int = 12,
-        step_fraction: float = 0.02,
-        ramp: float = 0.08,
-    ) -> "RetryTable":
-        """A ladder of growing downward corrections.
-
-        Entry ``k`` applies ``-k * step * (1 + ramp*k) * w(i)`` to voltage
-        ``V_i``, where ``w`` is the chip's nominal per-state shift profile
-        normalized to a unit maximum — the shape a vendor would burn into
-        firmware from its own characterization.  Strides grow slightly
-        (``ramp``) so the late entries still reach heavily-shifted wordlines,
-        as real vendor tables do.  ``step_fraction`` scales the base stride
-        with the state pitch.
-        """
-        # The vendor knows the chip's mean shift profile (including the
-        # erased state creeping *up*); each boundary moves by the mean of
-        # its two adjacent state shifts.
-        shifts = state_mean_shifts(
-            spec, StressState(retention_hours=HOURS_PER_YEAR)
-        )
-        boundary_w = -(shifts[:-1] + shifts[1:]) / 2.0  # per read voltage
-        boundary_w = boundary_w / np.abs(boundary_w).max()
-        step = step_fraction * spec.state_pitch
-        entries = np.array(
-            [
-                -np.round((k + 1) * step * (1.0 + ramp * (k + 1)) * boundary_w)
-                for k in range(n_entries)
-            ],
-            dtype=np.float64,
-        )
-        return cls(entries=entries)
+    Entry ``k`` applies ``-k * step * (1 + ramp*k) * w(i)`` to voltage
+    ``V_i``, where ``w`` is the chip's nominal per-state shift profile
+    normalized to a unit maximum — the shape a vendor would burn into
+    firmware from its own characterization.  Strides grow slightly
+    (``TABLE_RAMP``) so the late entries still reach heavily-shifted
+    wordlines, as real vendor tables do.  ``TABLE_STEP_FRACTION`` scales
+    the base stride with the state pitch.
+    """
+    # The vendor knows the chip's mean shift profile (including the
+    # erased state creeping *up*); each boundary moves by the mean of
+    # its two adjacent state shifts.
+    shifts = state_mean_shifts(
+        spec, StressState(retention_hours=HOURS_PER_YEAR)
+    )
+    boundary_w = -(shifts[:-1] + shifts[1:]) / 2.0  # per read voltage
+    boundary_w = boundary_w / np.abs(boundary_w).max()
+    step = TABLE_STEP_FRACTION * spec.state_pitch
+    table = np.array(
+        [
+            -np.round(
+                (k + 1) * step * (1.0 + TABLE_RAMP * (k + 1)) * boundary_w
+            )
+            for k in range(TABLE_ENTRIES)
+        ],
+        dtype=np.float64,
+    )
+    table.setflags(write=False)
+    return table
 
 
 class CurrentFlashPolicy(ReadPolicy):
@@ -88,22 +72,14 @@ class CurrentFlashPolicy(ReadPolicy):
 
     name = "current-flash"
 
-    def __init__(
-        self,
-        ecc: CapabilityEcc,
-        spec: FlashSpec,
-        table: Optional[RetryTable] = None,
-        max_retries: int = 10,
-        soft_fallback: bool = False,
-    ) -> None:
-        super().__init__(ecc, max_retries)
-        self.table = table or RetryTable.vendor_default(spec)
-        self.soft_fallback = soft_fallback
+    def __init__(self, ecc: CapabilityEcc, spec: FlashSpec) -> None:
+        super().__init__(ecc)
+        self.table = vendor_table(spec)
 
     def schedule(self, wordline, hint, outcome):
         # hint ignored: the vendor table has no notion of a cached offset
         yield None
-        yield from self.table.ladder(self.max_retries)
+        yield from self.table[:MAX_RETRIES]
 
     # perfbench/bench_trace.py wraps these two by name in this class's own
     # __dict__, so they stay here as delegations to the ReadPolicy drivers

@@ -9,14 +9,12 @@ per-wordline sentinel inference.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
-from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadPolicy
+from repro.retry.current_flash import vendor_table
+from repro.retry.policy import MAX_RETRIES, ReadPolicy
 from repro.retry.tracking import TrackedOffsets
 
 
@@ -25,15 +23,9 @@ class LayerSimilarityPolicy(ReadPolicy):
 
     name = "layer-similarity"
 
-    def __init__(
-        self,
-        ecc: CapabilityEcc,
-        chip: FlashChip,
-        table: Optional[RetryTable] = None,
-        max_retries: int = 10,
-    ) -> None:
-        super().__init__(ecc, max_retries)
-        self.table = table or RetryTable.vendor_default(chip.spec)
+    def __init__(self, ecc: CapabilityEcc, chip: FlashChip) -> None:
+        super().__init__(ecc)
+        self.table = vendor_table(chip.spec)
         self._per_layer = chip.spec.wordlines_per_layer
         self._tracked = TrackedOffsets(chip)
 
@@ -44,4 +36,4 @@ class LayerSimilarityPolicy(ReadPolicy):
     def schedule(self, wordline, hint, outcome):
         # hint ignored: the per-layer tracked table plays the same role
         yield self.tracked_offsets(wordline.block, wordline.layer)
-        yield from self.table.ladder(self.max_retries - 1)
+        yield from self.table[: MAX_RETRIES - 1]

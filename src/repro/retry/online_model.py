@@ -13,13 +13,13 @@ by an online model instead of walking a fixed ladder:
   "early retention loss" component: the first sense already lands near
   the optimum of an aged block, before any decode failure.
 
-* **Online per-chunk correction** — process variation is systematic
-  across neighbouring layers, so the model keeps one learned offset
-  vector per (block, layer-chunk), updated from decode feedback: every
-  read that decodes with ECC margin contributes ``applied - prior`` to
-  its chunk's correction.  Like the real proposal, the model improves as
-  it serves reads — a freshly powered controller predicts from the prior
-  alone and converges after one pass over a chunk.
+* **Online per-layer correction** — process variation is systematic
+  within a layer, so the model keeps one learned offset vector per
+  (block, layer), updated from decode feedback: every read that decodes
+  with ECC margin contributes ``applied - prior`` to its layer's
+  correction.  Like the real proposal, the model improves as it serves
+  reads — a freshly powered controller predicts from the prior alone and
+  converges after one pass over a layer.
 
 On a decode failure the policy probes around the prediction (alternating
 deeper/shallower along the chip's boundary-shift profile) rather than
@@ -29,7 +29,7 @@ offset, scaled along the shift profile.
 
 Determinism contract: identical to :class:`AdaptiveRetryPolicy` — decode
 feedback queues in read order and only :meth:`commit_feedback` folds it
-into the committed per-chunk corrections, so each read's probe sequence is
+into the committed per-layer corrections, so each read's probe sequence is
 a pure function of its frozen prediction.  That keeps the lockstep and
 per-wordline reads of :class:`repro.retry.policy.ReadPolicy`
 bit-identical and sharded measurements worker-count-invariant.
@@ -49,32 +49,27 @@ from repro.flash.mechanisms import (
 )
 from repro.flash.spec import FlashSpec
 from repro.flash.wordline import Wordline
-from repro.retry.policy import ReadOutcome, ReadPolicy
+from repro.retry.policy import MAX_RETRIES, ReadOutcome, ReadPolicy
 
-#: feedback key: (block, layer // chunk_layers)
+#: feedback key: (block, layer)
 _Key = Tuple[int, int]
+
+#: most recent contributions per key that a committed correction averages
+HISTORY = 16
+#: a decode clears the ECC margin at or below this fraction of capability
+MARGIN_FRACTION = 0.75
+#: probe stride along the boundary-shift profile, in state pitches
+PROBE_FRACTION = 0.03
 
 
 class OnlineModelPolicy(ReadPolicy):
-    """Model-predicted first sense with per-chunk online corrections."""
+    """Model-predicted first sense with per-layer online corrections."""
 
     name = "online-model"
 
-    def __init__(
-        self,
-        ecc: CapabilityEcc,
-        spec: FlashSpec,
-        chunk_layers: int = 1,
-        max_retries: int = 10,
-        history: int = 16,
-        margin_fraction: float = 0.75,
-        probe_fraction: float = 0.03,
-    ) -> None:
-        super().__init__(ecc, max_retries)
+    def __init__(self, ecc: CapabilityEcc, spec: FlashSpec) -> None:
+        super().__init__(ecc)
         self.spec = spec
-        self.chunk_layers = max(1, chunk_layers)
-        self.history = max(1, history)
-        self.margin_fraction = margin_fraction
         # probe direction: the chip's nominal boundary-shift profile
         # (unit maximum), the same shape a vendor ladder walks
         shifts = state_mean_shifts(
@@ -82,9 +77,9 @@ class OnlineModelPolicy(ReadPolicy):
         )
         profile = -(shifts[:-1] + shifts[1:]) / 2.0
         self._profile = profile / np.abs(profile).max()
-        self._probe_step = probe_fraction * spec.state_pitch
+        self._probe_step = PROBE_FRACTION * spec.state_pitch
         self._prior_cache: Dict[tuple, np.ndarray] = {}
-        #: committed learned correction per chunk (DAC steps per voltage)
+        #: committed learned correction per key (DAC steps per voltage)
         self._corrections: Dict[_Key, np.ndarray] = {}
         #: (applied - prior) vectors queued since the last commit
         self._pending: Dict[_Key, List[np.ndarray]] = {}
@@ -99,9 +94,6 @@ class OnlineModelPolicy(ReadPolicy):
             shifts = state_mean_shifts(self.spec, stress)
             self._prior_cache[key] = np.round((shifts[:-1] + shifts[1:]) / 2.0)
         return self._prior_cache[key]
-
-    def _chunk_of(self, block: int, layer: int) -> _Key:
-        return (block, layer // self.chunk_layers)
 
     def _predict(
         self, prior: np.ndarray, key: _Key, hint: Optional[float]
@@ -136,16 +128,14 @@ class OnlineModelPolicy(ReadPolicy):
 
     def schedule(self, wordline, hint, outcome):
         prior = self.prior_offsets(wordline.stress)
-        pred = self._predict(
-            prior, self._chunk_of(wordline.block, wordline.layer), hint
-        )
-        return (self._probe(pred, k) for k in range(self.max_retries + 1))
+        pred = self._predict(prior, (wordline.block, wordline.layer), hint)
+        return (self._probe(pred, k) for k in range(MAX_RETRIES + 1))
 
     # ------------------------------------------------------------------
     # feedback
     # ------------------------------------------------------------------
     def _margin_clears(self, rber: float) -> bool:
-        return rber <= self.margin_fraction * self.ecc.effective_rber
+        return rber <= MARGIN_FRACTION * self.ecc.capability_rber
 
     def feedback(
         self, wordline: Wordline, hint: Optional[float], outcome: ReadOutcome
@@ -156,19 +146,19 @@ class OnlineModelPolicy(ReadPolicy):
         if not self._margin_clears(applied.rber):
             return  # a barely-decoded read is a noisy teacher; skip it
         prior = self.prior_offsets(wordline.stress)
-        key = self._chunk_of(wordline.block, wordline.layer)
+        key = (wordline.block, wordline.layer)
         self._pending.setdefault(key, []).append(applied.offsets - prior)
 
     def commit_feedback(self) -> None:
-        """Fold queued decode feedback into the per-chunk corrections.
+        """Fold queued decode feedback into the per-layer corrections.
 
-        The committed correction of a chunk is the rounded per-voltage
-        mean of its most recent ``history`` contributions.  Feedback
+        The committed correction of a key is the rounded per-voltage
+        mean of its most recent :data:`HISTORY` contributions.  Feedback
         queued inside :class:`repro.engine.ParallelMap` worker processes
         dies with the worker — commit boundaries belong to the caller.
         """
         for key, vectors in self._pending.items():
-            window = vectors[-self.history:]
+            window = vectors[-HISTORY:]
             self._corrections[key] = np.round(
                 np.mean(np.stack(window), axis=0)
             )

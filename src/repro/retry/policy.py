@@ -1,9 +1,10 @@
 """Common base of all read policies.
 
 A *read policy* drives a page read to ECC success: it decides which voltage
-offsets every attempt uses and when to give up.  The outcome records enough
-accounting (full-page senses, auxiliary single-voltage senses, transfers) for
-the NAND timing model to price the whole operation.
+offsets every attempt uses and when to give up (:data:`MAX_RETRIES`).  The
+outcome records enough accounting (full-page senses, auxiliary
+single-voltage senses, transfers) for the NAND timing model to price the
+whole operation.
 
 Every policy only declares a per-read offset :meth:`ReadPolicy.schedule`;
 :class:`ReadPolicy` reads it in lockstep over a columnar batch, and a
@@ -26,6 +27,11 @@ from repro.faults import FAULTS
 from repro.flash.wordline import Wordline
 from repro.obs import OBS
 
+#: the retry cap every policy's schedule is built on: full page re-reads
+#: after the first attempt (the sentinel flow counts its calibration and
+#: vendor-table retries from its own default read)
+MAX_RETRIES = 10
+
 
 @dataclass(frozen=True)
 class ReadAttempt:
@@ -45,8 +51,7 @@ class ReadOutcome:
     one-voltage senses (the sentinel read of Section III-B and the
     state-change comparison reads of Section III-C), which are much cheaper
     than retries because sensing latency is proportional to the number of
-    read voltages applied.  ``soft_decoded`` records the sensing mode of a
-    last-resort soft decode, if one rescued the read.
+    read voltages applied.
     """
 
     page: int
@@ -55,7 +60,6 @@ class ReadOutcome:
     retries: int = 0
     extra_single_reads: int = 0
     calibration_steps: int = 0
-    soft_decoded: Optional[str] = None
     #: retry rounds whose array sensing was issued speculatively during the
     #: previous round's transfer + ECC (Park et al., arXiv 2104.09611): the
     #: timing model overlaps those senses with the channel instead of
@@ -67,31 +71,12 @@ class ReadOutcome:
     notes: List[tuple] = field(default_factory=list, repr=False, compare=False)
 
     @property
-    def initial_rber(self) -> float:
-        return self.attempts[0].rber if self.attempts else float("nan")
-
-    @property
     def final_rber(self) -> float:
         return self.attempts[-1].rber if self.attempts else float("nan")
 
     @property
     def final_offsets(self) -> np.ndarray:
         return self.attempts[-1].offsets if self.attempts else np.zeros(0)
-
-    @property
-    def total_full_reads(self) -> int:
-        return 1 + self.retries
-
-    @property
-    def total_voltage_senses(self) -> int:
-        """Total sensing passes, the unit the latency model charges."""
-        senses = self.total_full_reads * self.page_voltages + self.extra_single_reads
-        if self.soft_decoded is not None:
-            # a soft decode re-senses the page with extra reference reads
-            # per voltage (3 for 2-bit, 7 for 3-bit sensing)
-            per_voltage = {"soft2": 3, "soft3": 7}[self.soft_decoded]
-            senses += self.page_voltages * per_voltage
-        return senses
 
 
 @dataclass(frozen=True)
@@ -145,12 +130,9 @@ class ReadPolicy(ABC):
 
     #: human-readable policy name used in reports
     name: str = "abstract"
-    #: rescue a read whose schedule ran out with a soft-sensing decode
-    soft_fallback: bool = False
 
-    def __init__(self, ecc: CapabilityEcc, max_retries: int = 10) -> None:
+    def __init__(self, ecc: CapabilityEcc) -> None:
         self.ecc = ecc
-        self.max_retries = max_retries
 
     # ------------------------------------------------------------------
     def _record(
@@ -170,33 +152,6 @@ class ReadPolicy(ABC):
             outcome.retries += 1
         outcome.success = decoded
         return decoded
-
-    def soft_rescue(
-        self,
-        wordline: Wordline,
-        outcome: ReadOutcome,
-        modes: Sequence[str] = ("soft2", "soft3"),
-    ) -> bool:
-        """Last resort after retry exhaustion: soft-sensing decode.
-
-        Re-senses the page at the best offsets seen so far with 2-bit and
-        then 3-bit soft sensing; the extra reference reads raise the ECC
-        capability (the Figure 19 effect).  Returns True if a soft mode
-        decoded; the cost is recorded in ``outcome.soft_decoded``.
-        """
-        if outcome.success or not outcome.attempts:
-            return outcome.success
-        best = min(outcome.attempts, key=lambda a: a.rber)
-        result = wordline.read_page(outcome.page, best.offsets)
-        for mode in modes:
-            deferred: List[Callable[[], None]] = []
-            ok = self.ecc.with_mode(mode).decode_ok(result, deferred)
-            self._note_decodes(outcome, deferred)
-            if ok:
-                outcome.soft_decoded = mode
-                outcome.success = True
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # observability (callers check OBS.enabled)
@@ -250,9 +205,8 @@ class ReadPolicy(ABC):
         batching).  Instead they record silently and this helper replays
         the exact per-read stream — ``repro_reads_total``, then per
         attempt the schedule events noted before it, its ``ecc_decode``
-        and its ``read_attempt``, then the events noted after the last
-        (soft-rescue decodes included) — in canonical (row, page,
-        attempt) order.
+        and its ``read_attempt``, then the events noted after the last —
+        in canonical (row, page, attempt) order.
         """
         if not OBS.enabled:
             return
@@ -381,9 +335,7 @@ class ReadPolicy(ABC):
                         float(batch.rber[i]), bool(decoded[i]),
                     ):
                         active.append(r)
-            for view, out, row in zip(views, outs, outcomes):
-                if self.soft_fallback:
-                    self.soft_rescue(view, out)
+            for out, row in zip(outs, outcomes):
                 row.append(out)
         for view, hint, row in zip(views, hints, outcomes):
             for out in row:

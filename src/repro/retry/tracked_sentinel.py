@@ -24,19 +24,15 @@ class TrackedSentinelPolicy(SentinelController):
     If the inferred retry fails too, the standard sentinel flow runs from
     the default voltages (a fresh inference, calibration, vendor table).
     Its caps count retries from its own default read, so a read can take
-    up to ``max_retries + 2`` retries.
+    up to ``MAX_RETRIES + 2`` retries.
     """
 
     name = "tracking+sentinel"
 
     def __init__(
-        self,
-        ecc: CapabilityEcc,
-        chip: FlashChip,
-        model: SentinelModel,
-        max_retries: int = 10,
+        self, ecc: CapabilityEcc, chip: FlashChip, model: SentinelModel
     ) -> None:
-        super().__init__(ecc, model, max_retries=max_retries)
+        super().__init__(ecc, model)
         #: ``tracked_offsets(block)``: the block's tracked optima
         self.tracked_offsets = TrackedOffsets(chip)
 

@@ -14,15 +14,15 @@ best-case accuracy).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.optimal import optimal_offsets
-from repro.retry.current_flash import RetryTable
-from repro.retry.policy import ReadPolicy
+from repro.retry.current_flash import vendor_table
+from repro.retry.policy import MAX_RETRIES, ReadPolicy
 
 #: the wordline of each block whose optimum is tracked
 SAMPLE_WORDLINE = 0
@@ -49,19 +49,13 @@ class TrackingPolicy(ReadPolicy):
 
     name = "tracking"
 
-    def __init__(
-        self,
-        ecc: CapabilityEcc,
-        chip: FlashChip,
-        table: Optional[RetryTable] = None,
-        max_retries: int = 10,
-    ) -> None:
-        super().__init__(ecc, max_retries)
-        self.table = table or RetryTable.vendor_default(chip.spec)
+    def __init__(self, ecc: CapabilityEcc, chip: FlashChip) -> None:
+        super().__init__(ecc)
+        self.table = vendor_table(chip.spec)
         #: ``tracked_offsets(block)``: the block's tracked optima
         self.tracked_offsets = TrackedOffsets(chip)
 
     def schedule(self, wordline, hint, outcome):
         # hint ignored: tracking already supplies the first-attempt voltages
         yield self.tracked_offsets(wordline.block)
-        yield from self.table.ladder(self.max_retries - 1)
+        yield from self.table[: MAX_RETRIES - 1]

@@ -71,6 +71,8 @@ BREAKER_OPEN_US = 50_000.0
 #: fallback-table retries charged to one degraded read — also the
 #: vendor-walk baseline a read span's ``saved_us`` is measured against
 DEGRADED_RETRIES = 4
+#: reads coalesced into one batch at most, leader included
+BATCH_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -92,17 +94,14 @@ class ServiceConfig:
     #: covers the whole batch, followers pay sense-at-known-offsets or
     #: transfer only.  Off by default: the synthetic serving scenarios and
     #: their goldens predate batching; the trace-replay frontend turns it on.
+    #: A batch holds at most ``BATCH_LIMIT`` reads.
     batch_enabled: bool = False
-    #: reads coalesced into one batch at most (leader included)
-    batch_limit: int = 8
 
     def __post_init__(self) -> None:
         if self.admit_limit < 1:
             raise ValueError("admit_limit must be positive")
         if self.die_queue_limit < 1:
             raise ValueError("die_queue_limit must be positive")
-        if self.batch_limit < 1:
-            raise ValueError("batch_limit must be positive")
 
 
 class _InFlight:
@@ -540,7 +539,7 @@ class FlashReadService:
         key = (leader.block, self._wordline_of(leader))
         picked: List[Tuple[_InFlight, List[PhysicalOp]]] = []
         rest: Deque[Tuple[_InFlight, List[PhysicalOp]]] = deque()
-        budget = self.config.batch_limit - 1
+        budget = BATCH_LIMIT - 1
         for item in lane.queue:
             ops = item[1]
             if (

@@ -45,8 +45,6 @@ def read(
             policy._note_attempt(outcome, k)
         if decoded:
             break
-    if policy.soft_fallback:
-        policy.soft_rescue(wordline, outcome)
     if OBS.enabled:
         policy._emit_notes(outcome, len(outcome.attempts))
     policy.feedback(wordline, hint, outcome)

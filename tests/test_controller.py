@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.calibration import BACK, FURTHER, CalibrationConfig, Calibrator
+from repro.core.calibration import (
+    BACK, FURTHER, MAX_STEPS, CalibrationConfig, Calibrator,
+)
 from repro.core.characterization import characterize_chip
 from repro.core.controller import SentinelController
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
+from repro.retry.policy import MAX_RETRIES
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +37,6 @@ class TestCalibrationConfig:
         tlc = CalibrationConfig.for_spec(tiny_tlc)
         qlc = CalibrationConfig.for_spec(tiny_qlc)
         assert tlc.delta_steps > qlc.delta_steps
-
-    def test_overrides(self, tiny_tlc):
-        cfg = CalibrationConfig.for_spec(tiny_tlc, max_steps=3)
-        assert cfg.max_steps == 3
 
 
 class TestCalibratorVerdict:
@@ -86,13 +85,14 @@ class TestControllerFlow:
     def test_outcome_accounting(self, aged_tlc_chip, tlc_model, ecc):
         controller = SentinelController(ecc, tlc_model)
         outcome = controller.read(aged_tlc_chip.wordline(0, 2), "MSB")
-        assert outcome.total_full_reads == 1 + outcome.retries
-        expected = (
-            outcome.total_full_reads * outcome.page_voltages
-            + outcome.extra_single_reads
+        # every full read is one recorded attempt: the first plus retries,
+        # each applying the page's own read voltages
+        assert len(outcome.attempts) == 1 + outcome.retries
+        spec = aged_tlc_chip.spec
+        assert outcome.page == spec.gray.page_index("MSB")
+        assert outcome.page_voltages == len(
+            spec.gray.page_voltages(outcome.page)
         )
-        assert outcome.total_voltage_senses == expected
-        assert len(outcome.attempts) == outcome.total_full_reads
 
     def test_final_offsets_negative_when_aged(self, aged_tlc_chip, tlc_model, ecc):
         controller = SentinelController(ecc, tlc_model)
@@ -102,20 +102,24 @@ class TestControllerFlow:
 
     def test_max_retries_respected(self, aged_tlc_chip, tlc_model):
         impossible = CapabilityEcc(capability_rber=1e-9, frame_bits=1024)
-        controller = SentinelController(impossible, tlc_model, max_retries=4)
+        controller = SentinelController(impossible, tlc_model)
         outcome = controller.read(aged_tlc_chip.wordline(0, 1), "MSB")
         assert not outcome.success
-        assert outcome.retries <= 4
+        # inferred retry + calibration probes + the vendor-table fallback
+        # would exceed the cap, so the cap stops the read
+        assert outcome.retries == MAX_RETRIES
 
     def test_fallback_table_disabled(self, aged_tlc_chip, tlc_model):
         impossible = CapabilityEcc(capability_rber=1e-9, frame_bits=1024)
         controller = SentinelController(
             impossible, tlc_model, fallback_table=False,
-            calibration=CalibrationConfig(delta_steps=5.0, max_steps=2),
+            calibration=CalibrationConfig(delta_steps=5.0),
         )
         outcome = controller.read(aged_tlc_chip.wordline(0, 1), "MSB")
-        # initial + inferred + 2 calibration probes only
-        assert outcome.retries <= 3
+        # initial + inferred + the calibration probes only
+        assert MAX_STEPS + 1 < MAX_RETRIES
+        assert outcome.retries == MAX_STEPS + 1
+        assert outcome.calibration_steps == MAX_STEPS
 
     def test_reads_are_reproducible_on_a_fresh_wordline(
         self, tiny_tlc, aged_stress, tlc_model, ecc

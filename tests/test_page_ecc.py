@@ -72,18 +72,6 @@ class TestRealPageEcc:
         mask[[3, 700, 1400]] = True
         assert ecc.decode_ok(mask)
 
-    def test_soft_mode_helps_ldpc(self, code512):
-        rng = derive_rng(5)
-        hard = RealPageEcc(code512, mode="hard")
-        soft = RealPageEcc(code512, mode="soft3")
-        hard_ok = soft_ok = 0
-        for _ in range(6):
-            mask = np.zeros(512, dtype=bool)
-            mask[rng.choice(512, 16, replace=False)] = True
-            hard_ok += hard.decode_ok(mask)
-            soft_ok += soft.decode_ok(mask)
-        assert soft_ok >= hard_ok
-
     def test_page_too_small(self, code512):
         with pytest.raises(ValueError):
             RealPageEcc(code512).decode_ok(np.zeros(100, dtype=bool))

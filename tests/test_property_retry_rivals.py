@@ -15,7 +15,7 @@ Guarantees the tournament harness and ``RetryProfile.measure`` lean on:
   ordered ``read_attempt``/``sentinel_inference``/``calibration_step``/
   ``fallback_table``/``ecc_decode`` stream and equal counters;
 * every event and counter of a tracking+sentinel read carries that
-  policy's name, and its retries stay within ``max_retries + 2``;
+  policy's name, and its retries stay within ``MAX_RETRIES + 2``;
 * OPT's optimum search runs only for reads whose default sense failed,
   on both paths;
 * the online model **learns**: on a fixed-stress noiseless chip, total
@@ -45,6 +45,7 @@ from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
 from repro.obs import OBS
 from repro.retry import (
+    MAX_RETRIES,
     AdaptiveRetryPolicy,
     CurrentFlashPolicy,
     LayerSimilarityPolicy,
@@ -96,9 +97,7 @@ def _sentinel_model(spec):
 
 #: policy factories: ``(ecc, chip) -> policy``
 POLICIES = {
-    "current-flash": lambda ecc, chip: CurrentFlashPolicy(
-        ecc, chip.spec, soft_fallback=True
-    ),
+    "current-flash": lambda ecc, chip: CurrentFlashPolicy(ecc, chip.spec),
     "tracking": lambda ecc, chip: TrackingPolicy(ecc, chip),
     "layer-similarity": lambda ecc, chip: LayerSimilarityPolicy(ecc, chip),
     "opt": lambda ecc, chip: OraclePolicy(ecc),
@@ -162,7 +161,6 @@ def _assert_outcomes_identical(serial, batched):
     assert serial.success == batched.success
     assert serial.retries == batched.retries
     assert serial.pipelined_senses == batched.pipelined_senses
-    assert serial.soft_decoded == batched.soft_decoded
     assert len(serial.attempts) == len(batched.attempts)
     for a, b in zip(serial.attempts, batched.attempts):
         assert a.decoded == b.decoded
@@ -389,13 +387,13 @@ def test_tracked_sentinel_obs_carries_its_own_name():
 
 
 @pytest.mark.parametrize("policy_name, bound", [
-    ("sentinel", 10), ("tracking+sentinel", 12),
+    ("sentinel", MAX_RETRIES), ("tracking+sentinel", MAX_RETRIES + 2),
 ])
 def test_sentinel_retry_bounds(policy_name, bound):
     """When no decode ever succeeds, the sentinel controller stops at
-    ``max_retries``; tracking+sentinel adds its tracked read and the
+    ``MAX_RETRIES``; tracking+sentinel adds its tracked read and the
     takeover retry before a flow whose caps count from its own default
-    read, so it stops at ``max_retries + 2``."""
+    read, so it stops at ``MAX_RETRIES + 2``."""
     FAULTS.activate(FaultPlan(
         name="never-decodes",
         specs=(FaultSpec("ecc.timeout", probability=1.0),),
@@ -515,7 +513,7 @@ class TestAdaptiveRetryUnit:
         spec, policy = setup
         sv = spec.sentinel_voltage - 1
         for entry in (0, len(policy.table) - 1):
-            hint = float(policy.table.entries[entry, sv])
+            hint = float(policy.table[entry, sv])
             assert policy._start_from_hint(hint) == entry
 
     def test_feedback_applies_only_after_commit(self, setup):

@@ -161,8 +161,8 @@ class TestReplay:
 
     @pytest.mark.parametrize(
         "service_config",
-        [ServiceConfig(batch_enabled=True), ServiceConfig(batch_limit=4)],
-        ids=["batch_enabled", "batch_limit"],
+        [ServiceConfig(batch_enabled=True)],
+        ids=["batch_enabled"],
     )
     def test_service_config_cannot_set_batching(self, service_config):
         """ReplayConfig is the one setter of replay batching: a broker

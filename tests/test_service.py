@@ -18,6 +18,7 @@ from repro.service import (
     mixed_scenario,
     synthetic_profiles,
 )
+from repro.service.broker import BATCH_LIMIT
 from repro.service.voltage_cache import REFRESH_AGE_US, TTL_US
 from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
@@ -331,22 +332,24 @@ def _same_page_reads(n, client="burst"):
 
 class TestBatchedScheduling:
     def test_co_arriving_same_wordline_reads_coalesce(self):
-        svc = make_service(
-            config=ServiceConfig(batch_enabled=True, batch_limit=8)
-        )
+        svc = make_service(config=ServiceConfig(batch_enabled=True))
         report = svc.run_prepared({"burst": _same_page_reads(6)})
         assert svc.batch_stats["batches"] >= 1
         assert svc.batch_stats["coalesced_reads"] >= 1
-        assert svc.batch_stats["max_batch"] <= 8
+        assert svc.batch_stats["max_batch"] <= BATCH_LIMIT
         stats = report.clients["burst"]
         assert stats["completed"] + stats["shed"] == stats["issued"] == 6
 
     def test_batch_limit_caps_batch_size(self):
-        svc = make_service(
-            config=ServiceConfig(batch_enabled=True, batch_limit=2)
-        )
-        svc.run_prepared({"burst": _same_page_reads(6)})
-        assert svc.batch_stats["max_batch"] <= 2
+        """More co-queued reads of one wordline than a batch holds (and
+        fewer than the die queue's 16): the batches fill up to exactly
+        ``BATCH_LIMIT``, never past it."""
+        n = 12
+        config = ServiceConfig(batch_enabled=True)
+        assert BATCH_LIMIT < n <= config.die_queue_limit
+        svc = make_service(config=config)
+        svc.run_prepared({"burst": _same_page_reads(n)})
+        assert svc.batch_stats["max_batch"] == BATCH_LIMIT
 
     def test_batching_disabled_by_default(self):
         svc = make_service()
@@ -356,9 +359,7 @@ class TestBatchedScheduling:
         assert "batch" not in json.loads(report.to_json())
 
     def test_writes_never_coalesce(self):
-        svc = make_service(
-            config=ServiceConfig(batch_enabled=True, batch_limit=8)
-        )
+        svc = make_service(config=ServiceConfig(batch_enabled=True))
         writes = [
             ServiceRequest(
                 client="w", index=i, is_read=False, lpn=5, n_pages=1,
@@ -387,10 +388,6 @@ class TestBatchedScheduling:
         payload = json.loads(report.to_json())
         assert payload["batch"]["batches"] >= 1
         assert "batches coalesced" in report.render()
-
-    def test_batch_limit_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(batch_limit=0)
 
 
 # ---------------------------------------------------------------------------

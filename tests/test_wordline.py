@@ -293,7 +293,7 @@ class TestProgramPages:
         # the correction capability
         result = wl.read_page("MSB", outcome.final_offsets)
         errors = int((result.bits != payload["MSB"]).sum())
-        assert errors <= CapabilityEcc.for_spec(tiny_tlc).effective_rber * wl.n_data_cells * 2
+        assert errors <= CapabilityEcc.for_spec(tiny_tlc).capability_rber * wl.n_data_cells * 2
 
     def test_requires_all_pages(self, fresh_wl):
         with pytest.raises(ValueError):
