@@ -46,8 +46,13 @@ paper-digests:
 	REPRO_RECORD_PAPER_DIGESTS=1 $(PYTHON) -m pytest benchmarks/ -q \
 		--benchmark-disable
 
+# the serve and simulate smokes are deterministic: stdout must equal its
+# golden under tests/golden/ byte for byte (re-record by copying the
+# run's output over the golden)
 serve-smoke:
-	$(PYTHON) -m repro serve --smoke --seed 1 --requests 300
+	$(PYTHON) -m repro serve --smoke --seed 1 --requests 300 \
+		> .serve-smoke.txt
+	diff -u tests/golden/serve_smoke.txt .serve-smoke.txt
 
 chaos-smoke:
 	$(PYTHON) -m repro chaos --smoke --seed 1 --workers 2 \
@@ -111,7 +116,9 @@ campaign-smoke:
 	$(PYTHON) -m repro stats .campaign-smoke-trace.jsonl
 
 simulate-smoke:
-	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600
+	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600 \
+		> .simulate-smoke.txt
+	diff -u tests/golden/simulate_smoke.txt .simulate-smoke.txt
 
 # run.py exits 0 even when a digest mismatches, so the last stdout line
 # (the JSON summary) of each run must say "correct": true; the read-hot

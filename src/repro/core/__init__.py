@@ -19,7 +19,7 @@ Pipeline (Section III):
 from repro.core.models import SentinelModel, CorrelationTable
 from repro.core.fitting import fit_difference_polynomial, fit_linear_correlations
 from repro.core.characterization import CharacterizationResult, characterize_chip
-from repro.core.calibration import CalibrationConfig, Calibrator
+from repro.core.calibration import calibration_delta, state_change_verdict
 from repro.core.controller import SentinelController, ReadOutcome
 from repro.core.sentinel import sentinel_overhead
 
@@ -30,8 +30,8 @@ __all__ = [
     "fit_linear_correlations",
     "CharacterizationResult",
     "characterize_chip",
-    "CalibrationConfig",
-    "Calibrator",
+    "calibration_delta",
+    "state_change_verdict",
     "SentinelController",
     "ReadOutcome",
     "sentinel_overhead",

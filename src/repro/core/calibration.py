@@ -23,7 +23,6 @@ paper's like-for-like setting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.flash.spec import FlashSpec
@@ -37,49 +36,30 @@ BACK = "back"
 MAX_STEPS = 6
 
 
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """Step size of the calibration loop.
+def calibration_delta(spec: FlashSpec) -> float:
+    """The offset Delta of one calibration step, in voltage steps.
 
-    ``delta_steps`` is the small offset Delta the paper applies per
-    calibration step; the default scales with the state pitch (5 steps for
-    TLC's 256-step pitch, 3 for QLC's 128).
+    It scales with the state pitch: 5 steps for TLC's 256-step pitch, 3
+    for QLC's 128.  The probe schedule around the inferred offset lives in
+    :meth:`repro.core.controller.SentinelController.schedule`.
     """
-
-    delta_steps: float
-
-    @classmethod
-    def for_spec(cls, spec: FlashSpec) -> "CalibrationConfig":
-        return cls(delta_steps=max(2.0, round(0.02 * spec.state_pitch)))
+    return max(2.0, round(0.02 * spec.state_pitch))
 
 
-class Calibrator:
-    """Implements the state-change comparison.
+def state_change_verdict(
+    wordline: Wordline, sentinel_offset: float
+) -> Tuple[str, float, float]:
+    """Compare normalized state-change counts; return the verdict.
 
-    The probe schedule around the inferred offset that the verdict steers
-    lives in :meth:`repro.core.controller.SentinelController.schedule`.
+    Returns ``(verdict, nca_norm, ncs_norm)`` where the counts are per
+    capita of boundary-adjacent cells.
     """
-
-    def __init__(self, config: CalibrationConfig) -> None:
-        self.config = config
-
-    # ------------------------------------------------------------------
-    def state_change_verdict(
-        self,
-        wordline: Wordline,
-        sentinel_offset: float,
-    ) -> Tuple[str, float, float]:
-        """Compare normalized state-change counts; return the verdict.
-
-        Returns ``(verdict, nca_norm, ncs_norm)`` where the counts are per
-        capita of boundary-adjacent cells.
-        """
-        spec = wordline.spec
-        pos_default = spec.read_voltage(spec.sentinel_voltage, 0.0)
-        pos_inferred = spec.read_voltage(spec.sentinel_voltage, sentinel_offset)
-        nca, ncs = wordline.state_change_counts(pos_default, pos_inferred)
-        data_adjacent = 2.0 * wordline.n_data_cells / spec.n_states
-        nca_norm = nca / data_adjacent
-        ncs_norm = ncs / max(wordline.n_sentinels, 1)
-        verdict = FURTHER if nca_norm > ncs_norm else BACK
-        return verdict, nca_norm, ncs_norm
+    spec = wordline.spec
+    pos_default = spec.read_voltage(spec.sentinel_voltage, 0.0)
+    pos_inferred = spec.read_voltage(spec.sentinel_voltage, sentinel_offset)
+    nca, ncs = wordline.state_change_counts(pos_default, pos_inferred)
+    data_adjacent = 2.0 * wordline.n_data_cells / spec.n_states
+    nca_norm = nca / data_adjacent
+    ncs_norm = ncs / max(wordline.n_sentinels, 1)
+    verdict = FURTHER if nca_norm > ncs_norm else BACK
+    return verdict, nca_norm, ncs_norm

@@ -34,8 +34,11 @@ DEFAULT_TRAINING_STRESSES: Tuple[StressState, ...] = (
     StressState(pe_cycles=5000, retention_hours=8760),
 )
 
-#: Default temperature bin edges (degC) for the correlation tables.
-DEFAULT_TEMP_BINS: Tuple[float, ...] = (-273.0, 55.0, 1000.0)
+#: Degree of the fitted ``V_opt = f(d)`` polynomial (Figure 10).
+POLY_DEGREE = 5
+
+#: Temperature bin edges (degC) of the correlation tables.
+TEMP_BIN_EDGES: Tuple[float, ...] = (-273.0, 55.0, 1000.0)
 
 
 @dataclass
@@ -79,8 +82,6 @@ def characterize_chip(
     blocks: Sequence[int] = (0, 1),
     stresses: Sequence[StressState] = DEFAULT_TRAINING_STRESSES,
     wordlines: Optional[Sequence[int]] = None,
-    degree: int = 5,
-    temp_bin_edges: Sequence[float] = DEFAULT_TEMP_BINS,
     workers: int = 1,
 ) -> CharacterizationResult:
     """Run the full characterization sweep and fit a :class:`SentinelModel`.
@@ -129,12 +130,11 @@ def characterize_chip(
     temp_arr = np.asarray(temps)
 
     poly = fit_difference_polynomial(
-        d_arr, optima[:, spec.sentinel_voltage - 1], degree=degree
+        d_arr, optima[:, spec.sentinel_voltage - 1], degree=POLY_DEGREE
     )
 
     tables: List[CorrelationTable] = []
-    edges = list(temp_bin_edges)
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in zip(TEMP_BIN_EDGES[:-1], TEMP_BIN_EDGES[1:]):
         mask = (temp_arr >= lo) & (temp_arr < hi)
         if mask.sum() < 2:
             continue

@@ -34,7 +34,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.calibration import MAX_STEPS, CalibrationConfig, Calibrator
+from repro.core.calibration import (
+    FURTHER, MAX_STEPS, calibration_delta, state_change_verdict,
+)
 from repro.core.models import SentinelModel
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.wordline import Wordline
@@ -65,7 +67,12 @@ FALLBACK_TABLE = ScheduleEvent(
 
 
 class SentinelController(ReadPolicy):
-    """Sentinel-assisted read policy ("sentinel" in the paper's figures)."""
+    """Sentinel-assisted read policy ("sentinel" in the paper's figures).
+
+    Each calibration step moves the sentinel offset by ``delta_steps``, or
+    by :func:`~repro.core.calibration.calibration_delta` of the spec being
+    read when it is None.
+    """
 
     name = "sentinel"
 
@@ -73,24 +80,15 @@ class SentinelController(ReadPolicy):
         self,
         ecc: CapabilityEcc,
         model: SentinelModel,
-        calibration: Optional[CalibrationConfig] = None,
+        delta_steps: Optional[float] = None,
         fallback_table: bool = True,
     ) -> None:
         super().__init__(ecc)
         self.model = model
-        self._calibrator: Optional[Calibrator] = (
-            Calibrator(calibration) if calibration else None
-        )
+        self.delta_steps = delta_steps
         # Real FTLs never leave data unreadable: when the calibration loop
         # exhausts, fall through to the standard vendor retry table.
         self.fallback_table = fallback_table
-
-    def _calibrator_for(self, wordline: Wordline) -> Calibrator:
-        if self._calibrator is None:
-            self._calibrator = Calibrator(
-                CalibrationConfig.for_spec(wordline.spec)
-            )
-        return self._calibrator
 
     # ------------------------------------------------------------------
     def schedule(self, wordline, hint, outcome):
@@ -119,18 +117,17 @@ class SentinelController(ReadPolicy):
         # Because the verdict is a small-sample statistic, subsequent probes
         # expand around the inferred offset alternating sides, so a wrong
         # verdict costs one retry instead of a divergent walk.
-        calibrator = self._calibrator_for(wordline)
         # the comparison needs single-voltage reads at the default and the
         # inferred sentinel positions; the default-position read is already
         # in hand (step 2), the inferred-position one is new
         outcome.extra_single_reads += 1
-        verdict, _, _ = calibrator.state_change_verdict(
-            wordline, sentinel_offset
-        )
+        verdict, _, _ = state_change_verdict(wordline, sentinel_offset)
         sign = float(np.sign(correction or d_rate)) or -1.0
-        first_side = sign if verdict == "further" else -sign
-        case = "case1" if verdict == "further" else "case2"
-        delta = calibrator.config.delta_steps
+        first_side = sign if verdict == FURTHER else -sign
+        case = "case1" if verdict == FURTHER else "case2"
+        delta = self.delta_steps
+        if delta is None:
+            delta = calibration_delta(wordline.spec)
         for k in range(1, MAX_STEPS + 1):
             if outcome.retries - start >= MAX_RETRIES:
                 break

@@ -67,16 +67,15 @@ def plan_wordline_shards(
     block: int,
     wordlines: Iterable[int],
     workers: int,
-    shards_per_worker: int = SHARDS_PER_WORKER,
 ) -> List[WordlineShard]:
     """Split a wordline sweep into canonical-order shards.
 
     With ``workers <= 1`` the plan is a single shard (the serial path);
-    otherwise up to ``workers * shards_per_worker`` near-equal contiguous
+    otherwise up to ``workers * SHARDS_PER_WORKER`` near-equal contiguous
     chunks.  Concatenating ``shard.wordlines`` in list order always
     reproduces the input order exactly.
     """
-    n_shards = 1 if workers <= 1 else workers * max(1, shards_per_worker)
+    n_shards = 1 if workers <= 1 else workers * SHARDS_PER_WORKER
     return [
         WordlineShard(block=block, wordlines=run)
         for run in split_contiguous(wordlines, n_shards)

@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.calibration import CalibrationConfig
 from repro.core.controller import SentinelController
 from repro.core.fitting import fit_difference_polynomial
 from repro.exp.common import (
@@ -137,7 +136,7 @@ def ablate_calibration_delta(
         controller = SentinelController(
             default_ecc(kind),
             trained_model(kind),
-            calibration=CalibrationConfig(delta_steps=delta),
+            delta_steps=delta,
         )
         metrics[delta] = _mean_retries(chip, controller, wordline_step)
     return SweepResult(

@@ -32,6 +32,8 @@ from repro.util.rng import derive_rng
 
 METHODS = ("opt", "current-flash", "sentinel")
 MODES = ("hard", "soft2", "soft3")
+#: rate of the LDPC code the frames are decoded with
+CODE_RATE = 0.89
 
 
 @dataclass
@@ -66,7 +68,6 @@ def run_fig19(
     kind: str = "tlc",
     pe_cycles: Sequence[int] = (0, 1000, 2000, 3000, 4000, 5000),
     frame_bits: int = 2048,
-    code_rate: float = 0.89,
     wordline_step: int = 64,
     frames_per_wordline: int = 4,
     page: str = "MSB",
@@ -77,7 +78,7 @@ def run_fig19(
     spec = chip.spec
     ecc = default_ecc(kind)
     model = trained_model(kind)
-    code = LdpcCode.random_regular(frame_bits, code_rate, seed=12)
+    code = LdpcCode.random_regular(frame_bits, CODE_RATE, seed=12)
     rng = derive_rng(19, "fig19", kind)
 
     # sentinel worst case: its cells puncture this fraction of the parity

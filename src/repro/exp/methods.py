@@ -17,7 +17,7 @@ Two error flavors are recorded:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,6 +28,13 @@ from repro.flash.optimal import errors_at_offsets, optimal_offsets_batch
 from repro.retry import TrackingPolicy
 
 METHOD_ORDER = ("default", "inferred", "calibrated", "tracking", "optimal")
+
+#: Figure 15's success rule: within 5 % of the optimum's boundary errors,
+#: or within 3 errors of it (counting noise on nearly error-free boundaries)
+RELATIVE_TOLERANCE = 0.05
+ABSOLUTE_SLACK = 3
+#: the "calibrated" method's ECC capability, as a share of the shipped one
+STRICT_ECC_FACTOR = 0.45
 
 
 @dataclass
@@ -45,21 +52,18 @@ class MethodErrorData:
     def mean_errors(self, method: str) -> np.ndarray:
         return self.errors[method].mean(axis=0)
 
-    def success_rate(
-        self,
-        method: str,
-        relative_tolerance: float = 0.05,
-        absolute_slack: int = 3,
-    ) -> np.ndarray:
+    def success_rate(self, method: str) -> np.ndarray:
         """Per-voltage fraction of wordlines achieving the optimum.
 
         Success means the method's boundary errors exceed the optimal ones
-        by at most ``relative_tolerance`` (plus a small absolute slack that
-        absorbs counting noise on nearly error-free boundaries).
+        by at most ``RELATIVE_TOLERANCE`` or ``ABSOLUTE_SLACK``, whichever
+        is larger.
         """
         got = self.boundary_errors[method]
         best = self.boundary_errors["optimal"]
-        threshold = np.maximum(best * (1.0 + relative_tolerance), best + absolute_slack)
+        threshold = np.maximum(
+            best * (1.0 + RELATIVE_TOLERANCE), best + ABSOLUTE_SLACK
+        )
         return (got <= threshold).mean(axis=0)
 
 
@@ -68,13 +72,11 @@ def collect_method_errors(
     wordline_step: int = 4,
     include_tracking: bool = False,
     page: str = "MSB",
-    max_wordlines: Optional[int] = None,
-    strict_ecc_factor: float = 0.45,
 ) -> MethodErrorData:
     """Run all methods over the evaluated block and collect error counts.
 
     The "calibrated" method runs the sentinel controller against a *strict*
-    ECC (capability scaled by ``strict_ecc_factor``), so the calibration loop
+    ECC (capability scaled by ``STRICT_ECC_FACTOR``), so the calibration loop
     engages whenever the inferred voltages are not essentially optimal —
     matching how the paper measures whether the optimum was *achieved*, not
     merely whether some ECC decoded.  The vendor-table fallback is disabled
@@ -85,15 +87,13 @@ def collect_method_errors(
     model = trained_model(kind)
     ecc = default_ecc(kind)
     strict = CapabilityEcc(
-        capability_rber=ecc.capability_rber * strict_ecc_factor,
+        capability_rber=ecc.capability_rber * STRICT_ECC_FACTOR,
         frame_bits=ecc.frame_bits,
     )
     controller = SentinelController(strict, model, fallback_table=False)
     tracking = TrackingPolicy(ecc, chip) if include_tracking else None
 
     indices = np.arange(0, spec.wordlines_per_block, wordline_step)
-    if max_wordlines is not None:
-        indices = indices[:max_wordlines]
     methods = [m for m in METHOD_ORDER if include_tracking or m != "tracking"]
     n_v = spec.n_voltages
     offsets = {m: np.zeros((len(indices), n_v)) for m in methods}

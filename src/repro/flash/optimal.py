@@ -177,13 +177,12 @@ def _window_centres(errors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _search_grid(
-    spec, voltages: Optional[Sequence[int]], search_range
+    spec, voltages: Optional[Sequence[int]]
 ) -> Tuple[list, np.ndarray]:
     """The requested voltages (default: all) and the offset grid."""
     if voltages is None:
         voltages = range(1, spec.n_voltages + 1)
-    lo, hi = search_range or default_search_range(spec.state_pitch)
-    return list(voltages), np.arange(lo, hi)
+    return list(voltages), np.arange(*default_search_range(spec.state_pitch))
 
 
 def _optimal_rows(
@@ -221,15 +220,14 @@ def optimal_offsets_batch(
     cols: BlockColumns,
     rows: Optional[Sequence[int]] = None,
     voltages: Optional[Sequence[int]] = None,
-    search_range: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
     """Optimal offsets of ``rows`` of a store, ``(len(rows), n_voltages)``.
 
     Row ``j`` equals ``optimal_offsets(cols.wordline_view(rows[j]),
-    voltages, search_range)``; entries of voltages not requested are 0.
+    voltages)``; entries of voltages not requested are 0.
     """
     row_idx = cols._row_list(rows)
-    voltages, offsets = _search_grid(cols.spec, voltages, search_range)
+    voltages, offsets = _search_grid(cols.spec, voltages)
     t0 = time.perf_counter()
     dense = _optimal_rows(cols, row_idx, voltages, offsets)
     _note_kernel(
@@ -274,11 +272,7 @@ def errors_at_offsets(
     return up[0] + down[0]
 
 
-def optimal_offset(
-    wordline: Wordline,
-    vindex: int,
-    search_range: Optional[Tuple[int, int]] = None,
-) -> int:
+def optimal_offset(wordline: Wordline, vindex: int) -> int:
     """Integer offset minimizing the boundary errors of one read voltage.
 
     Weakly-shifted boundaries have wide, flat error minima (a handful of
@@ -287,13 +281,12 @@ def optimal_offset(
     near-minimal window — the connected run of offsets whose error count
     stays within a small tolerance of the minimum.
     """
-    return int(optimal_offsets(wordline, [vindex], search_range)[vindex - 1])
+    return int(optimal_offsets(wordline, [vindex])[vindex - 1])
 
 
 def optimal_offsets(
     wordline: Wordline,
     voltages: Optional[Sequence[int]] = None,
-    search_range: Optional[Tuple[int, int]] = None,
 ) -> np.ndarray:
     """Optimal offsets for the requested voltages (default: all of them).
 
@@ -302,14 +295,10 @@ def optimal_offsets(
     answer until the row's Vth changes (OPT asks once per failed page).
     """
     store = wordline.store
-    key = (
-        wordline.row,
-        None if voltages is None else tuple(voltages),
-        None if search_range is None else tuple(search_range),
-    )
+    key = (wordline.row, None if voltages is None else tuple(voltages))
     dense = store._optima.get(key)
     if dense is None:
-        voltages, offsets = _search_grid(wordline.spec, voltages, search_range)
+        voltages, offsets = _search_grid(wordline.spec, voltages)
         dense = _optimal_rows(store, [wordline.row], voltages, offsets)[0]
         store._optima[key] = dense
     return dense.copy()

@@ -8,7 +8,7 @@ and is deliberately a pure per-request function so the preprocessing
 stage shards across worker processes with byte-identical results at any
 worker count (the :mod:`repro.engine` contract).
 
-Oversized requests are capped at ``max_pages_per_request`` pages (the
+Oversized requests are capped at ``MAX_PAGES_PER_REQUEST`` pages (the
 broker's per-die queue limits make a 256-page chain unadmittable anyway);
 the cut is *counted* in ``truncated_pages``, never silent, mirroring how
 the MSR parser surfaces its sector clamp.
@@ -23,6 +23,9 @@ from repro.engine import EngineReport, run_sharded
 from repro.engine.shards import SHARDS_PER_WORKER, split_contiguous
 from repro.service.workload import ServiceRequest
 from repro.traces.trace import Trace, TraceRequest
+
+#: pages one translated request covers at most
+MAX_PAGES_PER_REQUEST = 8
 
 
 @dataclass(frozen=True)
@@ -44,20 +47,12 @@ class LbaTranslator:
     accelerated-replay methodology of trace-driven SSD studies).
     """
 
-    def __init__(
-        self,
-        page_bytes: int,
-        max_pages_per_request: int = 8,
-        scale: float = 1.0,
-    ) -> None:
+    def __init__(self, page_bytes: int, scale: float = 1.0) -> None:
         if page_bytes < 512:
             raise ValueError("page_bytes must be at least one sector")
-        if max_pages_per_request < 1:
-            raise ValueError("max_pages_per_request must be positive")
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.page_bytes = page_bytes
-        self.max_pages_per_request = max_pages_per_request
         self.scale = scale
 
     def translate(self, req: TraceRequest) -> Tuple[TranslatedRequest, int]:
@@ -65,7 +60,7 @@ class LbaTranslator:
         first = req.lba_bytes // self.page_bytes
         last = (req.lba_bytes + req.size_bytes - 1) // self.page_bytes
         n_pages = int(last - first + 1)
-        truncated = max(0, n_pages - self.max_pages_per_request)
+        truncated = max(0, n_pages - MAX_PAGES_PER_REQUEST)
         return (
             TranslatedRequest(
                 is_read=req.is_read,

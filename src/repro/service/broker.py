@@ -672,7 +672,7 @@ class FlashReadService:
                 )
                 if cache_on and not hit:
                     # the cold read's sentinel flow inferred the offset
-                    self.cache.put(key, 0.0, now, self._pe_of(key))
+                    self.cache.put(key, now, self._pe_of(key))
                 n_voltages = profile.page_voltages[ptype]
                 cost_args = (
                     n_voltages, retries, extra,
@@ -895,7 +895,6 @@ class FlashReadService:
         self.scrubber.complete_pass(
             lane.index,
             keys,
-            offset_of=self.cache.peek_offset,
             end_us=self.queue.now,
             pe_of=self._pe_of,
         )

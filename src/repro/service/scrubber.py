@@ -59,18 +59,16 @@ class SentinelScrubber:
         self,
         die: int,
         keys: List[CacheKey],
-        offset_of,
         end_us: float,
         pe_of,
     ) -> None:
         """Apply one finished pass: revalidate entries, account, emit.
 
-        ``offset_of(key)`` supplies the re-inferred sentinel offset and
-        ``pe_of(key)`` the block's current erase count — both provided by
-        the broker, which owns device state."""
+        ``pe_of(key)`` supplies the block's current erase count, provided
+        by the broker, which owns device state."""
         duration = self.pass_duration_us(len(keys))
         for key in keys:
-            self.cache.refresh(key, offset_of(key), end_us, pe_of(key))
+            self.cache.refresh(key, end_us, pe_of(key))
         self.passes += 1
         self.entries_refreshed += len(keys)
         self.busy_us += duration

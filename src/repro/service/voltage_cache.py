@@ -65,9 +65,11 @@ QUARANTINE_US = 500_000.0
 
 @dataclass
 class CacheEntry:
-    """One remembered sentinel inference."""
+    """One remembered sentinel inference.
 
-    offset: float  # sentinel-voltage offset in voltage steps
+    Only whether a fresh entry exists decides a read's price, so the
+    inferred offset itself is not stored."""
+
     stored_us: float  # virtual time of the inference / last refresh
     pe_cycles: int  # block erase count when stored
     hits: int = 0
@@ -164,10 +166,8 @@ class VoltageOffsetCache:
         self._entries.move_to_end(key)
         return entry
 
-    def put(
-        self, key: CacheKey, offset: float, now_us: float, pe_cycles: int
-    ) -> None:
-        """Store a freshly inferred offset (replacing any prior entry).
+    def put(self, key: CacheKey, now_us: float, pe_cycles: int) -> None:
+        """Store a fresh inference (replacing any prior entry).
 
         A key under active quarantine refuses the insert — a corrupted
         location must be re-observed clean for ``QUARANTINE_US`` before
@@ -175,25 +175,19 @@ class VoltageOffsetCache:
         if self._quarantine and self._quarantined_now(key, now_us):
             return
         self._remove(key)
-        self._insert(
-            key,
-            CacheEntry(offset=float(offset), stored_us=now_us, pe_cycles=pe_cycles),
-        )
+        self._insert(key, CacheEntry(stored_us=now_us, pe_cycles=pe_cycles))
         self._evict_over_capacity()
 
-    def refresh(
-        self, key: CacheKey, offset: float, now_us: float, pe_cycles: int
-    ) -> None:
-        """Scrubber path: re-inferred offset revalidates the entry in place
+    def refresh(self, key: CacheKey, now_us: float, pe_cycles: int) -> None:
+        """Scrubber path: a re-inference revalidates the entry in place
         (hit count survives so hotness keeps informing scrub order)."""
         entry = self._entries.get(key)
         if entry is None:
-            self.put(key, offset, now_us, pe_cycles)
+            self.put(key, now_us, pe_cycles)
         else:
             # in place: the LRU position stays, the age index moves
             self._unindex(key, entry.stored_us)
             self._index(key, now_us)
-            entry.offset = float(offset)
             entry.stored_us = now_us
             entry.pe_cycles = pe_cycles
         self.refreshed += 1
@@ -272,12 +266,6 @@ class VoltageOffsetCache:
         due.sort()
         return [key for _, _, key in due[:limit]]
 
-    def peek_offset(self, key: CacheKey, default: float = 0.0) -> float:
-        """The stored offset of ``key`` without freshness checks or stats
-        (used by the scrubber, which revalidates regardless of staleness)."""
-        entry = self._entries.get(key)
-        return entry.offset if entry is not None else default
-
     # ------------------------------------------------------------------
     # cross-device transfer (fleet warm-start)
     # ------------------------------------------------------------------
@@ -309,7 +297,6 @@ class VoltageOffsetCache:
                     "die": key[0],
                     "block": key[1],
                     "layer": key[2],
-                    "offset": entry.offset,
                     "age_us": entry.age_us(now_us),
                 }
             )
@@ -338,7 +325,6 @@ class VoltageOffsetCache:
                 continue
             pe_now = pe_of(key) if pe_of is not None else 0
             entry = CacheEntry(
-                offset=float(item["offset"]),
                 stored_us=now_us - float(item["age_us"]),
                 pe_cycles=pe_now,
                 warm=True,

@@ -7,7 +7,8 @@ system-level read latency:
   the number of read voltages applied, which is what makes retries (full
   re-senses) expensive and the sentinel's single-voltage reads cheap.
 * ``events``   — a generic discrete-event queue.
-* ``config``   — SSD geometry (channels, dies, blocks) and FTL knobs.
+* ``config``   — SSD geometry (channels, dies, blocks) and the FTL's
+  over-provisioning and GC constants.
 * ``ftl``      — page-mapping FTL with greedy garbage collection.
 * ``retry_model`` — empirical per-page-type retry distributions measured on
   the chip-level simulation, replayed per I/O (this is how the chip-level

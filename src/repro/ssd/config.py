@@ -6,10 +6,18 @@ from dataclasses import dataclass
 
 from repro.flash.spec import FlashSpec
 
+#: share of the raw pages held back from the host
+OVERPROVISIONING = 0.12
+#: per-die GC trigger: collect once a die has fewer free blocks than this
+GC_FREE_BLOCK_THRESHOLD = 2
+#: hysteresis: a GC run collects until the die has this many free blocks
+GC_STOP_FREE_BLOCKS = 4
+
 
 @dataclass(frozen=True)
 class SsdConfig:
-    """Geometry of the simulated SSD.
+    """Geometry of the simulated SSD (the FTL's over-provisioning and GC
+    watermarks are the module constants above).
 
     The paper's system experiment simulates "the same settings as the real
     3D NAND flash chips"; the defaults here are a small multi-channel drive,
@@ -22,19 +30,12 @@ class SsdConfig:
     blocks_per_die: int = 64
     pages_per_block: int = 768  # wordlines * pages per wordline, spec-derived
     page_user_bytes: int = 16384
-    overprovisioning: float = 0.12
-    gc_free_block_threshold: int = 2  # per-die GC trigger
-    gc_stop_free_blocks: int = 4  # hysteresis: collect until this many free
 
     def __post_init__(self) -> None:
         if self.channels < 1 or self.dies_per_channel < 1:
             raise ValueError("need at least one channel and one die")
         if self.blocks_per_die < 4:
             raise ValueError("need at least 4 blocks per die")
-        if not 0.0 < self.overprovisioning < 0.5:
-            raise ValueError("overprovisioning must be in (0, 0.5)")
-        if self.gc_stop_free_blocks <= self.gc_free_block_threshold:
-            raise ValueError("gc_stop_free_blocks must exceed the trigger")
 
     @classmethod
     def for_spec(cls, spec: FlashSpec, **overrides) -> "SsdConfig":
@@ -57,10 +58,7 @@ class SsdConfig:
     @property
     def logical_pages(self) -> int:
         """Pages exposed to the host after overprovisioning."""
-        return int(self.total_pages * (1.0 - self.overprovisioning))
-
-    def die_of(self, channel: int, die: int) -> int:
-        return channel * self.dies_per_channel + die
+        return int(self.total_pages * (1.0 - OVERPROVISIONING))
 
     def channel_of_die(self, die_index: int) -> int:
         return die_index // self.dies_per_channel

@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.obs import OBS
-from repro.ssd.config import SsdConfig
+from repro.ssd.config import (
+    GC_FREE_BLOCK_THRESHOLD, GC_STOP_FREE_BLOCKS, SsdConfig,
+)
 
 INVALID = -1
 
@@ -60,13 +62,11 @@ class _DieState:
         ]
         self.sealed: List[int] = []  # fully-written blocks eligible for GC
 
-    def take_free_block(self, wear_leveling: bool) -> int:
+    def take_free_block(self) -> int:
         """Allocate a free block; dynamic wear leveling takes the least
         erased one so wear spreads instead of ping-ponging on a few blocks."""
         if not self.free_blocks:
             raise RuntimeError("no free blocks")
-        if not wear_leveling:
-            return self.free_blocks.pop()
         best = min(self.free_blocks, key=self.erase_count.__getitem__)
         self.free_blocks.remove(best)
         return best
@@ -75,9 +75,8 @@ class _DieState:
 class PageMappingFtl:
     """Page-level mapping across all dies of the SSD."""
 
-    def __init__(self, config: SsdConfig, wear_leveling: bool = True) -> None:
+    def __init__(self, config: SsdConfig) -> None:
         self.config = config
-        self.wear_leveling = wear_leveling
         self.mapping: List[int] = [INVALID] * config.logical_pages
         self._dies = [
             _DieState(config.blocks_per_die, config.pages_per_block)
@@ -147,7 +146,7 @@ class PageMappingFtl:
                 raise RuntimeError(
                     f"die {die_index} out of free blocks; GC failed to keep up"
                 )
-            state.active_block = state.take_free_block(self.wear_leveling)
+            state.active_block = state.take_free_block()
             state.write_page = 0
         block, page = state.active_block, state.write_page
         state.write_page += 1
@@ -173,7 +172,7 @@ class PageMappingFtl:
         ops = [self._append(die_index, lpn)]
         if count_host:
             self.host_writes += 1
-        if len(self._dies[die_index].free_blocks) < c.gc_free_block_threshold:
+        if len(self._dies[die_index].free_blocks) < GC_FREE_BLOCK_THRESHOLD:
             self._collect(die_index, ops)
         return ops
 
@@ -181,7 +180,7 @@ class PageMappingFtl:
         """Greedy GC on one die, appending its ops to ``ops``."""
         c = self.config
         state = self._dies[die_index]
-        while len(state.free_blocks) < c.gc_stop_free_blocks and state.sealed:
+        while len(state.free_blocks) < GC_STOP_FREE_BLOCKS and state.sealed:
             victim = self._pick_victim(state)
             if state.valid_count[victim] >= c.pages_per_block:
                 break  # nothing reclaimable: migrating a full block gains nothing
@@ -223,8 +222,6 @@ class PageMappingFtl:
         """Greedy GC victim, wear-aware: prefer few valid pages, and among
         similar candidates prefer the less-worn block (static leveling)."""
         valid = state.valid_count
-        if not self.wear_leveling:
-            return min(state.sealed, key=valid.__getitem__)
         erases = state.erase_count
         floor = min(erases)
         return min(

@@ -37,6 +37,9 @@ from repro.util.rng import derive_rng
 # re-export for the package namespace
 __all__ = ["Ssd", "SimulationReport"]
 
+#: program/erase suspend turnaround a read pays on a die that is writing
+SUSPEND_US = 8.0
+
 
 class Ssd:
     """One simulated SSD bound to a retry profile (i.e., to a read policy)."""
@@ -62,7 +65,6 @@ class Ssd:
         self._die_reads = [Resource(f"die{d}:r") for d in range(config.n_dies)]
         self._die_writes = [Resource(f"die{d}:w") for d in range(config.n_dies)]
         self._channels = [Resource(f"ch{c}") for c in range(config.channels)]
-        self.suspend_us = 8.0
         # retries -> number of page reads that needed exactly that many
         # (the report derives ``retries_sampled`` from it)
         self.retry_histogram: Dict[int, int] = {}
@@ -85,7 +87,7 @@ class Ssd:
             if self._die_writes[op.die].busy_until > max(
                 earliest_us, read_lane.busy_until
             ):
-                stall += self.suspend_us  # suspend an in-flight program/erase
+                stall += SUSPEND_US  # suspend an in-flight program/erase
             die_us, channel_us, overlap_us = t.read_cost(
                 self.profile.page_voltages[ptype], retries, extra,
                 retries if self.profile.pipelined else 0,

@@ -13,20 +13,23 @@ transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.retry.policy import ReadOutcome
 
 
 @dataclass(frozen=True)
 class NandTiming:
-    """Latency model of one NAND die + channel (microseconds)."""
+    """Latency model of one NAND die + channel (microseconds).
 
-    t_sense_base_us: float = 12.0  # fixed sensing setup per read command
-    t_sense_per_voltage_us: float = 16.0  # per applied read voltage
-    t_transfer_us: float = 25.0  # page transfer over the channel
-    t_program_us: float = 660.0
-    t_erase_us: float = 3500.0
+    The latencies are class constants: every ``NandTiming()`` is the one
+    device, and all of them compare equal."""
+
+    t_sense_base_us: ClassVar[float] = 12.0  # sensing setup per read command
+    t_sense_per_voltage_us: ClassVar[float] = 16.0  # per applied read voltage
+    t_transfer_us: ClassVar[float] = 25.0  # page transfer over the channel
+    t_program_us: ClassVar[float] = 660.0
+    t_erase_us: ClassVar[float] = 3500.0
 
     def sense_us(self, n_voltages: int) -> float:
         """Array sensing time of one read applying ``n_voltages``."""
@@ -90,10 +93,6 @@ class NandTiming:
             retries if pipelined else 0,
         )
         return die + channel - overlap
-
-    def pipeline_overlap_us(self, page_voltages: int) -> float:
-        """Latency hidden per pipelined retry round (sense/transfer overlap)."""
-        return self.read_cost(page_voltages, 1, 0, 1)[2]
 
     def read_outcome_us(self, outcome: ReadOutcome) -> float:
         """Price a chip-level :class:`ReadOutcome`; its

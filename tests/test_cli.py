@@ -296,8 +296,7 @@ class TestStatsCommand:
             name_suffix="-cli",
         )
         config = SsdConfig.for_spec(
-            spec, channels=2, dies_per_channel=1, blocks_per_die=8,
-            overprovisioning=0.2,
+            spec, channels=2, dies_per_channel=1, blocks_per_die=20,
         )
         profile = RetryProfile(
             policy_name="unit",

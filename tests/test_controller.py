@@ -3,27 +3,38 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.calibration import (
-    BACK, FURTHER, MAX_STEPS, CalibrationConfig, Calibrator,
+    BACK, FURTHER, MAX_STEPS, calibration_delta, state_change_verdict,
 )
 from repro.core.characterization import characterize_chip
 from repro.core.controller import SentinelController
 from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
+from repro.obs import OBS
 from repro.retry.policy import MAX_RETRIES
+
+STRESSES = (
+    StressState(pe_cycles=1000, retention_hours=720),
+    StressState(pe_cycles=3000, retention_hours=8760),
+    StressState(pe_cycles=5000, retention_hours=8760),
+)
 
 
 @pytest.fixture(scope="module")
 def tlc_model(tiny_tlc):
-    chip = FlashChip(tiny_tlc, seed=42)
-    stresses = (
-        StressState(pe_cycles=1000, retention_hours=720),
-        StressState(pe_cycles=3000, retention_hours=8760),
-        StressState(pe_cycles=5000, retention_hours=8760),
-    )
     return characterize_chip(
-        chip, blocks=(0,), stresses=stresses, wordlines=range(0, 8)
+        FlashChip(tiny_tlc, seed=42), blocks=(0,), stresses=STRESSES,
+        wordlines=range(0, 8),
+    ).model
+
+
+@pytest.fixture(scope="module")
+def qlc_model(tiny_qlc):
+    return characterize_chip(
+        FlashChip(tiny_qlc, seed=42), blocks=(0,), stresses=STRESSES,
+        wordlines=range(0, 8),
     ).model
 
 
@@ -32,18 +43,16 @@ def ecc(tiny_tlc):
     return CapabilityEcc.for_spec(tiny_tlc)
 
 
-class TestCalibrationConfig:
-    def test_for_spec_scales_delta(self, tiny_tlc, tiny_qlc):
-        tlc = CalibrationConfig.for_spec(tiny_tlc)
-        qlc = CalibrationConfig.for_spec(tiny_qlc)
-        assert tlc.delta_steps > qlc.delta_steps
+class TestCalibrationDelta:
+    def test_scales_with_state_pitch(self, tiny_tlc, tiny_qlc):
+        assert calibration_delta(tiny_tlc) == 5
+        assert calibration_delta(tiny_qlc) == 3
 
 
-class TestCalibratorVerdict:
+class TestStateChangeVerdict:
     def test_returns_valid_verdict(self, aged_tlc_chip):
         wl = aged_tlc_chip.wordline(0, 1)
-        cal = Calibrator(CalibrationConfig.for_spec(wl.spec))
-        verdict, nca, ncs = cal.state_change_verdict(wl, -20.0)
+        verdict, nca, ncs = state_change_verdict(wl, -20.0)
         assert verdict in (FURTHER, BACK)
         assert nca >= 0 and ncs >= 0
 
@@ -112,14 +121,40 @@ class TestControllerFlow:
     def test_fallback_table_disabled(self, aged_tlc_chip, tlc_model):
         impossible = CapabilityEcc(capability_rber=1e-9, frame_bits=1024)
         controller = SentinelController(
-            impossible, tlc_model, fallback_table=False,
-            calibration=CalibrationConfig(delta_steps=5.0),
+            impossible, tlc_model, delta_steps=5.0, fallback_table=False,
         )
         outcome = controller.read(aged_tlc_chip.wordline(0, 1), "MSB")
         # initial + inferred + the calibration probes only
         assert MAX_STEPS + 1 < MAX_RETRIES
         assert outcome.retries == MAX_STEPS + 1
         assert outcome.calibration_steps == MAX_STEPS
+
+    def test_calibration_step_follows_each_reads_spec(
+        self, aged_tlc_chip, tiny_qlc, aged_stress, tlc_model, qlc_model
+    ):
+        """One controller reads TLC, then QLC: each read's probes move by
+        its own spec's Delta (5 steps, then 3), around the inferred offset.
+        The model is per chip kind, so it is handed over between reads."""
+        qlc_chip = FlashChip(tiny_qlc, seed=7)
+        qlc_chip.set_block_stress(0, aged_stress)
+        impossible = CapabilityEcc(capability_rber=1e-9, frame_bits=1024)
+        controller = SentinelController(
+            impossible, tlc_model, fallback_table=False
+        )
+        obs.enable()
+        for chip, model, delta in (
+            (aged_tlc_chip, tlc_model, 5), (qlc_chip, qlc_model, 3),
+        ):
+            controller.model = model
+            controller.read(chip.wordline(0, 1), "MSB")
+            probes = [
+                e.fields["offset"] for e in OBS.tracer.events()
+                if e.kind == "calibration_step"
+            ][-MAX_STEPS:]
+            inferred = (probes[0] + probes[1]) / 2
+            assert [abs(p - inferred) for p in probes] == [
+                (k + 1) // 2 * delta for k in range(1, MAX_STEPS + 1)
+            ]
 
     def test_reads_are_reproducible_on_a_fresh_wordline(
         self, tiny_tlc, aged_stress, tlc_model, ecc

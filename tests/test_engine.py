@@ -24,6 +24,7 @@ from repro.engine import (
     plan_wordline_shards,
     split_contiguous,
 )
+from repro.engine.shards import SHARDS_PER_WORKER
 from repro.flash.chip import FlashChip, StressState
 from repro.flash.optimal import optimal_offsets_batch
 
@@ -34,11 +35,11 @@ from repro.flash.optimal import optimal_offsets_batch
 @given(
     n=st.integers(min_value=0, max_value=200),
     workers=st.integers(min_value=1, max_value=8),
-    spw=st.integers(min_value=1, max_value=6),
 )
-def test_shard_plan_is_a_partition_in_order(n, workers, spw):
+def test_shard_plan_is_a_partition_in_order(n, workers):
+    spw = SHARDS_PER_WORKER
     indices = list(range(0, 3 * n, 3))  # arbitrary stride
-    shards = plan_wordline_shards(0, indices, workers, shards_per_worker=spw)
+    shards = plan_wordline_shards(0, indices, workers)
     flat = [w for s in shards for w in s.wordlines]
     assert flat == indices  # exact partition, canonical order
     if indices:

@@ -174,7 +174,7 @@ U = TTL_US / 100
 class TestCacheTransfer:
     def test_ttl_survives_export_import(self):
         src = VoltageOffsetCache()
-        src.put((0, 1, 2), offset=3.0, now_us=10 * U, pe_cycles=0)
+        src.put((0, 1, 2), now_us=10 * U, pe_cycles=0)
         state = src.export_state(now_us=40 * U)
         assert state["entries"][0]["age_us"] == pytest.approx(30 * U)
 
@@ -182,7 +182,7 @@ class TestCacheTransfer:
         assert dst.warm_start(state, now_us=1000 * U) == 1
         # re-based age is 30 units: still fresh at total age 99...
         hit = dst.lookup((0, 1, 2), now_us=1069 * U, pe_cycles=0)
-        assert hit is not None and hit.offset == 3.0 and hit.warm
+        assert hit is not None and hit.warm
         assert dst.warm_hits == 1
         # ...and expired past the TTL, counted as a *warm* expiry
         assert dst.lookup((0, 1, 2), now_us=1071 * U, pe_cycles=0) is None
@@ -190,14 +190,14 @@ class TestCacheTransfer:
 
     def test_one_erase_after_import_invalidates(self):
         src = VoltageOffsetCache()
-        src.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=4)
+        src.put((0, 0, 0), now_us=0.0, pe_cycles=4)
         # erased since the inference: stale, so never exported
         assert src.export_state(now_us=1.0, pe_of=lambda key: 5) == {
             "entries": []
         }
         state = src.export_state(now_us=1.0, pe_of=lambda key: 4)
         assert set(state["entries"][0]) == {
-            "die", "block", "layer", "offset", "age_us"
+            "die", "block", "layer", "age_us"
         }
 
         dst = VoltageOffsetCache()
@@ -210,8 +210,8 @@ class TestCacheTransfer:
 
     def test_quarantined_keys_never_exported(self):
         src = VoltageOffsetCache()
-        src.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=0)
-        src.put((0, 0, 1), offset=2.0, now_us=0.0, pe_cycles=0)
+        src.put((0, 0, 0), now_us=0.0, pe_cycles=0)
+        src.put((0, 0, 1), now_us=0.0, pe_cycles=0)
         src.quarantine((0, 0, 0), now_us=1.0)
         state = src.export_state(now_us=2.0)
         exported = {(e["die"], e["block"], e["layer"])
@@ -220,7 +220,7 @@ class TestCacheTransfer:
 
     def test_quarantined_importer_key_refuses_entry(self):
         src = VoltageOffsetCache()
-        src.put((1, 1, 1), offset=5.0, now_us=0.0, pe_cycles=0)
+        src.put((1, 1, 1), now_us=0.0, pe_cycles=0)
         state = src.export_state(now_us=1.0)
         dst = VoltageOffsetCache()
         dst.quarantine((1, 1, 1), now_us=0.0)
@@ -229,18 +229,17 @@ class TestCacheTransfer:
 
     def test_local_entries_win_over_fleet_history(self):
         src = VoltageOffsetCache()
-        src.put((2, 2, 2), offset=9.0, now_us=0.0, pe_cycles=0)
+        src.put((2, 2, 2), now_us=0.0, pe_cycles=0)
         state = src.export_state(now_us=1.0)
         dst = VoltageOffsetCache()
-        dst.put((2, 2, 2), offset=4.0, now_us=0.0, pe_cycles=0)
+        dst.put((2, 2, 2), now_us=0.0, pe_cycles=0)
         assert dst.warm_start(state, now_us=1.0) == 0
-        assert dst.lookup((2, 2, 2), now_us=1.0, pe_cycles=0).offset == 4.0
+        assert not dst.lookup((2, 2, 2), now_us=1.0, pe_cycles=0).warm
 
     def test_stale_export_entries_skipped_on_import(self):
         state = {
             "entries": [
-                {"die": 0, "block": 0, "layer": 0, "offset": 1.0,
-                 "age_us": TTL_US + 1.0},
+                {"die": 0, "block": 0, "layer": 0, "age_us": TTL_US + 1.0},
             ],
         }
         dst = VoltageOffsetCache()
@@ -249,7 +248,7 @@ class TestCacheTransfer:
     def test_import_respects_capacity(self):
         src = VoltageOffsetCache()
         for layer in range(4):
-            src.put((0, 0, layer), offset=1.0, now_us=0.0, pe_cycles=0)
+            src.put((0, 0, layer), now_us=0.0, pe_cycles=0)
         dst = VoltageOffsetCache(capacity=2)
         assert dst.warm_start(src.export_state(now_us=0.0), now_us=0.0) == 4
         assert len(dst) == 2
@@ -257,7 +256,7 @@ class TestCacheTransfer:
 
     def test_warm_counters_gated_in_stats(self):
         cache = VoltageOffsetCache()
-        cache.put((0, 0, 0), offset=1.0, now_us=0.0, pe_cycles=0)
+        cache.put((0, 0, 0), now_us=0.0, pe_cycles=0)
         assert "warm_started" not in cache.stats()
         other = VoltageOffsetCache()
         other.warm_start(cache.export_state(now_us=0.0), now_us=0.0)

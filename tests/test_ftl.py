@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ssd.config import SsdConfig
+from repro.ssd.config import OVERPROVISIONING, SsdConfig
 from repro.ssd.ftl import PageMappingFtl
 
 
@@ -14,9 +14,6 @@ def small_config(**kw):
         blocks_per_die=8,
         pages_per_block=32,
         page_user_bytes=4096,
-        overprovisioning=0.25,
-        gc_free_block_threshold=2,
-        gc_stop_free_blocks=3,
     )
     params.update(kw)
     return SsdConfig(**params)
@@ -39,21 +36,18 @@ class TestConfig:
         c = small_config()
         assert c.n_dies == 2
         assert c.total_pages == 2 * 8 * 32
-        assert c.logical_pages == int(c.total_pages * 0.75)
+        assert c.logical_pages == int(c.total_pages * (1 - OVERPROVISIONING))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(channels=0)
         with pytest.raises(ValueError):
-            small_config(overprovisioning=0.9)
-        with pytest.raises(ValueError):
-            small_config(gc_stop_free_blocks=1)
-        with pytest.raises(ValueError):
             small_config(blocks_per_die=2)
 
     def test_die_channel_mapping(self):
         c = SsdConfig(channels=4, dies_per_channel=2)
-        assert c.die_of(1, 0) == 2
+        # die d of channel ch is die index ch * dies_per_channel + d
+        assert c.channel_of_die(1 * c.dies_per_channel + 0) == 1
         assert c.channel_of_die(5) == 2
 
     def test_for_spec(self, tiny_tlc):
@@ -181,18 +175,15 @@ class TestWearLeveling:
         assert stats["erase_mean"] > 0
 
     def test_leveling_narrows_wear_gap(self):
-        """Dynamic+static leveling keeps the erase-count spread tight."""
-        leveled = PageMappingFtl(small_config(), wear_leveling=True)
-        raw = PageMappingFtl(small_config(), wear_leveling=False)
-        self._hammer(leveled)
-        self._hammer(raw)
-        assert (
-            die_totals(leveled)["erase_gap"]
-            <= die_totals(raw)["erase_gap"]
-        )
+        """Dynamic+static leveling keeps the erase-count spread tight: on
+        this hammer no block is erased more than once beyond any other."""
+        ftl = PageMappingFtl(small_config())
+        self._hammer(ftl)
+        assert die_totals(ftl)["erase_max"] >= 3
+        assert die_totals(ftl)["erase_gap"] <= 1
 
     def test_leveling_preserves_correctness(self):
-        ftl = PageMappingFtl(small_config(), wear_leveling=True)
+        ftl = PageMappingFtl(small_config())
         rng = np.random.default_rng(12)
         for _ in range(ftl.config.total_pages * 4):
             ftl.write_ops(int(rng.integers(0, 48)))

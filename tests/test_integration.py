@@ -86,8 +86,7 @@ class TestSystemLevel:
                 chip, policy, wordlines=range(0, 8)
             )
         config = SsdConfig.for_spec(
-            tiny_tlc, channels=2, dies_per_channel=1, blocks_per_die=8,
-            overprovisioning=0.2,
+            tiny_tlc, channels=2, dies_per_channel=1, blocks_per_die=20,
         )
         trace = generate_workload(
             MSR_WORKLOADS["hm_0"], n_requests=800, seed=3, rate_scale=10

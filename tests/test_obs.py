@@ -228,8 +228,7 @@ def _trace(n=60):
 
 def _run(tiny_tlc, seed=3):
     config = SsdConfig.for_spec(
-        tiny_tlc, channels=2, dies_per_channel=1, blocks_per_die=8,
-        overprovisioning=0.2,
+        tiny_tlc, channels=2, dies_per_channel=1, blocks_per_die=20,
     )
     ssd = Ssd(tiny_tlc, config, NandTiming(), _profile(), seed=seed)
     return ssd.run_trace(_trace())

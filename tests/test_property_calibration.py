@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.calibration import BACK, FURTHER, CalibrationConfig, Calibrator
+from repro.core.calibration import BACK, FURTHER, state_change_verdict
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import TLC_SPEC
@@ -39,10 +39,7 @@ def _wordline():
 )
 @settings(max_examples=20, deadline=None)
 def test_verdict_is_always_one_of_the_two_cases(offset):
-    calibrator = Calibrator(CalibrationConfig(delta_steps=5.0))
-    verdict, nca_norm, ncs_norm = calibrator.state_change_verdict(
-        _wordline(), offset
-    )
+    verdict, nca_norm, ncs_norm = state_change_verdict(_wordline(), offset)
     assert verdict in (FURTHER, BACK)
     assert np.isfinite(nca_norm) and np.isfinite(ncs_norm)
     assert nca_norm >= 0.0 and ncs_norm >= 0.0

@@ -15,9 +15,6 @@ def make_ftl():
             blocks_per_die=6,
             pages_per_block=16,
             page_user_bytes=4096,
-            overprovisioning=0.3,
-            gc_free_block_threshold=2,
-            gc_stop_free_blocks=3,
         )
     )
 

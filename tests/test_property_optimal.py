@@ -7,8 +7,8 @@ require them — and the per-wordline functions, which are one-row calls of
 the same kernel — to equal the plain per-row search kept in
 ``tests/flash_oracle.py`` byte for byte, over both chip kinds, fresh, aged
 and hot stresses, with and without sentinels, on wordlines small enough
-to leave state segments empty, for custom search windows, voltage
-subsets, any row subset and any key-chunk size.  The error-count offsets
+to leave state segments empty, for voltage subsets, any row subset and
+any key-chunk size.  The error-count offsets
 include thresholds a quarter float32 step either side of a cell's Vth,
 where a plain float32 cast of the threshold or a right-sided search would
 miscount.
@@ -65,13 +65,6 @@ row_lists = st.lists(
     st.integers(min_value=0, max_value=N_ROWS - 1),
     min_size=1, max_size=N_ROWS, unique=True,
 )
-search_ranges = st.one_of(
-    st.none(),
-    st.tuples(
-        st.integers(min_value=-150, max_value=20),
-        st.integers(min_value=1, max_value=220),
-    ).map(lambda t: (t[0], t[0] + t[1])),
-)
 # chunk bound: one row per chunk, a few rows, or the default
 key_chunks = st.sampled_from([1, 1 << 14, optimal._KEY_CHUNK])
 
@@ -85,14 +78,9 @@ def _with_key_chunk(cells, fn):
         optimal._KEY_CHUNK = saved
 
 
-@given(
-    cols=stores, rows=row_lists, data=st.data(),
-    search_range=search_ranges, key_chunk=key_chunks,
-)
+@given(cols=stores, rows=row_lists, data=st.data(), key_chunk=key_chunks)
 @settings(max_examples=80, deadline=None)
-def test_optimal_offsets_equal_reference(
-    cols, rows, data, search_range, key_chunk
-):
+def test_optimal_offsets_equal_reference(cols, rows, data, key_chunk):
     nv = cols.spec.n_voltages
     voltages = data.draw(st.one_of(
         st.none(),
@@ -101,20 +89,20 @@ def test_optimal_offsets_equal_reference(
     ))
     got = _with_key_chunk(
         key_chunk,
-        lambda: optimal_offsets_batch(cols, rows, voltages, search_range),
+        lambda: optimal_offsets_batch(cols, rows, voltages),
     )
     want = np.stack([
-        ref.optimal_offsets(cols.wordline_view(r), voltages, search_range)
+        ref.optimal_offsets(cols.wordline_view(r), voltages)
         for r in rows
     ])
     assert got.shape == (len(rows), nv)
     assert got.tobytes() == want.tobytes()  # -0.0 != +0.0 here
     for j, r in enumerate(rows):
         wl = cols.wordline_view(r)
-        one = optimal_offsets(wl, voltages, search_range)
+        one = optimal_offsets(wl, voltages)
         assert one.tobytes() == want[j].tobytes()
         for v in (1, nv) if voltages is None else voltages:
-            assert optimal_offset(wl, v, search_range) == want[j, v - 1]
+            assert optimal_offset(wl, v) == want[j, v - 1]
 
 
 def _anchored_offsets(cols, rows, vindex, picks):

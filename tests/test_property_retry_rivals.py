@@ -596,7 +596,7 @@ class TestPipelinedTiming:
         plain = timing.read_us(3, retries=2)
         pipelined = timing.read_us(3, retries=2, pipelined=True)
         assert pipelined == pytest.approx(
-            plain - 2 * timing.pipeline_overlap_us(3)
+            plain - 2 * min(timing.sense_us(3), timing.t_transfer_us)
         )
         assert pipelined < plain
 
@@ -620,7 +620,7 @@ class TestPipelinedTiming:
         plain = timing.read_outcome_us(outcome)
         outcome.pipelined_senses = 1
         assert timing.read_outcome_us(outcome) == pytest.approx(
-            plain - timing.pipeline_overlap_us(3)
+            plain - min(timing.sense_us(3), timing.t_transfer_us)
         )
 
     def test_profile_carries_pipelined_flag_into_mean(self):

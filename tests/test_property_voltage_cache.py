@@ -66,7 +66,6 @@ warm_items = st.lists(
         "die": st.sampled_from(DIES),
         "block": st.integers(0, 1),
         "layer": st.integers(0, 1),
-        "offset": st.integers(-3, 3).map(float),
         "age_us": st.integers(0, 12).map(lambda a: a * STEP),
     }),
     max_size=8,
@@ -94,13 +93,13 @@ def test_scrub_index_matches_full_scan(steps):
         name, now = step[0], 0.0
         if name == "put":
             _, key, now, pe = step
-            cache.put(key, 1.0, now, pe)
+            cache.put(key, now, pe)
         elif name == "lookup":
             _, key, now, pe = step
             cache.lookup(key, now, pe)
         elif name == "refresh":
             _, key, now, pe = step
-            cache.refresh(key, 2.0, now, pe)
+            cache.refresh(key, now, pe)
         elif name == "invalidate":
             cache.invalidate(step[1])
         elif name == "quarantine":
@@ -121,8 +120,8 @@ def test_scrub_index_matches_full_scan(steps):
 def test_hotness_tie_break_across_the_limit_boundary():
     cache = VoltageOffsetCache(capacity=CAPACITY)
     for layer in range(3):
-        cache.put((0, 0, layer), 1.0, 0.0, 0)
-    cache.put((0, 1, 0), 1.0, STEP, 0)  # due later, never ahead of the tie
+        cache.put((0, 0, layer), 0.0, 0)
+    cache.put((0, 1, 0), STEP, 0)  # due later, never ahead of the tie
     for _ in range(2):
         cache.lookup((0, 0, 2), 1.0, 0)
     cache.lookup((0, 0, 1), 1.0, 0)
@@ -142,9 +141,9 @@ def test_hotness_tie_break_across_the_limit_boundary():
 def test_warm_start_inserts_entries_older_than_existing_ones():
     unit = REFRESH_AGE_US / 100  # the refresh age is 100 units
     cache = VoltageOffsetCache()
-    cache.put((0, 0, 0), 1.0, 100 * unit, 0)
+    cache.put((0, 0, 0), 100 * unit, 0)
     state = {"entries": [{"die": 0, "block": 1, "layer": 0,
-                          "offset": -2.0, "age_us": 90 * unit}]}
+                          "age_us": 90 * unit}]}
     assert cache.warm_start(state, now_us=100 * unit) == 1
     assert cache._by_age[0] == [
         (10 * unit, (0, 1, 0)), (100 * unit, (0, 0, 0))

@@ -15,6 +15,7 @@ from repro.replay import (
     replay_trace,
     translate_trace,
 )
+from repro.replay.translate import MAX_PAGES_PER_REQUEST
 from repro.service import ServiceConfig, synthetic_profiles
 from repro.service.report import request_accounting
 from repro.ssd.config import SsdConfig
@@ -83,9 +84,10 @@ class TestTranslation:
         assert (out.lpn, out.n_pages) == (0, 2)
 
     def test_truncation_counted(self):
-        tr = LbaTranslator(page_bytes=4096, max_pages_per_request=2)
-        out, cut = tr.translate(TraceRequest(0.0, "R", 0, 5 * 4096))
-        assert out.n_pages == 2 and cut == 3
+        tr = LbaTranslator(page_bytes=4096)
+        size = (MAX_PAGES_PER_REQUEST + 3) * 4096
+        out, cut = tr.translate(TraceRequest(0.0, "R", 0, size))
+        assert out.n_pages == MAX_PAGES_PER_REQUEST and cut == 3
 
     def test_scale_compresses_arrivals(self):
         tr = LbaTranslator(page_bytes=4096, scale=10.0)
@@ -95,8 +97,6 @@ class TestTranslation:
     def test_validation(self):
         with pytest.raises(ValueError):
             LbaTranslator(page_bytes=100)
-        with pytest.raises(ValueError):
-            LbaTranslator(page_bytes=4096, max_pages_per_request=0)
         with pytest.raises(ValueError):
             LbaTranslator(page_bytes=4096, scale=0.0)
 

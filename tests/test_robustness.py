@@ -181,25 +181,25 @@ class TestCacheQuarantine:
     def test_quarantine_drops_and_blocks_the_key(self):
         cache = VoltageOffsetCache()
         key = (0, 1, 2)
-        cache.put(key, 3.0, now_us=0.0, pe_cycles=0)
+        cache.put(key, now_us=0.0, pe_cycles=0)
         cache.quarantine(key, now_us=10.0)
         assert cache.quarantined == 1
         assert cache.lookup(key, 20.0, 0) is None
-        cache.put(key, 4.0, now_us=20.0, pe_cycles=0)  # refused
+        cache.put(key, now_us=20.0, pe_cycles=0)  # refused
         assert len(cache) == 0
 
     def test_quarantine_expires(self):
         cache = VoltageOffsetCache()
         key = (0, 0, 0)
         cache.quarantine(key, now_us=0.0)
-        cache.put(key, 1.0, now_us=QUARANTINE_US - 1.0, pe_cycles=0)
+        cache.put(key, now_us=QUARANTINE_US - 1.0, pe_cycles=0)
         assert len(cache) == 0  # still refused just before the expiry
-        cache.put(key, 1.0, now_us=QUARANTINE_US, pe_cycles=0)
+        cache.put(key, now_us=QUARANTINE_US, pe_cycles=0)
         assert cache.lookup(key, QUARANTINE_US + 1.0, 0) is not None
 
     def test_other_keys_unaffected(self):
         cache = VoltageOffsetCache()
-        cache.put((0, 0, 0), 1.0, now_us=0.0, pe_cycles=0)
+        cache.put((0, 0, 0), now_us=0.0, pe_cycles=0)
         cache.quarantine((9, 9, 9), now_us=0.0)
         assert cache.lookup((0, 0, 0), 1.0, 0) is not None
 

@@ -57,17 +57,17 @@ class TestVoltageCache:
     def test_miss_then_hit(self):
         cache = VoltageOffsetCache()
         assert cache.lookup(self.KEY, 0.0, 0) is None
-        cache.put(self.KEY, -2.0, 10.0, 0)
+        cache.put(self.KEY, 10.0, 0)
         entry = cache.lookup(self.KEY, 20.0, 0)
-        assert entry is not None and entry.offset == -2.0
+        assert entry is not None and entry.hits == 1
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_ttl_expiry(self):
         cache = VoltageOffsetCache()
-        cache.put(self.KEY, 1.0, 0.0, 0)
+        cache.put(self.KEY, 0.0, 0)
         assert cache.lookup(self.KEY, TTL_US, 0) is not None  # at the bound
-        cache.put(self.KEY, 1.0, 0.0, 0)
+        cache.put(self.KEY, 0.0, 0)
         assert cache.lookup(self.KEY, TTL_US + 0.1, 0) is None
         assert cache.expired == 1
         # the stale entry was removed, not just skipped
@@ -76,38 +76,38 @@ class TestVoltageCache:
     def test_pe_delta_invalidation(self):
         """Any erase since the inference makes an entry stale."""
         cache = VoltageOffsetCache()
-        cache.put(self.KEY, 1.0, 0.0, pe_cycles=4)
+        cache.put(self.KEY, 0.0, pe_cycles=4)
         assert cache.lookup(self.KEY, 1.0, pe_cycles=4) is not None
         assert cache.lookup(self.KEY, 2.0, pe_cycles=5) is None
         assert cache.expired == 1
 
     def test_lru_eviction(self):
         cache = VoltageOffsetCache(capacity=2)
-        cache.put((0, 0, 0), 1.0, 0.0, 0)
-        cache.put((0, 0, 1), 1.0, 1.0, 0)
+        cache.put((0, 0, 0), 0.0, 0)
+        cache.put((0, 0, 1), 1.0, 0)
         cache.lookup((0, 0, 0), 2.0, 0)  # touch: (0,0,1) becomes LRU
-        cache.put((0, 0, 2), 1.0, 3.0, 0)
+        cache.put((0, 0, 2), 3.0, 0)
         assert cache.evicted == 1
-        assert cache.peek_offset((0, 0, 1), default=99.0) == 99.0
-        assert cache.peek_offset((0, 0, 0), default=99.0) == 1.0
+        assert cache.lookup((0, 0, 1), 4.0, 0) is None
+        assert cache.lookup((0, 0, 0), 4.0, 0) is not None
 
     def test_scrub_candidates_stalest_first_one_die_only(self):
         cache = VoltageOffsetCache()
         now = TTL_US
-        cache.put((0, 0, 0), 1.0, 0.0, 0)   # stalest
-        cache.put((0, 0, 1), 1.0, now - REFRESH_AGE_US, 0)  # just due
-        cache.put((1, 0, 0), 1.0, 0.0, 0)   # other die: excluded
-        cache.put((0, 0, 2), 1.0, now - REFRESH_AGE_US + 1.0, 0)  # not due
+        cache.put((0, 0, 0), 0.0, 0)   # stalest
+        cache.put((0, 0, 1), now - REFRESH_AGE_US, 0)  # just due
+        cache.put((1, 0, 0), 0.0, 0)   # other die: excluded
+        cache.put((0, 0, 2), now - REFRESH_AGE_US + 1.0, 0)  # not due
         keys = cache.scrub_candidates(die=0, now_us=now, limit=8)
         assert keys == [(0, 0, 0), (0, 0, 1)]
         assert cache.scrub_candidates(die=0, now_us=now, limit=1) == [(0, 0, 0)]
 
     def test_refresh_revalidates_past_ttl(self):
         cache = VoltageOffsetCache()
-        cache.put(self.KEY, 1.0, 0.0, 0)
-        cache.refresh(self.KEY, -3.0, 5 * TTL_US, 0)
+        cache.put(self.KEY, 0.0, 0)
+        cache.refresh(self.KEY, 5 * TTL_US, 0)
         entry = cache.lookup(self.KEY, 5.5 * TTL_US, 0)
-        assert entry is not None and entry.offset == -3.0
+        assert entry is not None and entry.stored_us == 5 * TTL_US
         assert cache.refreshed == 1
 
     def test_config_validation(self):

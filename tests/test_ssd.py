@@ -17,8 +17,7 @@ def config(tiny_tlc):
         tiny_tlc,
         channels=2,
         dies_per_channel=1,
-        blocks_per_die=8,
-        overprovisioning=0.2,
+        blocks_per_die=20,
     )
 
 

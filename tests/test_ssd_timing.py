@@ -9,10 +9,11 @@ from repro.ssd.timing import NandTiming
 
 class TestSense:
     def test_proportional_to_voltages(self):
-        t = NandTiming(t_sense_base_us=10, t_sense_per_voltage_us=20)
-        assert t.sense_us(1) == 30
-        assert t.sense_us(4) == 90
-        assert t.sense_us(8) == 170
+        t = NandTiming()
+        assert (t.t_sense_base_us, t.t_sense_per_voltage_us) == (12.0, 16.0)
+        assert t.sense_us(1) == 28
+        assert t.sense_us(4) == 76
+        assert t.sense_us(8) == 140
 
     def test_rejects_zero_voltages(self):
         with pytest.raises(ValueError):
@@ -93,7 +94,8 @@ class TestReadCost:
 
     def test_pipelined_rounds_capped_at_retries(self):
         t = NandTiming()
-        assert t.read_cost(4, 2, 0, 5)[2] == 2 * t.pipeline_overlap_us(4)
+        shaved = min(t.sense_us(4), t.t_transfer_us)  # per pipelined round
+        assert t.read_cost(4, 2, 0, 5)[2] == 2 * shaved
 
     def test_no_phases_without_a_list(self):
         t = NandTiming()
