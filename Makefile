@@ -119,6 +119,9 @@ simulate-smoke:
 	$(PYTHON) -m repro simulate --workloads hm_0 usr_0 --requests 600 \
 		> .simulate-smoke.txt
 	diff -u tests/golden/simulate_smoke.txt .simulate-smoke.txt
+	$(PYTHON) -m repro simulate --trace tests/data/msr_sample.csv \
+		--requests 600 > .simulate-trace-smoke.txt
+	diff -u tests/golden/simulate_trace_smoke.txt .simulate-trace-smoke.txt
 
 # run.py exits 0 even when a digest mismatches, so the last stdout line
 # (the JSON summary) of each run must say "correct": true; the read-hot

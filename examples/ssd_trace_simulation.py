@@ -6,7 +6,8 @@ sentinel policies on an aged chip, then replays block I/O traces against an
 SSD bound to each profile and reports the read-latency reduction.
 
 By default the eight synthetic MSR-Cambridge stand-ins are used; pass paths
-to real MSR CSV files (hm_0.csv ...) to replay those instead:
+to real MSR CSV files (hm_0.csv ...) or blkparse text dumps to replay those
+instead:
 
     python examples/ssd_trace_simulation.py [trace1.csv trace2.csv ...]
 """
@@ -15,7 +16,7 @@ import sys
 
 from repro.analysis import print_table
 from repro.exp.fig14 import run_fig14
-from repro.traces.msr import load_msr_trace
+from repro.traces.adapters import load_trace
 
 
 def main() -> None:
@@ -24,7 +25,7 @@ def main() -> None:
     if len(sys.argv) > 1:
         traces = {}
         for path in sys.argv[1:]:
-            trace = load_msr_trace(path, max_requests=20000)
+            trace = load_trace(path, max_requests=20000)
             traces[trace.name] = trace
             print("loaded", trace.describe())
         workloads = list(traces)

@@ -6,13 +6,14 @@ Commands
                   sentinel model JSON artifact.
 ``read``          serve one page read on an aged die with every policy and
                   show the retry/latency accounting.
-``simulate``      trace-driven SSD comparison (synthetic or real MSR CSV).
+``simulate``      trace-driven SSD comparison (synthetic workloads or
+                  block trace files).
 ``serve``         online serving layer: concurrent clients + voltage-offset
                   cache + background scrubber (``--smoke`` for CI).
-``replay``        trace-driven replay of a block-level trace (MSR CSV or
-                  synthetic workload) through the serving layer, with
-                  optional batched die scheduling (``--batch``) and
-                  sharded preprocessing (``--workers``).
+``replay``        trace-driven replay of a block-level trace (MSR CSV,
+                  blkparse text or synthetic workload) through the
+                  serving layer, with optional batched die scheduling
+                  (``--batch``) and sharded preprocessing (``--workers``).
 ``fleet``         multi-device, multi-tenant fleet with cohort voltage-cache
                   warm-start and per-tenant SLO accounting.
 ``tournament``    race read-retry policies across a frontend x chip-age
@@ -245,13 +246,14 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         wordlines=range(0, spec.wordlines_per_block, args.wordline_step),
         workers=args.workers,
     )
-    result.model.save(args.out)
     resid = np.abs(result.inference_residuals()).mean()
-    echo(
-        f"fitted on {len(result.d_rates)} samples; "
-        f"residual {resid:.2f} steps; model -> {args.out}"
-    )
-    return 0
+
+    def write(path: str) -> str:
+        result.model.save(path)
+        return (f"fitted on {len(result.d_rates)} samples; "
+                f"residual {resid:.2f} steps; model -> {path}")
+
+    return _write_output("repro characterize", "model", args.out, write)
 
 
 def cmd_read(args: argparse.Namespace) -> int:
@@ -276,7 +278,8 @@ def cmd_read(args: argparse.Namespace) -> int:
     )
     ecc = CapabilityEcc.for_spec(spec)
     if args.model:
-        model = SentinelModel.load(args.model)
+        model = _read_input(args.model, SentinelModel.load, "model",
+                            "a sentinel model")
     else:
         from repro.exp.common import trained_model
 
@@ -316,7 +319,7 @@ def cmd_read(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis import print_table
     from repro.exp.fig14 import run_fig14
-    from repro.traces.msr import load_msr_trace
+    from repro.traces.adapters import load_trace
 
     _maybe_enable_obs(args)
     traces = None
@@ -324,7 +327,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         traces = {}
         for path in args.trace:
-            t = load_msr_trace(path, max_requests=args.requests)
+            t = _read_input(
+                path,
+                lambda p: load_trace(p, max_requests=args.requests),
+                "trace", "a block trace",
+            )
             traces[t.name] = t
         workloads = list(traces)
     result = run_fig14(
@@ -656,7 +663,7 @@ def cmd_spans(args: argparse.Namespace) -> int:
     events = _read_input(args.trace, load_jsonl, "trace", "a JSONL trace")
     trees = assemble(events)
     bd = phase_breakdown(trees)
-    echo(render_breakdown(bd, width=args.width))
+    echo(render_breakdown(bd))
     for tree in trees[: max(0, args.top)]:
         echo("")
         echo(render_tree(tree))
@@ -834,7 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="trace-driven SSD comparison")
     add_common(p, ("kind",))
     p.add_argument("--workloads", nargs="*", help="synthetic workload names")
-    p.add_argument("--trace", nargs="*", help="MSR CSV files to replay")
+    p.add_argument("--trace", nargs="*",
+                   help="block traces to replay (MSR CSV or blkparse "
+                        "text, sniffed per file)")
     p.add_argument("--requests", type=int, default=6000)
     p.add_argument("--rate-scale", type=float, default=20.0)
     add_obs(p)
@@ -871,11 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p)
     p.add_argument("--trace", metavar="PATH",
-                   help="block trace to replay (MSR CSV, blkparse text, "
-                        "or any registered adapter format)")
+                   help="block trace to replay (MSR CSV or blkparse text)")
     p.add_argument("--format", metavar="NAME", default=None,
-                   help="trace format adapter (default: sniff the file; "
-                        "see repro.traces.adapters)")
+                   help="trace format, msr or blkparse (default: sniff "
+                        "the file)")
     p.add_argument("--synthetic", choices=_REPLAY_WORKLOADS,
                    help="generate and replay a synthetic MSR stand-in")
     p.add_argument("--scale", type=float, default=1.0,
@@ -1047,8 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit non-zero unless phase sums reconcile with "
                         "end-to-end latencies, every span runs forward "
                         "inside its parent and at least one tree exists")
-    p.add_argument("--width", type=int, default=48,
-                   help="breakdown table width hint")
     p.set_defaults(func=cmd_spans)
 
     return parser

@@ -98,27 +98,34 @@ def characterize_training_die(
     )
 
 
-@lru_cache(maxsize=None)
 def characterization(
     kind: str,
     sentinel_ratio: float = 0.002,
     wordline_step: int = 4,
+    cells_per_wordline: int = SIM_CELLS,
 ) -> CharacterizationResult:
-    """Factory characterization of the training die (cached per process)."""
+    """Factory characterization of the training die (cached per process).
+
+    The one fitted-model memo: its key is normalised, so every spelling of
+    the same fit (positional or keyword, ``"TLC"`` or ``"tlc"``) shares
+    one entry."""
+    return _characterization(kind.lower(), float(sentinel_ratio),
+                             int(wordline_step), int(cells_per_wordline))
+
+
+@lru_cache(maxsize=None)
+def _characterization(
+    kind: str, sentinel_ratio: float, wordline_step: int,
+    cells_per_wordline: int,
+) -> CharacterizationResult:
     return characterize_training_die(
-        kind, sim_spec(kind), wordline_step, sentinel_ratio
+        kind, sim_spec(kind, cells_per_wordline=cells_per_wordline),
+        wordline_step, sentinel_ratio,
     )
 
 
 def trained_model(kind: str, sentinel_ratio: float = 0.002) -> SentinelModel:
-    """The fitted sentinel model of a chip kind (cached).
-
-    Calls ``characterization`` with the same argument spelling the figure
-    drivers use, so the (argument-sensitive) lru_cache is shared instead of
-    fitting twice.
-    """
-    if sentinel_ratio == 0.002:
-        return characterization(kind).model
+    """The fitted sentinel model of a chip kind (cached)."""
     return characterization(kind, sentinel_ratio).model
 
 

@@ -287,7 +287,7 @@ def reconcile(trees: Iterable[SpanTree]) -> Tuple[bool, float]:
 
 
 # ---------------------------------------------------------------------------
-# JSONL round-trip
+# JSONL export
 # ---------------------------------------------------------------------------
 def export_trees_json(trees: Iterable[SpanTree], path: str) -> int:
     """One nested tree per line; returns the tree count."""
@@ -300,21 +300,10 @@ def export_trees_json(trees: Iterable[SpanTree], path: str) -> int:
     return n
 
 
-def load_trees_json(path: str) -> List[Dict[str, Any]]:
-    """Read back ``export_trees_json`` output (as canonical dicts)."""
-    out: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-def render_breakdown(bd: PhaseBreakdown, width: int = 48) -> str:
+def render_breakdown(bd: PhaseBreakdown) -> str:
     """Phase table + sentinel-savings + reconciliation lines."""
     from repro.analysis.report import format_table
 

@@ -35,7 +35,7 @@ process and each unit only re-synthesizes them at its age.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ecc.capability import CapabilityEcc
@@ -103,7 +103,6 @@ def cell_stress(kind: str, age: str) -> StressState:
         ) from None
 
 
-@lru_cache(maxsize=None)
 def tournament_model(
     kind: str, cells_per_wordline: int, sentinel_ratio: float
 ):
@@ -111,19 +110,16 @@ def tournament_model(
 
     At the standard experiment scale this is exactly the factory model of
     :func:`repro.exp.common.trained_model`; smaller (smoke) scales fit
-    their own training die with the same stress sweep — seconds, not
-    minutes, at a few thousand cells per wordline.
+    their own training die with the same stress sweep on every eighth
+    wordline — seconds, not minutes, at a few thousand cells per
+    wordline.  Both come from the one memo,
+    :func:`repro.exp.common.characterization`.
     """
-    from repro.exp.common import (
-        SIM_CELLS,
-        characterize_training_die,
-        trained_model,
-    )
+    from repro.exp.common import SIM_CELLS, characterization
 
-    if cells_per_wordline == SIM_CELLS:
-        return trained_model(kind, sentinel_ratio)
-    spec = cell_spec(kind, cells_per_wordline)
-    return characterize_training_die(kind, spec, 8, sentinel_ratio).model
+    step = 4 if cells_per_wordline == SIM_CELLS else 8
+    return characterization(
+        kind, sentinel_ratio, step, cells_per_wordline).model
 
 
 def build_policy(name: str, ecc: CapabilityEcc, spec: FlashSpec,

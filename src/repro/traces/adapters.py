@@ -1,15 +1,14 @@
-"""Pluggable trace-format adapters: one registry, many block-trace dialects.
+"""Block-trace formats and the one trace loader, :func:`load_trace`.
 
-New workload formats plug in as a small adapter — a parse function plus an
-optional sniffer — instead of forking the parser/frontend pipeline.  Every
-adapter returns the same :class:`~repro.traces.trace.Trace` contract:
+Each format is a parse function plus a sniffer, listed in ``FORMATS``.
+Every parser returns the same :class:`~repro.traces.trace.Trace` contract:
 
 * request order is the **logged order** of the source (never re-sorted);
 * ``time_s`` is rebased so the earliest request sits at 0.0;
 * sizes are clamped up to one 512-byte sector, counted in
   ``meta["clamped_records"]``.
 
-Shipped adapters:
+Formats:
 
 ``msr``
     MSR-Cambridge CSV (:mod:`repro.traces.msr`):
@@ -23,83 +22,36 @@ Shipped adapters:
     rwbs flags are kept (discards, flushes and barriers are skipped and
     counted in ``meta["skipped_records"]``).
 
-``load_trace`` picks the adapter from an explicit format name or by
-sniffing the first non-blank lines, so callers (the replay CLI, the
-campaign runner) stay format-agnostic.
+``load_trace`` picks the format from an explicit name or by sniffing the
+first non-blank lines, so its callers (``repro replay``, ``repro
+simulate``) stay format-agnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.traces.msr import parse_msr_csv
+from repro.traces.msr import _SECTOR_BYTES, parse_msr_csv
 from repro.traces.trace import Trace, TraceRequest
-
-_SECTOR_BYTES = 512
 
 #: parse(lines, name, max_requests) -> Trace
 ParseFn = Callable[[Iterable[str], str, Optional[int]], Trace]
 #: sniff(sample_lines) -> bool; sample is the first few non-blank lines
 SniffFn = Callable[[List[str]], bool]
 
-
-@dataclass(frozen=True)
-class TraceAdapter:
-    """One registered block-trace format."""
-
-    name: str
-    parse: ParseFn
-    sniff: SniffFn
-    description: str
+#: how many non-blank lines the sniffers see
+_SNIFF_LINES = 8
 
 
-_REGISTRY: "Dict[str, TraceAdapter]" = {}
-
-
-def register_adapter(
-    name: str,
-    parse: ParseFn,
-    sniff: SniffFn,
-    description: str = "",
-) -> TraceAdapter:
-    """Register (or replace) one adapter under ``name`` (lowercased)."""
-    adapter = TraceAdapter(
-        name=name.lower(), parse=parse, sniff=sniff,
-        description=description,
-    )
-    _REGISTRY[adapter.name] = adapter
-    return adapter
-
-
-def adapter_names() -> Tuple[str, ...]:
-    """Registered format names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_adapter(name: str) -> TraceAdapter:
-    adapter = _REGISTRY.get(name.lower())
-    if adapter is None:
-        raise ValueError(
-            f"unknown trace format {name!r}; registered: "
-            f"{', '.join(adapter_names())}"
-        )
-    return adapter
-
-
-def sniff_format(lines: List[str]) -> Optional[str]:
-    """The first registered adapter whose sniffer accepts ``lines``.
-
-    Adapters are tried in sorted-name order so the outcome does not depend
-    on registration order."""
-    sample = [ln for ln in lines if ln.strip()][:8]
+def sniff_format(lines: Iterable[str]) -> Optional[str]:
+    """The first format in ``FORMATS`` whose sniffer accepts ``lines``."""
+    sample = list(islice((ln for ln in lines if ln.strip()), _SNIFF_LINES))
     if not sample:
         return None
-    for name in adapter_names():
-        if _REGISTRY[name].sniff(sample):
-            return name
-    return None
+    return next((name for name, (_, sniff) in FORMATS.items()
+                 if sniff(sample)), None)
 
 
 def load_trace(
@@ -107,25 +59,32 @@ def load_trace(
     fmt: Optional[str] = None,
     max_requests: Optional[int] = None,
 ) -> Trace:
-    """Load a block trace, picking the adapter by ``fmt`` or by sniffing.
+    """Load a block trace in format ``fmt``, or in the one sniffed.
 
-    The whole file is read once; sniffing uses its head.  Raises
-    ``ValueError`` when no adapter claims the content."""
+    The file is streamed: the sniffer sees its first non-blank lines and
+    the parser reads on from there, stopping at ``max_requests``.  Raises
+    ``ValueError`` for an unknown ``fmt`` or a file no sniffer claims."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if fmt is None:
-        fmt = sniff_format(lines)
+    with path.open() as handle:
+        sample = list(
+            islice((ln for ln in handle if ln.strip()), _SNIFF_LINES))
         if fmt is None:
+            fmt = sniff_format(sample)
+            if fmt is None:
+                raise ValueError(
+                    f"could not sniff the trace format of {path}; pass one "
+                    f"of {', '.join(FORMATS)} explicitly"
+                )
+        if fmt.lower() not in FORMATS:
             raise ValueError(
-                f"could not sniff the trace format of {path}; pass one of "
-                f"{', '.join(adapter_names())} explicitly"
+                f"unknown trace format {fmt!r}; known: {', '.join(FORMATS)}"
             )
-    adapter = get_adapter(fmt)
-    return adapter.parse(lines, path.stem, max_requests)
+        parse, _ = FORMATS[fmt.lower()]
+        return parse(chain(sample, handle), path.stem, max_requests)
 
 
 # ---------------------------------------------------------------------------
-# msr adapter
+# msr
 # ---------------------------------------------------------------------------
 def _sniff_msr(sample: List[str]) -> bool:
     line = next(
@@ -143,17 +102,8 @@ def _sniff_msr(sample: List[str]) -> bool:
     return fields[3].strip().lower() in ("read", "write")
 
 
-register_adapter(
-    "msr",
-    parse=parse_msr_csv,
-    sniff=_sniff_msr,
-    description="MSR-Cambridge CSV (SNIA IOTTA): "
-    "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime",
-)
-
-
 # ---------------------------------------------------------------------------
-# blkparse adapter
+# blkparse
 # ---------------------------------------------------------------------------
 def parse_blkparse(
     lines: Iterable[str],
@@ -219,17 +169,6 @@ def parse_blkparse(
     return Trace(name, requests, meta=meta)
 
 
-def load_blkparse_trace(
-    path: Union[str, Path], max_requests: Optional[int] = None
-) -> Trace:
-    """Load a blkparse text dump (e.g. ``sdb.blktrace.txt``)."""
-    path = Path(path)
-    with path.open() as handle:
-        return parse_blkparse(
-            handle, name=path.stem, max_requests=max_requests
-        )
-
-
 def _sniff_blkparse(sample: List[str]) -> bool:
     line = next(
         (ln for ln in sample if ln.strip() and not ln.startswith("#")), ""
@@ -246,10 +185,9 @@ def _sniff_blkparse(sample: List[str]) -> bool:
     return True
 
 
-register_adapter(
-    "blkparse",
-    parse=parse_blkparse,
-    sniff=_sniff_blkparse,
-    description="Linux blktrace text output (blkparse default format): "
-    "maj,min cpu seq timestamp pid action rwbs sector + blocks [process]",
-)
+#: format name -> (parse, sniff); sniffing tries them in this order.
+#: A new format is one more entry here.
+FORMATS: Dict[str, Tuple[ParseFn, SniffFn]] = {
+    "blkparse": (parse_blkparse, _sniff_blkparse),
+    "msr": (parse_msr_csv, _sniff_msr),
+}

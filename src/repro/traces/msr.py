@@ -21,8 +21,7 @@ up instead of the data being mutated invisibly.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from repro.traces.trace import Trace, TraceRequest
 
@@ -74,11 +73,3 @@ def parse_msr_csv(
     ]
     return Trace(name, requests, meta={"clamped_records": clamped})
 
-
-def load_msr_trace(
-    path: Union[str, Path], max_requests: Optional[int] = None
-) -> Trace:
-    """Load an MSR CSV file (e.g. ``hm_0.csv``)."""
-    path = Path(path)
-    with path.open() as handle:
-        return parse_msr_csv(handle, name=path.stem, max_requests=max_requests)

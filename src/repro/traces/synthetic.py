@@ -149,12 +149,3 @@ def generate_workload(
     ]
     return Trace(params.name, requests)
 
-
-def generate_all_workloads(
-    n_requests: int = 20000, seed: int = 0
-) -> Dict[str, Trace]:
-    """All eight Figure 14 workloads."""
-    return {
-        name: generate_workload(params, n_requests=n_requests, seed=seed)
-        for name, params in MSR_WORKLOADS.items()
-    }

@@ -41,8 +41,8 @@ class Trace:
     ``meta`` carries parser-side accounting (e.g. the MSR reader's
     ``clamped_records`` count) that is about how the trace was *obtained*
     rather than the requests themselves.  Its scope is the parse that
-    produced the trace: a truncated view (:meth:`head`) carries a copy
-    whose counts still describe the untruncated parse.
+    produced the trace; the constructor copies it, so no two traces
+    share one.
     """
 
     def __init__(
@@ -86,15 +86,6 @@ class Trace:
     @property
     def total_write_bytes(self) -> int:
         return sum(r.size_bytes for r in self.requests if not r.is_read)
-
-    def head(self, n: int) -> "Trace":
-        """The first ``n`` requests (in logged order) as a new trace.
-
-        ``meta`` is copied, never aliased, so mutation by one consumer
-        cannot leak into the other; its counts keep describing the
-        original untruncated parse (``clamped_records`` of the full
-        file, not of the first ``n`` requests)."""
-        return Trace(self.name, self.requests[:n], meta=dict(self.meta))
 
     def describe(self) -> str:
         return (

@@ -209,6 +209,41 @@ class TestCharacterizeAndRead:
         assert capsys.readouterr().out == golden.read_text()
 
 
+class TestBadFilesFailCleanly:
+    """A bad input or output path ends in one ``repro <command>:`` line on
+    stderr and exit 1, never a traceback."""
+
+    def test_simulate_bad_trace(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.csv")
+        assert main(["simulate", "--trace", missing]) == 1
+        assert capsys.readouterr().err == (
+            f"repro simulate: cannot read trace {missing}: "
+            f"No such file or directory\n")
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_text("garbage line\n")
+        assert main(["simulate", "--trace", str(garbage)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro simulate: {garbage} is not a block trace: "
+            f"could not sniff")
+        assert err.count("\n") == 1
+
+    def test_read_missing_model(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.json")
+        assert main(["read", "--cells", "8192", "--model", missing]) == 1
+        assert capsys.readouterr().err == (
+            f"repro read: cannot read model {missing}: "
+            f"No such file or directory\n")
+
+    def test_characterize_unwritable_out(self, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "model.json")
+        assert main(["characterize", "--cells", "8192",
+                     "--wordline-step", "96", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"repro characterize: cannot write model to {out}: "
+            f"No such file or directory\n")
+
+
 class TestQuietFlag:
     def test_quiet_suppresses_info_output(self, capsys):
         from repro.obs.log import setup_logging

@@ -49,6 +49,13 @@ class TestCaches:
     def test_trained_model_matches_characterization(self):
         assert common.trained_model("tlc") is common.characterization("tlc").model
 
+    def test_one_memo_for_every_spelling(self):
+        from repro.tournament import tournament_model
+
+        model = common.characterization("tlc").model
+        assert common.characterization("TLC", 0.002, 4).model is model
+        assert tournament_model("tlc", common.SIM_CELLS, 0.002) is model
+
     def test_eval_chip_is_aged(self):
         chip = common.eval_chip("tlc")
         assert chip.block_stress(0) == common.eval_stress("tlc")

@@ -20,7 +20,7 @@ from repro.service import ServiceConfig, synthetic_profiles
 from repro.service.report import request_accounting
 from repro.ssd.config import SsdConfig
 from repro.ssd.timing import NandTiming
-from repro.traces.msr import load_msr_trace
+from repro.traces.adapters import load_trace
 from repro.traces.trace import Trace, TraceRequest
 
 FIXTURE = Path(__file__).parent / "data" / "msr_sample.csv"
@@ -49,12 +49,12 @@ def run_replay(trace, seed=7, config=None, service_config=None):
 # ---------------------------------------------------------------------------
 class TestFixture:
     def test_loads(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         assert len(trace) == 200
         assert trace.name == "msr_sample"
 
     def test_out_of_order_timestamps_stay_non_negative(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         assert all(r.time_s >= 0 for r in trace)
         # rebased to the minimum tick, which (logged order preserved) is
         # not the first record of this completion-ordered fixture
@@ -62,7 +62,7 @@ class TestFixture:
         assert trace.requests[0].time_s > 0.0
 
     def test_clamped_records_counted(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         assert trace.meta["clamped_records"] == 9
         assert all(r.size_bytes >= 512 for r in trace)
 
@@ -110,7 +110,7 @@ class TestTranslation:
         assert plan_request_shards([], workers=4) == []
 
     def test_translate_trace_worker_invariant(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         serial, s_stats, _ = translate_trace(
             trace, LbaTranslator(page_bytes=4096), workers=1
         )
@@ -127,7 +127,7 @@ class TestTranslation:
 # ---------------------------------------------------------------------------
 class TestReplay:
     def test_accounting_identity_and_report_shape(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         report = run_replay(trace)
         acc = report.accounting
         assert acc["served"] + acc["degraded"] + acc["shed"] == acc["offered"]
@@ -139,7 +139,7 @@ class TestReplay:
         assert payload["service"]["scenario"] == "replay:msr_sample"
 
     def test_byte_identical_across_worker_counts(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         reports = [
             run_replay(trace, config=ReplayConfig(workers=w)).to_json()
             for w in (1, 2, 4)
@@ -169,11 +169,11 @@ class TestReplay:
         config that sets it is refused, not silently overridden."""
         with pytest.raises(ValueError, match="ReplayConfig"):
             run_replay(
-                load_msr_trace(FIXTURE), service_config=service_config
+                load_trace(FIXTURE), service_config=service_config
             )
 
     def test_batching_coalesces_and_stays_balanced(self):
-        trace = load_msr_trace(FIXTURE)
+        trace = load_trace(FIXTURE)
         batched = run_replay(
             trace, config=ReplayConfig(scale=200.0, batch_enabled=True)
         )

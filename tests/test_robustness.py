@@ -42,7 +42,6 @@ class TestTraceRobustness:
         trace = Trace("empty", [])
         assert trace.duration_s == 0.0
         assert trace.read_fraction == 0.0
-        assert len(trace.head(5)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.obs.spans import (
     critical_leaves,
     critical_path,
     export_trees_json,
-    load_trees_json,
     phase_breakdown,
     reconcile,
     render_breakdown,
@@ -228,10 +227,9 @@ class TestBreakdown:
         trees = assemble(_request_events() + _request_events("c/1", 300.0))
         path = str(tmp_path / "trees.jsonl")
         assert export_trees_json(trees, path) == 2
-        back = load_trees_json(path)
+        with open(path, encoding="utf-8") as fh:
+            back = [json.loads(line) for line in fh]
         assert back == [t.root.to_dict() for t in trees]
-        for line in open(path, encoding="utf-8"):
-            json.loads(line)
 
 
 # ---------------------------------------------------------------------------

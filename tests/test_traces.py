@@ -1,4 +1,4 @@
-"""Trace model, MSR parsing, adapters, and the synthetic generators."""
+"""Trace model, MSR parsing, the trace loader, and the synthetic generators."""
 
 from pathlib import Path
 
@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 
 from repro.traces.adapters import (
-    adapter_names,
-    get_adapter,
-    load_blkparse_trace,
+    FORMATS,
     load_trace,
     parse_blkparse,
-    register_adapter,
     sniff_format,
 )
-from repro.traces.msr import load_msr_trace, parse_msr_csv
+from repro.traces.msr import parse_msr_csv
 from repro.traces.synthetic import (
     MSR_WORKLOADS,
     WorkloadParams,
-    generate_all_workloads,
     generate_workload,
 )
 from repro.traces.trace import Trace, TraceRequest
@@ -77,10 +73,6 @@ class TestTrace:
         assert trace.total_read_bytes == 2048
         assert trace.total_write_bytes == 2048
 
-    def test_head(self):
-        trace = Trace("t", [TraceRequest(float(i), "R", 0, 512) for i in range(5)])
-        assert len(trace.head(2)) == 2
-
     def test_describe(self):
         trace = Trace("t", [TraceRequest(0.0, "R", 0, 512)])
         assert "t:" in trace.describe()
@@ -125,7 +117,7 @@ class TestMsrParsing:
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "hm_0.csv"
         path.write_text("\n".join(self.SAMPLE))
-        trace = load_msr_trace(path)
+        trace = load_trace(path)
         assert trace.name == "hm_0"
         assert len(trace) == 3
 
@@ -157,9 +149,11 @@ class TestMsrParsing:
         assert trace.duration_s > trace.requests[-1].time_s - trace.requests[0].time_s - 1e-12
 
     def test_head_meta_is_isolated(self):
+        # a trace built over another's requests and meta copies the meta,
+        # so mutation by one consumer cannot leak into the other
         lines = ["128166372003061629,hm,0,Read,0,1,100"] * 3
         trace = parse_msr_csv(lines)
-        head = trace.head(2)
+        head = Trace(trace.name, trace.requests[:2], meta=trace.meta)
         head.meta["clamped_records"] = 99
         assert trace.meta["clamped_records"] == 3
         trace.meta["extra"] = 1
@@ -175,11 +169,6 @@ class TestMsrParsing:
         assert trace.meta["clamped_records"] == 2
         assert [r.size_bytes for r in trace] == [512, 512, 512]
 
-    def test_meta_propagates_through_head(self):
-        lines = ["128166372003061629,hm,0,Read,0,1,100"] * 3
-        trace = parse_msr_csv(lines)
-        assert trace.head(2).meta["clamped_records"] == 3
-
     def test_single_request_duration_is_zero(self):
         trace = parse_msr_csv(["128166372003061629,hm,0,Read,0,4096,100"])
         assert trace.duration_s == 0.0
@@ -193,30 +182,18 @@ class TestAdapters:
     ]
 
     def test_registry_lists_both_formats(self):
-        assert {"msr", "blkparse"} <= set(adapter_names())
+        assert set(FORMATS) == {"msr", "blkparse"}
 
     def test_unknown_format_raises(self):
         with pytest.raises(ValueError, match="unknown trace format"):
-            get_adapter("nope")
-
-    def test_custom_adapter_registers_and_resolves(self):
-        def parse(lines, name, max_requests):
-            return Trace(name, [])
-
-        register_adapter("custom-x", parse, sniff=lambda s: False,
-                         description="test-only")
-        try:
-            assert get_adapter("custom-x").parse is parse
-            assert "custom-x" in adapter_names()
-        finally:
-            from repro.traces import adapters as mod
-            del mod._REGISTRY["custom-x"]
+            load_trace(DATA_DIR / "msr_sample.csv", fmt="nope")
 
     def test_msr_round_trip_via_registry(self, tmp_path, msr_sample_lines):
         path = tmp_path / "hm_0.csv"
         path.write_text("\n".join(msr_sample_lines))
-        direct = load_msr_trace(path)
-        for via in (load_trace(path), load_trace(path, fmt="msr")):
+        direct = parse_msr_csv(msr_sample_lines, name="hm_0")
+        for via in (load_trace(path), load_trace(path, fmt="msr"),
+                    load_trace(path, fmt="MSR")):
             assert via.name == direct.name
             assert via.meta == direct.meta
             assert [
@@ -227,7 +204,7 @@ class TestAdapters:
 
     def test_blkparse_round_trip_via_registry(self, tmp_path):
         fixture = DATA_DIR / "blkparse_sample.txt"
-        direct = load_blkparse_trace(fixture)
+        direct = parse_blkparse(fixture.read_text().splitlines())
         for via in (load_trace(fixture), load_trace(fixture, fmt="blkparse")):
             assert via.meta == direct.meta
             assert [
@@ -254,7 +231,8 @@ class TestAdapters:
         assert trace.duration_s == pytest.approx(21.2e-6)
 
     def test_blkparse_sample_file(self):
-        trace = load_blkparse_trace(DATA_DIR / "blkparse_sample.txt")
+        trace = load_trace(DATA_DIR / "blkparse_sample.txt")
+        assert trace.name == "blkparse_sample"
         assert len(trace) == 6
         assert trace.meta["skipped_records"] == 10
         assert trace.meta["clamped_records"] == 0
@@ -278,7 +256,7 @@ class TestAdapters:
             )
 
     def test_blkparse_max_requests(self):
-        trace = load_blkparse_trace(
+        trace = load_trace(
             DATA_DIR / "blkparse_sample.txt", max_requests=3
         )
         assert len(trace) == 3
@@ -293,6 +271,32 @@ class TestAdapters:
         path.write_text("hello\nworld\n")
         with pytest.raises(ValueError, match="could not sniff"):
             load_trace(path)
+
+    def test_load_trace_refuses_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ValueError, match="could not sniff"):
+            load_trace(path)
+
+    def test_load_trace_streams_past_the_sniffed_head(self, tmp_path):
+        # blank lines, comments and more than the sniffed head: the parse
+        # of the streamed file equals the parse of its lines in memory
+        lines = ["", "# volume hm_0", ""] + [
+            f"{128166372003061629 + 1000 * i},hm,0,"
+            f"{'Read' if i % 3 else 'Write'},{4096 * i},{512 * (i % 9)},1"
+            for i in range(40)
+        ]
+        path = tmp_path / "hm_0.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for cap in (None, 3, 8, 9, 25):
+            want = parse_msr_csv(lines, name="hm_0", max_requests=cap)
+            got = load_trace(path, max_requests=cap)
+            assert got.meta == want.meta
+            assert [
+                (r.time_s, r.op, r.lba_bytes, r.size_bytes) for r in got
+            ] == [
+                (r.time_s, r.op, r.lba_bytes, r.size_bytes) for r in want
+            ]
 
 
 class TestSyntheticWorkloads:
@@ -350,7 +354,8 @@ class TestSyntheticWorkloads:
         assert sizes <= {k * 1024 for k in params.size_choices_kb}
 
     def test_generate_all(self):
-        traces = generate_all_workloads(n_requests=50)
+        traces = {name: generate_workload(params, n_requests=50)
+                  for name, params in MSR_WORKLOADS.items()}
         assert len(traces) == 8
         assert all(len(t) == 50 for t in traces.values())
 
