@@ -127,7 +127,9 @@ simulate-smoke:
 # (the JSON summary) of each run must say "correct": true; the read-hot
 # run covers cache, scrubber and batching, the write-gc run FTL writes,
 # GC migration and the broker's read pricing, and the tournament and
-# campaign runs pin every retry policy's measured profile
+# campaign runs pin every retry policy's measured profile; the traced
+# campaign run also requires its per-layer self times to add up to the
+# traced wall time while the flash kernels run on several lanes
 PERFBENCH_CORRECT = $(PYTHON) -c \
 	"import json, sys; r = json.loads(sys.stdin.read()); \
 	print('perfbench correct:', r['correct']); \
@@ -145,6 +147,9 @@ perfbench-smoke:
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 	$(PYTHON) perfbench/run.py --workload campaign-qlc --seed 0 \
 		--seconds 5 --trace 0 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload campaign-qlc --seed 0 \
+		--seconds 5 --trace 1 > .perfbench-smoke.txt
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 
 # alternating perfbench pairs, PARENT=<rev> against the work tree, each

@@ -19,6 +19,13 @@ events and ``repro_engine_*`` metrics (see ``repro stats``).  Trace
 events a shard emits in a pool worker come back with its result and are
 re-emitted by the parent in canonical shard order, before
 ``shard_merge`` — the same stream a serial run emits live.
+
+Row lanes: inside one process, a batched flash kernel splits its rows
+across :func:`lane_count` lanes with :func:`run_lanes` — the calling
+thread plus a lazily created pool of helper threads.  An engine pool
+worker keeps to one lane (its sibling workers hold the other CPUs), and
+:class:`ParallelMap` joins the helper threads before it forks, so no
+lane thread is alive in a fork.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ import logging
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    ProcessPoolExecutor, ThreadPoolExecutor, as_completed, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -57,6 +66,58 @@ def available_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
+
+
+#: True in an engine pool worker: its kernels keep to one lane
+_IN_POOL_WORKER = False
+#: this process's lane helper threads, opened by the first call that
+#: needs them and closed before every fork; ``None`` while closed
+_LANES: Optional[ThreadPoolExecutor] = None
+_LANE_HELPERS = 0
+LANE_THREAD_PREFIX = "repro-lane"
+
+
+def lane_count() -> int:
+    """Lanes a batched kernel may split its rows across: one in an engine
+    pool worker, else every CPU this process may run on."""
+    return 1 if _IN_POOL_WORKER else available_workers()
+
+
+def run_lanes(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run ``tasks`` concurrently, one per lane: the first on the calling
+    thread, the others on helper threads.
+
+    Returns once every task has finished; then raises the error of the
+    first task, in task order, that failed.  A task must not call
+    :func:`run_lanes` itself.
+    """
+    global _LANES, _LANE_HELPERS
+    helpers = len(tasks) - 1
+    if helpers > _LANE_HELPERS:
+        close_lanes()
+        _LANES = ThreadPoolExecutor(helpers, LANE_THREAD_PREFIX)
+        _LANE_HELPERS = helpers
+    futures = [_LANES.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def close_lanes() -> None:
+    """Join this process's lane threads; the next multi-lane call reopens
+    them."""
+    global _LANES, _LANE_HELPERS
+    if _LANES is not None:
+        _LANES.shutdown(wait=True)
+    _LANES, _LANE_HELPERS = None, 0
+
+
+def _enter_pool_worker() -> None:
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
 
 
 def merge_in_order(results: Dict[int, Any], n_shards: int) -> List[Any]:
@@ -187,7 +248,11 @@ class ParallelMap:
         workers = min(self.workers, len(shards))
         results: Dict[int, Any] = {}
         busy = 0.0
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        close_lanes()  # a fork must not copy live threads
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context,
+            initializer=_enter_pool_worker,
+        ) as pool:
             futures = [
                 pool.submit(_pool_call, fn, index, shard)
                 for index, shard in enumerate(shards)
@@ -269,7 +334,11 @@ def run_sharded(
 __all__ = [
     "ParallelMap",
     "EngineReport",
+    "LANE_THREAD_PREFIX",
     "available_workers",
+    "close_lanes",
+    "lane_count",
     "merge_in_order",
+    "run_lanes",
     "run_sharded",
 ]

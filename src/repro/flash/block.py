@@ -14,10 +14,20 @@ Determinism contract: each row owns its wordline's ``data``/``latent``/
 c]`` in one call equals reading them one at a time, in that order,
 through one-row stores: results are invariant to batch size.
 
+The same holds at any lane count.  Every kernel runs its rows through
+:func:`~repro.flash.vth.for_row_pieces`, which may split them across
+the host's CPUs (one lane inside an engine pool worker).  A lane
+computes its own pieces of rows only: it draws from those rows'
+generators, which no other lane touches during the call, and writes
+their rows of the output, so the values cannot depend on how the rows
+were split or in which order the lanes ran.  Memos are filled, and
+telemetry, fault hooks and ``OBS`` emits run, on the calling thread.
+
 Memory per cell: int16 states + 3x float32 latents + float32 vth = 18
 bytes, with no per-wordline object overhead — a full paper-scale block
-(768 x 148736 cells) fits in ~2 GB.  Kernels chunk rows internally so
-their working sets stay cache-sized on memory-bandwidth-starved hosts.
+(768 x 148736 cells) fits in ~2 GB.  Kernels split rows into pieces of
+at most one cache-sized chunk, so their working sets stay small on
+memory-bandwidth-starved hosts.
 
 Drawn cells are shared only inside a :func:`shared_cells` scope: there,
 every store of one identity reuses the first one's read-only cell arrays
@@ -31,7 +41,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -40,7 +51,7 @@ from repro.faults import FAULTS
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import FlashSpec
 from repro.flash.variation import BlockVariation, WordlineModifiers
-from repro.flash.vth import CHUNK_ELEMS, sample_latents, synthesize_vth_batch
+from repro.flash.vth import for_row_pieces, sample_latents, synthesize_vth_batch
 from repro.flash.wordline import (
     OffsetsLike,
     SentinelReadout,
@@ -169,13 +180,24 @@ def _float32_floor(positions: np.ndarray) -> np.ndarray:
 def _row_counts(mask: np.ndarray) -> np.ndarray:
     """True cells per row of a 2-D bool mask, as int64.
 
-    Counted row by row: ``count_nonzero`` along an axis is 2.5-3x slower
-    on a read's one-row masks and on full-width masks (9.0 vs 3.1 µs for
-    1 x 8,028 cells, 220 vs 85 µs for 48 x 8,028 on a 2-vCPU VM).
+    ``count_nonzero`` along an axis costs a few ns per cell, row by row
+    costs about 0.5 µs per row: the axis count is 3-5x faster on
+    many-row, narrow masks such as a block's sentinels (8 vs 25 µs for
+    48 x 164 cells), 2-3x slower on a read's one-row masks and on
+    full-width ones (3.1 vs 7.0 µs for 1 x 8,028 cells, 59 vs 170 µs for
+    48 x 8,028; 2-vCPU VM).
     """
+    if len(mask) >= 8 and mask.shape[1] <= 512:
+        return np.count_nonzero(mask, axis=1).astype(np.int64, copy=False)
     return np.fromiter(
         (np.count_nonzero(row) for row in mask), np.int64, len(mask)
     )
+
+
+def _piece(positions: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Rows ``[r0, r1)`` of per-row ``(rows, V)`` positions; shared ``(V,)``
+    positions whole."""
+    return positions[r0:r1] if positions.ndim == 2 else positions
 
 
 def _note_kernel(
@@ -454,13 +476,15 @@ class BlockColumns:
         if target is None:
             gray = self.spec.gray
             table = gray.state_bits[:, p] != gray.region_bits(p)[0]
-            target = self._targets[p] = np.empty(self.states.shape, bool)
-            # take casts its int16 indices to one intp copy: chunk the
+            target = np.empty(self.states.shape, bool)
+
+            # take casts its int16 indices to one intp copy: piece the
             # rows so that copy stays cache-sized instead of 8 B per cell
-            chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
-            for c0 in range(0, self.n_wordlines, chunk):
-                rows = slice(c0, c0 + chunk)
-                table.take(self.states[rows], out=target[rows])
+            def take(r0: int, r1: int) -> None:
+                table.take(self.states[r0:r1], out=target[r0:r1])
+
+            for_row_pieces(self.n_wordlines, self.n_cells, take)
+            self._targets[p] = target
         return target
 
     def _page_mismatch(
@@ -472,32 +496,30 @@ class BlockColumns:
         toggles at exactly its own read voltages, so a cell's read bit is
         ``region_bits(p)[0]`` XOR the parity of the thresholds it is
         sensed above — the region lookup bit for bit, in any position
-        order.  Each chunk of rows is sensed once (noise in row order) and
-        its comparisons are XORed onto the target: the data columns of
-        the result are the mismatches.  ``positions`` is shared ``(V,)``
+        order.  Each piece of rows is sensed once and its comparisons are
+        XORed onto the target: the data columns of the result are the
+        mismatches.  ``positions`` is shared ``(V,)``
         or per-row ``(len(rows), V)``; the comparisons run in float32
         against :func:`_float32_floor` of them, which decides alike.
         """
         positions = _float32_floor(positions)
         mismatch = np.empty((len(rows), self.n_data_cells), dtype=bool)
         target = self._page_target(p)
-        chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
-        for c0 in range(0, len(rows), chunk):
-            sub = rows[c0 : c0 + chunk]
+
+        def sense(r0: int, r1: int) -> None:
+            sub = rows[r0:r1]
             sel = self._selector(sub)
-            pos = positions[c0 : c0 + chunk] if positions.ndim == 2 else positions
             sensed = self._sensed(sub, sel)
             parity = target[sel].copy()
             cmp = np.empty_like(parity)
-            for threshold in self._columns(pos):
+            for threshold in self._columns(_piece(positions, r0, r1)):
                 np.greater(sensed, threshold, out=cmp)
                 parity ^= cmp
             # an integer take: a boolean column mask on a 2-D array is
             # several times slower
-            np.take(
-                parity, self._data_idx, axis=1,
-                out=mismatch[c0 : c0 + len(sub)],
-            )
+            np.take(parity, self._data_idx, axis=1, out=mismatch[r0:r1])
+
+        self._for_rows(rows, sense)
         return mismatch
 
     def _page_errors(
@@ -559,6 +581,17 @@ class BlockColumns:
         return (
             _row_counts(changed & self.data_mask),
             _row_counts(changed & self.sentinel_mask),
+        )
+
+    def _for_rows(
+        self, rows: List[int], kernel: Callable[[int, int], None]
+    ) -> None:
+        """:func:`for_row_pieces` over ``rows``.  Two lanes must never
+        share a generator, so a call that lists a row twice keeps to one
+        lane."""
+        for_row_pieces(
+            len(rows), self.n_cells, kernel,
+            one_lane=len(set(rows)) < len(rows),
         )
 
     @staticmethod
@@ -642,21 +675,21 @@ class BlockColumns:
         positions = self._check_rows(
             np.asarray(positions, dtype=np.float64), row_idx
         )
-        n = self.n_cells
-        regions = np.empty((len(row_idx), n), dtype=np.int16)
-        chunk = max(1, CHUNK_ELEMS // max(n, 1))
-        t0 = time.perf_counter()
-        for c0 in range(0, len(row_idx), chunk):
-            sub = row_idx[c0 : c0 + chunk]
-            pos = positions[c0 : c0 + chunk] if positions.ndim == 2 else positions
+        regions = np.empty((len(row_idx), self.n_cells), dtype=np.int16)
+
+        def sense(r0: int, r1: int) -> None:
+            sub = row_idx[r0:r1]
             self._regions(
-                sub, self._selector(sub), pos,
-                out=regions[c0 : c0 + len(sub)],
+                sub, self._selector(sub), _piece(positions, r0, r1),
+                out=regions[r0:r1],
             )
+
+        t0 = time.perf_counter()
+        self._for_rows(row_idx, sense)
         _note_kernel(
             "sense_regions",
             len(row_idx),
-            n,
+            self.n_cells,
             int(positions.shape[-1]),
             time.perf_counter() - t0,
         )
@@ -756,13 +789,15 @@ class BlockColumns:
         )
         nca = np.empty(len(row_idx), dtype=np.int64)
         ncs = np.empty_like(nca)
-        chunk = max(1, CHUNK_ELEMS // max(self.n_cells, 1))
-        t0 = time.perf_counter()
-        for c0 in range(0, len(row_idx), chunk):
-            sub, out = row_idx[c0 : c0 + chunk], slice(c0, c0 + chunk)
-            nca[out], ncs[out] = self._state_changes(
-                sub, self._selector(sub), a[out], b[out]
+
+        def count(r0: int, r1: int) -> None:
+            sub = row_idx[r0:r1]
+            nca[r0:r1], ncs[r0:r1] = self._state_changes(
+                sub, self._selector(sub), a[r0:r1], b[r0:r1]
             )
+
+        t0 = time.perf_counter()
+        self._for_rows(row_idx, count)
         _note_kernel(
             "state_change", len(row_idx), self.n_cells, 2,
             time.perf_counter() - t0,
@@ -803,16 +838,18 @@ class BlockColumns:
         """
         threshold = np.float32(position)
         row_idx = self._row_list(rows)
-        n = self.n_cells
         counts = np.empty(len(row_idx), dtype=np.int64)
-        chunk = max(1, CHUNK_ELEMS // max(n, 1))
-        t0 = time.perf_counter()
-        for c0 in range(0, len(row_idx), chunk):
-            sub = row_idx[c0 : c0 + chunk]
+
+        def count(r0: int, r1: int) -> None:
+            sub = row_idx[r0:r1]
             sensed = self._sensed(sub, self._selector(sub))
-            counts[c0 : c0 + chunk] = (sensed >= threshold).sum(axis=1)
+            counts[r0:r1] = (sensed >= threshold).sum(axis=1)
+
+        t0 = time.perf_counter()
+        self._for_rows(row_idx, count)
         _note_kernel(
-            "single_voltage", len(row_idx), n, 1, time.perf_counter() - t0
+            "single_voltage", len(row_idx), self.n_cells, 1,
+            time.perf_counter() - t0,
         )
         return counts
 

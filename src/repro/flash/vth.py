@@ -18,9 +18,12 @@ low.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from repro.engine import lane_count, run_lanes
 from repro.flash.mechanisms import (
     StressState,
     retention_scale,
@@ -36,6 +39,53 @@ from repro.flash.variation import WordlineModifiers
 #: the working set stays in cache and the scratch stays a few MB whatever
 #: the block size.  Rows are independent, so the chunk changes no value.
 CHUNK_ELEMS = 1 << 16
+
+
+def for_row_pieces(
+    n_rows: int,
+    n_cells: int,
+    kernel: Callable[[int, int], None],
+    one_lane: bool = False,
+) -> None:
+    """Run ``kernel(r0, r1)`` on every piece ``[r0, r1)`` of ``n_rows`` rows
+    of ``n_cells`` cells, split across the host's lanes.
+
+    The one row-chunk runner of the batched flash kernels.  The lanes
+    (:func:`repro.engine.lane_count`, one if ``one_lane``) share one
+    chunk of :data:`CHUNK_ELEMS` cells: a piece is contiguous and at
+    most ``1 / lanes`` of a chunk (or one row), so the scratch of the pieces in
+    flight stays one chunk whatever the lane count, and a call of few
+    rows is cut into one piece per lane.  Lane ``i`` runs pieces ``i, i
+    + lanes, ...`` in order, lane 0 on the calling thread
+    (:func:`repro.engine.run_lanes`).
+
+    The output is bit-identical at any lane count as long as ``kernel``
+    computes only its piece's rows: it reads shared arrays, writes its
+    rows of the outputs and draws only from its rows' generators, which
+    no other piece shares.  Memos are filled before the call; telemetry,
+    fault hooks and traced entry points stay out of ``kernel``, on the
+    calling thread.
+    """
+    if n_rows <= 0:
+        return
+    chunk = max(1, CHUNK_ELEMS // max(n_cells, 1))
+    lanes = 1 if one_lane or n_rows == 1 else lane_count()
+    size = max(1, min(chunk // lanes, -(-n_rows // lanes)))
+    pieces = [(r0, min(r0 + size, n_rows)) for r0 in range(0, n_rows, size)]
+    lanes = min(lanes, len(pieces))
+    if lanes == 1:
+        _run_pieces(kernel, pieces)
+    else:
+        run_lanes([
+            partial(_run_pieces, kernel, pieces[i::lanes]) for i in range(lanes)
+        ])
+
+
+def _run_pieces(
+    kernel: Callable[[int, int], None], pieces: List[Tuple[int, int]]
+) -> None:
+    for r0, r1 in pieces:
+        kernel(r0, r1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +132,9 @@ def synthesize_vth_batch(
 
     Every term is elementwise (or a per-row gather), so a row's result
     does not depend on which other rows share the call.  Rows are
-    processed in cache-sized chunks: the float64 intermediates of a whole
-    block would otherwise stream hundreds of MB through memory.
+    processed in cache-sized pieces (:func:`for_row_pieces`): the float64
+    intermediates of a whole block would otherwise stream hundreds of MB
+    through memory.
     """
     rel = spec.reliability
     centers = spec.state_centers
@@ -104,10 +155,9 @@ def synthesize_vth_batch(
     weights_tab = state_shift_weights(spec) if rscale > 0.0 else None
 
     out = np.empty((n_wordlines, n_cells), dtype=np.float32)
-    chunk = max(1, CHUNK_ELEMS // max(n_cells, 1))
     n_states = mean_tab.shape[1]
-    for c0 in range(0, n_wordlines, chunk):
-        c1 = min(c0 + chunk, n_wordlines)
+
+    def synthesize(c0: int, c1: int) -> None:
         # one flat index into the chunk's (rows, n_states) tables serves
         # all three per-row gathers
         flat = states[c0:c1] + (np.arange(c1 - c0) * n_states)[:, None]
@@ -128,4 +178,6 @@ def synthesize_vth_batch(
                         0.0,
                     )
         out[c0:c1] = vth  # float64 -> float32 cast, identical to astype
+
+    for_row_pieces(n_wordlines, n_cells, synthesize)
     return out

@@ -219,11 +219,6 @@ class Wordline:
         states[self.data_mask] = gray.decode_table[code]
         self._detach(states=states)
 
-    def stored_page_bits(self, page: Union[int, str]) -> np.ndarray:
-        """The data-cell bits currently stored for one page."""
-        p = self.spec.gray.page_index(page)
-        return self.spec.gray.stored_bits(p, self.states[self.data_mask])
-
     # ------------------------------------------------------------------
     # identity / geometry helpers
     # ------------------------------------------------------------------

@@ -10,16 +10,20 @@ characterization fits, block sweeps, and a full ``ServiceReport`` JSON.
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.parallel as parallel
 from repro.engine import (
     ParallelMap,
     WordlineShard,
     available_workers,
+    lane_count,
     merge_in_order,
     plan_wordline_shards,
     split_contiguous,
@@ -27,6 +31,7 @@ from repro.engine import (
 from repro.engine.shards import SHARDS_PER_WORKER
 from repro.flash.chip import FlashChip, StressState
 from repro.flash.optimal import optimal_offsets_batch
+from repro.flash.vth import for_row_pieces
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +141,68 @@ def test_shard_errors_propagate():
 
 def test_available_workers_positive():
     assert available_workers() >= 1
+
+
+# ----------------------------------------------------------------------
+# row lanes
+# ----------------------------------------------------------------------
+def _kernel_threads(shard) -> "tuple[int, int]":
+    """This process's lane count and the threads one 12-row kernel call
+    ran its pieces on."""
+    threads = set()
+
+    def kernel(r0, r1):
+        threads.add(threading.get_ident())
+        time.sleep(0.002)  # busy long enough that no lane runs two tasks
+
+    for_row_pieces(12, 16384, kernel)
+    return lane_count(), len(threads)
+
+
+def _lane_threads():
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith(parallel.LANE_THREAD_PREFIX)
+    ]
+
+
+def test_pool_workers_run_their_kernels_on_one_lane(monkeypatch):
+    """With three lanes in the parent, whatever the host's CPUs, every
+    engine pool worker runs a kernel's pieces on its one thread."""
+    monkeypatch.setattr(parallel, "available_workers", lambda: 3)
+    try:
+        assert _kernel_threads(None) == (3, 3)
+        shards = plan_wordline_shards(0, range(8), workers=2)
+        engine = ParallelMap(workers=2)
+        assert engine.run(_kernel_threads, shards) == [(1, 1)] * len(shards)
+        assert engine.last_report.mode == "parallel"
+    finally:
+        parallel.close_lanes()
+
+
+def test_no_lane_thread_is_alive_when_the_engine_forks(monkeypatch):
+    """``ParallelMap`` joins the lane threads before it creates the process
+    pool, and the next multi-lane kernel call opens them again."""
+    alive_at_pool = []
+
+    class RecordingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            alive_at_pool.append(len(_lane_threads()))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "available_workers", lambda: 2)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    try:
+        _kernel_threads(None)
+        assert len(_lane_threads()) == 1
+        shards = plan_wordline_shards(0, range(8), workers=2)
+        engine = ParallelMap(workers=2)
+        assert engine.run(_square_sum, shards) == [_square_sum(s) for s in shards]
+        assert engine.last_report.mode == "parallel"
+        assert alive_at_pool == [0]
+        assert _kernel_threads(None) == (2, 2)
+    finally:
+        parallel.close_lanes()
 
 
 # ----------------------------------------------------------------------

@@ -6,21 +6,29 @@ condition, batch size (including 1) and ragged / non-contiguous row
 subsets, these tests assert that reading rows ``[a, b, c]`` of one store —
 batched, through views, or both interleaved — equals reading one-row
 stores in the same order; and that one-row reads equal the plain
-per-wordline numpy oracle in ``tests/flash_oracle.py``.  The end-to-end
-pipelines (``measure`` / ``characterize_chip``) are pinned at the bottom
-against short compositions of per-wordline calls.
+per-wordline numpy oracle in ``tests/flash_oracle.py``.  Every kernel
+is also invariant to the number of lanes its rows are split across.  The
+end-to-end pipelines (``measure`` / ``characterize_chip``) are pinned at
+the bottom against short compositions of per-wordline calls.
 """
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.parallel as engine
 from repro.ecc.capability import CapabilityEcc
 from repro.exp.fig7 import error_positions
+from repro.faults import FAULTS, FaultPlan
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.flash.spec import QLC_SPEC, TLC_SPEC
 from repro.flash.wordline import Wordline
+from repro.obs import OBS
 from tests import retry_oracle
 from tests.flash_oracle import OracleWordline, one_row_wordlines
 
@@ -241,6 +249,94 @@ def test_decode_ok_batch_matches_per_row(kind, n_rows, width, rate, seed):
     batched = ecc.decode_ok_batch(mismatch)
     for i in range(n_rows):
         assert bool(batched[i]) == ecc.decode_ok(mismatch[i])
+
+
+# ---------------------------------------------------------------------------
+# lanes: a kernel's rows split across threads, bit for bit
+# ---------------------------------------------------------------------------
+# 16 Ki cells make a chunk 4 rows, so 9 of 12 rows split into pieces of
+# 2 rows at 2 lanes and of 1 row at 3, several pieces per lane
+LANE_SPEC = TLC_SPEC.scaled(
+    cells_per_wordline=16384, wordlines_per_layer=1, layers=12,
+    name_suffix="-lanes",
+)
+LANE_ROWS = [11, 0, 5, 6, 7, 2, 9, 3, 10]  # ragged, with a contiguous run
+
+
+def _every_kernel(spec):
+    """The outputs of every row-piece kernel on a fresh aged store: Vth
+    synthesis, the page target and page reads at shared and per-row
+    offsets, region sensing, state-change and single-voltage counts."""
+    chip = FlashChip(spec, seed=5, sentinel_ratio=0.02)
+    chip.set_block_stress(0, StressState(pe_cycles=3000, retention_hours=8760.0))
+    cols = chip.block_columns(0, range(spec.wordlines_per_block))
+    per_row = np.random.default_rng(0).integers(
+        -60, 20, (len(LANE_ROWS), spec.n_voltages)
+    ).astype(np.float64)
+    out = [cols.vth]
+    for page in range(spec.pages_per_wordline):
+        for offsets in (None, -20.0, per_row):
+            batch = cols.read_page_batch(page, offsets, rows=LANE_ROWS)
+            out += [batch.n_errors, batch.mismatch]
+    out.append(cols.read_page_batch(1).mismatch)  # every row, in order
+    out.append(cols.read_states_batch(-10.0, rows=LANE_ROWS))
+    out.append(cols.read_states_batch(per_row, rows=LANE_ROWS))
+    v = spec.sentinel_voltage
+    pos_a = spec.read_voltage(v, -15.0)
+    pos_b = spec.default_read_voltages[v - 1] + per_row[:, v - 1]
+    out += cols.state_change_counts_batch(pos_a, pos_b, rows=LANE_ROWS)
+    out.append(cols.single_voltage_counts(pos_a, rows=LANE_ROWS))
+    return out
+
+
+def _run_kernels(monkeypatch, lanes, mode):
+    """:func:`_every_kernel` at ``lanes`` lanes, with the standard fault
+    plan active or with obs on; returns the outputs and what the mode
+    recorded: the fault counts, or every trace event without its time."""
+    monkeypatch.setattr(engine, "available_workers", lambda: lanes)
+    if mode == "faults":
+        injector = FAULTS.activate(FaultPlan.standard(), seed=3)
+        try:
+            out = _every_kernel(LANE_SPEC)
+        finally:
+            FAULTS.deactivate()
+        return out, injector.counts_snapshot()
+    OBS.reset()
+    OBS.enable(metrics=True, tracing=True)
+    out = _every_kernel(LANE_SPEC)
+    events = [
+        (e.kind, {k: v for k, v in e.fields.items() if k != "seconds"})
+        for e in OBS.tracer.events()
+    ]
+    return out, events
+
+
+@pytest.mark.parametrize("mode", ["faults", "obs"])
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_every_kernel_bit_identical_at_any_lane_count(monkeypatch, lanes, mode):
+    """1, 2 and 3 lanes, whatever the host's CPUs, give the one-lane
+    outputs bit for bit, inject the same faults into the same rows and
+    emit the same ``batch_sense`` events in the same order.  A short
+    switch interval makes the lanes interleave as often as they can."""
+    engine.close_lanes()  # count only this test's helper threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        expected, expected_log = _run_kernels(monkeypatch, 1, mode)
+        got, log = _run_kernels(monkeypatch, lanes, mode)
+        helpers = [
+            t for t in threading.enumerate()
+            if t.name.startswith(engine.LANE_THREAD_PREFIX)
+        ]
+        assert len(helpers) == lanes - 1
+    finally:
+        sys.setswitchinterval(interval)
+        engine.close_lanes()
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert log == expected_log
+    assert log  # the mode did record something
 
 
 # ---------------------------------------------------------------------------

@@ -68,3 +68,26 @@ def test_decode_is_deterministic(code, seed):
     b = code.decode_error_pattern(mask, np.ones(code.n))
     assert a.success == b.success
     np.testing.assert_array_equal(a.bits, b.bits)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    m=st.integers(min_value=1, max_value=20),
+    density=st.floats(min_value=0.0, max_value=0.5),
+    empty_row=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_syndrome_equals_dense_product(n, m, density, empty_row, seed):
+    """The edge-wise syndrome equals ``H @ bits mod 2`` on random codes and
+    words, including codes with checks that have no edges."""
+    rng = np.random.default_rng(seed)
+    h = (rng.random((m, n)) < density).astype(np.uint8)
+    if empty_row:
+        h[rng.integers(m)] = 0
+    code = LdpcCode(h)
+    for _ in range(3):
+        bits = rng.integers(0, 2, size=n).astype(np.uint8)
+        got = code.syndrome(bits)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, (h @ bits) % 2)

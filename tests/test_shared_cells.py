@@ -129,8 +129,9 @@ def test_shared_cells_are_read_only_and_programming_detaches():
         zeros = np.zeros(view.n_data_cells, dtype=np.uint8)
         view.program_pages({p: zeros for p in range(SPEC.pages_per_wordline)})
         assert view.store is not cols and view.store.n_wordlines == 1
+        stored = view.states[view.data_mask]
         for p in range(SPEC.pages_per_wordline):
-            assert not view.stored_page_bits(p).any()
+            assert not SPEC.gray.stored_bits(p, stored).any()
         assert np.array_equal(cols.states, drawn)
         again = _store(range(4))
         assert again.states is cols.states

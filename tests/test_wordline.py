@@ -251,9 +251,11 @@ class TestProgramPages:
     def test_roundtrip_stored_bits(self, fresh_wl):
         payload = self._payload(fresh_wl)
         fresh_wl.program_pages(payload)
+        gray = fresh_wl.spec.gray
+        stored = fresh_wl.states[fresh_wl.data_mask]
         for page, bits in payload.items():
             np.testing.assert_array_equal(
-                fresh_wl.stored_page_bits(page), bits
+                gray.stored_bits(gray.page_index(page), stored), bits
             )
 
     def test_fresh_read_recovers_data(self, fresh_wl):
