@@ -127,9 +127,11 @@ simulate-smoke:
 # (the JSON summary) of each run must say "correct": true; the read-hot
 # run covers cache, scrubber and batching, the write-gc run FTL writes,
 # GC migration and the broker's read pricing, and the tournament and
-# campaign runs pin every retry policy's measured profile; the traced
-# campaign run also requires its per-layer self times to add up to the
-# traced wall time while the flash kernels run on several lanes
+# campaign runs pin every retry policy's measured profile; each traced
+# run also requires its per-layer self times to add up to the traced
+# wall time: the campaign run with the flash kernels on several lanes,
+# the write-gc run with the broker's slot pricing and the GC migration
+# loop under the wrapped write_ops and run_prepared
 PERFBENCH_CORRECT = $(PYTHON) -c \
 	"import json, sys; r = json.loads(sys.stdin.read()); \
 	print('perfbench correct:', r['correct']); \
@@ -149,6 +151,9 @@ perfbench-smoke:
 		--seconds 5 --trace 0 > .perfbench-smoke.txt
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 	$(PYTHON) perfbench/run.py --workload campaign-qlc --seed 0 \
+		--seconds 5 --trace 1 > .perfbench-smoke.txt
+	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
+	$(PYTHON) perfbench/run.py --workload replay-write-gc --seed 0 \
 		--seconds 5 --trace 1 > .perfbench-smoke.txt
 	tail -n 1 .perfbench-smoke.txt | $(PERFBENCH_CORRECT)
 

@@ -25,7 +25,10 @@ device under load, on the same deterministic virtual clock
 Timing follows :class:`repro.ssd.timing.NandTiming`; a die's chain holds
 the die for sense+transfer of each op (channel contention is folded into
 the die occupancy — the serving layer trades the two-resource model of
-``Ssd`` for queue-level control, see ``docs/SERVICE.md``).
+``Ssd`` for queue-level control, see ``docs/SERVICE.md``).  A die slot
+is priced in one pass over its chain: programs and erases in place, each
+read through ``_read_us``, whose retry row is one draw of the broker's
+:class:`~repro.ssd.retry_model.RetryDraws` stream in pricing order.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.service.workload import ClientSpec, ServiceRequest, generate_requests
 from repro.ssd.config import SsdConfig
 from repro.ssd.events import EventQueue
 from repro.ssd.ftl import PageMappingFtl, PhysicalOp
-from repro.ssd.retry_model import RetryProfile
+from repro.ssd.retry_model import RetryDraws, RetryProfile
 from repro.ssd.timing import NandTiming
 from repro.util.rng import derive_rng
 
@@ -154,7 +157,7 @@ class FlashReadService:
                 f"cache enabled but profiles lack a {WARM!r} entry"
             )
         self.ftl = PageMappingFtl(ssd_config)
-        self.rng = derive_rng(seed, "service", "retries")
+        self.draws = RetryDraws(derive_rng(seed, "service", "retries"))
         self.queue = EventQueue()
         self.cache = VoltageOffsetCache()
         self.scrubber = SentinelScrubber(self.cache, timing)
@@ -177,6 +180,14 @@ class FlashReadService:
         self._remaining = 0
         self._closed_pending: Dict[str, Deque[ServiceRequest]] = {}
         self._client_mode: Dict[str, str] = {}
+        #: a page's type is ``page % ppw`` and its cache layer
+        #: ``page // (ppw * wordlines_per_layer)``
+        self._pages_per_wordline = spec.pages_per_wordline
+        self._pages_per_layer = (
+            spec.pages_per_wordline * spec.wordlines_per_layer
+        )
+        #: one program op holds the die for its transfer and its program
+        self._program_us = timing.t_transfer_us + timing.t_program_us
         #: read price ``die + channel - overlap`` per full argument tuple of
         #: :meth:`NandTiming.read_cost` (it is pure in those arguments)
         self._read_prices: Dict[tuple, float] = {}
@@ -193,14 +204,6 @@ class FlashReadService:
     # ------------------------------------------------------------------
     def _wrap(self, lpn: int) -> int:
         return lpn % len(self.ftl.mapping)
-
-    def _page_type(self, op: PhysicalOp) -> int:
-        return op.page % self.spec.pages_per_wordline
-
-    def _cache_key(self, op: PhysicalOp) -> CacheKey:
-        wordline = op.page // self.spec.pages_per_wordline
-        layer = wordline // self.spec.wordlines_per_layer
-        return (op.die, op.block, layer)
 
     def _pe_of(self, key: CacheKey) -> int:
         return self._erases.get((key[0], key[1]), 0)
@@ -488,19 +491,41 @@ class FlashReadService:
         followers = (
             self._coalesce(lane, ops) if self.config.batch_enabled else []
         )
-        spans_on = self._spans_on()
-        if spans_on:
-            self._op_phase_log = []
+        # one pass prices the slot: programs and erases in place, reads
+        # through ``_read_us``; with spans on, each op logs its phases
+        op_log = [] if self._spans_on() else None
+        self._op_phase_log = op_log
+        erases = self._erases
         duration = 0
         for op in ops:  # summed as ``sum()`` would: 0 + d1 + d2 ...
-            duration += self._op_duration_us(op, inflight)
+            kind = op.kind
+            if kind == "read":
+                duration += self._read_us(op, inflight)
+            elif kind == "program":
+                duration += self._program_us
+                if op_log is not None:
+                    op_log.append((
+                        "program", self._program_us, [],
+                        {"die": op.die, "block": op.block, "gc": op.gc},
+                    ))
+            elif kind == "erase":
+                where = (op.die, op.block)
+                erases[where] = erases.get(where, 0) + 1
+                duration += self.timing.t_erase_us
+                if op_log is not None:
+                    op_log.append((
+                        "erase", self.timing.t_erase_us, [],
+                        {"die": op.die, "block": op.block, "gc": op.gc},
+                    ))
+            else:
+                raise ValueError(f"unknown op kind {kind!r}")
+        self._op_phase_log = None
         leader_duration = duration
         for _, f_ops in followers:
             duration += self._follower_read_us(f_ops[0], ops[0])
         members = [inflight] + [f_inflight for f_inflight, _ in followers]
         lane.busy_us += duration
-        if spans_on:
-            op_log, self._op_phase_log = self._op_phase_log, None
+        if op_log is not None:
             start = self.queue.now
             self._emit_chain_spans(
                 inflight, op_log, followers,
@@ -520,9 +545,6 @@ class FlashReadService:
         mutate FTL/die state and keep their own service slots."""
         return len(ops) == 1 and ops[0].kind == "read"
 
-    def _wordline_of(self, op: PhysicalOp) -> int:
-        return op.page // self.spec.pages_per_wordline
-
     def _coalesce(
         self, lane: _DieLane, leader_ops: List[PhysicalOp]
     ) -> List[Tuple[_InFlight, List[PhysicalOp]]]:
@@ -536,7 +558,8 @@ class FlashReadService:
         if not self._batchable(leader_ops):
             return []
         leader = leader_ops[0]
-        key = (leader.block, self._wordline_of(leader))
+        ppw = self._pages_per_wordline
+        key = (leader.block, leader.page // ppw)
         picked: List[Tuple[_InFlight, List[PhysicalOp]]] = []
         rest: Deque[Tuple[_InFlight, List[PhysicalOp]]] = deque()
         budget = BATCH_LIMIT - 1
@@ -545,7 +568,7 @@ class FlashReadService:
             if (
                 len(picked) < budget
                 and self._batchable(ops)
-                and (ops[0].block, self._wordline_of(ops[0])) == key
+                and (ops[0].block, ops[0].page // ppw) == key
             ):
                 picked.append(item)
             else:
@@ -576,125 +599,106 @@ class FlashReadService:
         any other page type of the wordline senses its voltages once at the
         known offsets."""
         self.retry_histogram[0] = self.retry_histogram.get(0, 0) + 1
-        if self._page_type(op) == self._page_type(leader):
+        ptype = op.page % self._pages_per_wordline
+        if ptype == leader.page % self._pages_per_wordline:
             return self.timing.t_transfer_us
-        n_voltages = self.profiles[COLD].page_voltages[self._page_type(op)]
+        n_voltages = self.profiles[COLD].page_voltages[ptype]
         return self.timing.read_us(n_voltages, 0, 0)
 
-    def _op_duration_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
-        t = self.timing
-        if op.kind == "read":
-            return self._read_us(op, inflight)
-        if op.kind == "program":
-            duration = t.t_transfer_us + t.t_program_us
-            if self._op_phase_log is not None:
-                self._op_phase_log.append((
-                    "program", duration, [],
-                    {"die": op.die, "block": op.block, "gc": op.gc},
-                ))
-            return duration
-        if op.kind == "erase":
-            self._erases[(op.die, op.block)] = (
-                self._erases.get((op.die, op.block), 0) + 1
+    def _observe_lookup(self, key: CacheKey, hit: bool, gc: bool) -> None:
+        """Metrics and trace of one voltage-cache lookup (obs on only)."""
+        if OBS.metrics.enabled:
+            OBS.metrics.counter(
+                "repro_service_cache_lookups_total",
+                help="voltage-cache lookups by outcome",
+                result="hit" if hit else "miss",
+            ).inc()
+        if OBS.tracer.enabled:
+            OBS.tracer.emit(
+                "cache_hit" if hit else "cache_miss",
+                die=key[0], block=key[1], layer=key[2],
+                ts=self.queue.now, gc=gc,
             )
-            if self._op_phase_log is not None:
-                self._op_phase_log.append((
-                    "erase", t.t_erase_us, [],
-                    {"die": op.die, "block": op.block, "gc": op.gc},
-                ))
-            return t.t_erase_us
-        raise ValueError(f"unknown op kind {op.kind!r}")
-
-    def _cache_probe(self, key: CacheKey, op: PhysicalOp) -> bool:
-        """One voltage-cache lookup with its observability; True on hit."""
-        entry = self.cache.lookup(key, self.queue.now, self._pe_of(key))
-        hit = entry is not None
-        if OBS.enabled:
-            if OBS.metrics.enabled:
-                OBS.metrics.counter(
-                    "repro_service_cache_lookups_total",
-                    help="voltage-cache lookups by outcome",
-                    result="hit" if hit else "miss",
-                ).inc()
-            if OBS.tracer.enabled:
-                OBS.tracer.emit(
-                    "cache_hit" if hit else "cache_miss",
-                    die=key[0], block=key[1], layer=key[2],
-                    ts=self.queue.now, gc=op.gc,
-                )
-        return hit
 
     def _read_us(self, op: PhysicalOp, inflight: _InFlight) -> float:
         """Price one read: the attempt loop every read runs.
 
-        An attempt probes the voltage cache, samples the warm (hit) or
-        cold (miss) retry profile and prices that read with
-        :meth:`NandTiming.read_cost`, memoised per argument tuple (with
-        spans on, ``read_cost`` runs every time to build the phases).
-        Fault hazards are terms of the attempt, each zero without an
-        active fault plan: a die stall adds to its sensing and channel
-        congestion scales its transfers — either can push it past
-        ``OP_TIMEOUT_US``, a failure counted against the die's circuit
-        breaker; a stale cache hit fails it silently (retried cold after
-        backoff, no die-health signal); a corrupt hit is quarantined and
-        the attempt proceeds cold.  An open breaker,
-        exhausted attempts or an overrun request budget end in the
-        degraded fallback-table read.  Without faults the first attempt
-        always succeeds, so the breaker is only checked, never driven."""
+        An attempt looks the read's (die, block, layer) up in the voltage
+        cache, samples the warm (hit) or cold (miss) retry profile and
+        prices that read with :meth:`NandTiming.read_cost`, memoised per
+        argument tuple (with spans on, ``read_cost`` runs every time to
+        build the phases).  Fault hazards are terms of the attempt, and
+        their hooks run only under an active fault plan: a die stall adds
+        to its sensing and channel congestion scales its transfers —
+        either can push it past ``OP_TIMEOUT_US``, a failure counted
+        against the die's circuit breaker; a stale cache hit fails it
+        silently (retried cold after backoff, no die-health signal); a
+        corrupt hit is quarantined and the attempt proceeds cold.  An open
+        breaker, exhausted attempts or an overrun request budget end in
+        the degraded fallback-table read.  Without faults the first
+        attempt always succeeds and returns straight away, so the
+        timeout, backoff and breaker code below it runs only for failed
+        attempts."""
         now = self.queue.now
-        breaker = self._breakers[op.die]
-        key = self._cache_key(op)
-        ptype = self._page_type(op)
-        faults = FAULTS.injector  # None while no fault plan is active
-        cache_on = self.config.cache_enabled
+        die, block = op.die, op.block
+        ptype = op.page % self._pages_per_wordline
+        breaker = self._breakers[die]
         # span phases, only while a die slot is priced with spans on
         phases = [] if self._op_phase_log is not None else None
         total = 0.0
         if breaker.state != CLOSED and not breaker.allow(now):
             reason = "breaker_open"
         else:
+            faults = FAULTS.injector  # None while no fault plan is active
+            cache = self.cache if self.config.cache_enabled else None
+            key = (die, block, op.page // self._pages_per_layer)
+            pe_cycles = self._erases.get((die, block), 0)
+            histogram = self.retry_histogram
             attempt = 0
             while True:
                 attempt += 1
-                hit = cache_on and self._cache_probe(key, op)
+                hit = False
                 event = None
-                if hit and faults is not None:
-                    event = faults.cache_event(key, now)
-                    if event == "corrupt":
-                        # detected corruption: drop + quarantine, go cold
-                        self.cache.quarantine(key, now)
-                        self._resil("cache_quarantines")
-                        hit = False
+                if cache is not None:
+                    hit = cache.lookup(key, now, pe_cycles) is not None
+                    if OBS.enabled:
+                        self._observe_lookup(key, hit, op.gc)
+                    if hit and faults is not None:
+                        event = faults.cache_event(key, now)
+                        if event == "corrupt":
+                            # detected corruption: drop + quarantine, go cold
+                            cache.quarantine(key, now)
+                            self._resil("cache_quarantines")
+                            hit = False
                 profile = self.profiles[WARM if hit else COLD]
-                retries, extra = profile.sample(ptype, self.rng)
-                self.retry_histogram[retries] = (
-                    self.retry_histogram.get(retries, 0) + 1
-                )
-                if cache_on and not hit:
+                retries, extra = profile.sample(ptype, self.draws)
+                histogram[retries] = histogram.get(retries, 0) + 1
+                if cache is not None and not hit:
                     # the cold read's sentinel flow inferred the offset
-                    self.cache.put(key, now, self._pe_of(key))
+                    cache.put(key, now, pe_cycles)
                 n_voltages = profile.page_voltages[ptype]
+                if faults is None:
+                    stall, factor = 0.0, 1.0
+                else:
+                    stall = FAULTS.die_stall_us(die, now)
+                    factor = FAULTS.congestion_factor(now)
                 cost_args = (
                     n_voltages, retries, extra,
-                    retries if profile.pipelined else 0,
-                    FAULTS.die_stall_us(op.die, now),
-                    FAULTS.congestion_factor(now),
+                    retries if profile.pipelined else 0, stall, factor,
                 )
                 if phases is None:
                     read_phases = None
                     duration = self._read_prices.get(cost_args)
                     if duration is None:
-                        die, channel, overlap = self.timing.read_cost(
-                            *cost_args
-                        )
-                        duration = die + channel - overlap
+                        d_us, c_us, overlap = self.timing.read_cost(*cost_args)
+                        duration = d_us + c_us - overlap
                         self._read_prices[cost_args] = duration
                 else:
                     read_phases = []
-                    die, channel, overlap = self.timing.read_cost(
+                    d_us, c_us, overlap = self.timing.read_cost(
                         *cost_args, read_phases
                     )
-                    duration = die + channel - overlap
+                    duration = d_us + c_us - overlap
                 if duration > OP_TIMEOUT_US:
                     duration = OP_TIMEOUT_US  # attempt aborted at the budget
                     failure = "timeout"
@@ -708,10 +712,13 @@ class FlashReadService:
                         phases += read_phases
                         self._log_read(
                             op, ptype, n_voltages, retries, extra,
-                            "hit" if hit else ("miss" if cache_on else "off"),
+                            "hit" if hit else (
+                                "miss" if cache is not None else "off"
+                            ),
                             phases, total,
                         )
                     return total
+                # a failed attempt: account it, back off, maybe retry
                 total += duration
                 if phases is not None:
                     phases.append((
@@ -733,7 +740,7 @@ class FlashReadService:
                     # the hinted read silently missed: forget the bad entry
                     # so the retry goes cold
                     self._resil("stale_retries")
-                    self.cache.invalidate(key)
+                    cache.invalidate(key)
                 if total > REQUEST_TIMEOUT_US - (now - inflight.issue_us):
                     self._resil("request_timeouts")
                     reason = "request_timeout"
@@ -749,7 +756,7 @@ class FlashReadService:
                 self._resil("backoff_us", backoff)
                 if phases is not None:
                     phases.append(("backoff", backoff, {"attempt": attempt}))
-        degraded_us = self._degraded_read_us(op, inflight, now, reason)
+        degraded_us = self._degraded_read_us(op, ptype, inflight, now, reason)
         total += degraded_us
         if phases is not None:
             phases.append(("degraded_fallback", degraded_us, {"reason": reason}))
@@ -786,7 +793,8 @@ class FlashReadService:
         ))
 
     def _degraded_read_us(
-        self, op: PhysicalOp, inflight: _InFlight, now: float, reason: str
+        self, op: PhysicalOp, ptype: int, inflight: _InFlight, now: float,
+        reason: str,
     ) -> float:
         """Last-resort read straight off the vendor fallback table.
 
@@ -796,7 +804,6 @@ class FlashReadService:
         subject to an ongoing die stall, which is bounded, so the request
         completes."""
         profile = self.profiles[COLD]
-        ptype = self._page_type(op)
         retries = DEGRADED_RETRIES
         self.retry_histogram[retries] = (
             self.retry_histogram.get(retries, 0) + 1

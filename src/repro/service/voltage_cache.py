@@ -76,9 +76,6 @@ class CacheEntry:
     #: entry arrived via warm_start() rather than local inference
     warm: bool = False
 
-    def age_us(self, now_us: float) -> float:
-        return now_us - self.stored_us
-
 
 class VoltageOffsetCache:
     """Bounded LRU map ``(die, block, layer) -> CacheEntry``."""
@@ -134,7 +131,9 @@ class VoltageOffsetCache:
 
     def _fresh(self, entry: CacheEntry, now_us: float, pe_cycles: int) -> bool:
         """Within the TTL, and no erase of the block since the inference."""
-        return entry.age_us(now_us) <= TTL_US and pe_cycles <= entry.pe_cycles
+        return (
+            now_us - entry.stored_us <= TTL_US and pe_cycles <= entry.pe_cycles
+        )
 
     # ------------------------------------------------------------------
     def lookup(
@@ -297,7 +296,7 @@ class VoltageOffsetCache:
                     "die": key[0],
                     "block": key[1],
                     "layer": key[2],
-                    "age_us": entry.age_us(now_us),
+                    "age_us": now_us - entry.stored_us,
                 }
             )
         return {"entries": entries}

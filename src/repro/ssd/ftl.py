@@ -179,25 +179,43 @@ class PageMappingFtl:
     def _collect(self, die_index: int, ops: List[PhysicalOp]) -> None:
         """Greedy GC on one die, appending its ops to ``ops``."""
         c = self.config
+        ppb = c.pages_per_block
         state = self._dies[die_index]
+        mapping, valid = self.mapping, state.valid_count
+        first_block = die_index * c.blocks_per_die
+        new_op, append = tuple.__new__, ops.append
         while len(state.free_blocks) < GC_STOP_FREE_BLOCKS and state.sealed:
             victim = self._pick_victim(state)
-            if state.valid_count[victim] >= c.pages_per_block:
+            if valid[victim] >= ppb:
                 break  # nothing reclaimable: migrating a full block gains nothing
             state.sealed.remove(victim)
             migrated = 0
             for page, lpn in enumerate(state.page_lpn[victim]):
                 if lpn == INVALID:
                     continue
-                ops.append(PhysicalOp("read", die_index, victim, page, True))
-                # _append remaps the lpn with a program on the active block
-                ops.append(self._append(die_index, lpn))
+                append(new_op(
+                    PhysicalOp, ("read", die_index, victim, page, True)
+                ))
                 migrated += 1
+                # remap the lpn with a program on the active block: in
+                # place while it has room, through _append at roll-over
+                page_to = state.write_page
+                if page_to >= ppb:
+                    append(self._append(die_index, lpn))
+                    continue
+                block = state.active_block
+                state.write_page = page_to + 1
+                valid[block] += 1
+                state.page_lpn[block][page_to] = lpn
+                mapping[lpn] = (first_block + block) * ppb + page_to
+                append(new_op(
+                    PhysicalOp, ("program", die_index, block, page_to, False)
+                ))
             self.gc_writes += migrated
             ops.append(PhysicalOp("erase", die_index, victim, 0, True))
             state.free_blocks.append(victim)
-            state.page_lpn[victim] = [INVALID] * c.pages_per_block
-            state.valid_count[victim] = 0
+            state.page_lpn[victim] = [INVALID] * ppb
+            valid[victim] = 0
             state.erase_count[victim] += 1
             self.gc_erases += 1
             if OBS.enabled:

@@ -6,6 +6,12 @@ behaviour measured on its real chips.  We do the same: a
 :class:`RetryProfile` measures the joint distribution of (retries, auxiliary
 single-voltage reads) per page type for a given read policy on an aged
 block, then replays i.i.d. samples per simulated read.
+
+Each simulated read picks its sample with :meth:`RetryDraws.below`, one
+bounded draw from the device model's own generator.  The draws equal
+numpy's scalar ``Generator.integers(n)`` term for term, so a buffered
+stream costs a few Python operations per read instead of a Generator
+call, and no result moves.
 """
 
 from __future__ import annotations
@@ -20,6 +26,55 @@ from repro.flash.chip import FlashChip
 from repro.obs import OBS
 from repro.retry.policy import ReadPolicy
 from repro.ssd.timing import NandTiming
+
+#: raw 32-bit words fetched from the generator per refill
+DRAW_CHUNK = 1024
+_WORD = 1 << 32
+_LOW = _WORD - 1
+
+
+class RetryDraws:
+    """Bounded integer draws from one generator, fetched in chunks.
+
+    ``below(n)`` returns what ``rng.integers(n)`` would, call for call:
+    numpy draws a bound of at most ``2**32`` with Lemire's
+    multiply-and-reject rule (Lemire, "Fast Random Integer Generation in an
+    Interval", arXiv 1805.10941) on the generator's 32-bit words, and
+    ``integers(0, 2**32, size=k, dtype=np.uint32)`` hands out those same
+    words in the same order.  So ``below`` scales a word by ``n``, keeps
+    the high 32 bits, and redraws while the low 32 bits fall under
+    ``(2**32 - n) % n``; ``n == 1`` takes no word.  The stream fetches
+    words ahead of use, so it must be its generator's only consumer.
+    """
+
+    __slots__ = ("_rng", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._next = iter(()).__next__
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            words = self._rng.integers(
+                0, _WORD, size=DRAW_CHUNK, dtype=np.uint32
+            ).tolist()
+            self._next = iter(words).__next__
+            return self._next()
+
+    def below(self, n: int) -> int:
+        """One uniform draw from ``range(n)``, ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        if not 1 <= n <= _WORD:
+            raise ValueError(f"bound {n} outside [1, 2**32]")
+        m = self._word() * n
+        if m & _LOW < n:  # n bounds the threshold: most words skip the mod
+            threshold = (_WORD - n) % n
+            while m & _LOW < threshold:
+                m = self._word() * n
+        return m >> 32
 
 
 def _measure_shard(
@@ -188,22 +243,11 @@ class RetryProfile:
             pipelined=pipelined,
         )
 
-    @classmethod
-    def ideal(cls, page_types: Sequence[int], voltages: Dict[int, int]) -> "RetryProfile":
-        """A zero-retry profile (fresh chip / perfect knowledge)."""
-        return cls(
-            policy_name="ideal",
-            page_voltages=dict(voltages),
-            samples={p: np.zeros((1, 2), dtype=np.int64) for p in page_types},
-        )
-
     # ------------------------------------------------------------------
-    def sample(
-        self, page_type: int, rng: np.random.Generator
-    ) -> Tuple[int, int]:
+    def sample(self, page_type: int, draws: RetryDraws) -> Tuple[int, int]:
         """Draw one (retries, extra single reads) pair for a page type."""
         rows = self._rows[page_type]
-        return rows[rng.integers(len(rows))]
+        return rows[draws.below(len(rows))]
 
     def mean_retries(self, page_type: Optional[int] = None) -> float:
         if page_type is not None:

@@ -29,7 +29,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.events import EventQueue, Resource
 from repro.ssd.ftl import PageMappingFtl, PhysicalOp
 from repro.ssd.metrics import SimulationReport
-from repro.ssd.retry_model import RetryProfile
+from repro.ssd.retry_model import RetryDraws, RetryProfile
 from repro.ssd.timing import NandTiming
 from repro.traces.trace import Trace, TraceRequest
 from repro.util.rng import derive_rng
@@ -57,7 +57,9 @@ class Ssd:
         self.timing = timing
         self.profile = retry_profile
         self.ftl = PageMappingFtl(config)
-        self.rng = derive_rng(seed, "ssd", retry_profile.policy_name)
+        self.draws = RetryDraws(
+            derive_rng(seed, "ssd", retry_profile.policy_name)
+        )
         # Reads preempt programs/erases (program-suspend, standard in modern
         # controllers): each die keeps one clock for reads and one for
         # writes/erases; a read arriving during a program pays only the
@@ -79,7 +81,7 @@ class Ssd:
         if op.kind == "read":
             read_lane = self._die_reads[op.die]
             ptype = op.page % self.spec.pages_per_wordline
-            retries, extra = self.profile.sample(ptype, self.rng)
+            retries, extra = self.profile.sample(ptype, self.draws)
             self.retry_histogram[retries] = (
                 self.retry_histogram.get(retries, 0) + 1
             )

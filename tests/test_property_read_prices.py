@@ -54,19 +54,26 @@ def _broker(profiles, cache_enabled):
 def _priced_read(service, voltages, retries, extra, pipelined, stall,
                  factor):
     """One read priced by the broker, its profile pinned to one
-    ``(retries, extra)`` row and its fault hooks to ``stall``/``factor``."""
+    ``(retries, extra)`` row and its fault hooks to ``stall``/``factor``.
+
+    The broker consults the hooks only under an active fault plan, so a
+    zero-fault plan is active while the read is priced."""
     pages = range(SPEC.pages_per_wordline)
     service.profiles = {COLD: RetryProfile(
         "fixed", {p: voltages for p in pages},
         {p: np.array([[retries, extra]], dtype=np.int64) for p in pages},
         pipelined=pipelined,
     )}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FAULTS, "die_stall_us", lambda die, now: stall)
-        mp.setattr(FAULTS, "congestion_factor", lambda now: factor)
-        return service._read_us(
-            PhysicalOp("read", 0, 0, 0), _InFlight(None, 0.0, 1)
-        )
+    FAULTS.activate(FaultPlan.none())
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FAULTS, "die_stall_us", lambda die, now: stall)
+            mp.setattr(FAULTS, "congestion_factor", lambda now: factor)
+            return service._read_us(
+                PhysicalOp("read", 0, 0, 0), _InFlight(None, 0.0, 1)
+            )
+    finally:
+        FAULTS.deactivate()
 
 
 def _read_cost_us(voltages, retries, extra, pipelined, stall, factor):

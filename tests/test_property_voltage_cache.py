@@ -35,7 +35,7 @@ def reference_scrub(cache, die, now_us, limit):
     due = [
         (entry.stored_us, -entry.hits, key)
         for key, entry in cache._entries.items()
-        if key[0] == die and entry.age_us(now_us) >= REFRESH_AGE_US
+        if key[0] == die and now_us - entry.stored_us >= REFRESH_AGE_US
     ]
     due.sort()
     return [key for _, _, key in due[:limit]]

@@ -9,9 +9,10 @@ from repro.ecc.capability import CapabilityEcc
 from repro.flash.chip import FlashChip
 from repro.flash.mechanisms import StressState
 from repro.retry import CurrentFlashPolicy
-from repro.ssd.retry_model import RetryProfile
+from repro.ssd.retry_model import RetryDraws, RetryProfile
 from repro.ssd.timing import NandTiming
 from repro.util.rng import derive_rng
+from tests.profiles import ideal_profile
 
 
 @pytest.fixture(scope="module")
@@ -64,13 +65,13 @@ class TestMeasure:
 class TestSampling:
     def test_samples_from_pool(self, measured_profiles):
         current, _ = measured_profiles
-        rng = derive_rng(1)
+        draws = RetryDraws(derive_rng(1))
         pool = {tuple(r) for r in current.samples[2]}
         for _ in range(20):
-            assert current.sample(2, rng) in pool
+            assert current.sample(2, draws) in pool
 
     def test_ideal_profile_zero(self):
-        profile = RetryProfile.ideal([0, 1, 2], {0: 1, 1: 2, 2: 4})
-        rng = derive_rng(2)
-        assert profile.sample(1, rng) == (0, 0)
+        profile = ideal_profile([0, 1, 2], {0: 1, 1: 2, 2: 4})
+        draws = RetryDraws(derive_rng(2))
+        assert profile.sample(1, draws) == (0, 0)
         assert profile.mean_retries() == 0.0

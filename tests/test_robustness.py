@@ -15,11 +15,12 @@ from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.voltage_cache import QUARANTINE_US, VoltageOffsetCache
 from repro.ssd.config import SsdConfig
-from repro.ssd.retry_model import RetryProfile
+from repro.ssd.retry_model import RetryDraws, RetryProfile
 from repro.ssd.ssd import Ssd
 from repro.ssd.timing import NandTiming
 from repro.traces.trace import Trace
 from repro.util.rng import derive_rng
+from tests.profiles import ideal_profile
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,7 @@ class TestTraceRobustness:
         config = SsdConfig.for_spec(
             tiny_tlc, channels=1, dies_per_channel=1, blocks_per_die=4,
         )
-        profile = RetryProfile.ideal([0, 1, 2], {0: 1, 1: 2, 2: 4})
+        profile = ideal_profile([0, 1, 2], {0: 1, 1: 2, 2: 4})
         report = Ssd(tiny_tlc, config, NandTiming(), profile).run_trace(
             Trace("empty", [])
         )
@@ -95,9 +96,9 @@ class TestModelRobustness:
 # ---------------------------------------------------------------------------
 class TestProfileRobustness:
     def test_unknown_page_type_raises(self):
-        profile = RetryProfile.ideal([0, 1], {0: 1, 1: 2})
+        profile = ideal_profile([0, 1], {0: 1, 1: 2})
         with pytest.raises(KeyError):
-            profile.sample(5, derive_rng(1))
+            profile.sample(5, RetryDraws(derive_rng(1)))
 
     def test_mean_read_us_empty(self):
         profile = RetryProfile(policy_name="x", page_voltages={}, samples={})
